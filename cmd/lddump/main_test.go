@@ -1,0 +1,68 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"repro/internal/disk"
+	"repro/internal/ld"
+	"repro/internal/lld"
+)
+
+// The mount report of a crashed image says where recovery's time went and
+// what the data read-back cost; that of a cleanly shut down one says there
+// was nothing to do.
+func TestReportMount(t *testing.T) {
+	d := disk.New(disk.DefaultConfig(16 << 20))
+	opts := lld.DefaultOptions()
+	if err := lld.Format(d, opts); err != nil {
+		t.Fatal(err)
+	}
+	l, err := lld.Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lid, err := l.NewList(ld.NilList, ld.ListHints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := ld.NilBlock
+	for i := 0; i < 8; i++ {
+		b, err := l.NewBlock(lid, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Write(b, bytes.Repeat([]byte{byte(i + 1)}, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		prev = b
+	}
+	if err := l.Flush(ld.FailPower); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Shutdown(false); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	reportMount(d, &out)
+	for _, want := range []string{"recovery takes", "summary sweep of", "verified 8 blocks in ", "0 segments quarantined"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("crashed image: report lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	l, err = lld.Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Shutdown(true); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	reportMount(d, &out)
+	if !strings.Contains(out.String(), "clean-shutdown checkpoint loaded") {
+		t.Errorf("clean image: %s", out.String())
+	}
+}

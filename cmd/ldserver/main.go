@@ -266,8 +266,8 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved,
 			s.BGCleanPasses, s.BGCleanSteps, s.BGCleanErrors, s.WriterWaits)
 		fmt.Fprintf(os.Stderr,
-			"ldserver: integrity: %d corrupt reads refused, %d transient retries, %d quarantined segments; scrub: %d passes, %d blocks (%d MB) verified, %d errors, %d repairs\n",
-			s.CorruptReads, s.ReadRetries, s.QuarantinedSegments,
+			"ldserver: integrity: %d corrupt reads refused, %d transient read retries, %d write retries, %d quarantined segments; scrub: %d passes, %d blocks (%d MB) verified, %d errors, %d repairs\n",
+			s.CorruptReads, s.ReadRetries, s.WriteRetries, s.QuarantinedSegments,
 			s.ScrubPasses+s.BGScrubPasses, s.ScrubBlocks, s.ScrubBytes>>20,
 			s.ScrubErrors, s.ScrubRepairs)
 		if bk.mirror != nil || bk.stripe != nil {

@@ -145,10 +145,20 @@ func TestRecoveryExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tab.Render())
-	if len(tab.Rows) < 3 {
-		t.Fatal("missing rows")
+	if len(tab.Rows) != 7 {
+		t.Fatalf("%d rows, want 7", len(tab.Rows))
 	}
-	if cell(t, tab, 3, 1) != 0 {
+	secs := func(row int) float64 {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[row][1], " s"), 64)
+		if err != nil {
+			t.Fatalf("row %d: %v", row, err)
+		}
+		return v
+	}
+	if sweep, verify, total := secs(2), secs(3), secs(4); sweep <= 0 || verify <= 0 || sweep+verify > total+0.02 {
+		t.Errorf("sweep %.2f s + verify %.2f s do not fit in the %.2f s recovery", sweep, verify, total)
+	}
+	if cell(t, tab, 6, 1) != 0 {
 		t.Error("recovery reported anomalies")
 	}
 }

@@ -86,11 +86,12 @@ func (l *LLD) bgScrubLoop(bg *bgScrubber) {
 func (l *LLD) runBGScrubPass(bg *bgScrubber) {
 	l.scrubbing = true
 	step := l.opts.scrubStep()
+	v := l.newVerifier()
 	var res ScrubResult
 	for seg := 0; seg < l.lay.nSegments; {
 		stop := seg + step
 		for ; seg < stop && seg < l.lay.nSegments; seg++ {
-			if err := l.scrubOneSegment(seg, false, &res); err != nil {
+			if err := l.scrubSegment(v, seg, false, &res); err != nil {
 				seg = l.lay.nSegments // abandon the pass
 				break
 			}
@@ -108,6 +109,7 @@ func (l *LLD) runBGScrubPass(bg *bgScrubber) {
 			break
 		}
 	}
+	v.finish()
 	l.scrubbing = false
 	l.stats.BGScrubPasses++
 }

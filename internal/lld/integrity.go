@@ -3,6 +3,7 @@ package lld
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ld"
@@ -68,6 +69,13 @@ type RecoveryReport struct {
 
 	TornSlotsCleared int // benign torn summary slots zeroed by the sweep
 	DiscardedRecords int // incomplete-ARU records discarded (and fenced)
+
+	// Where the mount's time went, on the backend's clock: reading and
+	// replaying the summaries, then reading every mapped payload back, and
+	// the I/O shape of that read-back.
+	SweepTime  time.Duration
+	VerifyTime time.Duration
+	VerifyCounts
 }
 
 // Degraded reports whether recovery found any damage.
@@ -130,7 +138,8 @@ type ScrubResult struct {
 // Scrub walks every sealed segment and verifies the payload checksum of
 // each live block against the media — the proactive half of the integrity
 // story: latent faults are found while the rest of the log is still healthy
-// instead of at the next unlucky Read. Blocks in quarantined segments whose
+// instead of at the next unlucky Read. It reads in platter order, one
+// request per live extent (extent.go). Blocks in quarantined segments whose
 // payload still verifies are salvaged: rewritten into the open segment,
 // after which they read normally again. Corrupt blocks are reported, not
 // altered (their reads keep failing with ErrCorrupt).
@@ -146,11 +155,13 @@ func (l *LLD) Scrub() (ScrubResult, error) {
 	l.scrubbing = true
 	defer func() { l.scrubbing = false }()
 	l.setLane(0) // salvage rewrites log on lane 0
+	v := l.newVerifier()
+	defer v.finish()
 	var res ScrubResult
 	for seg := 0; seg < l.lay.nSegments; seg++ {
 		// Never emit salvage records into someone else's open atomic
 		// recovery unit; verification still runs.
-		if err := l.scrubOneSegment(seg, !l.aruOpen, &res); err != nil {
+		if err := l.scrubSegment(v, seg, !l.aruOpen, &res); err != nil {
 			return res, err
 		}
 	}
@@ -158,70 +169,45 @@ func (l *LLD) Scrub() (ScrubResult, error) {
 	return res, nil
 }
 
-// scrubOneSegment verifies every live block mapped into segment seg and,
-// when repair is set, salvages verifiable blocks out of a quarantined seg.
-// Callers hold l.mu exclusively with l.scrubbing set. Media faults are
-// recorded per block; any other error aborts the pass.
-func (l *LLD) scrubOneSegment(seg int, repair bool, res *ScrubResult) error {
+// scrubSegment verifies every live block mapped into segment seg and, when
+// repair is set, salvages verifiable blocks out of a quarantined seg. A
+// pass (v) visits segments in ascending order. Callers hold l.mu
+// exclusively with l.scrubbing set. Media faults are recorded per block;
+// any other error aborts the pass.
+func (l *LLD) scrubSegment(v *verifier, seg int, repair bool, res *ScrubResult) error {
+	run := v.runOf(seg) // taken even if seg is skipped below: the pass moves on
 	st := l.segs[seg].state
 	if st != segLive && st != segQuarantined {
 		return nil // free/cooling hold no mapped blocks; the open segment is in memory
 	}
 	res.Segments++
 	l.stats.ScrubSegments++
-	for bid := ld.BlockID(1); bid < l.nextFresh; bid++ {
-		bi := &l.blocks[bid]
-		if !bi.allocated() || !bi.hasData() || int(bi.seg) != seg {
-			continue
-		}
+	if run == nil {
+		return nil
+	}
+	healed := v.heals
+	defer func() { l.stats.ScrubHeals += v.heals - healed }()
+	return v.segment(run, func(sp liveSpan, stored []byte, err error) error {
+		bid := sp.bid
 		res.Blocks++
 		l.stats.ScrubBlocks++
-		if bi.stored == 0 {
-			continue // empty payload: nothing on the media to verify
+		if sp.stored == 0 {
+			return nil // empty payload: nothing on the media to verify
 		}
-		var stored []byte
-		if mr, isMulti := l.dsk.(disk.MultiReader); isMulti && !l.opts.DisableReadVerify {
-			// Redundant backend: check every replica's copy and heal bad
-			// ones, so a clean pass proves all copies intact — not just
-			// whichever copy a read happens to pick.
-			var healed int
-			var err error
-			stored, healed, err = l.verifyStoredAllCopies(mr, bi)
-			if healed > 0 {
-				l.stats.ScrubHeals += int64(healed)
-				l.stats.SelfHeals += int64(healed)
+		if err == nil || errors.Is(err, errPayloadCRC) {
+			res.Bytes += int64(sp.stored) // read, if not believed
+			l.stats.ScrubBytes += int64(sp.stored)
+		}
+		if err != nil {
+			if !errors.Is(err, errPayloadCRC) && !errors.Is(err, disk.ErrUnreadable) && !errors.Is(err, disk.ErrNoValidReplica) {
+				return err
 			}
-			if err != nil {
-				if !errors.Is(err, disk.ErrUnreadable) && !errors.Is(err, disk.ErrNoValidReplica) {
-					return err
-				}
-				res.Corrupt = append(res.Corrupt, bid)
-				l.stats.ScrubErrors++
-				continue
-			}
-			res.Bytes += int64(bi.stored)
-			l.stats.ScrubBytes += int64(bi.stored)
-		} else {
-			var err error
-			stored, err = l.readStored(bi, &l.scratch)
-			if err != nil {
-				if !errors.Is(err, disk.ErrUnreadable) {
-					return err
-				}
-				res.Corrupt = append(res.Corrupt, bid)
-				l.stats.ScrubErrors++
-				continue
-			}
-			res.Bytes += int64(bi.stored)
-			l.stats.ScrubBytes += int64(bi.stored)
-			if payloadCRC(stored) != bi.crc {
-				res.Corrupt = append(res.Corrupt, bid)
-				l.stats.ScrubErrors++
-				continue
-			}
+			res.Corrupt = append(res.Corrupt, bid)
+			l.stats.ScrubErrors++
+			return nil
 		}
 		if st != segQuarantined || !repair {
-			continue
+			return nil
 		}
 		// Salvage: the payload is intact even though its segment's summary
 		// rotted. Rewrite it into the open segment — a fresh, checksummed,
@@ -230,9 +216,9 @@ func (l *LLD) scrubOneSegment(seg int, repair bool, res *ScrubResult) error {
 		if err := l.ensureRoom(len(data), blockEntryEncSize); err != nil {
 			return err
 		}
-		bi = &l.blocks[bid] // re-fetch after potential reentrancy
+		bi := &l.blocks[bid] // re-fetch after potential reentrancy
 		if int(bi.seg) != seg {
-			continue // moved while ensureRoom recycled segments
+			return nil // moved while ensureRoom recycled segments
 		}
 		off := l.appendData(data)
 		flags := uint8(entryCommitted)
@@ -252,6 +238,6 @@ func (l *LLD) scrubOneSegment(seg int, repair bool, res *ScrubResult) error {
 		res.Repaired = append(res.Repaired, bid)
 		l.stats.ScrubRepairs++
 		l.crashPoint("scrub.salvage")
-	}
-	return nil
+		return nil
+	})
 }

@@ -165,8 +165,10 @@ type Stats struct {
 	RecoverySweepSegments int64 // summaries read by the last sweep
 	RecoveryAnomalies     int64 // defensive-replay oddities
 	RecoveryDiscards      int64 // incomplete-ARU records discarded by the sweep
+	VerifyCounts                // recovery's data read-back and the scrubber's passes
 
-	ReadRetries         int64 // transient disk errors absorbed by bounded retry
+	ReadRetries         int64 // transient disk read errors absorbed by bounded retry
+	WriteRetries        int64 // transient disk write errors absorbed by bounded retry
 	CorruptReads        int64 // reads refused with ErrCorrupt (bad CRC, quarantine, media)
 	ScrubPasses         int64 // full scrub passes completed
 	ScrubSegments       int64 // segments walked by the scrubber
@@ -379,6 +381,12 @@ func Format(dsk disk.Backend, opts Options) error {
 // invalidated; otherwise the state is rebuilt by the one-sweep recovery of
 // paper §3.6.
 func Open(dsk disk.Backend, opts Options) (*LLD, error) {
+	return open(dsk, opts, (*LLD).verifyRecoveredData)
+}
+
+// open is Open with the sweep's data read-back as a parameter (see
+// recoverSweep).
+func open(dsk disk.Backend, opts Options, verifyData func(*LLD, *RecoveryReport)) (*LLD, error) {
 	sector := make([]byte, dsk.SectorSize())
 	// On a redundant backend, accept any replica whose superblock decodes:
 	// a wholly-rotted mirror copy must not keep the store from opening.
@@ -436,13 +444,13 @@ func Open(dsk disk.Backend, opts Options) (*LLD, error) {
 	}
 	switch {
 	case !found:
-		if err := l.recoverSweep(0, false); err != nil {
+		if err := l.recoverSweep(0, false, verifyData); err != nil {
 			return nil, err
 		}
 	case !complete:
 		// Consolidation checkpoint: it is a floor, not the full story —
 		// sweep the summaries and replay everything newer.
-		if err := l.recoverSweep(l.ckptTS, true); err != nil {
+		if err := l.recoverSweep(l.ckptTS, true, verifyData); err != nil {
 			return nil, err
 		}
 	}
@@ -534,7 +542,7 @@ func (l *LLD) dskRead(p []byte, off int64) error {
 func (l *LLD) dskWrite(p []byte, off int64) error {
 	err := l.dsk.WriteAt(p, off)
 	for n := 0; n < maxIORetries && errors.Is(err, disk.ErrTransient); n++ {
-		atomic.AddInt64(&l.stats.ReadRetries, 1)
+		atomic.AddInt64(&l.stats.WriteRetries, 1)
 		err = l.dsk.WriteAt(p, off)
 	}
 	if err == nil {

@@ -60,16 +60,18 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	defer func() { l.scrubbing = false }()
 	l.setLane(0) // salvage rewrites and re-logged facts go on lane 0
 
+	v := l.newVerifier()
+	defer v.finish()
+	var sr ScrubResult
 	var reclaimable []int
 	for seg := 0; seg < l.lay.nSegments; seg++ {
 		if l.segs[seg].state != segQuarantined {
 			continue
 		}
-		var sr ScrubResult
-		if err := l.scrubOneSegment(seg, true, &sr); err != nil {
+		if err := l.scrubSegment(v, seg, true, &sr); err != nil {
 			return res, err
 		}
-		res.Salvaged = append(res.Salvaged, sr.Repaired...)
+		res.Salvaged = sr.Repaired
 		stuck := false
 		for bid := ld.BlockID(1); bid < l.nextFresh; bid++ {
 			bi := &l.blocks[bid]

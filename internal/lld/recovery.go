@@ -336,8 +336,12 @@ func (l *LLD) sweepSummaries() ([]segProbe, error) {
 // deterministic, so the recovered state is byte-identical to the
 // single-worker sweep on the same image (recovery_parallel_test.go holds
 // the two against each other).
-func (l *LLD) recoverSweep(floor uint64, seeded bool) error {
+//
+// verifyData is the read-back of the mapped payloads that ends the sweep:
+// verifyRecoveredData, or the per-block pass tests hold it against.
+func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData func(*LLD, *RecoveryReport)) error {
 	lay := l.lay
+	began := l.dsk.Now()
 
 	type segRecord struct {
 		si *summaryInfo
@@ -589,7 +593,9 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool) error {
 	// consolidation floor must be checked: a seal re-writes bytes the
 	// checkpoint barrier already made durable, and the crash can tear that
 	// in-flight sector — garbage over previously durable data.
-	l.verifyRecoveredData(&report)
+	swept := l.dsk.Now()
+	verifyData(l, &report)
+	report.SweepTime, report.VerifyTime = swept-began, l.dsk.Now()-swept
 	l.ts = maxTS + 1
 	if discarded > 0 {
 		// Schedule an abort fence over (lastCommitted, l.ts): the discarded
@@ -605,47 +611,27 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool) error {
 
 // verifyRecoveredData checks that every mapped block still has its
 // payload on the platter(s), and quarantines any segment holding a block
-// that does not. On replicated backends the read also heals copies that
-// diverged (a mirror leg whose cache dropped or tore the data while its
-// sibling's persisted). It runs only on unclean mounts — the fsck side
-// of recovery.
+// that does not. It reads in platter order, one request per live extent
+// (extent.go); a segment's walk ends at its first lost block. On
+// replicated backends the check also heals copies that diverged (a mirror
+// leg whose cache dropped or tore the data while its sibling's persisted).
+// It runs only on unclean mounts — the fsck side of recovery.
 func (l *LLD) verifyRecoveredData(report *RecoveryReport) {
-	mr, multi := l.dsk.(disk.MultiReader)
-	verify := func(bi *blockInfo) bool {
-		if multi && !l.opts.DisableReadVerify {
-			_, _, err := l.verifyStoredAllCopies(mr, bi)
-			return err == nil
-		}
-		data, err := l.readStored(bi, &l.scratch)
-		return err == nil && payloadCRC(data) == bi.crc
-	}
-	var lost map[int32]bool
-	for i := 1; i < len(l.blocks); i++ {
-		bi := &l.blocks[i]
-		if !bi.allocated() || !bi.hasData() || bi.stored == 0 || bi.seg < 0 {
+	v := l.newVerifier()
+	for run := v.nextRun(); run != nil; run = v.nextRun() {
+		seg := int(run[0].seg)
+		if l.segs[seg].state == segQuarantined {
 			continue
 		}
-		si := &l.segs[bi.seg]
-		if si.state == segQuarantined || lost[bi.seg] {
-			continue
-		}
-		if !verify(bi) {
-			if lost == nil {
-				lost = make(map[int32]bool)
-			}
-			lost[bi.seg] = true
+		lost := v.segment(run, func(_ liveSpan, _ []byte, err error) error { return err })
+		if lost != nil {
+			l.segs[seg].state = segQuarantined
+			report.QuarantinedSegments = append(report.QuarantinedSegments,
+				QuarantinedSegment{Seg: seg, Reason: "block data lost under a surviving summary"})
 		}
 	}
-	segs := make([]int32, 0, len(lost))
-	for s := range lost {
-		segs = append(segs, s)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	for _, s := range segs {
-		l.segs[s].state = segQuarantined
-		report.QuarantinedSegments = append(report.QuarantinedSegments,
-			QuarantinedSegment{Seg: int(s), Reason: "block data lost under a surviving summary"})
-	}
+	v.finish()
+	report.VerifyCounts = v.VerifyCounts
 }
 
 // replayEntry installs a block data-location assignment.

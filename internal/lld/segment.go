@@ -385,7 +385,9 @@ func (l *LLD) writeSealJob(j *sealJob) error {
 // own slot, but the segment stays in memory and keeps filling; a later seal
 // rewrites the whole segment in place, and the earlier partial image is
 // superseded at no cleaning cost.
-func (l *LLD) writePartial() error { return l.writePartialVia(l.dskWrite, &l.stats.PartialWrites, false) }
+func (l *LLD) writePartial() error {
+	return l.writePartialVia(l.dskWrite, &l.stats.PartialWrites, false)
+}
 
 // writePartialNVRAM is the §5.3 variant: the partial image lands in
 // battery-backed NVRAM, so no disk operation is charged.
@@ -617,26 +619,4 @@ func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte) (data []byte, v
 		return nil, false, err
 	}
 	return buf[rel : rel+stored], true, nil
-}
-
-// verifyStoredAllCopies checks every replica's copy of bi's payload
-// against the recorded checksum, healing bad copies from a verified
-// one. Used by the scrubber so a pass over a healed mirror proves all
-// replicas clean, not just whichever copy a read would pick. Callers
-// hold l.mu exclusively (uses l.scratch).
-func (l *LLD) verifyStoredAllCopies(mr disk.MultiReader, bi *blockInfo) (data []byte, healed int, err error) {
-	off, span, rel := l.storedSpan(bi)
-	if span > len(l.scratch) {
-		l.scratch = make([]byte, span)
-	}
-	buf := l.scratch
-	crc := bi.crc
-	stored := int64(bi.stored)
-	healed, err = mr.VerifyReplicas(buf[:span], off, func(b []byte) bool {
-		return payloadCRC(b[rel:rel+stored]) == crc
-	})
-	if err != nil {
-		return nil, healed, err
-	}
-	return buf[rel : rel+stored], healed, nil
 }

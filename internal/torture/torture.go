@@ -52,6 +52,11 @@ type Config struct {
 	MaxPoints    int   // cap on total points (evenly sampled); 0 = all
 
 	Logf func(format string, args ...any) // progress/failure log; default silent
+
+	// OnImage, when set, is shown every crash image just before recovery
+	// mounts it; an error fails the crash point. The rig itself is not
+	// touched: the hook mounts private copies.
+	OnImage func(Image) error
 }
 
 func (c *Config) fillDefaults() {
@@ -351,6 +356,47 @@ func (r *rig) close() {
 	}
 }
 
+// Image is one crash image as recovery is about to find it: the bytes of
+// every leg after the restart, and the topology to mount them in.
+type Image struct {
+	cfg  Config
+	legs [][]byte
+}
+
+// image copies the rig's legs as reads see them (a post-restart rebuild
+// may have left sectors in the caches).
+func (r *rig) image() (Image, error) {
+	im := Image{cfg: r.cfg}
+	for _, c := range r.caches {
+		b := make([]byte, c.Capacity())
+		if err := c.ReadAt(b, 0); err != nil {
+			return Image{}, err
+		}
+		im.legs = append(im.legs, b)
+	}
+	return im, nil
+}
+
+// Options returns the lld options recovery mounts the image with.
+func (im Image) Options() lld.Options { return im.cfg.options(nil) }
+
+// Mount composes a private copy of the image, as the rig is composed
+// after a restart, and returns its backend. Call done when finished.
+func (im Image) Mount() (back disk.Backend, done func(), err error) {
+	r := &rig{cfg: im.cfg, rail: disk.NewRail()}
+	for _, b := range im.legs {
+		d := disk.New(disk.DefaultConfig(im.cfg.DiskBytes))
+		if err := d.Restore(b); err != nil {
+			return nil, nil, err
+		}
+		r.caches = append(r.caches, disk.NewWBCache(d, r.rail))
+	}
+	if err := r.compose(true); err != nil {
+		return nil, nil, err
+	}
+	return r.back, r.close, nil
+}
+
 // tortureOptions is the small-geometry option set every run uses.
 // Background goroutines stay off: the workload is single-threaded so
 // every run of a given (seed, point) is bit-deterministic.
@@ -584,6 +630,15 @@ func recoverAndVerify(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) err
 // verifyRecovered runs recovery on the already-recomposed rig and
 // checks the result.
 func verifyRecovered(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) error {
+	if cfg.OnImage != nil {
+		im, err := r.image()
+		if err != nil {
+			return fmt.Errorf("crash image: %w", err)
+		}
+		if err := cfg.OnImage(im); err != nil {
+			return fmt.Errorf("crash image hook: %w", err)
+		}
+	}
 	opts := cfg.options(nil)
 	l2, err := lld.Open(r.back, opts)
 	if err != nil {
