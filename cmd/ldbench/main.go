@@ -51,20 +51,10 @@
 //
 // The shard benchmark measures all-write throughput across the block-map
 // stripe count (lld.Options.MapShards) at several client counts, showing
-// how far independent writes scale once the map and free-id pools stop
-// sharing one lock:
+// how far independent writes scale once the map stops sharing one lock:
 //
 //	ldbench -shardbench
 //	ldbench -shardbench -shard-ops 500   # smaller cells
-//
-// The lane benchmark measures all-write throughput across the open-segment
-// lane count (lld.Options.SegmentLanes) at several client counts, over a
-// backend whose media writes cost real wall time: one lane pays every
-// segment seal inline under the instance lock, while several lanes overlap
-// seal writes through the async group-commit pipeline:
-//
-//	ldbench -lanebench
-//	ldbench -lanebench -lane-clients 1,16 -lane-ops 500
 //
 // The multi-disk suite measures sequential throughput on the virtual
 // clock over striped and mirrored backends (internal/mdisk): stripe
@@ -340,54 +330,6 @@ func runShardBench(ops int) error {
 	return nil
 }
 
-// runLaneBench measures all-write throughput across the SegmentLanes ×
-// clients matrix, each cell on a fresh in-process LLD whose backend sleeps
-// a real wall-clock latency per media write. That latency is what the
-// multi-lane seal pipeline overlaps: at one lane every seal pays it inline
-// under the instance lock, so the ratio column is the pipeline's win.
-func runLaneBench(ops int, clients []int, lat time.Duration) error {
-	// Sized so the sweep's total write volume never drains the free pool:
-	// cleaning serializes all lanes and has its own benchmark (-cleanbench).
-	capacity := int64(256 << 20)
-	newDisk := func(lanes int) (ld.Disk, func() error, error) {
-		b := &ldmicro.SlowBackend{
-			Backend:      disk.New(disk.DefaultConfig(capacity)),
-			WriteLatency: lat,
-		}
-		o := lld.DefaultOptions()
-		o.CompressBandwidth = 0 // wall-time benchmark; no virtual CPU charge
-		o.MapShards = 4
-		o.SegmentLanes = lanes
-		if err := lld.Format(b, o); err != nil {
-			return nil, nil, err
-		}
-		l, err := lld.Open(b, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		return l, func() error { return l.Shutdown(true) }, nil
-	}
-	fmt.Printf("# LD write scaling vs segment lanes — all-write, %v per media write, %d ops/client\n", lat, ops)
-	results, err := ldmicro.RunLaneSweep(newDisk, ldmicro.LaneSweepConfig{
-		Clients: clients,
-		Base:    ldmicro.ConcurrentConfig{OpsPerClient: ops},
-	})
-	if err != nil {
-		return err
-	}
-	base := make(map[int]float64) // client count -> ops/s at one lane
-	for _, r := range results {
-		line := r.String()
-		if r.Lanes == 1 {
-			base[r.Clients] = r.OpsPerSec()
-		} else if b := base[r.Clients]; b > 0 {
-			line += fmt.Sprintf("  (%.2fx vs 1 lane)", r.OpsPerSec()/b)
-		}
-		fmt.Println(line)
-	}
-	return nil
-}
-
 func main() {
 	scale := flag.Int("scale", 10, "divide the paper's workload sizes by this factor (1 = full size)")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -406,10 +348,6 @@ func main() {
 	scrubOps := flag.Int("scrub-ops", 500, "rewrites per client for -scrubbench")
 	shardbench := flag.Bool("shardbench", false, "run the write-scaling sweep across block-map lock stripes (1/4/16 clients x 1/4/8 shards)")
 	shardOps := flag.Int("shard-ops", 2000, "writes per client for -shardbench")
-	lanebench := flag.Bool("lanebench", false, "run the write-scaling sweep across open segment lanes (1/2/4 lanes, slow media writes)")
-	laneOps := flag.Int("lane-ops", 2000, "writes per client for -lanebench")
-	laneClients := flag.String("lane-clients", "1,4,16", "comma-separated client counts for -lanebench")
-	laneLatency := flag.Duration("lane-latency", 200*time.Microsecond, "wall-clock cost per media write for -lanebench")
 	stripeBench := flag.Bool("stripe", false, "run the striped-backend throughput sweep (virtual clock, 1/2/4/8 legs)")
 	mirrorBench := flag.Bool("mirror", false, "run the mirrored-backend overhead sweep (virtual clock, 1/2/3 replicas)")
 	mdiskBytes := flag.Int64("mdisk-bytes", 8<<20, "bytes moved per phase in the -stripe/-mirror sweeps")
@@ -426,7 +364,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "       ldbench -cleanbench [-clean-ops N]   (cleaner writer-stall quantiles)\n")
 		fmt.Fprintf(os.Stderr, "       ldbench -scrubbench [-scrub-ops N]   (background-scrubber overhead)\n")
 		fmt.Fprintf(os.Stderr, "       ldbench -shardbench [-shard-ops N]   (write scaling vs map-shard count)\n")
-		fmt.Fprintf(os.Stderr, "       ldbench -lanebench [-lane-clients 1,4,16] [-lane-ops N]   (write scaling vs segment-lane count)\n")
 		fmt.Fprintf(os.Stderr, "       ldbench -stripe | -mirror [-mdisk-bytes N]   (multi-disk throughput, virtual clock)\n")
 		fmt.Fprintf(os.Stderr, "       ldbench -torture [-torture-seed N] [-torture-points N]   (power-failure torture smoke)\n")
 		fmt.Fprintf(os.Stderr, "       ldbench -torture-replay \"seed=... point=...\"   (replay one torture reproducer)\n\nExperiments:\n")
@@ -506,19 +443,6 @@ func main() {
 
 	if *shardbench {
 		if err := runShardBench(*shardOps); err != nil {
-			fmt.Fprintf(os.Stderr, "ldbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *lanebench {
-		clients, err := parseClients(*laneClients)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ldbench: %v\n", err)
-			os.Exit(2)
-		}
-		if err := runLaneBench(*laneOps, clients, *laneLatency); err != nil {
 			fmt.Fprintf(os.Stderr, "ldbench: %v\n", err)
 			os.Exit(1)
 		}

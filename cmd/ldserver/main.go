@@ -77,9 +77,7 @@ func main() {
 	recoveryWorkers := flag.Int("recovery-workers", 0,
 		"goroutines for the one-sweep startup recovery (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	mapShards := flag.Int("map-shards", 0,
-		"lock stripes over the block map and free-id pools (0 = min(GOMAXPROCS, 64), 1 = single lock)")
-	segmentLanes := flag.Int("segment-lanes", 0,
-		"concurrently filling open segments, sealed through an async group-commit pipeline (0 = min(map shards, 4), 1 = single segment with inline seals)")
+		"lock stripes over the block map (0 = min(GOMAXPROCS, 64), 1 = single lock)")
 	bgClean := flag.Bool("bg-clean", false,
 		"run segment cleaning in a background goroutine with bounded per-step lock holds")
 	cleanStep := flag.Int("clean-step", 1,
@@ -107,13 +105,9 @@ backing LLD under a shared lock; mutating commands are exclusive. There is
 no worker-pool knob for request handling — concurrency equals the number
 of connected clients with in-flight requests. -recovery-workers controls
 only the parallel summary sweep during startup recovery of a crashed image.
--map-shards stripes the block-number map and free-id pools so mutating
-commands on blocks in different stripes run their compression and
-checksumming concurrently; 1 restores the single-lock write path.
--segment-lanes keeps that many open segments filling at once, one per
-group of map stripes, and seals full ones through an asynchronous
-group-commit pipeline so a seal's media write no longer stalls writers;
-1 restores the single open segment with inline seals.
+-map-shards stripes the block-number map so mutating commands on blocks
+in different stripes run their compression and checksumming concurrently;
+1 restores the single-lock write path.
 
 With -bg-clean, segment cleaning runs in a goroutine owned by the LLD
 instead of inline on the write path: a write that trips the cleaning
@@ -159,7 +153,6 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	opts.SegmentSize = int(segSize)
 	opts.RecoveryWorkers = *recoveryWorkers
 	opts.MapShards = *mapShards
-	opts.SegmentLanes = *segmentLanes
 	opts.BackgroundClean = *bgClean
 	opts.CleanStepSegments = *cleanStep
 	opts.BackgroundScrub = *bgScrub

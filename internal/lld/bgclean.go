@@ -27,28 +27,14 @@ import (
 //   - Shutdown quiesces the goroutine first (stopBGClean joins it), so a
 //     checkpoint can never race a cleaning step.
 
-// bgCleaner is the handle the LLD keeps on its cleaning goroutine.
-type bgCleaner struct {
-	wake chan struct{} // buffered(1): coalesced "pool is low / waiter exists" signal
-	done chan struct{} // closed when the goroutine has exited
-	quit bool          // guarded by l.mu: tells the goroutine to exit
-}
-
-// signal wakes the goroutine without blocking; concurrent signals coalesce.
-// Safe to call with or without l.mu held.
-func (b *bgCleaner) signal() {
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
 // startBGClean launches the background cleaner. Called from Open before
 // the instance is shared, so no locking is needed.
 func (l *LLD) startBGClean() {
-	bg := &bgCleaner{wake: make(chan struct{}, 1), done: make(chan struct{})}
-	l.bg = bg
-	go l.bgCleanLoop(bg)
+	l.bg = l.startWorker(func(bg *bgWorker) {
+		if !l.cleaning && l.cleanNeeded() {
+			l.runBGPass(bg)
+		}
+	})
 }
 
 // stopBGClean detaches and joins the cleaning goroutine. Idempotent; safe
@@ -58,14 +44,12 @@ func (l *LLD) stopBGClean() {
 	bg := l.bg
 	if bg != nil {
 		l.bg = nil
-		bg.quit = true
 		// Waiters must not sleep on a goroutine that is going away.
 		l.spaceCond.Broadcast()
 	}
 	l.mu.Unlock()
 	if bg != nil {
-		bg.signal()
-		<-bg.done
+		bg.stop()
 	}
 }
 
@@ -73,7 +57,7 @@ func (l *LLD) stopBGClean() {
 // below the low watermark, or a mutator is blocked waiting for space.
 // Callers hold l.mu.
 func (l *LLD) cleanNeeded() bool {
-	return len(l.freeSegs)+len(l.cooling) <= l.effCleanLow() || l.waiters > 0
+	return len(l.freeSegs)+len(l.cooling) <= l.opts.CleanLow || l.waiters > 0
 }
 
 // cleanReserve is how many free segments are held back from foreground
@@ -90,34 +74,11 @@ func (l *LLD) cleanReserve() int {
 	return 0
 }
 
-// bgCleanLoop is the goroutine body: wait for a signal, run one bounded
-// watermark pass if cleaning is needed, repeat until told to quit. The
-// wake channel is never closed (foreground signals would race a close);
-// exit is via the quit flag.
-func (l *LLD) bgCleanLoop(bg *bgCleaner) {
-	defer close(bg.done)
-	for range bg.wake {
-		l.mu.Lock()
-		if bg.quit || l.shut {
-			l.mu.Unlock()
-			return
-		}
-		if !l.cleaning && l.cleanNeeded() {
-			l.runBGPass(bg)
-		}
-		quit := bg.quit || l.shut
-		l.mu.Unlock()
-		if quit {
-			return
-		}
-	}
-}
-
 // runBGPass runs one watermark cleaning pass in bounded steps, releasing
 // the lock between them. Callers hold l.mu with l.cleaning unset; the
 // lock is held on return, with the same pass bookkeeping an inline pass
 // leaves behind.
-func (l *LLD) runBGPass(bg *bgCleaner) {
+func (l *LLD) runBGPass(bg *bgWorker) {
 	l.cleaning = true
 	l.cleaningBG = true
 	l.stats.CleanerRuns++
@@ -140,7 +101,7 @@ func (l *LLD) runBGPass(bg *bgCleaner) {
 			l.stats.BGCleanErrors++
 			break
 		}
-		if finished || bg.quit || l.shut {
+		if finished || bg.stopping(l) {
 			break
 		}
 		// Yield between steps: this is the bounded pause — every command
@@ -148,7 +109,7 @@ func (l *LLD) runBGPass(bg *bgCleaner) {
 		l.mu.Unlock()
 		runtime.Gosched()
 		l.mu.Lock()
-		if bg.quit || l.shut {
+		if bg.stopping(l) {
 			break
 		}
 	}
@@ -191,12 +152,8 @@ func (l *LLD) awaitFreeSegment() error {
 	l.stats.WriterWaits++
 	l.waiters++
 	defer func() { l.waiters-- }()
-	lane := l.curLane
 	start := l.stats.BGCleanPasses
 	for {
-		// Waits release mu and interleaved mutators repoint the current
-		// lane; this waiter's progress check is against its own lane.
-		l.setLane(lane)
 		if l.shut {
 			return ld.ErrShutdown
 		}
@@ -219,8 +176,21 @@ func (l *LLD) awaitFreeSegment() error {
 		// after each step and broadcasts when a pass ends.
 		l.bg.signal()
 		l.spaceCond.Wait()
-		if !l.shut && len(l.freeSegs) <= l.cleanReserve() && l.lanes[lane] == nil {
+		if !l.shut && len(l.freeSegs) <= l.cleanReserve() && l.cur == nil {
 			l.stats.SpuriousWakeups++
 		}
+	}
+}
+
+// signalSpace wakes up to n waiters blocked in awaitFreeSegment — one
+// per segment that just became allocatable, instead of a broadcast that
+// wakes every waiter to fight over one segment. Callers hold l.mu
+// exclusively.
+func (l *LLD) signalSpace(n int) {
+	if n > l.waiters {
+		n = l.waiters
+	}
+	for ; n > 0; n-- {
+		l.spaceCond.Signal()
 	}
 }

@@ -16,29 +16,15 @@ import "runtime"
 // once at Open (verify the image we just recovered); wake signals coalesce.
 // Shutdown quiesces it first (stopBGScrub joins), like the cleaner.
 
-// bgScrubber is the handle the LLD keeps on its scrubbing goroutine.
-type bgScrubber struct {
-	wake chan struct{} // buffered(1): coalesced "new sealed data" signal
-	done chan struct{} // closed when the goroutine has exited
-	quit bool          // guarded by l.mu: tells the goroutine to exit
-}
-
-// signal wakes the goroutine without blocking; concurrent signals coalesce.
-// Safe to call with or without l.mu held.
-func (b *bgScrubber) signal() {
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
 // startBGScrub launches the background scrubber. Called from Open before
 // the instance is shared, so no locking is needed.
 func (l *LLD) startBGScrub() {
-	bg := &bgScrubber{wake: make(chan struct{}, 1), done: make(chan struct{})}
-	l.bgScrub = bg
-	go l.bgScrubLoop(bg)
-	bg.signal() // verify the just-recovered image
+	l.bgScrub = l.startWorker(func(bg *bgWorker) {
+		if !l.scrubbing {
+			l.runBGScrubPass(bg)
+		}
+	})
+	l.bgScrub.signal() // verify the just-recovered image
 }
 
 // stopBGScrub detaches and joins the scrubbing goroutine. Idempotent; safe
@@ -46,36 +32,10 @@ func (l *LLD) startBGScrub() {
 func (l *LLD) stopBGScrub() {
 	l.mu.Lock()
 	bg := l.bgScrub
-	if bg != nil {
-		l.bgScrub = nil
-		bg.quit = true
-	}
+	l.bgScrub = nil
 	l.mu.Unlock()
 	if bg != nil {
-		bg.signal()
-		<-bg.done
-	}
-}
-
-// bgScrubLoop is the goroutine body: wait for a signal, run one bounded
-// verification pass, repeat until told to quit. The wake channel is never
-// closed (sealSegment signals would race a close); exit is via the quit flag.
-func (l *LLD) bgScrubLoop(bg *bgScrubber) {
-	defer close(bg.done)
-	for range bg.wake {
-		l.mu.Lock()
-		if bg.quit || l.shut {
-			l.mu.Unlock()
-			return
-		}
-		if !l.scrubbing {
-			l.runBGScrubPass(bg)
-		}
-		quit := bg.quit || l.shut
-		l.mu.Unlock()
-		if quit {
-			return
-		}
+		bg.stop()
 	}
 }
 
@@ -83,7 +43,7 @@ func (l *LLD) bgScrubLoop(bg *bgScrubber) {
 // lock between them. Callers hold l.mu with l.scrubbing unset; the lock is
 // held on return. An I/O error abandons the pass (media faults are counted
 // per block and do not error).
-func (l *LLD) runBGScrubPass(bg *bgScrubber) {
+func (l *LLD) runBGScrubPass(bg *bgWorker) {
 	l.scrubbing = true
 	step := l.opts.scrubStep()
 	v := l.newVerifier()
@@ -97,7 +57,7 @@ func (l *LLD) runBGScrubPass(bg *bgScrubber) {
 			}
 		}
 		l.stats.BGScrubSteps++
-		if seg >= l.lay.nSegments || bg.quit || l.shut {
+		if seg >= l.lay.nSegments || bg.stopping(l) {
 			break
 		}
 		// Yield between steps: this is the bounded pause — every command
@@ -105,7 +65,7 @@ func (l *LLD) runBGScrubPass(bg *bgScrubber) {
 		l.mu.Unlock()
 		runtime.Gosched()
 		l.mu.Lock()
-		if bg.quit || l.shut {
+		if bg.stopping(l) {
 			break
 		}
 	}

@@ -88,11 +88,9 @@ func (l *LLD) writeCheckpoint(complete bool) error {
 		u64(uint64(l.segs[i].live))
 		u64(l.segs[i].ts)
 		st := l.segs[i].state
-		if st == segOpen || st == segSealing {
-			// An open lane was partial-written (and the seal pipeline
-			// drained) before a consolidation checkpoint; on disk both are
-			// live segments. segSealing must never be encoded as itself:
-			// its numeric value is not part of the on-disk format.
+		if st == segOpen {
+			// The open segment was partial-written before a consolidation
+			// checkpoint; on disk it is a live segment.
 			st = segLive
 		}
 		u8(st)
@@ -290,7 +288,7 @@ func (l *LLD) decodeCheckpoint(payload []byte) error {
 		l.segs[i].live = int64(r.u64())
 		l.segs[i].ts = r.u64()
 		l.segs[i].state = r.u8()
-		if l.segs[i].state == segOpen || l.segs[i].state == segCooling || l.segs[i].state == segSealing {
+		if l.segs[i].state == segOpen || l.segs[i].state == segCooling {
 			l.segs[i].state = segFree // cannot survive a shutdown or crash
 		}
 	}

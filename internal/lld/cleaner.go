@@ -52,10 +52,6 @@ type cleanPass struct {
 // finished is false only when the maxVictims bound stopped the call with
 // the pass still unfinished. Callers hold l.mu with l.cleaning set.
 func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finished bool, err error) {
-	// Victim facts are re-logged on lane 0 (releaseCooling's durability
-	// gate watches that lane). Background passes release l.mu between
-	// steps, so interleaved mutators may have repointed the lane.
-	l.setLane(0)
 	done := 0
 	for {
 		if target != nil && target() {
@@ -99,12 +95,8 @@ func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finis
 		if len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) <= before {
 			// Fact-bound victim: re-logging its summary cost as much as
 			// cleaning freed. Consolidate so old facts become droppable.
-			// Not while seals are in flight: they cannot complete while
-			// this pass holds l.mu, and a checkpoint must not record
-			// coordinates whose segment write has not finished — keep
-			// the futility score and let the next pass consolidate.
 			l.futility++
-			if l.futility >= 2 && l.sealsInFlight == 0 {
+			if l.futility >= 2 {
 				if err := l.consolidate(); err != nil {
 					return true, err
 				}
@@ -120,7 +112,7 @@ func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finis
 // ARU-pending segments, which become free without further cleaning) has
 // reached the high watermark. Callers hold l.mu.
 func (l *LLD) watermarkTarget() bool {
-	return len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) >= l.effCleanHigh()
+	return len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) >= l.opts.CleanHigh
 }
 
 // maybeClean runs the cleaner if the free-segment pool is at or below the
@@ -131,7 +123,7 @@ func (l *LLD) maybeClean() error {
 	if l.cleaning {
 		return nil
 	}
-	if len(l.freeSegs)+len(l.cooling) > l.effCleanLow() {
+	if len(l.freeSegs)+len(l.cooling) > l.opts.CleanLow {
 		return nil
 	}
 	if l.bg != nil {
@@ -143,13 +135,7 @@ func (l *LLD) maybeClean() error {
 
 // cleanInline runs a whole watermark pass to completion under the held
 // lock — the synchronous path. Callers hold l.mu with l.cleaning unset.
-// The pass logs on lane 0 regardless of which lane the caller was
-// filling (releaseCooling's durability gate watches lane 0); the
-// caller's lane is restored on return.
 func (l *LLD) cleanInline() error {
-	prev := l.curLane
-	l.setLane(0)
-	defer func() { l.setLane(prev) }()
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
 	l.stats.CleanerRuns++
@@ -172,7 +158,6 @@ func (l *LLD) Clean(n int) (int, error) {
 	if n <= 0 || l.cleaning {
 		return 0, nil
 	}
-	l.setLane(0)
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
 	p := cleanPass{maxIter: n + l.lay.nSegments}
@@ -302,12 +287,11 @@ func (l *LLD) cleanSegment(id int) error {
 	if l.segs[id].live != 0 {
 		return fmt.Errorf("lld: internal: segment %d retains %d live bytes after cleaning", id, l.segs[id].live)
 	}
-	if len(ordered) == 0 && l.stats.SnapshotTuples == emittedBefore && l.allLanesIdle() && !l.aruOpen {
+	if len(ordered) == 0 && l.stats.SnapshotTuples == emittedBefore && l.cur == nil && !l.aruOpen {
 		// Nothing was moved and nothing re-logged: every fact in this
 		// summary is superseded by records already durable elsewhere (no
-		// open lane and no seal in flight means no undurable winners), so
-		// the cooling rule's wait-for-durability has nothing to wait for.
-		// Free it directly —
+		// open segment means no undurable winners), so the cooling rule's
+		// wait-for-durability has nothing to wait for. Free it directly —
 		// this is also what lets recovery bootstrap cleaning on a disk
 		// whose every segment carries a (stale) summary.
 		l.segs[id].state = segFree
@@ -473,36 +457,16 @@ func (l *LLD) relogSummaryFacts(si *summaryInfo) error {
 	return nil
 }
 
-// consolidate writes a consolidation checkpoint: every dirty lane's
-// contents are made durable first (partial writes), and the seal
-// pipeline is drained, so every block coordinate the checkpoint records
-// exists on disk. Callers hold l.mu.
+// consolidate writes a consolidation checkpoint: the open segment's
+// contents are made durable first (a partial write), so every block
+// coordinate the checkpoint records exists on disk. Callers hold l.mu.
 func (l *LLD) consolidate() error {
 	if l.aruOpen {
 		return nil // never capture half an atomic recovery unit
 	}
-	if l.sealsInFlight > 0 {
-		if l.cleaning {
-			// In-flight seals cannot complete while this pass holds
-			// l.mu, and waiting would release it mid-pass; the caller
-			// retries once the pipeline is quiet.
-			return nil
-		}
-		if err := l.drainSeals(); err != nil {
-			return err
-		}
+	if err := l.writePartial(); err != nil {
+		return err
 	}
-	prev := l.curLane
-	for k := range l.lanes {
-		if s := l.lanes[k]; s != nil && s.dirty {
-			l.setLane(k)
-			if err := l.writePartial(); err != nil {
-				l.setLane(prev)
-				return err
-			}
-		}
-	}
-	l.setLane(prev)
 	// A checkpoint the next boot trusts must not point at coordinates
 	// that are still sitting in a volatile write cache.
 	if err := l.dskSync(); err != nil {
@@ -603,7 +567,6 @@ func (l *LLD) Reorganize(n int) error {
 	if l.cleaning || l.aruOpen || n <= 0 {
 		return nil
 	}
-	l.setLane(0)
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
 	rewritten := 0

@@ -146,7 +146,6 @@ func TestExtentPassMatchesPerBlockOracle(t *testing.T) {
 		{torture.KindStripe, 10, []int64{1}},
 		{torture.KindMirror, 10, []int64{1}},
 		{torture.KindReclaim, 8, []int64{1, 2, 3, 5, 8}}, // until one seed yields a quarantined image
-		{torture.KindLanes, 10, []int64{1}},
 		{torture.KindRebuild, 8, []int64{1}},
 	}
 	if !testing.Short() {

@@ -154,7 +154,6 @@ func (l *LLD) Scrub() (ScrubResult, error) {
 	}
 	l.scrubbing = true
 	defer func() { l.scrubbing = false }()
-	l.setLane(0) // salvage rewrites log on lane 0
 	v := l.newVerifier()
 	defer v.finish()
 	var res ScrubResult

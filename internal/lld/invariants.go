@@ -86,29 +86,21 @@ func (l *LLD) CheckInvariants() []string {
 		}
 	}
 
-	// Free pools: no allocated id pooled, no duplicates across shards,
-	// every pooled id resident in the shard that owns it (id mod shard
-	// count), and the shards together covering every unallocated id below
-	// the fresh watermark — the partition must be disjoint and exhaustive.
+	// Free pool: no allocated id pooled, no duplicates, and every
+	// unallocated id below the fresh watermark covered.
 	freeSeen := make(map[ld.BlockID]bool)
-	nsh := uint32(len(l.shards))
-	for s := range l.shards {
-		for _, b := range l.shards[s].free.all() {
-			if freeSeen[b] {
-				bad("block id %d in free pool twice", b)
-			}
-			freeSeen[b] = true
-			if uint32(b)%nsh != uint32(s) {
-				bad("block id %d pooled in shard %d but owned by shard %d", b, s, uint32(b)%nsh)
-			}
-			if int(b) < len(l.blocks) && l.blocks[b].allocated() {
-				bad("allocated block %d in free pool", b)
-			}
+	for _, b := range l.freeIDs.all() {
+		if freeSeen[b] {
+			bad("block id %d in free pool twice", b)
+		}
+		freeSeen[b] = true
+		if int(b) < len(l.blocks) && l.blocks[b].allocated() {
+			bad("allocated block %d in free pool", b)
 		}
 	}
 	for b := ld.BlockID(1); b < l.nextFresh; b++ {
 		if !l.blocks[b].allocated() && !freeSeen[b] {
-			bad("unallocated block %d below fresh watermark %d missing from free pools", b, l.nextFresh)
+			bad("unallocated block %d below fresh watermark %d missing from free pool", b, l.nextFresh)
 		}
 	}
 	listSeen := make(map[ld.ListID]bool)
@@ -125,7 +117,7 @@ func (l *LLD) CheckInvariants() []string {
 	// Segment states partition the segment space.
 	for i := range l.segs {
 		st := l.segs[i].state
-		if st > segSealing {
+		if st > segQuarantined {
 			bad("segment %d has unknown state %d", i, st)
 		}
 		if st == segFree && l.segs[i].live != 0 {

@@ -77,7 +77,7 @@ func (l *LLD) applyFree(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 	l.applyFreeStorage(bi)
 	bi.flags = 0
 	bi.lid = ld.NilList
-	l.pushFreeID(bid)
+	l.freeIDs.push(bid)
 }
 
 // applySetData installs a new physical location for bid's data, adjusting
@@ -136,7 +136,7 @@ func (l *LLD) applyDelList(lid ld.ListID) {
 		bi.flags = 0
 		bi.next = ld.NilBlock
 		bi.lid = ld.NilList
-		l.pushFreeID(b)
+		l.freeIDs.push(b)
 		b = next
 	}
 	delete(l.lists, lid)

@@ -77,12 +77,6 @@ const (
 	// instance runs. The scrubber can salvage blocks whose payload CRC
 	// still verifies by rewriting them into the open segment.
 	segQuarantined
-	// segSealing marks a full lane handed to the async seal pipeline: the
-	// in-memory buffer is complete and reads are served from it, but the
-	// disk write has not finished. Not a cleaning victim, not reusable.
-	// Declared after segQuarantined so the on-disk checkpoint encoding of
-	// the earlier states keeps its historical values.
-	segSealing
 )
 
 // segInfo is one entry of the segment usage table: the number of live bytes
@@ -94,11 +88,10 @@ type segInfo struct {
 	state uint8
 }
 
-// openSegment is a segment currently being filled in main memory. With
-// SegmentLanes > 1 several are open at once, one per lane.
+// openSegment is the segment currently being filled in main memory
+// (paper §3: exactly one).
 type openSegment struct {
 	id        int
-	lane      int    // lane this segment fills (0 when lanes are off)
 	firstTS   uint64 // l.ts when opened: every record in here has a larger ts
 	buf       []byte
 	dataOff   int
@@ -148,11 +141,15 @@ type Stats struct {
 	MapShards     int64 // lock stripes the block map is partitioned into (gauge)
 	ShardedWrites int64 // writes that ran the striped prepare/transform/apply path
 
-	SegmentLanes    int64 // concurrently fillable open segments (gauge)
-	AsyncSeals      int64 // seals written by the pipeline flusher, off the caller's path
-	GroupCommits    int64 // flusher batches that coalesced >1 sealed lane
-	GroupedSeals    int64 // seals written as part of such a batch
-	SealWaits       int64 // mutators that blocked on the seal pipeline (backpressure or barrier)
+	// Read by bench/layers.go; delete with the next benchmark PR. There is
+	// one open segment and seals are inline, so SegmentLanes reports 1 and
+	// the rest stay 0.
+	SegmentLanes int64
+	AsyncSeals   int64
+	GroupCommits int64
+	GroupedSeals int64
+	SealWaits    int64
+
 	SpuriousWakeups int64 // awaitFreeSegment wakeups that found no free segment
 
 	HintHits   int64
@@ -219,12 +216,11 @@ type LLD struct {
 	nextFresh ld.BlockID  // smallest never-allocated id
 
 	// shards are the lock stripes of the block-number map (see mapShard):
-	// shard i owns ids with id mod len(shards) == i and pools the free
-	// ones. allocCursor rotates pool pops across shards so consecutive
-	// allocations land on different stripes; like the pools themselves it
-	// is guarded by mu.
-	shards      []mapShard
-	allocCursor int
+	// shard i owns ids with id mod len(shards) == i. freeIDs pools the
+	// recyclable ids of every stripe in one LIFO, guarded by mu, so the
+	// order ids are handed out in does not depend on the stripe count.
+	shards  []mapShard
+	freeIDs freePool[ld.BlockID]
 
 	lists     map[ld.ListID]*listInfo
 	order     []ld.ListID // the list of lists
@@ -238,31 +234,13 @@ type LLD struct {
 	coolingTS  []uint64 // coolingTS[i]: release barrier for cooling[i] (monotone)
 	pendingARU []int    // freed during an open ARU; cool after EndARU
 
-	// Segment lanes. lanes[k] is lane k's open segment (nil when none);
-	// cur aliases lanes[curLane] so the historical append helpers keep
-	// working unchanged. Every appending entry point pins curLane on
-	// arrival (setLane) — it is not restored around cond waits, so an
-	// explicit pin is the only thing keeping interleaved mutators (the
-	// background cleaner especially) on lane 0. With one lane, lanes[0]
-	// is the historical l.cur and nothing else changes.
-	lanes   []*openSegment
-	curLane int
+	// cur is the one open segment (nil between a seal and the next
+	// append): the single append point that gives clustering by list and
+	// the single log order ARU recovery assumes. fillBuf is its buffer,
+	// reused from one segment to the next.
 	cur     *openSegment
+	fillBuf []byte
 	aruOpen bool
-
-	// Async seal pipeline (nil when lanes == 1 or SyncLaneSeals is set).
-	// sealing holds segments handed to the flusher, keyed by segment id:
-	// reads are served from the retained buffer until the disk write
-	// completes. sealsInFlight counts entries not yet completed (the
-	// sealing map can briefly lag it on the error path, where a failed
-	// job stays in the map to keep its buffer readable). flushCond (on
-	// mu) is broadcast by the flusher after every completed batch;
-	// sealErr is sticky and surfaced at the next barrier.
-	pipe          *sealPipe
-	sealing       map[int]*sealJob
-	sealsInFlight int
-	flushCond     *sync.Cond
-	sealErr       error
 
 	// Write-ordering watermark for the volatile-cache overwrite guard
 	// (guardSlotOverwrite): writeSeq counts issued backend writes and
@@ -289,13 +267,13 @@ type LLD struct {
 	// signaled (on mu's exclusive side) whenever free segments appear or
 	// the cleaner/instance state changes; waiters counts mutators blocked
 	// in awaitFreeSegment.
-	bg        *bgCleaner
+	bg        *bgWorker
 	spaceCond *sync.Cond
 	waiters   int
 
 	// Background scrubber (nil when BackgroundScrub is off). scrubbing
 	// guards against overlapping passes (foreground Scrub vs background).
-	bgScrub   *bgScrubber
+	bgScrub   *bgWorker
 	scrubbing bool
 
 	// recReport describes what the last recovery sweep found; zero value
@@ -315,10 +293,9 @@ type LLD struct {
 	// incomplete ARU, emitted by Open as the boot's first record.
 	fenceLo, fenceHi uint64
 
-	stats      Stats
-	scratch    []byte   // scratch for exclusive-lock paths (cleaner, reorganizer)
-	cleanBuf   []byte   // reusable victim image for the cleaner
-	segBufPool [][]byte // reusable fill buffers for open segments (LIFO)
+	stats    Stats
+	scratch  []byte // scratch for exclusive-lock paths (cleaner, reorganizer)
+	cleanBuf []byte // reusable victim image for the cleaner
 
 	// cursorMu guards the per-list ListIndex cursor memo (listInfo.curIdx,
 	// listInfo.curBlk) for holders of the shared lock; exclusive holders
@@ -431,9 +408,6 @@ func open(dsk disk.Backend, opts Options, verifyData func(*LLD, *RecoveryReport)
 		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
 	}
 	l.spaceCond = sync.NewCond(&l.mu)
-	l.flushCond = sync.NewCond(&l.mu)
-	l.lanes = make([]*openSegment, opts.segmentLanes())
-	l.sealing = make(map[int]*sealJob)
 	for i := range l.blocks {
 		l.blocks[i].seg = -1
 	}
@@ -481,11 +455,6 @@ func open(dsk disk.Backend, opts Options, verifyData func(*LLD, *RecoveryReport)
 	if opts.BackgroundScrub {
 		l.startBGScrub()
 	}
-	// Start the seal pipeline last: everything up to here (fence emission
-	// included) seals synchronously, keeping boot deterministic.
-	if len(l.lanes) > 1 && !opts.SyncLaneSeals {
-		l.startSealPipe()
-	}
 	return l, nil
 }
 
@@ -519,7 +488,7 @@ func (l *LLD) Stats() Stats {
 	defer l.mu.Unlock()
 	s := l.stats
 	s.MapShards = int64(len(l.shards))
-	s.SegmentLanes = int64(len(l.lanes))
+	s.SegmentLanes = 1
 	return s
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -20,9 +21,6 @@ func testOptions() Options {
 	o.SummarySize = 4 * 1024
 	o.MaxBlockSize = 4096
 	o.CompressBandwidth = 0
-	// Single lane: the historical tests assert byte-identical platter
-	// layouts; the multi-lane suite lives in lane_test.go.
-	o.SegmentLanes = 1
 	return o
 }
 
@@ -805,4 +803,26 @@ func TestQuickListInvariants(t *testing.T) {
 		}
 	}
 	check()
+}
+
+// TestNoSpaceError checks the typed error ensureRoom's treadmill bound
+// returns: it must unwrap to ld.ErrNoSpace (the stable API contract
+// callers match with errors.Is), and the wrapping must survive another
+// fmt.Errorf layer.
+func TestNoSpaceError(t *testing.T) {
+	base := &NoSpaceError{Reason: "cleaning reclaims no net space"}
+	if !errors.Is(base, ld.ErrNoSpace) {
+		t.Error("NoSpaceError does not unwrap to ErrNoSpace")
+	}
+	wrapped := fmt.Errorf("write block 7: %w", base)
+	if !errors.Is(wrapped, ld.ErrNoSpace) {
+		t.Error("wrapped NoSpaceError does not unwrap to ErrNoSpace")
+	}
+	var nse *NoSpaceError
+	if !errors.As(wrapped, &nse) {
+		t.Fatal("wrapped error does not carry *NoSpaceError")
+	}
+	if !strings.Contains(base.Error(), nse.Reason) {
+		t.Errorf("NoSpaceError message %q does not carry the reason", base.Error())
+	}
 }

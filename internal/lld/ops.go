@@ -170,9 +170,6 @@ func (l *LLD) Write(b ld.BlockID, data []byte) error {
 		// Shutdown takes no stripe locks, so it can land mid-window.
 		return err
 	}
-	// Append to the lane owned by b's map stripe, so stripe-parallel
-	// writers fill different segment buffers (one lane: always lane 0).
-	l.setLane(l.laneFor(b))
 	// Still allocated and on the same list: guaranteed by the stripe lock,
 	// not re-validated.
 	bi = &l.blocks[b]
@@ -218,18 +215,6 @@ func (l *LLD) Write(b ld.BlockID, data []byte) error {
 	l.stats.BlocksWritten++
 	l.stats.UserBytesWritten += int64(len(data))
 	l.stats.ShardedWrites++
-	if l.opts.CrashHook != nil && len(l.lanes) > 1 {
-		// Torture site: power cut while several lanes hold undurable data.
-		dirty := 0
-		for _, s := range l.lanes {
-			if s != nil && s.dirty {
-				dirty++
-			}
-		}
-		if dirty >= 2 {
-			l.crashPoint("lane.multidirty")
-		}
-	}
 	return nil
 }
 
@@ -258,7 +243,6 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 	if err := l.checkOpen(); err != nil {
 		return ld.NilBlock, err
 	}
-	l.setLane(0) // list surgery and allocations log on lane 0
 	if _, err := l.listAt(lid); err != nil {
 		return ld.NilBlock, err
 	}
@@ -278,7 +262,7 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 	// the id would also invert the stripe-before-instance lock order.
 	var bid ld.BlockID
 	fromPool := false
-	if id, ok := l.popFreeID(); ok {
+	if id, ok := l.freeIDs.pop(); ok {
 		bid, fromPool = id, true
 	} else if int(l.nextFresh) <= l.lay.maxBlocks {
 		bid = l.nextFresh
@@ -289,7 +273,7 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 	if err := l.ensureRoom(0, tupleSpace(tAlloc)); err != nil {
 		// Roll the number back.
 		if fromPool {
-			l.pushFreeID(bid)
+			l.freeIDs.push(bid)
 		} else {
 			l.nextFresh--
 		}
@@ -318,7 +302,6 @@ func (l *LLD) DeleteBlock(b ld.BlockID, lid ld.ListID, predHint ld.BlockID) erro
 	if err := l.checkOpen(); err != nil {
 		return err
 	}
-	l.setLane(0)
 	bi, err := l.blockAt(b)
 	if err != nil {
 		return err
@@ -353,7 +336,6 @@ func (l *LLD) NewList(predList ld.ListID, hints ld.ListHints) (ld.ListID, error)
 	if err := l.checkOpen(); err != nil {
 		return ld.NilList, err
 	}
-	l.setLane(0)
 	if predList != ld.NilList {
 		if _, err := l.listAt(predList); err != nil {
 			return ld.NilList, err
@@ -387,7 +369,6 @@ func (l *LLD) DeleteList(lid ld.ListID, predHint ld.ListID) error {
 	if err := l.checkOpen(); err != nil {
 		return err
 	}
-	l.setLane(0)
 	if _, err := l.listAt(lid); err != nil {
 		return err
 	}
@@ -432,7 +413,6 @@ func (l *LLD) MoveBlocks(first, last ld.BlockID, srcList, dstList ld.ListID, pre
 	if err := l.checkOpen(); err != nil {
 		return err
 	}
-	l.setLane(0)
 	if _, err := l.listAt(srcList); err != nil {
 		return err
 	}
@@ -532,7 +512,6 @@ func (l *LLD) MoveList(lid ld.ListID, newPred ld.ListID, predHint ld.ListID) err
 	if err := l.checkOpen(); err != nil {
 		return err
 	}
-	l.setLane(0)
 	if _, err := l.listAt(lid); err != nil {
 		return err
 	}
@@ -558,35 +537,18 @@ func (l *LLD) MoveList(lid ld.ListID, newPred ld.ListID, predHint ld.ListID) err
 }
 
 // FlushList implements ld.Disk: it makes all previous writes to blocks of
-// lid durable, providing an easy fsync (paper §2.2). If no open lane
-// holds anything related to the list, it is a no-op.
+// lid durable, providing an easy fsync (paper §2.2). If the open segment
+// holds nothing related to the list, it is a no-op.
 func (l *LLD) FlushList(lid ld.ListID) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.checkOpen(); err != nil {
 		return err
 	}
-	l.setLane(0)
 	if _, err := l.listAt(lid); err != nil {
 		return err
 	}
-	// Seals in the pipeline may carry the list's records; they only count
-	// as durable once written, so barrier on them before deciding the
-	// open lanes hold nothing of interest.
-	if err := l.drainSeals(); err != nil {
-		return err
-	}
-	if err := l.checkOpen(); err != nil { // the drain releases l.mu
-		return err
-	}
-	touched := false
-	for _, s := range l.lanes {
-		if s != nil && l.segmentTouchesList(s, lid) {
-			touched = true
-			break
-		}
-	}
-	if !touched {
+	if l.cur == nil || !l.segmentTouchesList(l.cur, lid) {
 		return nil
 	}
 	return l.flushLocked()
@@ -648,7 +610,6 @@ func (l *LLD) EndARU() error {
 	if !l.aruOpen {
 		return ld.ErrNoARU
 	}
-	l.setLane(0)
 	if err := l.ensureRoom(0, tupleSpace(tCommit)); err != nil {
 		return err
 	}
@@ -662,11 +623,7 @@ func (l *LLD) EndARU() error {
 	}
 	l.cooling = append(l.cooling, l.pendingARU...)
 	l.pendingARU = l.pendingARU[:0]
-	// Barrier on the pipeline only after the unit is closed: seals
-	// dispatched during the ARU skipped backpressure (a cond wait inside
-	// the unit would let interleaved mutators be tagged into it), so
-	// settle the debt here, with the commit already logged.
-	return l.drainSeals()
+	return nil
 }
 
 // Flush implements ld.Disk using the paper's partial-segment strategy
@@ -682,66 +639,30 @@ func (l *LLD) Flush(failures ld.FailureSet) error {
 	if failures == ld.FailNone {
 		return nil
 	}
-	l.setLane(0)
 	return l.flushLocked()
 }
 
-// flushLocked makes every lane's contents durable: full lanes seal (as
-// one group commit when several are full), the rest write partial
-// images synchronously. The pipeline is drained first and again after
-// dispatching the group, so success means every record previously
-// acknowledged is on the platter (or in NVRAM). Callers hold l.mu
-// exclusively.
+// flushLocked makes the open segment's contents durable: above the fill
+// threshold it seals, below it writes a partial image. Success means
+// every record previously acknowledged is on the platter (or in NVRAM).
+// Callers hold l.mu exclusively.
 func (l *LLD) flushLocked() error {
 	l.stats.Flushes++
-	if err := l.drainSeals(); err != nil {
-		return err
+	cur := l.cur
+	if cur == nil || (!cur.dirty && len(cur.entries) == 0 && len(cur.tuples) == 0) {
+		return nil
 	}
-	if err := l.checkOpen(); err != nil { // the drain releases l.mu
-		return err
+	fill := float64(cur.dataOff) / float64(l.lay.dataCap())
+	if fill >= l.opts.FlushThreshold {
+		return l.sealSegment()
 	}
-	var group []*sealJob
-	for k := range l.lanes {
-		l.setLane(k)
-		cur := l.lanes[k]
-		if cur == nil || (!cur.dirty && len(cur.entries) == 0 && len(cur.tuples) == 0) {
-			continue
-		}
-		fill := float64(cur.dataOff) / float64(l.lay.dataCap())
-		if fill >= l.opts.FlushThreshold {
-			j, err := l.makeSealJob(k)
-			if err != nil {
-				l.setLane(0)
-				return err
-			}
-			group = append(group, j)
-			continue
-		}
-		// NVRAM absorption (§5.3): a small partial segment lands in modeled
-		// battery-backed memory instead of costing a disk operation; the
-		// normal seal supersedes it in place later.
-		var err error
-		if l.opts.NVRAMBytes > 0 && cur.dataOff+cur.sumSize <= l.opts.NVRAMBytes {
-			err = l.writePartialNVRAM()
-		} else {
-			err = l.writePartial()
-		}
-		if err != nil {
-			l.setLane(0)
-			return err
-		}
+	// NVRAM absorption (§5.3): a small partial segment lands in modeled
+	// battery-backed memory instead of costing a disk operation; the
+	// normal seal supersedes it in place later.
+	if l.opts.NVRAMBytes > 0 && cur.dataOff+cur.sumSize <= l.opts.NVRAMBytes {
+		return l.writePartialNVRAM()
 	}
-	l.setLane(0)
-	if len(group) > 0 {
-		if err := l.dispatchSeals(group); err != nil {
-			return err
-		}
-		if err := l.drainSeals(); err != nil {
-			return err
-		}
-		return l.checkOpen() // the drain releases l.mu
-	}
-	return nil
+	return l.writePartial()
 }
 
 // Reserve implements ld.Disk.
@@ -794,7 +715,6 @@ func (l *LLD) SwapContents(a, b ld.BlockID) error {
 	if err := l.checkOpen(); err != nil {
 		return err
 	}
-	l.setLane(0)
 	if _, err := l.blockAt(a); err != nil {
 		return err
 	}
@@ -939,46 +859,25 @@ func (l *LLD) Shutdown(clean bool) error {
 	if err := l.checkOpen(); err != nil {
 		return err
 	}
-	l.setLane(0)
 	if !clean {
-		// Simulated crash: mark the instance shut (dispatchers blocked on
-		// backpressure exit with ErrShutdown), then join the flusher so
-		// no goroutine outlives the instance. Its errors are irrelevant —
-		// the disk is in whatever state the crash left it.
 		l.shut = true
-		l.stopSealPipe()
 		return nil
 	}
 	if l.aruOpen {
 		return ld.ErrARUOpen
 	}
-	// Drain and stop the pipeline first: a seal that never reached the
-	// platter must refuse the clean checkpoint, not hide behind it.
-	if err := l.stopSealPipe(); err != nil {
-		return err
-	}
-	if err := l.checkOpen(); err != nil { // the drain releases l.mu
-		return err
-	}
-	for k := range l.lanes {
-		l.setLane(k)
-		cur := l.lanes[k]
-		if cur == nil {
-			continue
-		}
+	if cur := l.cur; cur != nil {
 		if len(cur.entries) > 0 || len(cur.tuples) > 0 || cur.dirty {
 			if err := l.sealSegment(); err != nil {
 				return err
 			}
 		} else {
-			// Return the untouched segment (and its buffer) to the pools.
+			// Return the untouched segment to the pool.
 			l.segs[cur.id].state = segFree
 			l.freeSegs = append(l.freeSegs, cur.id)
-			l.setCur(nil)
-			l.putSegBuf(cur.buf)
+			l.cur = nil
 		}
 	}
-	l.setLane(0)
 	l.releaseCooling()
 	// The complete checkpoint is what lets the next boot skip the sweep,
 	// so everything it describes — and the checkpoint itself — must be on

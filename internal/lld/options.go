@@ -124,8 +124,8 @@ type Options struct {
 	// is never written to disk.
 	RecoveryWorkers int
 
-	// MapShards is the number of lock stripes the block-number map and its
-	// free-id pool are partitioned into (shard = block id mod MapShards).
+	// MapShards is the number of lock stripes the block-number map is
+	// partitioned into (shard = block id mod MapShards).
 	// A write's CPU-heavy work — compression and payload checksumming —
 	// runs under its block's stripe lock with the instance lock released,
 	// so writes to blocks on different stripes overlap; the segment-log
@@ -133,27 +133,6 @@ type Options struct {
 	// reproduces the historical fully-serialized write path bit for bit;
 	// 0 picks min(GOMAXPROCS, 64). A runtime knob, never written to disk.
 	MapShards int
-
-	// SegmentLanes is the number of concurrently fillable open segments
-	// ("lanes"). A write appends to the lane picked by its block's map
-	// stripe, so stripe-parallel writers fill different in-memory segment
-	// buffers; behind the lanes an async seal pipeline writes completed
-	// segments to disk while other lanes keep filling, coalescing
-	// back-to-back seals into group commits. 1 disables the lanes and the
-	// pipeline and reproduces the historical single-open-segment path bit
-	// for bit; 0 picks min(mapShards, 4). A runtime knob, never written
-	// to disk: recovery's one-sweep replay orders records by timestamp,
-	// so interleaved lane seals need no on-disk marker.
-	SegmentLanes int
-
-	// SyncLaneSeals forces lane seals to be written inline under the
-	// instance lock instead of handing them to the async flusher
-	// goroutine. Group commit still happens — a Flush with several full
-	// lanes writes them back to back — but deterministically on the
-	// caller's goroutine, which is what schedule-directed crash testing
-	// needs. Ignored when SegmentLanes resolves to 1 (that path is
-	// always synchronous). A runtime knob, never written to disk.
-	SyncLaneSeals bool
 
 	// BackgroundClean moves watermark-triggered cleaning off the foreground
 	// path: the instance owns a goroutine that claims the exclusive lock
@@ -254,9 +233,6 @@ func (o Options) validate(sectorSize int) error {
 	if o.MapShards < 0 {
 		return fmt.Errorf("lld: map shards %d negative", o.MapShards)
 	}
-	if o.SegmentLanes < 0 {
-		return fmt.Errorf("lld: segment lanes %d negative", o.SegmentLanes)
-	}
 	return nil
 }
 
@@ -285,18 +261,6 @@ func (o Options) mapShards() int {
 		n = runtime.GOMAXPROCS(0)
 		if n > 64 {
 			n = 64
-		}
-	}
-	return n
-}
-
-// segmentLanes resolves the configured lane count to an effective one.
-func (o Options) segmentLanes() int {
-	n := o.SegmentLanes
-	if n <= 0 {
-		n = o.mapShards()
-		if n > 4 {
-			n = 4
 		}
 	}
 	return n

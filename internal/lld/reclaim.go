@@ -41,15 +41,6 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	if err := l.checkOpen(); err != nil {
 		return res, err
 	}
-	// In-flight seals may carry earlier salvage records; settle them before
-	// this call reasons about what is durable. The wait releases l.mu, so
-	// re-check open afterwards.
-	if err := l.drainSeals(); err != nil {
-		return res, err
-	}
-	if err := l.checkOpen(); err != nil {
-		return res, err
-	}
 	if l.aruOpen {
 		return res, fmt.Errorf("lld: cannot reclaim during an open atomic recovery unit")
 	}
@@ -58,7 +49,6 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	}
 	l.scrubbing = true
 	defer func() { l.scrubbing = false }()
-	l.setLane(0) // salvage rewrites and re-logged facts go on lane 0
 
 	v := l.newVerifier()
 	defer v.finish()
@@ -110,27 +100,13 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	}
 
 	// Salvage records (this call's or an earlier Scrub's) may still sit in
-	// an open lane — or in a seal the salvage itself pushed into the
-	// pipeline; force them durable before destroying the evidence.
+	// the open segment; force them durable before destroying the evidence.
 	// "Durable" must survive a volatile write cache too, hence the Sync:
 	// a power loss may otherwise persist the zeroed slots (below) while
 	// dropping the re-logged facts that justified zeroing them.
-	if err := l.drainSeals(); err != nil {
+	if err := l.writePartial(); err != nil {
 		return res, err
 	}
-	if err := l.checkOpen(); err != nil {
-		return res, err
-	}
-	for k := range l.lanes {
-		if s := l.lanes[k]; s != nil && s.dirty {
-			l.setLane(k)
-			if err := l.writePartial(); err != nil {
-				l.setLane(0)
-				return res, err
-			}
-		}
-	}
-	l.setLane(0)
 	if err := l.dskSync(); err != nil {
 		return res, err
 	}

@@ -41,10 +41,7 @@ func fingerprintInternal(l *LLD) string {
 			lid, li.first, li.count, li.hints, li.existTS, li.headTS, li.orderTS)
 	}
 	fmt.Fprintf(&b, "order=%v\n", l.order)
-	for s := range l.shards {
-		fmt.Fprintf(&b, "freeIDs[%d]=%v ", s, l.shards[s].free.all())
-	}
-	fmt.Fprintf(&b, "freeLists=%v cursor=%d\n", l.freeLists.all(), l.allocCursor)
+	fmt.Fprintf(&b, "freeIDs=%v freeLists=%v\n", l.freeIDs.all(), l.freeLists.all())
 	dead := make([]ld.ListID, 0, len(l.deadLists))
 	for lid := range l.deadLists {
 		dead = append(dead, lid)

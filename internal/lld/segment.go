@@ -9,9 +9,21 @@ import (
 	"repro/internal/ld"
 )
 
-// openNewSegment takes a free segment and makes it the current lane's
-// fill target. Callers hold l.mu and must have ensured a free segment
-// exists.
+// NoSpaceError is the typed ErrNoSpace the append path returns when
+// sealing a full lap of segments never produced room. It unwraps to
+// ld.ErrNoSpace, so errors.Is checks keep working.
+type NoSpaceError struct {
+	Reason string
+}
+
+func (e *NoSpaceError) Error() string {
+	return fmt.Sprintf("%v: %s", ld.ErrNoSpace, e.Reason)
+}
+
+func (e *NoSpaceError) Unwrap() error { return ld.ErrNoSpace }
+
+// openNewSegment takes a free segment and makes it the fill target.
+// Callers hold l.mu and must have ensured a free segment exists.
 func (l *LLD) openNewSegment() error {
 	if l.cur != nil {
 		return fmt.Errorf("lld: internal: segment already open")
@@ -23,19 +35,20 @@ func (l *LLD) openNewSegment() error {
 	l.freeSegs = l.freeSegs[:len(l.freeSegs)-1]
 	l.segs[id].state = segOpen
 	l.segs[id].live = 0
-	// Fill buffers are pooled (getSegBuf): a lane filling while earlier
-	// seals are still in the pipeline needs its own buffer, but a sealed
-	// buffer is recycled as soon as its disk write completes. Stale bytes
-	// between blocks are never read back (entries bound every read) so
-	// buffers need no zeroing.
-	l.setCur(&openSegment{
+	// Seals are inline, so the previous segment's image is on disk before
+	// the next one opens and one fill buffer serves them all. Stale bytes
+	// between blocks are never read back (entries bound every read) so it
+	// needs no zeroing.
+	if l.fillBuf == nil {
+		l.fillBuf = make([]byte, l.lay.segmentSize)
+	}
+	l.cur = &openSegment{
 		id:      id,
-		lane:    l.curLane,
 		firstTS: l.ts,
-		buf:     l.getSegBuf(),
+		buf:     l.fillBuf,
 		sumSize: summaryHeaderSize,
 		slotSeq: [2]int64{-1, -1},
-	})
+	}
 	return nil
 }
 
@@ -47,12 +60,7 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 		return fmt.Errorf("%w: request larger than a segment", ld.ErrTooLarge)
 	}
 	seals := 0
-	lane := l.curLane
 	for {
-		// Waits below (awaitFreeSegment, pipeline backpressure) release
-		// l.mu, and interleaved mutators repoint the current lane; re-pin
-		// ours every lap.
-		l.setLane(lane)
 		if l.cur != nil {
 			fits := l.cur.dataOff+dataLen <= l.lay.dataCap() &&
 				l.cur.sumSize+sumLen <= l.lay.summarySize
@@ -64,10 +72,9 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 			// treadmilling: each pass relocates as many bytes as it frees
 			// and hands back an already-full segment, so the disk has no
 			// net reclaimable space. Surface that as ErrNoSpace instead of
-			// looping forever. The other open lanes extend the lap: each
-			// may hand this loop one more already-full segment.
-			if seals > l.lay.nSegments+len(l.lanes)+1 {
-				return &NoSpaceError{Lane: lane, Reason: "cleaning reclaims no net space"}
+			// looping forever.
+			if seals > l.lay.nSegments+2 {
+				return &NoSpaceError{Reason: "cleaning reclaims no net space"}
 			}
 			if err := l.sealSegment(); err != nil {
 				return err
@@ -80,27 +87,12 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 			return err
 		}
 		if l.cur == nil {
-			if len(l.lanes) > 1 && len(l.freeSegs) <= l.cleanReserve() &&
-				(l.sealsInFlight > 0 || len(l.cooling) > 0) {
-				// The pool looks empty but its segments are in the seal
-				// pipeline or gated in cooling; recover them rather than
-				// reporting a full disk. The drain releases l.mu, so loop
-				// to re-pin the lane and re-evaluate — but only on
-				// progress, or a stuck cooling queue would spin here.
-				freeBefore := len(l.freeSegs)
-				if err := l.reclaimCooling(); err != nil {
-					return err
-				}
-				l.setLane(lane)
-				if len(l.freeSegs) > freeBefore {
-					continue
-				}
-			}
 			if len(l.freeSegs) <= l.cleanReserve() {
 				// Exhausted down to the cleaner's reserve. With a background
 				// cleaner this blocks until it frees a segment; otherwise
 				// (and on a cleaning pass's own stack) it returns at once
-				// and openNewSegment surfaces ErrNoSpace.
+				// and openNewSegment surfaces ErrNoSpace. The wait releases
+				// l.mu, so another mutator may have opened a segment since.
 				if err := l.awaitFreeSegment(); err != nil {
 					return err
 				}
@@ -325,28 +317,19 @@ func (l *LLD) guardSlotOverwrite(cur *openSegment, slot int) error {
 	return l.dskSync()
 }
 
-// sealSegment retires the current lane's open segment as a full segment
-// (paper §3): with the pipeline off the disk write happens inline on this
-// goroutine, otherwise the completed buffer is handed to the flusher and
-// this returns as soon as the job is enqueued. Callers hold l.mu.
+// sealSegment retires the open segment as a full segment (paper §3): the
+// summary is encoded and the image written inline, under l.mu. On a write
+// error the segment stays open — its buffer keeps serving reads — and a
+// later seal retries the same slot. Callers hold l.mu.
 func (l *LLD) sealSegment() error {
-	if l.cur == nil {
+	cur := l.cur
+	if cur == nil {
 		return nil
 	}
-	job, err := l.makeSealJob(l.curLane)
-	if err != nil {
+	writeTS := l.nextTS()
+	if err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, true, cur.dataOff, cur.entries, cur.tuples); err != nil {
 		return err
 	}
-	return l.dispatchSeals([]*sealJob{job})
-}
-
-// writeSealJob issues the disk writes of one sealed segment. The buffer
-// and metadata in the job are frozen, and the overwrite guard and the
-// write-ordering watermark are atomics-based, so this is safe both under
-// l.mu (inline seals) and from the flusher's goroutines (which never hold
-// it).
-func (l *LLD) writeSealJob(j *sealJob) error {
-	cur := j.seg
 	start := l.dsk.Now()
 	// A mostly-full segment is written as one long contiguous operation
 	// (the paper's normal case) when the target summary slot directly
@@ -376,7 +359,18 @@ func (l *LLD) writeSealJob(j *sealJob) error {
 			return err
 		}
 	}
-	j.dur = l.dsk.Now() - start
+	l.lastSealDur = l.dsk.Now() - start
+	l.chargeCompression()
+	l.segs[cur.id].state = segLive
+	l.segs[cur.id].ts = writeTS
+	l.cur = nil
+	l.stats.SegmentsSealed++
+	freeBefore := len(l.freeSegs)
+	l.releaseCooling()
+	l.signalSpace(len(l.freeSegs) - freeBefore)
+	if l.bgScrub != nil {
+		l.bgScrub.signal() // fresh durable bytes to verify
+	}
 	return nil
 }
 
@@ -457,9 +451,9 @@ func (l *LLD) releaseCooling() {
 	// on its behalf has reached the platter. Those records all carry a ts
 	// at or below the barrier recorded when the victim was retired, so the
 	// check is a watermark comparison: undurableFloor is a lower bound on
-	// the ts of any record NOT yet durable (in a dirty lane buffer above
-	// its last partial write, or in a seal still in the pipeline). The
-	// barriers are monotone, so a prefix of the cooling queue releases.
+	// the ts of any record NOT yet durable (in the open segment's buffer
+	// above its last partial write). The barriers are monotone, so a
+	// prefix of the cooling queue releases.
 	floor := l.undurableFloor()
 	n := 0
 	for n < len(l.cooling) && l.coolingTS[n] <= floor {
@@ -480,31 +474,19 @@ func (l *LLD) releaseCooling() {
 }
 
 // undurableFloor returns a ts such that every record with an equal or
-// smaller ts is durably on the platter. A dirty open lane holds undurable
-// records above max(firstTS, durableTS); a seal in the pipeline likewise
-// until its disk write completes (partials made before the seal keep
-// their coverage). Returns MaxUint64 when nothing undurable exists.
-// Callers hold l.mu.
+// smaller ts is durably on the platter: a dirty open segment holds
+// undurable records above max(firstTS, durableTS), and sealed segments
+// hold none. Returns MaxUint64 when nothing undurable exists. Callers
+// hold l.mu.
 func (l *LLD) undurableFloor() uint64 {
-	floor := uint64(math.MaxUint64)
-	bound := func(s *openSegment) {
-		lo := s.firstTS
-		if s.durableTS > lo {
-			lo = s.durableTS
-		}
-		if lo < floor {
-			floor = lo
-		}
+	s := l.cur
+	if s == nil || !s.dirty {
+		return math.MaxUint64
 	}
-	for _, s := range l.lanes {
-		if s != nil && s.dirty {
-			bound(s)
-		}
+	if s.durableTS > s.firstTS {
+		return s.durableTS
 	}
-	for _, j := range l.sealing {
-		bound(j.seg)
-	}
-	return floor
+	return s.firstTS
 }
 
 // retireSegment marks a cleaned segment as freed, honoring ARU and cooling
@@ -550,7 +532,7 @@ func (l *LLD) readStored(bi *blockInfo, scratch *[]byte) ([]byte, error) {
 	if bi.stored == 0 {
 		return nil, nil
 	}
-	if s := l.openBufFor(int(bi.seg)); s != nil {
+	if s := l.cur; s != nil && s.id == int(bi.seg) {
 		return s.buf[bi.off : bi.off+bi.stored], nil
 	}
 	ss := l.lay.sectorSize
@@ -593,7 +575,7 @@ func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte) (data []byte, v
 	if bi.stored == 0 {
 		return nil, true, nil
 	}
-	if s := l.openBufFor(int(bi.seg)); s != nil {
+	if s := l.cur; s != nil && s.id == int(bi.seg) {
 		return s.buf[bi.off : bi.off+bi.stored], true, nil
 	}
 	mr, multi := l.dsk.(disk.MultiReader)

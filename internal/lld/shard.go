@@ -8,8 +8,7 @@ import (
 
 // mapShard is one lock stripe of the block-number map. Shard s owns every
 // block id b with b mod MapShards == s (modulo striping spreads
-// consecutively allocated ids across stripes), and carries the free-id
-// pool for the ids it owns.
+// consecutively allocated ids across stripes).
 //
 // The stripe lock does NOT replace the instance lock: every mutation of
 // shared state still happens with l.mu held exclusively, so exclusive-lock
@@ -32,18 +31,17 @@ import (
 //     salvage, reclaim, SwapContents) requires no stripe lock: windows
 //     re-read placement under l.mu at apply, so relocation between
 //     prepare and apply is harmless.
-//   - The per-shard free pools are guarded by l.mu exclusive like the rest
-//     of the shared state; the partition exists to spread allocations
-//     across stripes and to make disjointness checkable, not for
-//     independent locking.
+//   - Recyclable ids live in one pool on the LLD (freeIDs), guarded by
+//     l.mu like the rest of the shared state: a block's stripe is b mod
+//     MapShards whatever pool its id came from, and one pool makes the
+//     order ids are handed out in independent of the stripe count.
 //
 // Lock order: stripe locks in ascending shard index, then l.mu. The
 // stripe locks are therefore "above" the instance lock; nothing acquires
 // a stripe while holding l.mu.
 type mapShard struct {
-	mu   sync.RWMutex
-	free freePool[ld.BlockID]
-	_    [16]byte // pad to a cache line so stripe locks do not false-share
+	mu sync.RWMutex
+	_  [40]byte // pad to a cache line so stripe locks do not false-share
 }
 
 // shardOf returns the stripe that owns block id b.
@@ -67,49 +65,18 @@ func (l *LLD) unlockAllShards() {
 	}
 }
 
-// pushFreeID returns a freed block number to its owning shard's pool.
-// Callers hold l.mu exclusively.
-func (l *LLD) pushFreeID(b ld.BlockID) { l.shardOf(b).free.push(b) }
-
-// popFreeID takes a recyclable block number, rotating the starting shard
-// so consecutive allocations land on different stripes. Callers hold l.mu
-// exclusively. With one shard this is exactly the historical global LIFO.
-func (l *LLD) popFreeID() (ld.BlockID, bool) {
-	n := len(l.shards)
-	for i := 0; i < n; i++ {
-		s := (l.allocCursor + i) % n
-		if id, ok := l.shards[s].free.pop(); ok {
-			l.allocCursor = (s + 1) % n
-			return id, true
-		}
-	}
-	return ld.NilBlock, false
-}
-
-// freeIDCount returns the total number of pooled block numbers.
-func (l *LLD) freeIDCount() int {
-	n := 0
-	for i := range l.shards {
-		n += l.shards[i].free.size()
-	}
-	return n
-}
-
-// rebuildFreePools rederives the per-shard free block-number pools and the
-// free list-id pool from the allocation state, in ascending id order, and
-// rewinds the allocation cursor. The pools are derived state — neither the
-// checkpoint nor the segment summaries serialize them — so both the
-// recovery sweep and the checkpoint loader finish by calling this.
+// rebuildFreePools rederives the free block-number pool and the free
+// list-id pool from the allocation state, in ascending id order. The
+// pools are derived state — neither the checkpoint nor the segment
+// summaries serialize them — so both the recovery sweep and the
+// checkpoint loader finish by calling this.
 func (l *LLD) rebuildFreePools() {
-	for i := range l.shards {
-		l.shards[i].free.reset()
-	}
+	l.freeIDs.reset()
 	for b := ld.BlockID(1); b < l.nextFresh; b++ {
 		if !l.blocks[b].allocated() {
-			l.pushFreeID(b)
+			l.freeIDs.push(b)
 		}
 	}
-	l.allocCursor = 0
 	l.freeLists.reset()
 	for lid := ld.ListID(1); lid < l.nextList; lid++ {
 		if l.lists[lid] == nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,8 +12,8 @@ import (
 )
 
 // These tests cover the lock-striped block-number map (Options.MapShards):
-// equivalence with the unsharded instance, free-pool partition invariants
-// across allocation churn, recovery, and checkpoints, and concurrent
+// equivalence with the unsharded instance, free-pool invariants across
+// allocation churn, recovery, and checkpoints, and concurrent
 // writers crossing stripe boundaries cross-checked against the msModel
 // reference model (they are meant to run under -race).
 
@@ -63,12 +61,11 @@ func runReuseFreeWorkload(t *testing.T, l *LLD) {
 	}
 }
 
-// TestShardUnshardedEquivalence replays the same single-threaded,
-// reuse-free history at several stripe counts and requires byte-identical
-// platters: striping changes locking, not any on-disk decision. (Once
-// freed ids are re-allocated the POOL POP ORDER legitimately differs
-// across stripe counts; logical equivalence under reuse is covered by
-// TestShardRecoveryEquivalence and TestShardFreePoolChurn.)
+// TestShardUnshardedEquivalence replays the same single-threaded history
+// at several stripe counts and requires byte-identical platters: striping
+// changes locking, not any on-disk decision. (Id reuse included: the free
+// pool is global, so TestShardRecoveryEquivalence compares whole
+// fingerprints and the ldtest lockstep suites run at any stripe count.)
 func TestShardUnshardedEquivalence(t *testing.T) {
 	var want []byte
 	for _, n := range []int{1, 2, 7} {
@@ -94,40 +91,14 @@ func TestShardUnshardedEquivalence(t *testing.T) {
 	}
 }
 
-// sortedFreeIDs flattens the per-shard pools into one sorted slice.
-func sortedFreeIDs(l *LLD) []ld.BlockID {
-	var out []ld.BlockID
-	for s := range l.shards {
-		out = append(out, l.shards[s].free.all()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// stripPoolLines drops the free-pool rendering from a fingerprint; the
-// pool PARTITION is stripe-count dependent even when the pooled id set is
-// identical.
-func stripPoolLines(fp string) string {
-	lines := strings.Split(fp, "\n")
-	out := lines[:0]
-	for _, ln := range lines {
-		if strings.HasPrefix(ln, "freeIDs[") {
-			continue
-		}
-		out = append(out, ln)
-	}
-	return strings.Join(out, "\n")
-}
-
 // TestShardRecoveryEquivalence recovers one crashed image (rich in
-// deletions, so the pools are non-trivial) at several stripe counts: the
-// rebuilt state must agree on everything except how the free ids are
-// partitioned, and the pooled id SET must be identical.
+// deletions, so the free pool is non-trivial) at several stripe counts:
+// the rebuilt state, pool order included, must be identical.
 func TestShardRecoveryEquivalence(t *testing.T) {
 	opts := testOptions()
 	img := buildCrashedImage(t, 8<<20, opts)
 
-	recover := func(n int) (*LLD, string, []ld.BlockID) {
+	recover := func(n int) (*LLD, string) {
 		d := disk.New(disk.DefaultConfig(8 << 20))
 		if err := d.Restore(img); err != nil {
 			t.Fatalf("restore: %v", err)
@@ -141,19 +112,16 @@ func TestShardRecoveryEquivalence(t *testing.T) {
 		if viol := l.CheckInvariants(); len(viol) != 0 {
 			t.Fatalf("shards=%d: invariant violations: %v", n, viol)
 		}
-		return l, stripPoolLines(fingerprintInternal(l)), sortedFreeIDs(l)
+		return l, fingerprintInternal(l)
 	}
 
-	base, wantFP, wantFree := recover(1)
+	base, wantFP := recover(1)
 	wantCanon := canonLD(t, base)
 	for _, n := range []int{2, 4, 8} {
-		l, fp, free := recover(n)
+		l, fp := recover(n)
 		if fp != wantFP {
 			t.Errorf("shards=%d: recovered state differs from unsharded:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
 				n, wantFP, n, fp)
-		}
-		if fmt.Sprint(free) != fmt.Sprint(wantFree) {
-			t.Errorf("shards=%d: pooled free ids %v, want %v", n, free, wantFree)
 		}
 		if got := canonLD(t, l); got != wantCanon {
 			t.Errorf("shards=%d: logical contents differ from unsharded", n)
@@ -161,10 +129,10 @@ func TestShardRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardFreePoolChurn drives heavy id recycling through the sharded
-// pools — delete, re-allocate, DeleteList, MoveBlocks — and audits the
-// partition invariants after every phase, after a checkpointed restart,
-// and after crash recovery.
+// TestShardFreePoolChurn drives heavy id recycling through the free pool
+// on a striped map — delete, re-allocate, DeleteList, MoveBlocks — and
+// audits the pool invariants after every phase, after a checkpointed
+// restart, and after crash recovery.
 func TestShardFreePoolChurn(t *testing.T) {
 	o := testOptions()
 	o.MapShards = 8
@@ -428,7 +396,7 @@ func TestShardConcurrentMixedOps(t *testing.T) {
 	}
 
 	// Churner: allocate/delete on its own list, recycling ids through the
-	// sharded pools while the hammerers run.
+	// free pool while the hammerers run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -432,7 +432,10 @@ func TestDegradedServerRefusesCorruptBlocksOnly(t *testing.T) {
 // client's uncommitted write discarded). A client that keeps talking,
 // even over a slow faulty link, is never idled out.
 func TestIdleTimeoutDisconnectsDeadClient(t *testing.T) {
-	const idle = 50 * time.Millisecond
+	// The active-session leg below paces its requests at idle/8, so the
+	// live client is only reaped by a scheduling stall longer than ~200 ms;
+	// at 50 ms a single stall on a loaded 2-vCPU host did it.
+	const idle = 250 * time.Millisecond
 	f := newFixtureCfg(t, func(c *server.Config) { c.IdleTimeout = idle })
 	// Leg 1 (the dying client) is a clean faultconn; leg 2 adds
 	// deterministic per-I/O delays well under the idle timeout, proving
@@ -489,7 +492,7 @@ func TestIdleTimeoutDisconnectsDeadClient(t *testing.T) {
 		if got := readStr(t, c2, b); got != "v1" {
 			t.Fatalf("active session read wrong value %q", got)
 		}
-		time.Sleep(idle / 4)
+		time.Sleep(idle / 8)
 	}
 	if err := c2.EndARU(); err != nil {
 		t.Fatalf("EndARU on active session: %v", err)

@@ -35,7 +35,6 @@ const (
 	KindMirror  = "mirror"  // RAID-1 over cached legs
 	KindReclaim = "reclaim" // quarantine image, then crash inside Scrub/ReclaimQuarantined
 	KindRebuild = "rebuild" // 2-way mirror, crash mid-rebuild with concurrent writes
-	KindLanes   = "lanes"   // single cached disk, Legs segment lanes (inline seals for determinism)
 )
 
 // Config parameterizes one torture run (one topology, one seed).
@@ -92,7 +91,7 @@ func (c *Config) fillDefaults() {
 
 func (c Config) legCount() int {
 	switch c.Kind {
-	case KindLLD, KindReclaim, KindLanes:
+	case KindLLD, KindReclaim:
 		return 1
 	case KindRebuild:
 		return 2
@@ -109,7 +108,6 @@ func DefaultConfigs(seed int64) []Config {
 		{Kind: KindMirror, Legs: 2, Seed: seed},
 		{Kind: KindReclaim, Seed: seed},
 		{Kind: KindRebuild, Seed: seed},
-		{Kind: KindLanes, Legs: 2, Seed: seed},
 	}
 }
 
@@ -318,7 +316,7 @@ func (r *rig) compose(afterRestart bool) error {
 		backends[i] = c
 	}
 	switch r.cfg.Kind {
-	case KindLLD, KindReclaim, KindLanes:
+	case KindLLD, KindReclaim:
 		r.back = r.caches[0]
 	case KindStripe:
 		s, err := mdisk.NewStripe(backends...)
@@ -378,7 +376,7 @@ func (r *rig) image() (Image, error) {
 }
 
 // Options returns the lld options recovery mounts the image with.
-func (im Image) Options() lld.Options { return im.cfg.options(nil) }
+func (im Image) Options() lld.Options { return tortureOptions(nil) }
 
 // Mount composes a private copy of the image, as the rig is composed
 // after a restart, and returns its backend. Call done when finished.
@@ -397,33 +395,18 @@ func (im Image) Mount() (back disk.Backend, done func(), err error) {
 	return r.back, r.close, nil
 }
 
-// tortureOptions is the small-geometry option set every run uses.
-// Background goroutines stay off: the workload is single-threaded so
-// every run of a given (seed, point) is bit-deterministic.
+// tortureOptions is the small-geometry option set every run uses:
+// shipped defaults otherwise (the stripe count follows GOMAXPROCS and
+// changes no on-disk decision). Background goroutines stay off: the
+// workload is single-threaded so every run of a given (seed, point) is
+// bit-deterministic.
 func tortureOptions(hook func(string)) lld.Options {
 	o := lld.DefaultOptions()
 	o.SegmentSize = 32 * 1024
 	o.SummarySize = 4 * 1024
 	o.MaxBlockSize = 4096
 	o.CompressBandwidth = 0
-	o.MapShards = 1
-	o.SegmentLanes = 1
 	o.CrashHook = hook
-	return o
-}
-
-// options is tortureOptions specialized to the config: the lanes
-// topology spreads the single-threaded workload over Legs lanes (one
-// map stripe each) with inline seals, so every lane interleaving —
-// including the multi-dirty-lane and inline group-commit crash sites —
-// stays bit-deterministic.
-func (c Config) options(hook func(string)) lld.Options {
-	o := tortureOptions(hook)
-	if c.Kind == KindLanes {
-		o.MapShards = c.Legs
-		o.SegmentLanes = c.Legs
-		o.SyncLaneSeals = true
-	}
 	return o
 }
 
@@ -471,7 +454,7 @@ func runReference(cfg Config) (span int64, sites map[string]int, err error) {
 	}
 	defer r.close()
 	sched := newScheduler(r.rail, cfg.Seed, point{})
-	opts := cfg.options(sched.hook)
+	opts := tortureOptions(sched.hook)
 	if err := lld.Format(r.back, opts); err != nil {
 		return 0, nil, fmt.Errorf("reference format: %w", err)
 	}
@@ -578,7 +561,7 @@ func runPoint(cfg Config, pt point) error {
 	}
 	defer r.close()
 	sched := newScheduler(r.rail, cfg.Seed, pt)
-	opts := cfg.options(sched.hook)
+	opts := tortureOptions(sched.hook)
 	if err := lld.Format(r.back, opts); err != nil {
 		return fmt.Errorf("format: %w", err)
 	}
@@ -639,7 +622,7 @@ func verifyRecovered(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) erro
 			return fmt.Errorf("crash image hook: %w", err)
 		}
 	}
-	opts := cfg.options(nil)
+	opts := tortureOptions(nil)
 	l2, err := lld.Open(r.back, opts)
 	if err != nil {
 		return fmt.Errorf("recovery failed: %w", err)

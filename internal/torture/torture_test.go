@@ -72,25 +72,6 @@ func TestTortureReclaimSmoke(t *testing.T) {
 	t.Error("no seed in the list produced a quarantined image to reclaim")
 }
 
-func TestTortureLanesSmoke(t *testing.T) {
-	res := runSmoke(t, smokeConfig(t, KindLanes, 10))
-	if res.Points == 0 {
-		t.Fatal("no crash points enumerated")
-	}
-	// The lane sites must actually occur in the reference run: a cut
-	// while two or more lanes hold unsealed records is the whole point
-	// of this topology.
-	cfg := smokeConfig(t, KindLanes, 0)
-	cfg.fillDefaults()
-	_, sites, err := runReference(cfg)
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	if sites["lane.multidirty"] == 0 {
-		t.Error("workload never had two dirty lanes at once")
-	}
-}
-
 func TestTortureRebuildSmoke(t *testing.T) {
 	res := runSmoke(t, smokeConfig(t, KindRebuild, 8))
 	if res.Points == 0 {
