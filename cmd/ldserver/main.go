@@ -74,24 +74,14 @@ func main() {
 	img := flag.String("img", "", "disk image to serve (created if missing); saved on clean shutdown")
 	size := flag.String("size", "64M", "capacity for a fresh disk (K/M/G suffixes)")
 	segment := flag.String("segment", "512K", "LLD segment size for a fresh format")
-	recoveryWorkers := flag.Int("recovery-workers", 0,
-		"goroutines for the one-sweep startup recovery (0 = min(GOMAXPROCS, 8), 1 = sequential)")
-	mapShards := flag.Int("map-shards", 0,
-		"lock stripes over the block map (0 = min(GOMAXPROCS, 64), 1 = single lock)")
 	bgClean := flag.Bool("bg-clean", false,
-		"run segment cleaning in a background goroutine with bounded per-step lock holds")
-	cleanStep := flag.Int("clean-step", 1,
-		"victim segments the background cleaner processes per lock acquisition (with -bg-clean)")
+		"run segment cleaning in a background goroutine, one victim segment per lock hold")
 	bgScrub := flag.Bool("bg-scrub", false,
 		"verify block payload checksums against the media in a background goroutine")
-	scrubStep := flag.Int("scrub-step", 1,
-		"segments the background scrubber verifies per lock acquisition (with -bg-scrub)")
 	mirrorN := flag.Int("mirror", 0,
 		"serve from an N-way mirror; with -img the replicas are <img>.0 … <img>.N-1")
 	stripeN := flag.Int("stripe", 0,
 		"serve from an N-leg stripe; with -img the legs are <img>.0 … <img>.N-1")
-	rebuildStep := flag.Int("rebuild-step", 8,
-		"chunks the online rebuild of a missing mirror replica copies per lock acquisition")
 	idleTimeout := flag.Duration("idle-timeout", 0,
 		"disconnect a client that sends no request for this long (0 = never); an ARU left open by an idled-out client is aborted")
 	quiet := flag.Bool("q", false, "suppress per-event logging")
@@ -103,33 +93,29 @@ Concurrency: each client connection is served by its own goroutine, and
 read-only commands (READ, LISTBLOCKS, ...) execute concurrently inside the
 backing LLD under a shared lock; mutating commands are exclusive. There is
 no worker-pool knob for request handling — concurrency equals the number
-of connected clients with in-flight requests. -recovery-workers controls
-only the parallel summary sweep during startup recovery of a crashed image.
--map-shards stripes the block-number map so mutating commands on blocks
-in different stripes run their compression and checksumming concurrently;
-1 restores the single-lock write path.
+of connected clients with in-flight requests. The block-number map is
+striped min(GOMAXPROCS, 64) ways, so mutating commands on blocks in
+different stripes run their compression and checksumming concurrently.
 
 With -bg-clean, segment cleaning runs in a goroutine owned by the LLD
 instead of inline on the write path: a write that trips the cleaning
 watermark signals the goroutine and continues, and the goroutine holds the
-exclusive lock for at most -clean-step victim segments at a time, so the
-worst-case pause a request sees is one bounded step rather than a whole
-multi-segment pass. Writes block only when the free-segment pool is truly
-exhausted.
+exclusive lock for one victim segment at a time, so the worst-case pause a
+request sees is one bounded step rather than a whole multi-segment pass.
+Writes block only when the free-segment pool is truly exhausted.
 
 With -bg-scrub, an online scrubber re-reads sealed segments (woken by each
 segment seal) and verifies every live block's payload checksum against the
-media, holding the exclusive lock for at most -scrub-step segments at a
-time. Latent corruption is then found proactively instead of at the next
-unlucky READ; either way damaged data is refused with a CORRUPT status,
-never served.
+media, holding the exclusive lock for one segment at a time. Latent
+corruption is then found proactively instead of at the next unlucky READ;
+either way damaged data is refused with a CORRUPT status, never served.
 
 With -mirror, every sector lives on N replicas: writes fan out to all of
 them, reads are served by any and re-checked against the LLD's per-block
 checksums, so a replica that rots or dies is read around (and healed by
 rewrite) without the client seeing an error. A replica image file that
 is missing at startup is hot-attached blank and re-silvered online in
--rebuild-step chunk batches while the server runs. With -stripe, sectors
+bounded chunk batches while the server runs. With -stripe, sectors
 round-robin over N legs, each with its own request queue, for parallel
 transfer. On shutdown each backing disk is saved to its own <img>.i.
 
@@ -151,12 +137,8 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 
 	opts := lld.DefaultOptions()
 	opts.SegmentSize = int(segSize)
-	opts.RecoveryWorkers = *recoveryWorkers
-	opts.MapShards = *mapShards
 	opts.BackgroundClean = *bgClean
-	opts.CleanStepSegments = *cleanStep
 	opts.BackgroundScrub = *bgScrub
-	opts.ScrubStepSegments = *scrubStep
 
 	bk, err := setupBackend(*img, capacity, *mirrorN, *stripeN)
 	if err != nil {
@@ -200,7 +182,7 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 		go func(idx int) {
 			defer rebuildWG.Done()
 			lastDecile := -1
-			rep, err := bk.mirror.Rebuild(idx, *rebuildStep, func(done, total int) {
+			rep, err := bk.mirror.Rebuild(idx, 0, func(done, total int) {
 				if d := done * 10 / total; d != lastDecile {
 					lastDecile = d
 					logf("ldserver: rebuild replica %d: %d%% (%d/%d chunks)", idx, d*10, done, total)

@@ -191,7 +191,6 @@ func runRaceHammerLocal(t *testing.T, background bool) {
 	o.SummarySize = 8 * 1024
 	if background {
 		o.BackgroundClean = true
-		o.CleanStepSegments = 1
 	}
 	if err := lld.Format(d, o); err != nil {
 		t.Fatal(err)
@@ -253,7 +252,6 @@ func newNetHammerFarm(t *testing.T, background bool) func() ld.Disk {
 	o.SummarySize = 8 * 1024
 	if background {
 		o.BackgroundClean = true
-		o.CleanStepSegments = 1
 	}
 	if err := lld.Format(d, o); err != nil {
 		t.Fatal(err)
@@ -312,7 +310,6 @@ func TestCleanerInterleavings(t *testing.T) {
 	o.SegmentSize = 64 * 1024
 	o.SummarySize = 8 * 1024
 	o.BackgroundClean = true
-	o.CleanStepSegments = 1
 	if err := lld.Format(d, o); err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,12 @@ import (
 
 // Background cleaner (DESIGN.md §8). With Options.BackgroundClean the
 // instance owns one goroutine that runs watermark cleaning passes in
-// bounded steps: it claims the exclusive lock for at most
-// Options.CleanStepSegments victim segments, releases it, yields, and
-// reacquires, so concurrent commands wait for one step instead of a whole
-// multi-segment clean. The pass state (cleanPass) is carried across steps,
-// which makes an uncontended background pass process the identical victim
-// sequence — and produce byte-identical durable state — as the synchronous
-// inline pass.
+// bounded steps: it claims the exclusive lock for one victim segment,
+// releases it, yields, and reacquires, so concurrent commands wait for one
+// step instead of a whole multi-segment clean. The pass state (cleanPass)
+// is carried across steps, which makes an uncontended background pass
+// process the identical victim sequence — and produce byte-identical
+// durable state — as the synchronous inline pass.
 //
 // Protocol:
 //   - maybeClean (the watermark check inside every mutator) signals the
@@ -27,8 +26,7 @@ import (
 //   - Shutdown quiesces the goroutine first (stopBGClean joins it), so a
 //     checkpoint can never race a cleaning step.
 
-// startBGClean launches the background cleaner. Called from Open before
-// the instance is shared, so no locking is needed.
+// startBGClean launches the background cleaner (see startBackground).
 func (l *LLD) startBGClean() {
 	l.bg = l.startWorker(func(bg *bgWorker) {
 		if !l.cleaning && l.cleanNeeded() {
@@ -83,11 +81,10 @@ func (l *LLD) runBGPass(bg *bgWorker) {
 	l.cleaningBG = true
 	l.stats.CleanerRuns++
 	p := cleanPass{maxIter: 8 * l.opts.CleanHigh}
-	step := l.opts.cleanStep()
 	for {
 		l.cleaningStep = true
 		freeBefore := len(l.freeSegs)
-		finished, err := l.cleanSome(&p, step, l.watermarkTarget)
+		finished, err := l.cleanSome(&p, 1, l.watermarkTarget)
 		l.cleaningStep = false
 		l.stats.BGCleanSteps++
 		// Wake one waiter per segment freed, not all of them: a broadcast

@@ -75,7 +75,6 @@ func TestBackgroundCleanEquivalence(t *testing.T) {
 		o.CleanLow = 6
 		o.CleanHigh = 10
 		o.BackgroundClean = background
-		o.CleanStepSegments = 1
 		l, err := Open(d, o)
 		if err != nil {
 			t.Fatalf("open (background=%v): %v", background, err)
@@ -141,7 +140,6 @@ func TestBackgroundCleanEquivalence(t *testing.T) {
 func TestBackgroundCleanRestocksPool(t *testing.T) {
 	o := testOptions()
 	o.BackgroundClean = true
-	o.CleanStepSegments = 1
 	_, l := newTestLLD(t, 2<<20, o)
 
 	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
@@ -515,5 +513,53 @@ func TestBackgroundCleanShutdownMidWait(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("writer still blocked after Shutdown")
 		}
+	}
+}
+
+// TestRefusedShutdownKeepsWorkers: a clean Shutdown refused with ErrARUOpen
+// leaves the instance as it found it — both background workers attached —
+// and once the unit ends a second Shutdown succeeds and the image mounts
+// from its checkpoint.
+func TestRefusedShutdownKeepsWorkers(t *testing.T) {
+	o := testOptions()
+	o.BackgroundClean = true
+	o.BackgroundScrub = true
+	d, l := newTestLLD(t, 2<<20, o)
+	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
+	b := mustNewBlock(t, l, lid, ld.NilBlock)
+	mustWrite(t, l, b, []byte("before the unit"))
+
+	if err := l.BeginARU(); err != nil {
+		t.Fatalf("BeginARU: %v", err)
+	}
+	mustWrite(t, l, b, []byte("inside the unit"))
+	if err := l.Shutdown(true); !errors.Is(err, ld.ErrARUOpen) {
+		t.Fatalf("Shutdown(true) mid-ARU = %v, want ErrARUOpen", err)
+	}
+	l.mu.Lock()
+	bg, bgScrub := l.bg, l.bgScrub
+	l.mu.Unlock()
+	if bg == nil || bgScrub == nil {
+		t.Fatalf("refused Shutdown detached workers: cleaner attached=%v scrubber attached=%v", bg != nil, bgScrub != nil)
+	}
+	if err := l.EndARU(); err != nil {
+		t.Fatalf("EndARU: %v", err)
+	}
+	if err := l.Shutdown(true); err != nil {
+		t.Fatalf("Shutdown(true) after EndARU: %v", err)
+	}
+
+	l2, err := Open(d, o)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if n := l2.RecoveryReport().SweptSegments; n != 0 {
+		t.Errorf("reopen swept %d segments; want a checkpoint mount", n)
+	}
+	if got := mustRead(t, l2, b); string(got) != "inside the unit" {
+		t.Errorf("block after reopen = %q", got)
+	}
+	if err := l2.Shutdown(true); err != nil {
+		t.Fatalf("final shutdown: %v", err)
 	}
 }

@@ -14,8 +14,7 @@ type bgWorker struct {
 }
 
 // startWorker launches a goroutine that runs pass once per wake-up with
-// l.mu held exclusively, until stopped or the instance shuts. Called
-// from Open before the instance is shared.
+// l.mu held exclusively, until stopped or the instance shuts.
 func (l *LLD) startWorker(pass func(w *bgWorker)) *bgWorker {
 	w := &bgWorker{wake: make(chan struct{}, 1), done: make(chan struct{})}
 	go func() {
@@ -35,6 +34,17 @@ func (l *LLD) startWorker(pass func(w *bgWorker)) *bgWorker {
 		}
 	}()
 	return w
+}
+
+// startBackground launches the workers the options ask for. Callers hold
+// l.mu, or own the instance outright (Open, before it is shared).
+func (l *LLD) startBackground() {
+	if l.opts.BackgroundClean {
+		l.startBGClean()
+	}
+	if l.opts.BackgroundScrub {
+		l.startBGScrub()
+	}
 }
 
 // stopping reports that the worker must wind down. Callers hold l.mu.

@@ -245,7 +245,7 @@ func (l *LLD) cleanSegment(id int) error {
 		for _, lid := range l.order {
 			li := l.lists[lid]
 			for b := li.first; b != ld.NilBlock && seen < len(live); b = l.blocks[b].next {
-				if live[b] {
+				if bi := &l.blocks[b]; int(bi.seg) == id && bi.hasData() {
 					ordered = append(ordered, b)
 					seen++
 				}
@@ -498,7 +498,7 @@ func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 	// victim image was one bulk read, so on a redundant backend it came
 	// from a single replica — retry the block's span with replica
 	// selection (healing the bad copy) before giving up.
-	if !l.opts.DisableReadVerify && payloadCRC(data) != bi.crc {
+	if payloadCRC(data) != bi.crc {
 		fixed := false
 		if _, isMulti := l.dsk.(disk.MultiReader); isMulti {
 			if good, verified, err := l.readStoredVerified(bi, &l.scratch); err == nil && verified {
@@ -590,7 +590,7 @@ outer:
 				}
 				return err
 			}
-			if !verified && !l.opts.DisableReadVerify && payloadCRC(stored) != bi.crc {
+			if !verified && payloadCRC(stored) != bi.crc {
 				l.stats.CorruptReads++
 				return &CorruptError{Block: b, Seg: int(bi.seg), Reason: "payload checksum mismatch during reorganize"}
 			}

@@ -18,9 +18,7 @@ func OpenPerBlockVerify(dsk disk.Backend, opts Options) (*LLD, error) {
 // given up at its first lost block.
 func (l *LLD) verifyRecoveredDataPerBlock(report *RecoveryReport) {
 	v := &verifier{l: l}
-	if mr, ok := l.dsk.(disk.MultiReader); ok && !l.opts.DisableReadVerify {
-		v.multi = mr
-	}
+	v.multi, _ = l.dsk.(disk.MultiReader)
 	verify := func(bi *blockInfo) bool {
 		_, err := v.block(bi) // the one request per block, heal included
 		return err == nil

@@ -94,9 +94,7 @@ type verifier struct {
 // between segments.
 func (l *LLD) newVerifier() *verifier {
 	v := &verifier{l: l, buf: make([]byte, l.lay.dataCap()), spans: l.gatherLiveSpans()}
-	if mr, ok := l.dsk.(disk.MultiReader); ok && !l.opts.DisableReadVerify {
-		v.multi = mr
-	}
+	v.multi, _ = l.dsk.(disk.MultiReader)
 	return v
 }
 

@@ -49,12 +49,7 @@ func recoverImage(im torture.Image, open func(disk.Backend, lld.Options) (*lld.L
 		return nil, err
 	}
 	defer done()
-	// One sweep worker: with several, which mirror leg serves which summary
-	// read depends on their interleaving, and so does what gets healed —
-	// two runs of the same pass then differ as much as the two passes.
-	opts := im.Options()
-	opts.RecoveryWorkers = 1
-	l, err := open(back, opts)
+	l, err := open(back, im.Options())
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}

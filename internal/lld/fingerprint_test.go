@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/disk"
 	"repro/internal/ld"
 )
 
@@ -118,130 +117,4 @@ func buildCrashedImage(t *testing.T, capacity int64, opts Options) []byte {
 		t.Fatalf("unclean shutdown: %v", err)
 	}
 	return d.Snapshot()
-}
-
-// TestParallelRecoveryEquivalence recovers the same crashed image with the
-// sequential sweep and with several parallel worker counts and requires the
-// rebuilt in-memory state to be byte-identical: same block-number map, list
-// table, segment usage table, free pools, and timestamps — and the same
-// (empty) CheckInvariants output and logical contents.
-func TestParallelRecoveryEquivalence(t *testing.T) {
-	opts := testOptions()
-	img := buildCrashedImage(t, 8<<20, opts)
-
-	recover := func(workers int) (*LLD, string, map[ld.ListID][]string) {
-		d := disk.New(disk.DefaultConfig(8 << 20))
-		if err := d.Restore(img); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		o := opts
-		o.RecoveryWorkers = workers
-		l, err := Open(d, o)
-		if err != nil {
-			t.Fatalf("open with %d workers: %v", workers, err)
-		}
-		if viol := l.CheckInvariants(); len(viol) != 0 {
-			t.Fatalf("workers=%d: invariant violations: %v", workers, viol)
-		}
-		fp := fingerprintInternal(l)
-		return l, fp, captureState(t, l)
-	}
-
-	_, wantFP, wantState := recover(1)
-	for _, workers := range []int{2, 4, 8, 0} {
-		_, fp, state := recover(workers)
-		if fp != wantFP {
-			t.Errorf("workers=%d: recovered state differs from sequential sweep:\n--- sequential ---\n%s\n--- workers=%d ---\n%s",
-				workers, wantFP, workers, fp)
-		}
-		diffState(t, wantState, state, fmt.Sprintf("workers=%d", workers))
-	}
-}
-
-// TestParallelRecoverySweepCount checks the sweep statistic is worker-count
-// independent: every recovery visits every segment exactly once.
-func TestParallelRecoverySweepCount(t *testing.T) {
-	opts := testOptions()
-	img := buildCrashedImage(t, 8<<20, opts)
-	for _, workers := range []int{1, 4} {
-		d := disk.New(disk.DefaultConfig(8 << 20))
-		if err := d.Restore(img); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		o := opts
-		o.RecoveryWorkers = workers
-		l, err := Open(d, o)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		if got := l.Stats().RecoverySweepSegments; got != int64(l.lay.nSegments) {
-			t.Errorf("workers=%d: swept %d segments, want %d", workers, got, l.lay.nSegments)
-		}
-	}
-}
-
-// BenchmarkRecoverySweepWorkers measures a full one-sweep recovery of a
-// crashed 64-MB image at several worker counts. The fan-out overlaps summary
-// reads and decoding; replay is sequential in all cases.
-func BenchmarkRecoverySweepWorkers(b *testing.B) {
-	opts := DefaultOptions()
-	opts.SegmentSize = 128 * 1024
-	opts.SummarySize = 4 * 1024
-	opts.CompressBandwidth = 0
-
-	capacity := int64(64 << 20)
-	d := disk.New(disk.DefaultConfig(capacity))
-	if err := Format(d, opts); err != nil {
-		b.Fatal(err)
-	}
-	l, err := Open(d, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	lid, err := l.NewList(ld.NilList, ld.ListHints{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0xAB}, 3000)
-	for i := 0; i < 8000; i++ {
-		blk, err := l.NewBlock(lid, ld.NilBlock)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := l.Write(blk, payload[:64+rng.Intn(len(payload)-64)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := l.Flush(ld.FailPower); err != nil {
-		b.Fatal(err)
-	}
-	if err := l.Shutdown(false); err != nil {
-		b.Fatal(err)
-	}
-	img := d.Snapshot()
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			o := opts
-			o.RecoveryWorkers = workers
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dd := disk.New(disk.DefaultConfig(capacity))
-				if err := dd.Restore(img); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				l2, err := Open(dd, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if l2.Stats().RecoverySweepSegments == 0 {
-					b.Fatal("no sweep")
-				}
-				b.StartTimer()
-			}
-		})
-	}
 }

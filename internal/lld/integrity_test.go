@@ -411,7 +411,6 @@ func TestCorruptionSweep(t *testing.T) {
 func TestBackgroundScrubRunsAndFindsNothingOnHealthyDisk(t *testing.T) {
 	o := testOptions()
 	o.BackgroundScrub = true
-	o.ScrubStepSegments = 1
 	_, l := newTestLLD(t, 4<<20, o)
 	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
 	prev := ld.NilBlock
@@ -454,9 +453,7 @@ func waitForBGScrub(t *testing.T, l *LLD) {
 func TestScrubCleanHammer(t *testing.T) {
 	o := testOptions()
 	o.BackgroundClean = true
-	o.CleanStepSegments = 1
 	o.BackgroundScrub = true
-	o.ScrubStepSegments = 1
 	_, l := newTestLLD(t, 4<<20, o)
 	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
 

@@ -3,6 +3,7 @@ package lld
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -403,7 +404,7 @@ func open(dsk disk.Backend, opts Options, verifyData func(*LLD, *RecoveryReport)
 		lists:     make(map[ld.ListID]*listInfo),
 		deadLists: make(map[ld.ListID]uint64),
 		nextList:  1,
-		shards:    make([]mapShard, opts.mapShards()),
+		shards:    make([]mapShard, min(runtime.GOMAXPROCS(0), 64)),
 		segs:      make([]segInfo, lay.nSegments),
 		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
 	}
@@ -449,12 +450,7 @@ func open(dsk disk.Backend, opts Options, verifyData func(*LLD, *RecoveryReport)
 			uint32(l.fenceHi), uint32(l.fenceHi>>32))
 		l.fenceLo, l.fenceHi = 0, 0
 	}
-	if opts.BackgroundClean {
-		l.startBGClean()
-	}
-	if opts.BackgroundScrub {
-		l.startBGScrub()
-	}
+	l.startBackground()
 	return l, nil
 }
 
@@ -478,8 +474,7 @@ func (l *LLD) nextTS() uint64 {
 // Stats returns a copy of the accumulated statistics.
 //
 // The counters touched by the shared-lock read path (BlocksRead,
-// UserBytesRead, BatchReads, BatchReadBlocks, and recovery's sweep
-// counter) are updated with atomic
+// UserBytesRead, BatchReads, BatchReadBlocks) are updated with atomic
 // adds; everything else is written under the exclusive lock. Stats takes
 // the exclusive lock, which orders it after every concurrent reader, so a
 // plain struct copy is sound.

@@ -86,8 +86,7 @@ func (l *LLD) readLocked(b ld.BlockID, buf []byte, scratch *[]byte) (int, error)
 	// Verify the payload checksum end to end unless the bytes are already
 	// known good: served from the in-memory open segment (which cannot rot
 	// in this model) or proven by a redundant backend's replica selection.
-	// Disabled for benchmarking via DisableReadVerify.
-	if !verified && !l.opts.DisableReadVerify && payloadCRC(stored) != bi.crc {
+	if !verified && payloadCRC(stored) != bi.crc {
 		atomic.AddInt64(&l.stats.CorruptReads, 1)
 		return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "payload checksum mismatch"}
 	}
@@ -95,8 +94,8 @@ func (l *LLD) readLocked(b ld.BlockID, buf []byte, scratch *[]byte) (int, error)
 	if bi.flags&bComp != 0 {
 		out, err := compress.Decompress(make([]byte, 0, bi.orig), stored, int(bi.orig))
 		if err != nil {
-			// The checksum matched (or was skipped) but the compressed
-			// stream is undecodable: detectably damaged data either way.
+			// The checksum matched but the compressed stream is
+			// undecodable: detectably damaged data either way.
 			atomic.AddInt64(&l.stats.CorruptReads, 1)
 			return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "undecodable compressed payload", Err: err}
 		}
@@ -846,11 +845,11 @@ func (l *LLD) BlockSize(b ld.BlockID) (int, error) {
 // §3.6); an unclean one discards the in-memory state, simulating a crash of
 // the host (the disk itself is untouched).
 //
-// Either flavor quiesces the background cleaner first: the goroutine is
-// joined before the lock is taken, so no cleaning step can race the
-// checkpoint (or linger past a simulated crash). A clean Shutdown refused
-// with ErrARUOpen leaves the cleaner stopped — the instance still works,
-// cleaning synchronously, until a retried Shutdown succeeds.
+// Either flavor quiesces the background workers first: the goroutines are
+// joined before the lock is taken, so no cleaning or scrubbing step can
+// race the checkpoint (or linger past a simulated crash). A clean Shutdown
+// refused with ErrARUOpen has no lasting effect: the refusal path restarts
+// the workers it stopped, under the same lock hold that saw the open ARU.
 func (l *LLD) Shutdown(clean bool) error {
 	l.stopBGScrub()
 	l.stopBGClean()
@@ -864,6 +863,7 @@ func (l *LLD) Shutdown(clean bool) error {
 		return nil
 	}
 	if l.aruOpen {
+		l.startBackground()
 		return ld.ErrARUOpen
 	}
 	if cur := l.cur; cur != nil {

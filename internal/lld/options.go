@@ -21,7 +21,6 @@ package lld
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -91,11 +90,6 @@ type Options struct {
 	// Zero disables the charge (infinitely fast CPU).
 	CompressBandwidth int64
 
-	// CompressOverlap, when true, overlaps compressing the next segment
-	// with writing the previous one (paper §4.2: "one segment can be
-	// compressed while the previous segment is being written").
-	CompressOverlap bool
-
 	// CompressOnClean defers compression of Compress-hinted lists to the
 	// cleaner: fresh writes are stored raw at full disk bandwidth and only
 	// cold blocks are compressed when their segment is cleaned — the
@@ -115,61 +109,26 @@ type Options struct {
 	// ld.ErrNoSpace. Keeping headroom is what keeps cleaning affordable.
 	UtilizationLimit float64
 
-	// RecoveryWorkers is the number of goroutines the one-sweep recovery
-	// (§3.6) uses to read and decode segment summaries. The fan-out stage
-	// is embarrassingly parallel per segment; the replay it feeds stays
-	// sequential and timestamp-ordered, so the recovered state is
-	// byte-identical for any worker count. 1 forces the sequential sweep;
-	// 0 picks min(GOMAXPROCS, 8). It is a runtime knob, not geometry: it
-	// is never written to disk.
-	RecoveryWorkers int
-
-	// MapShards is the number of lock stripes the block-number map is
-	// partitioned into (shard = block id mod MapShards).
-	// A write's CPU-heavy work — compression and payload checksumming —
-	// runs under its block's stripe lock with the instance lock released,
-	// so writes to blocks on different stripes overlap; the segment-log
-	// append stays the one global ordering point. 1 disables striping and
-	// reproduces the historical fully-serialized write path bit for bit;
-	// 0 picks min(GOMAXPROCS, 64). A runtime knob, never written to disk.
-	MapShards int
-
 	// BackgroundClean moves watermark-triggered cleaning off the foreground
 	// path: the instance owns a goroutine that claims the exclusive lock
-	// for at most CleanStepSegments victim segments at a time and yields
-	// between steps, so concurrent commands see bounded pauses instead of
-	// whole-clean stalls (the paper's §3.5 "during idle periods or when the
-	// number of free segments gets below a certain threshold" run in the
-	// background). Mutators that trip the low watermark merely signal the
-	// goroutine; they block only when the free pool is truly exhausted.
-	// The durable state produced is identical to synchronous cleaning: the
-	// goroutine runs the very same victim loop, just in lock-released
-	// slices. A runtime knob, never written to disk.
+	// for one victim segment at a time and yields between steps, so
+	// concurrent commands see bounded pauses instead of whole-clean stalls
+	// (the paper's §3.5 "during idle periods or when the number of free
+	// segments gets below a certain threshold" run in the background).
+	// Mutators that trip the low watermark merely signal the goroutine;
+	// they block only when the free pool is truly exhausted. The durable
+	// state produced is identical to synchronous cleaning: the goroutine
+	// runs the very same victim loop, just in lock-released slices. A
+	// runtime knob, never written to disk.
 	BackgroundClean bool
-
-	// CleanStepSegments bounds how many victim segments the background
-	// cleaner processes per exclusive-lock acquisition. Smaller steps mean
-	// shorter writer pauses and more lock handoffs. Zero means 1. Ignored
-	// unless BackgroundClean is set.
-	CleanStepSegments int
 
 	// BackgroundScrub attaches an online scrubber: a goroutine that, woken
 	// by segment seals, re-reads sealed segments and verifies every live
-	// block's payload checksum against the media in bounded steps (the
-	// background cleaner's lock discipline). Background passes only verify;
-	// salvage of quarantined blocks stays with the explicit Scrub call. A
-	// runtime knob, never written to disk.
+	// block's payload checksum against the media, one segment per
+	// exclusive-lock hold (the background cleaner's lock discipline).
+	// Background passes only verify; salvage of quarantined blocks stays
+	// with the explicit Scrub call. A runtime knob, never written to disk.
 	BackgroundScrub bool
-
-	// ScrubStepSegments bounds how many segments a background scrub pass
-	// verifies per exclusive-lock acquisition. Zero means 1. Ignored unless
-	// BackgroundScrub is set.
-	ScrubStepSegments int
-
-	// DisableReadVerify skips payload-checksum verification on the read
-	// paths (Read, cleaner, reorganizer). Checksums are still computed and
-	// logged. For measuring the verification overhead; leave off otherwise.
-	DisableReadVerify bool
 
 	// CrashHook, when set, is called at named schedule points inside
 	// maintenance passes whose interruption is interesting to crash
@@ -197,7 +156,6 @@ func DefaultOptions() Options {
 		CleanHigh:         4,
 		Policy:            PolicyGreedy,
 		CompressBandwidth: 1500 * 1024,
-		CompressOverlap:   true,
 		UtilizationLimit:  0.90,
 	}
 }
@@ -224,58 +182,7 @@ func (o Options) validate(sectorSize int) error {
 	if o.UtilizationLimit <= 0 || o.UtilizationLimit > 1 {
 		return fmt.Errorf("lld: utilization limit %v out of (0,1]", o.UtilizationLimit)
 	}
-	if o.CleanStepSegments < 0 {
-		return fmt.Errorf("lld: clean step %d negative", o.CleanStepSegments)
-	}
-	if o.ScrubStepSegments < 0 {
-		return fmt.Errorf("lld: scrub step %d negative", o.ScrubStepSegments)
-	}
-	if o.MapShards < 0 {
-		return fmt.Errorf("lld: map shards %d negative", o.MapShards)
-	}
 	return nil
-}
-
-// cleanStep resolves the configured background-cleaner step to an
-// effective per-lock-acquisition victim count.
-func (o Options) cleanStep() int {
-	if o.CleanStepSegments <= 0 {
-		return 1
-	}
-	return o.CleanStepSegments
-}
-
-// scrubStep resolves the configured background-scrubber step to an
-// effective per-lock-acquisition segment count.
-func (o Options) scrubStep() int {
-	if o.ScrubStepSegments <= 0 {
-		return 1
-	}
-	return o.ScrubStepSegments
-}
-
-// mapShards resolves the configured stripe count to an effective one.
-func (o Options) mapShards() int {
-	n := o.MapShards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 64 {
-			n = 64
-		}
-	}
-	return n
-}
-
-// recoveryWorkers resolves the configured worker count to an effective one.
-func (o Options) recoveryWorkers() int {
-	w := o.RecoveryWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	return w
 }
 
 // compressDelay returns the modeled CPU time to (de)compress n bytes.

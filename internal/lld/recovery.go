@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/disk"
@@ -270,58 +269,21 @@ func (l *LLD) probeSegmentMulti(mr disk.MultiReader, i int, sum []byte) (segProb
 	return p, nil
 }
 
-// sweepSummaries reads and probes every segment's summary slots, fanning
-// the work out over a pool of opts.RecoveryWorkers goroutines. The result
-// slice is indexed by segment id, so downstream processing in id order is
-// identical for any worker count; the simulated disk serializes the reads
-// itself, and decodeSummary copies everything out of the worker's read
-// buffer. Only the first (non-media) read error is reported.
+// sweepSummaries reads and probes every segment's summary slots in
+// ascending segment order, so every mount of the same image issues the
+// same reads in the same order on every backend. decodeSummary copies
+// everything out of the shared read buffer. A non-media read error ends
+// the sweep.
 func (l *LLD) sweepSummaries() ([]segProbe, error) {
 	lay := l.lay
 	results := make([]segProbe, lay.nSegments)
-	workers := l.opts.recoveryWorkers()
-	if workers > lay.nSegments {
-		workers = lay.nSegments
-	}
-	if workers <= 1 {
-		sum := make([]byte, 2*lay.summarySize)
-		for i := 0; i < lay.nSegments; i++ {
-			p, err := l.probeSegment(i, sum)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = p
+	sum := make([]byte, 2*lay.summarySize)
+	for i := range results {
+		p, err := l.probeSegment(i, sum)
+		if err != nil {
+			return nil, err
 		}
-		return results, nil
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		errOnce  sync.Once
-		sweepErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sum := make([]byte, 2*lay.summarySize)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= lay.nSegments {
-					return
-				}
-				p, err := l.probeSegment(i, sum)
-				if err != nil {
-					errOnce.Do(func() { sweepErr = err })
-					return
-				}
-				results[i] = p
-			}
-		}()
-	}
-	wg.Wait()
-	if sweepErr != nil {
-		return nil, sweepErr
+		results[i] = p
 	}
 	return results, nil
 }
@@ -330,12 +292,6 @@ func (l *LLD) sweepSummaries() ([]segProbe, error) {
 // newest consolidation-checkpoint timestamp: records at or below it are
 // already reflected in the checkpoint-loaded state (seeded=true) and are
 // skipped. With no checkpoint, floor is 0 and the sweep starts empty.
-//
-// The sweep itself (read + decode of every summary) fans out over a
-// worker pool; everything from the timestamp merge on is sequential and
-// deterministic, so the recovered state is byte-identical to the
-// single-worker sweep on the same image (recovery_parallel_test.go holds
-// the two against each other).
 //
 // verifyData is the read-back of the mapped payloads that ends the sweep:
 // verifyRecoveredData, or the per-block pass tests hold it against.

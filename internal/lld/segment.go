@@ -503,22 +503,17 @@ func (l *LLD) retireSegment(id int) {
 }
 
 // chargeCompression applies the modeled CPU cost accumulated for the
-// segment that was just written. With CompressOverlap the compression of
-// this segment overlapped the previous segment write, so only the excess
-// over that write time is charged (paper §4.2).
+// segment that was just written. Compressing this segment overlapped the
+// previous segment's write (paper §4.2: "one segment can be compressed
+// while the previous segment is being written"), so only the excess over
+// that write time is charged.
 func (l *LLD) chargeCompression() {
 	if l.compressCPU <= 0 {
 		return
 	}
-	delay := l.compressCPU
-	if l.opts.CompressOverlap && l.lastSealDur > 0 {
-		if delay <= l.lastSealDur {
-			delay = 0
-		} else {
-			delay -= l.lastSealDur
-		}
+	if delay := l.compressCPU - l.lastSealDur; delay > 0 {
+		l.dsk.AdvanceIdle(delay)
 	}
-	l.dsk.AdvanceIdle(delay)
 	l.compressCPU = 0
 }
 
@@ -569,8 +564,7 @@ func (l *LLD) storedSpan(bi *blockInfo) (off int64, span int, rel int64) {
 // model) and for bytes a redundant backend proved by replica selection —
 // a copy failing the checksum is read around and healed rather than
 // surfaced. A false result means the caller must run its own check (the
-// single-platter path, or verification disabled). Callers hold l.mu;
-// shared suffices.
+// single-platter path). Callers hold l.mu; shared suffices.
 func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte) (data []byte, verified bool, err error) {
 	if bi.stored == 0 {
 		return nil, true, nil
@@ -579,7 +573,7 @@ func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte) (data []byte, v
 		return s.buf[bi.off : bi.off+bi.stored], true, nil
 	}
 	mr, multi := l.dsk.(disk.MultiReader)
-	if !multi || l.opts.DisableReadVerify {
+	if !multi {
 		data, err = l.readStored(bi, scratch)
 		return data, false, err
 	}

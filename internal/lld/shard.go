@@ -7,8 +7,11 @@ import (
 )
 
 // mapShard is one lock stripe of the block-number map. Shard s owns every
-// block id b with b mod MapShards == s (modulo striping spreads
-// consecutively allocated ids across stripes).
+// block id b with b mod len(l.shards) == s (modulo striping spreads
+// consecutively allocated ids across stripes). Open sizes the stripe
+// array from the machine — one stripe per processor that can run a writer,
+// at most 64; the count changes locking only — no id, placement or durable
+// byte depends on it.
 //
 // The stripe lock does NOT replace the instance lock: every mutation of
 // shared state still happens with l.mu held exclusively, so exclusive-lock
@@ -33,8 +36,8 @@ import (
 //     prepare and apply is harmless.
 //   - Recyclable ids live in one pool on the LLD (freeIDs), guarded by
 //     l.mu like the rest of the shared state: a block's stripe is b mod
-//     MapShards whatever pool its id came from, and one pool makes the
-//     order ids are handed out in independent of the stripe count.
+//     the stripe count whatever pool its id came from, and one pool makes
+//     the order ids are handed out in independent of the stripe count.
 //
 // Lock order: stripe locks in ascending shard index, then l.mu. The
 // stripe locks are therefore "above" the instance lock; nothing acquires

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,26 +12,12 @@ import (
 	"repro/internal/ld"
 )
 
-// These tests cover the lock-striped block-number map (Options.MapShards):
-// equivalence with the unsharded instance, free-pool invariants across
-// allocation churn, recovery, and checkpoints, and concurrent
-// writers crossing stripe boundaries cross-checked against the msModel
-// reference model (they are meant to run under -race).
-
-func TestShardOptionsResolve(t *testing.T) {
-	o := testOptions()
-	if n := o.mapShards(); n <= 0 {
-		t.Errorf("default MapShards resolved to %d", n)
-	}
-	o.MapShards = 5
-	if n := o.mapShards(); n != 5 {
-		t.Errorf("MapShards=5 resolved to %d", n)
-	}
-	o.MapShards = -1
-	if err := o.validate(512); err == nil {
-		t.Error("negative MapShards passed validation")
-	}
-}
+// These tests cover the lock-striped block-number map: equivalence with
+// the unsharded instance, free-pool invariants across allocation churn,
+// recovery, and checkpoints, and concurrent writers crossing stripe
+// boundaries cross-checked against the msModel reference model (they are
+// meant to run under -race). Open takes the stripe count from GOMAXPROCS,
+// so each test picks its count by setting that.
 
 // runReuseFreeWorkload drives a deterministic single-threaded history with
 // no block-number reuse: allocations, writes and rewrites (plain and
@@ -67,26 +54,26 @@ func runReuseFreeWorkload(t *testing.T, l *LLD) {
 // pool is global, so TestShardRecoveryEquivalence compares whole
 // fingerprints and the ldtest lockstep suites run at any stripe count.)
 func TestShardUnshardedEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []byte
 	for _, n := range []int{1, 2, 7} {
-		o := testOptions()
-		o.MapShards = n
-		d, l := newTestLLD(t, 1<<20, o)
+		runtime.GOMAXPROCS(n)
+		d, l := newTestLLD(t, 1<<20, testOptions())
 		runReuseFreeWorkload(t, l)
 		if viol := l.CheckInvariants(); len(viol) != 0 {
-			t.Fatalf("MapShards=%d: invariant violations: %v", n, viol)
+			t.Fatalf("shards=%d: invariant violations: %v", n, viol)
 		}
 		if got := l.Stats().MapShards; got != int64(n) {
 			t.Errorf("Stats().MapShards = %d, want %d", got, n)
 		}
 		if err := l.Shutdown(true); err != nil {
-			t.Fatalf("MapShards=%d: shutdown: %v", n, err)
+			t.Fatalf("shards=%d: shutdown: %v", n, err)
 		}
 		snap := d.Snapshot()
 		if n == 1 {
 			want = snap
 		} else if !bytes.Equal(snap, want) {
-			t.Errorf("MapShards=%d: platter differs from MapShards=1", n)
+			t.Errorf("shards=%d: platter differs from shards=1", n)
 		}
 	}
 }
@@ -95,6 +82,7 @@ func TestShardUnshardedEquivalence(t *testing.T) {
 // deletions, so the free pool is non-trivial) at several stripe counts:
 // the rebuilt state, pool order included, must be identical.
 func TestShardRecoveryEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	opts := testOptions()
 	img := buildCrashedImage(t, 8<<20, opts)
 
@@ -103,9 +91,8 @@ func TestShardRecoveryEquivalence(t *testing.T) {
 		if err := d.Restore(img); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
-		o := opts
-		o.MapShards = n
-		l, err := Open(d, o)
+		runtime.GOMAXPROCS(n)
+		l, err := Open(d, opts)
 		if err != nil {
 			t.Fatalf("open with %d shards: %v", n, err)
 		}
@@ -134,8 +121,8 @@ func TestShardRecoveryEquivalence(t *testing.T) {
 // audits the pool invariants after every phase, after a checkpointed
 // restart, and after crash recovery.
 func TestShardFreePoolChurn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	o := testOptions()
-	o.MapShards = 8
 	d, l := newTestLLD(t, 4<<20, o)
 	rng := rand.New(rand.NewSource(9))
 
@@ -254,9 +241,10 @@ func TestShardConcurrentWritersModel(t *testing.T) {
 	const writers = 4
 	const perWriter = 6
 	const rounds = 20
+	const shards = 3 // coprime with the writer count: every writer's set spans stripes
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
 	o := testOptions()
-	o.MapShards = 3 // coprime with the writer count: every writer's set spans stripes
 	o.BackgroundClean = true
 	_, l := newTestLLD(t, 8<<20, o)
 
@@ -286,7 +274,7 @@ func TestShardConcurrentWritersModel(t *testing.T) {
 		// The point of the test: every writer's set must cross stripes.
 		stripes := map[uint32]bool{}
 		for _, b := range blocks[w] {
-			stripes[uint32(b)%uint32(o.MapShards)] = true
+			stripes[uint32(b)%shards] = true
 		}
 		if len(stripes) < 2 {
 			t.Fatalf("writer %d's blocks all on one stripe; test is not exercising cross-stripe writes", w)
@@ -360,8 +348,8 @@ func restartClean(t *testing.T, l *LLD) (*disk.Disk, *LLD) {
 // contents and clean invariants at the end. Run under -race this exercises
 // the whole stripe-lock discipline.
 func TestShardConcurrentMixedOps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	o := testOptions()
-	o.MapShards = 4
 	o.BackgroundClean = true
 	_, l := newTestLLD(t, 8<<20, o)
 

@@ -3,6 +3,7 @@ package mdisk
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 )
@@ -14,6 +15,50 @@ func benchDisks(n int, capacity int64) []disk.Backend {
 		kids[i] = disk.New(disk.DefaultConfig(capacity))
 	}
 	return kids
+}
+
+// TestSequentialShapeOnVirtualClock pins the two mechanical facts the
+// benchmarks below print. A stripe's legs transfer in parallel, so a
+// 4-leg sequential read is at least 1.5x as fast as one leg; a mirror's
+// arms move together, so a 2-way sequential write takes at most 1.5x one
+// replica's time. Only the virtual clock is read, so it is deterministic.
+func TestSequentialShapeOnVirtualClock(t *testing.T) {
+	const childCap, total = 4 << 20, 2 << 20
+	// seq moves total bytes through b in 32-KB requests, front to back,
+	// and returns the virtual time that took.
+	seq := func(b disk.Backend, op func([]byte, int64) error) time.Duration {
+		buf := make([]byte, 64*b.SectorSize())
+		start := b.Now()
+		for off := int64(0); off < total; off += int64(len(buf)) {
+			if err := op(buf, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Now() - start
+	}
+	var read, write [2]time.Duration
+	for i, n := range []int{1, 4} {
+		s, err := NewStripe(benchDisks(n, childCap)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq(s, s.WriteAt)
+		read[i] = seq(s, s.ReadAt)
+		s.Close()
+	}
+	if 2*read[0] < 3*read[1] {
+		t.Errorf("4-leg stripe read %v vs %v on one leg: under 1.5x", read[1], read[0])
+	}
+	for i, n := range []int{1, 2} {
+		m, err := NewMirror(benchDisks(n, childCap)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write[i] = seq(m, m.WriteAt)
+	}
+	if 2*write[1] > 3*write[0] {
+		t.Errorf("2-way mirror write %v vs %v on one replica: fan-out not parallel", write[1], write[0])
+	}
 }
 
 // BenchmarkStripeRead measures sequential read throughput over stripes
