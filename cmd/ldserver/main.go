@@ -237,8 +237,8 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	if ll, ok := cur.(*lld.LLD); ok {
 		s := ll.Stats()
 		fmt.Fprintf(os.Stderr,
-			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks; background: %d passes, %d steps, %d errors, %d writer waits\n",
-			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved,
+			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB); background: %d passes, %d steps, %d errors, %d writer waits\n",
+			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20,
 			s.BGCleanPasses, s.BGCleanSteps, s.BGCleanErrors, s.WriterWaits)
 		fmt.Fprintf(os.Stderr,
 			"ldserver: integrity: %d corrupt reads refused, %d transient read retries, %d write retries, %d quarantined segments; scrub: %d passes, %d blocks (%d MB) verified, %d errors, %d repairs\n",

@@ -3,15 +3,12 @@ package lld
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/compress"
 	"repro/internal/disk"
 	"repro/internal/ld"
 )
-
-var debugClean = os.Getenv("LLD_DEBUG") != ""
 
 // The cleaner produces empty segments by moving the live blocks out of
 // mostly-dead segments (paper §3.5). Victims are chosen greedily by fewest
@@ -69,9 +66,6 @@ func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finis
 		if victim < 0 {
 			return true, nil
 		}
-		if debugClean {
-			fmt.Printf("CLEAN victim=%d live=%d free=%d cooling=%d\n", victim, l.segs[victim].live, len(l.freeSegs), len(l.cooling))
-		}
 		if err := l.cleanSegment(victim); err != nil {
 			if errors.Is(err, ld.ErrNoSpace) && len(l.freeSegs) == 0 && l.cur == nil {
 				// Bootstrap: no room to re-log this victim's facts and no
@@ -84,9 +78,6 @@ func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finis
 				}
 				p.skip[victim] = true
 				continue
-			}
-			if debugClean {
-				fmt.Printf("CLEAN ERR %v\n", err)
 			}
 			return true, err
 		}
@@ -194,15 +185,28 @@ func (l *LLD) pickVictim(skip map[int]bool) int {
 	return best
 }
 
+// cleanRead is dskRead for the cleaner's victim reads, counted.
+func (l *LLD) cleanRead(p []byte, off int64) error {
+	l.stats.CleanReads++
+	l.stats.CleanReadBytes += int64(len(p))
+	return l.dskRead(p, off)
+}
+
 // cleanSegment moves the live blocks out of segment id, re-logs the facts
-// whose newest record lives in its summary, and retires it. Callers hold
-// l.mu with l.cleaning set.
+// whose newest record lives in its summary, and retires it. It reads the
+// victim's two summary slots first and then only the extents that hold
+// blocks it is about to move (nextExtent, the verifier's rule), so a victim
+// with nothing live costs one small request and no dead byte farther than
+// deadGapMax from a live one is ever transferred — or able to fail the
+// pass. Callers hold l.mu with l.cleaning set.
 func (l *LLD) cleanSegment(id int) error {
 	if l.cleanBuf == nil {
 		l.cleanBuf = make([]byte, l.lay.segmentSize)
 	}
+	// The buffer keeps the victim's geometry: summaries at its tail, each
+	// extent at its own offset, so moveBlock indexes it by bi.off.
 	buf := l.cleanBuf
-	if err := l.dskRead(buf, l.lay.segOff(id)); err != nil {
+	if err := l.cleanRead(buf[l.lay.dataCap():], l.lay.sumOff(id, 0)); err != nil {
 		return err
 	}
 	si, err := decodeNewestSummary(buf[l.lay.dataCap():], l.lay, id)
@@ -271,6 +275,23 @@ func (l *LLD) cleanSegment(id int) error {
 		}
 	}
 
+	// Read exactly the blocks moveBlock is about to be handed, in platter
+	// order, so none can be served from a region this pass did not read.
+	spans := make([]liveSpan, len(ordered))
+	for i, bid := range ordered {
+		bi := &l.blocks[bid]
+		spans[i] = liveSpan{bid: bid, seg: bi.seg, off: bi.off, stored: bi.stored}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	for len(spans) > 0 {
+		n, lo, hi := nextExtent(spans, uint32(l.lay.sectorSize))
+		spans = spans[n:]
+		if hi > 0 {
+			if err := l.cleanRead(buf[lo:hi], l.lay.segOff(id)+int64(lo)); err != nil {
+				return err
+			}
+		}
+	}
 	for _, bid := range ordered {
 		if err := l.moveBlock(bid, buf); err != nil {
 			return err
@@ -473,9 +494,6 @@ func (l *LLD) consolidate() error {
 		return err
 	}
 	l.crashPoint("consolidate")
-	if debugClean {
-		fmt.Printf("CONSOLIDATE ts=%d\n", l.ts)
-	}
 	l.stats.Consolidations++
 	return l.writeCheckpoint(false)
 }
@@ -495,8 +513,8 @@ func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 	data := victimBuf[bi.off : bi.off+bi.stored]
 	// Never relocate rotted bytes: a mismatch here would otherwise be
 	// laundered into a fresh segment under a recomputed checksum. The
-	// victim image was one bulk read, so on a redundant backend it came
-	// from a single replica — retry the block's span with replica
+	// victim's extents were plain reads, so on a redundant backend each
+	// came from a single replica — retry the block's span with replica
 	// selection (healing the bad copy) before giving up.
 	if payloadCRC(data) != bi.crc {
 		fixed := false

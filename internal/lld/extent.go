@@ -25,14 +25,21 @@ import (
 // nothing to a block that verifies; a failed extent has touched nothing.
 // So verdicts, heals and their counts are those of a purely per-block pass
 // on every image (extent_diff_test.go holds the two against each other).
+//
+// The cleaner forms its victim's extents with the same nextExtent but reads
+// them with plain requests, not readExtent: it needs one good copy, not
+// every leg's, and moveBlock already checks each block as it goes.
 
-// verifyGapMax is the longest run of dead bytes an extent reads through
-// rather than ending: one track of the modelled drive (64 sectors of 512
-// bytes), and about one of any drive of its class. A shorter gap
-// passes under the head in the same revolution whether or not it is
-// transferred, so skipping it saves nothing and costs a second request. It
-// is a property of rotating media, not a policy, hence a constant.
-const verifyGapMax = 32 << 10
+// deadGapMax is the longest run of dead bytes a request crosses rather than
+// ending: one track of the modelled drive (64 sectors of 512 bytes), and
+// about one of any drive of its class. A shorter gap passes under the head
+// in the same revolution whether or not it is transferred, so skipping it
+// saves nothing and costs a second request; a longer one is transfer time
+// spent on bytes nobody wants. It is a property of rotating media, not a
+// policy, hence a constant. Every segment-sized transfer obeys it: the
+// verifier's extents, the cleaner's victim read (cleanSegment) and the seal
+// (sealSegment).
+const deadGapMax = 32 << 10
 
 // errPayloadCRC is the per-block verdict for bytes that read fine from a
 // single-copy backend and fail their checksum.
@@ -144,6 +151,31 @@ func (v *verifier) current(sp liveSpan) *blockInfo {
 	return nil
 }
 
+// nextExtent grows one extent from the front of run, the spans of one
+// segment in offset order: sector-aligned, and carried across dead gaps of
+// up to deadGapMax. It returns how many spans the extent takes and the byte
+// range [lo, hi) of the segment it covers; hi == 0 says none of them has
+// bytes on the platter. Neighbours may share a sector; a block with no
+// stored bytes rides along.
+func nextExtent(run []liveSpan, ss uint32) (n int, lo, hi uint32) {
+	for ; n < len(run); n++ {
+		sp := run[n]
+		if sp.stored == 0 {
+			continue
+		}
+		first := sp.off / ss * ss
+		if hi == 0 {
+			lo = first
+		} else if first > hi+deadGapMax {
+			break
+		}
+		if end := (sp.off + sp.stored + ss - 1) / ss * ss; end > hi {
+			hi = end
+		}
+	}
+	return n, lo, hi
+}
+
 // segment verifies the spans of one segment (a run from nextRun or runOf)
 // against the media and calls visit for each block still mapped there. A
 // nil err says stored — valid until visit returns, nil for an empty
@@ -159,26 +191,7 @@ func (v *verifier) segment(run []liveSpan, visit func(sp liveSpan, stored []byte
 	segBase := v.l.lay.segOff(int(run[0].seg))
 	var failed []liveSpan
 	for len(run) > 0 {
-		// Grow one extent: sector-aligned, and carried across dead gaps of
-		// up to verifyGapMax. Neighbours may share a sector; a block with
-		// no bytes on the platter rides along.
-		var lo, hi uint32 // hi == 0: no bytes in the extent yet
-		n := 0
-		for ; n < len(run); n++ {
-			sp := run[n]
-			if sp.stored == 0 {
-				continue
-			}
-			first := sp.off / ss * ss
-			if hi == 0 {
-				lo = first
-			} else if first > hi+verifyGapMax {
-				break
-			}
-			if end := (sp.off + sp.stored + ss - 1) / ss * ss; end > hi {
-				hi = end
-			}
-		}
+		n, lo, hi := nextExtent(run, ss)
 		ext := run[:n]
 		run = run[n:]
 		if hi > 0 {

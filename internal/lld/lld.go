@@ -102,6 +102,12 @@ type openSegment struct {
 	dirty     bool
 	durableTS uint64 // records at or below this ts reached disk (partial write)
 	slot      int    // summary slot the next durable write targets (ping-pong)
+	// onPlatter is the sector-aligned count of leading data bytes that
+	// completed disk partial writes of this generation have already put on
+	// the platter; the next partial write or seal starts there. A flush
+	// absorbed by NVRAM does not advance it: battery-backed memory is not
+	// the platter, and the seal still pays to put those bytes on the disk.
+	onPlatter int
 	// slotSeq[s] is the dskWrite sequence of the summary image this
 	// segment generation last put in slot s (-1 none, 0 written through
 	// NVRAM and so durable on arrival). Overwriting a slot with a
@@ -114,6 +120,7 @@ type openSegment struct {
 type Stats struct {
 	SegmentsSealed int64 // full segments written
 	PartialWrites  int64 // partial segment writes due to Flush (§3.2)
+	PartialBytes   int64 // bytes those partial writes sent to the disk, summaries included
 	NVRAMFlushes   int64 // flushes absorbed by modeled NVRAM (§5.3)
 	CleanCompress  int64 // blocks compressed by the cleaner (§3.3)
 
@@ -133,6 +140,8 @@ type Stats struct {
 	SegmentsCleaned int64
 	BlocksMoved     int64
 	SnapshotTuples  int64 // facts re-logged by the cleaner
+	CleanReads      int64 // backend requests the cleaner issued to read victims
+	CleanReadBytes  int64 // bytes those requests read (summary slots + live extents)
 
 	BGCleanPasses int64 // background-cleaner passes completed
 	BGCleanSteps  int64 // exclusive-lock acquisitions by the background cleaner

@@ -626,9 +626,9 @@ func (l *LLD) EndARU() error {
 }
 
 // Flush implements ld.Disk using the paper's partial-segment strategy
-// (§3.2): above the fill threshold the segment is sealed; below it, the
-// current image is written but the segment keeps filling in memory, and
-// the later full write supersedes the partial one in place.
+// (§3.2): above the fill threshold the segment is sealed; below it, what
+// the segment gained since the last flush is written but the segment keeps
+// filling in memory, and the seal later appends the rest (writePartial).
 func (l *LLD) Flush(failures ld.FailureSet) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -657,7 +657,7 @@ func (l *LLD) flushLocked() error {
 	}
 	// NVRAM absorption (§5.3): a small partial segment lands in modeled
 	// battery-backed memory instead of costing a disk operation; the
-	// normal seal supersedes it in place later.
+	// normal seal writes those bytes to the disk later.
 	if l.opts.NVRAMBytes > 0 && cur.dataOff+cur.sumSize <= l.opts.NVRAMBytes {
 		return l.writePartialNVRAM()
 	}

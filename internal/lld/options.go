@@ -14,7 +14,8 @@
 //
 // The implementation also provides the paper's partial-segment strategy
 // (§3.2: below a fill threshold a flushed segment is written but kept in
-// memory and later rewritten in place), transparent compression for lists
+// memory; later flushes and the seal append to the image on the platter
+// instead of rewriting it), transparent compression for lists
 // created with the Compress hint (§3.3), and a segment cleaner with the
 // greedy and cost-benefit policies of Rosenblum and Ousterhout (§3.5).
 package lld
@@ -57,7 +58,7 @@ type Options struct {
 
 	// SummarySize is the size of one segment-summary slot. Each segment
 	// ends with two such slots, written alternately so that a torn
-	// rewrite of the open segment (the §3.2 partial-segment strategy)
+	// write to the open segment (the §3.2 partial-segment strategy)
 	// can never destroy the newest acknowledged summary image. The paper
 	// sizes the summary at one 4-KB block; the default is 8 KB to leave
 	// room for link tuples under list-heavy workloads.
@@ -207,10 +208,11 @@ type layout struct {
 }
 
 // dataCap returns the usable data bytes in one segment. Each segment ends
-// with two alternating summary slots: in-place partial rewrites (§3.2) would
-// otherwise tear the only copy of already-acknowledged records, so every
-// summary write targets the slot not holding the newest durable image and
-// recovery picks the newer valid one.
+// with two alternating summary slots: a segment is written more than once
+// while it fills (§3.2), and a second write to a single slot would tear the
+// only copy of already-acknowledged records, so every summary write targets
+// the slot not holding the newest durable image and recovery picks the
+// newer valid one.
 func (l layout) dataCap() int { return l.segmentSize - 2*l.summarySize }
 
 // segOff returns the byte offset of segment id.

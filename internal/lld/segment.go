@@ -331,30 +331,34 @@ func (l *LLD) sealSegment() error {
 		return err
 	}
 	start := l.dsk.Now()
-	// A mostly-full segment is written as one long contiguous operation
-	// (the paper's normal case) when the target summary slot directly
-	// follows the data area. A mostly-empty one (tuple-heavy phases:
-	// deletes, list maintenance), or a seal whose ping-pong target is the
-	// second slot, skips the dead middle and writes the data prefix and
-	// the summary slot separately. Either way the slot holding the newest
+	// Only the bytes not yet on the platter are written: the data from
+	// onPlatter on, and the summary. A full segment that no flush touched
+	// is therefore still one long contiguous operation (the paper's normal
+	// case). The request runs on through the dead middle into slot 0 only
+	// when that is the target slot and the middle is at most deadGapMax;
+	// a longer middle (tuple-heavy phases: deletes, list maintenance), or
+	// a ping-pong target of slot 1, makes the data suffix and the summary
+	// slot two requests. Either way the slot holding the newest
 	// acknowledged partial image is never overwritten, so a torn seal
 	// falls back to it.
 	ss := l.lay.sectorSize
+	dataCap := l.lay.dataCap()
 	dataBytes := (cur.dataOff + ss - 1) / ss * ss
-	sum := cur.buf[l.lay.dataCap() : l.lay.dataCap()+l.lay.summarySize]
+	from, end := cur.onPlatter, dataBytes
+	through := cur.slot == 0 && dataBytes > from && dataCap-dataBytes <= deadGapMax
+	if through {
+		end = dataCap + l.lay.summarySize
+	}
 	if err := l.guardSlotOverwrite(cur, cur.slot); err != nil {
 		return err
 	}
-	if dataBytes >= l.lay.dataCap()/2 && cur.slot == 0 {
-		if err := l.dskWrite(cur.buf[:l.lay.dataCap()+l.lay.summarySize], l.lay.segOff(cur.id)); err != nil {
+	if end > from {
+		if err := l.dskWrite(cur.buf[from:end], l.lay.segOff(cur.id)+int64(from)); err != nil {
 			return err
 		}
-	} else {
-		if dataBytes > 0 {
-			if err := l.dskWrite(cur.buf[:dataBytes], l.lay.segOff(cur.id)); err != nil {
-				return err
-			}
-		}
+	}
+	if !through {
+		sum := cur.buf[dataCap : dataCap+l.lay.summarySize]
 		if err := l.dskWrite(sum, l.lay.sumOff(cur.id, cur.slot)); err != nil {
 			return err
 		}
@@ -375,10 +379,13 @@ func (l *LLD) sealSegment() error {
 }
 
 // writePartial implements the paper's partial-segment strategy (§3.2): the
-// current contents (data prefix plus summary) are written to the segment's
-// own slot, but the segment stays in memory and keeps filling; a later seal
-// rewrites the whole segment in place, and the earlier partial image is
-// superseded at no cleaning cost.
+// segment's new contents are written to its own place on the disk, but the
+// segment stays in memory and keeps filling. Unlike §3.2 the image is not
+// rewritten in place: each partial write, and the seal that ends the
+// segment, appends to what earlier partial writes put on the platter (from
+// onPlatter), so a data sector crosses the arm once plus once per flush
+// that left it half-filled. The segment still ends up contiguous and the
+// earlier images are superseded at no cleaning cost.
 func (l *LLD) writePartial() error {
 	return l.writePartialVia(l.dskWrite, &l.stats.PartialWrites, false)
 }
@@ -400,20 +407,22 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 	}
 	ss := l.lay.sectorSize
 	dataBytes := (cur.dataOff + ss - 1) / ss * ss
-	off := l.lay.segOff(cur.id)
-	// Data prefix first, then the summary into the ping-pong slot not
-	// holding the newest acknowledged image: a tear anywhere leaves that
-	// previous image intact, so acknowledged records are never destroyed
-	// by a later rewrite of the same segment (the in-place strategy of
-	// §3.2 made crash-safe). An NVRAM write needs no overwrite guard: it
-	// replaces the slot durably and atomically.
+	from := cur.onPlatter
+	// New data first — from the sector the last disk partial write ended
+	// in, which is written again with its old bytes plus the new ones —
+	// then the summary into the ping-pong slot not holding the newest
+	// acknowledged image: a tear anywhere leaves that previous image and
+	// every byte it describes intact, so acknowledged records are never
+	// destroyed by a later write to the same segment (DESIGN §5 has the
+	// argument). An NVRAM write needs no overwrite guard: it replaces the
+	// slot durably and atomically.
 	if !nvram {
 		if err := l.guardSlotOverwrite(cur, cur.slot); err != nil {
 			return err
 		}
 	}
-	if dataBytes > 0 {
-		if err := write(cur.buf[:dataBytes], off); err != nil {
+	if dataBytes > from {
+		if err := write(cur.buf[from:dataBytes], l.lay.segOff(cur.id)+int64(from)); err != nil {
 			return err
 		}
 	}
@@ -425,6 +434,9 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 		cur.slotSeq[cur.slot] = 0
 	} else {
 		cur.slotSeq[cur.slot] = l.writeSeq.Load()
+		// Both writes succeeded (a failed attempt retries the same range).
+		l.stats.PartialBytes += int64(dataBytes - from + len(sum))
+		cur.onPlatter = cur.dataOff / ss * ss
 	}
 	cur.slot ^= 1
 	l.chargeCompression()

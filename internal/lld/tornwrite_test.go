@@ -9,11 +9,12 @@ import (
 )
 
 // TestTornPartialRewriteKeepsAckedRecords pins down the dual-summary-slot
-// guarantee: the partial-segment strategy (§3.2) rewrites the open segment
-// in place, and with a single summary location a rewrite torn mid-summary
-// would destroy the previous image — records an earlier Flush had already
-// acknowledged. The test arms a crash at every sector position of the
-// second flush and checks the first flush's blocks always recover.
+// guarantee: the partial-segment strategy (§3.2) writes the open segment's
+// summary again on every flush, and with a single summary location a write
+// torn mid-summary would destroy the previous image — records an earlier
+// Flush had already acknowledged. The test arms a crash at every sector
+// position of the second flush and checks the first flush's blocks always
+// recover.
 func TestTornPartialRewriteKeepsAckedRecords(t *testing.T) {
 	o := testOptions()
 	// Enough blocks per flush that the encoded summary spans several
