@@ -7,8 +7,9 @@
 // After the dump it mounts its in-memory copy of the image (the file is
 // never written) and reports what that mount did: whether it found a clean
 // shutdown or ran recovery, how recovery's time split between the summary
-// sweep and the read-back of every mapped payload, and the I/O shape of the
-// read-back — so "why did this mount take 25 s" has an answer.
+// sweep and the read-back of mapped payloads, the I/O shape of the read-back
+// and how much of the disk it left unread below the durable watermark — so
+// "why did this mount take 25 s" has an answer.
 //
 // With -verify it runs the offline integrity walk instead: every block
 // payload named by a valid segment summary is checked against its recorded
@@ -109,6 +110,8 @@ func reportMount(d disk.Backend, w io.Writer) {
 		took.Seconds(), rep.SweptSegments, rep.SweepTime.Seconds(), rep.VerifyTime.Seconds())
 	fmt.Fprintf(w, "mount: verified %d blocks in %d extents spanning %d bytes; %d extents fell back to per-block reads\n",
 		rep.VerifiedBlocks, rep.VerifyExtents, rep.VerifyBytes, rep.VerifyFallbacks)
+	fmt.Fprintf(w, "mount: %d segments / %d blocks at or below durable mark ts=%d not re-read\n",
+		rep.VerifySkippedSegments, rep.VerifySkippedBlocks, rep.DurableMark)
 	fmt.Fprintf(w, "mount: %d segments quarantined, %d blocks degraded, %d torn slots cleared, %d records discarded, %d anomalies, %d read retries, %d copies healed\n",
 		len(rep.QuarantinedSegments), len(rep.DegradedBlocks), rep.TornSlotsCleared, rep.DiscardedRecords,
 		st.RecoveryAnomalies, st.ReadRetries, st.SelfHeals)

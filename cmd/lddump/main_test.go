@@ -27,8 +27,11 @@ func TestReportMount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One segment's worth of blocks (124 x 4 KB fill a 512-KB segment's data
+	// area), which the ninth-from-last write seals, and eight more that the
+	// flush leaves in the open segment.
 	prev := ld.NilBlock
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 124+8; i++ {
 		b, err := l.NewBlock(lid, prev)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +50,8 @@ func TestReportMount(t *testing.T) {
 
 	var out strings.Builder
 	reportMount(d, &out)
-	for _, want := range []string{"recovery takes", "summary sweep of", "verified 8 blocks in ", "0 segments quarantined"} {
+	for _, want := range []string{"recovery takes", "summary sweep of", "verified 8 blocks in ",
+		"1 segments / 124 blocks at or below durable mark ts=", "0 segments quarantined"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("crashed image: report lacks %q:\n%s", want, out.String())
 		}

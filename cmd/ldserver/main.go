@@ -153,7 +153,14 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	if err != nil {
 		fail("open LLD: %v", err)
 	}
-	if rep := l.RecoveryReport(); rep.Degraded() {
+	rep := l.RecoveryReport()
+	if rep.SweptSegments > 0 && !*quiet {
+		fmt.Fprintf(os.Stderr,
+			"ldserver: recovered after an unclean shutdown: swept %d summaries in %.2f s, verified %d blocks in %.2f s (virtual); %d segments / %d blocks at or below durable mark ts=%d not re-read\n",
+			rep.SweptSegments, rep.SweepTime.Seconds(), rep.VerifiedBlocks, rep.VerifyTime.Seconds(),
+			rep.VerifySkippedSegments, rep.VerifySkippedBlocks, rep.DurableMark)
+	}
+	if rep.Degraded() {
 		fmt.Fprintf(os.Stderr,
 			"ldserver: WARNING: recovery found damage: %d segments quarantined, %d blocks degraded\n",
 			len(rep.QuarantinedSegments), len(rep.DegradedBlocks))

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,8 +146,8 @@ func TestRecoveryExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tab.Render())
-	if len(tab.Rows) != 7 {
-		t.Fatalf("%d rows, want 7", len(tab.Rows))
+	if len(tab.Rows) != 8 {
+		t.Fatalf("%d rows, want 8", len(tab.Rows))
 	}
 	secs := func(row int) float64 {
 		v, err := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[row][1], " s"), 64)
@@ -158,7 +159,19 @@ func TestRecoveryExperiment(t *testing.T) {
 	if sweep, verify, total := secs(2), secs(3), secs(4); sweep <= 0 || verify <= 0 || sweep+verify > total+0.02 {
 		t.Errorf("sweep %.2f s + verify %.2f s do not fit in the %.2f s recovery", sweep, verify, total)
 	}
-	if cell(t, tab, 6, 1) != 0 {
+	// The paper's shape: recovery is the sweep. The read-back visits only
+	// the segments above the durable mark — here the one the crash left open.
+	if sweep, verify := secs(2), secs(3); verify > sweep/4 {
+		t.Errorf("data verification takes %.2f s beside a sweep of %.2f s; it should be bounded by the undurable tail", verify, sweep)
+	}
+	var read, skipped int
+	if _, err := fmt.Sscanf(tab.Rows[5][1], "%d read back, %d at or below", &read, &skipped); err != nil {
+		t.Fatalf("row 5 %q: %v", tab.Rows[5][1], err)
+	}
+	if read == 0 || skipped <= read {
+		t.Errorf("%d segments read back, %d left alone: the mark should leave all but the tail unread", read, skipped)
+	}
+	if cell(t, tab, 7, 1) != 0 {
 		t.Error("recovery reported anomalies")
 	}
 }

@@ -225,7 +225,7 @@ func BenchmarkSummaryEncodeDecode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := encodeSummary(seg, lay, 3, 999, true, 120*4096, entries, tuples); err != nil {
+		if err := encodeSummary(seg, lay, 3, 999, 900, true, 120*4096, entries, tuples); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := decodeSummary(seg[lay.dataCap():], lay, 3); err != nil {

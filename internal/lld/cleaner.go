@@ -36,6 +36,8 @@ type cleanPass struct {
 	// them for a victim whose facts are all superseded.
 	skip map[int]bool
 
+	consolidated bool // the bootstrap path has tried its one consolidation
+
 	iters   int // victim attempts so far (bounds the pass)
 	maxIter int
 	cleaned int // segments successfully cleaned
@@ -70,9 +72,23 @@ func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finis
 			if errors.Is(err, ld.ErrNoSpace) && len(l.freeSegs) == 0 && l.cur == nil {
 				// Bootstrap: no room to re-log this victim's facts and no
 				// open segment to hold them. The failure is clean (the
-				// first required write already failed), so set this victim
-				// aside and look for one whose facts are all superseded —
-				// freeing it needs no space at all.
+				// first required write already failed). A consolidation
+				// checkpoint lives outside the log and makes every fact
+				// logged so far droppable, so write one — once per pass —
+				// and try the same victim again: when every segment holds
+				// a fact above the old floor (a mount that found no free
+				// segment and owes an abort fence), nothing else can free
+				// one.
+				if !p.consolidated && !l.aruOpen {
+					p.consolidated = true
+					if err := l.consolidate(); err != nil {
+						return true, err
+					}
+					continue
+				}
+				// Otherwise set this victim aside and look for one whose
+				// facts are all superseded — freeing it needs no space at
+				// all.
 				if p.skip == nil {
 					p.skip = make(map[int]bool)
 				}
@@ -308,20 +324,18 @@ func (l *LLD) cleanSegment(id int) error {
 	if l.segs[id].live != 0 {
 		return fmt.Errorf("lld: internal: segment %d retains %d live bytes after cleaning", id, l.segs[id].live)
 	}
-	if len(ordered) == 0 && l.stats.SnapshotTuples == emittedBefore && l.cur == nil && !l.aruOpen {
-		// Nothing was moved and nothing re-logged: every fact in this
-		// summary is superseded by records already durable elsewhere (no
-		// open segment means no undurable winners), so the cooling rule's
-		// wait-for-durability has nothing to wait for. Free it directly —
-		// this is also what lets recovery bootstrap cleaning on a disk
-		// whose every segment carries a (stale) summary.
-		l.segs[id].state = segFree
-		l.freeSegs = append(l.freeSegs, id)
-		l.stats.SegmentsCleaned++
-		return nil
-	}
 	l.retireSegment(id)
 	l.stats.SegmentsCleaned++
+	if len(ordered) == 0 && l.stats.SnapshotTuples == emittedBefore && l.cur == nil && !l.aruOpen {
+		// Nothing was moved and nothing re-logged: every fact in this
+		// summary is superseded by records in sealed segments (no open
+		// segment means no winner still in memory), so the cooling rule has
+		// no later write to wait for — only, on a backend with a volatile
+		// cache, the drain that puts those winners on the platter. Release
+		// it now. This is also what lets recovery bootstrap cleaning on a
+		// disk whose every segment carries a (stale) summary.
+		l.releaseCooling()
+	}
 	return nil
 }
 

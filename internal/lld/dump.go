@@ -62,8 +62,8 @@ func Dump(d disk.Backend, w io.Writer, verbose bool) error {
 		if !si.sealed {
 			kind = "partial"
 		}
-		fmt.Fprintf(w, "segment %4d: %s ts=%d data=%d B entries=%d tuples=%d\n",
-			i, kind, si.writeTS, si.dataBytes, len(si.entries), len(si.tuples))
+		fmt.Fprintf(w, "segment %4d: %s ts=%d durable=%d data=%d B entries=%d tuples=%d\n",
+			i, kind, si.writeTS, si.mark, si.dataBytes, len(si.entries), len(si.tuples))
 		if verbose {
 			for _, e := range si.entries {
 				fmt.Fprintf(w, "    block %6d ts=%d off=%d stored=%d orig=%d flags=%#x\n",

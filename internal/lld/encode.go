@@ -14,10 +14,10 @@ const (
 	superMagic      = 0x4C4C4431 // "LLD1"
 	summaryMagic    = 0x4C445347 // "LDSG"
 	checkpointMagic = 0x4C444350 // "LDCP"
-	formatVersion   = 2          // v2: block entries and checkpoint records carry a payload CRC32C
+	formatVersion   = 3          // v2: payload CRC32C in block entries and checkpoint records; v3: durable mark in the summary header
 
 	superEncSize      = 60
-	summaryHeaderSize = 36
+	summaryHeaderSize = 44
 	blockEntryEncSize = 29
 	tupleFixedSize    = 10 // kind + flags + ts; args follow
 
@@ -231,8 +231,11 @@ func decodeSuper(buf []byte) (layout, error) {
 // ---- segment summary ----
 
 // encodeSummary serializes the summary for a segment image into the last
-// summarySize bytes of seg. dataBytes is the extent of valid data.
-func encodeSummary(seg []byte, l layout, segID int, writeTS uint64, sealed bool, dataBytes int, entries []blockEntry, tuples []tupleRec) error {
+// summarySize bytes of seg. dataBytes is the extent of valid data. mark is
+// the durable watermark as it stood before this image's own writes: every
+// record stamped at or below it was already on the platter, so a summary
+// never vouches for itself or for anything written with it.
+func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, sealed bool, dataBytes int, entries []blockEntry, tuples []tupleRec) error {
 	need := summaryHeaderSize + len(entries)*blockEntryEncSize
 	for _, t := range tuples {
 		need += t.encSize()
@@ -258,6 +261,7 @@ func encodeSummary(seg []byte, l layout, segID int, writeTS uint64, sealed bool,
 		w.u8(0)
 	}
 	w.skip(3)
+	w.u64(mark)
 	for _, e := range entries {
 		w.u32(uint32(e.bid))
 		w.u64(e.ts)
@@ -283,6 +287,7 @@ func encodeSummary(seg []byte, l layout, segID int, writeTS uint64, sealed bool,
 type summaryInfo struct {
 	segID     int
 	writeTS   uint64
+	mark      uint64 // durable watermark when the image was encoded (< writeTS)
 	dataBytes int
 	sealed    bool
 	entries   []blockEntry
@@ -334,6 +339,7 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	nTuples := int(r.u32())
 	si.sealed = r.u8() == 1
 	r.skip(3)
+	si.mark = r.u64()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -342,6 +348,9 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	}
 	if si.dataBytes < 0 || si.dataBytes > l.dataCap() {
 		return nil, fmt.Errorf("%w: bad data extent %d", ErrFormat, si.dataBytes)
+	}
+	if si.mark >= si.writeTS {
+		return nil, fmt.Errorf("%w: durable mark %d not below the summary's own stamp %d", ErrFormat, si.mark, si.writeTS)
 	}
 	if nBlocks < 0 || nTuples < 0 || summaryHeaderSize+nBlocks*blockEntryEncSize > len(sum) {
 		return nil, fmt.Errorf("%w: bad summary counts", ErrFormat)

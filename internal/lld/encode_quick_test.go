@@ -1,18 +1,24 @@
 package lld
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ld"
 )
 
-// randomSummary builds a random-but-encodable record set for one segment.
-func randomSummary(rng *rand.Rand, lay layout) (int, uint64, bool, []blockEntry, []tupleRec) {
+// randomSummary builds a random-but-encodable record set for one segment,
+// with a durable mark below its write timestamp.
+func randomSummary(rng *rand.Rand, lay layout) (int, uint64, uint64, bool, []blockEntry, []tupleRec) {
 	dataBytes := rng.Intn(lay.dataCap() + 1)
-	writeTS := uint64(rng.Int63n(1 << 40))
+	writeTS := uint64(1 + rng.Int63n(1<<40))
+	mark := uint64(rng.Int63n(int64(writeTS)))
 	sealed := rng.Intn(2) == 0
 	space := lay.summarySize - summaryHeaderSize
 
@@ -47,7 +53,7 @@ func randomSummary(rng *rand.Rand, lay layout) (int, uint64, bool, []blockEntry,
 		space -= t.encSize()
 		tuples = append(tuples, t)
 	}
-	return dataBytes, writeTS, sealed, entries, tuples
+	return dataBytes, writeTS, mark, sealed, entries, tuples
 }
 
 // TestQuickSummaryRoundTrip: encode/decode of a segment summary is the
@@ -61,9 +67,9 @@ func TestQuickSummaryRoundTrip(t *testing.T) {
 	buf := make([]byte, lay.segmentSize)
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		dataBytes, writeTS, sealed, entries, tuples := randomSummary(rng, lay)
+		dataBytes, writeTS, mark, sealed, entries, tuples := randomSummary(rng, lay)
 		segID := rng.Intn(lay.nSegments)
-		if err := encodeSummary(buf, lay, segID, writeTS, sealed, dataBytes, entries, tuples); err != nil {
+		if err := encodeSummary(buf, lay, segID, writeTS, mark, sealed, dataBytes, entries, tuples); err != nil {
 			t.Logf("seed %d: encode: %v", seed, err)
 			return false
 		}
@@ -72,7 +78,7 @@ func TestQuickSummaryRoundTrip(t *testing.T) {
 			t.Logf("seed %d: decode: %v", seed, err)
 			return false
 		}
-		if si.segID != segID || si.writeTS != writeTS || si.sealed != sealed || si.dataBytes != dataBytes {
+		if si.segID != segID || si.writeTS != writeTS || si.mark != mark || si.sealed != sealed || si.dataBytes != dataBytes {
 			t.Logf("seed %d: header mismatch", seed)
 			return false
 		}
@@ -97,10 +103,44 @@ func TestQuickSummaryRoundTrip(t *testing.T) {
 			t.Logf("seed %d: accepted foreign segment id", seed)
 			return false
 		}
+		// A summary never vouches for itself: a mark at or above its own
+		// write timestamp is not one lld can have written.
+		for _, bad := range []uint64{writeTS, writeTS + 1 + uint64(rng.Int63n(1<<20))} {
+			if err := encodeSummary(buf, lay, segID, writeTS, bad, sealed, dataBytes, entries, tuples); err != nil {
+				t.Logf("seed %d: encode: %v", seed, err)
+				return false
+			}
+			if _, err := decodeSummary(buf[lay.dataCap():lay.dataCap()+lay.summarySize], lay, segID); !errors.Is(err, ErrFormat) {
+				t.Logf("seed %d: mark %d at write timestamp %d: decode returned %v", seed, bad, writeTS, err)
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// There is one on-disk format and no decoder for an older one: a version-2
+// superblock (summary headers without the durable mark) is refused, exactly
+// as version 1 is.
+func TestOlderFormatVersionsAreRefused(t *testing.T) {
+	lay, err := computeLayout(8<<20, 512, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSuper(encodeSuper(lay)); err != nil {
+		t.Fatalf("current version: %v", err)
+	}
+	for _, v := range []uint32{1, 2} {
+		buf := encodeSuper(lay)
+		binary.LittleEndian.PutUint32(buf[8:], v)
+		binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:], crcTable))
+		_, err := decodeSuper(buf)
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("version %d superblock: decodeSuper returned %v, want ErrFormat \"unsupported version\"", v, err)
+		}
 	}
 }
 
@@ -125,8 +165,8 @@ func TestQuickNewestSlotSelection(t *testing.T) {
 		// Encode each slot via a scratch segment buffer.
 		scratch := make([]byte, lay.segmentSize)
 		for slot, ts := range []uint64{ts0, ts1} {
-			_, _, sealed, entries, tuples := randomSummary(rng, lay)
-			if err := encodeSummary(scratch, lay, segID, ts, sealed, 0, entries, tuples); err != nil {
+			_, _, _, sealed, entries, tuples := randomSummary(rng, lay)
+			if err := encodeSummary(scratch, lay, segID, ts, 0, sealed, 0, entries, tuples); err != nil {
 				return false
 			}
 			copy(region[slot*lay.summarySize:], scratch[lay.dataCap():lay.dataCap()+lay.summarySize])

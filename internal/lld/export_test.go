@@ -15,8 +15,9 @@ func OpenPerBlockVerify(dsk disk.Backend, opts Options) (*LLD, error) {
 
 // verifyRecoveredDataPerBlock is the historical pass, kept as it was: every
 // mapped block read back in block-id order, one request apiece, a segment
-// given up at its first lost block.
-func (l *LLD) verifyRecoveredDataPerBlock(report *RecoveryReport) {
+// given up at its first lost block. It trusts no segment: the durable
+// watermark bounds the pass it is held against, not the oracle.
+func (l *LLD) verifyRecoveredDataPerBlock(report *RecoveryReport, _ func(int) bool) {
 	v := &verifier{l: l}
 	v.multi, _ = l.dsk.(disk.MultiReader)
 	verify := func(bi *blockInfo) bool {

@@ -8,11 +8,11 @@ import (
 	"repro/internal/ld"
 )
 
-// Platter-order data verification, shared by recovery's read-back of every
-// mapped payload (verifyRecoveredData) and by the scrubber (Scrub, the
-// background scrubber, ReclaimQuarantined). The verdict on a block depends
-// only on its bytes, not on the order they are fetched in, so the fetch
-// order is the cheap one: the live blocks are gathered once, sorted by
+// Platter-order data verification, shared by recovery's read-back of the
+// segments above the durable watermark (verifyRecoveredData) and by the
+// scrubber (Scrub, the background scrubber, ReclaimQuarantined). The verdict
+// on a block depends only on its bytes, not on the order they are fetched
+// in, so the fetch order is the cheap one: the live blocks are gathered once, sorted by
 // (segment, offset), coalesced into extents, and each extent is read with
 // one backend request and every block in it checked out of that buffer.
 //
@@ -77,10 +77,16 @@ func (l *LLD) gatherLiveSpans() []liveSpan {
 
 // VerifyCounts is the I/O shape of a platter-order verification pass.
 type VerifyCounts struct {
+	VerifySegments  int64 // segments walked (those holding mapped blocks)
 	VerifyExtents   int64 // extent reads issued (one backend request each; a mirror serves it once per leg)
 	VerifyBytes     int64 // bytes those extents span, dead gaps included
 	VerifiedBlocks  int64 // blocks whose stored payload got a verdict
 	VerifyFallbacks int64 // extents that failed as a whole and were re-checked block by block
+
+	// What recovery's read-back left unread because it sits at or below the
+	// durable watermark (always 0 for a scrub, which visits everything).
+	VerifySkippedSegments int64 // segments holding mapped blocks
+	VerifySkippedBlocks   int64 // blocks with stored bytes in them
 }
 
 // verifier is one verification pass over the segments, in ascending
@@ -134,10 +140,13 @@ func (v *verifier) runOf(seg int) []liveSpan {
 // finish folds the pass's counts into the instance statistics.
 func (v *verifier) finish() {
 	s := &v.l.stats
+	s.VerifySegments += v.VerifySegments
 	s.VerifyExtents += v.VerifyExtents
 	s.VerifyBytes += v.VerifyBytes
 	s.VerifiedBlocks += v.VerifiedBlocks
 	s.VerifyFallbacks += v.VerifyFallbacks
+	s.VerifySkippedSegments += v.VerifySkippedSegments
+	s.VerifySkippedBlocks += v.VerifySkippedBlocks
 	s.SelfHeals += v.heals
 }
 
@@ -189,6 +198,7 @@ func nextExtent(run []liveSpan, ss uint32) (n int, lo, hi uint32) {
 func (v *verifier) segment(run []liveSpan, visit func(sp liveSpan, stored []byte, err error) error) error {
 	ss := uint32(v.l.lay.sectorSize)
 	segBase := v.l.lay.segOff(int(run[0].seg))
+	v.VerifySegments++
 	var failed []liveSpan
 	for len(run) > 0 {
 		n, lo, hi := nextExtent(run, ss)

@@ -155,19 +155,26 @@ func TestVerifyUnreadableDeadGapDoesNotQuarantine(t *testing.T) {
 }
 
 // A summary that outlived a data sector in the middle of a long extent
-// still quarantines that segment, and no other.
+// still quarantines that segment, and no other. The loss is one a power cut
+// can cause: the image sits behind a write-back cache that lld has not
+// drained since the seal, so no mark covers the segment, and the cut drops
+// one of its sectors.
 func TestVerifyDataLossMidExtentQuarantinesItsSegment(t *testing.T) {
-	d, l := newTestLLD(t, 4<<20, testOptions())
+	r, l := newCachedLLD(t, 4<<20, testOptions())
+	pristine := r.plat.Snapshot()
 	ids, _ := fillBlocks(t, l, 30) // several 24-KB data areas' worth
 	victim := ids[len(ids)/2]
 	seg := int(l.blocks[victim].seg)
+	if st, mark := l.segs[seg].state, l.Stats().DurableMark; st != segLive || mark >= l.segs[seg].ts {
+		t.Fatalf("segment %d: state %d, stamped %d, mark %d; want it sealed and above the mark", seg, st, l.segs[seg].ts, mark)
+	}
 	off := platterOff(l, victim)
 	if err := l.Shutdown(false); err != nil {
 		t.Fatal(err)
 	}
-	d.CorruptRange(off+int64(d.SectorSize()), int64(d.SectorSize()), 0xA5)
+	r.powerCutDropping(t, pristine, off+int64(r.plat.SectorSize()))
 
-	l2, err := Open(d, testOptions())
+	l2, err := Open(r.c, testOptions())
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -70,9 +70,16 @@ type RecoveryReport struct {
 	TornSlotsCleared int // benign torn summary slots zeroed by the sweep
 	DiscardedRecords int // incomplete-ARU records discarded (and fenced)
 
+	// DurableMark is the largest durable watermark the sweep found in a
+	// summary: every record stamped at or below it was on the platter
+	// before the crash, so the read-back leaves the segments stamped at or
+	// below it alone (VerifySkippedSegments, VerifySkippedBlocks). Zero when
+	// no drain ever completed on a write-caching backend: everything is read.
+	DurableMark uint64
+
 	// Where the mount's time went, on the backend's clock: reading and
-	// replaying the summaries, then reading every mapped payload back, and
-	// the I/O shape of that read-back.
+	// replaying the summaries, then reading back the mapped payloads of the
+	// segments above the mark, and the I/O shape of that read-back.
 	SweepTime  time.Duration
 	VerifyTime time.Duration
 	VerifyCounts

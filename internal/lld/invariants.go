@@ -114,6 +114,11 @@ func (l *LLD) CheckInvariants() []string {
 		}
 	}
 
+	// The durable watermark never names a timestamp not yet issued.
+	if l.durableMark > l.ts {
+		bad("durable mark %d above the last issued timestamp %d", l.durableMark, l.ts)
+	}
+
 	// Segment states partition the segment space.
 	for i := range l.segs {
 		st := l.segs[i].state

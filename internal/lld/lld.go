@@ -174,6 +174,10 @@ type Stats struct {
 	RecoveryDiscards      int64 // incomplete-ARU records discarded by the sweep
 	VerifyCounts                // recovery's data read-back and the scrubber's passes
 
+	// DurableMark is the durable watermark now (gauge): every record
+	// stamped at or below it is on the platter.
+	DurableMark uint64
+
 	ReadRetries         int64 // transient disk read errors absorbed by bounded retry
 	WriteRetries        int64 // transient disk write errors absorbed by bounded retry
 	CorruptReads        int64 // reads refused with ErrCorrupt (bad CRC, quarantine, media)
@@ -258,6 +262,18 @@ type LLD struct {
 	// with seq at or below syncedSeq is durable.
 	writeSeq  atomic.Int64
 	syncedSeq atomic.Int64
+
+	// Durable watermark (DESIGN.md §8): every record stamped at or below
+	// durableMark is on the platter. doneTS and doneSeq are the stamp and
+	// the writeSeq of the newest seal or disk partial write whose backend
+	// writes have all returned (logWriteDone); the mark advances to doneTS
+	// at once on a write-through backend, otherwise in the first dskSync
+	// whose drain covers doneSeq. Each summary carries the mark as it stood
+	// before its own writes, and the next unclean mount verifies only the
+	// segments stamped above the largest mark it finds. Guarded by mu.
+	doneTS      uint64
+	doneSeq     int64
+	durableMark uint64
 
 	liveBytes     int64
 	reservedBytes int64
@@ -373,7 +389,7 @@ func Open(dsk disk.Backend, opts Options) (*LLD, error) {
 
 // open is Open with the sweep's data read-back as a parameter (see
 // recoverSweep).
-func open(dsk disk.Backend, opts Options, verifyData func(*LLD, *RecoveryReport)) (*LLD, error) {
+func open(dsk disk.Backend, opts Options, verifyData verifyFunc) (*LLD, error) {
 	sector := make([]byte, dsk.SectorSize())
 	// On a redundant backend, accept any replica whose superblock decodes:
 	// a wholly-rotted mirror copy must not keep the store from opening.
@@ -493,6 +509,7 @@ func (l *LLD) Stats() Stats {
 	s := l.stats
 	s.MapShards = int64(len(l.shards))
 	s.SegmentLanes = 1
+	s.DurableMark = l.durableMark
 	return s
 }
 
@@ -530,7 +547,9 @@ func (l *LLD) dskWrite(p []byte, off int64) error {
 // but any step about to destroy the last durable copy of re-homed facts
 // (freeing a cleaned victim, zeroing a quarantined segment's evidence
 // slots, completing a checkpoint the next boot will trust) must first
-// make the new home durable.
+// make the new home durable. A drain is also where the durable watermark
+// advances on such a backend: no call exists for the mark's sake, it moves
+// when lld drains for one of the reasons above. Callers hold l.mu.
 func (l *LLD) dskSync() error {
 	seq := l.writeSeq.Load() // writes issued before the drain are covered by it
 	if s, ok := l.dsk.(disk.Syncer); ok {
@@ -541,9 +560,52 @@ func (l *LLD) dskSync() error {
 	for {
 		old := l.syncedSeq.Load()
 		if old >= seq || l.syncedSeq.CompareAndSwap(old, seq) {
-			return nil
+			break
 		}
 	}
+	if l.doneSeq <= seq && l.advanceMark() {
+		l.crashPoint("mark.advanced") // drained, and no summary says so yet
+	}
+	return nil
+}
+
+// logWriteDone records that every backend write of the seal or disk partial
+// write stamped ts has returned. Log writes complete in stamp order (one
+// open segment, sealed inline), so every record stamped at or below ts has
+// by now been handed to the backend. A backend that is no disk.Syncer has
+// no volatile cache — "WriteAt is durable when it returns" — and the mark
+// follows at once; otherwise it waits for a drain (dskSync). Callers hold
+// l.mu.
+func (l *LLD) logWriteDone(ts uint64) {
+	l.doneTS, l.doneSeq = ts, l.writeSeq.Load()
+	if _, cached := l.dsk.(disk.Syncer); !cached {
+		l.advanceMark()
+	}
+}
+
+// advanceMark raises the durable watermark to the stamp of the newest
+// completed log write, which the caller knows to be on the platter, and
+// reports whether the mark moved. It stops below the stamp of a quarantined
+// segment: what that segment's summary describes is not all on the platter
+// (that is why the mount set it aside), and a mark at or past it would let
+// the next unclean mount take the segment on trust — back in service, and
+// in the cleaner's reach, with its losses unreported. Until the segment is
+// reclaimed every unclean mount reads it back, as before there was a mark.
+func (l *LLD) advanceMark() bool {
+	m := l.doneTS
+	for i := range l.segs {
+		if s := &l.segs[i]; s.state == segQuarantined && s.ts <= m {
+			if s.ts == 0 {
+				return false
+			}
+			m = s.ts - 1
+		}
+	}
+	if m <= l.durableMark {
+		return false
+	}
+	l.durableMark = m
+	return true
 }
 
 // crashPoint reports a named schedule point to the torture harness's

@@ -131,14 +131,16 @@ type Options struct {
 	// with the explicit Scrub call. A runtime knob, never written to disk.
 	BackgroundScrub bool
 
-	// CrashHook, when set, is called at named schedule points inside
-	// maintenance passes whose interruption is interesting to crash
-	// testing — between a cleaner's block moves and its fact re-log
-	// ("clean.moved"), after the re-log ("clean.relogged"), around
-	// ReclaimQuarantined's evidence-slot clears ("reclaim.preclear",
-	// "reclaim.midclear", "reclaim.postclear"), after a scrub salvage
-	// append ("scrub.salvage"), and before a consolidation checkpoint
-	// ("consolidate"). The torture harness (internal/torture) installs
+	// CrashHook, when set, is called at named schedule points whose
+	// interruption is interesting to crash testing — between a cleaner's
+	// block moves and its fact re-log ("clean.moved"), after the re-log
+	// ("clean.relogged"), around ReclaimQuarantined's evidence-slot clears
+	// ("reclaim.preclear", "reclaim.midclear", "reclaim.postclear"), after
+	// a scrub salvage append ("scrub.salvage"), before a consolidation
+	// checkpoint ("consolidate"), between a seal's data request and its
+	// summary request when they are two ("seal.data"), and after the drain
+	// that advances the durable watermark, before any summary advertises
+	// it ("mark.advanced"). The torture harness (internal/torture) installs
 	// a hook that cuts simulated power at a scheduled occurrence. The
 	// hook runs with the instance lock held and must not call back into
 	// the LLD. A runtime knob, never written to disk.

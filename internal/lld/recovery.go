@@ -293,9 +293,10 @@ func (l *LLD) sweepSummaries() ([]segProbe, error) {
 // already reflected in the checkpoint-loaded state (seeded=true) and are
 // skipped. With no checkpoint, floor is 0 and the sweep starts empty.
 //
-// verifyData is the read-back of the mapped payloads that ends the sweep:
-// verifyRecoveredData, or the per-block pass tests hold it against.
-func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData func(*LLD, *RecoveryReport)) error {
+// verifyData is the read-back of mapped payloads that ends the sweep:
+// verifyRecoveredData, which leaves out the segments trusted reports, or the
+// per-block pass tests hold it against, which leaves out none.
+func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) error {
 	lay := l.lay
 	began := l.dsk.Now()
 
@@ -316,12 +317,26 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData func(*LLD, *Rec
 	// log has already moved past cannot be an in-flight write that tore at
 	// the crash — something else wrote durably after it, so the slot was
 	// once whole and has since rotted.
+	//
+	// mark is the largest durable watermark any intact summary carries:
+	// every record stamped at or below it was on the platter before that
+	// summary was written, whichever boot wrote it.
 	lastValid := floor
+	var mark uint64
 	for i := range decoded {
-		if si := decoded[i].si; si != nil && si.writeTS > lastValid {
+		si := decoded[i].si
+		if si == nil {
+			continue
+		}
+		if si.writeTS > lastValid {
 			lastValid = si.writeTS
 		}
+		if si.mark > mark {
+			mark = si.mark
+		}
 	}
+	l.durableMark = mark
+	report.DurableMark = mark
 
 	type zeroSlot struct{ seg, slot int }
 	var toZero []zeroSlot
@@ -539,18 +554,28 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData func(*LLD, *Rec
 			si.state = segFree
 		}
 	}
-	// A volatile write cache can persist a sealed summary while dropping the
-	// data sectors it describes — on every replica. The replay above trusted
-	// each surviving summary's data locations (sound under in-order writes,
-	// where sealing orders data before summary; not under reordered
-	// persistence). Read back every mapped payload and quarantine segments
-	// whose summaries outlived their data; without this pass the mount
-	// reports an undegraded image whose reads fail. Even blocks below the
-	// consolidation floor must be checked: a seal re-writes bytes the
-	// checkpoint barrier already made durable, and the crash can tear that
-	// in-flight sector — garbage over previously durable data.
+	// A volatile write cache can persist a summary while dropping the data
+	// sectors it describes — on every replica. The replay above trusted each
+	// surviving summary's data locations (sound under in-order writes, where
+	// sealing orders data before summary; not under reordered persistence).
+	// Read the payloads back and quarantine segments whose summaries outlived
+	// their data; without this pass the mount reports an undegraded image
+	// whose reads fail. Only writes no completed drain covered can be lost
+	// that way, so only the segments stamped above the mark are read (DESIGN
+	// §8 "Bounded by the durable watermark"): a segment at or below it had
+	// its summary and every byte the summary describes on the platter, the
+	// open segment is the only place lld writes data, a cleaned segment is
+	// reused only after a drain made every re-homed copy durable, and the
+	// boundary sector a later append rewrites carries its old bytes however
+	// it tears. That holds below the consolidation floor too: what a seal
+	// can tear there is the sector it is appending into, in a segment that
+	// is by construction above the mark. A segment that showed a suspect
+	// slot had something in flight and is read whatever its stamp.
+	trusted := func(seg int) bool {
+		return l.segs[seg].ts <= mark && len(decoded[seg].suspectSlots) == 0
+	}
 	swept := l.dsk.Now()
-	verifyData(l, &report)
+	verifyData(l, &report, trusted)
 	report.SweepTime, report.VerifyTime = swept-began, l.dsk.Now()-swept
 	l.ts = maxTS + 1
 	if discarded > 0 {
@@ -565,18 +590,33 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData func(*LLD, *Rec
 	return nil
 }
 
-// verifyRecoveredData checks that every mapped block still has its
-// payload on the platter(s), and quarantines any segment holding a block
-// that does not. It reads in platter order, one request per live extent
-// (extent.go); a segment's walk ends at its first lost block. On
-// replicated backends the check also heals copies that diverged (a mirror
-// leg whose cache dropped or tore the data while its sibling's persisted).
-// It runs only on unclean mounts — the fsck side of recovery.
-func (l *LLD) verifyRecoveredData(report *RecoveryReport) {
+// verifyFunc is the data read-back that ends a sweep. trusted reports the
+// segments the crash cannot have touched.
+type verifyFunc func(l *LLD, report *RecoveryReport, trusted func(seg int) bool)
+
+// verifyRecoveredData checks that every mapped block of a segment the
+// crash could have touched still has its payload on the platter(s), and
+// quarantines any segment holding a block that does not. It reads in
+// platter order, one request per live extent (extent.go); a segment's walk
+// ends at its first lost block. On replicated backends the check also heals
+// copies that diverged (a mirror leg whose cache dropped or tore the data
+// while its sibling's persisted). It runs only on unclean mounts — the fsck
+// side of recovery — and is not a scrub: rot in a trusted segment is left
+// to the read path's checksum, Scrub and the background scrubber.
+func (l *LLD) verifyRecoveredData(report *RecoveryReport, trusted func(seg int) bool) {
 	v := l.newVerifier()
 	for run := v.nextRun(); run != nil; run = v.nextRun() {
 		seg := int(run[0].seg)
 		if l.segs[seg].state == segQuarantined {
+			continue
+		}
+		if trusted(seg) {
+			v.VerifySkippedSegments++
+			for _, sp := range run {
+				if sp.stored > 0 {
+					v.VerifySkippedBlocks++
+				}
+			}
 			continue
 		}
 		lost := v.segment(run, func(_ liveSpan, _ []byte, err error) error { return err })

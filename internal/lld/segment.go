@@ -327,7 +327,7 @@ func (l *LLD) sealSegment() error {
 		return nil
 	}
 	writeTS := l.nextTS()
-	if err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, true, cur.dataOff, cur.entries, cur.tuples); err != nil {
+	if err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, true, cur.dataOff, cur.entries, cur.tuples); err != nil {
 		return err
 	}
 	start := l.dsk.Now()
@@ -358,11 +358,15 @@ func (l *LLD) sealSegment() error {
 		}
 	}
 	if !through {
+		if end > from {
+			l.crashPoint("seal.data") // data handed over, its summary not yet
+		}
 		sum := cur.buf[dataCap : dataCap+l.lay.summarySize]
 		if err := l.dskWrite(sum, l.lay.sumOff(cur.id, cur.slot)); err != nil {
 			return err
 		}
 	}
+	l.logWriteDone(writeTS)
 	l.lastSealDur = l.dsk.Now() - start
 	l.chargeCompression()
 	l.segs[cur.id].state = segLive
@@ -402,7 +406,7 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 		return nil
 	}
 	writeTS := l.nextTS()
-	if err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, false, cur.dataOff, cur.entries, cur.tuples); err != nil {
+	if err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, false, cur.dataOff, cur.entries, cur.tuples); err != nil {
 		return err
 	}
 	ss := l.lay.sectorSize
@@ -437,6 +441,7 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 		// Both writes succeeded (a failed attempt retries the same range).
 		l.stats.PartialBytes += int64(dataBytes - from + len(sum))
 		cur.onPlatter = cur.dataOff / ss * ss
+		l.logWriteDone(writeTS)
 	}
 	cur.slot ^= 1
 	l.chargeCompression()

@@ -169,6 +169,20 @@ func TestEnumerationBreadth(t *testing.T) {
 		}
 		t.Logf("%s: %d points", kind, len(pts))
 		total += len(pts)
+		// The durable mark's two windows are schedule sites on every
+		// topology: after the drain that advances it and before a summary
+		// says so, and between a seal's data and its summary.
+		sites := make(map[string]int)
+		for _, pt := range pts {
+			if pt.kind == ptSite {
+				sites[pt.site]++
+			}
+		}
+		for _, want := range []string{"mark.advanced", "seal.data"} {
+			if sites[want] == 0 {
+				t.Errorf("%s: no crash point at site %q (sites reached: %v)", kind, want, sites)
+			}
+		}
 	}
 	if total < 500 {
 		t.Errorf("lld+stripe+mirror enumerate %d crash points, want >= 500", total)
