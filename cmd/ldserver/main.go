@@ -248,6 +248,9 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20,
 			s.BGCleanPasses, s.BGCleanSteps, s.BGCleanErrors, s.WriterWaits)
 		fmt.Fprintf(os.Stderr,
+			"ldserver: batched reads: %d batches, %d blocks, %d extents (%d MB), %d fallbacks\n",
+			s.BatchReads, s.BatchReadBlocks, s.BatchExtents, s.BatchExtentBytes>>20, s.BatchFallbacks)
+		fmt.Fprintf(os.Stderr,
 			"ldserver: integrity: %d corrupt reads refused, %d transient read retries, %d write retries, %d quarantined segments; scrub: %d passes, %d blocks (%d MB) verified, %d errors, %d repairs\n",
 			s.CorruptReads, s.ReadRetries, s.WriteRetries, s.QuarantinedSegments,
 			s.ScrubPasses+s.BGScrubPasses, s.ScrubBlocks, s.ScrubBytes>>20,

@@ -48,8 +48,11 @@ type MultiReader interface {
 
 	// ReadAtVerified reads len(p) bytes at off from any replica whose
 	// bytes satisfy verify. Replicas that error or fail verification
-	// are healed by rewriting them with a verified copy; healed counts
-	// the copies repaired. When no live replica yields verified bytes
+	// are healed from the verified copy; healed counts the copies
+	// repaired. A copy that fails verification is rewritten over the
+	// whole range, so verify must vouch for all of the range the caller
+	// cares about; a copy that errors is rewritten only where it does
+	// not read. When no live replica yields verified bytes
 	// the error is ErrNoValidReplica (p then holds the last copy read,
 	// if any read succeeded); pure I/O failure on every replica returns
 	// the first I/O error.

@@ -60,8 +60,65 @@ func hammer(t *testing.T, readers []ld.Disk, writer ld.Disk, lister ld.Disk, lid
 		}
 	}
 
+	// check validates what a read of block i returned against lo, the
+	// newest version whose Write had completed before the read began.
+	check := func(r, i int, lo int64, buf []byte, err error) bool {
+		if err != nil {
+			fail("reader %d: read of block %d: %v", r, i, err)
+			return false
+		}
+		if len(buf) != raceBlockSize {
+			fail("reader %d: block %d: %d bytes, want %d", r, i, len(buf), raceBlockSize)
+			return false
+		}
+		blk, ver, err := parseVersion(buf)
+		if err != nil || blk != i {
+			fail("reader %d: block %d: bad header %q (%v)", r, i, buf[:32], err)
+			return false
+		}
+		if int64(ver) < lo {
+			fail("reader %d: block %d: version %d older than completed write %d", r, i, ver, lo)
+			return false
+		}
+		if want := racePayload(blk, ver); string(buf) != string(want) {
+			fail("reader %d: block %d: torn read at version %d", r, i, ver)
+			return false
+		}
+		return true
+	}
+
 	for r, d := range readers {
 		wg.Add(1)
+		if r == 0 {
+			// One reader scans: a sliding 32-block ReadBlocks window, so the
+			// batch path's extent reads race the writer and the cleaner too.
+			go func(d ld.Disk) {
+				defer wg.Done()
+				const window = 32
+				bufs := make([][]byte, window)
+				for i := range bufs {
+					bufs[i] = make([]byte, raceBlockSize)
+				}
+				bs, los := make([]ld.BlockID, window), make([]int64, window)
+				for op := 0; op < raceOps/4 && !failed.Load(); op++ {
+					for k := range bs {
+						i := (op*5 + k) % len(bids)
+						bs[k], los[k] = bids[i], versions[i].Load()
+					}
+					res, err := ld.ReadBlocks(d, bs, bufs)
+					if err != nil {
+						fail("reader 0: ReadBlocks: %v", err)
+						return
+					}
+					for k, br := range res {
+						if !check(0, (op*5+k)%len(bids), los[k], bufs[k][:br.N], br.Err) {
+							return
+						}
+					}
+				}
+			}(d)
+			continue
+		}
 		go func(r int, d ld.Disk) {
 			defer wg.Done()
 			buf := make([]byte, raceBlockSize)
@@ -69,25 +126,7 @@ func hammer(t *testing.T, readers []ld.Disk, writer ld.Disk, lister ld.Disk, lid
 				i := (op*7 + r*13) % len(bids)
 				lo := versions[i].Load()
 				n, err := d.Read(bids[i], buf)
-				if err != nil {
-					fail("reader %d: Read(block %d): %v", r, i, err)
-					return
-				}
-				if n != raceBlockSize {
-					fail("reader %d: block %d: %d bytes, want %d", r, i, n, raceBlockSize)
-					return
-				}
-				blk, ver, err := parseVersion(buf[:n])
-				if err != nil || blk != i {
-					fail("reader %d: block %d: bad header %q (%v)", r, i, buf[:32], err)
-					return
-				}
-				if int64(ver) < lo {
-					fail("reader %d: block %d: version %d older than completed write %d", r, i, ver, lo)
-					return
-				}
-				if want := racePayload(blk, ver); string(buf[:n]) != string(want) {
-					fail("reader %d: block %d: torn read at version %d", r, i, ver)
+				if !check(r, i, lo, buf[:n], err) {
 					return
 				}
 			}

@@ -533,7 +533,7 @@ func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 	if payloadCRC(data) != bi.crc {
 		fixed := false
 		if _, isMulti := l.dsk.(disk.MultiReader); isMulti {
-			if good, verified, err := l.readStoredVerified(bi, &l.scratch); err == nil && verified {
+			if good, verified, err := l.readStoredVerified(bi, &l.scratch, false); err == nil && verified {
 				data = append([]byte(nil), good...)
 				fixed = true
 			}
@@ -601,47 +601,33 @@ func (l *LLD) Reorganize(n int) error {
 	}
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
-	rewritten := 0
+	// The blocks are fetched a segment's worth at a time, in one sweep of
+	// the platter each (readStoredBatch), and appended in list order.
+	perRun := l.lay.dataCap() / l.lay.maxBlockSize
 	quota := n * l.lay.dataCap() / l.lay.maxBlockSize
-outer:
+	run := make([]ld.BlockID, 0, perRun)
+	stage := make([]byte, 0, l.lay.dataCap()) // a run's payloads, at most a segment's worth
 	for _, lid := range append([]ld.ListID(nil), l.order...) {
 		li, ok := l.lists[lid]
 		if !ok || !li.hints.Cluster {
 			continue
 		}
-		for b := li.first; b != ld.NilBlock; b = l.blocks[b].next {
-			bi := &l.blocks[b]
-			if !bi.hasData() {
+		for b := li.first; b != ld.NilBlock && quota > 0; b = l.blocks[b].next {
+			if !l.blocks[b].hasData() {
 				continue
 			}
-			stored, verified, err := l.readStoredVerified(bi, &l.scratch)
-			if err != nil {
-				if errors.Is(err, disk.ErrNoValidReplica) {
-					l.stats.CorruptReads++
-					return &CorruptError{Block: b, Seg: int(bi.seg), Reason: "no replica passed verification during reorganize", Err: err}
+			run = append(run, b)
+			quota--
+			if len(run) == perRun {
+				if err := l.rewriteRun(run, stage); err != nil {
+					return err
 				}
-				return err
-			}
-			if !verified && payloadCRC(stored) != bi.crc {
-				l.stats.CorruptReads++
-				return &CorruptError{Block: b, Seg: int(bi.seg), Reason: "payload checksum mismatch during reorganize"}
-			}
-			data := append([]byte(nil), stored...)
-			if err := l.ensureRoom(len(data), blockEntryEncSize); err != nil {
-				return err
-			}
-			off := l.appendData(data)
-			flags := uint8(entryCommitted)
-			if bi.flags&bComp != 0 {
-				flags |= entryCompressed
-			}
-			l.addEntry(blockEntry{bid: b, ts: l.nextTS(), off: uint32(off), stored: bi.stored, orig: bi.orig, crc: bi.crc, flags: flags})
-			l.applySetData(b, l.cur.id, off, int(bi.stored), int(bi.orig), bi.flags&bComp != 0, bi.crc)
-			rewritten++
-			if rewritten >= quota {
-				break outer
+				run = run[:0]
 			}
 		}
+	}
+	if err := l.rewriteRun(run, stage); err != nil {
+		return err
 	}
 	// The rewrites hollowed out the victims' old homes; clean up to n
 	// segments so the reorganizer actually returns free space, as
@@ -649,4 +635,42 @@ outer:
 	p := cleanPass{maxIter: n + l.lay.nSegments}
 	_, err := l.cleanSome(&p, n, nil)
 	return err
+}
+
+// rewriteRun re-homes the blocks of run, at most a segment's worth and all
+// with data, at the log's head in the order given. It stops at the first
+// one that does not read, with the error a Read of it reports. stage is
+// empty and has room for the run's payloads. Callers hold l.mu with
+// l.cleaning set.
+func (l *LLD) rewriteRun(run []ld.BlockID, stage []byte) error {
+	// Every payload is staged before the first append: an append may seal
+	// the open segment, whose buffer some of them are served from, and the
+	// reader's own buffers do not outlive its callback.
+	type staged struct {
+		data []byte
+		err  error
+	}
+	got := make([]staged, len(run))
+	l.readStoredBatch(run, func(i int, _ *blockInfo, stored []byte, err error) {
+		stage = append(stage, stored...)
+		got[i] = staged{stage[len(stage)-len(stored):], err}
+	})
+	for i, b := range run {
+		if got[i].err != nil {
+			return got[i].err
+		}
+		data := got[i].data
+		if err := l.ensureRoom(len(data), blockEntryEncSize); err != nil {
+			return err
+		}
+		bi := &l.blocks[b]
+		off := l.appendData(data)
+		flags := uint8(entryCommitted)
+		if bi.flags&bComp != 0 {
+			flags |= entryCompressed
+		}
+		l.addEntry(blockEntry{bid: b, ts: l.nextTS(), off: uint32(off), stored: bi.stored, orig: bi.orig, crc: bi.crc, flags: flags})
+		l.applySetData(b, l.cur.id, off, int(bi.stored), int(bi.orig), bi.flags&bComp != 0, bi.crc)
+	}
+	return nil
 }

@@ -28,7 +28,11 @@ import (
 //
 // The cleaner forms its victim's extents with the same nextExtent but reads
 // them with plain requests, not readExtent: it needs one good copy, not
-// every leg's, and moveBlock already checks each block as it goes.
+// every leg's, and moveBlock already checks each block as it goes. So does
+// the foreground multi-block read (readStoredBatch in ops.go: ReadBlocks and
+// Reorganize), over the blocks its caller named instead of a segment's live
+// ones: one good copy per extent, each block checked out of the buffer, the
+// per-block read for whatever an extent did not prove.
 
 // deadGapMax is the longest run of dead bytes a request crosses rather than
 // ending: one track of the modelled drive (64 sectors of 512 bytes), and
@@ -36,9 +40,9 @@ import (
 // in the same revolution whether or not it is transferred, so skipping it
 // saves nothing and costs a second request; a longer one is transfer time
 // spent on bytes nobody wants. It is a property of rotating media, not a
-// policy, hence a constant. Every segment-sized transfer obeys it: the
-// verifier's extents, the cleaner's victim read (cleanSegment) and the seal
-// (sealSegment).
+// policy, hence a constant. Every multi-block transfer obeys it: the
+// verifier's extents, the cleaner's victim read (cleanSegment), the seal
+// (sealSegment) and the batch read (readStoredBatch).
 const deadGapMax = 32 << 10
 
 // errPayloadCRC is the per-block verdict for bytes that read fine from a
@@ -56,6 +60,14 @@ type liveSpan struct {
 	stored uint32
 }
 
+// before is platter order: by segment, then by offset within it.
+func (a liveSpan) before(b liveSpan) bool {
+	if a.seg != b.seg {
+		return a.seg < b.seg
+	}
+	return a.off < b.off
+}
+
 // gatherLiveSpans snapshots every allocated block that has data in a
 // segment, sorted by (segment, offset). Callers hold l.mu.
 func (l *LLD) gatherLiveSpans() []liveSpan {
@@ -66,12 +78,7 @@ func (l *LLD) gatherLiveSpans() []liveSpan {
 			spans = append(spans, liveSpan{bid: ld.BlockID(i), seg: bi.seg, off: bi.off, stored: bi.stored})
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].seg != spans[j].seg {
-			return spans[i].seg < spans[j].seg
-		}
-		return spans[i].off < spans[j].off
-	})
+	sort.Slice(spans, func(i, j int) bool { return spans[i].before(spans[j]) })
 	return spans
 }
 

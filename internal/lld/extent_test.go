@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/ld"
-	"repro/internal/mdisk"
 )
 
 // fillBlocks appends n 4-KB blocks of distinct contents to a new list and
@@ -56,19 +55,8 @@ func neighbours(t *testing.T, l *LLD, ids []ld.BlockID) (x, y ld.BlockID) {
 // one extent: no copy of the extent verifies as a whole, the per-block
 // check heals each from the other leg, and nothing is quarantined.
 func TestVerifyCrossLegTearsHealOnBothLegs(t *testing.T) {
-	legs := []*disk.Disk{disk.New(disk.DefaultConfig(4 << 20)), disk.New(disk.DefaultConfig(4 << 20))}
-	m, err := mdisk.NewMirror(legs[0], legs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := testOptions()
-	if err := Format(m, opts); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legs, m, l := newMirrorLLD(t, opts)
 	ids, want := fillBlocks(t, l, 12)
 	x, y := neighbours(t, l, ids)
 	offX, offY := platterOff(l, x), platterOff(l, y)

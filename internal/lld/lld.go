@@ -131,6 +131,10 @@ type Stats struct {
 
 	BatchReads      int64 // ReadBlocks batches served
 	BatchReadBlocks int64 // blocks served through ReadBlocks
+	// The multi-block reader's sweep (readStoredBatch: ReadBlocks, Reorganize).
+	BatchExtents     int64 // extents of two or more blocks it read with one request
+	BatchExtentBytes int64 // bytes those requests read, the gaps they crossed included
+	BatchFallbacks   int64 // blocks of such extents that took the per-block read after all
 
 	CompressedBlocks int64
 	CompressInBytes  int64
@@ -499,8 +503,9 @@ func (l *LLD) nextTS() uint64 {
 // Stats returns a copy of the accumulated statistics.
 //
 // The counters touched by the shared-lock read path (BlocksRead,
-// UserBytesRead, BatchReads, BatchReadBlocks) are updated with atomic
-// adds; everything else is written under the exclusive lock. Stats takes
+// UserBytesRead, BatchReads, BatchReadBlocks, BatchExtents,
+// BatchExtentBytes, BatchFallbacks) are updated with atomic adds;
+// everything else is written under the exclusive lock. Stats takes
 // the exclusive lock, which orders it after every concurrent reader, so a
 // plain struct copy is sound.
 func (l *LLD) Stats() Stats {

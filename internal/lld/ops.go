@@ -3,6 +3,7 @@ package lld
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/compress"
@@ -32,9 +33,10 @@ func (l *LLD) Read(b ld.BlockID, buf []byte) (int, error) {
 // ReadBlocks implements ld.MultiReadDisk: it reads bs[i] into bufs[i],
 // reporting each block's outcome in the result entry its individual Read
 // would have produced. The whole batch runs under one shared-lock
-// acquisition with one pooled scratch buffer, instead of N lock/unlock and
-// pool round trips — the in-process analogue of netld's OpReadMulti, which
-// amortizes a network round trip the same way.
+// acquisition, and its device reads are one sweep of the platter in
+// (segment, offset) order, one request per extent (readStoredBatch) — only
+// the disk system knows where a logical block lives, so only it can order a
+// multi-block read (paper §2). Results come back in the caller's order.
 func (l *LLD) ReadBlocks(bs []ld.BlockID, bufs [][]byte) ([]ld.BlockRead, error) {
 	if len(bs) != len(bufs) {
 		return nil, fmt.Errorf("lld: ReadBlocks: %d blocks but %d buffers", len(bs), len(bufs))
@@ -44,13 +46,13 @@ func (l *LLD) ReadBlocks(bs []ld.BlockID, bufs [][]byte) ([]ld.BlockRead, error)
 	if err := l.checkOpen(); err != nil {
 		return nil, err
 	}
-	scratch := l.getReadBuf()
-	defer func() { l.putReadBuf(scratch) }() // readLocked may grow scratch
 	results := make([]ld.BlockRead, len(bs))
-	for i, b := range bs {
-		n, err := l.readLocked(b, bufs[i], &scratch)
-		results[i] = ld.BlockRead{N: n, Err: err}
-	}
+	l.readStoredBatch(bs, func(i int, bi *blockInfo, stored []byte, err error) {
+		if err == nil && bi.hasData() {
+			results[i].N, err = l.deliver(bs[i], bi, stored, bufs[i])
+		}
+		results[i].Err = err
+	})
 	atomic.AddInt64(&l.stats.BatchReads, 1)
 	atomic.AddInt64(&l.stats.BatchReadBlocks, int64(len(bs)))
 	return results, nil
@@ -67,29 +69,50 @@ func (l *LLD) readLocked(b ld.BlockID, buf []byte, scratch *[]byte) (int, error)
 	if !bi.hasData() {
 		return 0, nil
 	}
+	stored, err := l.readStoredChecked(b, bi, scratch, false)
+	if err != nil {
+		return 0, err
+	}
+	return l.deliver(b, bi, stored, buf)
+}
+
+// readStoredChecked is the per-block read: one request for b's sectors, on
+// a redundant backend with replica selection and healing (of every leg, not
+// only those tried before a good one, if the caller sawBadCopy), and the
+// stored bytes it returns (aliasing *scratch or the open segment) match
+// bi.crc. Anything else is refused with the CorruptError a Read reports. It
+// is the only place a client read counts CorruptReads for the media's sake.
+// The caller holds the shared lock and has checked that bi has data.
+func (l *LLD) readStoredChecked(b ld.BlockID, bi *blockInfo, scratch *[]byte, sawBadCopy bool) ([]byte, error) {
 	if bi.seg >= 0 && l.segs[bi.seg].state == segQuarantined {
 		atomic.AddInt64(&l.stats.CorruptReads, 1)
-		return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "segment quarantined by recovery"}
+		return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "segment quarantined by recovery"}
 	}
-	stored, verified, err := l.readStoredVerified(bi, scratch)
+	stored, verified, err := l.readStoredVerified(bi, scratch, sawBadCopy)
 	if err != nil {
 		switch {
 		case errors.Is(err, disk.ErrNoValidReplica):
 			atomic.AddInt64(&l.stats.CorruptReads, 1)
-			return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "no replica passed verification", Err: err}
+			return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "no replica passed verification", Err: err}
 		case errors.Is(err, disk.ErrUnreadable):
 			atomic.AddInt64(&l.stats.CorruptReads, 1)
-			return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "unreadable sector", Err: err}
+			return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "unreadable sector", Err: err}
 		}
-		return 0, err
+		return nil, err
 	}
 	// Verify the payload checksum end to end unless the bytes are already
 	// known good: served from the in-memory open segment (which cannot rot
 	// in this model) or proven by a redundant backend's replica selection.
 	if !verified && payloadCRC(stored) != bi.crc {
 		atomic.AddInt64(&l.stats.CorruptReads, 1)
-		return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "payload checksum mismatch"}
+		return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "payload checksum mismatch"}
 	}
+	return stored, nil
+}
+
+// deliver hands b's checked stored bytes to the reader: decompressed if they
+// were stored compressed (at the modelled CPU cost), copied into buf.
+func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, error) {
 	atomic.AddInt64(&l.stats.BlocksRead, 1)
 	if bi.flags&bComp != 0 {
 		out, err := compress.Decompress(make([]byte, 0, bi.orig), stored, int(bi.orig))
@@ -100,13 +123,113 @@ func (l *LLD) readLocked(b ld.BlockID, buf []byte, scratch *[]byte) (int, error)
 			return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "undecodable compressed payload", Err: err}
 		}
 		l.dsk.AdvanceIdle(l.opts.compressDelay(int(bi.orig)))
-		n := copy(buf, out)
-		atomic.AddInt64(&l.stats.UserBytesRead, int64(n))
-		return n, nil
+		stored = out
 	}
 	n := copy(buf, stored)
 	atomic.AddInt64(&l.stats.UserBytesRead, int64(n))
 	return n, nil
+}
+
+// readStoredBatch is the multi-block read (ReadBlocks, Reorganize): it calls
+// yield once per entry of bs, in no promised order, with the block's map
+// entry and its stored bytes — checked against bi.crc, valid until yield
+// returns — or the error a Read of that block reports (bi is nil when the
+// id itself is refused). A block with nothing on the platter — no data, an
+// empty payload, a quarantined segment, the open segment — is settled from
+// memory. The others are fetched in one sweep: sorted by (segment, offset),
+// cut into extents by the rule every multi-block transfer obeys
+// (nextExtent), one request per extent, every block checked out of that
+// buffer.
+//
+// An extent is a read optimisation and nothing else. It is a plain read:
+// one good copy is enough (checking every leg stays with recovery and
+// scrub), and its gaps hold live blocks nobody here can vouch for, so no
+// verdict on it may rewrite a replica. One that fails to read, and any
+// block whose checksum does not match out of it, goes through the per-block
+// read (readStoredChecked) at its place in the sweep — the only place a
+// replica is selected or healed — so each entry is what a Read of that
+// block alone gives. A block alone in its extent takes the per-block read
+// directly: the same single request either way.
+//
+// The caller holds l.mu, shared or exclusive, and has checked the instance
+// is open. Nothing here touches the instance's own buffers: the extent
+// buffer lives for the call, the per-block scratch comes from the pool, the
+// counters move atomically.
+func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, stored []byte, err error)) {
+	scratch := l.getReadBuf()
+	defer func() { l.putReadBuf(scratch) }() // the per-block read may grow it
+	sw := batchSweep{spans: make([]liveSpan, 0, len(bs)), at: make([]int, 0, len(bs))}
+	for i, b := range bs {
+		bi, err := l.blockAt(b)
+		switch {
+		case err != nil:
+			yield(i, nil, nil, err)
+		case !bi.hasData():
+			yield(i, bi, nil, nil)
+		case bi.seg < 0 || bi.stored == 0 || l.segs[bi.seg].state == segQuarantined || (l.cur != nil && l.cur.id == int(bi.seg)):
+			stored, err := l.readStoredChecked(b, bi, &scratch, false) // no device request
+			yield(i, bi, stored, err)
+		default:
+			sw.spans = append(sw.spans, liveSpan{bid: b, seg: bi.seg, off: bi.off, stored: bi.stored})
+			sw.at = append(sw.at, i)
+		}
+	}
+	sort.Sort(&sw)
+
+	ss := uint32(l.lay.sectorSize)
+	var extBuf []byte // grows to the batch's largest extent
+	for k := 0; k < len(sw.spans); {
+		end := k + 1 // of this segment's spans
+		for end < len(sw.spans) && sw.spans[end].seg == sw.spans[k].seg {
+			end++
+		}
+		for k < end {
+			n, lo, hi := nextExtent(sw.spans[k:end], ss)
+			var buf []byte // the extent's bytes if they were read
+			if n > 1 {
+				atomic.AddInt64(&l.stats.BatchExtents, 1)
+				atomic.AddInt64(&l.stats.BatchExtentBytes, int64(hi-lo))
+				if uint32(cap(extBuf)) < hi-lo {
+					extBuf = make([]byte, hi-lo)
+				}
+				if l.dskRead(extBuf[:hi-lo], l.lay.segOff(int(sw.spans[k].seg))+int64(lo)) == nil {
+					buf = extBuf[:hi-lo]
+				}
+			}
+			for j, sp := range sw.spans[k : k+n] {
+				bi := &l.blocks[sp.bid]
+				if buf != nil {
+					if stored := buf[sp.off-lo:][:sp.stored]; payloadCRC(stored) == bi.crc {
+						yield(sw.at[k+j], bi, stored, nil)
+						continue
+					}
+				}
+				if n > 1 {
+					atomic.AddInt64(&l.stats.BatchFallbacks, 1)
+				}
+				// A mismatch out of buf is a bad copy seen; a failed
+				// extent has shown nothing about this block.
+				stored, err := l.readStoredChecked(sp.bid, bi, &scratch, buf != nil)
+				yield(sw.at[k+j], bi, stored, err)
+			}
+			k += n
+		}
+	}
+}
+
+// batchSweep is the on-platter part of a batch: the spans to fetch and, in
+// step with them, the position in the batch each one answers. A block named
+// twice is two spans. Sorting (sort.Interface) puts it in platter order.
+type batchSweep struct {
+	spans []liveSpan
+	at    []int
+}
+
+func (s *batchSweep) Len() int           { return len(s.spans) }
+func (s *batchSweep) Less(i, j int) bool { return s.spans[i].before(s.spans[j]) }
+func (s *batchSweep) Swap(i, j int) {
+	s.spans[i], s.spans[j] = s.spans[j], s.spans[i]
+	s.at[i], s.at[j] = s.at[j], s.at[i]
 }
 
 // Write implements ld.Disk. The block's data is copied into the segment in

@@ -581,8 +581,11 @@ func (l *LLD) storedSpan(bi *blockInfo) (off int64, span int, rel int64) {
 // model) and for bytes a redundant backend proved by replica selection —
 // a copy failing the checksum is read around and healed rather than
 // surfaced. A false result means the caller must run its own check (the
-// single-platter path). Callers hold l.mu; shared suffices.
-func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte) (data []byte, verified bool, err error) {
+// single-platter path). Replica selection stops at the first copy that
+// passes; everyLeg, for a caller that has seen a copy of this block fail,
+// checks them all as a scrub does, so the bad one is healed whichever leg
+// the rotation offers first. Callers hold l.mu; shared suffices.
+func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte, everyLeg bool) (data []byte, verified bool, err error) {
 	if bi.stored == 0 {
 		return nil, true, nil
 	}
@@ -601,7 +604,11 @@ func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte) (data []byte, v
 	buf := *scratch
 	crc := bi.crc
 	stored := int64(bi.stored)
-	healed, err := mr.ReadAtVerified(buf[:span], off, func(b []byte) bool {
+	read := mr.ReadAtVerified
+	if everyLeg {
+		read = mr.VerifyReplicas
+	}
+	healed, err := read(buf[:span], off, func(b []byte) bool {
 		return payloadCRC(b[rel:rel+stored]) == crc
 	})
 	if healed > 0 {

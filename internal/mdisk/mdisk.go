@@ -12,9 +12,10 @@
 //     fails the op (no redundancy).
 //
 //   - Mirror: write-all/read-any replication (RAID1). Reads rotate
-//     across replicas; a replica that errors is read around (and healed
-//     by rewriting when the fault is latent), a replica that crashes is
-//     marked failed and dropped from both paths. The MultiReader
+//     across replicas; a replica that errors is read around (and, when
+//     the fault is latent, healed by rewriting the sectors that do not
+//     read — no others: the bytes served are unchecked), a replica that
+//     crashes is marked failed and dropped from both paths. The MultiReader
 //     extension adds checksum-driven replica selection — the Logical
 //     Disk passes its per-block CRC as the verify function, so a rotted
 //     copy is never served and is healed from its intact sibling — and

@@ -2,6 +2,7 @@ package mdisk
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -193,9 +194,10 @@ func (m *Mirror) WriteAt(p []byte, off int64) error { return m.write(p, off, fal
 func (m *Mirror) WriteAtNVRAM(p []byte, off int64) error { return m.write(p, off, true) }
 
 // ReadAt implements disk.Backend: read-any with fallback. Replicas are
-// tried in rotation; a replica that errors is skipped (and healed by
-// rewrite when the fault was a latent unreadable sector and a sibling
-// served the bytes), a replica that crashed is marked failed.
+// tried in rotation; a replica that errors is skipped (and, when the fault
+// was a latent unreadable sector and a sibling served the bytes, healed by
+// rewriting the sectors that do not read), a replica that crashed is marked
+// failed.
 func (m *Mirror) ReadAt(p []byte, off int64) error {
 	_, err := m.readAny(p, off, nil)
 	return err
@@ -214,7 +216,15 @@ func (m *Mirror) ReadAtVerified(p []byte, off int64, verify func([]byte) bool) (
 
 // readAny is the shared read path: try live replicas in rotation until
 // one yields acceptable bytes, then heal every copy that was tried and
-// rejected. verify of nil accepts any bytes that read without error.
+// found bad. verify of nil accepts any bytes that read without error.
+//
+// A copy verify refused is rewritten over the whole request: the verdict
+// was on the request, and what the caller passes as verify says what it
+// vouches for. A copy that failed to read is rewritten only where it does
+// not read (rewriteUnreadable): the accepted bytes are known good no
+// further than verify looked — not at all on a plain ReadAt — and a request
+// may span many blocks, so a sector the failed replica can still read may
+// be the only good copy of what it holds.
 func (m *Mirror) readAny(p []byte, off int64, verify func([]byte) bool) (int, error) {
 	if err := checkAccess(p, off, m.ss, m.capacity); err != nil {
 		return 0, err
@@ -225,9 +235,10 @@ func (m *Mirror) readAny(p []byte, off int64, verify func([]byte) bool) (int, er
 	n := len(m.kids)
 	start := int(m.next.Add(1))
 	var (
-		firstErr error
-		readOK   bool  // some replica read without I/O error
-		triedBad []int // replicas to heal if a good copy turns up
+		firstErr   error
+		readOK     bool  // some replica read without I/O error
+		triedBad   []int // replicas to heal if a good copy turns up
+		unreadable []int // those of triedBad that failed to read
 	)
 	for i := 0; i < n; i++ {
 		idx := (start + i) % n
@@ -244,6 +255,7 @@ func (m *Mirror) readAny(p []byte, off int64, verify func([]byte) bool) (int, er
 				m.fail(r)
 			} else if errors.Is(err, disk.ErrUnreadable) {
 				triedBad = append(triedBad, idx)
+				unreadable = append(unreadable, idx)
 			}
 			continue
 		}
@@ -262,7 +274,13 @@ func (m *Mirror) readAny(p []byte, off int64, verify func([]byte) bool) (int, er
 			if rb.st() != ReplicaLive {
 				continue
 			}
-			if werr := rb.b.WriteAt(p, off); werr != nil {
+			var werr error
+			if slices.Contains(unreadable, bad) {
+				werr = rewriteUnreadable(rb.b, p, off, make([]byte, len(p)), m.ss)
+			} else {
+				werr = rb.b.WriteAt(p, off)
+			}
+			if werr != nil {
 				if errors.Is(werr, disk.ErrCrashed) {
 					m.fail(rb)
 				}
@@ -280,6 +298,28 @@ func (m *Mirror) readAny(p []byte, off int64, verify func([]byte) bool) (int, er
 		return 0, firstErr
 	}
 	return 0, ErrMirrorDown
+}
+
+// rewriteUnreadable writes p, the bytes a sibling served for the range at
+// off, over the sectors of that range b cannot read, and over no other. b
+// has just failed the whole range, so the search starts by halving it; probe
+// is scratch of len(p) bytes.
+func rewriteUnreadable(b disk.Backend, p []byte, off int64, probe []byte, ss int) error {
+	if len(p) <= ss {
+		return b.WriteAt(p, off)
+	}
+	half := len(p) / ss / 2 * ss
+	for _, part := range [2][]byte{p[:half], p[half:]} {
+		err := b.ReadAt(probe[:len(part)], off)
+		if errors.Is(err, disk.ErrUnreadable) {
+			err = rewriteUnreadable(b, part, off, probe, ss)
+		}
+		if err != nil {
+			return err
+		}
+		off += int64(len(part))
+	}
+	return nil
 }
 
 // VerifyReplicas implements disk.MultiReader: every live replica's copy

@@ -94,6 +94,38 @@ func TestMirrorDegradedReadHealsUnreadable(t *testing.T) {
 	}
 }
 
+// TestMirrorHealRewritesOnlyUnreadableSectors: the bytes a plain read
+// serves are unchecked, so the heal of a replica that failed to read must
+// not touch the sectors it can read — over a large request one of them may
+// be the last good copy of something the serving replica has lost.
+func TestMirrorHealRewritesOnlyUnreadableSectors(t *testing.T) {
+	m, raw := newTestMirror(t, 2, 1<<20)
+	ss := int64(m.SectorSize())
+	const sectors, unreadable, rotted = 37, 5, 29
+	want := make([]byte, sectors*ss)
+	rand.New(rand.NewSource(3)).Read(want)
+	if err := m.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	raw[0].InjectUnreadable(unreadable, 1)
+	raw[1].CorruptRange(rotted*ss, ss, 0x5a)
+	chk := make([]byte, sectors*ss)
+	for i := 0; i < 2; i++ { // the rotation offers replica 0 first once
+		if err := m.ReadAt(chk, 0); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+	}
+	if st := m.Stats(); st.DegradedReads != 1 || st.Heals != 1 {
+		t.Fatalf("stats = %+v, want one degraded read and one heal", st)
+	}
+	if err := raw[0].ReadAt(chk, 0); err != nil {
+		t.Fatalf("replica 0 after the heal: %v", err)
+	}
+	if !bytes.Equal(chk, want) {
+		t.Fatal("the heal copied replica 1's rot over replica 0's good sector")
+	}
+}
+
 // TestMirrorReadAtVerified: silent rot on one replica is detected by the
 // caller's verify function, served from the sibling, and healed.
 func TestMirrorReadAtVerified(t *testing.T) {

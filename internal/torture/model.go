@@ -144,9 +144,12 @@ func (m *model) verify(l *lld.LLD, rep lld.RecoveryReport) error {
 		bids = append(bids, b)
 	}
 	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	for _, bid := range bids {
+	reads := make([]ld.BlockRead, len(bids)) // what each Read below returned
+	vals := make([][]byte, len(bids))
+	for i, bid := range bids {
 		bs := m.blocks[bid]
 		n, err := l.Read(bid, buf)
+		reads[i], vals[i] = ld.BlockRead{N: n, Err: err}, append([]byte(nil), buf[:n]...)
 		switch {
 		case err == nil:
 			if !bs.acceptableValue(buf[:n]) {
@@ -170,6 +173,26 @@ func (m *model) verify(l *lld.LLD, rep lld.RecoveryReport) error {
 			}
 		default:
 			return fmt.Errorf("block %d: unexpected read error after recovery: %w", bid, err)
+		}
+	}
+	// One batch over the same blocks: every recovered image — torn tails,
+	// quarantined segments, degraded mirrors — must read entry for entry as
+	// it just did block by block.
+	bufs := make([][]byte, len(bids))
+	for i := range bufs {
+		bufs[i] = make([]byte, l.MaxBlockSize())
+	}
+	batch, err := l.ReadBlocks(bids, bufs)
+	if err != nil {
+		return fmt.Errorf("ReadBlocks after recovery: %w", err)
+	}
+	for i, bid := range bids {
+		got, want := batch[i], reads[i]
+		if got.N != want.N || !bytes.Equal(bufs[i][:got.N], vals[i]) || (got.Err == nil) != (want.Err == nil) ||
+			errors.Is(got.Err, ld.ErrBadBlock) != errors.Is(want.Err, ld.ErrBadBlock) ||
+			errors.Is(got.Err, ld.ErrCorrupt) != errors.Is(want.Err, ld.ErrCorrupt) {
+			return fmt.Errorf("block %d: ReadBlocks returned %d bytes, %v; Read returned %d bytes, %v",
+				bid, got.N, got.Err, want.N, want.Err)
 		}
 	}
 	if !degraded {
