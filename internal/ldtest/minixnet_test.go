@@ -1,0 +1,129 @@
+// MINIX over the network: minixfs mounted on a netld client must turn a
+// sequential file read into batched reads on the wire (OpReadMulti), and a
+// lossy link must not change a byte of what the read returns.
+package ldtest
+
+import (
+	"bytes"
+	"math/rand"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/disk"
+	"repro/internal/ld"
+	"repro/internal/lld"
+	"repro/internal/minixfs"
+	"repro/internal/netld/client"
+	"repro/internal/netld/faultconn"
+	"repro/internal/netld/server"
+	"repro/internal/netld/wire"
+)
+
+func TestMinixOverNetLDReadsInBatches(t *testing.T) {
+	d := disk.New(disk.DefaultConfig(16 << 20))
+	o := lld.DefaultOptions()
+	o.SegmentSize = 64 * 1024
+	o.SummarySize = 8 * 1024
+	if err := lld.Format(d, o); err != nil {
+		t.Fatal(err)
+	}
+	l, err := lld.Open(d, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{
+		Disk:   l,
+		Reopen: func() (ld.Disk, error) { return lld.Open(d, o) },
+	})
+	defer srv.Close()
+	dialWith := func(cfg faultconn.Config) func() (net.Conn, error) {
+		return func() (net.Conn, error) {
+			cl, sv := net.Pipe()
+			go srv.ServeConn(sv)
+			cfg.Seed++ // a redial must not replay the drop that killed the last connection
+			return faultconn.Wrap(cl, cfg), nil
+		}
+	}
+	readMultis := func() uint64 { return srv.Stats().Ops[wire.OpName(wire.OpReadMulti)].Count }
+
+	const blocks = 96
+	data := make([]byte, blocks*4096)
+	rand.New(rand.NewSource(21)).Read(data)
+	readBack := func(t *testing.T, fs *minixfs.FS) {
+		t.Helper()
+		f, err := fs.Open("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 8192)
+		for off := 0; off < len(data); off += len(buf) {
+			n, err := f.ReadAt(buf, int64(off))
+			if err != nil || !bytes.Equal(buf[:n], data[off:off+len(buf)]) {
+				t.Fatalf("read at %d: n=%d err=%v", off, n, err)
+			}
+		}
+	}
+
+	// A clean link: write the file, drop the cache, read it in order.
+	c, err := client.New(dialWith(faultconn.Config{}), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := minixfs.FormatLD(c, 4096, minixfs.LDConfig{PerFileLists: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := minixfs.Mkfs(be, minixfs.Config{BlockSize: 4096, NInodes: 64, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	before := readMultis()
+	readBack(t, fs)
+	clean := readMultis() - before
+	if want := uint64(blocks / 32); clean < want || clean > want+2 {
+		t.Errorf("server saw %d OpReadMulti for a %d-block sequential read, want about %d", clean, blocks, want)
+	}
+	if st := fs.Stats(); st.ReadaheadBlocks == 0 || st.ReadaheadBatches == 0 {
+		t.Errorf("nothing read ahead over the wire: %+v", st)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	// A lossy link: connections die and stall at random under the mount
+	// and the read; the client redials and retries whole batches.
+	lossy, err := client.New(dialWith(faultconn.Config{Seed: 100, DropProb: 0.03, DelayProb: 0.2, MaxDelay: 100 * time.Microsecond}),
+		client.Options{Retries: 20, Backoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lossy.Close()
+	be, err = minixfs.OpenLD(lossy, 4096, minixfs.LDConfig{PerFileLists: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err = minixfs.Open(be, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = readMultis()
+	readBack(t, fs)
+	if got := readMultis() - before; got < clean {
+		t.Errorf("lossy link: %d OpReadMulti, the clean link needed %d", got, clean)
+	}
+	if lossy.Dials() < 2 {
+		t.Errorf("the lossy link never dropped a connection (%d dials): the test proves nothing", lossy.Dials())
+	}
+}

@@ -12,8 +12,17 @@
 // The delta between the two backends mirrors the paper's Section 4.1: with
 // LD the file system stops tracking free disk space for data blocks, stores
 // a list identifier in each i-node, allocates blocks with NewBlock (list
-// and predecessor hints), and turns sync into an LD Flush. Read-ahead is
-// only used on the bitmap backend, as in the paper.
+// and predecessor hints), and turns sync into an LD Flush.
+//
+// Reads have one fetch path on both backends: a miss in ReadAt hands the
+// blocks the call still needs, and on the backend's say-so the file's next
+// blocks, to Backend.ReadBlocks in one batch. The bitmap backend coalesces
+// consecutive zones into one request each and reads ahead on every miss,
+// as MINIX does. The paper switched read-ahead off for MINIX LLD, "because
+// blocks that MINIX thinks are contiguous may not be" (§4.1); here the
+// batch goes to LD, which knows where the blocks are and reads them in
+// platter order, and only a file being read in order is read ahead.
+// LDConfig.NoReadahead restores the paper's one block per request.
 package minixfs
 
 import "errors"
@@ -71,11 +80,17 @@ type Backend interface {
 	// Flush makes all completed writes durable (LD Flush / raw-disk sync).
 	Flush() error
 
-	// SupportsReadahead reports whether physical-contiguity read-ahead is
-	// meaningful (true for the bitmap backend; the paper disables
-	// read-ahead for MINIX LLD because logically consecutive blocks need
-	// not be physically consecutive).
-	SupportsReadahead() bool
+	// ReadBlocks fills bufs[i] from block hs[i] as ReadBlock would, in as
+	// few device requests as the backend can manage, and returns each
+	// block's error in errs[i]. One bad block fails only its own entry.
+	ReadBlocks(hs []Handle, bufs [][]byte) (errs []error)
+
+	// BatchWindow is the backend's read policy. 0: a miss reads its one
+	// block with ReadBlock. n > 0: a miss hands ReadBlocks every block
+	// the call still demands and, past them, the file's next blocks up
+	// to n counted from the missed one. sequential reports whether the
+	// handle is being read in order.
+	BatchWindow(sequential bool) int
 
 	// BlockAt resolves the idx-th block of a per-file list — offset
 	// addressing (paper §5.4), which lets a file system do without

@@ -31,6 +31,9 @@ type bufEntry struct {
 	h     Handle
 	data  []byte
 	dirty bool
+	// missed marks a block a batch fetched for a lookup that has not
+	// happened yet: that lookup is a miss, not a hit.
+	missed bool
 }
 
 func newBufCache(be Backend, capacity int) *bufCache {
@@ -50,7 +53,12 @@ func (c *bufCache) get(h Handle, size int) (*bufEntry, error) {
 		e := el.Value.(*bufEntry)
 		if len(e.data) >= size {
 			c.lru.MoveToFront(el)
-			c.hits++
+			if e.missed {
+				e.missed = false
+				c.misses++
+			} else {
+				c.hits++
+			}
 			return e, nil
 		}
 		// Grow: refetch the larger extent, preserving the dirty prefix.
@@ -102,6 +110,18 @@ func (c *bufCache) install(h Handle, data []byte, dirty bool) error {
 	return c.evict()
 }
 
+// fill puts what a batch just read from the backend into the cache, clean.
+// A copy already cached may be dirty and always wins. demanded says the
+// caller is about to look the block up (see bufEntry.missed).
+func (c *bufCache) fill(h Handle, data []byte, demanded bool) error {
+	if c.contains(h) {
+		return nil
+	}
+	c.entries[h] = c.lru.PushFront(&bufEntry{h: h, data: data, missed: demanded})
+	c.size += len(data)
+	return c.evict()
+}
+
 // markDirty flags a cached entry as modified.
 func (c *bufCache) markDirty(h Handle) {
 	if el, ok := c.entries[h]; ok {
@@ -141,7 +161,7 @@ func (c *bufCache) endTrackFlush() error {
 	return nil
 }
 
-// contains reports whether h is cached (used by read-ahead).
+// contains reports whether h is cached.
 func (c *bufCache) contains(h Handle) bool {
 	_, ok := c.entries[h]
 	return ok

@@ -12,8 +12,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// Conformance runs the shared black-box suite against all four MINIX
-// configurations, the same suite the FFS baseline must pass.
+// Conformance runs the shared black-box suite against every MINIX
+// configuration, the same suite the FFS baseline must pass. "ld-paper" is
+// MINIX LLD with NoReadahead, one block per LD request as in the paper; the
+// other LD kinds read in batches.
 func TestConformance(t *testing.T) {
 	mk := func(kind string) fstest.Factory {
 		return func(t *testing.T) vfs.FileSystem {
@@ -55,7 +57,7 @@ func TestConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			be, err := minixfs.FormatLD(l, 4096, minixfs.LDConfig{PerFileLists: kind != "ld-single"})
+			be, err := minixfs.FormatLD(l, 4096, minixfs.LDConfig{PerFileLists: kind != "ld-single", NoReadahead: kind == "ld-paper"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +71,7 @@ func TestConformance(t *testing.T) {
 			return fs
 		}
 	}
-	for _, kind := range []string{"bitmap", "ld-single", "ld-perfile", "ld-small", "uld-perfile"} {
+	for _, kind := range []string{"bitmap", "ld-single", "ld-perfile", "ld-paper", "ld-small", "uld-perfile"} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			fstest.Conformance(t, mk(kind))

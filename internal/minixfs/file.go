@@ -4,16 +4,14 @@ import (
 	"repro/internal/vfs"
 )
 
-// readaheadBlocks is how far MINIX prefetches past a read miss when the
-// backend supports it (bitmap backend only; the paper disables read-ahead
-// for MINIX LLD).
-const readaheadBlocks = 7
-
 // file implements vfs.File over one i-node.
 type file struct {
 	fs     *FS
 	n      uint32
 	closed bool
+	// next is where the last ReadAt ended: a ReadAt that starts there (0
+	// on a fresh handle) is reading the file in order.
+	next int64
 }
 
 func (f *file) check() error {
@@ -56,6 +54,9 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		p = p[:max]
 	}
 	bs := int64(f.fs.sb.BlockSize)
+	sequential := off == f.next
+	f.next = off + int64(len(p))
+	last := int((f.next - 1) / bs)
 	read := 0
 	for read < len(p) {
 		idx := int((off + int64(read)) / bs)
@@ -76,8 +77,8 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 			read += n
 			continue
 		}
-		if !f.fs.cache.contains(h) && f.fs.be.SupportsReadahead() {
-			f.fs.readahead(f.n, &ino, idx)
+		if !f.fs.cache.contains(h) {
+			f.fs.fetch(f.n, &ino, idx, last, sequential)
 		}
 		e, err := f.fs.cache.get(h, f.fs.sb.BlockSize)
 		if err != nil {
@@ -90,56 +91,59 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	return read, nil
 }
 
-// readahead prefetches the blocks after file block idx, combining
-// physically contiguous zones into a single disk request. This is the
-// classic MINIX prefetch that pays off on sequentially allocated files and
-// backfires on random access (paper §4.2: "MINIX's read-ahead strategy
-// fails" on random reads).
-func (fs *FS) readahead(n uint32, ino *inode, idx int) {
-	type run struct {
-		first Handle
-		count int
-	}
-	var runs []run
-	prev := NilHandle
-	for i := idx; i <= idx+readaheadBlocks; i++ {
-		h, err := fs.bmap(n, ino, i, false)
-		if err != nil || h == NilHandle {
-			break
-		}
-		if i > idx && fs.cache.contains(h) {
-			break
-		}
-		if prev != NilHandle && h == prev+1 {
-			runs[len(runs)-1].count++
-		} else {
-			runs = append(runs, run{first: h, count: 1})
-		}
-		prev = h
+// fetch serves a read miss on file block idx of a ReadAt that demands the
+// blocks through last: one Backend.ReadBlocks for the run of file blocks
+// from idx to the end of the demand or of the backend's window, whichever
+// is further. The run stops at a hole, at end of file and at the first
+// block already cached, so a dirty block is never replaced by its stale
+// copy on disk. What was read is installed in the cache; the caller's
+// cache.get finds it there, or reads the block alone and reports its error.
+func (fs *FS) fetch(n uint32, ino *inode, idx, last int, sequential bool) {
+	w := fs.be.BatchWindow(sequential)
+	if w == 0 {
+		return
 	}
 	bs := fs.sb.BlockSize
-	for _, r := range runs {
-		if rr, ok := fs.be.(interface {
-			ReadBlockRun(first Handle, count int, buf []byte) error
-		}); ok && r.count > 1 {
-			buf := make([]byte, r.count*bs)
-			if err := rr.ReadBlockRun(r.first, r.count, buf); err != nil {
-				return
-			}
-			for i := 0; i < r.count; i++ {
-				blk := make([]byte, bs)
-				copy(blk, buf[i*bs:])
-				if err := fs.cache.install(r.first+Handle(i), blk, false); err != nil {
-					return
-				}
-				fs.stats.ReadaheadBlocks++
-			}
+	end := idx + w
+	if end <= last {
+		end = last + 1
+	}
+	// A batch is at most a quarter of the cache, so that installing it
+	// evicts none of its own blocks before they are used.
+	if lim := idx + fs.cache.capacity/bs/4; end > lim {
+		end = lim
+	}
+	if eof := (int(ino.Size) + bs - 1) / bs; end > eof {
+		end = eof
+	}
+	hs := make([]Handle, 0, end-idx)
+	for i := idx; i < end; i++ {
+		h, err := fs.bmap(n, ino, i, false)
+		if err != nil || h == NilHandle || i > idx && fs.cache.contains(h) {
+			break
+		}
+		hs = append(hs, h)
+	}
+	if len(hs) < 2 {
+		return // cache.get's ReadBlock is the same single request
+	}
+	bufs := make([][]byte, len(hs))
+	for i := range bufs {
+		bufs[i] = make([]byte, bs)
+	}
+	errs := fs.be.ReadBlocks(hs, bufs)
+	demanded := last + 1 - idx
+	if len(hs) > demanded {
+		fs.stats.ReadaheadBatches++
+	}
+	for i, h := range hs {
+		if errs[i] != nil {
 			continue
 		}
-		for i := 0; i < r.count; i++ {
-			if _, err := fs.cache.get(r.first+Handle(i), bs); err != nil {
-				return
-			}
+		if err := fs.cache.fill(h, bufs[i], i < demanded); err != nil {
+			return
+		}
+		if i >= demanded {
 			fs.stats.ReadaheadBlocks++
 		}
 	}

@@ -106,7 +106,10 @@ type Stats struct {
 	Creates, Unlinks, Opens int64
 	BytesRead, BytesWritten int64
 	CacheHits, CacheMisses  int64
-	ReadaheadBlocks         int64
+	// ReadaheadBlocks counts blocks fetched past what a read demanded,
+	// ReadaheadBatches the backend batches that carried any. A demanded
+	// block is a cache miss however it was fetched.
+	ReadaheadBlocks, ReadaheadBatches int64
 }
 
 // FS is the MINIX file system. It implements vfs.FileSystem.
