@@ -244,8 +244,8 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	if ll, ok := cur.(*lld.LLD); ok {
 		s := ll.Stats()
 		fmt.Fprintf(os.Stderr,
-			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB); background: %d passes, %d steps, %d errors, %d writer waits\n",
-			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20,
+			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB), %d summaries read back; background: %d passes, %d steps, %d errors, %d writer waits\n",
+			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20, s.SummaryLoads,
 			s.BGCleanPasses, s.BGCleanSteps, s.BGCleanErrors, s.WriterWaits)
 		fmt.Fprintf(os.Stderr,
 			"ldserver: batched reads: %d batches, %d blocks, %d extents (%d MB), %d fallbacks\n",

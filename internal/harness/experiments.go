@@ -634,72 +634,74 @@ func FlushCost(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Cleaner is the §3.5 ablation: hot/cold overwrites at high utilization
-// under the greedy and cost-benefit policies; reports write amplification.
+// Cleaner is the §3.5 experiment: hot/cold overwrites at high utilization
+// under the one victim rule lld ships (empty segments first, the rest by
+// cost-benefit); reports what cleaning cost.
 func Cleaner(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "Cleaner (§3.5)",
-		Title:  "Cleaning policies under hot/cold overwrites (90% hot traffic to 1% of blocks)",
-		Header: []string{"Policy", "Segments cleaned", "Blocks moved", "Write amplification", "KB read / segment cleaned"},
+		Title:  "Cleaning under hot/cold overwrites (90% hot traffic to 1% of blocks)",
+		Header: []string{"Victim rule", "Segments cleaned", "Blocks moved", "Write amplification", "KB read / segment cleaned", "Summary loads"},
 	}
-	for _, pol := range []lld.CleanPolicy{lld.PolicyGreedy, lld.PolicyCostBenefit} {
-		// A small cache keeps the hot/cold traffic from being absorbed in
-		// memory; the experiment targets the disk layout.
-		s, err := BuildMinixLLD(32<<20, LLDVariant{PerFileLists: true, Policy: pol, CacheBytes: 512 * 1024})
-		if err != nil {
+	// A small cache keeps the hot/cold traffic from being absorbed in
+	// memory; the experiment targets the disk layout.
+	s, err := BuildMinixLLD(32<<20, LLDVariant{PerFileLists: true, CacheBytes: 512 * 1024})
+	if err != nil {
+		return nil, err
+	}
+	defer s.FS.Close()
+	// Fill to ~70% with one large file, then overwrite hot/cold.
+	f, err := s.FS.Create("/hotcold")
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	usable := s.LLD.UsableBytes()
+	nBlocks := int(usable / 2 / 4096)
+	chunk := make([]byte, 4096)
+	for i := 0; i < nBlocks; i++ {
+		if _, err := f.WriteAt(chunk, int64(i)*4096); err != nil {
 			return nil, err
 		}
-		// Fill to ~70% with one large file, then overwrite hot/cold.
-		f, err := s.FS.Create("/hotcold")
-		if err != nil {
+	}
+	if err := s.FS.Sync(); err != nil {
+		return nil, err
+	}
+	s.LLD.ResetStats()
+	s.Disk.ResetStats()
+	pattern := workload.HotCold(nBlocks, 0.01, 0.90, nBlocks*10, 3)
+	for i, b := range pattern {
+		if _, err := f.WriteAt(chunk, int64(b)*4096); err != nil {
 			return nil, err
 		}
-		usable := s.LLD.UsableBytes()
-		nBlocks := int(usable / 2 / 4096)
-		chunk := make([]byte, 4096)
-		for i := 0; i < nBlocks; i++ {
-			if _, err := f.WriteAt(chunk, int64(i)*4096); err != nil {
+		if i%512 == 511 {
+			if err := s.FS.Sync(); err != nil {
 				return nil, err
 			}
 		}
-		if err := s.FS.Sync(); err != nil {
-			return nil, err
-		}
-		s.LLD.ResetStats()
-		s.Disk.ResetStats()
-		pattern := workload.HotCold(nBlocks, 0.01, 0.90, nBlocks*10, 3)
-		for i, b := range pattern {
-			if _, err := f.WriteAt(chunk, int64(b)*4096); err != nil {
-				return nil, err
-			}
-			if i%512 == 511 {
-				if err := s.FS.Sync(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := s.FS.Sync(); err != nil {
-			return nil, err
-		}
-		st := s.LLD.Stats()
-		ds := s.Disk.Stats()
-		// Write amplification relative to the bytes the file system handed
-		// LD (the buffer cache already absorbed re-dirtied hot blocks).
-		amp := float64(ds.BytesWritten(512)) / float64(st.UserBytesWritten)
-		perSeg := "-"
-		if st.SegmentsCleaned > 0 {
-			perSeg = f1(float64(st.CleanReadBytes) / 1024 / float64(st.SegmentsCleaned))
-		}
-		t.Rows = append(t.Rows, []string{pol.String(),
-			fmt.Sprintf("%d", st.SegmentsCleaned),
-			fmt.Sprintf("%d", st.BlocksMoved),
-			fmt.Sprintf("%.2f", amp),
-			perSeg})
-		f.Close()
-		s.FS.Close()
 	}
+	if err := s.FS.Sync(); err != nil {
+		return nil, err
+	}
+	st := s.LLD.Stats()
+	ds := s.Disk.Stats()
+	// Write amplification relative to the bytes the file system handed
+	// LD (the buffer cache already absorbed re-dirtied hot blocks).
+	amp := float64(ds.BytesWritten(512)) / float64(st.UserBytesWritten)
+	perSeg := "-"
+	if st.SegmentsCleaned > 0 {
+		perSeg = f1(float64(st.CleanReadBytes) / 1024 / float64(st.SegmentsCleaned))
+	}
+	t.Rows = append(t.Rows, []string{"empty first, then (1-u)*age/(2u)",
+		fmt.Sprintf("%d", st.SegmentsCleaned),
+		fmt.Sprintf("%d", st.BlocksMoved),
+		fmt.Sprintf("%.2f", amp),
+		perSeg,
+		fmt.Sprintf("%d", st.SummaryLoads)})
 	t.Notes = append(t.Notes,
 		"write amplification = physical bytes written / logical bytes written",
-		"KB read / segment cleaned = the victim's two summary slots plus its live extents (a 512-KB segment read whole would be 512)")
+		"KB read / segment cleaned = the victim's live extents; what its summary names is in memory, so a dead victim reads nothing (a 512-KB segment read whole would be 512)",
+		"summary loads = victims whose summary had to be read back: only on an instance mounted from a clean-shutdown checkpoint",
+		"on this short run greedy cleaned 30 segments / moved 952 blocks / 1.22 and (1-u)*age/(1+u) 32 / 1,462 / 1.32 (EXPERIMENTS.md §3.5 has the long-horizon numbers)")
 	return t, nil
 }

@@ -132,11 +132,10 @@ const CacheBytes = 6144 * 1024
 // (minixfs.LDConfig.NoReadahead), so every table is the paper's
 // construction unless a row says otherwise.
 type LLDVariant struct {
-	SegmentSize     int  // 0 = the paper's 512 KB
-	PerFileLists    bool // one LD list per file (the refined MINIX LLD)
-	SmallInodes     bool // 64-byte i-node blocks
-	Compress        bool // compress file data lists
-	Policy          lld.CleanPolicy
+	SegmentSize     int    // 0 = the paper's 512 KB
+	PerFileLists    bool   // one LD list per file (the refined MINIX LLD)
+	SmallInodes     bool   // 64-byte i-node blocks
+	Compress        bool   // compress file data lists
 	CacheBytes      int    // 0 = the paper's 6,144 KB
 	NInodes         uint32 // 0 = 16384
 	NVRAMBytes      int    // §5.3 NVRAM absorbing partial-segment writes
@@ -158,7 +157,6 @@ func BuildMinixLLD(capacity int64, v LLDVariant) (*MinixLLDStack, error) {
 	if v.SegmentSize != 0 {
 		opts.SegmentSize = v.SegmentSize
 	}
-	opts.Policy = v.Policy
 	opts.NVRAMBytes = v.NVRAMBytes
 	opts.CompressOnClean = v.CompressOnClean
 	if err := lld.Format(d, opts); err != nil {
@@ -246,7 +244,7 @@ func All() []Experiment {
 		{"inodesize", "Packed i-node blocks vs 64-byte i-node blocks (paper §4.2)", InodeBlocks},
 		{"compressbw", "Throughput with transparent compression (paper §4.2)", CompressBW},
 		{"flushcost", "Partial-segment strategy: cost of Flush vs fill (paper §3.2)", FlushCost},
-		{"cleaner", "Cleaning policies under hot/cold overwrites (paper §3.5)", Cleaner},
+		{"cleaner", "Cleaning under hot/cold overwrites (paper §3.5)", Cleaner},
 		{"ldimpl", "Log-structured vs update-in-place LD implementations (paper §5.2)", LDImpl},
 		{"reorg", "Idle-time disk reorganizer restores sequential layout (paper §3.5)", Reorg},
 		{"aru", "Atomic recovery units eliminate fsck (paper §2.1)", ARUConsistency},

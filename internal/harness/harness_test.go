@@ -299,13 +299,25 @@ func TestCleanerShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tab.Render())
-	for row := 0; row < 2; row++ {
-		if cell(t, tab, row, 1) == 0 {
-			t.Errorf("policy %s never cleaned", tab.Rows[row][0])
-		}
-		if amp := cell(t, tab, row, 3); amp < 1 || amp > 10 {
-			t.Errorf("policy %s write amplification %.2f implausible", tab.Rows[row][0], amp)
-		}
+	if len(tab.Rows) != 1 {
+		t.Fatalf("%d rows, want the one shipped victim rule", len(tab.Rows))
+	}
+	cleaned, moved := cell(t, tab, 0, 1), cell(t, tab, 0, 2)
+	if cleaned == 0 || moved == 0 {
+		t.Errorf("cleaned %.0f segments and moved %.0f blocks: the run never exercised the cleaner", cleaned, moved)
+	}
+	if amp := cell(t, tab, 0, 3); amp < 1 || amp > 2 {
+		t.Errorf("write amplification %.2f implausible", amp)
+	}
+	// A victim costs its live extents (dead gaps of up to a track between
+	// them included) and nothing else: at least the blocks moved out of it,
+	// less than its data area, and never a summary — the instance was
+	// mounted by the sweep.
+	if perSeg, liveKB := cell(t, tab, 0, 4), moved*4/cleaned; perSeg < liveKB || perSeg >= 496 {
+		t.Errorf("%.1f KB read per victim for %.1f KB of live blocks", perSeg, liveKB)
+	}
+	if loads := cell(t, tab, 0, 5); loads != 0 {
+		t.Errorf("%.0f victims had their summary read back", loads)
 	}
 }
 

@@ -382,7 +382,7 @@ func TestCleanBootstrapSkip(t *testing.T) {
 		return l
 	}
 
-	// Probe the image: among the zero-live victims the greedy policy ranks
+	// Probe the image: among the zero-live victims, which the victim rule ranks
 	// first, find one that is fact-bound (cleaning it needs room to re-log
 	// and fails with ErrNoSpace) and confirm another frees directly. Each
 	// probe gets a fresh instance since cleanSegment mutates on success.
@@ -425,13 +425,55 @@ func TestCleanBootstrapSkip(t *testing.T) {
 		t.Fatalf("no directly-freeable segment among %v; workload needs tuning", zeroLive)
 	}
 
-	// The regression: force the fact-bound victim to rank first (greedy
-	// breaks zero-live ties toward the oldest segment) and Clean must set
-	// it aside and free another instead of returning its ErrNoSpace.
+	// The regression: when the victim the rule ranks first — the oldest
+	// empty segment — is the fact-bound one, Clean must get past it (a
+	// consolidation that makes its facts droppable, or setting it aside for
+	// a superseded one) instead of returning its ErrNoSpace. The fact-bound
+	// segment holds the deletion burst, the newest records on the disk, so
+	// it ranks last: re-date it, stamp and records, to the beginning of
+	// time. Every field its records assigned (anything stamped after the
+	// segment sealed before it) moves with the stamp, so the cleaner still
+	// finds them to be the victim's own.
 	l := reopen()
 	l.mu.Lock()
-	l.segs[factBound].ts = 0
+	var prev uint64
+	for i := range l.segs {
+		if ts := l.segs[i].ts; i != factBound && ts > prev {
+			prev = ts
+		}
+	}
+	redate := func(ts *uint64) {
+		if *ts > prev {
+			*ts = 1
+		}
+	}
+	names := l.segs[factBound].names
+	for _, b := range names.exist() {
+		redate(&l.blocks[b].existTS)
+		redate(&l.blocks[b].linkTS)
+	}
+	for _, b := range names.data() {
+		redate(&l.blocks[b].dataTS)
+	}
+	for _, v := range names.lists() {
+		if li := l.lists[ld.ListID(v)]; li != nil {
+			redate(&li.existTS)
+			redate(&li.headTS)
+			redate(&li.orderTS)
+		}
+	}
+	l.segs[factBound].ts = 1
+	if first := l.pickVictim(nil); first != factBound {
+		l.mu.Unlock()
+		t.Fatalf("segment %d ranks first, want the fact-bound segment %d", first, factBound)
+	}
+	l.cleaning = true
+	err := l.cleanSegment(factBound)
+	l.cleaning = false
 	l.mu.Unlock()
+	if !errors.Is(err, ld.ErrNoSpace) {
+		t.Fatalf("cleaning the re-dated segment %d: %v, want ErrNoSpace", factBound, err)
+	}
 	cleaned, err := l.Clean(opts.CleanHigh)
 	if err != nil {
 		t.Fatalf("Clean on a space-tight disk: %v", err)

@@ -3,6 +3,7 @@ package lld
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/compress"
@@ -11,11 +12,11 @@ import (
 )
 
 // The cleaner produces empty segments by moving the live blocks out of
-// mostly-dead segments (paper §3.5). Victims are chosen greedily by fewest
-// live bytes or by Rosenblum & Ousterhout's cost-benefit formula. While
-// copying, the cleaner uses the list information to reorder blocks into
-// list order, improving sequential read performance — the paper's
-// "simplistic clustering strategy".
+// mostly-dead segments (paper §3.5). Victims are dead segments first, then
+// by Rosenblum & Ousterhout's cost-benefit formula priced on what this
+// cleaner does (pickVictim). While copying, the cleaner uses the list
+// information to reorder blocks into list order, improving sequential read
+// performance — the paper's "simplistic clustering strategy".
 //
 // Because LLD keeps no checkpoints, every metadata fact must remain
 // derivable from the summaries of live segments. Before a victim's summary
@@ -23,9 +24,11 @@ import (
 // value of every field whose newest determining record lives in that
 // summary: a tBlockState/tListState snapshot for live entities, a
 // tBlockFree/tDelList tombstone for freed ones, a tDataAt for data
-// locations. The per-field timestamps kept by noteTuple make the check
-// O(records in the victim). This is the paper's "removes old logging
-// information ... during cleaning" (§3.5) made precise.
+// locations. The per-field timestamps kept by noteTuple, the ids the
+// summary names (kept in the segment usage table, sumNames) and the
+// segment's stamp make the check O(ids the victim names) with no summary
+// read back. This is the paper's "removes old logging information ...
+// during cleaning" (§3.5) made precise.
 
 // cleanPass carries the state of one cleaning pass across cleanSome calls,
 // so a pass split into lock-released steps (the background cleaner) walks
@@ -173,35 +176,149 @@ func (l *LLD) Clean(n int) (int, error) {
 }
 
 // pickVictim selects the next segment to clean, or -1 if none qualifies.
-// Segments in skip are passed over. Callers hold l.mu.
+// Segments in skip are passed over. There is one rule. A segment with
+// nothing live costs nothing to clean — no request, no byte moved — so
+// those go first, oldest stamp first. Every other is ranked by benefit over
+// what this cleaner pays for it, (1-u)*age/(2u): a victim at utilization u
+// frees 1-u of a segment, kept free for as long as its data stayed put
+// (age), for reading the live bytes and writing them again. Sprite LFS
+// divides by 1+u because its cleaner reads the whole segment; this one reads
+// live extents only. The two levels are compared as such, not folded into
+// one float. Callers hold l.mu.
 func (l *LLD) pickVictim(skip map[int]bool) int {
-	best := -1
-	var bestKey float64
+	best, bestEmpty := -1, false
+	var bestScore float64
+	dataCap := int64(l.lay.dataCap())
 	for i := range l.segs {
 		s := &l.segs[i]
-		if s.state != segLive || skip[i] {
+		if s.state != segLive || skip[i] || s.live >= dataCap {
+			continue // not a candidate, or nothing to gain
+		}
+		if s.live == 0 {
+			if !bestEmpty || s.ts < l.segs[best].ts {
+				best, bestEmpty = i, true
+			}
 			continue
 		}
-		u := float64(s.live) / float64(l.lay.dataCap())
-		if u >= 1 {
-			continue // nothing to gain
+		if bestEmpty {
+			continue
 		}
-		var key float64
-		switch l.opts.Policy {
-		case PolicyCostBenefit:
-			age := float64(l.ts-s.ts) + 1
-			key = (1 - u) * age / (1 + u)
-		default: // greedy: fewest live bytes; prefer older on ties
-			key = -float64(s.live) - float64(s.ts)/float64(l.ts+1)
-		}
-		if best < 0 || key > bestKey {
-			best, bestKey = i, key
+		u := float64(s.live) / float64(dataCap)
+		score := (1 - u) * float64(l.ts-s.ts+1) / (2 * u)
+		if best < 0 || score > bestScore {
+			best, bestScore = i, score
 		}
 	}
 	return best
 }
 
-// cleanRead is dskRead for the cleaner's victim reads, counted.
+// sumNames is what a segment's newest summary names: the part of a summary
+// the cleaner needs, kept in memory beside the segment's usage-table entry
+// so that no victim's summary is read back (DESIGN.md §8 "What the cleaner
+// pays"). ids holds three classes, each ascending without duplicates and
+// without the nil id: the blocks whose data location a record of the
+// summary assigns (every entry, and the tuples that clear or restate one),
+// the blocks whose existence or successor pointer a tuple assigns, and the
+// lists a tuple assigns a field of. fences are the argument sets of its
+// abort fences, in log order.
+type sumNames struct {
+	ids           []uint32
+	nData, nExist int
+	fences        [][4]uint32
+}
+
+func (n *sumNames) data() []uint32  { return n.ids[:n.nData] }
+func (n *sumNames) exist() []uint32 { return n.ids[n.nData : n.nData+n.nExist] }
+func (n *sumNames) lists() []uint32 { return n.ids[n.nData+n.nExist:] }
+
+func (n *sumNames) equal(o *sumNames) bool {
+	return n.nData == o.nData && n.nExist == o.nExist &&
+		slices.Equal(n.ids, o.ids) && slices.Equal(n.fences, o.fences)
+}
+
+// newSumNames derives a summary's names from its records. It is the only
+// statement of which ids a record names (noteTuple says which field
+// timestamps it sets; the two agree class for class). A summary is in memory
+// when its segment is sealed, when the recovery sweep has decoded it and
+// when ReclaimQuarantined has read its slots, and each of them calls this.
+func newSumNames(entries []blockEntry, tuples []tupleRec) *sumNames {
+	n := &sumNames{}
+	var data, exist, lists []uint32
+	for i := range entries {
+		data = append(data, uint32(entries[i].bid))
+	}
+	for i := range tuples {
+		t := &tuples[i]
+		switch t.kind {
+		case tAlloc, tFree:
+			// The block itself — existence, membership, successor, and data
+			// (none) — and the edge that led to it: the list's head, or the
+			// predecessor's successor pointer.
+			exist = append(exist, t.args[0])
+			data = append(data, t.args[0])
+			switch {
+			case t.args[4]&1 != 0:
+				lists = append(lists, t.args[1])
+			case t.kind == tAlloc:
+				exist = append(exist, t.args[3])
+			default:
+				exist = append(exist, t.args[2])
+			}
+		case tNewList, tDelList, tMoveList, tListState:
+			lists = append(lists, t.args[0])
+		case tBlockState:
+			exist = append(exist, t.args[0])
+		case tBlockFree:
+			exist = append(exist, t.args[0])
+			data = append(data, t.args[0])
+		case tDataAt:
+			data = append(data, t.args[0])
+		case tFence:
+			n.fences = append(n.fences, [4]uint32(t.args[:4]))
+		}
+	}
+	data, exist, lists = idSet(data), idSet(exist), idSet(lists)
+	n.nData, n.nExist = len(data), len(exist)
+	n.ids = make([]uint32, 0, len(data)+len(exist)+len(lists))
+	n.ids = append(append(append(n.ids, data...), exist...), lists...)
+	return n
+}
+
+// idSet sorts ids in place and drops duplicates and the nil id ("no
+// predecessor").
+func idSet(ids []uint32) []uint32 {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	if len(ids) > 0 && ids[0] == 0 {
+		ids = ids[1:]
+	}
+	return ids
+}
+
+// summaryNames returns the names of live segment id's newest summary. They
+// are in memory for every segment this instance sealed or its mount's sweep
+// decoded; a segment mounted from a clean-shutdown checkpoint, which read no
+// summary, has them loaded here on first need, by the one request for both
+// slots that every victim used to cost. Callers hold l.mu.
+func (l *LLD) summaryNames(id int) (*sumNames, error) {
+	s := &l.segs[id]
+	if s.names != nil {
+		return s.names, nil
+	}
+	region := l.scratch[:2*l.lay.summarySize]
+	if err := l.cleanRead(region, l.lay.sumOff(id, 0)); err != nil {
+		return nil, err
+	}
+	si, err := decodeNewestSummary(region, l.lay, id)
+	if err != nil {
+		return nil, fmt.Errorf("lld: cleaning live segment %d: %w", id, err)
+	}
+	l.stats.SummaryLoads++
+	s.names = newSumNames(si.entries, si.tuples)
+	return s.names, nil
+}
+
+// cleanRead is dskRead for the cleaner's reads, counted.
 func (l *LLD) cleanRead(p []byte, off int64) error {
 	l.stats.CleanReads++
 	l.stats.CleanReadBytes += int64(len(p))
@@ -209,90 +326,119 @@ func (l *LLD) cleanRead(p []byte, off int64) error {
 }
 
 // cleanSegment moves the live blocks out of segment id, re-logs the facts
-// whose newest record lives in its summary, and retires it. It reads the
-// victim's two summary slots first and then only the extents that hold
-// blocks it is about to move (nextExtent, the verifier's rule), so a victim
-// with nothing live costs one small request and no dead byte farther than
-// deadGapMax from a live one is ever transferred — or able to fail the
-// pass. Callers hold l.mu with l.cleaning set.
+// whose newest record lives in its summary, and retires it. It works from
+// the usage table's copy of what the summary names and reads only the
+// extents that hold blocks it is about to move (nextExtent, the verifier's
+// rule): a victim with nothing live and nothing to re-log issues no request
+// and allocates nothing, and no dead byte farther than deadGapMax from a
+// live one is ever transferred — or able to fail the pass. Callers hold l.mu
+// with l.cleaning set.
 func (l *LLD) cleanSegment(id int) error {
-	if l.cleanBuf == nil {
-		l.cleanBuf = make([]byte, l.lay.segmentSize)
-	}
-	// The buffer keeps the victim's geometry: summaries at its tail, each
-	// extent at its own offset, so moveBlock indexes it by bi.off.
-	buf := l.cleanBuf
-	if err := l.cleanRead(buf[l.lay.dataCap():], l.lay.sumOff(id, 0)); err != nil {
+	names, err := l.summaryNames(id)
+	if err != nil {
 		return err
 	}
-	si, err := decodeNewestSummary(buf[l.lay.dataCap():], l.lay, id)
-	if err != nil {
-		return fmt.Errorf("lld: cleaning live segment %d: %w", id, err)
-	}
+	l.victim = id
+	defer func() { l.victim = -1 }()
 
-	// Live blocks: everything the block-number map still places in this
-	// segment. The summary's own entries cover all of them except blocks
-	// re-homed here by SwapContents; a full map scan is only needed when
-	// the entry-derived accounting disagrees with the usage table.
-	live := make(map[ld.BlockID]bool)
+	live := l.liveIn(id, names)
+	if len(live) > 0 {
+		if err := l.moveLive(id, live); err != nil {
+			return err
+		}
+	}
+	l.crashPoint("clean.moved")
+
+	emittedBefore := l.stats.SnapshotTuples
+	if err := l.relogSummaryFacts(names, l.segs[id].ts); err != nil {
+		return err
+	}
+	l.crashPoint("clean.relogged")
+
+	if l.segs[id].live != 0 {
+		return fmt.Errorf("lld: internal: segment %d retains %d live bytes after cleaning", id, l.segs[id].live)
+	}
+	l.retireSegment(id)
+	l.stats.SegmentsCleaned++
+	if len(live) == 0 && l.stats.SnapshotTuples == emittedBefore && l.cur == nil && !l.aruOpen {
+		// Nothing was moved and nothing re-logged: every fact in this
+		// summary is superseded by records in sealed segments (no open
+		// segment means no winner still in memory), so the cooling rule has
+		// no later write to wait for — only, on a backend with a volatile
+		// cache, the drain that puts those winners on the platter. Release
+		// it now. This is also what lets recovery bootstrap cleaning on a
+		// disk whose every segment carries a (stale) summary.
+		l.releaseCooling()
+	}
+	return nil
+}
+
+// liveIn returns the blocks the block-number map still places in segment
+// id, ascending; nil when there are none. The ids its summary names cover
+// all of them except blocks re-homed here by SwapContents, so the whole map
+// is scanned only when their bytes do not add up to the usage table's count.
+// Callers hold l.mu.
+func (l *LLD) liveIn(id int, names *sumNames) []ld.BlockID {
+	var live []ld.BlockID
 	var liveBytes int64
-	for _, e := range si.entries {
-		if int(e.bid) >= len(l.blocks) {
+	for _, b := range names.data() {
+		if int(b) >= len(l.blocks) {
 			continue
 		}
-		bi := &l.blocks[e.bid]
-		if bi.allocated() && bi.hasData() && int(bi.seg) == id && bi.off == e.off && !live[e.bid] {
-			live[e.bid] = true
+		if bi := &l.blocks[b]; bi.allocated() && bi.hasData() && int(bi.seg) == id {
+			live = append(live, ld.BlockID(b))
 			liveBytes += int64(bi.stored)
 		}
 	}
 	if liveBytes != l.segs[id].live {
-		live = make(map[ld.BlockID]bool)
+		live = live[:0]
 		for i := 1; i < len(l.blocks); i++ {
-			bi := &l.blocks[i]
-			if bi.allocated() && bi.hasData() && int(bi.seg) == id {
-				live[ld.BlockID(i)] = true
+			if bi := &l.blocks[i]; bi.allocated() && bi.hasData() && int(bi.seg) == id {
+				live = append(live, ld.BlockID(i))
 			}
 		}
 	}
+	return live
+}
 
+// moveLive copies live, the blocks still in victim id, to the head of the
+// log. Callers hold l.mu.
+func (l *LLD) moveLive(id int, live []ld.BlockID) error {
 	// Cluster: emit live blocks in list order, lists in list-of-lists
 	// order (paper §3.5: the cleaner reorders blocks using the list
 	// information to improve sequential reads).
-	var ordered []ld.BlockID
-	if len(live) > 0 {
-		seen := 0
-		for _, lid := range l.order {
-			li := l.lists[lid]
-			for b := li.first; b != ld.NilBlock && seen < len(live); b = l.blocks[b].next {
-				if bi := &l.blocks[b]; int(bi.seg) == id && bi.hasData() {
-					ordered = append(ordered, b)
-					seen++
-				}
-			}
-			if seen == len(live) {
-				break
+	ordered := make([]ld.BlockID, 0, len(live))
+	for _, lid := range l.order {
+		for b := l.lists[lid].first; b != ld.NilBlock && len(ordered) < len(live); b = l.blocks[b].next {
+			if bi := &l.blocks[b]; int(bi.seg) == id && bi.hasData() {
+				ordered = append(ordered, b)
 			}
 		}
-		if seen < len(live) { // defensive: unreachable chain members
-			for b := range live {
-				found := false
-				for _, o := range ordered {
-					if o == b {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ordered = append(ordered, b)
-					l.stats.RecoveryAnomalies++
-				}
+		if len(ordered) == len(live) {
+			break
+		}
+	}
+	if len(ordered) < len(live) { // defensive: members no chain reaches
+		reached := make(map[ld.BlockID]struct{}, len(ordered))
+		for _, b := range ordered {
+			reached[b] = struct{}{}
+		}
+		for _, b := range live {
+			if _, ok := reached[b]; !ok {
+				ordered = append(ordered, b)
+				l.stats.RecoveryAnomalies++
 			}
 		}
 	}
 
 	// Read exactly the blocks moveBlock is about to be handed, in platter
 	// order, so none can be served from a region this pass did not read.
+	// The buffer keeps the victim's geometry, each extent at its own
+	// offset, so moveBlock indexes it by bi.off.
+	if l.cleanBuf == nil {
+		l.cleanBuf = make([]byte, l.lay.dataCap())
+	}
+	buf := l.cleanBuf
 	spans := make([]liveSpan, len(ordered))
 	for i, bid := range ordered {
 		bi := &l.blocks[bid]
@@ -313,152 +459,59 @@ func (l *LLD) cleanSegment(id int) error {
 			return err
 		}
 	}
-	l.crashPoint("clean.moved")
-
-	emittedBefore := l.stats.SnapshotTuples
-	if err := l.relogSummaryFacts(si); err != nil {
-		return err
-	}
-	l.crashPoint("clean.relogged")
-
-	if l.segs[id].live != 0 {
-		return fmt.Errorf("lld: internal: segment %d retains %d live bytes after cleaning", id, l.segs[id].live)
-	}
-	l.retireSegment(id)
-	l.stats.SegmentsCleaned++
-	if len(ordered) == 0 && l.stats.SnapshotTuples == emittedBefore && l.cur == nil && !l.aruOpen {
-		// Nothing was moved and nothing re-logged: every fact in this
-		// summary is superseded by records in sealed segments (no open
-		// segment means no winner still in memory), so the cooling rule has
-		// no later write to wait for — only, on a backend with a volatile
-		// cache, the drain that puts those winners on the platter. Release
-		// it now. This is also what lets recovery bootstrap cleaning on a
-		// disk whose every segment carries a (stale) summary.
-		l.releaseCooling()
-	}
 	return nil
 }
 
 // relogSummaryFacts re-logs every fact whose newest determining record
-// lives in the given summary, which the caller is about to destroy.
-// Records are absolute per-field assignments, so the check is per
-// field: a block's existence/membership (existTS), its successor
-// pointer (linkTS), its data location (dataTS), and a list's existence,
-// head, and order position. If the doomed summary holds the newest
-// record for a field, that field is restated with a fresh timestamp —
-// this is the paper's "removes old logging information ... during
-// cleaning" (§3.5) made precise. Both the cleaner (before retiring a
-// victim) and quarantine reclaim (before zeroing the evidence slots)
-// rely on it. Callers hold l.mu.
-func (l *LLD) relogSummaryFacts(si *summaryInfo) error {
-	mExist := make(map[ld.BlockID]uint64)
-	mLink := make(map[ld.BlockID]uint64)
-	mData := make(map[ld.BlockID]uint64)
-	mList := make(map[ld.ListID]uint64)
-	var fences [][7]uint32
-	noteMax := func(m map[ld.BlockID]uint64, b uint32, ts uint64) {
-		if b != 0 && ts > m[ld.BlockID(b)] {
-			m[ld.BlockID(b)] = ts
-		}
+// lives in a summary the caller is about to destroy: n is what the summary
+// names and stamp its write timestamp, which bounds every record in it.
+// Records are absolute per-field assignments, so the check is per field: a
+// block's existence/membership (existTS), its successor pointer (linkTS),
+// its data location (dataTS), and a list's existence, head, and order
+// position. Records are only ever appended to the one open segment, so
+// segments hold disjoint timestamp ranges: a field of a named entity that
+// is stamped at or below stamp is stamped at or below the summary's newest
+// mention of the entity too, which is what the cleaner compared it with
+// when it read summaries back (DESIGN.md §8 "What the cleaner pays"). Such
+// a field is restated with a fresh timestamp — the paper's "removes old
+// logging information ... during cleaning" (§3.5) made precise — unless the
+// checkpoint floor covers it: a summary stamped at or below the floor holds
+// nothing recovery will replay, and an entity none of whose fields was
+// assigned above the floor is in the checkpoint as it stands. Both the
+// cleaner (before retiring a victim) and quarantine reclaim (before zeroing
+// the evidence slots) rely on it. Ids are visited in ascending order, so
+// the emitted timestamps — and the durable image — are the same from run to
+// run, which the background cleaner's equivalence and the determinism of
+// the simulations rely on. Callers hold l.mu.
+func (l *LLD) relogSummaryFacts(n *sumNames, stamp uint64) error {
+	floor := l.ckptTS
+	if stamp <= floor {
+		return nil
 	}
-	noteList := func(v uint32, ts uint64) {
-		if v != 0 && ts > mList[ld.ListID(v)] {
-			mList[ld.ListID(v)] = ts
-		}
+	// doomed: some field may have been last assigned by this summary, and
+	// the checkpoint does not hold them all.
+	doomed := func(fields ...uint64) bool {
+		return slices.Min(fields) <= stamp && slices.Max(fields) > floor
 	}
-	for _, e := range si.entries {
-		noteMax(mData, uint32(e.bid), e.ts)
-	}
-	for _, t := range si.tuples {
-		switch t.kind {
-		case tAlloc:
-			noteMax(mExist, t.args[0], t.ts)
-			noteMax(mLink, t.args[0], t.ts)
-			noteMax(mData, t.args[0], t.ts)
-			if t.args[4]&1 != 0 {
-				noteList(t.args[1], t.ts)
-			} else {
-				noteMax(mLink, t.args[3], t.ts)
-			}
-		case tFree:
-			noteMax(mExist, t.args[0], t.ts)
-			noteMax(mLink, t.args[0], t.ts)
-			noteMax(mData, t.args[0], t.ts)
-			if t.args[4]&1 != 0 {
-				noteList(t.args[1], t.ts)
-			} else {
-				noteMax(mLink, t.args[2], t.ts)
-			}
-		case tNewList, tDelList, tMoveList, tListState:
-			noteList(t.args[0], t.ts)
-		case tBlockState:
-			noteMax(mExist, t.args[0], t.ts)
-			noteMax(mLink, t.args[0], t.ts)
-		case tBlockFree:
-			noteMax(mExist, t.args[0], t.ts)
-			noteMax(mLink, t.args[0], t.ts)
-			noteMax(mData, t.args[0], t.ts)
-		case tDataAt:
-			noteMax(mData, t.args[0], t.ts)
-		case tFence:
-			// An abort fence lives only in summaries; it must survive the
-			// victim's destruction unless a checkpoint floor covers the
-			// entire dead window.
-			if uint64(t.args[2])|uint64(t.args[3])<<32 > l.ckptTS {
-				fences = append(fences, t.args)
-			}
+	for _, b := range n.exist() {
+		if int(b) >= len(l.blocks) {
+			continue
 		}
-	}
-	// Merge the exist/link aspects: a tBlockState (or tombstone) restates
-	// both at once.
-	for bid, ts := range mLink {
-		if ts > mExist[bid] {
-			mExist[bid] = ts
+		if bi := &l.blocks[b]; !doomed(bi.existTS, bi.linkTS) {
+			continue
 		}
-	}
-	// Re-log in sorted id order: map iteration order would otherwise make
-	// the emitted timestamps — and so the durable image — vary from run to
-	// run, which breaks the byte-identical equivalence the background
-	// cleaner (and the determinism of the simulations) relies on.
-	sortedBlocks := func(m map[ld.BlockID]uint64) []ld.BlockID {
-		ids := make([]ld.BlockID, 0, len(m))
-		for bid := range m {
-			ids = append(ids, bid)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids
-	}
-	for _, bid := range sortedBlocks(mExist) {
-		m := mExist[bid]
-		if int(bid) >= len(l.blocks) || m <= l.ckptTS {
-			continue // out of range, or covered by the checkpoint
-		}
-		bi := &l.blocks[bid]
-		if bi.existTS > m && bi.linkTS > m {
-			continue // newer records exist in other live segments
-		}
-		if err := l.emitBlockSnap(bid); err != nil {
+		if err := l.emitBlockSnap(ld.BlockID(b)); err != nil {
 			return err
 		}
 	}
-	lids := make([]ld.ListID, 0, len(mList))
-	for lid := range mList {
-		lids = append(lids, lid)
-	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-	for _, lid := range lids {
-		m := mList[lid]
-		if m <= l.ckptTS {
-			continue
-		}
-		li, ok := l.lists[lid]
-		if ok && li.existTS > m && li.headTS > m && li.orderTS > m {
-			continue
-		}
-		if !ok {
-			if dl, dead := l.deadLists[lid]; dead && dl > m {
-				continue // a newer tombstone survives in another segment
+	for _, v := range n.lists() {
+		lid := ld.ListID(v)
+		if li, ok := l.lists[lid]; ok {
+			if !doomed(li.existTS, li.headTS, li.orderTS) {
+				continue
 			}
+		} else if dl, dead := l.deadLists[lid]; dead && !doomed(dl) {
+			continue // a newer tombstone survives, or the checkpoint has it
 		}
 		if err := l.emitListSnap(lid); err != nil {
 			return err
@@ -469,20 +522,21 @@ func (l *LLD) relogSummaryFacts(si *summaryInfo) error {
 	// lives elsewhere needs its coordinates restated, or recovery would
 	// misplace it. Blocks whose data was in this segment were just moved
 	// (fresh entries) and fail the dataTS check.
-	for _, bid := range sortedBlocks(mData) {
-		m := mData[bid]
-		if int(bid) >= len(l.blocks) || m <= l.ckptTS {
+	for _, b := range n.data() {
+		if int(b) >= len(l.blocks) {
 			continue
 		}
-		bi := &l.blocks[bid]
-		if !bi.allocated() || bi.dataTS > m {
+		if bi := &l.blocks[b]; !bi.allocated() || !doomed(bi.dataTS) {
 			continue
 		}
-		if err := l.emitDataSnap(bid); err != nil {
+		if err := l.emitDataSnap(ld.BlockID(b)); err != nil {
 			return err
 		}
 	}
-	for _, args := range fences {
+	for _, args := range n.fences {
+		if uint64(args[2])|uint64(args[3])<<32 <= floor {
+			continue // the floor covers the whole dead window
+		}
 		if err := l.ensureRoom(0, tupleSpace(tFence)); err != nil {
 			return err
 		}

@@ -119,15 +119,90 @@ func (l *LLD) CheckInvariants() []string {
 		bad("durable mark %d above the last issued timestamp %d", l.durableMark, l.ts)
 	}
 
-	// Segment states partition the segment space.
+	// Segment states partition the segment space, and the pools hold
+	// exactly the segments in their state: free + cooling (pendingARU
+	// included) + live + open + quarantined = nSegments.
+	var inState [segQuarantined + 1]int
+	var segLiveSum int64
 	for i := range l.segs {
 		st := l.segs[i].state
 		if st > segQuarantined {
 			bad("segment %d has unknown state %d", i, st)
+			continue
 		}
+		inState[st]++
+		segLiveSum += l.segs[i].live
 		if st == segFree && l.segs[i].live != 0 {
 			bad("free segment %d has %d live bytes", i, l.segs[i].live)
 		}
+		if (st == segFree || st == segOpen || st == segCooling) && l.segs[i].names != nil {
+			bad("segment %d in state %d still holds a summary's names", i, st)
+		}
+	}
+	if segLiveSum != total {
+		bad("usage table sums to %d live bytes but the block map to %d", segLiveSum, total)
+	}
+	pooled := func(pool string, ids []int, want uint8) {
+		seen := make(map[int]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				bad("segment %d in the %s pool twice", id, pool)
+			}
+			seen[id] = true
+			if l.segs[id].state != want {
+				bad("segment %d in the %s pool but in state %d", id, pool, l.segs[id].state)
+			}
+		}
+	}
+	pooled("free", l.freeSegs, segFree)
+	pooled("cooling", l.cooling, segCooling)
+	pooled("ARU-pending", l.pendingARU, segCooling)
+	open := 0
+	if l.cur != nil {
+		open = 1
+		if l.segs[l.cur.id].state != segOpen {
+			bad("open segment %d in state %d", l.cur.id, l.segs[l.cur.id].state)
+		}
+	}
+	if inState[segFree] != len(l.freeSegs) || inState[segCooling] != len(l.cooling)+len(l.pendingARU) || inState[segOpen] != open {
+		bad("segment states free=%d cooling=%d open=%d but pools free=%d cooling=%d+%d open=%d",
+			inState[segFree], inState[segCooling], inState[segOpen], len(l.freeSegs), len(l.cooling), len(l.pendingARU), open)
+	}
+	if len(l.cooling) != len(l.coolingTS) {
+		bad("%d cooling segments but %d release barriers", len(l.cooling), len(l.coolingTS))
+	}
+
+	// The usage table's copy of what each live segment's newest summary
+	// names is what the platter says. A summary that does not read or
+	// decode, or that is not the image the stamp describes (rot, a degraded
+	// replica), cannot be re-derived and is passed over.
+	for i := range l.segs {
+		s := &l.segs[i]
+		if s.state != segLive || s.names == nil {
+			continue
+		}
+		si := l.platterSummary(i)
+		if si == nil || si.writeTS != s.ts {
+			continue
+		}
+		if !s.names.equal(newSumNames(si.entries, si.tuples)) {
+			bad("segment %d: the names kept in memory are not those of its summary on the platter", i)
+		}
 	}
 	return out
+}
+
+// platterSummary reads segment id's summary slots as the backend has them
+// now, uncounted and without retry, and returns the newer valid one; nil if
+// they do not read or decode. For checks, not for the cleaner.
+func (l *LLD) platterSummary(id int) *summaryInfo {
+	region := make([]byte, 2*l.lay.summarySize)
+	if err := l.dsk.ReadAt(region, l.lay.sumOff(id, 0)); err != nil {
+		return nil
+	}
+	si, err := decodeNewestSummary(region, l.lay, id)
+	if err != nil {
+		return nil
+	}
+	return si
 }

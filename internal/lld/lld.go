@@ -81,12 +81,16 @@ const (
 )
 
 // segInfo is one entry of the segment usage table: the number of live bytes
-// (paper §3) plus the newest write timestamp, used by the cost-benefit
-// cleaning policy.
+// (paper §3), the write timestamp of the segment's newest summary — its age
+// to the victim rule, and an upper bound on every record in it to the
+// re-log — and what that summary names (nil while the segment is free or
+// open, and on a segment mounted from a clean-shutdown checkpoint until the
+// cleaner first needs it: summaryNames).
 type segInfo struct {
 	live  int64
 	ts    uint64
 	state uint8
+	names *sumNames
 }
 
 // openSegment is the segment currently being filled in main memory
@@ -144,8 +148,9 @@ type Stats struct {
 	SegmentsCleaned int64
 	BlocksMoved     int64
 	SnapshotTuples  int64 // facts re-logged by the cleaner
-	CleanReads      int64 // backend requests the cleaner issued to read victims
-	CleanReadBytes  int64 // bytes those requests read (summary slots + live extents)
+	CleanReads      int64 // backend requests the cleaner issued: live extents, and summary loads
+	CleanReadBytes  int64 // bytes those requests read
+	SummaryLoads    int64 // victims whose summary had to be read back; 0 on an instance mounted by the sweep
 
 	BGCleanPasses int64 // background-cleaner passes completed
 	BGCleanSteps  int64 // exclusive-lock acquisitions by the background cleaner
@@ -292,6 +297,7 @@ type LLD struct {
 	cleaning     bool
 	cleaningBG   bool
 	cleaningStep bool
+	victim       int // the segment cleanSegment is working on, -1 outside it (read at the clean.* crash points)
 
 	// Background cleaner (nil when BackgroundClean is off). spaceCond is
 	// signaled (on mu's exclusive side) whenever free segments appear or
@@ -325,7 +331,7 @@ type LLD struct {
 
 	stats    Stats
 	scratch  []byte // scratch for exclusive-lock paths (cleaner, reorganizer)
-	cleanBuf []byte // reusable victim image for the cleaner
+	cleanBuf []byte // the cleaner's image of a victim's data area, live extents filled in
 
 	// cursorMu guards the per-list ListIndex cursor memo (listInfo.curIdx,
 	// listInfo.curBlk) for holders of the shared lock; exclusive holders
@@ -436,6 +442,7 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc) (*LLD, error) {
 		shards:    make([]mapShard, min(runtime.GOMAXPROCS(0), 64)),
 		segs:      make([]segInfo, lay.nSegments),
 		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
+		victim:    -1,
 	}
 	l.spaceCond = sync.NewCond(&l.mu)
 	for i := range l.blocks {

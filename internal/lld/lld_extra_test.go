@@ -49,15 +49,6 @@ func TestOpenRejectsUnformattedDisk(t *testing.T) {
 	}
 }
 
-func TestCleanPolicyString(t *testing.T) {
-	if PolicyGreedy.String() != "greedy" || PolicyCostBenefit.String() != "cost-benefit" {
-		t.Fatal("policy names wrong")
-	}
-	if !strings.Contains(CleanPolicy(9).String(), "9") {
-		t.Fatal("unknown policy should include its number")
-	}
-}
-
 // TestConcurrentAccess exercises the mutex discipline under the race
 // detector: parallel readers and writers on disjoint lists.
 func TestConcurrentAccess(t *testing.T) {

@@ -16,37 +16,15 @@
 // (§3.2: below a fill threshold a flushed segment is written but kept in
 // memory; later flushes and the seal append to the image on the platter
 // instead of rewriting it), transparent compression for lists
-// created with the Compress hint (§3.3), and a segment cleaner with the
-// greedy and cost-benefit policies of Rosenblum and Ousterhout (§3.5).
+// created with the Compress hint (§3.3), and a segment cleaner after
+// Rosenblum and Ousterhout's (§3.5): empty segments first, the rest by
+// cost-benefit.
 package lld
 
 import (
 	"fmt"
 	"time"
 )
-
-// CleanPolicy selects how the cleaner chooses victim segments (paper §3.5;
-// policies from Rosenblum & Ousterhout 1992).
-type CleanPolicy int
-
-const (
-	// PolicyGreedy cleans the segment with the fewest live bytes.
-	PolicyGreedy CleanPolicy = iota
-	// PolicyCostBenefit cleans the segment maximizing (1-u)*age/(1+u),
-	// preferring cold segments even at moderate utilization.
-	PolicyCostBenefit
-)
-
-func (p CleanPolicy) String() string {
-	switch p {
-	case PolicyGreedy:
-		return "greedy"
-	case PolicyCostBenefit:
-		return "cost-benefit"
-	default:
-		return fmt.Sprintf("CleanPolicy(%d)", int(p))
-	}
-}
 
 // Options configures an LLD instance. The zero value is not valid; use
 // DefaultOptions as a starting point.
@@ -82,9 +60,6 @@ type Options struct {
 	// of free segments drops to CleanLow, the cleaner runs until CleanHigh
 	// segments are free (or no victims remain).
 	CleanLow, CleanHigh int
-
-	// Policy selects the victim-selection policy.
-	Policy CleanPolicy
 
 	// CompressBandwidth models the CPU cost of compression in bytes per
 	// second of virtual time; decompression is charged at the same rate.
@@ -157,7 +132,6 @@ func DefaultOptions() Options {
 		FlushThreshold:    0.75,
 		CleanLow:          2,
 		CleanHigh:         4,
-		Policy:            PolicyGreedy,
 		CompressBandwidth: 1500 * 1024,
 		UtilizationLimit:  0.90,
 	}

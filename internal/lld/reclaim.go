@@ -94,7 +94,7 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 		if err != nil {
 			continue // both slots rotted: recovery learned nothing from them
 		}
-		if err := l.relogSummaryFacts(si); err != nil {
+		if err := l.relogSummaryFacts(newSumNames(si.entries, si.tuples), si.writeTS); err != nil {
 			return res, err
 		}
 	}

@@ -55,6 +55,12 @@ func TestReclaimQuarantinedRestoresCapacity(t *testing.T) {
 	if st.ReclaimedSegments != 1 {
 		t.Fatalf("ReclaimedSegments = %d, want 1", st.ReclaimedSegments)
 	}
+	// Salvage re-homed the payloads; the blocks' existence and linkage,
+	// which the quarantined slot was the last to state, were restated from
+	// the slot's names before it was zeroed.
+	if st.SnapshotTuples == 0 {
+		t.Fatal("reclaim restated none of the facts in the slot it destroyed")
+	}
 	for _, b := range rep.DegradedBlocks {
 		if got := mustRead(t, l2, b); !bytes.Equal(got, want[b]) {
 			t.Fatalf("block %d content wrong after reclaim", b)

@@ -554,6 +554,13 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 			si.state = segFree
 		}
 	}
+	// The sweep decoded every live segment's newest summary: keep what each
+	// names, so the cleaner never reads one back.
+	for i := range decoded {
+		if si := decoded[i].si; si != nil && l.segs[i].state == segLive {
+			l.segs[i].names = newSumNames(si.entries, si.tuples)
+		}
+	}
 	// A volatile write cache can persist a summary while dropping the data
 	// sectors it describes — on every replica. The replay above trusted each
 	// surviving summary's data locations (sound under in-order writes, where

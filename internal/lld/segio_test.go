@@ -129,9 +129,9 @@ func checkReads(t *testing.T, l *LLD, want map[ld.BlockID][]byte) {
 	}
 }
 
-// A victim with nothing live in it costs its two summary slots and not one
-// data byte.
-func TestCleanEmptyVictimReadsOnlyItsSummaries(t *testing.T) {
+// A victim with nothing live in it issues no request at all: what its
+// summary names is in the usage table.
+func TestCleanEmptyVictimIssuesNoRequest(t *testing.T) {
 	_, rec, l := newLoggedLLD(t, segIOOptions())
 	victim, want := hollowVictim(t, l)
 	rec.take('r')
@@ -139,14 +139,12 @@ func TestCleanEmptyVictimReadsOnlyItsSummaries(t *testing.T) {
 	if err := cleanVictim(l, victim); err != nil {
 		t.Fatal(err)
 	}
-	reads := rec.take('r')
-	if len(reads) != 1 || reads[0].off != l.lay.sumOff(victim, 0) || reads[0].n != 2*l.lay.summarySize {
-		t.Fatalf("cleaning an empty victim read %v, want the %d summary bytes at %d only",
-			reads, 2*l.lay.summarySize, l.lay.sumOff(victim, 0))
+	if reads := rec.take('r'); len(reads) != 0 {
+		t.Fatalf("cleaning an empty victim read %v, want no request", reads)
 	}
 	s := l.Stats()
-	if got, bytes := s.CleanReads-before.CleanReads, s.CleanReadBytes-before.CleanReadBytes; got != 1 || bytes != int64(reads[0].n) {
-		t.Errorf("CleanReads +%d CleanReadBytes +%d, want 1 and %d", got, bytes, reads[0].n)
+	if got, bytes := s.CleanReads-before.CleanReads, s.CleanReadBytes-before.CleanReadBytes; got != 0 || bytes != 0 || s.SummaryLoads != 0 {
+		t.Errorf("CleanReads +%d CleanReadBytes +%d SummaryLoads %d, want 0, 0 and 0", got, bytes, s.SummaryLoads)
 	}
 	if s.SegmentsCleaned != before.SegmentsCleaned+1 || s.BlocksMoved != before.BlocksMoved {
 		t.Errorf("cleaned %d segments and moved %d blocks, want 1 and 0",
@@ -155,9 +153,9 @@ func TestCleanEmptyVictimReadsOnlyItsSummaries(t *testing.T) {
 	checkReads(t, l, want)
 }
 
-// A victim with live blocks costs the summaries plus one read per live
-// extent — the extents a scrub of the same segment reads — and nothing past
-// its last live sector.
+// A victim with live blocks costs one read per live extent — the extents a
+// scrub of the same segment reads — and nothing else: no summary, nothing
+// past its last live sector.
 func TestCleanReadsOneRequestPerLiveExtent(t *testing.T) {
 	_, rec, l := newLoggedLLD(t, segIOOptions())
 	// Blocks 2 and 3 touch; 20 sits 64 KB on (a new extent); 22 follows it
@@ -184,12 +182,11 @@ func TestCleanReadsOneRequestPerLiveExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := rec.take('r')
-	wantReads := append([]ioOp{{'r', l.lay.sumOff(victim, 0), 2 * l.lay.summarySize}}, extents...)
-	if !slices.Equal(reads, wantReads) {
-		t.Fatalf("cleaning read %v, want %v", reads, wantReads)
+	if !slices.Equal(reads, extents) {
+		t.Fatalf("cleaning read %v, want %v", reads, extents)
 	}
-	if reads[2].end() != lo+23*4096 {
-		t.Errorf("last extent ends at %d, want the end of block 22 (%d)", reads[2].end(), lo+23*4096)
+	if reads[1].end() != lo+23*4096 {
+		t.Errorf("last extent ends at %d, want the end of block 22 (%d)", reads[1].end(), lo+23*4096)
 	}
 	s := l.Stats()
 	if got := s.BlocksMoved - before.BlocksMoved; got != 4 {
@@ -199,14 +196,106 @@ func TestCleanReadsOneRequestPerLiveExtent(t *testing.T) {
 	for _, o := range reads {
 		total += int64(o.n)
 	}
-	if got, bytes := s.CleanReads-before.CleanReads, s.CleanReadBytes-before.CleanReadBytes; got != 3 || bytes != total {
-		t.Errorf("CleanReads +%d CleanReadBytes +%d, want 3 and %d", got, bytes, total)
+	if got, bytes := s.CleanReads-before.CleanReads, s.CleanReadBytes-before.CleanReadBytes; got != 2 || bytes != total || s.SummaryLoads != 0 {
+		t.Errorf("CleanReads +%d CleanReadBytes +%d SummaryLoads %d, want 2, %d and 0", got, bytes, s.SummaryLoads, total)
 	}
 	checkReads(t, l, want)
 }
 
+// emptySealedAfter overwrites two segments' worth of fresh blocks twice and
+// returns a sealed segment stamped after ts that the second pass emptied.
+func emptySealedAfter(t *testing.T, l *LLD, ts uint64, want map[ld.BlockID][]byte) int {
+	t.Helper()
+	ids, fresh := fillBlocks(t, l, 2*l.lay.dataCap()/4096)
+	for b, data := range fresh {
+		want[b] = data
+	}
+	for _, b := range ids {
+		want[b] = bytes.Repeat([]byte{0xA5}, 4096)
+		mustWrite(t, l, b, want[b])
+	}
+	if err := l.Flush(ld.FailPower); err != nil {
+		t.Fatal(err)
+	}
+	for i := range l.segs {
+		if s := &l.segs[i]; s.state == segLive && s.live == 0 && s.ts > ts {
+			return i
+		}
+	}
+	t.Fatal("no segment sealed since the mount is empty")
+	return -1
+}
+
+// Only a segment mounted from a clean-shutdown checkpoint, which read no
+// summary, has its summary read back — once, by the first clean that needs
+// it. A segment the instance sealed itself, or one its mount's sweep
+// decoded, never does.
+func TestOnlyACheckpointMountLoadsASummary(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		clean bool
+		loads int64
+	}{
+		{"clean shutdown, checkpoint mount", true, 1},
+		{"crash, sweep mount", false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := segIOOptions()
+			_, rec, l := newLoggedLLD(t, opts)
+			victim, want := hollowVictim(t, l)
+			if err := l.Shutdown(tc.clean); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(rec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if swept := l.Stats().RecoverySweepSegments != 0; swept == tc.clean {
+				t.Fatalf("sweep ran: %v after Shutdown(%v)", swept, tc.clean)
+			}
+			if s := &l.segs[victim]; s.state != segLive || s.live != 0 || (s.names == nil) != tc.clean {
+				t.Fatalf("segment %d mounted in state %d with %d live bytes, names in memory: %v", victim, s.state, s.live, s.names != nil)
+			}
+			mounted := l.ts
+
+			rec.take('r')
+			if err := cleanVictim(l, victim); err != nil {
+				t.Fatal(err)
+			}
+			reads := rec.take('r')
+			var wantReads []ioOp
+			if tc.clean {
+				wantReads = []ioOp{{'r', l.lay.sumOff(victim, 0), 2 * l.lay.summarySize}}
+			}
+			if !slices.Equal(reads, wantReads) {
+				t.Fatalf("cleaning segment %d read %v, want %v", victim, reads, wantReads)
+			}
+			if s := l.Stats(); s.SummaryLoads != tc.loads || s.CleanReads != tc.loads {
+				t.Fatalf("SummaryLoads %d CleanReads %d, want %d of each", s.SummaryLoads, s.CleanReads, tc.loads)
+			}
+
+			// A segment sealed since the mount is cleaned from memory.
+			later := emptySealedAfter(t, l, mounted, want)
+			rec.take('r')
+			if err := cleanVictim(l, later); err != nil {
+				t.Fatal(err)
+			}
+			if reads := rec.take('r'); len(reads) != 0 {
+				t.Fatalf("cleaning segment %d, sealed after the mount, read %v", later, reads)
+			}
+			if s := l.Stats(); s.SummaryLoads != tc.loads {
+				t.Fatalf("SummaryLoads %d after cleaning a segment sealed since the mount, want %d", s.SummaryLoads, tc.loads)
+			}
+			checkReads(t, l, want)
+			if viol := l.CheckInvariants(); len(viol) != 0 {
+				t.Fatalf("invariants: %v", viol)
+			}
+		})
+	}
+}
+
 // One unreadable sector among a victim's dead bytes must not stop the
-// cleaner — or, through it, the user's Write: greedy would pick the same
+// cleaner — or, through it, the user's Write: the victim rule would pick the same
 // victim on every later attempt and the instance could never clean again.
 // Scrub and recovery never look at dead bytes either
 // (TestVerifyUnreadableDeadGapDoesNotQuarantine).

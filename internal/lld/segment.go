@@ -371,6 +371,7 @@ func (l *LLD) sealSegment() error {
 	l.chargeCompression()
 	l.segs[cur.id].state = segLive
 	l.segs[cur.id].ts = writeTS
+	l.segs[cur.id].names = newSumNames(cur.entries, cur.tuples)
 	l.cur = nil
 	l.stats.SegmentsSealed++
 	freeBefore := len(l.freeSegs)
@@ -511,6 +512,7 @@ func (l *LLD) undurableFloor() uint64 {
 func (l *LLD) retireSegment(id int) {
 	l.segs[id].state = segCooling
 	l.segs[id].live = 0
+	l.segs[id].names = nil
 	if l.aruOpen {
 		l.pendingARU = append(l.pendingARU, id)
 	} else {

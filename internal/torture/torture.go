@@ -56,6 +56,11 @@ type Config struct {
 	// mounts it; an error fails the crash point. The rig itself is not
 	// touched: the hook mounts private copies.
 	OnImage func(Image) error
+
+	// Instrument, when set, is handed the options of every instance a
+	// workload is about to run on, the crash hook installed, and may wrap
+	// the hook; the function it returns is given the instance once open.
+	Instrument func(o *lld.Options) (opened func(*lld.LLD))
 }
 
 func (c *Config) fillDefaults() {
@@ -397,6 +402,19 @@ func (im Image) Mount() (back disk.Backend, done func(), err error) {
 	return r.back, r.close, nil
 }
 
+// openWorkload opens the instance a workload runs on.
+func (c Config) openWorkload(back disk.Backend, opts lld.Options) (*lld.LLD, error) {
+	opened := func(*lld.LLD) {}
+	if c.Instrument != nil {
+		opened = c.Instrument(&opts)
+	}
+	l, err := lld.Open(back, opts)
+	if err == nil {
+		opened(l)
+	}
+	return l, err
+}
+
 // tortureOptions is the small-geometry option set every run uses:
 // shipped defaults otherwise (the stripe count follows GOMAXPROCS and
 // changes no on-disk decision). Background goroutines stay off: the
@@ -464,7 +482,7 @@ func runReference(cfg Config) (span int64, sites map[string]int, err error) {
 	if r.mirror != nil {
 		r.mirror.SetCrashHook(sched.hook)
 	}
-	l, err := lld.Open(r.back, opts)
+	l, err := cfg.openWorkload(r.back, opts)
 	if err != nil {
 		return 0, nil, fmt.Errorf("reference open: %w", err)
 	}
@@ -577,7 +595,7 @@ func runPoint(cfg Config, pt point) error {
 		r.rail.Arm(pt.n, mixSeed(cfg.Seed, pt.n))
 	}
 	m := newModel()
-	l, err := lld.Open(r.back, opts)
+	l, err := cfg.openWorkload(r.back, opts)
 	if err != nil {
 		if !r.rail.Lost() {
 			return fmt.Errorf("open: %w", err)

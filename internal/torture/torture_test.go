@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/lld"
 )
 
 // Bounded smoke per topology: every enumerated (sampled) crash point
@@ -23,12 +25,23 @@ func smokeConfig(t *testing.T, kind string, maxPoints int) Config {
 
 func runSmoke(t *testing.T, cfg Config) Result {
 	t.Helper()
+	var instances []*lld.LLD
+	cfg.Instrument = func(*lld.Options) func(*lld.LLD) {
+		return func(l *lld.LLD) { instances = append(instances, l) }
+	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("torture run: %v", err)
 	}
 	for _, f := range res.Failures {
 		t.Errorf("crash point failed verification:\n  %s\n  %v", f.Repro, f.Err)
+	}
+	// Every workload instance was mounted by the sweep, which keeps what
+	// each summary names: its cleaner never reads one back.
+	for _, l := range instances {
+		if n := l.Stats().SummaryLoads; n != 0 {
+			t.Errorf("a workload instance read %d victims' summaries back", n)
+		}
 	}
 	return res
 }
