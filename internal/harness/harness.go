@@ -127,9 +127,9 @@ func (c Config) LargeFileBytes() int64 {
 // CacheBytes is the paper's static buffer cache.
 const CacheBytes = 6144 * 1024
 
-// LLDVariant selects a MINIX LLD configuration. The zero value reads as
-// the paper's MINIX LLD did, one block per LD request
-// (minixfs.LDConfig.NoReadahead), so every table is the paper's
+// LLDVariant selects a MINIX LLD configuration. The zero value does its
+// I/O as the paper's MINIX LLD did, one whole block per LD request
+// (minixfs.LDConfig.WholeBlockIO), so every table is the paper's
 // construction unless a row says otherwise.
 type LLDVariant struct {
 	SegmentSize     int    // 0 = the paper's 512 KB
@@ -140,7 +140,7 @@ type LLDVariant struct {
 	NInodes         uint32 // 0 = 16384
 	NVRAMBytes      int    // §5.3 NVRAM absorbing partial-segment writes
 	CompressOnClean bool   // §3.3 compress cold blocks during cleaning
-	Readahead       bool   // beyond the paper: misses become ld.ReadBlocks batches
+	Shipped         bool   // beyond the paper: short blocks stored short, misses read as ld.ReadBlocks batches
 }
 
 // MinixLLDStack bundles everything an experiment may need to inspect.
@@ -170,7 +170,7 @@ func BuildMinixLLD(capacity int64, v LLDVariant) (*MinixLLDStack, error) {
 		PerFileLists: v.PerFileLists,
 		Hints:        ld.ListHints{Cluster: true, Compress: v.Compress},
 		Now:          func() uint32 { return uint32(d.Now().Seconds()) },
-		NoReadahead:  !v.Readahead,
+		WholeBlockIO: !v.Shipped,
 	})
 	if err != nil {
 		return nil, err

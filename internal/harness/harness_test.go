@@ -91,12 +91,42 @@ func TestTable4Shape(t *testing.T) {
 	}
 }
 
+// TestTable4ShippedRow pins the beyond-paper row: storing a 1-KB file as
+// 1 KB makes creating it at least twice as fast as the paper's construction
+// and reading it faster; deleting writes no file data and may give back a
+// little (a few requests' rotation decides it at this scale), but not a
+// fifth. The three paper rows stay where they were.
+func TestTable4ShippedRow(t *testing.T) {
+	tab, err := Table4(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(r, c int) float64 { return cell(t, tab, r, c) }
+	const paper, shipped = 0, 3
+	if len(tab.Rows) != 4 || tab.Rows[paper][0] != "MINIX LLD" || tab.Rows[shipped][0] != shippedRow {
+		t.Fatalf("rows: %v", tab.Rows)
+	}
+	if get(shipped, 1) < 2*get(paper, 1) {
+		t.Errorf("shipped C(1K) %.0f should be >= 2x the paper row's %.0f", get(shipped, 1), get(paper, 1))
+	}
+	for c, name := range map[int]string{2: "R(1K)", 4: "C(10K)", 5: "R(10K)"} {
+		if get(shipped, c) < get(paper, c) {
+			t.Errorf("shipped %s %.0f below the paper row's %.0f", name, get(shipped, c), get(paper, c))
+		}
+	}
+	for c, name := range map[int]string{3: "D(1K)", 6: "D(10K)"} {
+		if get(shipped, c) < 0.8*get(paper, c) {
+			t.Errorf("shipped %s %.0f more than a fifth below the paper row's %.0f", name, get(shipped, c), get(paper, c))
+		}
+	}
+}
+
 // TestTable5Shape verifies the large-file claims: MINIX LLD turns all
 // writes into sequential log writes (large margins over MINIX on both
 // write phases); MINIX wins sequential reads via prefetching and wins the
 // re-read after random updates because it updates in place; MINIX LLD wins
 // random reads because MINIX's read-ahead backfires. The MINIX LLD row is
-// built as the paper's was, with minixfs.LDConfig.NoReadahead (LLDVariant's
+// built as the paper's was, with minixfs.LDConfig.WholeBlockIO (LLDVariant's
 // zero value); TestTable5ReadaheadRow covers the row that is not.
 func TestTable5Shape(t *testing.T) {
 	tab, err := Table5(quick())

@@ -26,7 +26,7 @@ func BuildMinixULD(capacity int64) (*minixfs.FS, *disk.Disk, *uld.ULD, error) {
 		PerFileLists: true,
 		Hints:        ld.ListHints{Cluster: true},
 		Now:          func() uint32 { return uint32(d.Now().Seconds()) },
-		NoReadahead:  true, // as the MINIX LLD row it is compared with
+		WholeBlockIO: true, // as the MINIX LLD row it is compared with
 	})
 	if err != nil {
 		return nil, nil, nil, err

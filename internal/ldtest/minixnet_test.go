@@ -1,6 +1,7 @@
 // MINIX over the network: minixfs mounted on a netld client must turn a
-// sequential file read into batched reads on the wire (OpReadMulti), and a
-// lossy link must not change a byte of what the read returns.
+// sequential file read into batched reads on the wire (OpReadMulti), its
+// short blocks must cross the wire short, and a lossy link must not change a
+// byte of what a read returns.
 package ldtest
 
 import (
@@ -50,8 +51,17 @@ func TestMinixOverNetLDReadsInBatches(t *testing.T) {
 	const blocks = 96
 	data := make([]byte, blocks*4096)
 	rand.New(rand.NewSource(21)).Read(data)
+	tail := data[:1000] // a file of one short block
 	readBack := func(t *testing.T, fs *minixfs.FS) {
 		t.Helper()
+		g, err := fs.Open("/tail")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 4096)
+		if n, err := g.ReadAt(got, 0); err != nil || !bytes.Equal(got[:n], tail) {
+			t.Fatalf("short file: n=%d err=%v", n, err)
+		}
 		f, err := fs.Open("/f")
 		if err != nil {
 			t.Fatal(err)
@@ -85,8 +95,18 @@ func TestMinixOverNetLDReadsInBatches(t *testing.T) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
+	g, err := fs.Create("/tail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteAt(tail, 0); err != nil {
+		t.Fatal(err)
+	}
 	if err := fs.DropCaches(); err != nil {
 		t.Fatal(err)
+	}
+	if n, err := l.BlockSize(tailBlock(t, l)); err != nil || n != 1024 {
+		t.Errorf("the 1000-byte file's block reached the server as %d bytes (%v), want 1024", n, err)
 	}
 	before := readMultis()
 	readBack(t, fs)
@@ -126,4 +146,22 @@ func TestMinixOverNetLDReadsInBatches(t *testing.T) {
 	if lossy.Dials() < 2 {
 		t.Errorf("the lossy link never dropped a connection (%d dials): the test proves nothing", lossy.Dials())
 	}
+}
+
+// tailBlock finds the one block of the newest list: "/tail" was created last.
+func tailBlock(t *testing.T, l *lld.LLD) ld.BlockID {
+	t.Helper()
+	lists, err := l.Lists()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest ld.ListID
+	for _, lid := range lists {
+		newest = max(newest, lid)
+	}
+	blocks, err := l.ListBlocks(newest)
+	if err != nil || len(blocks) != 1 {
+		t.Fatalf("list %d holds %v (%v), want the short file's one block", newest, blocks, err)
+	}
+	return blocks[0]
 }

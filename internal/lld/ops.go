@@ -153,11 +153,16 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 //
 // The caller holds l.mu, shared or exclusive, and has checked the instance
 // is open. Nothing here touches the instance's own buffers: the extent
-// buffer lives for the call, the per-block scratch comes from the pool, the
-// counters move atomically.
+// buffer and the per-block scratch come from the pool, the counters move
+// atomically.
 func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, stored []byte, err error)) {
-	scratch := l.getReadBuf()
-	defer func() { l.putReadBuf(scratch) }() // the per-block read may grow it
+	scratch, extBuf := l.getReadBuf(), l.getReadBuf()
+	defer func() { // the per-block read may grow one, the largest extent the other
+		l.putReadBuf(scratch)
+		if len(extBuf) <= maxPooledExtent {
+			l.putReadBuf(extBuf)
+		}
+	}()
 	sw := batchSweep{spans: make([]liveSpan, 0, len(bs)), at: make([]int, 0, len(bs))}
 	for i, b := range bs {
 		bi, err := l.blockAt(b)
@@ -177,7 +182,6 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 	sort.Sort(&sw)
 
 	ss := uint32(l.lay.sectorSize)
-	var extBuf []byte // grows to the batch's largest extent
 	for k := 0; k < len(sw.spans); {
 		end := k + 1 // of this segment's spans
 		for end < len(sw.spans) && sw.spans[end].seg == sw.spans[k].seg {
@@ -189,7 +193,7 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 			if n > 1 {
 				atomic.AddInt64(&l.stats.BatchExtents, 1)
 				atomic.AddInt64(&l.stats.BatchExtentBytes, int64(hi-lo))
-				if uint32(cap(extBuf)) < hi-lo {
+				if uint32(len(extBuf)) < hi-lo {
 					extBuf = make([]byte, hi-lo)
 				}
 				if l.dskRead(extBuf[:hi-lo], l.lay.segOff(int(sw.spans[k].seg))+int64(lo)) == nil {
@@ -216,6 +220,12 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		}
 	}
 }
+
+// maxPooledExtent is the largest extent buffer that goes back to the pool
+// every read shares: 128 KB of blocks, a file system's read-ahead window or
+// a wire chunk, and one dead gap crossed between them. A rarer, longer sweep
+// leaves its buffer to the collector instead of parking half a segment there.
+const maxPooledExtent = 128<<10 + deadGapMax
 
 // batchSweep is the on-platter part of a batch: the spans to fetch and, in
 // step with them, the position in the batch each one answers. A block named

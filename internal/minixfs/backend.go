@@ -21,8 +21,14 @@
 // as MINIX does. The paper switched read-ahead off for MINIX LLD, "because
 // blocks that MINIX thinks are contiguous may not be" (§4.1); here the
 // batch goes to LD, which knows where the blocks are and reads them in
-// platter order, and only a file being read in order is read ahead.
-// LDConfig.NoReadahead restores the paper's one block per request.
+// platter order, and only a file being read in order is read ahead. A
+// directory kept on an LD list of its own is scanned through the same path.
+//
+// Writes on LD use the interface's multiple block sizes (§2.1): a cache
+// block is stored only up to its last non-zero sector, and holds a one-block
+// space reservation until it is written whole (LDBackend.WriteBlock).
+// LDConfig.WholeBlockIO restores the paper's one whole block per request,
+// in both directions.
 package minixfs
 
 import "errors"

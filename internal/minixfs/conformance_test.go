@@ -14,8 +14,8 @@ import (
 
 // Conformance runs the shared black-box suite against every MINIX
 // configuration, the same suite the FFS baseline must pass. "ld-paper" is
-// MINIX LLD with NoReadahead, one block per LD request as in the paper; the
-// other LD kinds read in batches.
+// MINIX LLD with WholeBlockIO, one whole block per LD request as in the
+// paper; the other LD kinds store short blocks and read in batches.
 func TestConformance(t *testing.T) {
 	mk := func(kind string) fstest.Factory {
 		return func(t *testing.T) vfs.FileSystem {
@@ -57,7 +57,7 @@ func TestConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			be, err := minixfs.FormatLD(l, 4096, minixfs.LDConfig{PerFileLists: kind != "ld-single", NoReadahead: kind == "ld-paper"})
+			be, err := minixfs.FormatLD(l, 4096, minixfs.LDConfig{PerFileLists: kind != "ld-single", WholeBlockIO: kind == "ld-paper"})
 			if err != nil {
 				t.Fatal(err)
 			}

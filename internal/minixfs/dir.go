@@ -12,6 +12,25 @@ import (
 // repeated lookups; it carries no persistent state and is rebuilt on
 // demand.
 
+// dirBlock returns block b of directory n, which has nblocks; a hole has
+// NilHandle and no entry. A directory scan is an in-order read of the
+// directory file, so where LD keeps the directory on a list of its own its
+// miss is served as ReadAt's is: one fetch, with the rest of the directory
+// as the demand. On the bitmap backend (no lists) MINIX searches a directory
+// one block at a time — its read-ahead serves file reads — and those are the
+// paper's baseline rows.
+func (fs *FS) dirBlock(n uint32, dir *inode, b, nblocks int) (Handle, *bufEntry, error) {
+	h, err := fs.bmap(n, dir, b, false)
+	if err != nil || h == NilHandle {
+		return NilHandle, nil, err
+	}
+	if dir.List != 0 && !fs.cache.contains(h) {
+		fs.fetch(n, dir, b, nblocks-1, true)
+	}
+	e, err := fs.cache.get(h, fs.sb.BlockSize)
+	return h, e, err
+}
+
 // loadDcache fills the name cache for directory n if absent.
 func (fs *FS) loadDcache(n uint32, dir *inode) (map[string]uint32, error) {
 	if m, ok := fs.dcache[n]; ok {
@@ -22,16 +41,12 @@ func (fs *FS) loadDcache(n uint32, dir *inode) (map[string]uint32, error) {
 	nblocks := int((int64(dir.Size) + int64(bs) - 1) / int64(bs))
 	buf := make([]byte, bs)
 	for b := 0; b < nblocks; b++ {
-		h, err := fs.bmap(n, dir, b, false)
+		_, e, err := fs.dirBlock(n, dir, b, nblocks)
 		if err != nil {
 			return nil, err
 		}
-		if h == NilHandle {
+		if e == nil {
 			continue
-		}
-		e, err := fs.cache.get(h, bs)
-		if err != nil {
-			return nil, err
 		}
 		copy(buf, e.data)
 		limit := bs
@@ -77,16 +92,12 @@ func (fs *FS) dirAdd(n uint32, dir *inode, name string, target uint32) error {
 	nblocks := int((int64(dir.Size) + int64(bs) - 1) / int64(bs))
 	// Scan for a free slot.
 	for b := 0; b < nblocks; b++ {
-		h, err := fs.bmap(n, dir, b, false)
+		h, e, err := fs.dirBlock(n, dir, b, nblocks)
 		if err != nil {
 			return err
 		}
-		if h == NilHandle {
+		if e == nil {
 			continue
-		}
-		e, err := fs.cache.get(h, bs)
-		if err != nil {
-			return err
 		}
 		limit := bs
 		if rem := int(int64(dir.Size) - int64(b)*int64(bs)); rem < limit {
@@ -151,16 +162,12 @@ func (fs *FS) dirRemove(n uint32, dir *inode, name string) error {
 	bs := fs.sb.BlockSize
 	nblocks := int((int64(dir.Size) + int64(bs) - 1) / int64(bs))
 	for b := 0; b < nblocks; b++ {
-		h, err := fs.bmap(n, dir, b, false)
+		h, e, err := fs.dirBlock(n, dir, b, nblocks)
 		if err != nil {
 			return err
 		}
-		if h == NilHandle {
+		if e == nil {
 			continue
-		}
-		e, err := fs.cache.get(h, bs)
-		if err != nil {
-			return err
 		}
 		limit := bs
 		if rem := int(int64(dir.Size) - int64(b)*int64(bs)); rem < limit {

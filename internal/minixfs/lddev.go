@@ -1,6 +1,7 @@
 package minixfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -22,16 +23,19 @@ type LDBackend struct {
 	dataList ld.ListID // shared data list when per-file lists are off
 
 	perFileLists bool
-	noReadahead  bool
+	wholeBlockIO bool
 	hints        ld.ListHints
 
 	lastStatic ld.BlockID // predecessor for sequential static allocation
 	firstStat  Handle
 
-	// reserved tracks allocated-but-unwritten data blocks backed by an LD
-	// space reservation, the paper's answer to UNIX write calls that must
-	// not fail for lack of disk space (§2.2). The reservation is released
-	// by the block's first write (which claims real space) or by its free.
+	// reserved tracks the blocks backed by a one-block LD space
+	// reservation, the paper's answer to UNIX write calls that must not
+	// fail for lack of disk space (§2.2): a block allocated and not yet
+	// written, and a block whose last write stored less than it was handed
+	// (WriteBlock keeps the invariant). Freeing the block releases it. The
+	// map is volatile: after a remount nothing is reserved until a block's
+	// next write.
 	reserved map[Handle]bool
 }
 
@@ -45,10 +49,11 @@ type LDConfig struct {
 	Hints ld.ListHints
 	// Now supplies a seconds clock for mtimes; nil falls back to a counter.
 	Now func() uint32
-	// NoReadahead reads one block per LD request, in file order, as the
-	// paper's MINIX LLD did (§4.1) — the construction of the paper's rows
-	// in Tables 4 and 5. Without it a miss is one ld.ReadBlocks.
-	NoReadahead bool
+	// WholeBlockIO is MINIX LLD as the paper built it (§4.1), one whole
+	// block per LD request in both directions — the construction of the
+	// paper's rows in every table. Without it a write stores a block only
+	// up to its last non-zero sector and a read miss is one ld.ReadBlocks.
+	WholeBlockIO bool
 }
 
 // FormatLD prepares a fresh Logical Disk for use as a MINIX backend: it
@@ -115,7 +120,7 @@ func newLDBackend(l ld.Disk, blockSize int, cfg LDConfig) *LDBackend {
 		now:          now,
 		blockSize:    blockSize,
 		perFileLists: cfg.PerFileLists,
-		noReadahead:  cfg.NoReadahead,
+		wholeBlockIO: cfg.WholeBlockIO,
 		hints:        cfg.Hints,
 		reserved:     make(map[Handle]bool),
 	}
@@ -183,10 +188,7 @@ func (b *LDBackend) Free(h Handle, list uint32, predHint Handle) error {
 		}
 		target = b.dataList
 	}
-	if b.reserved[h] {
-		delete(b.reserved, h)
-		b.l.CancelReservation(1)
-	}
+	b.release(h)
 	return b.l.DeleteBlock(ld.BlockID(h), target, ld.BlockID(predHint))
 }
 
@@ -202,15 +204,57 @@ func (b *LDBackend) ReadBlock(h Handle, p []byte) error {
 	return nil
 }
 
-// WriteBlock implements Backend. Multiple block sizes are native to LD, so
-// a 64-byte i-node block costs 64 bytes of log, not a full block. The first
-// write of a reserved block trades its reservation for real space.
+// shortQuantum is the unit a stored block is trimmed to: the sector of
+// every disk this repository models, the MINIX-on-LD analogue of an FFS
+// fragment. A block that is a whole number of sectors starts on a sector
+// boundary in the log, so reading it drags in no neighbour's sector and a
+// pass in log order keeps hitting the drive's read buffer.
+const shortQuantum = 512
+
+// storedLen is how much of p goes to LD: up to the last non-zero byte,
+// rounded up to shortQuantum. Reads zero-fill the rest. A buffer below the
+// quantum (a 64-byte i-node block) has nothing to trim.
+func (b *LDBackend) storedLen(p []byte) int {
+	if b.wholeBlockIO || len(p) < shortQuantum {
+		return len(p)
+	}
+	n := len(p)
+	for n >= 8 && binary.LittleEndian.Uint64(p[n-8:]) == 0 {
+		n -= 8 // a word at a time: most of a small file's block is tail
+	}
+	for n > 0 && p[n-1] == 0 {
+		n--
+	}
+	return min((n+shortQuantum-1)/shortQuantum*shortQuantum, len(p))
+}
+
+// WriteBlock implements Backend. Multiple block sizes are native to LD
+// (§2.1), so a block costs the log what it holds: a 1-KB file two sectors,
+// a 64-byte i-node block 64 bytes. No later write of h may be refused for
+// lack of space (§2.2), so after every write h either occupies all of
+// len(p) or holds a one-block reservation. The reservation h came with
+// backs this write, which therefore cannot be refused; a short write then
+// takes one again, and if LD will not grant it the block is written whole,
+// which claims the space — or fails — now rather than at some later sync.
 func (b *LDBackend) WriteBlock(h Handle, p []byte) error {
+	b.release(h)
+	n := b.storedLen(p)
+	if err := b.l.Write(ld.BlockID(h), p[:n]); err != nil || n == len(p) {
+		return err
+	}
+	if b.l.Reserve(1) != nil {
+		return b.l.Write(ld.BlockID(h), p)
+	}
+	b.reserved[h] = true
+	return nil
+}
+
+// release gives back the reservation h holds, if any.
+func (b *LDBackend) release(h Handle) {
 	if b.reserved[h] {
 		delete(b.reserved, h)
 		b.l.CancelReservation(1)
 	}
-	return b.l.Write(ld.BlockID(h), p)
 }
 
 // NewFileList implements Backend. A zero predecessor clusters the new list
@@ -241,10 +285,7 @@ func (b *LDBackend) DeleteFileList(list uint32) error {
 	blocks, err := b.l.ListBlocks(ld.ListID(list))
 	if err == nil {
 		for _, bid := range blocks {
-			if b.reserved[Handle(bid)] {
-				delete(b.reserved, Handle(bid))
-				b.l.CancelReservation(1)
-			}
+			b.release(Handle(bid))
 		}
 	}
 	return b.l.DeleteList(ld.ListID(list), ld.NilList)
@@ -288,7 +329,7 @@ const ldWindow = 32
 // what they asked for and nothing else.
 func (b *LDBackend) BatchWindow(sequential bool) int {
 	switch {
-	case b.noReadahead:
+	case b.wholeBlockIO:
 		return 0
 	case sequential:
 		return ldWindow

@@ -3,6 +3,7 @@ package minixfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -40,13 +41,18 @@ type readRig struct {
 }
 
 // readKinds are the configurations the read path is tested on; "ld-paper"
-// is MINIX LLD as the paper built it (NoReadahead).
+// is MINIX LLD as the paper built it (WholeBlockIO).
 var readKinds = []string{"bitmap", "ld", "ld-offset", "ld-atomic", "ld-paper"}
 
 func newReadRig(t *testing.T, kind string, cacheBytes int) *readRig {
 	t.Helper()
+	return newReadRigInodes(t, kind, cacheBytes, 256)
+}
+
+func newReadRigInodes(t *testing.T, kind string, cacheBytes int, nInodes uint32) *readRig {
+	t.Helper()
 	d := disk.New(disk.DefaultConfig(32 << 20))
-	cfg := Config{BlockSize: 4096, NInodes: 256, CacheBytes: cacheBytes}
+	cfg := Config{BlockSize: 4096, NInodes: nInodes, CacheBytes: cacheBytes}
 	var be Backend
 	if kind == "bitmap" {
 		b, err := FormatBitmap(d, 4096)
@@ -65,7 +71,7 @@ func newReadRig(t *testing.T, kind string, cacheBytes int) *readRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := FormatLD(l, 4096, LDConfig{PerFileLists: true, NoReadahead: kind == "ld-paper"})
+		b, err := FormatLD(l, 4096, LDConfig{PerFileLists: true, WholeBlockIO: kind == "ld-paper"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +171,7 @@ func TestSequentialReadIsBatched(t *testing.T) {
 			}
 			if kind == "ld-paper" {
 				if len(r.be.batches) != 0 || ahead != 0 {
-					t.Fatalf("NoReadahead issued batches %v, read ahead %d", r.be.batches, ahead)
+					t.Fatalf("WholeBlockIO issued batches %v, read ahead %d", r.be.batches, ahead)
 				}
 				return
 			}
@@ -485,5 +491,64 @@ func TestShutdownUnderABatch(t *testing.T) {
 	}
 	if _, err := f.ReadAt(make([]byte, 8192), 0); !errors.Is(err, ld.ErrShutdown) {
 		t.Fatalf("read on a shut-down disk: %v, want ErrShutdown", err)
+	}
+}
+
+// TestDirectoryScanIsBatched: a directory scan is an in-order read of the
+// directory file, so on LD a cold lookup fetches every directory block in
+// one batch, each still read once; a scan that finds its first block cached
+// stops its batch at the next cached one, so a dirty directory block is
+// never replaced by its copy on disk. MINIX proper and the paper's MINIX
+// LLD search a directory one block at a time.
+func TestDirectoryScanIsBatched(t *testing.T) {
+	const files = 4096 / direntSize * 5 // five directory blocks
+	name := func(i int) string { return fmt.Sprintf("/n%03d", i) }
+	for _, kind := range readKinds {
+		t.Run(kind, func(t *testing.T) {
+			r := newReadRigInodes(t, kind, 4<<20, 1024)
+			for i := 0; i < files; i++ {
+				f, err := r.fs.Create(name(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			if err := r.fs.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			r.be.reset()
+			if _, err := r.fs.Stat(name(files - 1)); err != nil {
+				t.Fatal(err)
+			}
+			dirBlocks := files * direntSize / 4096
+			var want []int
+			if kind != "bitmap" && kind != "ld-paper" {
+				want = []int{dirBlocks}
+			}
+			if len(r.be.batches) != len(want) || len(want) == 1 && r.be.batches[0] != want[0] {
+				t.Fatalf("a cold lookup in a %d-block directory issued batches %v, want %v", dirBlocks, r.be.batches, want)
+			}
+			if max := dirBlocks + 3; r.be.blocks > max { // and the root and the file's i-node blocks
+				t.Fatalf("lookup read %d blocks, want at most %d", r.be.blocks, max)
+			}
+			// Dirty the last directory block, evict the others from a
+			// cold cache, and scan again: the batch must stop short of it.
+			if err := r.fs.Unlink(name(files - 1)); err != nil {
+				t.Fatal(err)
+			}
+			root, _ := r.fs.getInode(rootIno)
+			for b := 0; b < dirBlocks-1; b++ {
+				h, _ := r.fs.bmap(rootIno, &root, b, false)
+				r.fs.cache.drop(h)
+			}
+			delete(r.fs.dcache, rootIno)
+			r.be.reset()
+			if _, err := r.fs.Stat(name(files - 1)); !errors.Is(err, vfs.ErrNotExist) {
+				t.Fatalf("unlinked name still found (%v): a stale directory block replaced the dirty one", err)
+			}
+			if len(want) == 1 && (len(r.be.batches) != 1 || r.be.batches[0] != dirBlocks-1) {
+				t.Fatalf("rescan issued batches %v, want one of %d (up to the cached block)", r.be.batches, dirBlocks-1)
+			}
+		})
 	}
 }
