@@ -24,7 +24,7 @@
 // flushed, the in-memory state discarded, and the disk reopened; the
 // one-sweep recovery drops the unfinished unit. Ctrl-C shuts down
 // gracefully: in-flight requests drain, the LLD checkpoints, and the
-// image (if any) is saved.
+// image (if any) is saved. SIGUSR1 scrubs the disk while it serves.
 package main
 
 import (
@@ -74,10 +74,6 @@ func main() {
 	img := flag.String("img", "", "disk image to serve (created if missing); saved on clean shutdown")
 	size := flag.String("size", "64M", "capacity for a fresh disk (K/M/G suffixes)")
 	segment := flag.String("segment", "512K", "LLD segment size for a fresh format")
-	bgClean := flag.Bool("bg-clean", false,
-		"run segment cleaning in a background goroutine, one victim segment per lock hold")
-	bgScrub := flag.Bool("bg-scrub", false,
-		"verify block payload checksums against the media in a background goroutine")
 	mirrorN := flag.Int("mirror", 0,
 		"serve from an N-way mirror; with -img the replicas are <img>.0 … <img>.N-1")
 	stripeN := flag.Int("stripe", 0,
@@ -93,22 +89,11 @@ Concurrency: each client connection is served by its own goroutine, and
 read-only commands (READ, LISTBLOCKS, ...) execute concurrently inside the
 backing LLD under a shared lock; mutating commands are exclusive. There is
 no worker-pool knob for request handling — concurrency equals the number
-of connected clients with in-flight requests. The block-number map is
-striped min(GOMAXPROCS, 64) ways, so mutating commands on blocks in
-different stripes run their compression and checksumming concurrently.
+of connected clients with in-flight requests.
 
-With -bg-clean, segment cleaning runs in a goroutine owned by the LLD
-instead of inline on the write path: a write that trips the cleaning
-watermark signals the goroutine and continues, and the goroutine holds the
-exclusive lock for one victim segment at a time, so the worst-case pause a
-request sees is one bounded step rather than a whole multi-segment pass.
-Writes block only when the free-segment pool is truly exhausted.
-
-With -bg-scrub, an online scrubber re-reads sealed segments (woken by each
-segment seal) and verifies every live block's payload checksum against the
-media, holding the exclusive lock for one segment at a time. Latent
-corruption is then found proactively instead of at the next unlucky READ;
-either way damaged data is refused with a CORRUPT status, never served.
+SIGUSR1 runs one scrub pass on the disk being served — every sealed
+segment re-read, every live block's payload checksum verified against the
+media, requests waiting meanwhile — and logs what it found.
 
 With -mirror, every sector lives on N replicas: writes fan out to all of
 them, reads are served by any and re-checked against the LLD's per-block
@@ -137,8 +122,6 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 
 	opts := lld.DefaultOptions()
 	opts.SegmentSize = int(segSize)
-	opts.BackgroundClean = *bgClean
-	opts.BackgroundScrub = *bgScrub
 
 	bk, err := setupBackend(*img, capacity, *mirrorN, *stripeN)
 	if err != nil {
@@ -218,6 +201,20 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 		fmt.Fprintln(os.Stderr, "ldserver: shutting down")
 		srv.Close()
 	}()
+	// A live scrub, on demand: latent rot is found while the rest of the
+	// log is healthy instead of at the next unlucky READ.
+	usr1 := make(chan os.Signal, 1)
+	signal.Notify(usr1, syscall.SIGUSR1)
+	go func() {
+		for range usr1 {
+			if ll, ok := srv.Disk().(*lld.LLD); ok {
+				res, err := ll.Scrub()
+				fmt.Fprintf(os.Stderr,
+					"ldserver: scrub: %d segments, %d blocks (%d KB) verified, %d corrupt %v, %d repaired %v, err=%v\n",
+					res.Segments, res.Blocks, res.Bytes>>10, len(res.Corrupt), res.Corrupt, len(res.Repaired), res.Repaired, err)
+			}
+		}
+	}()
 
 	if err := srv.Serve(ln); err != nil {
 		fail("serve: %v", err)
@@ -244,16 +241,15 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	if ll, ok := cur.(*lld.LLD); ok {
 		s := ll.Stats()
 		fmt.Fprintf(os.Stderr,
-			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB), %d summaries read back; background: %d passes, %d steps, %d errors, %d writer waits\n",
-			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20, s.SummaryLoads,
-			s.BGCleanPasses, s.BGCleanSteps, s.BGCleanErrors, s.WriterWaits)
+			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB), %d summaries read back\n",
+			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20, s.SummaryLoads)
 		fmt.Fprintf(os.Stderr,
 			"ldserver: batched reads: %d batches, %d blocks, %d extents (%d MB), %d fallbacks\n",
 			s.BatchReads, s.BatchReadBlocks, s.BatchExtents, s.BatchExtentBytes>>20, s.BatchFallbacks)
 		fmt.Fprintf(os.Stderr,
 			"ldserver: integrity: %d corrupt reads refused, %d transient read retries, %d write retries, %d quarantined segments; scrub: %d passes, %d blocks (%d MB) verified, %d errors, %d repairs\n",
 			s.CorruptReads, s.ReadRetries, s.WriteRetries, s.QuarantinedSegments,
-			s.ScrubPasses+s.BGScrubPasses, s.ScrubBlocks, s.ScrubBytes>>20,
+			s.ScrubPasses, s.ScrubBlocks, s.ScrubBytes>>20,
 			s.ScrubErrors, s.ScrubRepairs)
 		if bk.mirror != nil || bk.stripe != nil {
 			fmt.Fprintf(os.Stderr,

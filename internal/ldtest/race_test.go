@@ -215,22 +215,17 @@ func setupHammer(t *testing.T, d ld.Disk) (ld.ListID, []ld.BlockID) {
 
 // TestRaceHammerLocal hammers one in-process LLD: 8 readers, a writer, a
 // lister, and an explicit-cleaner goroutine all share the instance. The
-// writer churn also trips the automatic cleaner under the exclusive lock.
-// The background variant runs the same mix with the instance-owned cleaner
-// goroutine competing for the lock in bounded steps.
+// writer churn also trips the watermark cleaner, synchronously on the
+// writer's stack (the one run, "sync").
 func TestRaceHammerLocal(t *testing.T) {
-	t.Run("sync", func(t *testing.T) { runRaceHammerLocal(t, false) })
-	t.Run("background", func(t *testing.T) { runRaceHammerLocal(t, true) })
+	t.Run("sync", runRaceHammerLocal)
 }
 
-func runRaceHammerLocal(t *testing.T, background bool) {
+func runRaceHammerLocal(t *testing.T) {
 	d := disk.New(disk.DefaultConfig(16 << 20))
 	o := lld.DefaultOptions()
 	o.SegmentSize = 64 * 1024
 	o.SummarySize = 8 * 1024
-	if background {
-		o.BackgroundClean = true
-	}
 	if err := lld.Format(d, o); err != nil {
 		t.Fatal(err)
 	}
@@ -283,15 +278,12 @@ func runRaceHammerLocal(t *testing.T, background bool) {
 
 // newNetHammerFarm builds one LLD-backed netld server over net.Pipe and
 // returns a connect function handing out independent client connections.
-func newNetHammerFarm(t *testing.T, background bool) func() ld.Disk {
+func newNetHammerFarm(t *testing.T) func() ld.Disk {
 	t.Helper()
 	d := disk.New(disk.DefaultConfig(16 << 20))
 	o := lld.DefaultOptions()
 	o.SegmentSize = 64 * 1024
 	o.SummarySize = 8 * 1024
-	if background {
-		o.BackgroundClean = true
-	}
 	if err := lld.Format(d, o); err != nil {
 		t.Fatal(err)
 	}
@@ -321,34 +313,29 @@ func newNetHammerFarm(t *testing.T, background bool) func() ld.Disk {
 // TestRaceHammerNet runs the same hammer through a netld server with one
 // client connection per goroutine, over net.Pipe.
 func TestRaceHammerNet(t *testing.T) {
-	run := func(background bool) func(*testing.T) {
-		return func(t *testing.T) {
-			connect := newNetHammerFarm(t, background)
-			setupConn := connect()
-			lid, bids := setupHammer(t, setupConn)
+	t.Run("sync", func(t *testing.T) {
+		connect := newNetHammerFarm(t)
+		setupConn := connect()
+		lid, bids := setupHammer(t, setupConn)
 
-			readers := make([]ld.Disk, raceReaders)
-			for i := range readers {
-				readers[i] = connect()
-			}
-			hammer(t, readers, setupConn, connect(), lid, bids)
+		readers := make([]ld.Disk, raceReaders)
+		for i := range readers {
+			readers[i] = connect()
 		}
-	}
-	t.Run("sync", run(false))
-	t.Run("background", run(true))
+		hammer(t, readers, setupConn, connect(), lid, bids)
+	})
 }
 
 // TestCleanerInterleavings drives every path into the cleaner at once —
-// explicit Clean, Reorganize, the watermark check on the write path, and
-// the background goroutine — against live readers, while a watchdog
-// asserts the goroutine yields the exclusive lock between steps: a shared
-// acquisition must never stall for more than a generous bound.
+// explicit Clean, Reorganize and the watermark check on the write path —
+// against live readers, while a watchdog asserts that no cleaning pass
+// holds the exclusive lock for long: a shared acquisition must never stall
+// for more than a generous bound.
 func TestCleanerInterleavings(t *testing.T) {
 	d := disk.New(disk.DefaultConfig(2 << 20))
 	o := lld.DefaultOptions()
 	o.SegmentSize = 64 * 1024
 	o.SummarySize = 8 * 1024
-	o.BackgroundClean = true
 	if err := lld.Format(d, o); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +348,8 @@ func TestCleanerInterleavings(t *testing.T) {
 	stopClean := make(chan struct{})
 	stop := make(chan struct{})
 	var cleanWG, wg sync.WaitGroup
-	// Explicit cleaner and reorganizer compete with the goroutine.
+	// Explicit cleaner and reorganizer compete with the write path's own
+	// watermark passes.
 	cleanWG.Add(1)
 	go func() {
 		defer cleanWG.Done()
@@ -381,9 +369,9 @@ func TestCleanerInterleavings(t *testing.T) {
 			}
 		}
 	}()
-	// Watchdog: per-step lock holds must stay bounded. 2s is far above
-	// any single bounded step even under -race, and far below the hold of
-	// a cleaner that stops yielding (a full pass on this geometry).
+	// Watchdog: a pass is one lock hold and must stay bounded. 2s is far
+	// above any watermark pass on this geometry (it stops at four free
+	// 64-KB segments) even under -race.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -396,7 +384,7 @@ func TestCleanerInterleavings(t *testing.T) {
 			start := time.Now()
 			l.FreeSegments()
 			if held := time.Since(start); held > 2*time.Second {
-				t.Errorf("shared lock acquisition stalled %v; cleaner not yielding", held)
+				t.Errorf("shared lock acquisition stalled %v behind an exclusive holder", held)
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -412,12 +400,12 @@ func TestCleanerInterleavings(t *testing.T) {
 	cleanWG.Wait()
 
 	// With the explicit cleaners stopped (the watchdog still running),
-	// keep writing until the pool drains to the low watermark, the write
-	// path signals the goroutine, and a background pass completes.
+	// keep writing until the pool drains to the low watermark and the
+	// write path runs a pass of its own.
 	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; l.Stats().BGCleanPasses == 0; i++ {
+	for i, runs := 0, l.Stats().CleanerRuns; l.Stats().CleanerRuns == runs; i++ {
 		if time.Now().After(deadline) {
-			t.Fatal("background cleaner never completed a pass")
+			t.Fatal("the write path never ran a watermark pass")
 		}
 		j := i % len(bids)
 		if err := l.Write(bids[j], racePayload(j, 1<<20+i)); err != nil {

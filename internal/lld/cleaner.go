@@ -30,46 +30,30 @@ import (
 // read back. This is the paper's "removes old logging information ...
 // during cleaning" (§3.5) made precise.
 
-// cleanPass carries the state of one cleaning pass across cleanSome calls,
-// so a pass split into lock-released steps (the background cleaner) walks
-// the identical victim sequence a single uninterrupted call would.
-type cleanPass struct {
+// cleanPass is one cleaning pass, the victim loop behind every cleaning
+// entry point: the watermark path and the explicit Clean/Reorganize
+// commands. It processes victims until target (when non-nil) reports
+// satisfied, maxVictims segments (when positive) were cleaned, maxIter
+// victims were attempted, or no victim qualifies, and returns how many
+// segments it cleaned. Callers hold l.mu with l.cleaning set; the lock is
+// not released before it returns.
+func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned int, err error) {
 	// skip holds victims set aside by the bootstrap path: segments whose
 	// facts could not be re-logged for lack of space. The pass looks past
 	// them for a victim whose facts are all superseded.
-	skip map[int]bool
-
-	consolidated bool // the bootstrap path has tried its one consolidation
-
-	iters   int // victim attempts so far (bounds the pass)
-	maxIter int
-	cleaned int // segments successfully cleaned
-}
-
-// cleanSome is the shared victim loop behind every cleaning entry point:
-// the watermark path, the explicit Clean/Reorganize commands, and the
-// background goroutine. It processes victims until target (when non-nil)
-// reports satisfied, maxVictims segments (when positive) were cleaned in
-// this call, the pass's attempt budget runs out, or no victim qualifies.
-// finished is false only when the maxVictims bound stopped the call with
-// the pass still unfinished. Callers hold l.mu with l.cleaning set.
-func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finished bool, err error) {
-	done := 0
-	for {
+	var skip map[int]bool
+	consolidated := false // the bootstrap path has tried its one consolidation
+	for iters := 0; iters < maxIter; iters++ {
 		if target != nil && target() {
-			return true, nil
+			break
 		}
-		if maxVictims > 0 && done >= maxVictims {
-			return false, nil
+		if maxVictims > 0 && cleaned >= maxVictims {
+			break
 		}
-		if p.iters >= p.maxIter {
-			return true, nil
-		}
-		p.iters++
 		before := len(l.freeSegs) + len(l.cooling) + len(l.pendingARU)
-		victim := l.pickVictim(p.skip)
+		victim := l.pickVictim(skip)
 		if victim < 0 {
-			return true, nil
+			break
 		}
 		if err := l.cleanSegment(victim); err != nil {
 			if errors.Is(err, ld.ErrNoSpace) && len(l.freeSegs) == 0 && l.cur == nil {
@@ -82,33 +66,32 @@ func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finis
 				// a fact above the old floor (a mount that found no free
 				// segment and owes an abort fence), nothing else can free
 				// one.
-				if !p.consolidated && !l.aruOpen {
-					p.consolidated = true
+				if !consolidated && !l.aruOpen {
+					consolidated = true
 					if err := l.consolidate(); err != nil {
-						return true, err
+						return cleaned, err
 					}
 					continue
 				}
 				// Otherwise set this victim aside and look for one whose
 				// facts are all superseded — freeing it needs no space at
 				// all.
-				if p.skip == nil {
-					p.skip = make(map[int]bool)
+				if skip == nil {
+					skip = make(map[int]bool)
 				}
-				p.skip[victim] = true
+				skip[victim] = true
 				continue
 			}
-			return true, err
+			return cleaned, err
 		}
-		p.cleaned++
-		done++
+		cleaned++
 		if len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) <= before {
 			// Fact-bound victim: re-logging its summary cost as much as
 			// cleaning freed. Consolidate so old facts become droppable.
 			l.futility++
 			if l.futility >= 2 {
 				if err := l.consolidate(); err != nil {
-					return true, err
+					return cleaned, err
 				}
 				l.futility = 0
 			}
@@ -116,41 +99,28 @@ func (l *LLD) cleanSome(p *cleanPass, maxVictims int, target func() bool) (finis
 			l.futility = 0
 		}
 	}
+	return cleaned, nil
 }
 
 // watermarkTarget reports whether the free pool (counting cooling and
 // ARU-pending segments, which become free without further cleaning) has
 // reached the high watermark. Callers hold l.mu.
 func (l *LLD) watermarkTarget() bool {
-	return len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) >= l.opts.CleanHigh
+	return len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) >= cleanHigh
 }
 
-// maybeClean runs the cleaner if the free-segment pool is at or below the
-// low watermark. With a background cleaner attached it only signals the
-// goroutine — the caller proceeds on the segments still free and blocks
-// (in awaitFreeSegment) only when truly out. Callers hold l.mu.
+// maybeClean runs a whole watermark pass, on the caller's stack and under
+// the lock it holds, if the free-segment pool is at or below the low
+// watermark (paper §3.5: "when the number of free segments gets below a
+// certain threshold"). Callers hold l.mu.
 func (l *LLD) maybeClean() error {
-	if l.cleaning {
+	if l.cleaning || len(l.freeSegs)+len(l.cooling) > cleanLow {
 		return nil
 	}
-	if len(l.freeSegs)+len(l.cooling) > l.opts.CleanLow {
-		return nil
-	}
-	if l.bg != nil {
-		l.bg.signal()
-		return nil
-	}
-	return l.cleanInline()
-}
-
-// cleanInline runs a whole watermark pass to completion under the held
-// lock — the synchronous path. Callers hold l.mu with l.cleaning unset.
-func (l *LLD) cleanInline() error {
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
 	l.stats.CleanerRuns++
-	p := cleanPass{maxIter: 8 * l.opts.CleanHigh}
-	_, err := l.cleanSome(&p, 0, l.watermarkTarget)
+	_, err := l.cleanPass(0, 8*cleanHigh, l.watermarkTarget)
 	return err
 }
 
@@ -170,9 +140,7 @@ func (l *LLD) Clean(n int) (int, error) {
 	}
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
-	p := cleanPass{maxIter: n + l.lay.nSegments}
-	_, err := l.cleanSome(&p, n, nil)
-	return p.cleaned, err
+	return l.cleanPass(n, n+l.lay.nSegments, nil)
 }
 
 // pickVictim selects the next segment to clean, or -1 if none qualifies.
@@ -481,8 +449,8 @@ func (l *LLD) moveLive(id int, live []ld.BlockID) error {
 // cleaner (before retiring a victim) and quarantine reclaim (before zeroing
 // the evidence slots) rely on it. Ids are visited in ascending order, so
 // the emitted timestamps — and the durable image — are the same from run to
-// run, which the background cleaner's equivalence and the determinism of
-// the simulations rely on. Callers hold l.mu.
+// run, which the determinism of the simulations relies on. Callers hold
+// l.mu.
 func (l *LLD) relogSummaryFacts(n *sumNames, stamp uint64) error {
 	floor := l.ckptTS
 	if stamp <= floor {
@@ -571,11 +539,6 @@ func (l *LLD) consolidate() error {
 // CompressOnClean, raw blocks of Compress-hinted lists are compressed here
 // — they are cold by definition, which is the §3.3 alternative strategy.
 // Callers hold l.mu.
-// moveBlock relocates one live block out of the victim segment. It runs
-// under mu exclusive and takes no block-map stripe locks: relocation
-// changes only the block's physical placement, and an in-flight write
-// window on the same block re-reads placement under mu at its apply
-// phase, so it observes the move (see shard.go for the discipline).
 func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 	bi := &l.blocks[bid]
 	data := victimBuf[bi.off : bi.off+bi.stored]
@@ -642,8 +605,7 @@ func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 // Reorganize is the idle-time disk reorganizer (paper §3.5): it rewrites
 // the blocks of cluster-hinted lists in list order so sequential reads hit
 // sequential disk locations, then cleans up to n segments. It is invoked
-// explicitly (during idle periods) rather than from a background goroutine
-// so simulations stay deterministic.
+// explicitly (during idle periods): an LLD has no thread of its own.
 func (l *LLD) Reorganize(n int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -686,8 +648,7 @@ func (l *LLD) Reorganize(n int) error {
 	// The rewrites hollowed out the victims' old homes; clean up to n
 	// segments so the reorganizer actually returns free space, as
 	// documented.
-	p := cleanPass{maxIter: n + l.lay.nSegments}
-	_, err := l.cleanSome(&p, n, nil)
+	_, err := l.cleanPass(n, n+l.lay.nSegments, nil)
 	return err
 }
 

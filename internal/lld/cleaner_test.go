@@ -2,7 +2,9 @@ package lld
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/disk"
@@ -438,5 +440,327 @@ func TestDeadVictimCostsNoAllocation(t *testing.T) {
 	if reads := rec.take('r'); allocs != 0 || l.stats.SnapshotTuples != before || len(reads) != 0 {
 		t.Errorf("a dead victim cost %.0f allocations, %d restatements and the reads %v",
 			allocs, l.stats.SnapshotTuples-before, reads)
+	}
+}
+
+// TestReorganizeCleans pins the documented behavior of Reorganize: after
+// rewriting cluster-hinted lists it must invoke the cleaner, so the space
+// the rewrites hollowed out actually returns to the free pool.
+func TestReorganizeCleans(t *testing.T) {
+	o := testOptions()
+	_, l := newTestLLD(t, 4<<20, o)
+	lid := mustNewList(t, l, ld.NilList, ld.ListHints{Cluster: true})
+	var blocks []ld.BlockID
+	for i := 0; i < 40; i++ {
+		b := mustNewBlock(t, l, lid, ld.NilBlock)
+		mustWrite(t, l, b, bytes.Repeat([]byte{byte(i)}, 3000))
+		blocks = append(blocks, b)
+	}
+	// Scatter the list across segments with interleaved rewrites, then
+	// seal everything so there are closed victims to clean.
+	for i := 0; i < 40; i += 2 {
+		mustWrite(t, l, blocks[i], bytes.Repeat([]byte{0xBB}, 3000))
+	}
+	if err := l.Flush(ld.FailPower); err != nil {
+		t.Fatal(err)
+	}
+
+	before := l.Stats()
+	if err := l.Reorganize(2); err != nil {
+		t.Fatalf("Reorganize: %v", err)
+	}
+	after := l.Stats()
+	if after.SegmentsCleaned <= before.SegmentsCleaned {
+		t.Fatalf("Reorganize cleaned no segments (%d before, %d after); the documented trailing clean is missing",
+			before.SegmentsCleaned, after.SegmentsCleaned)
+	}
+	// Contents survive the reorganization.
+	for i, b := range blocks {
+		want := byte(i)
+		if i%2 == 0 {
+			want = 0xBB
+		}
+		got := mustRead(t, l, b)
+		if len(got) != 3000 || got[0] != want || got[2999] != want {
+			t.Fatalf("block %d corrupted by Reorganize", i)
+		}
+	}
+	if viol := l.CheckInvariants(); len(viol) != 0 {
+		t.Fatalf("invariants: %v", viol)
+	}
+}
+
+// buildStaleImage fills a small disk to physical exhaustion (the pure fill
+// drains the free-segment stack, so every segment ends up carrying a
+// summary), then runs a bounded deletion and rewrite burst to hollow out
+// some segments and pin tombstone facts into others, and crashes it.
+// Recovery of such an image finds no free segment and no open segment
+// (only never-written segments recover as free) — the bootstrap state the
+// cleaner's skip path exists for. The fill needs the utilization limit out
+// of the way (noHeadroom); no block id is allocated after the deletions,
+// so the tombstones stay the newest records for their ids.
+func buildStaleImage(t *testing.T, capacity int64, opts Options) []byte {
+	t.Helper()
+	d, l := newTestLLD(t, capacity, opts)
+	l.noHeadroom()
+	rng := rand.New(rand.NewSource(9))
+	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
+	var blocks []ld.BlockID
+	for i := 0; ; i++ {
+		l.mu.RLock()
+		drained := len(l.freeSegs) == 0
+		l.mu.RUnlock()
+		if drained {
+			break
+		}
+		b, err := l.NewBlock(lid, ld.NilBlock)
+		if err == nil {
+			err = l.Write(b, bytes.Repeat([]byte{byte(i)}, 1024+rng.Intn(2048)))
+		}
+		if errors.Is(err, ld.ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("fill op %d: %v", i, err)
+		}
+		blocks = append(blocks, b)
+		if i > 10000 {
+			t.Fatal("free pool never drained; geometry changed?")
+		}
+	}
+	// The pool is a LIFO stack and cleaning feeds its top, so the bottom
+	// segments may never have been popped. Rotate untouched segments to
+	// the pop end (order is a heuristic; membership is the invariant) and
+	// keep writing until every segment has carried a summary.
+	for guard := 0; ; guard++ {
+		if guard > 1000 {
+			t.Fatal("could not touch every segment")
+		}
+		l.mu.Lock()
+		untouched := 0
+		for i := range l.segs {
+			if l.segs[i].ts == 0 {
+				untouched++
+			}
+		}
+		if untouched == 0 {
+			l.mu.Unlock()
+			break
+		}
+		sort.SliceStable(l.freeSegs, func(a, b int) bool {
+			return l.segs[l.freeSegs[a]].ts != 0 && l.segs[l.freeSegs[b]].ts == 0
+		})
+		l.mu.Unlock()
+		b, err := l.NewBlock(lid, ld.NilBlock)
+		if err == nil {
+			err = l.Write(b, bytes.Repeat([]byte{byte(guard)}, 1024+rng.Intn(2048)))
+			if err == nil {
+				blocks = append(blocks, b)
+			}
+		}
+		if err != nil && !errors.Is(err, ld.ErrNoSpace) {
+			t.Fatalf("touch write: %v", err)
+		}
+	}
+	// A fixed-size rewrite burst churns the disk so the cleaner relocates
+	// data and strands stale, fully-superseded summaries. Every op count
+	// is bounded, so the builder terminates even though each op may
+	// trigger a cleaning pass.
+	for i := 0; i < 60; i++ {
+		j := rng.Intn(len(blocks))
+		err := l.Write(blocks[j], bytes.Repeat([]byte{byte(j)}, 800+rng.Intn(2200)))
+		if err != nil && !errors.Is(err, ld.ErrNoSpace) {
+			t.Fatalf("rewrite %d: %v", i, err)
+		}
+	}
+	// Restock the pool, then isolate a deletion burst in its own fresh
+	// segment: its tombstones stay the newest records for their ids (the
+	// ids are never reallocated), so that segment recovers zero-live yet
+	// fact-bound — cleaning it must re-log the tombstones, which needs
+	// room the bootstrap state does not have.
+	if _, err := l.Clean(cleanHigh); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	l.mu.Lock()
+	if l.cur != nil {
+		if err := l.sealSegment(); err != nil {
+			l.mu.Unlock()
+			t.Fatalf("seal: %v", err)
+		}
+	}
+	l.mu.Unlock()
+	for i := 0; i < 20; i++ {
+		b := blocks[len(blocks)-1]
+		blocks = blocks[:len(blocks)-1]
+		if err := l.DeleteBlock(b, lid, ld.NilBlock); err != nil {
+			t.Fatalf("DeleteBlock: %v", err)
+		}
+	}
+	if err := l.Flush(ld.FailPower); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	l.mu.RLock()
+	for i := range l.segs {
+		if l.segs[i].ts == 0 {
+			l.mu.RUnlock()
+			t.Fatalf("segment %d never written; fill too short for this geometry", i)
+		}
+	}
+	ckptOff, ckptSize := l.lay.checkpointOff, l.lay.checkpointSize
+	l.mu.RUnlock()
+	if err := l.Shutdown(false); err != nil {
+		t.Fatalf("unclean shutdown: %v", err)
+	}
+	img := d.Snapshot()
+	// Tear both checkpoint slots (as a crash mid-checkpoint can) so that
+	// recovery takes the pure one-sweep path. Every segment then recovers
+	// from its summary alone, and since all carry one, none recovers free.
+	ss := d.SectorSize()
+	for slot := 0; slot < 2; slot++ {
+		off := ckptOff + int64(slot)*ckptSize
+		for i := 0; i < ss; i++ {
+			img[off+int64(i)] = 0
+		}
+	}
+	return img
+}
+
+// TestCleanBootstrapSkip is the regression test for explicit Clean on a
+// space-tight disk: when no segment is free, none is open, and the
+// top-ranked victim's facts cannot be re-logged for lack of room, Clean
+// must set that victim aside and free a fully-superseded one — exactly as
+// the watermark path does — instead of returning ErrNoSpace.
+func TestCleanBootstrapSkip(t *testing.T) {
+	opts := testOptions()
+	const capacity = 1 << 20
+	img := buildStaleImage(t, capacity, opts)
+
+	reopen := func() *LLD {
+		t.Helper()
+		d := disk.New(disk.DefaultConfig(capacity))
+		if err := d.Restore(img); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		l, err := Open(d, opts)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		l.noHeadroom()
+		return l
+	}
+
+	// Probe the image: among the zero-live victims, which the victim rule ranks
+	// first, find one that is fact-bound (cleaning it needs room to re-log
+	// and fails with ErrNoSpace) and confirm another frees directly. Each
+	// probe gets a fresh instance since cleanSegment mutates on success.
+	l0 := reopen()
+	l0.mu.Lock()
+	if len(l0.freeSegs) != 0 || l0.cur != nil {
+		l0.mu.Unlock()
+		t.Fatalf("image recovered with free or open segments; not the bootstrap state")
+	}
+	var zeroLive []int
+	for i := range l0.segs {
+		if l0.segs[i].state == segLive && l0.segs[i].live == 0 {
+			zeroLive = append(zeroLive, i)
+		}
+	}
+	l0.mu.Unlock()
+	factBound, freeable := -1, false
+	for _, v := range zeroLive {
+		li := reopen()
+		li.mu.Lock()
+		li.cleaning = true
+		err := li.cleanSegment(v)
+		li.cleaning = false
+		li.mu.Unlock()
+		switch {
+		case errors.Is(err, ld.ErrNoSpace):
+			if factBound < 0 {
+				factBound = v
+			}
+		case err == nil:
+			freeable = true
+		default:
+			t.Fatalf("probe of segment %d: %v", v, err)
+		}
+	}
+	if factBound < 0 {
+		t.Fatalf("no fact-bound zero-live segment among %v; workload needs tuning", zeroLive)
+	}
+	if !freeable {
+		t.Fatalf("no directly-freeable segment among %v; workload needs tuning", zeroLive)
+	}
+
+	// The regression: when the victim the rule ranks first — the oldest
+	// empty segment — is the fact-bound one, Clean must get past it (a
+	// consolidation that makes its facts droppable, or setting it aside for
+	// a superseded one) instead of returning its ErrNoSpace. The fact-bound
+	// segment holds the deletion burst, the newest records on the disk, so
+	// it ranks last: re-date it, stamp and records, to the beginning of
+	// time. Every field its records assigned (anything stamped after the
+	// segment sealed before it) moves with the stamp, so the cleaner still
+	// finds them to be the victim's own.
+	l := reopen()
+	l.mu.Lock()
+	var prev uint64
+	for i := range l.segs {
+		if ts := l.segs[i].ts; i != factBound && ts > prev {
+			prev = ts
+		}
+	}
+	redate := func(ts *uint64) {
+		if *ts > prev {
+			*ts = 1
+		}
+	}
+	names := l.segs[factBound].names
+	for _, b := range names.exist() {
+		redate(&l.blocks[b].existTS)
+		redate(&l.blocks[b].linkTS)
+	}
+	for _, b := range names.data() {
+		redate(&l.blocks[b].dataTS)
+	}
+	for _, v := range names.lists() {
+		if li := l.lists[ld.ListID(v)]; li != nil {
+			redate(&li.existTS)
+			redate(&li.headTS)
+			redate(&li.orderTS)
+		}
+	}
+	l.segs[factBound].ts = 1
+	if first := l.pickVictim(nil); first != factBound {
+		l.mu.Unlock()
+		t.Fatalf("segment %d ranks first, want the fact-bound segment %d", first, factBound)
+	}
+	l.cleaning = true
+	err := l.cleanSegment(factBound)
+	l.cleaning = false
+	l.mu.Unlock()
+	if !errors.Is(err, ld.ErrNoSpace) {
+		t.Fatalf("cleaning the re-dated segment %d: %v, want ErrNoSpace", factBound, err)
+	}
+	cleaned, err := l.Clean(cleanHigh)
+	if err != nil {
+		t.Fatalf("Clean on a space-tight disk: %v", err)
+	}
+	if cleaned == 0 {
+		t.Fatal("Clean freed nothing on a disk with superseded segments")
+	}
+	if viol := l.CheckInvariants(); len(viol) != 0 {
+		t.Fatalf("invariants after bootstrap Clean: %v", viol)
+	}
+	// And the disk accepts writes again afterwards.
+	lid, err := l.NewList(ld.NilList, ld.ListHints{})
+	if err != nil {
+		t.Fatalf("NewList after bootstrap Clean: %v", err)
+	}
+	b, err := l.NewBlock(lid, ld.NilBlock)
+	if err != nil {
+		t.Fatalf("NewBlock after bootstrap Clean: %v", err)
+	}
+	if err := l.Write(b, []byte("recovered")); err != nil {
+		t.Fatalf("Write after bootstrap Clean: %v", err)
 	}
 }

@@ -12,116 +12,18 @@ import (
 	"repro/internal/ld"
 )
 
-// These tests cover the lock-striped block-number map: equivalence with
-// the unsharded instance, free-pool invariants across allocation churn,
-// recovery, and checkpoints, and concurrent writers crossing stripe
-// boundaries cross-checked against the msModel reference model (they are
-// meant to run under -race). Open takes the stripe count from GOMAXPROCS,
-// so each test picks its count by setting that.
+// These tests cover what crosses commands: the id pools through allocation
+// churn, restart and recovery, and the LD commands racing each other on
+// one instance at GOMAXPROCS 4 (meant to run under -race). The instance
+// lock is all that stands between concurrent mutators, and what it must
+// give — untorn contents, the reference model's list structure, clean
+// invariants, the same state after a restart — is checked here.
 
-// runReuseFreeWorkload drives a deterministic single-threaded history with
-// no block-number reuse: allocations, writes and rewrites (plain and
-// compressed), flushes, and enough rewrite churn to force cleaning.
-func runReuseFreeWorkload(t *testing.T, l *LLD) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(42))
-	plain := mustNewList(t, l, ld.NilList, ld.ListHints{})
-	comp := mustNewList(t, l, plain, ld.ListHints{Compress: true})
-	var blocks []ld.BlockID
-	for round := 0; round < 8; round++ {
-		for i := 0; i < 30; i++ {
-			lid := plain
-			if i%3 == 0 {
-				lid = comp
-			}
-			b := mustNewBlock(t, l, lid, ld.NilBlock)
-			blocks = append(blocks, b)
-			mustWrite(t, l, b, bytes.Repeat([]byte{byte(rng.Intn(256))}, 64+rng.Intn(2500)))
-		}
-		for i := 0; i < 25; i++ {
-			b := blocks[rng.Intn(len(blocks))]
-			mustWrite(t, l, b, bytes.Repeat([]byte{byte(rng.Intn(256))}, 64+rng.Intn(2500)))
-		}
-		if err := l.Flush(ld.FailPower); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-	}
-}
-
-// TestShardUnshardedEquivalence replays the same single-threaded history
-// at several stripe counts and requires byte-identical platters: striping
-// changes locking, not any on-disk decision. (Id reuse included: the free
-// pool is global, so TestShardRecoveryEquivalence compares whole
-// fingerprints and the ldtest lockstep suites run at any stripe count.)
-func TestShardUnshardedEquivalence(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want []byte
-	for _, n := range []int{1, 2, 7} {
-		runtime.GOMAXPROCS(n)
-		d, l := newTestLLD(t, 1<<20, testOptions())
-		runReuseFreeWorkload(t, l)
-		if viol := l.CheckInvariants(); len(viol) != 0 {
-			t.Fatalf("shards=%d: invariant violations: %v", n, viol)
-		}
-		if got := l.Stats().MapShards; got != int64(n) {
-			t.Errorf("Stats().MapShards = %d, want %d", got, n)
-		}
-		if err := l.Shutdown(true); err != nil {
-			t.Fatalf("shards=%d: shutdown: %v", n, err)
-		}
-		snap := d.Snapshot()
-		if n == 1 {
-			want = snap
-		} else if !bytes.Equal(snap, want) {
-			t.Errorf("shards=%d: platter differs from shards=1", n)
-		}
-	}
-}
-
-// TestShardRecoveryEquivalence recovers one crashed image (rich in
-// deletions, so the free pool is non-trivial) at several stripe counts:
-// the rebuilt state, pool order included, must be identical.
-func TestShardRecoveryEquivalence(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	opts := testOptions()
-	img := buildCrashedImage(t, 8<<20, opts)
-
-	recover := func(n int) (*LLD, string) {
-		d := disk.New(disk.DefaultConfig(8 << 20))
-		if err := d.Restore(img); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		runtime.GOMAXPROCS(n)
-		l, err := Open(d, opts)
-		if err != nil {
-			t.Fatalf("open with %d shards: %v", n, err)
-		}
-		if viol := l.CheckInvariants(); len(viol) != 0 {
-			t.Fatalf("shards=%d: invariant violations: %v", n, viol)
-		}
-		return l, fingerprintInternal(l)
-	}
-
-	base, wantFP := recover(1)
-	wantCanon := canonLD(t, base)
-	for _, n := range []int{2, 4, 8} {
-		l, fp := recover(n)
-		if fp != wantFP {
-			t.Errorf("shards=%d: recovered state differs from unsharded:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
-				n, wantFP, n, fp)
-		}
-		if got := canonLD(t, l); got != wantCanon {
-			t.Errorf("shards=%d: logical contents differ from unsharded", n)
-		}
-	}
-}
-
-// TestShardFreePoolChurn drives heavy id recycling through the free pool
-// on a striped map — delete, re-allocate, DeleteList, MoveBlocks — and
-// audits the pool invariants after every phase, after a checkpointed
-// restart, and after crash recovery.
-func TestShardFreePoolChurn(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+// TestFreePoolChurn drives heavy id recycling through the free pool —
+// delete, re-allocate, DeleteList, MoveBlocks — and audits the pool
+// invariants after every phase, after a checkpointed restart, and after
+// crash recovery.
+func TestFreePoolChurn(t *testing.T) {
 	o := testOptions()
 	d, l := newTestLLD(t, 4<<20, o)
 	rng := rand.New(rand.NewSource(9))
@@ -170,7 +72,7 @@ func TestShardFreePoolChurn(t *testing.T) {
 	audit("reallocate")
 
 	// Move a run between lists, then delete a whole list: both paths free
-	// or retag blocks across every stripe.
+	// or retag a run of blocks at once.
 	src, dst := lids[0], lids[1]
 	if blocks, err := l.ListBlocks(src); err == nil && len(blocks) >= 3 {
 		if err := l.MoveBlocks(blocks[0], blocks[2], src, dst, ld.NilBlock, ld.NilBlock); err != nil {
@@ -230,23 +132,20 @@ func TestShardFreePoolChurn(t *testing.T) {
 	audit("crash recovery")
 }
 
-// TestShardConcurrentWritersModel drives concurrent writers whose block
-// sets are disjoint but interleaved across every stripe, in deterministic
-// barrier-separated rounds: within a round the stripe interleaving is free
-// (that is what is under test, especially with -race), across rounds the
-// final state is schedule-independent, so it can be checked against the
-// msModel reference model — list structure, member order, and contents —
-// and re-checked after a restart.
-func TestShardConcurrentWritersModel(t *testing.T) {
+// TestConcurrentWritersModel drives concurrent writers over disjoint block
+// sets (every other list Compress-hinted) in deterministic
+// barrier-separated rounds: within a round the interleaving is free (that
+// is what is under test, especially with -race), across rounds the final
+// state is schedule-independent, so it can be checked against the msModel
+// reference model — list structure, member order, and contents — and
+// re-checked after a restart.
+func TestConcurrentWritersModel(t *testing.T) {
 	const writers = 4
 	const perWriter = 6
 	const rounds = 20
-	const shards = 3 // coprime with the writer count: every writer's set spans stripes
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
-	o := testOptions()
-	o.BackgroundClean = true
-	_, l := newTestLLD(t, 8<<20, o)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, l := newTestLLD(t, 8<<20, testOptions())
 
 	model := &msModel{
 		lists: make(map[ld.ListID][]ld.BlockID),
@@ -270,14 +169,6 @@ func TestShardConcurrentWritersModel(t *testing.T) {
 			blocks[w] = append(blocks[w], b)
 			model.lists[lid] = append(model.lists[lid], b)
 			model.tag[b] = tagOf(w, rounds-1, i)
-		}
-		// The point of the test: every writer's set must cross stripes.
-		stripes := map[uint32]bool{}
-		for _, b := range blocks[w] {
-			stripes[uint32(b)%shards] = true
-		}
-		if len(stripes) < 2 {
-			t.Fatalf("writer %d's blocks all on one stripe; test is not exercising cross-stripe writes", w)
 		}
 	}
 
@@ -310,9 +201,8 @@ func TestShardConcurrentWritersModel(t *testing.T) {
 	if viol := l.CheckInvariants(); len(viol) != 0 {
 		t.Fatalf("invariant violations: %v", viol)
 	}
-	st := l.Stats()
-	if want := int64(writers * perWriter * rounds); st.ShardedWrites != want {
-		t.Errorf("ShardedWrites = %d, want %d", st.ShardedWrites, want)
+	if got, want := l.Stats().BlocksWritten, int64(writers*perWriter*rounds); got != want {
+		t.Errorf("BlocksWritten = %d, want %d", got, want)
 	}
 
 	// The agreed-on state must also be the durable one.
@@ -341,17 +231,14 @@ func restartClean(t *testing.T, l *LLD) (*disk.Disk, *LLD) {
 	return d, l2
 }
 
-// TestShardConcurrentMixedOps races writers against the operations that
-// take stripe locks differently — DeleteBlock (one stripe), DeleteList and
-// MoveBlocks (all stripes), NewBlock (none), plus the explicit cleaner and
-// reorganizer (instance lock only) — and requires uniform (untorn) block
-// contents and clean invariants at the end. Run under -race this exercises
-// the whole stripe-lock discipline.
-func TestShardConcurrentMixedOps(t *testing.T) {
+// TestConcurrentMixedOps races writers against the commands that change a
+// block's logical state — DeleteBlock, DeleteList, MoveBlocks, NewBlock —
+// plus the explicit cleaner and reorganizer, and requires uniform (untorn)
+// block contents and clean invariants at the end: the guarantee the block
+// map's lock stripes used to give is the instance lock's alone.
+func TestConcurrentMixedOps(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	o := testOptions()
-	o.BackgroundClean = true
-	_, l := newTestLLD(t, 8<<20, o)
+	_, l := newTestLLD(t, 8<<20, testOptions())
 
 	shared := mustNewList(t, l, ld.NilList, ld.ListHints{})
 	var sharedBlocks []ld.BlockID
@@ -419,8 +306,8 @@ func TestShardConcurrentMixedOps(t *testing.T) {
 		}
 	}()
 
-	// Surgeon: MoveBlocks and DeleteList take every stripe lock while the
-	// others hold individual stripes.
+	// Surgeon: MoveBlocks and DeleteList retag and free whole runs while
+	// the others write single blocks.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

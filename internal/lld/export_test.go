@@ -334,3 +334,11 @@ func (a *RelogAudit) relogged() {
 		a.Equal++
 	}
 }
+
+// noHeadroom lifts the utilization limit to 1.0, so a test can fill the
+// disk until the last segment is taken (buildStaleImage).
+func (l *LLD) noHeadroom() {
+	l.mu.Lock()
+	l.utilLimit = 1.0
+	l.mu.Unlock()
+}

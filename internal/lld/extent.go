@@ -10,7 +10,7 @@ import (
 
 // Platter-order data verification, shared by recovery's read-back of the
 // segments above the durable watermark (verifyRecoveredData) and by the
-// scrubber (Scrub, the background scrubber, ReclaimQuarantined). The verdict
+// scrubber (Scrub, ReclaimQuarantined). The verdict
 // on a block depends only on its bytes, not on the order they are fetched
 // in, so the fetch order is the cheap one: the live blocks are gathered once, sorted by
 // (segment, offset), coalesced into extents, and each extent is read with
@@ -50,9 +50,9 @@ const deadGapMax = 32 << 10
 var errPayloadCRC = errors.New("lld: payload checksum mismatch")
 
 // liveSpan is one mapped block with a home on the platter, as the gather
-// saw it. A pass that releases the lock between segments (the background
-// scrubber) or writes to the log (salvage) can outlive the snapshot; spans
-// are re-checked against the map before use.
+// saw it. A pass that writes to the log (salvage: its appends can seal and
+// clean) outlives the snapshot; spans are re-checked against the map before
+// use.
 type liveSpan struct {
 	bid    ld.BlockID
 	seg    int32

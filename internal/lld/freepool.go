@@ -1,11 +1,12 @@
 package lld
 
+import "repro/internal/ld"
+
 // freePool is a LIFO pool of recyclable identifiers (block numbers or list
 // ids). The allocation paths, the recovery sweep, and the checkpoint loader
 // all used to hand-roll the same push/pop/rebuild slices; this type is the
-// single copy. A pool has no lock of its own: every pool lives inside state
-// that is already guarded (the instance lock, plus the owning shard's
-// stripe lock for block-id pools).
+// single copy. A pool has no lock of its own: both pools are guarded by the
+// instance lock.
 type freePool[T ~uint32] struct {
 	ids []T
 }
@@ -33,3 +34,23 @@ func (p *freePool[T]) size() int { return len(p.ids) }
 // all exposes the pooled ids oldest-first; callers must not mutate or
 // retain the slice across pool operations.
 func (p *freePool[T]) all() []T { return p.ids }
+
+// rebuildFreePools rederives the free block-number pool and the free
+// list-id pool from the allocation state, in ascending id order. The
+// pools are derived state — neither the checkpoint nor the segment
+// summaries serialize them — so both the recovery sweep and the
+// checkpoint loader finish by calling this.
+func (l *LLD) rebuildFreePools() {
+	l.freeIDs.reset()
+	for b := ld.BlockID(1); b < l.nextFresh; b++ {
+		if !l.blocks[b].allocated() {
+			l.freeIDs.push(b)
+		}
+	}
+	l.freeLists.reset()
+	for lid := ld.ListID(1); lid < l.nextList; lid++ {
+		if l.lists[lid] == nil {
+			l.freeLists.push(lid)
+		}
+	}
+}

@@ -156,11 +156,6 @@ func (l *LLD) Scrub() (ScrubResult, error) {
 	if err := l.checkOpen(); err != nil {
 		return ScrubResult{}, err
 	}
-	if l.scrubbing {
-		return ScrubResult{}, nil // background pass in flight; skip
-	}
-	l.scrubbing = true
-	defer func() { l.scrubbing = false }()
 	v := l.newVerifier()
 	defer v.finish()
 	var res ScrubResult
@@ -178,7 +173,7 @@ func (l *LLD) Scrub() (ScrubResult, error) {
 // scrubSegment verifies every live block mapped into segment seg and, when
 // repair is set, salvages verifiable blocks out of a quarantined seg. A
 // pass (v) visits segments in ascending order. Callers hold l.mu
-// exclusively with l.scrubbing set. Media faults are recorded per block;
+// exclusively. Media faults are recorded per block;
 // any other error aborts the pass.
 func (l *LLD) scrubSegment(v *verifier, seg int, repair bool, res *ScrubResult) error {
 	run := v.runOf(seg) // taken even if seg is skipped below: the pass moves on

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ld"
@@ -406,55 +405,13 @@ func TestCorruptionSweep(t *testing.T) {
 	t.Logf("corruption sweep: %d single-byte flips, %d opened, %d refused at open", opens+opensFailed, opens, opensFailed)
 }
 
-// --- background scrubber ------------------------------------------------
-
-func TestBackgroundScrubRunsAndFindsNothingOnHealthyDisk(t *testing.T) {
-	o := testOptions()
-	o.BackgroundScrub = true
-	_, l := newTestLLD(t, 4<<20, o)
-	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
-	prev := ld.NilBlock
-	for i := 0; i < 60; i++ {
-		b := mustNewBlock(t, l, lid, prev)
-		mustWrite(t, l, b, bytes.Repeat([]byte{byte(i + 1)}, 4096))
-		prev = b
-	}
-	waitForBGScrub(t, l)
-	if err := l.Shutdown(true); err != nil {
-		t.Fatal(err)
-	}
-	s := l.Stats()
-	if s.BGScrubSteps == 0 {
-		t.Fatal("background scrubber never ran a step")
-	}
-	if s.ScrubErrors != 0 || s.ScrubRepairs != 0 {
-		t.Fatalf("healthy disk: %d scrub errors, %d repairs", s.ScrubErrors, s.ScrubRepairs)
-	}
-}
-
-// waitForBGScrub blocks until the background scrubber has completed at
-// least one step. The goroutine is signal-driven, so a fast test can reach
-// shutdown before it is ever scheduled; this removes that race.
-func waitForBGScrub(t *testing.T, l *LLD) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for l.Stats().BGScrubSteps == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background scrubber never ran a step")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestScrubCleanHammer races the background scrubber, the background
-// cleaner, concurrent writers, and concurrent readers on one LLD. Run with
-// -race; the assertions are that nothing deadlocks, no read ever fails or
-// returns wrong bytes (the disk is healthy), and invariants hold at the end.
+// TestScrubCleanHammer races a scrubbing goroutine, a cleaning goroutine,
+// concurrent writers, and concurrent readers on one LLD. Run with -race;
+// the assertions are that nothing deadlocks, no read ever fails or returns
+// wrong bytes (the disk is healthy), no scrub pass finds anything, and
+// invariants hold at the end.
 func TestScrubCleanHammer(t *testing.T) {
-	o := testOptions()
-	o.BackgroundClean = true
-	o.BackgroundScrub = true
-	_, l := newTestLLD(t, 4<<20, o)
+	_, l := newTestLLD(t, 4<<20, testOptions())
 	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
 
 	const workers = 4
@@ -471,8 +428,37 @@ func TestScrubCleanHammer(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
+	var wg, idleWG sync.WaitGroup
+	errc := make(chan error, workers+2)
+	stop := make(chan struct{})
+	idle := func(name string, pass func() error) {
+		idleWG.Add(1)
+		go func() {
+			defer idleWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := pass(); err != nil {
+					errc <- fmt.Errorf("%s: %w", name, err)
+					return
+				}
+			}
+		}()
+	}
+	idle("scrubber", func() error {
+		res, err := l.Scrub()
+		if err == nil && len(res.Corrupt) != 0 {
+			err = fmt.Errorf("healthy disk, corrupt blocks %v", res.Corrupt)
+		}
+		return err
+	})
+	idle("cleaner", func() error {
+		_, err := l.Clean(1)
+		return err
+	})
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -510,6 +496,8 @@ func TestScrubCleanHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	idleWG.Wait()
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
@@ -517,7 +505,6 @@ func TestScrubCleanHammer(t *testing.T) {
 	if viol := l.CheckInvariants(); len(viol) != 0 {
 		t.Fatalf("invariants after hammer: %v", viol)
 	}
-	waitForBGScrub(t, l)
 	if err := l.Shutdown(true); err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +512,7 @@ func TestScrubCleanHammer(t *testing.T) {
 	if s.ScrubErrors != 0 {
 		t.Fatalf("scrubber reported %d errors on a healthy disk", s.ScrubErrors)
 	}
-	if s.BGScrubSteps == 0 {
-		t.Fatal("background scrubber never ran during the hammer")
+	if s.ScrubPasses == 0 {
+		t.Fatal("no scrub pass completed during the hammer")
 	}
 }

@@ -3,7 +3,6 @@ package lld
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,24 +151,19 @@ type Stats struct {
 	CleanReadBytes  int64 // bytes those requests read
 	SummaryLoads    int64 // victims whose summary had to be read back; 0 on an instance mounted by the sweep
 
-	BGCleanPasses int64 // background-cleaner passes completed
-	BGCleanSteps  int64 // exclusive-lock acquisitions by the background cleaner
-	BGCleanErrors int64 // background passes abandoned on error
-	WriterWaits   int64 // mutators that blocked on an exhausted free pool
-
-	MapShards     int64 // lock stripes the block map is partitioned into (gauge)
-	ShardedWrites int64 // writes that ran the striped prepare/transform/apply path
-
 	// Read by bench/layers.go; delete with the next benchmark PR. There is
-	// one open segment and seals are inline, so SegmentLanes reports 1 and
-	// the rest stay 0.
-	SegmentLanes int64
-	AsyncSeals   int64
-	GroupCommits int64
-	GroupedSeals int64
-	SealWaits    int64
-
-	SpuriousWakeups int64 // awaitFreeSegment wakeups that found no free segment
+	// one open segment sealed inline, one lock over the block map and no
+	// writer ever waits on a cleaner, so SegmentLanes and MapShards report
+	// 1 and the rest stay 0.
+	SegmentLanes    int64
+	MapShards       int64
+	AsyncSeals      int64
+	GroupCommits    int64
+	GroupedSeals    int64
+	SealWaits       int64
+	ShardedWrites   int64
+	WriterWaits     int64
+	SpuriousWakeups int64
 
 	HintHits   int64
 	HintMisses int64
@@ -196,8 +190,6 @@ type Stats struct {
 	ScrubBytes          int64 // stored bytes the scrubber read and verified
 	ScrubErrors         int64 // corrupt or unreadable blocks the scrubber found
 	ScrubRepairs        int64 // degraded blocks salvaged by rewrite
-	BGScrubPasses       int64 // background-scrubber passes completed
-	BGScrubSteps        int64 // exclusive-lock acquisitions by the background scrubber
 	QuarantinedSegments int64 // segments currently quarantined (gauge)
 
 	DegradedReads     int64 // reads served from a surviving replica of a redundant backend
@@ -208,11 +200,15 @@ type Stats struct {
 
 // LLD is a log-structured Logical Disk. It implements ld.Disk.
 //
-// Concurrency model. mu is a reader/writer lock: non-mutating commands
-// (Read, ListBlocks, Lists, ListIndex, BlockSize, and the reporting
-// getters) hold it shared and run concurrently; every mutating command
-// (Write, allocation, list surgery, Flush, the cleaner, ARU brackets,
-// Shutdown) holds it exclusively. Because mutators are exclusive, a
+// Concurrency model (DESIGN.md §8 "Why one lock and no goroutine"). An LLD
+// has one lock and starts no goroutine: everything it does — sealing,
+// cleaning, scrubbing — runs on the stack of the command that asked for
+// it or tripped it. mu is a reader/writer lock: non-mutating commands
+// (Read, ReadBlocks, ListBlocks, Lists, ListIndex, BlockSize, and the
+// reporting getters) hold it shared and run concurrently; every mutating
+// command (Write, allocation, list surgery, Flush, the cleaner, the
+// scrubber, ARU brackets, Shutdown) holds it exclusively from its first
+// check to its last store. Because mutators are exclusive, a
 // shared holder sees a frozen block-number map, list table, and open
 // segment — including l.cur.buf, whose bytes only change under the write
 // lock — so reads never observe a half-filled segment buffer. The two
@@ -220,12 +216,6 @@ type Stats struct {
 // read-path statistics counters are updated atomically (see Stats), and
 // the per-list ListIndex cursor memo is guarded by cursorMu, which nests
 // strictly inside mu and is never held across I/O.
-//
-// Above mu sit the block-map stripe locks (shards): Write holds its
-// block's stripe across a prepare/transform/apply window so the CPU-heavy
-// part of a write (compression, checksumming) runs with mu released and
-// writes to different stripes overlap. mapShard documents the discipline;
-// the lock order is stripe locks ascending, then mu.
 type LLD struct {
 	mu   sync.RWMutex
 	dsk  disk.Backend
@@ -237,13 +227,7 @@ type LLD struct {
 
 	blocks    []blockInfo // indexed by BlockID; entry 0 unused
 	nextFresh ld.BlockID  // smallest never-allocated id
-
-	// shards are the lock stripes of the block-number map (see mapShard):
-	// shard i owns ids with id mod len(shards) == i. freeIDs pools the
-	// recyclable ids of every stripe in one LIFO, guarded by mu, so the
-	// order ids are handed out in does not depend on the stripe count.
-	shards  []mapShard
-	freeIDs freePool[ld.BlockID]
+	freeIDs   freePool[ld.BlockID]
 
 	lists     map[ld.ListID]*listInfo
 	order     []ld.ListID // the list of lists
@@ -286,31 +270,13 @@ type LLD struct {
 
 	liveBytes     int64
 	reservedBytes int64
+	utilLimit     float64 // utilizationLimit; a field so one test family can fill a disk to the brim
 
-	// Cleaner-pass ownership. cleaning is true while any cleaning pass
-	// (inline or background) is active; because inline passes never
-	// release mu mid-pass, observing cleaning && !cleaningBG under the
-	// exclusive lock means the pass is on the observer's own stack.
-	// cleaningBG marks a background pass (which spans lock releases), and
-	// cleaningStep is true only while the background goroutine itself
-	// holds the lock inside one step.
-	cleaning     bool
-	cleaningBG   bool
-	cleaningStep bool
-	victim       int // the segment cleanSegment is working on, -1 outside it (read at the clean.* crash points)
-
-	// Background cleaner (nil when BackgroundClean is off). spaceCond is
-	// signaled (on mu's exclusive side) whenever free segments appear or
-	// the cleaner/instance state changes; waiters counts mutators blocked
-	// in awaitFreeSegment.
-	bg        *bgWorker
-	spaceCond *sync.Cond
-	waiters   int
-
-	// Background scrubber (nil when BackgroundScrub is off). scrubbing
-	// guards against overlapping passes (foreground Scrub vs background).
-	bgScrub   *bgWorker
-	scrubbing bool
+	// cleaning is true while a cleaning pass is active. A pass never
+	// releases mu, so whoever observes it set is on the pass's own stack
+	// (its re-logs and block moves go through ensureRoom like any append).
+	cleaning bool
+	victim   int // the segment cleanSegment is working on, -1 outside it (read at the clean.* crash points)
 
 	// recReport describes what the last recovery sweep found; zero value
 	// on a clean open. Read via RecoveryReport().
@@ -389,7 +355,7 @@ func Format(dsk disk.Backend, opts Options) error {
 }
 
 // Open attaches to a formatted disk. Geometry comes from the superblock;
-// runtime policy (threshold, cleaner watermarks, compression model) comes
+// runtime policy (compression model, NVRAM) comes
 // from opts. If a valid clean-shutdown checkpoint exists it is loaded and
 // invalidated; otherwise the state is rebuilt by the one-sweep recovery of
 // paper §3.6.
@@ -439,12 +405,11 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc) (*LLD, error) {
 		lists:     make(map[ld.ListID]*listInfo),
 		deadLists: make(map[ld.ListID]uint64),
 		nextList:  1,
-		shards:    make([]mapShard, min(runtime.GOMAXPROCS(0), 64)),
 		segs:      make([]segInfo, lay.nSegments),
 		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
 		victim:    -1,
+		utilLimit: utilizationLimit,
 	}
-	l.spaceCond = sync.NewCond(&l.mu)
 	for i := range l.blocks {
 		l.blocks[i].seg = -1
 	}
@@ -486,7 +451,6 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc) (*LLD, error) {
 			uint32(l.fenceHi), uint32(l.fenceHi>>32))
 		l.fenceLo, l.fenceHi = 0, 0
 	}
-	l.startBackground()
 	return l, nil
 }
 
@@ -519,8 +483,7 @@ func (l *LLD) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.stats
-	s.MapShards = int64(len(l.shards))
-	s.SegmentLanes = 1
+	s.SegmentLanes, s.MapShards = 1, 1
 	s.DurableMark = l.durableMark
 	return s
 }
@@ -696,7 +659,7 @@ func (l *LLD) LiveBytes() int64 {
 
 // UsableBytes returns the data capacity subject to the utilization limit.
 func (l *LLD) UsableBytes() int64 {
-	return int64(float64(l.lay.usableBytes()) * l.opts.UtilizationLimit)
+	return int64(float64(l.lay.usableBytes()) * l.utilLimit)
 }
 
 // checkOpen reports ErrShutdown after Shutdown. Callers hold l.mu

@@ -22,10 +22,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"summary too small", func(o *Options) { o.SummarySize = 16 }},
 		{"summary >= segment", func(o *Options) { o.SummarySize = o.SegmentSize }},
 		{"block too large", func(o *Options) { o.MaxBlockSize = o.SegmentSize }},
-		{"bad threshold", func(o *Options) { o.FlushThreshold = 0 }},
-		{"threshold > 1", func(o *Options) { o.FlushThreshold = 1.5 }},
-		{"bad watermarks", func(o *Options) { o.CleanLow, o.CleanHigh = 4, 4 }},
-		{"bad utilization", func(o *Options) { o.UtilizationLimit = 0 }},
 	}
 	for _, c := range cases {
 		o := base

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compress"
@@ -624,6 +625,61 @@ func TestShutdownSemantics(t *testing.T) {
 	}
 	if err := l.Write(b, nil); !errors.Is(err, ld.ErrShutdown) {
 		t.Fatalf("post-shutdown write: %v", err)
+	}
+
+	// Write racing Shutdown(false): every Write returns nil or ErrShutdown,
+	// and the crashed image mounts with clean invariants and whole blocks —
+	// a shutdown landing beside an append tears nothing.
+	d, l := newTestLLD(t, 4<<20, testOptions())
+	lid = mustNewList(t, l, ld.NilList, ld.ListHints{})
+	var blocks []ld.BlockID
+	for i := 0; i < 8; i++ {
+		blocks = append(blocks, mustNewBlock(t, l, lid, ld.NilBlock))
+	}
+	const writers = 4
+	var wg sync.WaitGroup
+	started := make(chan struct{}, writers)
+	errc := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				err := l.Write(blocks[(w+i)%len(blocks)], bytes.Repeat([]byte{byte(w + 1)}, 3000))
+				if i == 0 {
+					started <- struct{}{}
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		<-started
+	}
+	if err := l.Shutdown(false); err != nil {
+		t.Fatalf("Shutdown(false) under writers: %v", err)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if !errors.Is(err, ld.ErrShutdown) {
+			t.Errorf("Write racing Shutdown(false): %v, want nil or ErrShutdown", err)
+		}
+	}
+	l2, err := Open(d, testOptions())
+	if err != nil {
+		t.Fatalf("mount after the race: %v", err)
+	}
+	if viol := l2.CheckInvariants(); len(viol) != 0 {
+		t.Fatalf("invariants after the race: %v", viol)
+	}
+	for _, b := range blocks {
+		if got := mustRead(t, l2, b); len(got) != 0 && !bytes.Equal(got, bytes.Repeat(got[:1], 3000)) {
+			t.Errorf("block %d torn after the race (%d bytes)", b, len(got))
+		}
 	}
 }
 

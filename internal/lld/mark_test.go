@@ -354,7 +354,7 @@ func TestCleanedSegmentIsNotReusedBeforeADrain(t *testing.T) {
 	for i := 0; i < l.lay.dataCap()/4096; i++ {
 		hot = append(hot, mustNewBlock(t, l, lid, ld.NilBlock))
 	}
-	for len(l.freeSegs) > opts.CleanHigh {
+	for len(l.freeSegs) > cleanHigh {
 		mustWrite(t, l, mustNewBlock(t, l, lid, ld.NilBlock), bytes.Repeat([]byte{0xC0}, 4096))
 	}
 	rec.take('w')

@@ -246,76 +246,36 @@ func (s *batchSweep) Swap(i, j int) {
 // main memory; the segment is written to disk in a single operation when
 // full (paper §3.1).
 //
-// Write is the striped operation: it holds its block's stripe lock across
-// a three-phase window — prepare (validate and read the compression
-// decision under the shared instance lock), transform (compress and
-// checksum with no instance lock at all), apply (append the log record and
-// install the new location under the exclusive instance lock). The stripe
-// lock keeps b's logical state frozen across the window, so writes to
-// blocks on different stripes overlap their transform phases and meet only
-// at the log append.
+// Write is one exclusive hold of the instance lock from validation to the
+// installed location; compression and the checksum run inside it (DESIGN.md
+// §8 "Why one lock and no goroutine").
 func (l *LLD) Write(b ld.BlockID, data []byte) error {
-	sh := l.shardOf(b)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	// Prepare. Every operation that could deallocate b or retag its owning
-	// list holds this stripe, so what is validated here stays true for the
-	// whole window.
-	l.mu.RLock()
-	err := l.checkOpen()
-	var bi *blockInfo
-	if err == nil {
-		bi, err = l.blockAt(b)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.checkOpen(); err != nil {
+		return err
 	}
-	if err == nil && len(data) > l.lay.maxBlockSize {
-		err = fmt.Errorf("%w: %d > %d", ld.ErrTooLarge, len(data), l.lay.maxBlockSize)
-	}
-	wantCompress := false
-	if err == nil {
-		li := l.lists[bi.lid]
-		wantCompress = li != nil && li.hints.Compress && len(data) >= 64 && !l.opts.CompressOnClean
-	}
-	l.mu.RUnlock()
+	bi, err := l.blockAt(b)
 	if err != nil {
 		return err
 	}
-
-	// Transform: the CPU-heavy part of a write runs outside the instance
-	// lock. Statistics deltas accumulate locally and land under the
-	// exclusive lock in apply.
+	if len(data) > l.lay.maxBlockSize {
+		return fmt.Errorf("%w: %d > %d", ld.ErrTooLarge, len(data), l.lay.maxBlockSize)
+	}
 	store := data
 	compressed := false
-	if wantCompress {
+	if li := l.lists[bi.lid]; li != nil && li.hints.Compress && len(data) >= 64 && !l.opts.CompressOnClean {
 		c := compress.Compress(make([]byte, 0, len(data)), data)
 		if len(c) < len(data) {
 			store = c
 			compressed = true
-		}
-	}
-	crc := payloadCRC(store)
-
-	// Apply.
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.checkOpen(); err != nil {
-		// Shutdown takes no stripe locks, so it can land mid-window.
-		return err
-	}
-	// Still allocated and on the same list: guaranteed by the stripe lock,
-	// not re-validated.
-	bi = &l.blocks[b]
-	if wantCompress {
-		l.compressCPU += l.opts.compressDelay(len(data))
-		l.stats.CompressInBytes += int64(len(data))
-		if compressed {
 			l.stats.CompressedBlocks++
 		}
+		l.compressCPU += l.opts.compressDelay(len(data))
+		l.stats.CompressInBytes += int64(len(data))
 		l.stats.CompressOutBytes += int64(len(store))
 	}
-	// Recompute the superseded byte count now rather than trusting the
-	// prepare-time view: the cleaner and scrubber (which take no stripe
-	// locks) may have moved or re-compressed b since.
+	crc := payloadCRC(store)
 	old := int64(0)
 	if bi.hasData() {
 		old = int64(bi.stored)
@@ -346,7 +306,6 @@ func (l *LLD) Write(b ld.BlockID, data []byte) error {
 	l.applySetData(b, l.cur.id, off, len(store), len(data), compressed, crc)
 	l.stats.BlocksWritten++
 	l.stats.UserBytesWritten += int64(len(data))
-	l.stats.ShardedWrites++
 	return nil
 }
 
@@ -387,11 +346,6 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 			return ld.NilBlock, fmt.Errorf("%w: predecessor %d not on list %d", ld.ErrNotInList, pred, lid)
 		}
 	}
-	// No stripe lock here: an unallocated id can have no open Write window
-	// (windows validate allocation at prepare, and freeing an allocated id
-	// requires the stripe lock the window already holds), so allocation is
-	// invisible to every in-flight window. Taking a stripe after choosing
-	// the id would also invert the stripe-before-instance lock order.
 	var bid ld.BlockID
 	fromPool := false
 	if id, ok := l.freeIDs.pop(); ok {
@@ -420,15 +374,8 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 	return bid, nil
 }
 
-// DeleteBlock implements ld.Disk. Freeing changes b's logical state, so it
-// takes b's stripe lock first: a free cannot land inside a concurrent
-// Write(b) window. The resolved predecessor needs no stripe — successor
-// pointers are only read and written under the instance lock, which
-// DeleteBlock holds exclusively throughout.
+// DeleteBlock implements ld.Disk.
 func (l *LLD) DeleteBlock(b ld.BlockID, lid ld.ListID, predHint ld.BlockID) error {
-	sh := l.shardOf(b)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.checkOpen(); err != nil {
@@ -490,12 +437,7 @@ func (l *LLD) NewList(predList ld.ListID, hints ld.ListHints) (ld.ListID, error)
 }
 
 // DeleteList implements ld.Disk. All blocks remaining on the list are freed.
-// Freeing an unbounded, not-yet-resolved set of blocks changes logical
-// state across every stripe, so all stripe locks are taken (ascending, per
-// the lock order) for the duration.
 func (l *LLD) DeleteList(lid ld.ListID, predHint ld.ListID) error {
-	l.lockAllShards()
-	defer l.unlockAllShards()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.checkOpen(); err != nil {
@@ -533,13 +475,8 @@ func (l *LLD) DeleteList(lid ld.ListID, predHint ld.ListID) error {
 	return nil
 }
 
-// MoveBlocks implements ld.Disk. Retagging the run's owning list changes
-// logical state a concurrent Write window reads at prepare (the list's
-// compression hint), so like DeleteList it takes every stripe lock for the
-// duration rather than resolving the run first.
+// MoveBlocks implements ld.Disk.
 func (l *LLD) MoveBlocks(first, last ld.BlockID, srcList, dstList ld.ListID, pred ld.BlockID, srcPredHint ld.BlockID) error {
-	l.lockAllShards()
-	defer l.unlockAllShards()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.checkOpen(); err != nil {
@@ -785,7 +722,7 @@ func (l *LLD) flushLocked() error {
 		return nil
 	}
 	fill := float64(cur.dataOff) / float64(l.lay.dataCap())
-	if fill >= l.opts.FlushThreshold {
+	if fill >= flushThreshold {
 		return l.sealSegment()
 	}
 	// NVRAM absorption (§5.3): a small partial segment lands in modeled
@@ -976,16 +913,9 @@ func (l *LLD) BlockSize(b ld.BlockID) (int, error) {
 // Shutdown implements ld.Disk. A clean shutdown seals the open segment and
 // writes the state to the checkpoint region with a validity marker (paper
 // §3.6); an unclean one discards the in-memory state, simulating a crash of
-// the host (the disk itself is untouched).
-//
-// Either flavor quiesces the background workers first: the goroutines are
-// joined before the lock is taken, so no cleaning or scrubbing step can
-// race the checkpoint (or linger past a simulated crash). A clean Shutdown
-// refused with ErrARUOpen has no lasting effect: the refusal path restarts
-// the workers it stopped, under the same lock hold that saw the open ARU.
+// the host (the disk itself is untouched). A clean Shutdown refused with
+// ErrARUOpen has no effect.
 func (l *LLD) Shutdown(clean bool) error {
-	l.stopBGScrub()
-	l.stopBGClean()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.checkOpen(); err != nil {
@@ -996,7 +926,6 @@ func (l *LLD) Shutdown(clean bool) error {
 		return nil
 	}
 	if l.aruOpen {
-		l.startBackground()
 		return ld.ErrARUOpen
 	}
 	if cur := l.cur; cur != nil {

@@ -51,16 +51,6 @@ type Options struct {
 	// space (so small-block-heavy file systems do not run out of numbers).
 	MaxBlocks int
 
-	// FlushThreshold is the fill fraction above which a Flush seals the
-	// current segment instead of writing a partial image (paper §3.2
-	// suggests 75%).
-	FlushThreshold float64
-
-	// CleanLow and CleanHigh are the cleaner watermarks: when the number
-	// of free segments drops to CleanLow, the cleaner runs until CleanHigh
-	// segments are free (or no victims remain).
-	CleanLow, CleanHigh int
-
 	// CompressBandwidth models the CPU cost of compression in bytes per
 	// second of virtual time; decompression is charged at the same rate.
 	// Zero disables the charge (infinitely fast CPU).
@@ -80,32 +70,6 @@ type Options struct {
 	// are drained to disk at the start of recovery). Zero disables it.
 	NVRAMBytes int
 
-	// UtilizationLimit caps the fraction of segment data capacity that may
-	// hold live+reserved bytes; beyond it allocations fail with
-	// ld.ErrNoSpace. Keeping headroom is what keeps cleaning affordable.
-	UtilizationLimit float64
-
-	// BackgroundClean moves watermark-triggered cleaning off the foreground
-	// path: the instance owns a goroutine that claims the exclusive lock
-	// for one victim segment at a time and yields between steps, so
-	// concurrent commands see bounded pauses instead of whole-clean stalls
-	// (the paper's §3.5 "during idle periods or when the number of free
-	// segments gets below a certain threshold" run in the background).
-	// Mutators that trip the low watermark merely signal the goroutine;
-	// they block only when the free pool is truly exhausted. The durable
-	// state produced is identical to synchronous cleaning: the goroutine
-	// runs the very same victim loop, just in lock-released slices. A
-	// runtime knob, never written to disk.
-	BackgroundClean bool
-
-	// BackgroundScrub attaches an online scrubber: a goroutine that, woken
-	// by segment seals, re-reads sealed segments and verifies every live
-	// block's payload checksum against the media, one segment per
-	// exclusive-lock hold (the background cleaner's lock discipline).
-	// Background passes only verify; salvage of quarantined blocks stays
-	// with the explicit Scrub call. A runtime knob, never written to disk.
-	BackgroundScrub bool
-
 	// CrashHook, when set, is called at named schedule points whose
 	// interruption is interesting to crash testing — between a cleaner's
 	// block moves and its fact re-log ("clean.moved"), after the re-log
@@ -122,18 +86,33 @@ type Options struct {
 	CrashHook func(site string)
 }
 
+// Policy with one right answer in this tree: no caller outside a test ever
+// set another value.
+const (
+	// flushThreshold is the fill fraction at or above which a Flush seals
+	// the open segment instead of writing a partial image (paper §3.2
+	// suggests 75%).
+	flushThreshold = 0.75
+
+	// cleanLow and cleanHigh are the cleaner watermarks: when the number
+	// of free segments drops to cleanLow, the cleaner runs until cleanHigh
+	// segments are free (or no victims remain).
+	cleanLow, cleanHigh = 2, 4
+
+	// utilizationLimit caps the fraction of segment data capacity that may
+	// hold live+reserved bytes; beyond it allocations fail with
+	// ld.ErrNoSpace. Keeping headroom is what keeps cleaning affordable.
+	utilizationLimit = 0.90
+)
+
 // DefaultOptions returns the configuration used for the paper's main
-// measurements: 512-KB segments, 4-KB maximum blocks, 75% flush threshold.
+// measurements: 512-KB segments, 4-KB maximum blocks.
 func DefaultOptions() Options {
 	return Options{
 		SegmentSize:       512 * 1024,
 		SummarySize:       8 * 1024,
 		MaxBlockSize:      4096,
-		FlushThreshold:    0.75,
-		CleanLow:          2,
-		CleanHigh:         4,
 		CompressBandwidth: 1500 * 1024,
-		UtilizationLimit:  0.90,
 	}
 }
 
@@ -149,15 +128,6 @@ func (o Options) validate(sectorSize int) error {
 	}
 	if o.MaxBlockSize <= 0 || o.MaxBlockSize > o.SegmentSize-2*o.SummarySize {
 		return fmt.Errorf("lld: max block size %d must fit in a segment's data area (%d)", o.MaxBlockSize, o.SegmentSize-2*o.SummarySize)
-	}
-	if o.FlushThreshold <= 0 || o.FlushThreshold > 1 {
-		return fmt.Errorf("lld: flush threshold %v out of (0,1]", o.FlushThreshold)
-	}
-	if o.CleanLow < 1 || o.CleanHigh <= o.CleanLow {
-		return fmt.Errorf("lld: cleaner watermarks low=%d high=%d invalid", o.CleanLow, o.CleanHigh)
-	}
-	if o.UtilizationLimit <= 0 || o.UtilizationLimit > 1 {
-		return fmt.Errorf("lld: utilization limit %v out of (0,1]", o.UtilizationLimit)
 	}
 	return nil
 }

@@ -44,11 +44,6 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	if l.aruOpen {
 		return res, fmt.Errorf("lld: cannot reclaim during an open atomic recovery unit")
 	}
-	if l.scrubbing {
-		return res, nil // background verification pass in flight; retry later
-	}
-	l.scrubbing = true
-	defer func() { l.scrubbing = false }()
 
 	v := l.newVerifier()
 	defer v.finish()
@@ -136,6 +131,5 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 		l.stats.ReclaimedSegments++
 	}
 	l.crashPoint("reclaim.postclear")
-	l.signalSpace(len(res.Reclaimed))
 	return res, nil
 }

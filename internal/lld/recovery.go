@@ -609,7 +609,7 @@ type verifyFunc func(l *LLD, report *RecoveryReport, trusted func(seg int) bool)
 // copies that diverged (a mirror leg whose cache dropped or tore the data
 // while its sibling's persisted). It runs only on unclean mounts — the fsck
 // side of recovery — and is not a scrub: rot in a trusted segment is left
-// to the read path's checksum, Scrub and the background scrubber.
+// to the read path's checksum and Scrub.
 func (l *LLD) verifyRecoveredData(report *RecoveryReport, trusted func(seg int) bool) {
 	v := l.newVerifier()
 	for run := v.nextRun(); run != nil; run = v.nextRun() {

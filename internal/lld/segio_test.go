@@ -26,8 +26,8 @@ func (o ioOp) end() int64 { return o.off + int64(o.n) }
 
 func (o ioOp) String() string { return fmt.Sprintf("%c[%d,+%d)", o.op, o.off, o.n) }
 
-// ioLog is a backend that records the shape of every request. The tests
-// run no background worker, so requests arrive on the test's goroutine.
+// ioLog is a backend that records the shape of every request. lld owns no
+// goroutine, so requests arrive on the test's.
 type ioLog struct {
 	disk.Backend
 	ops []ioOp

@@ -87,20 +87,8 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 			return err
 		}
 		if l.cur == nil {
-			if len(l.freeSegs) <= l.cleanReserve() {
-				// Exhausted down to the cleaner's reserve. With a background
-				// cleaner this blocks until it frees a segment; otherwise
-				// (and on a cleaning pass's own stack) it returns at once
-				// and openNewSegment surfaces ErrNoSpace. The wait releases
-				// l.mu, so another mutator may have opened a segment since.
-				if err := l.awaitFreeSegment(); err != nil {
-					return err
-				}
-			}
-			if l.cur == nil {
-				if err := l.openNewSegment(); err != nil {
-					return err
-				}
+			if err := l.openNewSegment(); err != nil {
+				return err
 			}
 		}
 	}
@@ -374,12 +362,7 @@ func (l *LLD) sealSegment() error {
 	l.segs[cur.id].names = newSumNames(cur.entries, cur.tuples)
 	l.cur = nil
 	l.stats.SegmentsSealed++
-	freeBefore := len(l.freeSegs)
 	l.releaseCooling()
-	l.signalSpace(len(l.freeSegs) - freeBefore)
-	if l.bgScrub != nil {
-		l.bgScrub.signal() // fresh durable bytes to verify
-	}
 	return nil
 }
 

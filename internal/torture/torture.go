@@ -416,9 +416,8 @@ func (c Config) openWorkload(back disk.Backend, opts lld.Options) (*lld.LLD, err
 }
 
 // tortureOptions is the small-geometry option set every run uses:
-// shipped defaults otherwise (the stripe count follows GOMAXPROCS and
-// changes no on-disk decision). Background goroutines stay off: the
-// workload is single-threaded so every run of a given (seed, point) is
+// shipped defaults otherwise. lld owns no goroutine and the workload is
+// single-threaded, so every run of a given (seed, point) is
 // bit-deterministic.
 func tortureOptions(hook func(string)) lld.Options {
 	o := lld.DefaultOptions()
