@@ -11,10 +11,12 @@
 // and how much of the disk it left unread below the durable watermark — so
 // "why did this mount take 25 s" has an answer.
 //
-// With -verify it runs the offline integrity walk instead: every block
-// payload named by a valid segment summary is checked against its recorded
-// checksum, rotted summaries are distinguished from benign torn tails, and
-// the process exits nonzero if any fault is found.
+// With -verify it mounts its copy instead, trusting nothing (lld.Verify): a
+// clean-shutdown checkpoint is only the floor of a recovery sweep, so every
+// summary is classified by recovery's own rules, and every mapped payload is
+// read back against its checksum, below the durable watermark too. It prints
+// each segment the mount quarantined and why, and exits nonzero if there is
+// one.
 //
 // Multi-disk image sets written by mkld -mirror/-stripe (files named
 // <image>.0 … <image>.N-1) are inspected with the same flags on lddump:
@@ -44,7 +46,7 @@ import (
 func main() {
 	verbose := flag.Bool("v", false, "list every block entry and tuple (image) or every block (remote)")
 	remote := flag.String("remote", "", "inspect a live netld server at this address instead of an image")
-	verify := flag.Bool("verify", false, "verify every block payload checksum instead of dumping; exit 1 on any fault")
+	verify := flag.Bool("verify", false, "mount the image trusting nothing instead of dumping; exit 1 if a segment is quarantined")
 	mirrorN := flag.Int("mirror", 0, "compose the image from N mirror replicas <image>.0 … <image>.N-1")
 	stripeN := flag.Int("stripe", 0, "compose the image from N stripe legs <image>.0 … <image>.N-1")
 	flag.Parse()

@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/disk"
 	"repro/internal/ld"
 	"repro/internal/lld"
+	"repro/internal/mdisk"
 )
 
 // The mount report of a crashed image says where recovery's time went and
@@ -68,5 +72,81 @@ func TestReportMount(t *testing.T) {
 	reportMount(d, &out)
 	if !strings.Contains(out.String(), "clean-shutdown checkpoint loaded") {
 		t.Errorf("clean image: %s", out.String())
+	}
+}
+
+// -verify mounts the copy of the image it loaded, which writes (the clean
+// marker is demoted, replicas are compared): the files it read stay byte for
+// byte as they were, on one disk and on a mirror set.
+func TestVerifyLeavesImageFilesAlone(t *testing.T) {
+	for _, mirrorN := range []int{0, 2} {
+		path := filepath.Join(t.TempDir(), "v.img")
+		var legs []*disk.Disk
+		var kids []disk.Backend
+		var files []string
+		for i := 0; i < max(mirrorN, 1); i++ {
+			legs = append(legs, disk.New(disk.DefaultConfig(16<<20)))
+			kids = append(kids, legs[i])
+			files = append(files, fmt.Sprintf("%s.%d", path, i))
+		}
+		d := kids[0]
+		if mirrorN > 0 {
+			m, err := mdisk.NewMirror(kids...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = m
+		} else {
+			files[0] = path
+		}
+		opts := lld.DefaultOptions()
+		if err := lld.Format(d, opts); err != nil {
+			t.Fatal(err)
+		}
+		l, err := lld.Open(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lid, err := l.NewList(ld.NilList, ld.ListHints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			b, err := l.NewBlock(lid, ld.NilBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Write(b, bytes.Repeat([]byte{byte(i + 1)}, 4096)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Shutdown(true); err != nil {
+			t.Fatal(err)
+		}
+		var before [][]byte
+		for i, f := range files {
+			if err := legs[i].SaveImage(f); err != nil {
+				t.Fatal(err)
+			}
+			before = append(before, legs[i].Snapshot())
+		}
+
+		loaded, err := loadBackend(path, mirrorN, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if faults, err := lld.Verify(loaded, &out); err != nil || faults != 0 {
+			t.Fatalf("mirror %d: %d faults, %v:\n%s", mirrorN, faults, err, out.String())
+		}
+		for i, f := range files {
+			after, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before[i], after) {
+				t.Errorf("mirror %d: -verify changed %s", mirrorN, f)
+			}
+		}
 	}
 }

@@ -572,32 +572,13 @@ func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 			}
 		}
 	}
-	if err := l.ensureRoom(len(data), blockEntryEncSize); err != nil {
-		return err
-	}
-	bi = &l.blocks[bid] // re-fetch after potential reentrancy
-	off := l.appendData(data)
-	flags := uint8(0)
-	if compressedNow {
-		flags |= entryCompressed
-	}
-	if !l.aruOpen {
-		flags |= entryCommitted
-	}
 	crc := bi.crc
 	if compressedNow != (bi.flags&bComp != 0) {
 		crc = payloadCRC(data) // stored form changed (compressed on clean)
 	}
-	l.addEntry(blockEntry{
-		bid:    bid,
-		ts:     l.nextTS(),
-		off:    uint32(off),
-		stored: uint32(len(data)),
-		orig:   bi.orig,
-		crc:    crc,
-		flags:  flags,
-	})
-	l.applySetData(bid, l.cur.id, off, len(data), int(bi.orig), compressedNow, crc)
+	if err := l.logData(bid, data, int(bi.orig), compressedNow, crc); err != nil {
+		return err
+	}
 	l.stats.BlocksMoved++
 	return nil
 }
@@ -674,18 +655,10 @@ func (l *LLD) rewriteRun(run []ld.BlockID, stage []byte) error {
 		if got[i].err != nil {
 			return got[i].err
 		}
-		data := got[i].data
-		if err := l.ensureRoom(len(data), blockEntryEncSize); err != nil {
+		bi := &l.blocks[b]
+		if err := l.logData(b, got[i].data, int(bi.orig), bi.flags&bComp != 0, bi.crc); err != nil {
 			return err
 		}
-		bi := &l.blocks[b]
-		off := l.appendData(data)
-		flags := uint8(entryCommitted)
-		if bi.flags&bComp != 0 {
-			flags |= entryCompressed
-		}
-		l.addEntry(blockEntry{bid: b, ts: l.nextTS(), off: uint32(off), stored: bi.stored, orig: bi.orig, crc: bi.crc, flags: flags})
-		l.applySetData(b, l.cur.id, off, int(bi.stored), int(bi.orig), bi.flags&bComp != 0, bi.crc)
 	}
 	return nil
 }

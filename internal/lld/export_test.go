@@ -11,7 +11,7 @@ import (
 // per-block pass that verifyRecoveredData replaced: the oracle the extent
 // pass is held against (extent_diff_test.go).
 func OpenPerBlockVerify(dsk disk.Backend, opts Options) (*LLD, error) {
-	return open(dsk, opts, (*LLD).verifyRecoveredDataPerBlock)
+	return open(dsk, opts, (*LLD).verifyRecoveredDataPerBlock, false)
 }
 
 // verifyRecoveredDataPerBlock is the historical pass, kept as it was: every

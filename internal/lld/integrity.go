@@ -213,29 +213,20 @@ func (l *LLD) scrubSegment(v *verifier, seg int, repair bool, res *ScrubResult) 
 		// Salvage: the payload is intact even though its segment's summary
 		// rotted. Rewrite it into the open segment — a fresh, checksummed,
 		// fully-logged home — exactly as the cleaner moves a live block.
+		// ensureRoom runs on its own first so the block can be checked to be
+		// still here after the seals and cleaning it may do; logData then
+		// finds the room made.
 		data := append([]byte(nil), stored...)
 		if err := l.ensureRoom(len(data), blockEntryEncSize); err != nil {
 			return err
 		}
-		bi := &l.blocks[bid] // re-fetch after potential reentrancy
+		bi := &l.blocks[bid]
 		if int(bi.seg) != seg {
 			return nil // moved while ensureRoom recycled segments
 		}
-		off := l.appendData(data)
-		flags := uint8(entryCommitted)
-		if bi.flags&bComp != 0 {
-			flags |= entryCompressed
+		if err := l.logData(bid, data, int(bi.orig), bi.flags&bComp != 0, bi.crc); err != nil {
+			return err
 		}
-		l.addEntry(blockEntry{
-			bid:    bid,
-			ts:     l.nextTS(),
-			off:    uint32(off),
-			stored: bi.stored,
-			orig:   bi.orig,
-			crc:    bi.crc,
-			flags:  flags,
-		})
-		l.applySetData(bid, l.cur.id, off, int(bi.stored), int(bi.orig), bi.flags&bComp != 0, bi.crc)
 		res.Repaired = append(res.Repaired, bid)
 		l.stats.ScrubRepairs++
 		l.crashPoint("scrub.salvage")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -96,6 +97,130 @@ func damagedImage(t *testing.T) (d *disk.Disk, l2 *LLD, target int, want map[ld.
 		t.Fatalf("recovered state violates invariants: %v", viol)
 	}
 	return d, l2, target, want, segOf
+}
+
+// --- Verify: a mount that trusts nothing --------------------------------
+
+// crashedImage is a crashed write-through image of 30 4-KB blocks: several
+// sealed segments, every one at or below the durable mark, and a flushed
+// open one. l is the crashed instance, kept for its block map.
+func crashedImage(t *testing.T) (d *disk.Disk, l *LLD, ids []ld.BlockID) {
+	t.Helper()
+	d, l = newTestLLD(t, 4<<20, testOptions())
+	ids, _ = fillBlocks(t, l, 30)
+	if err := l.Shutdown(false); err != nil {
+		t.Fatal(err)
+	}
+	return d, l, ids
+}
+
+// shutDownClean mounts d and shuts it down cleanly.
+func shutDownClean(t *testing.T, d *disk.Disk) {
+	t.Helper()
+	l, err := Open(d, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Shutdown(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyOf is a private copy of d's platter.
+func copyOf(t *testing.T, d *disk.Disk) *disk.Disk {
+	t.Helper()
+	c := disk.New(d.Config())
+	if err := c.Restore(d.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// mountReport is what a plain mount of a copy of d finds.
+func mountReport(t *testing.T, d *disk.Disk) RecoveryReport {
+	t.Helper()
+	l, err := Open(copyOf(t, d), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.RecoveryReport()
+}
+
+func runVerify(t *testing.T, d disk.Backend) (int, string) {
+	t.Helper()
+	var out strings.Builder
+	faults, err := Verify(d, &out)
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	return faults, out.String()
+}
+
+func TestVerifyUndamagedImagesHaveNoFaults(t *testing.T) {
+	d, _, _ := crashedImage(t)
+	if n, out := runVerify(t, copyOf(t, d)); n != 0 || !strings.Contains(out, "30 block payloads read back") {
+		t.Errorf("crashed image: %d faults:\n%s", n, out)
+	}
+	shutDownClean(t, d)
+	if n, out := runVerify(t, copyOf(t, d)); n != 0 || !strings.Contains(out, "30 block payloads read back") {
+		t.Errorf("clean image: %d faults:\n%s", n, out)
+	}
+}
+
+// A segment an earlier recovery quarantined stays a fault after a clean
+// shutdown, though its rotted slot now lies below the checkpoint.
+func TestVerifyReportsQuarantineKeptByACheckpoint(t *testing.T) {
+	d, l2, target, _, _ := damagedImage(t)
+	degraded := len(l2.RecoveryReport().DegradedBlocks)
+	if err := l2.Shutdown(true); err != nil {
+		t.Fatal(err)
+	}
+	n, out := runVerify(t, d)
+	want := fmt.Sprintf("segment %4d: FAULT quarantined by an earlier recovery (checkpoint)", target)
+	if n != 1 || !strings.Contains(out, want) || !strings.Contains(out, fmt.Sprintf("%d blocks degraded", degraded)) {
+		t.Errorf("%d faults, want 1 naming segment %d and %d degraded blocks:\n%s", n, target, degraded, out)
+	}
+}
+
+// A mount takes a segment at or below the durable mark on trust; Verify
+// reads it back.
+func TestVerifyReadsBackBelowTheDurableMark(t *testing.T) {
+	d, l, ids := crashedImage(t)
+	seg := int(l.blocks[ids[0]].seg)
+	d.CorruptRange(platterOff(l, ids[0])+100, 1, 0x01)
+	if rep := mountReport(t, d); rep.Degraded() || rep.DurableMark < l.segs[seg].ts {
+		t.Fatalf("control: mount quarantined %v; segment %d stamped %d, mark %d",
+			rep.QuarantinedSegments, seg, l.segs[seg].ts, rep.DurableMark)
+	}
+	n, out := runVerify(t, d)
+	if want := fmt.Sprintf("segment %4d: FAULT block data lost", seg); n != 1 || !strings.Contains(out, want) {
+		t.Errorf("%d faults, want 1 naming segment %d:\n%s", n, seg, out)
+	}
+}
+
+func TestVerifyReadsBackACleanImage(t *testing.T) {
+	d, l, ids := crashedImage(t)
+	shutDownClean(t, d)
+	seg := int(l.blocks[ids[0]].seg)
+	d.CorruptRange(platterOff(l, ids[0])+100, 1, 0x01)
+	if rep := mountReport(t, d); rep.SweptSegments != 0 || rep.Degraded() {
+		t.Fatalf("control: mount swept %d segments, quarantined %v", rep.SweptSegments, rep.QuarantinedSegments)
+	}
+	n, out := runVerify(t, d)
+	if want := fmt.Sprintf("segment %4d: FAULT block data lost", seg); n != 1 || !strings.Contains(out, want) {
+		t.Errorf("%d faults, want 1 naming segment %d:\n%s", n, seg, out)
+	}
+}
+
+func TestVerifyReportsUnreadableSummaryOnACleanImage(t *testing.T) {
+	d, l, ids := crashedImage(t)
+	shutDownClean(t, d)
+	seg := int(l.blocks[ids[0]].seg)
+	d.InjectUnreadable(l.lay.sumOff(seg, 0)/int64(l.lay.sectorSize), 1)
+	n, out := runVerify(t, d)
+	if want := fmt.Sprintf("segment %4d: FAULT summary slot unreadable", seg); n != 1 || !strings.Contains(out, want) {
+		t.Errorf("%d faults, want 1 naming segment %d:\n%s", n, seg, out)
+	}
 }
 
 // --- read-path fault handling -------------------------------------------

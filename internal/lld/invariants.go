@@ -2,6 +2,7 @@ package lld
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ld"
 )
@@ -76,7 +77,7 @@ func (l *LLD) CheckInvariants() []string {
 		if n != li.count {
 			bad("list %d census %d but walk found %d", lid, li.count, n)
 		}
-		if l.orderIndex(lid) < 0 {
+		if slices.Index(l.order, lid) < 0 {
 			bad("list %d missing from the list of lists", lid)
 		}
 	}

@@ -2,6 +2,7 @@ package lld
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ld"
 )
@@ -112,18 +113,10 @@ func (l *LLD) applyNewList(lid ld.ListID, predLid ld.ListID, hints ld.ListHints)
 		// deletion record was superseded): drop the stale order entry but
 		// keep the record-timestamp bookkeeping.
 		ni.existTS, ni.headTS, ni.orderTS = old.existTS, old.headTS, old.orderTS
-		if idx := l.orderIndex(lid); idx >= 0 {
-			l.order = append(l.order[:idx], l.order[idx+1:]...)
-		}
+		l.order = orderRemove(l.order, lid)
 	}
 	l.lists[lid] = ni
-	idx := 0
-	if predLid != ld.NilList {
-		idx = l.orderIndex(predLid) + 1
-	}
-	l.order = append(l.order, 0)
-	copy(l.order[idx+1:], l.order[idx:])
-	l.order[idx] = lid
+	l.order = orderInsertAfter(l.order, lid, predLid)
 }
 
 // applyDelList removes lid and frees every block remaining on it.
@@ -140,9 +133,7 @@ func (l *LLD) applyDelList(lid ld.ListID) {
 		b = next
 	}
 	delete(l.lists, lid)
-	if idx := l.orderIndex(lid); idx >= 0 {
-		l.order = append(l.order[:idx], l.order[idx+1:]...)
-	}
+	l.order = orderRemove(l.order, lid)
 	l.freeLists.push(lid)
 }
 
@@ -183,16 +174,7 @@ func (l *LLD) applyMoveBlocks(first, last ld.BlockID, src, dst ld.ListID, pred, 
 
 // applyMoveList repositions lid after newPred in the list of lists.
 func (l *LLD) applyMoveList(lid, newPred ld.ListID) {
-	if idx := l.orderIndex(lid); idx >= 0 {
-		l.order = append(l.order[:idx], l.order[idx+1:]...)
-	}
-	idx := 0
-	if newPred != ld.NilList {
-		idx = l.orderIndex(newPred) + 1
-	}
-	l.order = append(l.order, 0)
-	copy(l.order[idx+1:], l.order[idx:])
-	l.order[idx] = lid
+	l.order = orderInsertAfter(orderRemove(l.order, lid), lid, newPred)
 }
 
 // applySwap exchanges the physical contents of two blocks.
@@ -209,14 +191,26 @@ func (l *LLD) applySwap(a, b ld.BlockID) {
 	bi.flags = bi.flags&^(bHasData|bComp) | ac
 }
 
-// orderIndex returns lid's position in the list of lists, or -1.
-func (l *LLD) orderIndex(lid ld.ListID) int {
-	for i, v := range l.order {
-		if v == lid {
-			return i
-		}
+// The list of lists is one slice of ids in the running instance and another
+// in recovery's replay (recState.order); both are reordered by these two, so
+// the two cannot disagree on where a list lands.
+
+// orderRemove returns order without lid.
+func orderRemove(order []ld.ListID, lid ld.ListID) []ld.ListID {
+	if i := slices.Index(order, lid); i >= 0 {
+		return slices.Delete(order, i, i+1)
 	}
-	return -1
+	return order
+}
+
+// orderInsertAfter returns order with lid, which it must not hold, inserted
+// just after pred, or at the front when pred is NilList or not in order.
+func orderInsertAfter(order []ld.ListID, lid, pred ld.ListID) []ld.ListID {
+	i := 0
+	if pred != ld.NilList {
+		i = slices.Index(order, pred) + 1
+	}
+	return slices.Insert(order, i, lid)
 }
 
 // findPred resolves the predecessor of bid in list lid, preferring the

@@ -360,12 +360,13 @@ func Format(dsk disk.Backend, opts Options) error {
 // invalidated; otherwise the state is rebuilt by the one-sweep recovery of
 // paper §3.6.
 func Open(dsk disk.Backend, opts Options) (*LLD, error) {
-	return open(dsk, opts, (*LLD).verifyRecoveredData)
+	return open(dsk, opts, (*LLD).verifyRecoveredData, false)
 }
 
 // open is Open with the sweep's data read-back as a parameter (see
-// recoverSweep).
-func open(dsk disk.Backend, opts Options, verifyData verifyFunc) (*LLD, error) {
+// recoverSweep). With sweep set, a clean-shutdown checkpoint is only the
+// sweep's floor, as after a crash that follows a clean restart (Verify).
+func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*LLD, error) {
 	sector := make([]byte, dsk.SectorSize())
 	// On a redundant backend, accept any replica whose superblock decodes:
 	// a wholly-rotted mirror copy must not keep the store from opening.
@@ -423,7 +424,7 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc) (*LLD, error) {
 		if err := l.recoverSweep(0, false, verifyData); err != nil {
 			return nil, err
 		}
-	case !complete:
+	case !complete || sweep:
 		// Consolidation checkpoint: it is a floor, not the full story —
 		// sweep the summaries and replay everything newer.
 		if err := l.recoverSweep(l.ckptTS, true, verifyData); err != nil {

@@ -3,6 +3,7 @@ package lld
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -283,27 +284,9 @@ func (l *LLD) Write(b ld.BlockID, data []byte) error {
 	if err := l.chargeSpace(int64(len(store)) - old); err != nil {
 		return err
 	}
-	if err := l.ensureRoom(len(store), blockEntryEncSize); err != nil {
+	if err := l.logData(b, store, len(data), compressed, crc); err != nil {
 		return err
 	}
-	off := l.appendData(store)
-	flags := uint8(0)
-	if compressed {
-		flags |= entryCompressed
-	}
-	if !l.aruOpen {
-		flags |= entryCommitted
-	}
-	l.addEntry(blockEntry{
-		bid:    b,
-		ts:     l.nextTS(),
-		off:    uint32(off),
-		stored: uint32(len(store)),
-		orig:   uint32(len(data)),
-		crc:    crc,
-		flags:  flags,
-	})
-	l.applySetData(b, l.cur.id, off, len(store), len(data), compressed, crc)
 	l.stats.BlocksWritten++
 	l.stats.UserBytesWritten += int64(len(data))
 	return nil
@@ -448,7 +431,7 @@ func (l *LLD) DeleteList(lid ld.ListID, predHint ld.ListID) error {
 	}
 	// The predecessor hint only models search cost; the order slice makes
 	// removal positionless. Count hint accuracy for the statistics.
-	if idx := l.orderIndex(lid); idx > 0 && l.order[idx-1] == predHint {
+	if idx := slices.Index(l.order, lid); idx > 0 && l.order[idx-1] == predHint {
 		l.stats.HintHits++
 	} else if predHint != ld.NilList {
 		l.stats.HintMisses++
@@ -592,7 +575,7 @@ func (l *LLD) MoveList(lid ld.ListID, newPred ld.ListID, predHint ld.ListID) err
 			return fmt.Errorf("%w: list %d cannot follow itself", ld.ErrBadList, lid)
 		}
 	}
-	if idx := l.orderIndex(lid); idx > 0 && l.order[idx-1] == predHint {
+	if idx := slices.Index(l.order, lid); idx > 0 && l.order[idx-1] == predHint {
 		l.stats.HintHits++
 	} else if predHint != ld.NilList {
 		l.stats.HintMisses++

@@ -89,34 +89,6 @@ func (rs *recState) list(lid ld.ListID) *recList {
 	return li
 }
 
-func (rs *recState) orderIndex(lid ld.ListID) int {
-	for i, v := range rs.order {
-		if v == lid {
-			return i
-		}
-	}
-	return -1
-}
-
-func (rs *recState) orderRemove(lid ld.ListID) {
-	if i := rs.orderIndex(lid); i >= 0 {
-		rs.order = append(rs.order[:i], rs.order[i+1:]...)
-	}
-}
-
-func (rs *recState) orderInsertAfter(lid, pred ld.ListID) {
-	rs.orderRemove(lid)
-	idx := 0
-	if pred != ld.NilList {
-		if pi := rs.orderIndex(pred); pi >= 0 {
-			idx = pi + 1
-		}
-	}
-	rs.order = append(rs.order, 0)
-	copy(rs.order[idx+1:], rs.order[idx:])
-	rs.order[idx] = lid
-}
-
 // segProbe is what the sweep learned about one segment's summary slots.
 // Beyond the newest valid summary (if any), it preserves the evidence the
 // torn-tail/mid-log classifier needs: the claimed write timestamps of
@@ -294,8 +266,9 @@ func (l *LLD) sweepSummaries() ([]segProbe, error) {
 // skipped. With no checkpoint, floor is 0 and the sweep starts empty.
 //
 // verifyData is the read-back of mapped payloads that ends the sweep:
-// verifyRecoveredData, which leaves out the segments trusted reports, or the
-// per-block pass tests hold it against, which leaves out none.
+// verifyRecoveredData, which leaves out the segments trusted reports (Verify's
+// trusts none), or the per-block pass tests hold it against, which leaves out
+// none.
 func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) error {
 	lay := l.lay
 	began := l.dsk.Now()
@@ -609,7 +582,7 @@ type verifyFunc func(l *LLD, report *RecoveryReport, trusted func(seg int) bool)
 // copies that diverged (a mirror leg whose cache dropped or tore the data
 // while its sibling's persisted). It runs only on unclean mounts — the fsck
 // side of recovery — and is not a scrub: rot in a trusted segment is left
-// to the read path's checksum and Scrub.
+// to the read path's checksum, Scrub and Verify (which trusts no segment).
 func (l *LLD) verifyRecoveredData(report *RecoveryReport, trusted func(seg int) bool) {
 	v := l.newVerifier()
 	for run := v.nextRun(); run != nil; run = v.nextRun() {
@@ -714,7 +687,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 		li.first = ld.NilBlock
 		li.hints = decodeHints(t.args[2])
 		li.existTS, li.headTS, li.orderTS = t.ts, t.ts, t.ts
-		rs.orderInsertAfter(lid, ld.ListID(t.args[1]))
+		rs.order = orderInsertAfter(orderRemove(rs.order, lid), lid, ld.ListID(t.args[1]))
 	case tDelList:
 		lid := ld.ListID(t.args[0])
 		if lid == ld.NilList {
@@ -725,7 +698,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 		li.exist = false
 		li.first = ld.NilBlock
 		li.existTS, li.headTS, li.orderTS = t.ts, t.ts, t.ts
-		rs.orderRemove(lid)
+		rs.order = orderRemove(rs.order, lid)
 	case tMoveList:
 		lid := ld.ListID(t.args[0])
 		if lid == ld.NilList {
@@ -733,7 +706,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			return
 		}
 		rs.list(lid).orderTS = t.ts
-		rs.orderInsertAfter(lid, ld.ListID(t.args[1]))
+		rs.order = orderInsertAfter(orderRemove(rs.order, lid), lid, ld.ListID(t.args[1]))
 	case tCommit:
 		// Pure marker; its effect was computing lastCommitted.
 	case tBlockState:
@@ -768,7 +741,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 		li.first = ld.BlockID(t.args[1])
 		li.hints = decodeHints(t.args[3])
 		li.existTS, li.headTS, li.orderTS = t.ts, t.ts, t.ts
-		rs.orderInsertAfter(lid, ld.ListID(t.args[2]))
+		rs.order = orderInsertAfter(orderRemove(rs.order, lid), lid, ld.ListID(t.args[2]))
 	case tDataAt:
 		if badB(t.args[0]) {
 			l.stats.RecoveryAnomalies++

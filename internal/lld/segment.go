@@ -3,6 +3,7 @@ package lld
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/disk"
@@ -102,6 +103,28 @@ func (l *LLD) appendData(data []byte) int {
 	l.cur.dataOff += len(data)
 	l.cur.dirty = true
 	return off
+}
+
+// logData makes stored, the stored form of block b (orig logical bytes), b's
+// data: room in the open segment, the bytes appended, the entry that logs
+// them — committed unless an ARU is open — and the new location in the map.
+// It is the one way a payload enters the log: Write, the cleaner, the
+// reorganizer and the scrubber's salvage. Callers hold l.mu.
+func (l *LLD) logData(b ld.BlockID, stored []byte, orig int, compressed bool, crc uint32) error {
+	if err := l.ensureRoom(len(stored), blockEntryEncSize); err != nil {
+		return err
+	}
+	off := l.appendData(stored)
+	flags := uint8(0)
+	if compressed {
+		flags |= entryCompressed
+	}
+	if !l.aruOpen {
+		flags |= entryCommitted
+	}
+	l.addEntry(blockEntry{bid: b, ts: l.nextTS(), off: uint32(off), stored: uint32(len(stored)), orig: uint32(orig), crc: crc, flags: flags})
+	l.applySetData(b, l.cur.id, off, len(stored), orig, compressed, crc)
+	return nil
 }
 
 // addEntry records a block entry in the open segment's summary.
@@ -248,7 +271,7 @@ func (l *LLD) emitListSnap(lid ld.ListID) error {
 		return nil
 	}
 	pred := ld.NilList
-	if idx := l.orderIndex(lid); idx > 0 {
+	if idx := slices.Index(l.order, lid); idx > 0 {
 		pred = l.order[idx-1]
 	}
 	if err := l.ensureRoom(0, tupleSpace(tListState)); err != nil {

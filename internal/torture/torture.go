@@ -620,7 +620,7 @@ func runPoint(cfg Config, pt point) error {
 
 // recoverAndVerify restarts the rig, reopens (running recovery), and
 // checks the recovered state: shadow model, instance invariants, and —
-// on an undegraded image — the offline fsck.
+// on an undegraded image — lld.Verify on a copy of it, cleanly shut down.
 func recoverAndVerify(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) error {
 	r.rail.Restart()
 	if err := r.compose(true); err != nil {
@@ -659,8 +659,18 @@ func verifyRecovered(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) erro
 		return fmt.Errorf("clean shutdown after recovery: %w", err)
 	}
 	if !rep.Degraded() {
+		// Verify writes what a mount writes: it gets a copy of the image.
+		im, err := r.image()
+		if err != nil {
+			return fmt.Errorf("clean image: %w", err)
+		}
+		back, done, err := im.Mount()
+		if err != nil {
+			return fmt.Errorf("clean image: %w", err)
+		}
+		defer done()
 		var detail strings.Builder
-		faults, err := lld.Verify(r.back, &detail)
+		faults, err := lld.Verify(back, &detail)
 		if err != nil {
 			return fmt.Errorf("offline verify: %w", err)
 		}
