@@ -128,8 +128,8 @@ func Table4(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "last row is beyond the paper: a block is stored up to its last non-zero "+
 		"sector (a 1-KB file costs 1 KB of log, not 4) and a miss is one ld.ReadBlocks; "+
-		"deletes write no file data and give a little back (3 % on D(1K) at full scale), "+
-		"their fewer metadata reads each waiting longer for the platter")
+		"deletes write no file data: at full scale D(1K) runs 27 % above the paper row, "+
+		"with a quarter fewer metadata reads, and D(10K) within 1 % of it")
 	return t, nil
 }
 
@@ -715,6 +715,6 @@ func Cleaner(cfg Config) (*Table, error) {
 		"write amplification = physical bytes written / logical bytes written",
 		"KB read / segment cleaned = the victim's live extents; what its summary names is in memory, so a dead victim reads nothing (a 512-KB segment read whole would be 512)",
 		"summary loads = victims whose summary had to be read back: only on an instance mounted from a clean-shutdown checkpoint",
-		"on this short run greedy cleaned 30 segments / moved 952 blocks / 1.22 and (1-u)*age/(1+u) 32 / 1,462 / 1.32 (EXPERIMENTS.md §3.5 has the long-horizon numbers)")
+		"on this short run greedy cleaned 24 segments / moved 866 blocks / 1.16 and (1-u)*age/(1+u) 29 / 1,312 / 1.24 (EXPERIMENTS.md §3.5 has the long-horizon numbers)")
 	return t, nil
 }

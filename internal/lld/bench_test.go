@@ -211,24 +211,58 @@ func BenchmarkRecoverySweep(b *testing.B) {
 	}
 }
 
-func BenchmarkSummaryEncodeDecode(b *testing.B) {
+// benchSummary is a full default-size summary shaped like a small-file
+// create phase: per file a new list, two allocations and a 1-KB data
+// entry, until the 8-KB summary has no room for the next file.
+func benchSummary(b *testing.B) (layout, []byte, summaryRecords) {
 	lay, err := computeLayout(16<<20, 512, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	seg := make([]byte, lay.segmentSize)
-	var entries []blockEntry
-	var tuples []tupleRec
-	for i := 0; i < 120; i++ {
-		entries = append(entries, blockEntry{bid: ld.BlockID(i + 1), ts: uint64(i), off: uint32(i * 4096), stored: 4096, orig: 4096, flags: entryCommitted})
-		tuples = append(tuples, tupleRec{kind: tAlloc, flags: tupleCommitted, ts: uint64(i), args: [7]uint32{uint32(i + 1), 1, 0, uint32(i), 0}})
+	r := summaryRecords{segID: 3, sealed: true}
+	ts, off := uint64(1_000_000), 0
+	for i := 0; ; i++ {
+		bid := ld.BlockID(40_000 + 3*i)
+		e := blockEntry{bid: bid, ts: ts + 4, off: uint32(off), stored: 1024, orig: 1024, crc: uint32(i) * 2654435761, flags: entryCommitted}
+		tuples := []tupleRec{
+			{kind: tNewList, flags: tupleCommitted, ts: ts + 1, args: [7]uint32{uint32(5000 + i), uint32(4999 + i), 1}},
+			{kind: tAlloc, flags: tupleCommitted, ts: ts + 2, args: [7]uint32{uint32(bid), uint32(5000 + i), 0, 0, 1}},
+			{kind: tAlloc, flags: tupleCommitted, ts: ts + 3, args: [7]uint32{uint32(bid + 1), 2, 0, uint32(bid - 2), 0}},
+		}
+		entries := append(r.entries, e)
+		if summaryBytes(entries, append(r.tuples, tuples...)) > lay.summarySize {
+			break
+		}
+		r.entries, r.tuples = entries, append(r.tuples, tuples...)
+		ts, off = ts+6, off+1024
 	}
+	r.dataBytes, r.writeTS, r.mark = off, ts, ts-100
+	return lay, make([]byte, lay.segmentSize), r
+}
+
+func BenchmarkEncodeSummary(b *testing.B) {
+	lay, seg, r := benchSummary(b)
+	b.SetBytes(int64(summaryBytes(r.entries, r.tuples)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := encodeSummary(seg, lay, 3, 999, 900, true, 120*4096, entries, tuples); err != nil {
+		if _, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.sealed, r.dataBytes, r.entries, r.tuples); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decodeSummary(seg[lay.dataCap():], lay, 3); err != nil {
+	}
+	b.ReportMetric(float64(len(r.entries)+len(r.tuples)), "records/summary")
+}
+
+func BenchmarkDecodeSummary(b *testing.B) {
+	lay, seg, r := benchSummary(b)
+	used, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.sealed, r.dataBytes, r.entries, r.tuples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := seg[lay.dataCap() : lay.dataCap()+used]
+	b.SetBytes(int64(summaryBytes(r.entries, r.tuples)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeSummary(img, lay, r.segID); err != nil {
 			b.Fatal(err)
 		}
 	}

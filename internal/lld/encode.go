@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/ld"
 )
@@ -14,12 +15,20 @@ const (
 	superMagic      = 0x4C4C4431 // "LLD1"
 	summaryMagic    = 0x4C445347 // "LDSG"
 	checkpointMagic = 0x4C444350 // "LDCP"
-	formatVersion   = 3          // v2: payload CRC32C in block entries and checkpoint records; v3: durable mark in the summary header
+	formatVersion   = 4          // v2: payload CRC32C in block entries and checkpoint records; v3: durable mark in the summary header; v4: packed summary records
 
 	superEncSize      = 60
 	summaryHeaderSize = 44
-	blockEntryEncSize = 29
-	tupleFixedSize    = 10 // kind + flags + ts; args follow
+
+	// Packed summary records (format v4, DESIGN §9). A record's size is
+	// known once it is appended — its ts is a delta from the previous
+	// record's — so ensureRoom reserves the worst case: maxEntrySize for a
+	// block entry (flags, bid, ts delta, stored, orig, crc) and
+	// tupleSpace(kind) for a tuple. The minimums bound the counts a header
+	// may claim before anything is allocated.
+	maxEntrySize = 1 + binary.MaxVarintLen32 + binary.MaxVarintLen64 + 2*binary.MaxVarintLen32 + 4
+	minEntrySize = 4 // flags, bid, ts delta, stored 0
+	minTupleSize = 2 // kind|flags, ts delta
 
 	checkpointHeaderSize = 24
 	blockStateEncSize    = 33
@@ -66,13 +75,14 @@ var tupleArgc = [tupleKindMax]int{
 	tFence:      4,
 }
 
-// tuple flag bits.
+// tuple flag bits. They share a byte with the kind, four bits each.
 const tupleCommitted = 1 << 0
 
 // block entry flag bits.
 const (
 	entryCompressed = 1 << 0
 	entryCommitted  = 1 << 1
+	entryFlags      = entryCompressed | entryCommitted
 )
 
 // ErrFormat indicates on-disk metadata that fails validation.
@@ -99,20 +109,78 @@ type tupleRec struct {
 
 func (t tupleRec) committed() bool { return t.flags&tupleCommitted != 0 }
 
-func (t tupleRec) encSize() int { return tupleFixedSize + 4*tupleArgc[t.kind] }
+// packedSize returns t's encoded size when the tuple before it in the
+// summary is stamped prevTS (0 for the first).
+func (t tupleRec) packedSize(prevTS uint64) int {
+	n := 1 + uvarintLen(zigzag(t.ts-prevTS))
+	for _, a := range t.args[:tupleArgc[t.kind]] {
+		n += uvarintLen(uint64(a))
+	}
+	return n
+}
+
+// tupleSpace returns the most summary bytes a tuple of the given kind can
+// take: what ensureRoom reserves for it.
+func tupleSpace(kind uint8) int {
+	return 1 + binary.MaxVarintLen64 + binary.MaxVarintLen32*tupleArgc[kind]
+}
 
 // blockEntry is the in-memory form of a summary block entry.
 type blockEntry struct {
 	bid    ld.BlockID
 	ts     uint64
-	off    uint32
+	off    uint32 // not encoded: the sum of the stored sizes of the entries before it
 	stored uint32 // bytes stored in the segment (post-compression)
-	orig   uint32 // logical size (pre-compression)
-	crc    uint32 // CRC32C of the stored bytes; 0 when stored == 0
+	orig   uint32 // logical size (pre-compression); encoded only when compressed
+	crc    uint32 // CRC32C of the stored bytes; 0 (and not encoded) when stored == 0
 	flags  uint8
 }
 
 func (e blockEntry) committed() bool { return e.flags&entryCommitted != 0 }
+
+// packedSize returns e's encoded size when the entry before it in the
+// summary is stamped prevTS (0 for the first).
+func (e blockEntry) packedSize(prevTS uint64) int {
+	n := 1 + uvarintLen(uint64(e.bid)) + uvarintLen(zigzag(e.ts-prevTS)) + uvarintLen(uint64(e.stored))
+	if e.flags&entryCompressed != 0 {
+		n += uvarintLen(uint64(e.orig))
+	}
+	if e.stored > 0 {
+		n += 4
+	}
+	return n
+}
+
+// summaryBytes returns the encoded length of a summary holding entries and
+// tuples: the header and every record, without the sector padding.
+func summaryBytes(entries []blockEntry, tuples []tupleRec) int {
+	n := summaryHeaderSize
+	var prev uint64
+	for _, e := range entries {
+		n += e.packedSize(prev)
+		prev = e.ts
+	}
+	prev = 0
+	for _, t := range tuples {
+		n += t.packedSize(prev)
+		prev = t.ts
+	}
+	return n
+}
+
+// zigzag maps a ts delta, read as signed, to an unsigned varint operand
+// that is small when the delta is small either way; unzigzag inverts it.
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }
+
+// uvarintLen returns the bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
 
 // ---- low-level cursor helpers ----
 
@@ -121,10 +189,11 @@ type writer struct {
 	off int
 }
 
-func (w *writer) u8(v uint8)   { w.buf[w.off] = v; w.off++ }
-func (w *writer) u32(v uint32) { binary.LittleEndian.PutUint32(w.buf[w.off:], v); w.off += 4 }
-func (w *writer) u64(v uint64) { binary.LittleEndian.PutUint64(w.buf[w.off:], v); w.off += 8 }
-func (w *writer) skip(n int)   { w.off += n }
+func (w *writer) u8(v uint8)       { w.buf[w.off] = v; w.off++ }
+func (w *writer) u32(v uint32)     { binary.LittleEndian.PutUint32(w.buf[w.off:], v); w.off += 4 }
+func (w *writer) u64(v uint64)     { binary.LittleEndian.PutUint64(w.buf[w.off:], v); w.off += 8 }
+func (w *writer) uvarint(v uint64) { w.off += binary.PutUvarint(w.buf[w.off:], v) }
+func (w *writer) skip(n int)       { w.off += n }
 
 type reader struct {
 	buf []byte
@@ -168,12 +237,33 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-func (r *reader) skip(n int) {
-	if r.err != nil || r.off+n > len(r.buf) {
+// uvarint reads a varint and refuses one written longer than it need be,
+// so every image the decoder accepts has one encoding.
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
 		r.fail()
-		return
+		return 0
+	case n < 0 || n != uvarintLen(v):
+		r.err = fmt.Errorf("%w: malformed varint at %d", ErrFormat, r.off)
+		return 0
 	}
 	r.off += n
+	return v
+}
+
+// uvarint32 is uvarint for a field that is 32 bits wide in memory.
+func (r *reader) uvarint32() uint32 {
+	at := r.off
+	v := r.uvarint()
+	if v > math.MaxUint32 && r.err == nil {
+		r.err = fmt.Errorf("%w: varint at %d exceeds 32 bits", ErrFormat, at)
+	}
+	return uint32(v)
 }
 
 // ---- superblock ----
@@ -230,23 +320,51 @@ func decodeSuper(buf []byte) (layout, error) {
 
 // ---- segment summary ----
 
-// encodeSummary serializes the summary for a segment image into the last
-// summarySize bytes of seg. dataBytes is the extent of valid data. mark is
-// the durable watermark as it stood before this image's own writes: every
-// record stamped at or below it was already on the platter, so a summary
-// never vouches for itself or for anything written with it.
-func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, sealed bool, dataBytes int, entries []blockEntry, tuples []tupleRec) error {
-	need := summaryHeaderSize + len(entries)*blockEntryEncSize
-	for _, t := range tuples {
-		need += t.encSize()
+// encodeSummary serializes the summary for a segment image into the
+// summary area that follows seg's data area, and returns how many bytes of
+// it to write: the header and the records, zero-padded to a sector. What
+// lies past that in the slot is never read (the header's counts and CRC end
+// at the last record), so it need not be written. dataBytes is the extent
+// of valid data. mark is the durable watermark as it stood before this
+// image's own writes: every record stamped at or below it was already on
+// the platter, so a summary never vouches for itself or for anything
+// written with it.
+//
+// It refuses records the log cannot produce, so that decoding its output
+// gives back exactly what it was handed: an entry whose off is not the end
+// of the entries before it (logData is the one path that appends), an
+// uncompressed entry whose orig is not its stored size, a checksum on an
+// empty payload, and flag bits the format does not define.
+func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, sealed bool, dataBytes int, entries []blockEntry, tuples []tupleRec) (int, error) {
+	off := 0
+	for i, e := range entries {
+		switch {
+		case int(e.off) != off:
+			return 0, fmt.Errorf("%w: entry %d at offset %d, the log appended it at %d", ErrFormat, i, e.off, off)
+		case e.flags&^entryFlags != 0:
+			return 0, fmt.Errorf("%w: entry %d has flags %#x", ErrFormat, i, e.flags)
+		case e.flags&entryCompressed == 0 && e.orig != e.stored:
+			return 0, fmt.Errorf("%w: uncompressed entry %d stores %d of %d bytes", ErrFormat, i, e.stored, e.orig)
+		case e.stored == 0 && e.crc != 0:
+			return 0, fmt.Errorf("%w: entry %d checksums an empty payload", ErrFormat, i)
+		}
+		off += int(e.stored)
 	}
+	if off > dataBytes {
+		return 0, fmt.Errorf("%w: entries end at %d, past the data extent %d", ErrFormat, off, dataBytes)
+	}
+	for i, t := range tuples {
+		if t.kind == 0 || t.kind >= tupleKindMax || t.flags&^tupleCommitted != 0 {
+			return 0, fmt.Errorf("%w: tuple %d has kind %d, flags %#x", ErrFormat, i, t.kind, t.flags)
+		}
+	}
+	need := summaryBytes(entries, tuples)
 	if need > l.summarySize {
-		return fmt.Errorf("%w: summary overflow: need %d, have %d", ErrFormat, need, l.summarySize)
+		return 0, fmt.Errorf("%w: summary overflow: need %d, have %d", ErrFormat, need, l.summarySize)
 	}
-	sum := seg[l.dataCap() : l.dataCap()+l.summarySize]
-	for i := range sum {
-		sum[i] = 0
-	}
+	used := (need + l.sectorSize - 1) / l.sectorSize * l.sectorSize
+	sum := seg[l.dataCap() : l.dataCap()+used]
+	clear(sum)
 	w := &writer{buf: sum}
 	w.u32(summaryMagic)
 	w.u32(0) // crc placeholder
@@ -262,25 +380,31 @@ func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, sealed
 	}
 	w.skip(3)
 	w.u64(mark)
+	var prev uint64
 	for _, e := range entries {
-		w.u32(uint32(e.bid))
-		w.u64(e.ts)
-		w.u32(e.off)
-		w.u32(e.stored)
-		w.u32(e.orig)
-		w.u32(e.crc)
 		w.u8(e.flags)
-	}
-	for _, t := range tuples {
-		w.u8(t.kind)
-		w.u8(t.flags)
-		w.u64(t.ts)
-		for i := 0; i < tupleArgc[t.kind]; i++ {
-			w.u32(t.args[i])
+		w.uvarint(uint64(e.bid))
+		w.uvarint(zigzag(e.ts - prev))
+		w.uvarint(uint64(e.stored))
+		if e.flags&entryCompressed != 0 {
+			w.uvarint(uint64(e.orig))
 		}
+		if e.stored > 0 {
+			w.u32(e.crc)
+		}
+		prev = e.ts
+	}
+	prev = 0
+	for _, t := range tuples {
+		w.u8(t.kind | t.flags<<4)
+		w.uvarint(zigzag(t.ts - prev))
+		for _, a := range t.args[:tupleArgc[t.kind]] {
+			w.uvarint(uint64(a))
+		}
+		prev = t.ts
 	}
 	binary.LittleEndian.PutUint32(sum[4:], crc32.Checksum(sum[8:w.off], crcTable))
-	return nil
+	return used, nil
 }
 
 // summaryInfo is a decoded segment summary.
@@ -322,6 +446,9 @@ func decodeNewestSummary(region []byte, l layout, wantSegID int) (*summaryInfo, 
 
 // decodeSummary parses a raw summary region. It returns ErrFormat for an
 // empty, foreign, or torn summary; recovery treats those segments as free.
+// It reads the header's counts of records and nothing after the last one:
+// what follows in the slot may be left over from an older, longer image. An
+// image it accepts has one encoding, the one encodeSummary gives it.
 func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	if len(sum) < summaryHeaderSize {
 		return nil, fmt.Errorf("%w: short summary", ErrFormat)
@@ -337,11 +464,15 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	si.dataBytes = int(r.u32())
 	nBlocks := int(r.u32())
 	nTuples := int(r.u32())
-	si.sealed = r.u8() == 1
-	r.skip(3)
+	sealed := r.u8()
+	pad := r.u8() | r.u8() | r.u8()
+	si.sealed = sealed == 1
 	si.mark = r.u64()
 	if r.err != nil {
 		return nil, r.err
+	}
+	if sealed > 1 || pad != 0 {
+		return nil, fmt.Errorf("%w: bad summary header flags", ErrFormat)
 	}
 	if si.segID != wantSegID {
 		return nil, fmt.Errorf("%w: summary names segment %d, expected %d", ErrFormat, si.segID, wantSegID)
@@ -352,35 +483,53 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	if si.mark >= si.writeTS {
 		return nil, fmt.Errorf("%w: durable mark %d not below the summary's own stamp %d", ErrFormat, si.mark, si.writeTS)
 	}
-	if nBlocks < 0 || nTuples < 0 || summaryHeaderSize+nBlocks*blockEntryEncSize > len(sum) {
+	if summaryHeaderSize+nBlocks*minEntrySize+nTuples*minTupleSize > len(sum) {
 		return nil, fmt.Errorf("%w: bad summary counts", ErrFormat)
 	}
 	si.entries = make([]blockEntry, 0, nBlocks)
+	var off, prev uint64
 	for i := 0; i < nBlocks; i++ {
 		var e blockEntry
-		e.bid = ld.BlockID(r.u32())
-		e.ts = r.u64()
-		e.off = r.u32()
-		e.stored = r.u32()
-		e.orig = r.u32()
-		e.crc = r.u32()
 		e.flags = r.u8()
+		e.bid = ld.BlockID(r.uvarint32())
+		prev += unzigzag(r.uvarint())
+		e.ts = prev
+		e.stored = r.uvarint32()
+		e.orig = e.stored
+		if e.flags&entryCompressed != 0 {
+			e.orig = r.uvarint32()
+		}
+		if e.stored > 0 {
+			e.crc = r.u32()
+		}
+		e.off = uint32(off)
+		off += uint64(e.stored)
+		switch {
+		case r.err != nil:
+			return nil, r.err
+		case e.flags&^entryFlags != 0:
+			return nil, fmt.Errorf("%w: entry %d has flags %#x", ErrFormat, i, e.flags)
+		case off > uint64(si.dataBytes):
+			return nil, fmt.Errorf("%w: entries run past the data extent %d", ErrFormat, si.dataBytes)
+		}
 		si.entries = append(si.entries, e)
 	}
 	si.tuples = make([]tupleRec, 0, nTuples)
+	prev = 0
 	for i := 0; i < nTuples; i++ {
 		var t tupleRec
-		t.kind = r.u8()
-		t.flags = r.u8()
-		t.ts = r.u64()
-		if r.err == nil && (t.kind == 0 || t.kind >= tupleKindMax) {
-			return nil, fmt.Errorf("%w: bad tuple kind %d", ErrFormat, t.kind)
+		b := r.u8()
+		t.kind, t.flags = b&0xF, b>>4
+		if r.err == nil && (t.kind == 0 || t.kind >= tupleKindMax || t.flags&^tupleCommitted != 0) {
+			return nil, fmt.Errorf("%w: bad tuple kind %d, flags %#x", ErrFormat, t.kind, t.flags)
 		}
+		prev += unzigzag(r.uvarint())
+		t.ts = prev
 		if r.err != nil {
 			return nil, r.err
 		}
 		for a := 0; a < tupleArgc[t.kind]; a++ {
-			t.args[a] = r.u32()
+			t.args[a] = r.uvarint32()
 		}
 		si.tuples = append(si.tuples, t)
 	}

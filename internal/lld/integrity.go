@@ -217,7 +217,7 @@ func (l *LLD) scrubSegment(v *verifier, seg int, repair bool, res *ScrubResult) 
 		// still here after the seals and cleaning it may do; logData then
 		// finds the room made.
 		data := append([]byte(nil), stored...)
-		if err := l.ensureRoom(len(data), blockEntryEncSize); err != nil {
+		if err := l.ensureRoom(len(data), maxEntrySize); err != nil {
 			return err
 		}
 		bi := &l.blocks[bid]

@@ -164,6 +164,9 @@ func (l *LLD) CheckInvariants() []string {
 		if l.segs[l.cur.id].state != segOpen {
 			bad("open segment %d in state %d", l.cur.id, l.segs[l.cur.id].state)
 		}
+		if packed := summaryBytes(l.cur.entries, l.cur.tuples); l.cur.sumSize != packed {
+			bad("open segment %d charged %d summary bytes for records that pack into %d", l.cur.id, l.cur.sumSize, packed)
+		}
 	}
 	if inState[segFree] != len(l.freeSegs) || inState[segCooling] != len(l.cooling)+len(l.pendingARU) || inState[segOpen] != open {
 		bad("segment states free=%d cooling=%d open=%d but pools free=%d cooling=%d+%d open=%d",

@@ -122,10 +122,17 @@ type openSegment struct {
 // Stats counts LLD-level events since Open (or ResetStats).
 type Stats struct {
 	SegmentsSealed int64 // full segments written
-	PartialWrites  int64 // partial segment writes due to Flush (§3.2)
-	PartialBytes   int64 // bytes those partial writes sent to the disk, summaries included
-	NVRAMFlushes   int64 // flushes absorbed by modeled NVRAM (§5.3)
-	CleanCompress  int64 // blocks compressed by the cleaner (§3.3)
+	// Seals by cause. An append that found the data area full, one that
+	// found the summary full (the data still fitting), and a Flush at or
+	// above the fill threshold; SegmentsSealed less the three is the seals
+	// of a clean Shutdown.
+	SealsDataFull    int64
+	SealsSummaryFull int64
+	SealsOnFlush     int64
+	PartialWrites    int64 // partial segment writes due to Flush (§3.2)
+	PartialBytes     int64 // bytes those partial writes sent to the disk, summaries included
+	NVRAMFlushes     int64 // flushes absorbed by modeled NVRAM (§5.3)
+	CleanCompress    int64 // blocks compressed by the cleaner (§3.3)
 
 	UserBytesWritten int64
 	UserBytesRead    int64

@@ -706,7 +706,11 @@ func (l *LLD) flushLocked() error {
 	}
 	fill := float64(cur.dataOff) / float64(l.lay.dataCap())
 	if fill >= flushThreshold {
-		return l.sealSegment()
+		if err := l.sealSegment(); err != nil {
+			return err
+		}
+		l.stats.SealsOnFlush++
+		return nil
 	}
 	// NVRAM absorption (§5.3): a small partial segment lands in modeled
 	// battery-backed memory instead of costing a disk operation; the

@@ -38,8 +38,14 @@ type Options struct {
 	// ends with two such slots, written alternately so that a torn
 	// write to the open segment (the §3.2 partial-segment strategy)
 	// can never destroy the newest acknowledged summary image. The paper
-	// sizes the summary at one 4-KB block; the default is 8 KB to leave
-	// room for link tuples under list-heavy workloads.
+	// sizes the summary at one 4-KB block; the default is 8 KB. Records are
+	// packed (format v4): on Table 4's small-file phases a block entry
+	// takes 10 bytes and a tuple 4 to 9 (delete list, new list, alloc and
+	// free), so a slot holds about 1,000 records. A segment of 1-KB file
+	// creates then seals with two thirds of its data area full; one of a
+	// large file's 4-KB blocks fills its data area first. A flush or seal
+	// writes only the slot's used sectors, but every KB added here takes
+	// two from every segment's data area.
 	SummarySize int
 
 	// MaxBlockSize is the largest logical block. Writes larger than this

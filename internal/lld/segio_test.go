@@ -406,7 +406,8 @@ func TestFlushesAppendToThePlatterImage(t *testing.T) {
 		if len(f.data) != 1 || f.data[0] != want {
 			t.Errorf("flush %d wrote data %v, want %v", i, f.data, want)
 		}
-		if want := (ioOp{'w', l.lay.sumOff(seg, i%2), l.lay.summarySize}); len(f.sums) != 1 || f.sums[0] != want {
+		// A flush's few records pack into one sector of the 4-KB slot.
+		if want := (ioOp{'w', l.lay.sumOff(seg, i%2), ss}); len(f.sums) != 1 || f.sums[0] != want {
 			t.Errorf("flush %d wrote summaries %v, want %v", i, f.sums, want)
 		}
 		for _, o := range f.data {
@@ -420,7 +421,7 @@ func TestFlushesAppendToThePlatterImage(t *testing.T) {
 	if max := int64(l.cur.dataOff + k*ss); total > max {
 		t.Errorf("%d flushes wrote %d data bytes for %d in the segment, want at most %d", k, total, l.cur.dataOff, max)
 	}
-	if got, want := l.Stats().PartialBytes, total+int64(k*l.lay.summarySize); got != want {
+	if got, want := l.Stats().PartialBytes, total+int64(k*ss); got != want {
 		t.Errorf("PartialBytes = %d, want %d", got, want)
 	}
 }
@@ -451,9 +452,10 @@ func fillAndSeal(t *testing.T, rec *ioLog, l *LLD, n int) (dataOff int, writes [
 	return dataOff, rec.take('w')
 }
 
-// A seal writes the data no flush has put on the platter and one summary
-// slot. It runs on through the dead middle into slot 0 only when the
-// middle is at most a track; otherwise data and summary are two requests.
+// A seal writes the data no flush has put on the platter and the used
+// sectors of one summary slot. It runs on through the dead middle into
+// slot 0 only when the middle is at most a track; otherwise data and
+// summary are two requests.
 func TestSealWritesOnlyTheSuffixAndCrossesOnlyAShortMiddle(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -461,11 +463,12 @@ func TestSealWritesOnlyTheSuffixAndCrossesOnlyAShortMiddle(t *testing.T) {
 		blocks  int // then this many 4-KB blocks
 		slot    int // the seal's target
 		oneReq  bool
+		sumLen  int // the summary's used sectors, of a 4-KB slot
 	}{
-		{"after two flushes, full", 2, 29, 0, true},
-		{"after three flushes, full", 3, 28, 1, false},
-		{"no flush, middle of 28 KB", 0, 23, 0, true},
-		{"no flush, middle of 56 KB", 0, 16, 0, false},
+		{"after two flushes, full", 2, 29, 0, true, 1024},
+		{"after three flushes, full", 3, 28, 1, false, 1024},
+		{"no flush, middle of 28 KB", 0, 23, 0, true, 512},
+		{"no flush, middle of 56 KB", 0, 16, 0, false, 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, rec, l := newLoggedLLD(t, segIOOptions())
@@ -480,7 +483,7 @@ func TestSealWritesOnlyTheSuffixAndCrossesOnlyAShortMiddle(t *testing.T) {
 			}
 			dataOff, writes := fillAndSeal(t, rec, l, tc.blocks)
 			data := ioOp{'w', l.lay.segOff(seg) + int64(from), (dataOff+ss-1)/ss*ss - from}
-			sum := ioOp{'w', l.lay.sumOff(seg, tc.slot), l.lay.summarySize}
+			sum := ioOp{'w', l.lay.sumOff(seg, tc.slot), tc.sumLen}
 			want := []ioOp{data, sum}
 			if tc.oneReq {
 				want = []ioOp{{'w', data.off, int(sum.end() - data.off)}}
@@ -671,4 +674,216 @@ func TestFlushAppendFlushSealSurvivesEveryPowerCut(t *testing.T) {
 			t.Logf("cut power at %d points over %d sectors", total/stride+1, total)
 		})
 	}
+}
+
+// shortOverLong is what runShortOverLong left behind: segment seg reopened
+// after the cleaner retired a generation that had filled both of its
+// summary slots with long images, block a written and acknowledged by the
+// new generation's first flush (a short image into slot 0), and fresh
+// blocks allocated for its second (a short image into slot 1, over the
+// longer one the retired generation left there).
+type shortOverLong struct {
+	l      *LLD
+	seg    int
+	a      ld.BlockID
+	fresh  []ld.BlockID
+	oldLen [2]int    // bytes of the retired generation's image in each slot
+	ts     [2]uint64 // stamps of the new generation's images; ts[1] is 0 when the second flush failed
+}
+
+func shortSlotPayload() []byte { return bytes.Repeat([]byte{0x5A}, 1024) }
+
+// runShortOverLong drives that sequence on back. sync is the device's
+// drain, which acknowledges a flush; arm runs just before the second flush,
+// whose only request is the short summary (block a fills two whole
+// sectors, so no data sector is written again).
+func runShortOverLong(t *testing.T, back disk.Backend, sync func() error, arm func()) *shortOverLong {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := segIOOptions()
+	must(Format(back, opts))
+	must(sync())
+	l, err := Open(back, opts)
+	must(err)
+	r := &shortOverLong{l: l}
+	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
+	r.seg = l.cur.id
+	var old []ld.BlockID
+	pred := ld.NilBlock
+	for _, n := range []int{150, 150} {
+		for i := 0; i < n; i++ {
+			pred = mustNewBlock(t, l, lid, pred)
+			old = append(old, pred)
+		}
+		must(l.Flush(ld.FailPower)) // slot 0, then slot 1
+	}
+	l.mu.Lock()
+	err = l.sealSegment() // slot 0 again
+	l.mu.Unlock()
+	must(err)
+	must(sync())
+	for slot := range r.oldLen {
+		si, _ := slotImage(t, back, l.lay, r.seg, slot)
+		r.oldLen[slot] = summaryBytes(si.entries, si.tuples)
+	}
+
+	// Retire the generation, make the re-logs durable so the segment
+	// leaves the cooling queue, and seal the segment they went to.
+	must(cleanVictim(l, r.seg))
+	must(l.Flush(ld.FailPower))
+	l.mu.Lock()
+	err = l.sealSegment()
+	l.mu.Unlock()
+	must(err)
+	must(sync())
+
+	r.a = old[0]
+	mustWrite(t, l, r.a, shortSlotPayload())
+	if l.cur.id != r.seg {
+		t.Fatalf("the write opened segment %d, not the retired segment %d", l.cur.id, r.seg)
+	}
+	must(l.Flush(ld.FailPower))
+	must(sync())
+	r.ts[0] = l.segs[r.seg].ts
+	for i := 0; i < 150; i++ {
+		r.fresh = append(r.fresh, mustNewBlock(t, l, lid, ld.NilBlock))
+	}
+	arm()
+	if l.Flush(ld.FailPower) == nil && sync() == nil {
+		r.ts[1] = l.segs[r.seg].ts
+	}
+	return r
+}
+
+// slotImage reads one summary slot as the platter has it and decodes it.
+func slotImage(t *testing.T, back disk.Backend, lay layout, seg, slot int) (*summaryInfo, []byte) {
+	t.Helper()
+	buf := make([]byte, lay.summarySize)
+	if err := back.ReadAt(buf, lay.sumOff(seg, slot)); err != nil {
+		t.Fatal(err)
+	}
+	si, err := decodeSummary(buf, lay, seg)
+	if err != nil {
+		t.Fatalf("segment %d slot %d: %v", seg, slot, err)
+	}
+	return si, buf
+}
+
+// A summary written over a longer, older image in the same slot writes
+// only its own sectors and decodes as the new image: the header's counts
+// and CRC end at its last record, and the older image's tail past them is
+// never read.
+func TestShortSummaryOverALongerImageDecodesAsTheNewOne(t *testing.T) {
+	d := disk.New(disk.DefaultConfig(4 << 20))
+	var before int64
+	r := runShortOverLong(t, d, func() error { return nil }, func() { before = d.Stats().SectorsWritten })
+	ss := r.l.lay.sectorSize
+	for slot, ts := range r.ts {
+		si, img := slotImage(t, d, r.l.lay, r.seg, slot)
+		n := summaryBytes(si.entries, si.tuples)
+		if si.writeTS != ts {
+			t.Errorf("slot %d decodes as the image stamped %d, want the new one, %d", slot, si.writeTS, ts)
+		}
+		used := (n + ss - 1) / ss * ss
+		if r.oldLen[slot] < used+ss {
+			t.Fatalf("slot %d: the retired image (%d bytes) is not a sector longer than the new one (%d)", slot, r.oldLen[slot], n)
+		}
+		if bytes.Equal(img[used:r.oldLen[slot]], make([]byte, r.oldLen[slot]-used)) {
+			t.Errorf("slot %d: nothing of the retired image is left past the new one's %d bytes", slot, used)
+		}
+		if slot == 1 {
+			if got := d.Stats().SectorsWritten - before; got != int64(used/ss) {
+				t.Errorf("the second flush wrote %d sectors, want the summary's %d", got, used/ss)
+			}
+		}
+	}
+}
+
+// A power cut at every sector of that short write, on a plain disk and
+// behind a volatile write cache, falls back to the sibling slot's image —
+// the new generation's first, never the retired generation's — or mounts
+// the new image whole, and quarantines nothing.
+func TestShortSummaryWriteSurvivesEveryPowerCut(t *testing.T) {
+	opts := segIOOptions()
+	// check recovers back and reports whether the mount took the second
+	// image (or fell back to the first).
+	check := func(back disk.Backend, r *shortOverLong) (second bool, err error) {
+		l, err := Open(back, opts)
+		if err != nil {
+			return false, fmt.Errorf("recovery: %w", err)
+		}
+		if viol := l.CheckInvariants(); len(viol) != 0 {
+			return false, fmt.Errorf("invariants violated: %v", viol)
+		}
+		if q := l.RecoveryReport().QuarantinedSegments; len(q) != 0 {
+			return false, fmt.Errorf("quarantined %v", q)
+		}
+		ts := l.segs[r.seg].ts
+		if ts < r.ts[0] {
+			return false, fmt.Errorf("segment %d mounted from the image stamped %d, older than the acknowledged %d", r.seg, ts, r.ts[0])
+		}
+		if got := mustRead(t, l, r.a); !bytes.Equal(got, shortSlotPayload()) {
+			return false, fmt.Errorf("acknowledged block %d reads %d bytes, not its 1,024", r.a, len(got))
+		}
+		second = ts > r.ts[0]
+		for _, b := range r.fresh {
+			_, err := l.Read(b, make([]byte, opts.MaxBlockSize))
+			if exists := err == nil; exists != second {
+				return false, fmt.Errorf("segment %d mounted from the image stamped %d (first flush %d), and fresh block %d: %v", r.seg, ts, r.ts[0], b, err)
+			}
+		}
+		return second, nil
+	}
+	// sweep cuts power at every point 0..total and requires both outcomes.
+	sweep := func(t *testing.T, total int64, cut func(k int64) (disk.Backend, *shortOverLong)) {
+		fellBack, tookNew := 0, 0
+		for k := int64(0); k <= total; k++ {
+			back, r := cut(k)
+			second, err := check(back, r)
+			if err != nil {
+				t.Fatalf("cut after %d of %d sectors: %v", k, total, err)
+			}
+			if second {
+				tookNew++
+			} else {
+				fellBack++
+			}
+		}
+		if fellBack == 0 || tookNew == 0 || total < 2 {
+			t.Fatalf("%d cuts over a %d-sector write: %d fell back, %d mounted the new image; want a multi-sector write and both", total+1, total, fellBack, tookNew)
+		}
+		t.Logf("%d cuts over a %d-sector write: %d fell back to the sibling slot, %d mounted the new image", total+1, total, fellBack, tookNew)
+	}
+	noSync := func() error { return nil }
+	t.Run("disk", func(t *testing.T) {
+		ref := disk.New(disk.DefaultConfig(4 << 20))
+		var base int64
+		runShortOverLong(t, ref, noSync, func() { base = ref.Stats().SectorsWritten })
+		sweep(t, ref.Stats().SectorsWritten-base, func(k int64) (disk.Backend, *shortOverLong) {
+			d := disk.New(disk.DefaultConfig(4 << 20))
+			r := runShortOverLong(t, d, noSync, func() { d.InjectCrashAfterSectors(k) })
+			d.ClearCrash()
+			return d, r
+		})
+	})
+	t.Run("wbcache", func(t *testing.T) {
+		rail := disk.NewRail()
+		var base int64
+		runShortOverLong(t, disk.NewWBCache(disk.New(disk.DefaultConfig(4<<20)), rail), rail.SyncAll, func() { base = rail.Accepted() })
+		for seed := int64(0); seed < 4; seed++ {
+			sweep(t, rail.Accepted()-base, func(k int64) (disk.Backend, *shortOverLong) {
+				rail := disk.NewRail()
+				c := disk.NewWBCache(disk.New(disk.DefaultConfig(4<<20)), rail)
+				r := runShortOverLong(t, c, rail.SyncAll, func() { rail.Arm(k, 1000*seed+k) })
+				rail.PowerLoss(1000*seed + k) // the last point outruns the write: cut now
+				rail.Restart()
+				return c, r
+			})
+		}
+	})
 }

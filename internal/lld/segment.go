@@ -54,8 +54,9 @@ func (l *LLD) openNewSegment() error {
 }
 
 // ensureRoom guarantees the open segment can absorb dataLen more data bytes
-// and sumLen more summary bytes, sealing and reopening as needed. Callers
-// hold l.mu.
+// and sumLen more summary bytes, sealing and reopening as needed. sumLen is
+// a worst case (maxEntrySize, tupleSpace); the records are charged their
+// packed size as they are added. Callers hold l.mu.
 func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 	if dataLen > l.lay.dataCap() || summaryHeaderSize+sumLen > l.lay.summarySize {
 		return fmt.Errorf("%w: request larger than a segment", ld.ErrTooLarge)
@@ -63,9 +64,8 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 	seals := 0
 	for {
 		if l.cur != nil {
-			fits := l.cur.dataOff+dataLen <= l.lay.dataCap() &&
-				l.cur.sumSize+sumLen <= l.lay.summarySize
-			if fits {
+			dataFull := l.cur.dataOff+dataLen > l.lay.dataCap()
+			if !dataFull && l.cur.sumSize+sumLen <= l.lay.summarySize {
 				return nil
 			}
 			// A healthy write seals at most a couple of times. Sealing a
@@ -79,6 +79,11 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 			}
 			if err := l.sealSegment(); err != nil {
 				return err
+			}
+			if dataFull {
+				l.stats.SealsDataFull++
+			} else {
+				l.stats.SealsSummaryFull++
 			}
 			seals++
 		}
@@ -111,7 +116,7 @@ func (l *LLD) appendData(data []byte) int {
 // It is the one way a payload enters the log: Write, the cleaner, the
 // reorganizer and the scrubber's salvage. Callers hold l.mu.
 func (l *LLD) logData(b ld.BlockID, stored []byte, orig int, compressed bool, crc uint32) error {
-	if err := l.ensureRoom(len(stored), blockEntryEncSize); err != nil {
+	if err := l.ensureRoom(len(stored), maxEntrySize); err != nil {
 		return err
 	}
 	off := l.appendData(stored)
@@ -127,10 +132,15 @@ func (l *LLD) logData(b ld.BlockID, stored []byte, orig int, compressed bool, cr
 	return nil
 }
 
-// addEntry records a block entry in the open segment's summary.
+// addEntry records a block entry in the open segment's summary and charges
+// its packed size.
 func (l *LLD) addEntry(e blockEntry) {
+	var prev uint64
+	if n := len(l.cur.entries); n > 0 {
+		prev = l.cur.entries[n-1].ts
+	}
 	l.cur.entries = append(l.cur.entries, e)
-	l.cur.sumSize += blockEntryEncSize
+	l.cur.sumSize += e.packedSize(prev)
 	l.cur.dirty = true
 	if int(e.bid) < len(l.blocks) {
 		l.blocks[e.bid].dataTS = e.ts
@@ -139,15 +149,20 @@ func (l *LLD) addEntry(e blockEntry) {
 
 // emitTuple stamps, tags, and records a tuple in the open segment's summary
 // and updates the recTS bookkeeping for every id the tuple mentions.
-// Callers hold l.mu and must have reserved summary space via ensureRoom.
+// Callers hold l.mu and must have reserved summary space via ensureRoom;
+// the tuple is charged its packed size.
 func (l *LLD) emitTuple(kind uint8, args ...uint32) uint64 {
 	t := tupleRec{kind: kind, ts: l.nextTS()}
 	if !l.aruOpen {
 		t.flags |= tupleCommitted
 	}
 	copy(t.args[:], args)
+	var prev uint64
+	if n := len(l.cur.tuples); n > 0 {
+		prev = l.cur.tuples[n-1].ts
+	}
 	l.cur.tuples = append(l.cur.tuples, t)
-	l.cur.sumSize += t.encSize()
+	l.cur.sumSize += t.packedSize(prev)
 	l.cur.dirty = true
 	l.noteTuple(t)
 	return t.ts
@@ -305,9 +320,6 @@ func (l *LLD) emitDataSnap(bid ld.BlockID) error {
 	return nil
 }
 
-// tupleSpace returns the summary bytes needed for a tuple of the given kind.
-func tupleSpace(kind uint8) int { return tupleFixedSize + 4*tupleArgc[kind] }
-
 // guardSlotOverwrite makes rewriting a summary slot crash-safe under a
 // volatile write cache. The ping-pong discipline keeps the newest image
 // out of the slot being rewritten, but "written earlier" is not
@@ -338,18 +350,19 @@ func (l *LLD) sealSegment() error {
 		return nil
 	}
 	writeTS := l.nextTS()
-	if err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, true, cur.dataOff, cur.entries, cur.tuples); err != nil {
+	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, true, cur.dataOff, cur.entries, cur.tuples)
+	if err != nil {
 		return err
 	}
 	start := l.dsk.Now()
 	// Only the bytes not yet on the platter are written: the data from
-	// onPlatter on, and the summary. A full segment that no flush touched
-	// is therefore still one long contiguous operation (the paper's normal
-	// case). The request runs on through the dead middle into slot 0 only
-	// when that is the target slot and the middle is at most deadGapMax;
-	// a longer middle (tuple-heavy phases: deletes, list maintenance), or
-	// a ping-pong target of slot 1, makes the data suffix and the summary
-	// slot two requests. Either way the slot holding the newest
+	// onPlatter on, and the summary's used sectors. A full segment that no
+	// flush touched is therefore still one long contiguous operation (the
+	// paper's normal case). The request runs on through the dead middle
+	// into slot 0 only when that is the target slot and the middle is at
+	// most deadGapMax; a longer middle (tuple-heavy phases: deletes, list
+	// maintenance), or a ping-pong target of slot 1, makes the data suffix
+	// and the summary two requests. Either way the slot holding the newest
 	// acknowledged partial image is never overwritten, so a torn seal
 	// falls back to it.
 	ss := l.lay.sectorSize
@@ -358,7 +371,7 @@ func (l *LLD) sealSegment() error {
 	from, end := cur.onPlatter, dataBytes
 	through := cur.slot == 0 && dataBytes > from && dataCap-dataBytes <= deadGapMax
 	if through {
-		end = dataCap + l.lay.summarySize
+		end = dataCap + used
 	}
 	if err := l.guardSlotOverwrite(cur, cur.slot); err != nil {
 		return err
@@ -372,8 +385,7 @@ func (l *LLD) sealSegment() error {
 		if end > from {
 			l.crashPoint("seal.data") // data handed over, its summary not yet
 		}
-		sum := cur.buf[dataCap : dataCap+l.lay.summarySize]
-		if err := l.dskWrite(sum, l.lay.sumOff(cur.id, cur.slot)); err != nil {
+		if err := l.dskWrite(cur.buf[dataCap:dataCap+used], l.lay.sumOff(cur.id, cur.slot)); err != nil {
 			return err
 		}
 	}
@@ -413,7 +425,8 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 		return nil
 	}
 	writeTS := l.nextTS()
-	if err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, false, cur.dataOff, cur.entries, cur.tuples); err != nil {
+	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, false, cur.dataOff, cur.entries, cur.tuples)
+	if err != nil {
 		return err
 	}
 	ss := l.lay.sectorSize
@@ -437,7 +450,7 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 			return err
 		}
 	}
-	sum := cur.buf[l.lay.dataCap() : l.lay.dataCap()+l.lay.summarySize]
+	sum := cur.buf[l.lay.dataCap() : l.lay.dataCap()+used]
 	if err := write(sum, l.lay.sumOff(cur.id, cur.slot)); err != nil {
 		return err
 	}

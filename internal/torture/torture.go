@@ -45,7 +45,7 @@ type Config struct {
 	Ops       int    // workload length; default 300
 	DiskBytes int64  // per-leg platter size; default 4 MiB
 
-	SectorStride int64 // crash point every Nth accepted sector; default 8
+	SectorStride int64 // crash point every Nth accepted sector; default 5
 	OpStride     int   // crash point every Nth op; default 11 (stripe: 3)
 	SiteCap      int   // max points per named schedule site; default 8
 	MaxPoints    int   // cap on total points (evenly sampled); 0 = all
@@ -79,7 +79,7 @@ func (c *Config) fillDefaults() {
 	if c.SectorStride == 0 {
 		// Dense enough that the default lld, stripe and mirror runs
 		// together keep over 500 points (TestEnumerationBreadth).
-		c.SectorStride = 8
+		c.SectorStride = 5
 	}
 	if c.OpStride == 0 {
 		if c.Kind == KindStripe {

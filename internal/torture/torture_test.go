@@ -167,7 +167,9 @@ func TestPointParse(t *testing.T) {
 // that writes fewer (partial writes and seals that append: about 1,810 ->
 // 1,080 on lld at this seed) thins them out at a fixed stride — 627 points
 // fell to 459. The floor stays where it is and the default SectorStride
-// pays for it (13 -> 8).
+// pays for it (13 -> 8). Packed summaries written only up to their last
+// used sector (format v4) thinned them again, 665 -> 518 at stride 8, and
+// the stride went to 5 (674).
 func TestEnumerationBreadth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference runs are not instant")
