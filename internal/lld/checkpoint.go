@@ -231,6 +231,13 @@ func (l *LLD) decodeCheckpoint(payload []byte) error {
 	l.ts = r.u64()
 	l.nextFresh = ld.BlockID(r.u32())
 	l.nextList = ld.ListID(r.u32())
+	if r.err != nil {
+		return r.err
+	}
+	if l.nextFresh == 0 || int(l.nextFresh) > l.lay.maxBlocks+1 {
+		return fmt.Errorf("%w: checkpoint's next fresh block %d outside 1..%d", ErrFormat, l.nextFresh, l.lay.maxBlocks+1)
+	}
+	l.growBlocks(int(l.nextFresh))
 
 	nAlloc := int(r.u32())
 	for i := 0; i < nAlloc; i++ {
@@ -238,8 +245,8 @@ func (l *LLD) decodeCheckpoint(payload []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		if bid == 0 || int(bid) >= len(l.blocks) {
-			return fmt.Errorf("%w: checkpoint names block %d", ErrFormat, bid)
+		if bid == 0 || bid >= uint32(l.nextFresh) {
+			return fmt.Errorf("%w: checkpoint names block %d, next fresh is %d", ErrFormat, bid, l.nextFresh)
 		}
 		bi := &l.blocks[bid]
 		bi.seg = int32(r.u32())

@@ -99,9 +99,19 @@ func (l *LLD) CheckInvariants() []string {
 			bad("allocated block %d in free pool", b)
 		}
 	}
-	for b := ld.BlockID(1); b < l.nextFresh; b++ {
+	// The map covers every id issued, and none at or above the fresh
+	// watermark is allocated (the map may hold freed ids up there: growBlocks).
+	if int(l.nextFresh) > len(l.blocks) {
+		bad("block map holds %d entries below fresh watermark %d", len(l.blocks), l.nextFresh)
+	}
+	for b := ld.BlockID(1); b < l.nextFresh && int(b) < len(l.blocks); b++ {
 		if !l.blocks[b].allocated() && !freeSeen[b] {
 			bad("unallocated block %d below fresh watermark %d missing from free pool", b, l.nextFresh)
+		}
+	}
+	for b := int(l.nextFresh); b < len(l.blocks); b++ {
+		if l.blocks[b].allocated() {
+			bad("block %d allocated at or above fresh watermark %d", b, l.nextFresh)
 		}
 	}
 	listSeen := make(map[ld.ListID]bool)

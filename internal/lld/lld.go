@@ -232,8 +232,10 @@ type LLD struct {
 
 	ts uint64 // last issued timestamp (monotone operation counter)
 
-	blocks    []blockInfo // indexed by BlockID; entry 0 unused
-	nextFresh ld.BlockID  // smallest never-allocated id
+	// blocks is indexed by BlockID (entry 0 unused) and covers the ids LD
+	// has handed out, not the lay.maxBlocks it could: see growBlocks.
+	blocks    []blockInfo
+	nextFresh ld.BlockID // smallest never-allocated id
 	freeIDs   freePool[ld.BlockID]
 
 	lists     map[ld.ListID]*listInfo
@@ -408,7 +410,7 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 		dsk:       dsk,
 		opts:      opts,
 		lay:       lay,
-		blocks:    make([]blockInfo, lay.maxBlocks+1),
+		blocks:    []blockInfo{{seg: -1}},
 		nextFresh: 1,
 		lists:     make(map[ld.ListID]*listInfo),
 		deadLists: make(map[ld.ListID]uint64),
@@ -417,9 +419,6 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
 		victim:    -1,
 		utilLimit: utilizationLimit,
-	}
-	for i := range l.blocks {
-		l.blocks[i].seg = -1
 	}
 
 	found, complete, err := l.loadCheckpoint()
@@ -677,6 +676,27 @@ func (l *LLD) checkOpen() error {
 		return ld.ErrShutdown
 	}
 	return nil
+}
+
+// growBlocks extends the block-number map with empty entries until it
+// covers every id below n (DESIGN.md §8 "The block-number map"). The map
+// grows with the highest id in use: NewBlock when it issues a fresh id,
+// the checkpoint loader to the checkpoint's nextFresh, and installRecovered
+// to the largest id a replayed record names. Growing may move the map, so
+// it is called only where no *blockInfo is held. Capacity grows by an
+// eighth, which keeps the slack under an eighth of the map.
+func (l *LLD) growBlocks(n int) {
+	if n <= len(l.blocks) {
+		return
+	}
+	if n > cap(l.blocks) {
+		grown := make([]blockInfo, len(l.blocks), n+n/8)
+		copy(grown, l.blocks)
+		l.blocks = grown
+	}
+	for len(l.blocks) < n {
+		l.blocks = append(l.blocks, blockInfo{seg: -1})
+	}
 }
 
 // blockAt validates and returns the map entry for b. Callers hold l.mu

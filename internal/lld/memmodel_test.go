@@ -1,8 +1,14 @@
 package lld
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/ld"
 )
 
 const gb = 1 << 30
@@ -124,6 +130,98 @@ func TestSprite4GBComparison(t *testing.T) {
 	}
 	approx(t, "4GB block map", float64(m.BlockMapBytes()), 6*(1<<20), 0.05)
 	approx(t, "4GB list table", float64(m.ListTableBytes()), 2*(1<<20), 0.05)
+}
+
+// sparseDisk is a disk.Backend that keeps only the sectors holding a
+// non-zero byte, so an instance formatted at Table 2's 1-GB configuration
+// costs a few MB of test memory. It has no clock and no mechanics.
+type sparseDisk struct {
+	capacity int64
+	sectors  map[int64][]byte
+}
+
+const sparseSector = 512
+
+func (s *sparseDisk) span(p []byte, off int64) error {
+	if off%sparseSector != 0 || len(p)%sparseSector != 0 || off < 0 || off+int64(len(p)) > s.capacity {
+		return fmt.Errorf("sparse disk: %d bytes at %d: unaligned or out of range", len(p), off)
+	}
+	return nil
+}
+
+func (s *sparseDisk) ReadAt(p []byte, off int64) error {
+	if err := s.span(p, off); err != nil {
+		return err
+	}
+	for i := 0; i < len(p); i += sparseSector {
+		sec := p[i : i+sparseSector]
+		if stored, ok := s.sectors[(off+int64(i))/sparseSector]; ok {
+			copy(sec, stored)
+		} else {
+			clear(sec)
+		}
+	}
+	return nil
+}
+
+func (s *sparseDisk) WriteAt(p []byte, off int64) error {
+	if err := s.span(p, off); err != nil {
+		return err
+	}
+	for i := 0; i < len(p); i += sparseSector {
+		sec, n := p[i:i+sparseSector], (off+int64(i))/sparseSector
+		if slices.ContainsFunc(sec, func(b byte) bool { return b != 0 }) {
+			s.sectors[n] = slices.Clone(sec)
+		} else {
+			delete(s.sectors, n)
+		}
+	}
+	return nil
+}
+
+func (s *sparseDisk) WriteAtNVRAM(p []byte, off int64) error { return s.WriteAt(p, off) }
+func (s *sparseDisk) Capacity() int64                        { return s.capacity }
+func (s *sparseDisk) SectorSize() int                        { return sparseSector }
+func (s *sparseDisk) Now() time.Duration                     { return 0 }
+func (s *sparseDisk) AdvanceIdle(time.Duration)              {}
+
+// TestTable2BlockMapAsImplemented is Table 2's implementation column: the
+// block-number map an instance holds at the table's configuration (a 1-GB
+// disk, 4-KB blocks, 512-KB segments). The map grows with the ids handed
+// out, so an empty instance holds the one unused entry 0, and N allocations
+// cost at most 1.25 entries each. Per GB that is one blockInfo per block
+// stored, about 10x the paper's 6 bytes: the entry's width is what is left.
+func TestTable2BlockMapAsImplemented(t *testing.T) {
+	opts := DefaultOptions() // 512-KB segments of 4-KB blocks
+	dsk := &sparseDisk{capacity: gb, sectors: make(map[int64][]byte)}
+	if err := Format(dsk, opts); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dsk, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.blocks) != 1 {
+		t.Fatalf("an empty instance's map holds %d entries, want 1", len(l.blocks))
+	}
+	const n = 50_000
+	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
+	for i := 0; i < n; i++ {
+		mustNewBlock(t, l, lid, ld.NilBlock)
+	}
+	entry := int64(unsafe.Sizeof(blockInfo{}))
+	held := int64(cap(l.blocks)) * entry
+	if held > n*entry*5/4 {
+		t.Errorf("after %d allocations the map holds %d B (%d entries), want at most %d", n, held, cap(l.blocks), n*entry*5/4)
+	}
+	if viol := l.CheckInvariants(); len(viol) != 0 {
+		t.Fatalf("invariants: %v", viol)
+	}
+	const mb = 1 << 20
+	full := paperModel(false, 0)
+	t.Logf("%d allocations: %d entries of %d B, %.2f MB; full 4-KB occupancy: %.1f MB per GB (one entry per id of the address space: %.1f MB at any fill); paper model %.1f MB",
+		n, cap(l.blocks), entry, float64(held)/mb,
+		float64(full.Blocks()*entry)/mb, float64(int64(l.lay.maxBlocks+1)*entry)/mb, float64(full.BlockMapBytes())/mb)
 }
 
 func TestMemoryModelEdgeCases(t *testing.T) {

@@ -336,6 +336,7 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 	} else if int(l.nextFresh) <= l.lay.maxBlocks {
 		bid = l.nextFresh
 		l.nextFresh++
+		l.growBlocks(int(l.nextFresh))
 	} else {
 		return ld.NilBlock, fmt.Errorf("%w: out of logical block numbers", ld.ErrNoSpace)
 	}

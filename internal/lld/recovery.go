@@ -74,10 +74,24 @@ type recList struct {
 	orderTS uint64
 }
 
+// recState is the replay's field store. blocks starts with the ids the
+// checkpoint issued and grows, through block, to the largest id a replayed
+// record names, freed ids included; installRecovered sizes the block-number
+// map to it.
 type recState struct {
 	blocks []recBlock
 	lists  map[ld.ListID]*recList
 	order  []ld.ListID
+}
+
+// block returns the field store for b, growing the store to cover it.
+// Callers have checked b against the address space (badB). The store may
+// move, so a returned pointer is dead at the next call.
+func (rs *recState) block(b uint32) *recBlock {
+	for len(rs.blocks) <= int(b) {
+		rs.blocks = append(rs.blocks, recBlock{seg: -1})
+	}
+	return &rs.blocks[b]
 }
 
 func (rs *recState) list(lid ld.ListID) *recList {
@@ -612,12 +626,12 @@ func (l *LLD) verifyRecoveredData(report *RecoveryReport, trusted func(seg int) 
 
 // replayEntry installs a block data-location assignment.
 func (l *LLD) replayEntry(rs *recState, e *blockEntry, seg int) {
-	if e.bid == ld.NilBlock || int(e.bid) >= len(rs.blocks) ||
+	if e.bid == ld.NilBlock || int(e.bid) > l.lay.maxBlocks ||
 		int(e.off)+int(e.stored) > l.lay.dataCap() {
 		l.stats.RecoveryAnomalies++
 		return
 	}
-	b := &rs.blocks[e.bid]
+	b := rs.block(uint32(e.bid))
 	b.hasData = true
 	b.comp = e.flags&entryCompressed != 0
 	b.seg = int32(seg)
@@ -632,7 +646,7 @@ func (l *LLD) replayEntry(rs *recState, e *blockEntry, seg int) {
 // it assigns with the record's timestamp (the same bookkeeping noteTuple
 // maintains during normal operation).
 func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
-	badB := func(b uint32) bool { return b == 0 || int(b) >= len(rs.blocks) }
+	badB := func(b uint32) bool { return b == 0 || int(b) > l.lay.maxBlocks }
 	clearData := func(b *recBlock) {
 		b.hasData = false
 		b.comp = false
@@ -645,8 +659,9 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			li.first = val
 			li.headTS = t.ts
 		} else if !badB(pred) {
-			rs.blocks[pred].next = val
-			rs.blocks[pred].linkTS = t.ts
+			p := rs.block(pred)
+			p.next = val
+			p.linkTS = t.ts
 		}
 	}
 	switch t.kind {
@@ -656,7 +671,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := &rs.blocks[t.args[0]]
+		b := rs.block(t.args[0])
 		b.exist = true
 		b.lid = ld.ListID(t.args[1])
 		b.next = ld.BlockID(t.args[2])
@@ -669,7 +684,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := &rs.blocks[t.args[0]]
+		b := rs.block(t.args[0])
 		b.exist = false
 		b.lid = ld.NilList
 		b.next = ld.NilBlock
@@ -714,7 +729,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := &rs.blocks[t.args[0]]
+		b := rs.block(t.args[0])
 		b.exist = true
 		b.next = ld.BlockID(t.args[1])
 		b.lid = ld.ListID(t.args[2])
@@ -724,7 +739,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := &rs.blocks[t.args[0]]
+		b := rs.block(t.args[0])
 		b.exist = false
 		b.lid = ld.NilList
 		b.next = ld.NilBlock
@@ -747,7 +762,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := &rs.blocks[t.args[0]]
+		b := rs.block(t.args[0])
 		b.dataTS = t.ts
 		if t.args[1] == 0 {
 			clearData(b)
@@ -798,7 +813,11 @@ func (l *LLD) installRecovered(rs *recState) {
 	// Blocks. Data belonging to a non-existent block is simply dropped.
 	// Freed blocks keep their record timestamps: a mention of a freed
 	// block in a cleaning victim is superseded when a newer record
-	// (typically its tFree) survives elsewhere.
+	// (typically its tFree) survives elsewhere. So the map covers every id
+	// a replayed record names, not only those below nextFresh: the cleaner
+	// must still re-log the tFree of a freed id above the last live one, or
+	// a surviving tAlloc would bring the block back.
+	l.growBlocks(len(rs.blocks))
 	maxUsed := ld.BlockID(0)
 	for i := 1; i < len(rs.blocks); i++ {
 		rb := &rs.blocks[i]
