@@ -108,8 +108,8 @@ func reportMount(d disk.Backend, w io.Writer) {
 		fmt.Fprintf(w, "mount: clean-shutdown checkpoint loaded in %.2f s (virtual); no sweep, no data verification\n", took.Seconds())
 		return
 	}
-	fmt.Fprintf(w, "mount: recovery takes %.2f s (virtual): summary sweep of %d segments %.2f s, data verification %.2f s\n",
-		took.Seconds(), rep.SweptSegments, rep.SweepTime.Seconds(), rep.VerifyTime.Seconds())
+	fmt.Fprintf(w, "mount: recovery takes %.2f s (virtual): summary sweep of %d segments (%d with differing replica copies) %.2f s, data verification %.2f s\n",
+		took.Seconds(), rep.SweptSegments, rep.DivergentSegments, rep.SweepTime.Seconds(), rep.VerifyTime.Seconds())
 	fmt.Fprintf(w, "mount: verified %d blocks in %d extents spanning %d bytes; %d extents fell back to per-block reads\n",
 		rep.VerifiedBlocks, rep.VerifyExtents, rep.VerifyBytes, rep.VerifyFallbacks)
 	fmt.Fprintf(w, "mount: %d segments / %d blocks at or below durable mark ts=%d not re-read\n",

@@ -75,6 +75,68 @@ func TestReportMount(t *testing.T) {
 	}
 }
 
+// On a crashed mirror set the mount report counts the segments whose summary
+// copies differed between the legs: none when the legs agree, one when a leg
+// holds a rotted copy of one slot.
+func TestReportMountCountsDifferingReplicaCopies(t *testing.T) {
+	legs := []*disk.Disk{disk.New(disk.DefaultConfig(16 << 20)), disk.New(disk.DefaultConfig(16 << 20))}
+	m, err := mdisk.NewMirror(legs[0], legs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := lld.DefaultOptions()
+	if err := lld.Format(m, opts); err != nil {
+		t.Fatal(err)
+	}
+	l, err := lld.Open(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lid, err := l.NewList(ld.NilList, ld.ListHints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		b, err := l.NewBlock(lid, ld.NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Write(b, bytes.Repeat([]byte{byte(i + 1)}, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(ld.FailPower); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Shutdown(false); err != nil {
+		t.Fatal(err)
+	}
+	slots, _, err := lld.SummarySlots(legs[1])
+	if err != nil || len(slots) == 0 {
+		t.Fatalf("%d decodable summary slots, %v", len(slots), err)
+	}
+	images := [2][]byte{legs[0].Snapshot(), legs[1].Snapshot()}
+
+	for _, c := range []struct {
+		rot  bool
+		want string
+	}{{false, "(0 with differing replica copies)"}, {true, "(1 with differing replica copies)"}} {
+		for i, img := range images {
+			if err := legs[i].Restore(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.rot {
+			legs[1].CorruptRange(slots[0]+64, 8, 0xff)
+		}
+		var out strings.Builder
+		reportMount(m, &out)
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("report lacks %q:\n%s", c.want, out.String())
+		}
+	}
+}
+
 // -verify mounts the copy of the image it loaded, which writes (the clean
 // marker is demoted, replicas are compared): the files it read stay byte for
 // byte as they were, on one disk and on a mirror set.

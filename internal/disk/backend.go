@@ -61,7 +61,9 @@ type MultiReader interface {
 	// VerifyReplicas checks every live replica's copy of the range
 	// against verify, healing failed copies from a verified one. On
 	// success p holds verified bytes and healed counts the copies
-	// repaired; when no replica verifies the error is ErrNoValidReplica.
+	// repaired; when no replica verifies the error is ErrNoValidReplica
+	// and p holds the copy read last (so a verify that accepts nothing
+	// is a scan of every live copy that heals none).
 	VerifyReplicas(p []byte, off int64, verify func([]byte) bool) (healed int, err error)
 }
 

@@ -77,6 +77,33 @@ func Dump(d disk.Backend, w io.Writer, verbose bool) error {
 	return nil
 }
 
+// SummarySlots returns the byte offset of every summary slot of d — an
+// LLD-formatted disk, or one leg of a mirror of one — whose bytes decode as a
+// summary of their segment, and the size of a slot. It only reads d.
+func SummarySlots(d disk.Backend) (offs []int64, size int, err error) {
+	sector := make([]byte, d.SectorSize())
+	if err := d.ReadAt(sector, 0); err != nil {
+		return nil, 0, err
+	}
+	lay, err := decodeSuper(sector)
+	if err != nil {
+		return nil, 0, err
+	}
+	buf := make([]byte, lay.summarySize)
+	for i := 0; i < lay.nSegments; i++ {
+		for slot := 0; slot < 2; slot++ {
+			off := lay.sumOff(i, slot)
+			if err := d.ReadAt(buf, off); err != nil {
+				return nil, 0, err
+			}
+			if _, err := decodeSummary(buf, lay, i); err == nil {
+				offs = append(offs, off)
+			}
+		}
+	}
+	return offs, lay.summarySize, nil
+}
+
 // Verify is the integrity check behind lddump -verify: a mount that trusts
 // nothing. It mounts d as recovery does after a crash that follows a clean
 // restart — a clean-shutdown checkpoint is only the sweep's floor, so every

@@ -14,6 +14,16 @@ func OpenPerBlockVerify(dsk disk.Backend, opts Options) (*LLD, error) {
 	return open(dsk, opts, (*LLD).verifyRecoveredDataPerBlock, false)
 }
 
+// OpenPerSlot is Open with every segment of a sweep over a redundant backend
+// sent down the per-slot adopt-and-heal path (probeSegmentMulti), whether or
+// not its replicas' copies agree: the reference the identical-copies rule is
+// held against (mirrorsweep_test.go).
+func OpenPerSlot(dsk disk.Backend, opts Options) (*LLD, error) {
+	sweepPerSlot = true
+	defer func() { sweepPerSlot = false }()
+	return Open(dsk, opts)
+}
+
 // verifyRecoveredDataPerBlock is the historical pass, kept as it was: every
 // mapped block read back in block-id order, one request apiece, a segment
 // given up at its first lost block. It trusts no segment: the durable

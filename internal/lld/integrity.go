@@ -70,6 +70,12 @@ type RecoveryReport struct {
 	TornSlotsCleared int // benign torn summary slots zeroed by the sweep
 	DiscardedRecords int // incomplete-ARU records discarded (and fenced)
 
+	// DivergentSegments counts the segments whose summary area did not read
+	// back identical from every replica of a redundant backend — the copies
+	// differed, or a replica was failed, rebuilding or unreadable — so each
+	// slot adopted the newest copy and healed the others. Zero on one platter.
+	DivergentSegments int
+
 	// DurableMark is the largest durable watermark the sweep found in a
 	// summary: every record stamped at or below it was on the platter
 	// before the crash, so the read-back leaves the segments stamped at or

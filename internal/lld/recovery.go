@@ -1,6 +1,7 @@
 package lld
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sort"
@@ -119,6 +120,7 @@ type segProbe struct {
 	suspectSlots []int // slot indices of undecodable magic-bearing slots
 
 	unreadable bool // a slot could not be read at all (latent media fault)
+	divergent  bool // replica copies did not all read back identical (probeSegmentMulti)
 }
 
 // probeSlot decodes one summary slot into p: a valid summary replaces si
@@ -147,13 +149,19 @@ func probeSlot(p *segProbe, slot int, buf []byte, lay layout, segID int) {
 // read falls back to per-slot reads, and only a genuinely unreadable
 // slot marks the probe unreadable. Errors other than ErrUnreadable
 // (after the transient retry) abort the sweep.
+//
+// On a redundant backend the region is one scan of every replica
+// (replicasAgree). Copies that all read and agree byte for byte are
+// probed as one platter's would be: there is no newer generation to adopt
+// and nothing to heal. Any other segment takes probeSegmentMulti.
 func (l *LLD) probeSegment(i int, sum []byte) (segProbe, error) {
 	lay := l.lay
-	if mr, ok := l.dsk.(disk.MultiReader); ok {
-		return l.probeSegmentMulti(mr, i, sum)
-	}
 	var p segProbe
-	if err := l.dskRead(sum, lay.segOff(i)+int64(lay.dataCap())); err != nil {
+	if mr, ok := l.dsk.(disk.MultiReader); ok {
+		if !l.replicasAgree(mr, sum, lay.sumOff(i, 0)) {
+			return l.probeSegmentMulti(mr, i, sum)
+		}
+	} else if err := l.dskRead(sum, lay.sumOff(i, 0)); err != nil {
 		if !errors.Is(err, disk.ErrUnreadable) {
 			return p, err
 		}
@@ -183,10 +191,12 @@ func (l *LLD) probeSegment(i int, sum []byte) (segProbe, error) {
 // that parses" then makes recovery depend on which replica a rotated
 // read happens to serve, and leaves the losing generation in place to
 // resurface on a later mount or in the offline checker. This scans every
-// live replica for the newest copy parse accepts, re-reads pinned to
-// that generation so the copy lands in buf, and heals every replica
-// holding an older generation or garbage, converging the image. Returns
-// found=false (nil error) when no replica holds a parseable copy.
+// live replica for the newest copy parse accepts, then checks every live
+// replica again pinned to that generation (VerifyReplicas, not a read that
+// stops at the first copy passing), so the copy lands in buf and each
+// replica holding an older generation or garbage is healed to it,
+// converging the image. Returns found=false (nil error) when no replica
+// holds a parseable copy.
 func (l *LLD) metaNewestAcross(mr disk.MultiReader, buf []byte, off int64, parse func([]byte) (uint64, bool)) (found bool, err error) {
 	var bestTS uint64
 	_, scanErr := mr.VerifyReplicas(buf, off, func(b []byte) bool {
@@ -201,7 +211,7 @@ func (l *LLD) metaNewestAcross(mr disk.MultiReader, buf []byte, off int64, parse
 		}
 		return false, nil
 	}
-	healed, err := mr.ReadAtVerified(buf, off, func(b []byte) bool {
+	healed, err := mr.VerifyReplicas(buf, off, func(b []byte) bool {
 		ts, ok := parse(b)
 		return ok && ts == bestTS
 	})
@@ -212,7 +222,34 @@ func (l *LLD) metaNewestAcross(mr disk.MultiReader, buf []byte, off int64, parse
 	return true, err
 }
 
-// probeSegmentMulti is probeSegment over a redundant backend: each slot
+// sweepPerSlot, set only by tests, sends every segment to probeSegmentMulti.
+var sweepPerSlot bool
+
+// replicasAgree reads every live replica's copy of len(p) bytes at off in
+// one scan-only pass, which heals nothing, and reports whether all
+// Replicas() copies read and are byte-identical; p then holds them. The
+// first copy is kept in l.scratch, which nothing else uses during the
+// sweep.
+func (l *LLD) replicasAgree(mr disk.MultiReader, p []byte, off int64) bool {
+	if sweepPerSlot {
+		return false
+	}
+	first := l.scratch[:len(p)]
+	seen, same := 0, true
+	_, _ = mr.VerifyReplicas(p, off, func(b []byte) bool {
+		if seen == 0 {
+			copy(first, b)
+		} else if same {
+			same = bytes.Equal(first, b)
+		}
+		seen++
+		return false
+	})
+	return same && seen == mr.Replicas()
+}
+
+// probeSegmentMulti is probeSegment over a redundant backend whose copies
+// of the segment's summary area differ, or could not all be read: each slot
 // adopts the newest copy across replicas that decodes as a valid summary
 // for this segment (metaNewestAcross), so a seal that persisted on only
 // a subset of replicas is seen — and replicated everywhere — rather than
@@ -223,7 +260,7 @@ func (l *LLD) metaNewestAcross(mr disk.MultiReader, buf []byte, off int64, parse
 // torn-vs-rot classifier sees the same evidence it would on one platter.
 func (l *LLD) probeSegmentMulti(mr disk.MultiReader, i int, sum []byte) (segProbe, error) {
 	lay := l.lay
-	var p segProbe
+	p := segProbe{divergent: true}
 	for slot := 0; slot < 2; slot++ {
 		buf := sum[slot*lay.summarySize : (slot+1)*lay.summarySize]
 		off := lay.sumOff(i, slot)
@@ -311,6 +348,9 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 	lastValid := floor
 	var mark uint64
 	for i := range decoded {
+		if decoded[i].divergent {
+			report.DivergentSegments++
+		}
 		si := decoded[i].si
 		if si == nil {
 			continue

@@ -16,6 +16,7 @@
 package torture
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -646,6 +647,11 @@ func verifyRecovered(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) erro
 	if err != nil {
 		return fmt.Errorf("recovery failed: %w", err)
 	}
+	if r.mirror != nil {
+		if err := checkMirrorSummaries(r.mirror); err != nil {
+			return err
+		}
+	}
 	rep := l2.RecoveryReport()
 	if err := m.verify(l2, rep); err != nil {
 		return err
@@ -677,6 +683,41 @@ func verifyRecovered(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) erro
 		if faults > 0 {
 			return fmt.Errorf("offline verify found %d faults on an undegraded image:\n%s",
 				faults, detail.String())
+		}
+	}
+	return nil
+}
+
+// checkMirrorSummaries holds a mount to DESIGN §11 row 5: every summary slot
+// some live leg of the mirror can decode holds the same bytes on every live
+// leg afterwards. Recovery adopts the newest copy of a slot and heals the
+// others to it; a leg left holding an older generation would be served
+// whenever the read rotation reaches it.
+func checkMirrorSummaries(m *mdisk.Mirror) error {
+	var live []disk.Backend
+	for i := 0; i < m.Replicas(); i++ {
+		if m.State(i) == mdisk.ReplicaLive {
+			live = append(live, m.Child(i))
+		}
+	}
+	for _, leg := range live {
+		offs, size, err := lld.SummarySlots(leg)
+		if err != nil {
+			return fmt.Errorf("summary slots after recovery: %w", err)
+		}
+		want, got := make([]byte, size), make([]byte, size)
+		for _, off := range offs {
+			if err := live[0].ReadAt(want, off); err != nil {
+				return fmt.Errorf("summary slot at byte %d: %w", off, err)
+			}
+			for i, other := range live[1:] {
+				if err := other.ReadAt(got, off); err != nil {
+					return fmt.Errorf("summary slot at byte %d: %w", off, err)
+				}
+				if !bytes.Equal(want, got) {
+					return fmt.Errorf("summary slot at byte %d differs between live legs 0 and %d after recovery", off, i+1)
+				}
+			}
 		}
 	}
 	return nil
