@@ -7,21 +7,16 @@ import (
 	"repro/internal/ld"
 )
 
-// This file contains the pure state transitions on the block-number map,
-// the list table, and the segment usage table. They perform no validation
-// and emit no tuples; the public operations validate and log, recovery
-// replays logged tuples through the same functions. Keeping one copy of
-// the state logic is what guarantees that a recovered state matches the
-// state the running system had.
+// This file contains the running instance's state transitions on the
+// block-number map, the list table, and the segment usage table. They
+// perform no validation and emit no tuples; the public operations validate
+// and log. Recovery does not call them: a logged record states absolute
+// field values, not the operation that produced them, and replayTuple
+// (recovery.go) stores those values into the same map and list table.
 
 // applyAlloc allocates bid into list lid after pred (NilBlock = at head).
 func (l *LLD) applyAlloc(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 	bi := &l.blocks[bid]
-	if bi.hasData() {
-		// Stale data from a superseded generation of this id (replay of an
-		// id-reuse history): release its storage accounting first.
-		l.applyFreeStorage(bi)
-	}
 	*bi = blockInfo{
 		seg: -1, lid: lid, flags: bAllocated,
 		existTS: bi.existTS, linkTS: bi.linkTS, dataTS: bi.dataTS,
@@ -62,12 +57,7 @@ func (l *LLD) applyFreeStorage(bi *blockInfo) {
 		}
 		l.liveBytes -= int64(bi.stored)
 	}
-	bi.seg = -1
-	bi.off = 0
-	bi.stored = 0
-	bi.orig = 0
-	bi.crc = 0
-	bi.flags &^= bHasData | bComp
+	bi.clearData()
 }
 
 // applyFree unlinks bid from lid, frees its storage, and recycles its
@@ -89,17 +79,7 @@ func (l *LLD) applySetData(bid ld.BlockID, seg int, off, stored, orig int, compr
 		l.segs[bi.seg].live -= int64(bi.stored)
 		l.liveBytes -= int64(bi.stored)
 	}
-	bi.seg = int32(seg)
-	bi.off = uint32(off)
-	bi.stored = uint32(stored)
-	bi.orig = uint32(orig)
-	bi.crc = crc
-	bi.flags |= bHasData
-	if compressed {
-		bi.flags |= bComp
-	} else {
-		bi.flags &^= bComp
-	}
+	bi.setData(int32(seg), uint32(off), uint32(stored), uint32(orig), compressed, crc)
 	l.segs[seg].live += int64(stored)
 	l.liveBytes += int64(stored)
 }
@@ -107,15 +87,7 @@ func (l *LLD) applySetData(bid ld.BlockID, seg int, off, stored, orig int, compr
 // applyNewList creates list lid after predLid in the list of lists
 // (NilList = at the front).
 func (l *LLD) applyNewList(lid ld.ListID, predLid ld.ListID, hints ld.ListHints) {
-	ni := &listInfo{hints: hints}
-	if old, ok := l.lists[lid]; ok {
-		// List id reuse (possible during replay when an intermediate
-		// deletion record was superseded): drop the stale order entry but
-		// keep the record-timestamp bookkeeping.
-		ni.existTS, ni.headTS, ni.orderTS = old.existTS, old.headTS, old.orderTS
-		l.order = orderRemove(l.order, lid)
-	}
-	l.lists[lid] = ni
+	l.lists[lid] = &listInfo{hints: hints}
 	l.order = orderInsertAfter(l.order, lid, predLid)
 }
 
@@ -191,9 +163,9 @@ func (l *LLD) applySwap(a, b ld.BlockID) {
 	bi.flags = bi.flags&^(bHasData|bComp) | ac
 }
 
-// The list of lists is one slice of ids in the running instance and another
-// in recovery's replay (recState.order); both are reordered by these two, so
-// the two cannot disagree on where a list lands.
+// The list of lists (l.order) is reordered only by these two, in the running
+// instance and in recovery's replay alike, so the two cannot disagree on
+// where a list lands.
 
 // orderRemove returns order without lid.
 func orderRemove(order []ld.ListID, lid ld.ListID) []ld.ListID {

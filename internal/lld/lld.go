@@ -46,6 +46,23 @@ type blockInfo struct {
 func (b *blockInfo) allocated() bool { return b.flags&bAllocated != 0 }
 func (b *blockInfo) hasData() bool   { return b.flags&bHasData != 0 }
 
+// setData points b at its stored bytes and clearData leaves it with none.
+// Neither touches the usage accounting: the running instance adjusts it
+// around them (applySetData, applyFreeStorage), recovery recounts it once
+// the replay is done.
+func (b *blockInfo) setData(seg int32, off, stored, orig uint32, compressed bool, crc uint32) {
+	b.seg, b.off, b.stored, b.orig, b.crc = seg, off, stored, orig, crc
+	b.flags = b.flags&^bComp | bHasData
+	if compressed {
+		b.flags |= bComp
+	}
+}
+
+func (b *blockInfo) clearData() {
+	b.seg, b.off, b.stored, b.orig, b.crc = -1, 0, 0, 0, 0
+	b.flags &^= bHasData | bComp
+}
+
 // listInfo is one entry of the in-memory list table: the first block of the
 // list (Figure 2), plus the paper's per-list hints and a census count.
 type listInfo struct {
@@ -681,10 +698,11 @@ func (l *LLD) checkOpen() error {
 // growBlocks extends the block-number map with empty entries until it
 // covers every id below n (DESIGN.md §8 "The block-number map"). The map
 // grows with the highest id in use: NewBlock when it issues a fresh id,
-// the checkpoint loader to the checkpoint's nextFresh, and installRecovered
-// to the largest id a replayed record names. Growing may move the map, so
-// it is called only where no *blockInfo is held. Capacity grows by an
-// eighth, which keeps the slack under an eighth of the map.
+// and the checkpoint loader to the checkpoint's nextFresh. (Recovery's
+// replay grows it to the largest id a record names through replayBlock,
+// which appends.) Growing may move the map, so it is called only where no
+// *blockInfo is held. Capacity grows by an eighth, which keeps the slack
+// under an eighth of the map.
 func (l *LLD) growBlocks(n int) {
 	if n <= len(l.blocks) {
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -19,10 +20,11 @@ import (
 // Every record is a self-contained set of absolute field assignments
 // (block existence/membership, successor pointer, data location, list
 // existence/head). Replay sorts all surviving records by timestamp and
-// applies them to a plain field store, so each field converges to the value
-// of its newest surviving record — which the cleaner guarantees is the true
-// value, because it restates any fact whose newest record it is about to
-// destroy.
+// stores them into the block-number map and list table themselves, so each
+// field converges to the value of its newest surviving record — which the
+// cleaner guarantees is the true value, because it restates any fact whose
+// newest record it is about to destroy. What no record states (the usage
+// table, list censuses, free pools) installRecovered derives afterwards.
 //
 // Atomic recovery units: a record tagged as not ending an ARU is applied
 // only if some committed record with an equal or later timestamp survives —
@@ -43,66 +45,6 @@ import (
 // record whose timestamp falls strictly inside a fenced window. The fence
 // is emitted into the open segment before any new operation, so it is
 // durable no later than any record that could resurrect the dead unit.
-
-// recBlock is the field store for one block during replay. The per-field
-// timestamps record each field's winning record, seeding the bookkeeping
-// the cleaner uses to decide what needs re-logging: a field whose winner
-// was replayed from disk needs no snapshot when some older mention of it
-// is cleaned.
-type recBlock struct {
-	exist   bool
-	lid     ld.ListID
-	next    ld.BlockID
-	hasData bool
-	comp    bool
-	seg     int32
-	off     uint32
-	stored  uint32
-	orig    uint32
-	crc     uint32
-	existTS uint64
-	linkTS  uint64
-	dataTS  uint64
-}
-
-// recList is the field store for one list during replay.
-type recList struct {
-	exist   bool
-	first   ld.BlockID
-	hints   ld.ListHints
-	existTS uint64
-	headTS  uint64
-	orderTS uint64
-}
-
-// recState is the replay's field store. blocks starts with the ids the
-// checkpoint issued and grows, through block, to the largest id a replayed
-// record names, freed ids included; installRecovered sizes the block-number
-// map to it.
-type recState struct {
-	blocks []recBlock
-	lists  map[ld.ListID]*recList
-	order  []ld.ListID
-}
-
-// block returns the field store for b, growing the store to cover it.
-// Callers have checked b against the address space (badB). The store may
-// move, so a returned pointer is dead at the next call.
-func (rs *recState) block(b uint32) *recBlock {
-	for len(rs.blocks) <= int(b) {
-		rs.blocks = append(rs.blocks, recBlock{seg: -1})
-	}
-	return &rs.blocks[b]
-}
-
-func (rs *recState) list(lid ld.ListID) *recList {
-	li := rs.lists[lid]
-	if li == nil {
-		li = &recList{}
-		rs.lists[lid] = li
-	}
-	return li
-}
 
 // segProbe is what the sweep learned about one segment's summary slots.
 // Beyond the newest valid summary (if any), it preserves the evidence the
@@ -313,8 +255,9 @@ func (l *LLD) sweepSummaries() ([]segProbe, error) {
 
 // recoverSweep reads all summaries and rebuilds the state. floor is the
 // newest consolidation-checkpoint timestamp: records at or below it are
-// already reflected in the checkpoint-loaded state (seeded=true) and are
-// skipped. With no checkpoint, floor is 0 and the sweep starts empty.
+// already reflected in the checkpoint-loaded state (seeded=true), are
+// skipped, and the rest are replayed over that state. With no checkpoint,
+// floor is 0 and the sweep starts empty.
 //
 // verifyData is the read-back of mapped payloads that ends the sweep:
 // verifyRecoveredData, which leaves out the segments trusted reports (Verify's
@@ -511,49 +454,9 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 		return false
 	}
 
-	rs := &recState{
-		blocks: make([]recBlock, len(l.blocks)),
-		lists:  make(map[ld.ListID]*recList),
-	}
-	for i := range rs.blocks {
-		rs.blocks[i].seg = -1
-	}
-	if seeded {
-		// Start from the checkpoint-loaded state.
-		for i := 1; i < len(l.blocks); i++ {
-			bi := &l.blocks[i]
-			if !bi.allocated() {
-				continue
-			}
-			rs.blocks[i] = recBlock{
-				exist:   true,
-				lid:     bi.lid,
-				next:    bi.next,
-				hasData: bi.hasData(),
-				comp:    bi.flags&bComp != 0,
-				seg:     bi.seg,
-				off:     bi.off,
-				stored:  bi.stored,
-				orig:    bi.orig,
-				crc:     bi.crc,
-			}
-		}
-		for _, lid := range l.order {
-			li := l.lists[lid]
-			rs.lists[lid] = &recList{exist: true, first: li.first, hints: li.hints}
-			rs.order = append(rs.order, lid)
-		}
-		// Reset the live state; installRecovered rebuilds it from rs.
-		for i := range l.blocks {
-			l.blocks[i] = blockInfo{seg: -1}
-		}
-		l.lists = make(map[ld.ListID]*listInfo)
-		l.order = nil
-		l.liveBytes = 0
-		for i := range l.segs {
-			l.segs[i].live = 0
-		}
-	}
+	// Replay into the block-number map and list table themselves. On a
+	// seeded mount they hold the checkpoint's state, which every replayed
+	// record postdates; on a cold one they start empty.
 	discarded := 0
 	for _, r := range recs {
 		if !r.committed {
@@ -566,13 +469,13 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 			}
 		}
 		if r.entry != nil {
-			l.replayEntry(rs, r.entry, r.seg)
+			l.replayEntry(r.entry, r.seg)
 		} else {
-			l.replayTuple(rs, r.tuple)
+			l.replayTuple(r.tuple)
 		}
 	}
 
-	l.installRecovered(rs)
+	l.installRecovered()
 	// A still-live segment whose data fully died and whose records are all
 	// at or below the checkpoint floor holds nothing recovery needs.
 	for i := range l.segs {
@@ -664,45 +567,62 @@ func (l *LLD) verifyRecoveredData(report *RecoveryReport, trusted func(seg int) 
 	report.VerifyCounts = v.VerifyCounts
 }
 
+// replayBlock returns b's entry in the block-number map, growing the map to
+// cover it. Replay extends the map to the largest id a record names, freed
+// ids included: a freed id keeps its record timestamps, so the cleaner still
+// re-logs the tFree of a freed id above the last live one, or a surviving
+// tAlloc would bring the block back. The map grows as append grows it, which
+// reallocates far less often than one growBlocks per new high id. Callers
+// have checked b against the address space (badB). The map may move, so a
+// returned pointer is dead at the next call.
+func (l *LLD) replayBlock(b uint32) *blockInfo {
+	for len(l.blocks) <= int(b) {
+		l.blocks = append(l.blocks, blockInfo{seg: -1})
+	}
+	return &l.blocks[b]
+}
+
 // replayEntry installs a block data-location assignment.
-func (l *LLD) replayEntry(rs *recState, e *blockEntry, seg int) {
+func (l *LLD) replayEntry(e *blockEntry, seg int) {
 	if e.bid == ld.NilBlock || int(e.bid) > l.lay.maxBlocks ||
 		int(e.off)+int(e.stored) > l.lay.dataCap() {
 		l.stats.RecoveryAnomalies++
 		return
 	}
-	b := rs.block(uint32(e.bid))
-	b.hasData = true
-	b.comp = e.flags&entryCompressed != 0
-	b.seg = int32(seg)
-	b.off = e.off
-	b.stored = e.stored
-	b.orig = e.orig
-	b.crc = e.crc
+	b := l.replayBlock(uint32(e.bid))
+	b.setData(int32(seg), e.off, e.stored, e.orig, e.flags&entryCompressed != 0, e.crc)
 	b.dataTS = e.ts
 }
 
 // replayTuple applies one tuple's field assignments, stamping each field
 // it assigns with the record's timestamp (the same bookkeeping noteTuple
-// maintains during normal operation).
-func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
+// maintains during normal operation). The usage accounting is left alone:
+// installRecovered recounts it from the final map. A list exists while it
+// has an l.lists entry, so a fact about a list with none stores nothing.
+func (l *LLD) replayTuple(t *tupleRec) {
 	badB := func(b uint32) bool { return b == 0 || int(b) > l.lay.maxBlocks }
-	clearData := func(b *recBlock) {
-		b.hasData = false
-		b.comp = false
-		b.seg = -1
-		b.off, b.stored, b.orig, b.crc = 0, 0, 0, 0
-	}
+	// freed is a block with no existence, linkage or data as of this record.
+	freed := blockInfo{seg: -1, existTS: t.ts, linkTS: t.ts, dataTS: t.ts}
 	setEdge := func(lid uint32, pred uint32, head bool, val ld.BlockID) {
 		if head {
-			li := rs.list(ld.ListID(lid))
-			li.first = val
-			li.headTS = t.ts
+			if li := l.lists[ld.ListID(lid)]; li != nil {
+				li.first = val
+				li.headTS = t.ts
+			}
 		} else if !badB(pred) {
-			p := rs.block(pred)
+			p := l.replayBlock(pred)
 			p.next = val
 			p.linkTS = t.ts
 		}
+	}
+	// newList installs a fresh entry for lid after pred in the list of lists.
+	newList := func(lid ld.ListID, first ld.BlockID, pred ld.ListID, hints uint32) {
+		l.lists[lid] = &listInfo{
+			first: first, hints: decodeHints(hints),
+			existTS: t.ts, headTS: t.ts, orderTS: t.ts,
+		}
+		delete(l.deadLists, lid)
+		l.order = orderInsertAfter(orderRemove(l.order, lid), lid, pred)
 	}
 	switch t.kind {
 	case tAlloc:
@@ -711,12 +631,11 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := rs.block(t.args[0])
-		b.exist = true
-		b.lid = ld.ListID(t.args[1])
-		b.next = ld.BlockID(t.args[2])
-		clearData(b) // a fresh allocation carries no data
-		b.existTS, b.linkTS, b.dataTS = t.ts, t.ts, t.ts
+		// A fresh allocation carries no data.
+		*l.replayBlock(t.args[0]) = blockInfo{
+			seg: -1, lid: ld.ListID(t.args[1]), next: ld.BlockID(t.args[2]), flags: bAllocated,
+			existTS: t.ts, linkTS: t.ts, dataTS: t.ts,
+		}
 		setEdge(t.args[1], t.args[3], t.args[4]&1 != 0, ld.BlockID(t.args[0]))
 	case tFree:
 		// bid, lid, pred, succ, flags(1=was head)
@@ -724,12 +643,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := rs.block(t.args[0])
-		b.exist = false
-		b.lid = ld.NilList
-		b.next = ld.NilBlock
-		clearData(b)
-		b.existTS, b.linkTS, b.dataTS = t.ts, t.ts, t.ts
+		*l.replayBlock(t.args[0]) = freed
 		setEdge(t.args[1], t.args[2], t.args[4]&1 != 0, ld.BlockID(t.args[3]))
 	case tNewList:
 		lid := ld.ListID(t.args[0])
@@ -737,31 +651,29 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		li := rs.list(lid)
-		li.exist = true
-		li.first = ld.NilBlock
-		li.hints = decodeHints(t.args[2])
-		li.existTS, li.headTS, li.orderTS = t.ts, t.ts, t.ts
-		rs.order = orderInsertAfter(orderRemove(rs.order, lid), lid, ld.ListID(t.args[1]))
+		newList(lid, ld.NilBlock, ld.ListID(t.args[1]), t.args[2])
 	case tDelList:
 		lid := ld.ListID(t.args[0])
 		if lid == ld.NilList {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		li := rs.list(lid)
-		li.exist = false
-		li.first = ld.NilBlock
-		li.existTS, li.headTS, li.orderTS = t.ts, t.ts, t.ts
-		rs.order = orderRemove(rs.order, lid)
+		delete(l.lists, lid)
+		l.deadLists[lid] = t.ts
+		l.order = orderRemove(l.order, lid)
 	case tMoveList:
 		lid := ld.ListID(t.args[0])
 		if lid == ld.NilList {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		rs.list(lid).orderTS = t.ts
-		rs.order = orderInsertAfter(orderRemove(rs.order, lid), lid, ld.ListID(t.args[1]))
+		if li := l.lists[lid]; li != nil {
+			li.orderTS = t.ts
+		}
+		// The id moves even when the list is gone: a later record that
+		// recreates a list after it must land where it did when it was
+		// logged. installRecovered drops such ghosts.
+		l.order = orderInsertAfter(orderRemove(l.order, lid), lid, ld.ListID(t.args[1]))
 	case tCommit:
 		// Pure marker; its effect was computing lastCommitted.
 	case tBlockState:
@@ -769,8 +681,8 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := rs.block(t.args[0])
-		b.exist = true
+		b := l.replayBlock(t.args[0])
+		b.flags |= bAllocated
 		b.next = ld.BlockID(t.args[1])
 		b.lid = ld.ListID(t.args[2])
 		b.existTS, b.linkTS = t.ts, t.ts
@@ -779,34 +691,23 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := rs.block(t.args[0])
-		b.exist = false
-		b.lid = ld.NilList
-		b.next = ld.NilBlock
-		clearData(b)
-		b.existTS, b.linkTS, b.dataTS = t.ts, t.ts, t.ts
+		*l.replayBlock(t.args[0]) = freed
 	case tListState:
 		lid := ld.ListID(t.args[0])
 		if lid == ld.NilList {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		li := rs.list(lid)
-		li.exist = true
-		li.first = ld.BlockID(t.args[1])
-		li.hints = decodeHints(t.args[3])
-		li.existTS, li.headTS, li.orderTS = t.ts, t.ts, t.ts
-		rs.order = orderInsertAfter(orderRemove(rs.order, lid), lid, ld.ListID(t.args[2]))
+		newList(lid, ld.BlockID(t.args[1]), ld.ListID(t.args[2]), t.args[3])
 	case tDataAt:
 		if badB(t.args[0]) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b := rs.block(t.args[0])
+		b := l.replayBlock(t.args[0])
 		b.dataTS = t.ts
 		if t.args[1] == 0 {
-			clearData(b)
-			b.dataTS = t.ts
+			b.clearData()
 			return
 		}
 		seg := int(t.args[1]) - 1
@@ -814,13 +715,7 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b.hasData = true
-		b.comp = t.args[5]&2 != 0
-		b.seg = int32(seg)
-		b.off = t.args[2]
-		b.stored = t.args[3]
-		b.orig = t.args[4]
-		b.crc = t.args[6]
+		b.setData(int32(seg), t.args[2], t.args[3], t.args[4], t.args[5]&2 != 0, t.args[6])
 	case tFence:
 		// Its effect (the dead window) was collected before the replay.
 	default:
@@ -828,67 +723,28 @@ func (l *LLD) replayTuple(rs *recState, t *tupleRec) {
 	}
 }
 
-// installRecovered converts the replayed field store into the live state:
-// scrubs orphaned data, rebuilds the maps, usage table, and free pools.
-func (l *LLD) installRecovered(rs *recState) {
-	// Lists first.
-	for _, lid := range rs.order {
-		li := rs.lists[lid]
-		if li == nil || !li.exist {
-			continue
-		}
-		l.lists[lid] = &listInfo{
-			first: li.first, hints: li.hints,
-			existTS: li.existTS, headTS: li.headTS, orderTS: li.orderTS,
-		}
-		l.order = append(l.order, lid)
+// installRecovered derives what the replayed records do not state: it drops
+// the ghost ids tMoveList left in the list of lists, scrubs unallocated ids,
+// recounts the usage table, and rebuilds the list census and free pools.
+func (l *LLD) installRecovered() {
+	l.order = slices.DeleteFunc(l.order, func(lid ld.ListID) bool { return l.lists[lid] == nil })
+	// Blocks. Data belonging to a non-existent block is simply dropped;
+	// freed blocks keep their record timestamps (replayBlock).
+	l.liveBytes = 0
+	for i := range l.segs {
+		l.segs[i].live = 0
 	}
-	// Tombstoned lists: remember when each died so the cleaner can tell a
-	// superseded deletion mention from the newest one.
-	for lid, li := range rs.lists {
-		if !li.exist && li.existTS != 0 {
-			l.deadLists[lid] = li.existTS
-		}
-	}
-	// Blocks. Data belonging to a non-existent block is simply dropped.
-	// Freed blocks keep their record timestamps: a mention of a freed
-	// block in a cleaning victim is superseded when a newer record
-	// (typically its tFree) survives elsewhere. So the map covers every id
-	// a replayed record names, not only those below nextFresh: the cleaner
-	// must still re-log the tFree of a freed id above the last live one, or
-	// a surviving tAlloc would bring the block back.
-	l.growBlocks(len(rs.blocks))
 	maxUsed := ld.BlockID(0)
-	for i := 1; i < len(rs.blocks); i++ {
-		rb := &rs.blocks[i]
-		if !rb.exist {
-			l.blocks[i].existTS = rb.existTS
-			l.blocks[i].linkTS = rb.linkTS
-			l.blocks[i].dataTS = rb.dataTS
+	for i := 1; i < len(l.blocks); i++ {
+		bi := &l.blocks[i]
+		if !bi.allocated() {
+			*bi = blockInfo{seg: -1, existTS: bi.existTS, linkTS: bi.linkTS, dataTS: bi.dataTS}
 			continue
 		}
-		bi := &l.blocks[i]
 		maxUsed = ld.BlockID(i)
-		bi.flags = bAllocated
-		bi.lid = rb.lid
-		bi.next = rb.next
-		bi.existTS = rb.existTS
-		bi.linkTS = rb.linkTS
-		bi.dataTS = rb.dataTS
-		if rb.hasData {
-			bi.flags |= bHasData
-			if rb.comp {
-				bi.flags |= bComp
-			}
-			bi.seg = rb.seg
-			bi.off = rb.off
-			bi.stored = rb.stored
-			bi.orig = rb.orig
-			bi.crc = rb.crc
-			if rb.seg >= 0 && int(rb.seg) < len(l.segs) {
-				l.segs[rb.seg].live += int64(rb.stored)
-				l.liveBytes += int64(rb.stored)
-			}
+		if bi.hasData() && bi.seg >= 0 && int(bi.seg) < len(l.segs) {
+			l.segs[bi.seg].live += int64(bi.stored)
+			l.liveBytes += int64(bi.stored)
 		}
 	}
 	// A block's tag can name a list whose own records (its tNewList, or

@@ -2,8 +2,10 @@ package lld
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -306,6 +308,64 @@ func TestRecoveryAfterMoveAndSwap(t *testing.T) {
 	want := captureState(t, l)
 	l2 := crashAndRecover(t, d, l)
 	diffState(t, want, captureState(t, l2), "move and swap")
+}
+
+// TestReplayPlacesListsAfterAMovedDeadList pins replay's ghost rule. A
+// tMoveList for a list that a newer-than-it tDelList has already killed
+// still moves the id in the list of lists, so a list logged as created after
+// the dead one lands where the running instance put it; the ghost itself is
+// dropped when replay ends. Without the ghost, L3 would go to the front.
+func TestReplayPlacesListsAfterAMovedDeadList(t *testing.T) {
+	o := testOptions()
+	d := disk.New(disk.DefaultConfig(4 << 20))
+	if err := Format(d, o); err != nil {
+		t.Fatal(err)
+	}
+	lay, err := computeLayout(d.Capacity(), d.SectorSize(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const l1, l2, l3 = 1, 2, 3
+	rec := func(kind uint8, ts uint64, args ...uint32) tupleRec {
+		r := tupleRec{kind: kind, flags: tupleCommitted, ts: ts}
+		copy(r.args[:], args)
+		return r
+	}
+	tuples := []tupleRec{
+		rec(tNewList, 1, l1, uint32(ld.NilList), 0),
+		rec(tNewList, 2, l2, l1, 0),
+		rec(tDelList, 3, l1),
+		rec(tMoveList, 4, l1, l2),
+		rec(tNewList, 5, l3, l1, 0),
+	}
+	seg := make([]byte, lay.segmentSize)
+	used, err := encodeSummary(seg, lay, 0, 5, 0, true, 0, nil, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteAt(seg[lay.dataCap():lay.dataCap()+used], lay.sumOff(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(d, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, err := l.Lists()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []ld.ListID{l2, l3}; !slices.Equal(lists, want) {
+		t.Errorf("Lists() = %v, want %v", lists, want)
+	}
+	if _, err := l.ListBlocks(l1); !errors.Is(err, ld.ErrBadList) {
+		t.Errorf("ListBlocks(deleted L1) = %v, want ErrBadList", err)
+	}
+	if viol := l.CheckInvariants(); len(viol) != 0 {
+		t.Errorf("invariants: %v", viol)
+	}
+	if n := l.Stats().RecoveryAnomalies; n != 0 {
+		t.Errorf("%d recovery anomalies", n)
+	}
 }
 
 func TestRecoveryAfterCleaning(t *testing.T) {
