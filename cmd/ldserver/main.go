@@ -244,8 +244,9 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB), %d summaries read back\n",
 			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20, s.SummaryLoads)
 		fmt.Fprintf(os.Stderr,
-			"ldserver: batched reads: %d batches, %d blocks, %d extents (%d MB), %d fallbacks\n",
-			s.BatchReads, s.BatchReadBlocks, s.BatchExtents, s.BatchExtentBytes>>20, s.BatchFallbacks)
+			"ldserver: batched reads: %d batches, %d blocks, %d extents (%d MB), %d fallbacks, %d read-ahead windows, %d extents served from one\n",
+			s.BatchReads, s.BatchReadBlocks, s.BatchExtents, s.BatchExtentBytes>>20, s.BatchFallbacks,
+			s.ReadaheadWindows, s.ReadaheadHits)
 		fmt.Fprintf(os.Stderr,
 			"ldserver: integrity: %d corrupt reads refused, %d transient read retries, %d write retries, %d quarantined segments; scrub: %d passes, %d blocks (%d MB) verified, %d errors, %d repairs\n",
 			s.CorruptReads, s.ReadRetries, s.WriteRetries, s.QuarantinedSegments,

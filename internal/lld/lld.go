@@ -162,6 +162,8 @@ type Stats struct {
 	BatchExtents     int64 // extents of two or more blocks it read with one request
 	BatchExtentBytes int64 // bytes those requests read, the gaps they crossed included
 	BatchFallbacks   int64 // blocks of such extents that took the per-block read after all
+	ReadaheadWindows int64 // read-ahead windows it read, one request each (readahead.go)
+	ReadaheadHits    int64 // extents it served from the window with no request
 
 	CompressedBlocks int64
 	CompressInBytes  int64
@@ -235,11 +237,12 @@ type Stats struct {
 // check to its last store. Because mutators are exclusive, a
 // shared holder sees a frozen block-number map, list table, and open
 // segment — including l.cur.buf, whose bytes only change under the write
-// lock — so reads never observe a half-filled segment buffer. The two
-// pieces of state the read path does mutate are handled separately:
+// lock — so reads never observe a half-filled segment buffer. The state
+// the read path does mutate is handled separately:
 // read-path statistics counters are updated atomically (see Stats), and
-// the per-list ListIndex cursor memo is guarded by cursorMu, which nests
-// strictly inside mu and is never held across I/O.
+// the per-list ListIndex cursor memo and the read-ahead window are each
+// guarded by a mutex of their own (cursorMu, ra.mu), which nests strictly
+// inside mu and is never held across I/O.
 type LLD struct {
 	mu   sync.RWMutex
 	dsk  disk.Backend
@@ -330,6 +333,9 @@ type LLD struct {
 	// touch the cursors directly. It nests inside mu and is never held
 	// across I/O.
 	cursorMu sync.Mutex
+
+	// ra is the multi-block reader's read-ahead window (readahead.go).
+	ra readahead
 
 	// readBufs pools per-call scratch buffers for the shared-lock read
 	// path, which cannot use l.scratch without serializing readers.
@@ -499,7 +505,8 @@ func (l *LLD) nextTS() uint64 {
 //
 // The counters touched by the shared-lock read path (BlocksRead,
 // UserBytesRead, BatchReads, BatchReadBlocks, BatchExtents,
-// BatchExtentBytes, BatchFallbacks) are updated with atomic adds;
+// BatchExtentBytes, BatchFallbacks, ReadaheadWindows, ReadaheadHits) are
+// updated with atomic adds;
 // everything else is written under the exclusive lock. Stats takes
 // the exclusive lock, which orders it after every concurrent reader, so a
 // plain struct copy is sound.

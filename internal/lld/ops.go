@@ -140,7 +140,9 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 // memory. The others are fetched in one sweep: sorted by (segment, offset),
 // cut into extents by the rule every multi-block transfer obeys
 // (nextExtent), one request per extent, every block checked out of that
-// buffer.
+// buffer. An extent that continues the previous one is read with what
+// follows it into the read-ahead window, and one the window already holds
+// costs no request (readahead.go).
 //
 // An extent is a read optimisation and nothing else. It is a plain read:
 // one good copy is enough (checking every leg stays with recovery and
@@ -149,13 +151,14 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 // block whose checksum does not match out of it, goes through the per-block
 // read (readStoredChecked) at its place in the sweep — the only place a
 // replica is selected or healed — so each entry is what a Read of that
-// block alone gives. A block alone in its extent takes the per-block read
-// directly: the same single request either way.
+// block alone gives. The window is such a buffer too. A block alone in an
+// extent the window does not serve takes the per-block read directly: the
+// same single request either way.
 //
 // The caller holds l.mu, shared or exclusive, and has checked the instance
-// is open. Nothing here touches the instance's own buffers: the extent
-// buffer and the per-block scratch come from the pool, the counters move
-// atomically.
+// is open. The only instance buffer it touches is the window, under its own
+// mutex; the extent buffer and the per-block scratch come from the pool, the
+// counters move atomically.
 func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, stored []byte, err error)) {
 	scratch, extBuf := l.getReadBuf(), l.getReadBuf()
 	defer func() { // the per-block read may grow one, the largest extent the other
@@ -190,14 +193,24 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		}
 		for k < end {
 			n, lo, hi := nextExtent(sw.spans[k:end], ss)
+			seg := sw.spans[k].seg
+			if uint32(len(extBuf)) < hi-lo {
+				extBuf = make([]byte, hi-lo)
+			}
 			var buf []byte // the extent's bytes if they were read
-			if n > 1 {
+			switch hit, fill := l.ra.next(seg, lo, hi, extBuf[:hi-lo]); {
+			case hit:
+				atomic.AddInt64(&l.stats.ReadaheadHits, 1)
+				buf = extBuf[:hi-lo]
+			case fill:
+				atomic.AddInt64(&l.stats.ReadaheadWindows, 1)
+				if l.fillWindow(seg, lo, hi, extBuf[:hi-lo]) {
+					buf = extBuf[:hi-lo]
+				}
+			case n > 1:
 				atomic.AddInt64(&l.stats.BatchExtents, 1)
 				atomic.AddInt64(&l.stats.BatchExtentBytes, int64(hi-lo))
-				if uint32(len(extBuf)) < hi-lo {
-					extBuf = make([]byte, hi-lo)
-				}
-				if l.dskRead(extBuf[:hi-lo], l.lay.segOff(int(sw.spans[k].seg))+int64(lo)) == nil {
+				if l.dskRead(extBuf[:hi-lo], l.lay.segOff(int(seg))+int64(lo)) == nil {
 					buf = extBuf[:hi-lo]
 				}
 			}

@@ -36,6 +36,9 @@ func (l *LLD) openNewSegment() error {
 	l.freeSegs = l.freeSegs[:len(l.freeSegs)-1]
 	l.segs[id].state = segOpen
 	l.segs[id].live = 0
+	// The only place a sealed segment's bytes start to change: a read-ahead
+	// window over them would go on serving the retired generation's.
+	l.ra.drop(id)
 	// Seals are inline, so the previous segment's image is on disk before
 	// the next one opens and one fill buffer serves them all. Stale bytes
 	// between blocks are never read back (entries bound every read) so it

@@ -96,8 +96,10 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 // from idx to the end of the demand or of the backend's window, whichever
 // is further. The run stops at a hole, at end of file and at the first
 // block already cached, so a dirty block is never replaced by its stale
-// copy on disk. What was read is installed in the cache; the caller's
-// cache.get finds it there, or reads the block alone and reports its error.
+// copy on disk. A run of one block is a batch too: reading the next small
+// file then continues the stream LD reads ahead along. What was read is
+// installed in the cache; the caller's cache.get finds it there, or reads
+// the block alone and reports its error.
 func (fs *FS) fetch(n uint32, ino *inode, idx, last int, sequential bool) {
 	w := fs.be.BatchWindow(sequential)
 	if w == 0 {
@@ -124,8 +126,8 @@ func (fs *FS) fetch(n uint32, ino *inode, idx, last int, sequential bool) {
 		}
 		hs = append(hs, h)
 	}
-	if len(hs) < 2 {
-		return // cache.get's ReadBlock is the same single request
+	if len(hs) == 0 {
+		return
 	}
 	bufs := make([][]byte, len(hs))
 	for i := range bufs {

@@ -132,14 +132,21 @@ func (b *LDBackend) BlockSize() int { return b.blockSize }
 // AllocStatic implements Backend: consecutive NewBlock calls on a fresh LD
 // return consecutive logical numbers, giving the file system a fixed,
 // location-independent metadata layout (logical numbers never change even
-// when LD reorganizes the disk).
+// when LD reorganizes the disk). Each block is reserved as Alloc reserves a
+// data block: most of the i-node table is first written long after mkfs,
+// and that write must not fail for lack of space either (§2.2).
 func (b *LDBackend) AllocStatic(n int) (Handle, error) {
 	var first Handle
 	for i := 0; i < n; i++ {
-		bid, err := b.l.NewBlock(b.metaList, b.lastStatic)
-		if err != nil {
+		if err := b.l.Reserve(1); err != nil {
 			return NilHandle, err
 		}
+		bid, err := b.l.NewBlock(b.metaList, b.lastStatic)
+		if err != nil {
+			b.l.CancelReservation(1)
+			return NilHandle, err
+		}
+		b.reserved[Handle(bid)] = true
 		if i == 0 {
 			first = Handle(bid)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/ld"
 	"repro/internal/lld"
+	"repro/internal/vfs"
 )
 
 // shortRig is MINIX on lld with the test holding every layer: the disk for
@@ -302,11 +303,13 @@ func TestSmallFilesCostWhatTheyHold(t *testing.T) {
 
 // ldSpy sits between the backend and lld and keeps, for every block, what a
 // reviewer of the reservation invariant needs: whether MINIX allocated it
-// as data (and so under a reservation), and how long its last write was.
+// as data or as static metadata (either way under a reservation), and how
+// long its last write was.
 type ldSpy struct {
 	ld.Disk
 	meta    ld.ListID           // the first list made: FormatLD's metadata list
-	data    map[ld.BlockID]bool // NewBlock off the metadata list: came with a reservation
+	data    map[ld.BlockID]bool // NewBlock off the metadata list
+	static  map[ld.BlockID]bool // NewBlock on it: superblock, i-node bitmap and table
 	written map[ld.BlockID]int  // length of the last write
 	refuse  bool                // Reserve reports ErrNoSpace
 }
@@ -321,7 +324,11 @@ func (s *ldSpy) NewList(pred ld.ListID, hints ld.ListHints) (ld.ListID, error) {
 
 func (s *ldSpy) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 	b, err := s.Disk.NewBlock(lid, pred)
-	if err == nil && lid != s.meta {
+	switch {
+	case err != nil:
+	case lid == s.meta:
+		s.static[b] = true
+	default:
 		s.data[b] = true
 	}
 	return b, err
@@ -366,13 +373,15 @@ func (s *ldSpy) Reserve(n int) error {
 	return s.Disk.Reserve(n)
 }
 
-// owed counts the blocks that must hold a reservation: data blocks not yet
-// written, and blocks of any kind whose last write was short.
+// owed counts the blocks that must hold a reservation: blocks not yet
+// written, and blocks whose last write was short.
 func (s *ldSpy) owed() int {
 	n := 0
-	for b := range s.data {
-		if _, ok := s.written[b]; !ok {
-			n++
+	for _, allocated := range []map[ld.BlockID]bool{s.data, s.static} {
+		for b := range allocated {
+			if _, ok := s.written[b]; !ok {
+				n++
+			}
 		}
 	}
 	for _, l := range s.written {
@@ -385,7 +394,7 @@ func (s *ldSpy) owed() int {
 
 func newSpyRig(t *testing.T, capacity int64) (*shortRig, *ldSpy) {
 	t.Helper()
-	spy := &ldSpy{data: map[ld.BlockID]bool{}, written: map[ld.BlockID]int{}}
+	spy := &ldSpy{data: map[ld.BlockID]bool{}, static: map[ld.BlockID]bool{}, written: map[ld.BlockID]int{}}
 	r := buildShortRig(t, capacity, shortCfg, false, func(l *lld.LLD) ld.Disk {
 		spy.Disk = l
 		return spy
@@ -597,41 +606,58 @@ func TestRefusedReservationWritesWhole(t *testing.T) {
 // TestFullDiskRefusesAtWriteNotAtSync fills an LD to its utilization limit
 // with 1-KB files, behind a cache big enough that every block reaches LD at
 // the Sync that follows, when no unreserved room is left. The file that
-// does not fit is refused where the application can see it, at WriteAt;
-// every tail that was accepted can grow to a full block, even with new
-// files taking, between the first half of the tails and the second,
+// does not fit is refused where the application can see it, at WriteAt or
+// Create; every tail that was accepted can grow to a full block, even with
+// new files taking, between the first half of the tails and the second,
 // whatever room LD will still grant; and no Sync fails: each short block's
 // reservation was room for the rest of it, and no other writer could have
-// it. (The names exist beforehand: an i-node block's or a directory
-// block's first write has never held a reservation, short blocks or not.)
+// it. Run twice: with the names made and synced beforehand, and with each
+// file made as it is filled, so that every i-node block the files need is
+// first written at the Sync of a full disk — which it survives because the
+// block has held a reservation since mkfs allocated it.
 func TestFullDiskRefusesAtWriteNotAtSync(t *testing.T) {
+	for _, namesFirst := range []bool{true, false} {
+		t.Run(fmt.Sprint("namesFirst=", namesFirst), func(t *testing.T) { fullDiskRefusesAtWrite(t, namesFirst) })
+	}
+}
+
+func fullDiskRefusesAtWrite(t *testing.T, namesFirst bool) {
 	r := buildShortRig(t, 6<<20, Config{BlockSize: 4096, NInodes: 2048, CacheBytes: 8 << 20}, false,
 		func(l *lld.LLD) ld.Disk { return l })
 	const nNames = 1600
 	name := func(i int) string { return fmt.Sprintf("/k%04d", i) }
-	for i := 0; i < nNames; i++ {
-		f, err := r.fs.Create(name(i))
-		if err != nil {
+	if namesFirst {
+		for i := 0; i < nNames; i++ {
+			f, err := r.fs.Create(name(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+		if err := r.fs.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		f.Close()
-	}
-	if err := r.fs.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	kb := bytes.Repeat([]byte{0xC3}, 1024)
 	rest := bytes.Repeat([]byte{0x3C}, 4096-1024)
-	write := func(i int, p []byte, off int64) error {
-		f := open(t, r.fs, name(i))
+	write := func(f vfs.File, p []byte, off int64) error {
 		defer f.Close()
 		_, err := f.WriteAt(p, off)
 		return err
+	}
+	mk := r.fs.Create
+	if namesFirst {
+		mk = r.fs.Open
 	}
 	filled := 0
 	fill := func() {
 		t.Helper()
 		for ; filled < nNames; filled++ {
-			if err := write(filled, kb, 0); err != nil {
+			f, err := mk(name(filled))
+			if err == nil {
+				err = write(f, kb, 0)
+			}
+			if err != nil {
 				if !errors.Is(err, ld.ErrNoSpace) {
 					t.Fatalf("%s refused with %v, want ErrNoSpace", name(filled), err)
 				}
@@ -648,7 +674,7 @@ func TestFullDiskRefusesAtWriteNotAtSync(t *testing.T) {
 	grow := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if err := write(i, rest, 1024); err != nil {
+			if err := write(open(t, r.fs, name(i)), rest, 1024); err != nil {
 				t.Fatalf("growing the tail of %s: %v", name(i), err)
 			}
 		}
