@@ -132,15 +132,14 @@ const CacheBytes = 6144 * 1024
 // (minixfs.LDConfig.WholeBlockIO), so every table is the paper's
 // construction unless a row says otherwise.
 type LLDVariant struct {
-	SegmentSize     int    // 0 = the paper's 512 KB
-	PerFileLists    bool   // one LD list per file (the refined MINIX LLD)
-	SmallInodes     bool   // 64-byte i-node blocks
-	Compress        bool   // compress file data lists
-	CacheBytes      int    // 0 = the paper's 6,144 KB
-	NInodes         uint32 // 0 = 16384
-	NVRAMBytes      int    // §5.3 NVRAM absorbing partial-segment writes
-	CompressOnClean bool   // §3.3 compress cold blocks during cleaning
-	Shipped         bool   // beyond the paper: short blocks stored short, misses read as ld.ReadBlocks batches
+	SegmentSize  int    // 0 = the paper's 512 KB
+	PerFileLists bool   // one LD list per file (the refined MINIX LLD)
+	SmallInodes  bool   // 64-byte i-node blocks
+	Compress     bool   // compress file data lists
+	CacheBytes   int    // 0 = the paper's 6,144 KB
+	NInodes      uint32 // 0 = 16384
+	NVRAMBytes   int    // §5.3 NVRAM absorbing partial-segment writes
+	Shipped      bool   // beyond the paper: short blocks stored short, misses read as ld.ReadBlocks batches
 }
 
 // MinixLLDStack bundles everything an experiment may need to inspect.
@@ -158,7 +157,6 @@ func BuildMinixLLD(capacity int64, v LLDVariant) (*MinixLLDStack, error) {
 		opts.SegmentSize = v.SegmentSize
 	}
 	opts.NVRAMBytes = v.NVRAMBytes
-	opts.CompressOnClean = v.CompressOnClean
 	if err := lld.Format(d, opts); err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/compress"
 	"repro/internal/disk"
 	"repro/internal/ld"
 )
@@ -535,10 +534,8 @@ func (l *LLD) consolidate() error {
 }
 
 // moveBlock copies one live block from the victim's in-memory image into
-// the open segment, preserving its (possibly compressed) stored form. With
-// CompressOnClean, raw blocks of Compress-hinted lists are compressed here
-// — they are cold by definition, which is the §3.3 alternative strategy.
-// Callers hold l.mu.
+// the open segment, preserving its (possibly compressed) stored form and
+// its checksum. Callers hold l.mu.
 func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 	bi := &l.blocks[bid]
 	data := victimBuf[bi.off : bi.off+bi.stored]
@@ -560,23 +557,7 @@ func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 			return &CorruptError{Block: bid, Seg: int(bi.seg), Reason: "payload checksum mismatch during cleaning"}
 		}
 	}
-	compressedNow := bi.flags&bComp != 0
-	if l.opts.CompressOnClean && !compressedNow && int(bi.stored) >= 64 {
-		if li := l.lists[bi.lid]; li != nil && li.hints.Compress {
-			c := compress.Compress(make([]byte, 0, len(data)), data)
-			l.compressCPU += l.opts.compressDelay(len(data))
-			if len(c) < len(data) {
-				data = c
-				compressedNow = true
-				l.stats.CleanCompress++
-			}
-		}
-	}
-	crc := bi.crc
-	if compressedNow != (bi.flags&bComp != 0) {
-		crc = payloadCRC(data) // stored form changed (compressed on clean)
-	}
-	if err := l.logData(bid, data, int(bi.orig), compressedNow, crc); err != nil {
+	if err := l.logData(bid, data, int(bi.orig), bi.flags&bComp != 0, bi.crc); err != nil {
 		return err
 	}
 	l.stats.BlocksMoved++

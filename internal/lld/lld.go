@@ -149,7 +149,6 @@ type Stats struct {
 	PartialWrites    int64 // partial segment writes due to Flush (§3.2)
 	PartialBytes     int64 // bytes those partial writes sent to the disk, summaries included
 	NVRAMFlushes     int64 // flushes absorbed by modeled NVRAM (§5.3)
-	CleanCompress    int64 // blocks compressed by the cleaner (§3.3)
 
 	UserBytesWritten int64
 	UserBytesRead    int64

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/ld"
 )
 
@@ -57,61 +56,5 @@ func TestNVRAMFallsBackWhenFull(t *testing.T) {
 	}
 	if st.PartialWrites != 1 {
 		t.Fatalf("PartialWrites=%d", st.PartialWrites)
-	}
-}
-
-// TestCompressOnClean: with the §3.3 alternative strategy, fresh writes
-// are stored raw and the cleaner compresses cold blocks as it moves them.
-func TestCompressOnClean(t *testing.T) {
-	o := testOptions()
-	o.CompressOnClean = true
-	_, l := newTestLLD(t, 4<<20, o)
-	lid := mustNewList(t, l, ld.NilList, ld.ListHints{Compress: true})
-	content := compress.SyntheticData(4096, 0.5, 13)
-	var ids []ld.BlockID
-	pred := ld.NilBlock
-	for l.LiveBytes() < l.UsableBytes()/2 {
-		b, err := l.NewBlock(lid, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Write(b, content); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, b)
-		pred = b
-	}
-	// Fresh writes are raw: no compression happened yet.
-	if l.Stats().CompressedBlocks != 0 || l.Stats().CleanCompress != 0 {
-		t.Fatalf("inline compression ran despite CompressOnClean: %+v", l.Stats())
-	}
-	liveRaw := l.LiveBytes()
-	if liveRaw < int64(len(ids)*4096) {
-		t.Fatalf("live bytes %d below raw footprint", liveRaw)
-	}
-	// Make some segments cleanable and clean them: the cleaner compresses
-	// the cold survivors.
-	for i := 0; i < len(ids); i += 2 {
-		if err := l.Write(ids[i], content); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := l.Clean(6); err != nil {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.CleanCompress == 0 {
-		t.Fatal("cleaner compressed nothing")
-	}
-	if l.LiveBytes() >= liveRaw {
-		t.Fatalf("no space reclaimed by cold compression: %d -> %d", liveRaw, l.LiveBytes())
-	}
-	// Everything still reads back.
-	for i, b := range ids {
-		buf := make([]byte, 4096)
-		n, err := l.Read(b, buf)
-		if err != nil || n != 4096 || !bytes.Equal(buf, content) {
-			t.Fatalf("block %d after cold compression: n=%d err=%v", i, n, err)
-		}
 	}
 }

@@ -278,7 +278,7 @@ func (l *LLD) Write(b ld.BlockID, data []byte) error {
 	}
 	store := data
 	compressed := false
-	if li := l.lists[bi.lid]; li != nil && li.hints.Compress && len(data) >= 64 && !l.opts.CompressOnClean {
+	if li := l.lists[bi.lid]; li != nil && li.hints.Compress && len(data) >= 64 {
 		c := compress.Compress(make([]byte, 0, len(data)), data)
 		if len(c) < len(data) {
 			store = c

@@ -62,14 +62,6 @@ type Options struct {
 	// Zero disables the charge (infinitely fast CPU).
 	CompressBandwidth int64
 
-	// CompressOnClean defers compression of Compress-hinted lists to the
-	// cleaner: fresh writes are stored raw at full disk bandwidth and only
-	// cold blocks are compressed when their segment is cleaned — the
-	// alternative strategy §3.3 suggests ("it may be a better strategy to
-	// only compress cold (not recently referenced) blocks during
-	// cleaning").
-	CompressOnClean bool
-
 	// NVRAMBytes models battery-backed memory absorbing partial-segment
 	// writes (§5.3, Baker et al.): a Flush whose segment fill fits in
 	// NVRAM costs no disk operation; the contents survive a crash (they

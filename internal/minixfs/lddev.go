@@ -79,30 +79,44 @@ func FormatLD(l ld.Disk, blockSize int, cfg LDConfig) (*LDBackend, error) {
 }
 
 // OpenLD attaches to a Logical Disk previously formatted with FormatLD.
-// The metadata list is by construction the first list in the list of lists.
+// The metadata list is the first list, in list-of-lists order, whose first
+// block holds the superblock magic: another file system sharing the LD
+// (the paper's Figure 1) may have put its lists in front of it. Without
+// per-file lists the data list is the one FormatLD created right after it.
 func OpenLD(l ld.Disk, blockSize int, cfg LDConfig) (*LDBackend, error) {
 	b := newLDBackend(l, blockSize, cfg)
 	lists, err := l.Lists()
 	if err != nil {
 		return nil, err
 	}
-	if len(lists) == 0 {
-		return nil, fmt.Errorf("minixfs: LD holds no lists; not a MINIX LLD volume")
+	meta := -1
+	var blocks []ld.BlockID // the metadata list's; static blocks were its first allocations
+	buf := make([]byte, l.MaxBlockSize())
+	for i, lid := range lists {
+		if blocks, err = l.ListBlocks(lid); err != nil {
+			return nil, err
+		}
+		if len(blocks) == 0 {
+			continue
+		}
+		n, err := l.Read(blocks[0], buf)
+		if err != nil {
+			return nil, err
+		}
+		if n >= 4 && le32(buf) == fsMagic {
+			meta = i
+			break
+		}
 	}
-	b.metaList = lists[0]
+	if meta < 0 {
+		return nil, fmt.Errorf("minixfs: no LD list starts with a MINIX superblock; not a MINIX LLD volume")
+	}
+	b.metaList = lists[meta]
 	if !cfg.PerFileLists {
-		if len(lists) < 2 {
+		if meta+1 >= len(lists) {
 			return nil, fmt.Errorf("minixfs: LD missing shared data list")
 		}
-		b.dataList = lists[1]
-	}
-	// Static blocks were the first allocations on the metadata list.
-	blocks, err := l.ListBlocks(b.metaList)
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("minixfs: metadata list is empty")
+		b.dataList = lists[meta+1]
 	}
 	b.firstStat = Handle(blocks[0])
 	b.lastStatic = blocks[len(blocks)-1]
@@ -265,8 +279,8 @@ func (b *LDBackend) release(h Handle) {
 }
 
 // NewFileList implements Backend. A zero predecessor clusters the new list
-// after the metadata list, which also preserves the invariant that the
-// metadata list stays first in the list of lists (OpenLD relies on it).
+// after the metadata list, so no file's list comes before it in the list of
+// lists.
 func (b *LDBackend) NewFileList(pred uint32) (uint32, error) {
 	if !b.perFileLists {
 		return 0, nil
@@ -327,6 +341,14 @@ func (b *LDBackend) ReadBlocks(hs []Handle, bufs [][]byte) []error {
 // ldWindow is how many blocks, counted from the missed one, a miss on a
 // file being read in order fetches: 128 KB, four tracks of the paper's
 // disk and 2 % of its cache. EXPERIMENTS.md has the sweep behind it.
+//
+// lld reads ahead too, along the platter, but it cannot stand in for this
+// window: its read-ahead follows the log, and the blocks of a randomly
+// rewritten file are scattered across it, where one 32-block batch still
+// reaches them in a single sweep. With BatchWindow(true) returning 1,
+// `bench/run.sh --seed 1 --seconds 15 --trace 0` (virtual clock) read fs-large at
+// 633.4 KB/s instead of 665.8 and ran 110.5 op/s instead of 115.2;
+// fs-small, whose files are read whole, stayed at 1,010.6 KB/s.
 const ldWindow = 32
 
 // BatchWindow implements Backend. The paper disabled MINIX's read-ahead

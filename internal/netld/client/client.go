@@ -121,11 +121,6 @@ type Client struct {
 	cur      *conn
 	dials    atomic.Uint64
 	maxBlock atomic.Int64
-
-	// noMulti latches on when the server rejects OpReadMulti as a
-	// protocol error (an older server); ReadBlocks then degrades to
-	// sequential per-block reads for the rest of the client's life.
-	noMulti atomic.Bool
 }
 
 var _ ld.Disk = (*Client)(nil)

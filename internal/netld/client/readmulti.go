@@ -7,7 +7,6 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -20,8 +19,8 @@ var _ ld.MultiReadDisk = (*Client)(nil)
 // ReadBlocks implements ld.MultiReadDisk: it reads bs[i] into bufs[i] in
 // batches of wire.MaxReadBatch blocks per round trip, reporting each
 // block's outcome in results[i] exactly as the corresponding Read call
-// would have. A server that predates OpReadMulti (CodeProto) degrades the
-// client to sequential per-block reads, permanently and transparently.
+// would have. Every server of wire version 2 speaks OpReadMulti; an older
+// one is refused at the handshake.
 func (c *Client) ReadBlocks(bs []ld.BlockID, bufs [][]byte) ([]ld.BlockRead, error) {
 	if len(bs) != len(bufs) {
 		return nil, fmt.Errorf("netld: ReadBlocks: %d blocks but %d buffers", len(bs), len(bufs))
@@ -30,36 +29,14 @@ func (c *Client) ReadBlocks(bs []ld.BlockID, bufs [][]byte) ([]ld.BlockRead, err
 	if len(bs) == 0 {
 		return results, nil
 	}
-	if c.noMulti.Load() {
-		return c.readBlocksSequential(bs, bufs, results)
-	}
 	for start := 0; start < len(bs); start += wire.MaxReadBatch {
 		end := start + wire.MaxReadBatch
 		if end > len(bs) {
 			end = len(bs)
 		}
 		if err := c.callReadMulti(bs[start:end], bufs[start:end], results[start:end]); err != nil {
-			if errors.Is(err, wire.ErrProto) {
-				// The server does not speak OpReadMulti (or rejects our
-				// framing); fall back to the per-block path it does speak.
-				c.noMulti.Store(true)
-				return c.readBlocksSequential(bs, bufs, results)
-			}
 			return nil, err
 		}
-	}
-	return results, nil
-}
-
-// readBlocksSequential is the pre-OpReadMulti fallback: one Read per block,
-// with the same per-entry error semantics as the batched path.
-func (c *Client) readBlocksSequential(bs []ld.BlockID, bufs [][]byte, results []ld.BlockRead) ([]ld.BlockRead, error) {
-	for i, b := range bs {
-		n, err := c.Read(b, bufs[i])
-		if errors.Is(err, ld.ErrShutdown) {
-			return nil, ld.ErrShutdown
-		}
-		results[i] = ld.BlockRead{N: n, Err: err}
 	}
 	return results, nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/ld"
-	"repro/internal/netld/wire"
 )
 
 func TestOptionsWithDefaultsIdempotent(t *testing.T) {
@@ -157,98 +156,5 @@ func TestReadBlocksArgValidationAndEmpty(t *testing.T) {
 	res, err := c.ReadBlocks(nil, nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(res))
-	}
-}
-
-// TestReadBlocksSequentialFallback forces the no-multi latch (the state a
-// client reaches after an older server rejects OpReadMulti) and verifies
-// the sequential path keeps the same per-entry semantics.
-func TestReadBlocksSequentialFallback(t *testing.T) {
-	_, c := newPair(t, Options{})
-	lid, err := c.NewList(ld.NilList, ld.ListHints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.NewBlock(lid, ld.NilBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write(b, []byte("old server data")); err != nil {
-		t.Fatal(err)
-	}
-
-	c.noMulti.Store(true)
-	bufs := [][]byte{make([]byte, 64), make([]byte, 64)}
-	res, err := c.ReadBlocks([]ld.BlockID{b, 9999}, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || string(bufs[0][:res[0].N]) != "old server data" {
-		t.Fatalf("fallback read: %q, %v", bufs[0][:res[0].N], res[0].Err)
-	}
-	if !errors.Is(res[1].Err, ld.ErrBadBlock) {
-		t.Fatalf("fallback missing-block error %v", res[1].Err)
-	}
-}
-
-// TestReadMultiProtoErrorLatchesFallback dials a spoofed server that
-// answers every request with CodeProto — what a server built before
-// OpReadMulti existed says to the new opcode — and expects the first
-// batch to latch the sequential fallback.
-func TestReadMultiProtoErrorLatchesFallback(t *testing.T) {
-	dial := func() (net.Conn, error) {
-		cl, sv := net.Pipe()
-		go func() {
-			defer sv.Close()
-			// Handshake.
-			p, err := wire.ReadFrame(sv, 4096)
-			if err != nil {
-				return
-			}
-			if _, err := wire.ParseHello(p); err != nil {
-				return
-			}
-			if err := wire.WriteFrame(sv, wire.AppendHelloReply(nil, wire.Version, 4096, "")); err != nil {
-				return
-			}
-			for {
-				p, err := wire.ReadFrame(sv, 1<<20)
-				if err != nil {
-					return
-				}
-				id, op, _, err := wire.ParseRequestHeader(p)
-				if err != nil {
-					return
-				}
-				out := wire.AppendResponseHeader(nil, id, wire.CodeProto)
-				out = append(out, fmt.Sprintf("unknown opcode %d", op)...)
-				if err := wire.WriteFrame(sv, out); err != nil {
-					return
-				}
-			}
-		}()
-		return cl, nil
-	}
-
-	c, err := New(dial, Options{Retries: NoRetries, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	bufs := [][]byte{make([]byte, 16)}
-	// The batch hits the proto-wall, latches the fallback, and the
-	// sequential path reports the real per-block outcome (the spoofed
-	// server also answers Read with CodeProto, which the sequential path
-	// surfaces as that block's error — not a batch failure).
-	res, err := c.ReadBlocks([]ld.BlockID{1}, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(res[0].Err, wire.ErrProto) {
-		t.Fatalf("entry error %v, want ErrProto from spoofed server", res[0].Err)
-	}
-	if !c.noMulti.Load() {
-		t.Fatal("CodeProto did not latch the sequential fallback")
 	}
 }

@@ -182,7 +182,7 @@ func TestNonIdempotentOpSurfacesConnLostInsteadOfRetrying(t *testing.T) {
 func TestSessionCutMidARUAbortsOnServer(t *testing.T) {
 	f := newFixture(t)
 	dial, conns := f.pipeDial()
-	c1, err := client.New(dial, client.Options{Retries: 0})
+	c1, err := client.New(dial, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSessionCutMidARUAbortsOnServer(t *testing.T) {
 func TestServerCrashMidARURecoversOnRestart(t *testing.T) {
 	f := newFixture(t)
 	dial, conns := f.pipeDial()
-	c1, err := client.New(dial, client.Options{Retries: 0})
+	c1, err := client.New(dial, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestIdleTimeoutDisconnectsDeadClient(t *testing.T) {
 		faultconn.Config{Seed: 5, DelayProb: 0.5, MaxDelay: 2 * time.Millisecond},
 	)
 
-	c1, err := client.New(dial, client.Options{Retries: 0})
+	c1, err := client.New(dial, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

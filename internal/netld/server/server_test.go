@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,21 +128,31 @@ func TestHandshakeAndBasicOps(t *testing.T) {
 	}
 }
 
+// TestVersionReject: a hello of any other version is refused, a version-1
+// client (one that predates OpReadMulti) included, and the refusal names
+// both versions.
 func TestVersionReject(t *testing.T) {
 	backend, _ := newBackend(t)
 	s := New(Config{Disk: backend})
-	c := start(t, s)
-	hello := []byte(wire.ClientMagic)
-	hello = binary.LittleEndian.AppendUint16(hello, 99)
-	if err := wire.WriteFrame(c, hello); err != nil {
-		t.Fatal(err)
-	}
-	p, err := wire.ReadFrame(c, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := wire.ParseHelloReply(p); !errors.Is(err, wire.ErrVersion) {
-		t.Fatalf("want ErrVersion, got %v", err)
+	for _, v := range []uint16{1, 99} {
+		c := start(t, s)
+		hello := []byte(wire.ClientMagic)
+		hello = binary.LittleEndian.AppendUint16(hello, v)
+		if err := wire.WriteFrame(c, hello); err != nil {
+			t.Fatal(err)
+		}
+		p, err := wire.ReadFrame(c, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = wire.ParseHelloReply(p)
+		if !errors.Is(err, wire.ErrVersion) {
+			t.Fatalf("version %d: want ErrVersion, got %v", v, err)
+		}
+		want := fmt.Sprintf("server speaks version %d, client sent %d", wire.Version, v)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: refusal %q does not say %q", v, err, want)
+		}
 	}
 }
 

@@ -34,8 +34,10 @@ import (
 	"repro/internal/ld"
 )
 
-// Version is the protocol version this package speaks.
-const Version uint16 = 1
+// Version is the protocol version this package speaks. Version 2 added
+// OpReadMulti; a version-1 peer is refused at the handshake, so a client
+// never has to discover the opcode's absence batch by batch.
+const Version uint16 = 2
 
 // Hello magics. The client and server magics differ so that a peer talking
 // to itself (or to the wrong end) fails loudly instead of deadlocking.
