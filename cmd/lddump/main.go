@@ -110,6 +110,11 @@ func reportMount(d disk.Backend, w io.Writer) {
 	}
 	fmt.Fprintf(w, "mount: recovery takes %.2f s (virtual): summary sweep of %d segments (%d with differing replica copies) %.2f s, data verification %.2f s\n",
 		took.Seconds(), rep.SweptSegments, rep.DivergentSegments, rep.SweepTime.Seconds(), rep.VerifyTime.Seconds())
+	if rep.FullSweep == "" {
+		fmt.Fprintf(w, "mount: chain of %d segments from checkpoint @%d\n", rep.ChainSegments, rep.CheckpointTS)
+	} else {
+		fmt.Fprintf(w, "mount: full sweep: %s\n", rep.FullSweep)
+	}
 	fmt.Fprintf(w, "mount: verified %d blocks in %d extents spanning %d bytes; %d extents fell back to per-block reads\n",
 		rep.VerifiedBlocks, rep.VerifyExtents, rep.VerifyBytes, rep.VerifyFallbacks)
 	fmt.Fprintf(w, "mount: %d segments / %d blocks at or below durable mark ts=%d not re-read\n",

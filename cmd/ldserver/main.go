@@ -139,8 +139,8 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	rep := l.RecoveryReport()
 	if rep.SweptSegments > 0 && !*quiet {
 		fmt.Fprintf(os.Stderr,
-			"ldserver: recovered after an unclean shutdown: swept %d summaries in %.2f s, verified %d blocks in %.2f s (virtual); %d segments / %d blocks at or below durable mark ts=%d not re-read\n",
-			rep.SweptSegments, rep.SweepTime.Seconds(), rep.VerifiedBlocks, rep.VerifyTime.Seconds(),
+			"ldserver: recovered after an unclean shutdown: read %d summaries (a chain of %d from checkpoint @%d%s) in %.2f s, verified %d blocks in %.2f s (virtual); %d segments / %d blocks at or below durable mark ts=%d not re-read\n",
+			rep.SweptSegments, rep.ChainSegments, rep.CheckpointTS, fullSweep(rep.FullSweep), rep.SweepTime.Seconds(), rep.VerifiedBlocks, rep.VerifyTime.Seconds(),
 			rep.VerifySkippedSegments, rep.VerifySkippedBlocks, rep.DurableMark)
 	}
 	if rep.Degraded() {
@@ -241,8 +241,8 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	if ll, ok := cur.(*lld.LLD); ok {
 		s := ll.Stats()
 		fmt.Fprintf(os.Stderr,
-			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB), %d summaries read back\n",
-			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20, s.SummaryLoads)
+			"ldserver: cleaner: %d runs, %d segments cleaned, %d moved blocks, %d reads (%d MB)\n",
+			s.CleanerRuns, s.SegmentsCleaned, s.BlocksMoved, s.CleanReads, s.CleanReadBytes>>20)
 		fmt.Fprintf(os.Stderr,
 			"ldserver: batched reads: %d batches, %d blocks, %d extents (%d MB), %d fallbacks, %d read-ahead windows, %d extents served from one\n",
 			s.BatchReads, s.BatchReadBlocks, s.BatchExtents, s.BatchExtentBytes>>20, s.BatchFallbacks,
@@ -482,4 +482,13 @@ func printStats(st server.Stats, quiet bool) {
 		js, _ := json.MarshalIndent(st, "", "  ")
 		fmt.Fprintf(os.Stderr, "ldserver: final stats:\n%s\n", js)
 	}
+}
+
+// fullSweep renders why a mount probed every summary, or nothing for a
+// mount that followed the chain.
+func fullSweep(reason string) string {
+	if reason == "" {
+		return ""
+	}
+	return "; full sweep: " + reason
 }

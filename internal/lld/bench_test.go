@@ -245,7 +245,7 @@ func BenchmarkEncodeSummary(b *testing.B) {
 	b.SetBytes(int64(summaryBytes(r.entries, r.tuples)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.sealed, r.dataBytes, r.entries, r.tuples); err != nil {
+		if _, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.seq, r.next, r.sealed, r.dataBytes, r.entries, r.tuples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func BenchmarkEncodeSummary(b *testing.B) {
 
 func BenchmarkDecodeSummary(b *testing.B) {
 	lay, seg, r := benchSummary(b)
-	used, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.sealed, r.dataBytes, r.entries, r.tuples)
+	used, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.seq, r.next, r.sealed, r.dataBytes, r.entries, r.tuples)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,107 +17,163 @@ import (
 // special region on disk; the next start loads them and starts immediately,
 // demoting the marker so a later crash falls back to recovery.
 //
-// Consolidation (a deviation from the paper, documented in DESIGN.md): the
-// paper claims LLD needs no checkpoints during normal operation, but the
-// linkage facts of long-lived blocks are immortal — their newest records
-// must be re-logged every time their segment is cleaned, and once enough
-// segments are dense with such facts the cleaner can no longer make
-// progress (re-logging a victim's facts consumes as much summary space as
-// it frees). When the cleaner detects this, it writes a *consolidation
-// checkpoint*: a state snapshot at timestamp T that becomes a recovery
-// floor. Facts with timestamps at or below T are covered by the checkpoint
-// and may simply be dropped during cleaning; recovery loads the checkpoint
-// and replays only records newer than T. Consolidations are rare (they are
-// triggered by cleaning futility, not by normal operation), so the paper's
-// "no checkpoints during normal operation" holds for all but pathological
-// fact-dense workloads.
+// A bound on recovery (a deviation from the paper, documented in DESIGN.md
+// §5): the paper takes no checkpoints during normal operation, so its
+// recovery reads every segment summary on the disk. Here a running LLD
+// writes a checkpoint — a state snapshot at timestamp T — every
+// checkpointPeriod seals (cleaner.go checkpoint has the other triggers), and
+// Format writes the first, the shutdown checkpoint of an empty LD. It
+// names where the log's chain of segments opened since then starts, and a
+// crash mount loads it and replays only the records newer than T, read from
+// the segments that chain leads through (recovery.go). The same snapshot is
+// the cleaner's floor: facts stamped at or below T are covered by it and
+// need not be re-logged when their segment is cleaned, which is what keeps
+// the cleaner progressing when segments are dense with the immortal linkage
+// facts of long-lived blocks (re-logging a victim's facts would otherwise
+// consume as much summary space as cleaning it frees).
 //
 // Two slots alternate so a torn checkpoint write leaves the previous one
 // intact; a checkpoint is never invalidated, only superseded. The header's
 // "complete" flag marks shutdown checkpoints, which additionally allow
 // skipping the sweep entirely on the next start.
 
+// checkpointEvery is how many seals a running LLD writes between
+// checkpoints. Each bounds the next crash mount to the checkpoint and at
+// most this many segment summaries (≈ 20 ms each on the modeled disk), and
+// costs one write of ≈ 15 B per block id issued (ckptBlockMax at most), 17
+// per list and 17 per segment: ≈ 0.2 MB on fs-small's ≈ 12 k ids, against
+// ≈ 77 seals a round. Priced at seed 1 against write_amp with no periodic
+// checkpoint (EXPERIMENTS "Recovery reads what was written since the last
+// checkpoint"), fs-small / fs-large / ld-churn / net-mixed:
+//
+//	every  64: +1.05 / +0.87 / +0.12 / +0.36 %, recovery 1.03 / 0.89 / 1.17 / 1.11 s
+//	every 128: +0.17 / +0.51 / +0.35 / +0.23 %, recovery 1.98 / 1.11 / 0.94 / 1.62 s
+//	every 192: +0.07 / +0.33 / +0.15 / −0.16 %, recovery 2.90 / 2.32 / 0.95 / 1.92 s
+//
+// (the full sweep's mount: 14.67 / 14.64 / 2.57 / 10.38 s; ld-churn and
+// net-mixed move ±0.2 % and ±0.4 s from run to run with their clients'
+// interleaving). ld-churn barely depends on the period: its 119 segments
+// lap in ≈ 120 seals, so held chain segments empty its pool and bring a
+// checkpoint every ≈ 44 seals; the cleaner moves 32.0 blocks a seal before
+// and after, so the reuse rule does not push it onto costlier victims. 128
+// keeps fs-small's mount under 3 s with room and every write_amp within
+// 1 %. A disk with fewer than 4 × 128 segments uses checkpointPeriod
+// instead.
+const checkpointEvery = 128
+
+// checkpointPeriod is how many seals lie between periodic checkpoints on
+// this disk: checkpointEvery, or a quarter of the disk's segments when that
+// is fewer, so a chain mount probes at most about a quarter of the
+// summaries the full sweep does. Never under 16: on a disk of a few dozen
+// segments a checkpoint rewritten every few seals would be a large share
+// of everything the log writes. A small disk laps its segments in
+// fewer than checkpointEvery seals, and then only refillFromHeld takes
+// checkpoints: at whatever seal the cleaner happens to empty the pool, so
+// the chain a crash finds ran from 9 to 91 segments on ld-churn's 119
+// (recovery_virt_s 0.96 to 1.34 s from one run to the next with the same
+// seed). With the quarter its checkpoints come every 29 seals.
+func (l *LLD) checkpointPeriod() int {
+	return min(checkpointEvery, max(l.lay.nSegments/4, 16))
+}
+
+// ckptBlockMax bounds one block's checkpoint record: flags, successor,
+// list, segment, offset, stored and logical size, checksum.
+const ckptBlockMax = 1 + 6*binary.MaxVarintLen32 + 4
+
 // writeCheckpoint serializes the full state into the slot not holding the
 // newest checkpoint. Callers hold l.mu. When complete is true the open
 // segment must already be sealed (shutdown path).
 func (l *LLD) writeCheckpoint(complete bool) error {
-	var payload []byte
-	u32 := func(v uint32) { payload = binary.LittleEndian.AppendUint32(payload, v) }
-	u64 := func(v uint64) { payload = binary.LittleEndian.AppendUint64(payload, v) }
-	u8 := func(v uint8) { payload = append(payload, v) }
-
-	u64(l.ts)
-	u32(uint32(l.nextFresh))
-	u32(uint32(l.nextList))
-
-	nAlloc := 0
-	for i := 1; i < len(l.blocks); i++ {
-		if l.blocks[i].allocated() {
-			nAlloc++
-		}
+	// The chain starts at the open segment, or at the successor the log
+	// opens next.
+	chainSeg, chainSeq := uint32(noSegment), uint32(0)
+	switch {
+	case l.cur != nil:
+		chainSeg, chainSeq = uint32(l.cur.id), l.cur.seq
+	case l.succ >= 0:
+		chainSeg, chainSeq = uint32(l.succ), nextSeq(l.openSeq)
 	}
-	u32(uint32(nAlloc))
-	for i := 1; i < len(l.blocks); i++ {
+
+	// One buffer, sized once from the counts; what the records take of it
+	// is written. Every id below nextFresh has a record: a free one is its
+	// flags byte alone.
+	ss := l.lay.sectorSize
+	bound := checkpointFixedSize + (int(l.nextFresh)-1)*ckptBlockMax + 4 + len(l.order)*listStateEncSize + 4 + len(l.segs)*segStateEncSize
+	buf := make([]byte, checkpointHeaderSize+bound+ss)
+	w := &writer{buf: buf[checkpointHeaderSize:]}
+	w.u64(l.ts)
+	w.u32(uint32(l.nextFresh))
+	w.u32(uint32(l.nextList))
+	w.u64(l.durableMark)
+	w.u32(l.openSeq)
+	w.u32(chainSeg)
+	w.u32(chainSeq)
+
+	for i := 1; i < int(l.nextFresh); i++ {
 		bi := &l.blocks[i]
 		if !bi.allocated() {
+			w.u8(0)
 			continue
 		}
-		u32(uint32(i))
-		u32(uint32(bi.seg))
-		u32(bi.off)
-		u32(bi.stored)
-		u32(bi.orig)
-		u32(bi.crc)
-		u32(uint32(bi.next))
-		u32(uint32(bi.lid))
-		u8(bi.flags)
+		w.u8(bi.flags)
+		w.uvarint(zigzag(uint64(bi.next) - uint64(i)))
+		w.uvarint(uint64(bi.lid))
+		if bi.hasData() {
+			w.uvarint(uint64(bi.seg))
+			w.uvarint(uint64(bi.off))
+			w.uvarint(uint64(bi.stored))
+			if bi.flags&bComp != 0 {
+				w.uvarint(uint64(bi.orig))
+			}
+			w.u32(bi.crc)
+		}
 	}
 
-	u32(uint32(len(l.order)))
+	w.u32(uint32(len(l.order)))
 	for _, lid := range l.order {
 		li := l.lists[lid]
-		u32(uint32(lid))
-		u32(uint32(li.first))
-		u32(uint32(li.count))
-		u32(encodeHints(li.hints))
-		u8(0)
+		w.u32(uint32(lid))
+		w.u32(uint32(li.first))
+		w.u32(uint32(li.count))
+		w.u32(encodeHints(li.hints))
+		w.u8(0)
 	}
 
-	u32(uint32(len(l.segs)))
+	w.u32(uint32(len(l.segs)))
 	for i := range l.segs {
-		u64(uint64(l.segs[i].live))
-		u64(l.segs[i].ts)
+		w.u64(uint64(l.segs[i].live))
+		w.u64(l.segs[i].ts)
 		st := l.segs[i].state
 		if st == segOpen {
-			// The open segment was partial-written before a consolidation
-			// checkpoint; on disk it is a live segment.
+			// The open segment was partial-written before the checkpoint;
+			// on disk it is a live segment.
 			st = segLive
 		}
-		u8(st)
+		w.u8(st)
 	}
 
-	ss := l.lay.sectorSize
-	total := checkpointHeaderSize + len(payload)
-	total = (total + ss - 1) / ss * ss
+	plen := w.off
+	total := (checkpointHeaderSize + plen + ss - 1) / ss * ss
 	if int64(total) > l.lay.checkpointSize {
 		return fmt.Errorf("%w: checkpoint needs %d bytes, slot holds %d", ErrFormat, total, l.lay.checkpointSize)
 	}
-	buf := make([]byte, total)
+	buf = buf[:total]
+	payload := buf[checkpointHeaderSize : checkpointHeaderSize+plen]
 	binary.LittleEndian.PutUint32(buf[0:], checkpointMagic)
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
 	binary.LittleEndian.PutUint64(buf[8:], l.ts)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(plen))
 	buf[20] = 1 // valid marker
 	if complete {
 		buf[21] = 1
 	}
-	copy(buf[checkpointHeaderSize:], payload)
 	slot := 1 - l.ckptSlot
 	if err := l.dskWrite(buf, l.lay.checkpointOff+int64(slot)*l.lay.checkpointSize); err != nil {
 		return err
 	}
 	l.ckptSlot = slot
 	l.ckptTS = l.ts
+	l.ckptSeq = chainSeq
 	return nil
 }
 
@@ -225,45 +281,62 @@ func (l *LLD) loadCheckpoint() (found, complete bool, err error) {
 	return false, false, nil
 }
 
-// decodeCheckpoint rebuilds the in-memory state from a checkpoint payload.
+// decodeCheckpoint rebuilds the in-memory state from a checkpoint payload:
+// the maps, the durable mark the checkpoint was written under, and the
+// chain's start, which it leaves in l.succ (-1 for none) and l.ckptSeq.
 func (l *LLD) decodeCheckpoint(payload []byte) error {
 	r := &reader{buf: payload}
 	l.ts = r.u64()
 	l.nextFresh = ld.BlockID(r.u32())
 	l.nextList = ld.ListID(r.u32())
+	l.durableMark = r.u64()
+	l.openSeq = r.u32()
+	chainSeg := r.u32()
+	l.ckptSeq = r.u32()
 	if r.err != nil {
 		return r.err
+	}
+	l.succ = -1
+	if chainSeg != noSegment {
+		if int(chainSeg) >= len(l.segs) || l.ckptSeq == 0 {
+			return fmt.Errorf("%w: checkpoint's chain starts at segment %d, sequence %d", ErrFormat, chainSeg, l.ckptSeq)
+		}
+		l.succ = int(chainSeg)
 	}
 	if l.nextFresh == 0 || int(l.nextFresh) > l.lay.maxBlocks+1 {
 		return fmt.Errorf("%w: checkpoint's next fresh block %d outside 1..%d", ErrFormat, l.nextFresh, l.lay.maxBlocks+1)
 	}
 	l.growBlocks(int(l.nextFresh))
 
-	nAlloc := int(r.u32())
-	for i := 0; i < nAlloc; i++ {
-		bid := r.u32()
+	for bid := 1; bid < int(l.nextFresh); bid++ {
+		flags := r.u8()
+		if flags == 0 {
+			continue
+		}
+		bi := &l.blocks[bid]
+		bi.flags = flags
+		bi.next = ld.BlockID(uint64(bid) + unzigzag(r.uvarint()))
+		bi.lid = ld.ListID(r.uvarint32())
+		if bi.hasData() {
+			bi.seg = int32(r.uvarint32())
+			bi.off = r.uvarint32()
+			bi.stored = r.uvarint32()
+			bi.orig = bi.stored
+			if flags&bComp != 0 {
+				bi.orig = r.uvarint32()
+			}
+			bi.crc = r.u32()
+		}
 		if r.err != nil {
 			return r.err
 		}
-		if bid == 0 || bid >= uint32(l.nextFresh) {
-			return fmt.Errorf("%w: checkpoint names block %d, next fresh is %d", ErrFormat, bid, l.nextFresh)
+		if flags&^(bAllocated|bHasData|bComp) != 0 || flags&bAllocated == 0 || int(bi.seg) >= len(l.segs) {
+			return fmt.Errorf("%w: checkpoint block %d has flags %#x, segment %d", ErrFormat, bid, flags, bi.seg)
 		}
-		bi := &l.blocks[bid]
-		bi.seg = int32(r.u32())
-		bi.off = r.u32()
-		bi.stored = r.u32()
-		bi.orig = r.u32()
-		bi.crc = r.u32()
-		bi.next = ld.BlockID(r.u32())
-		bi.lid = ld.ListID(r.u32())
-		bi.flags = r.u8()
 		// Conservative: the cleaner re-logs on first contact with any
 		// record of these (unless it is below the checkpoint floor).
 		bi.existTS, bi.linkTS, bi.dataTS = 0, 0, 0
-		if bi.hasData() && bi.seg >= 0 {
-			if int(bi.seg) >= len(l.segs) {
-				return fmt.Errorf("%w: checkpoint block %d in segment %d", ErrFormat, bid, bi.seg)
-			}
+		if bi.hasData() {
 			l.liveBytes += int64(bi.stored)
 		}
 	}

@@ -17,13 +17,13 @@ import (
 // information to reorder blocks into list order, improving sequential read
 // performance — the paper's "simplistic clustering strategy".
 //
-// Because LLD keeps no checkpoints, every metadata fact must remain
-// derivable from the summaries of live segments. Before a victim's summary
-// is destroyed, the cleaner re-logs (with fresh timestamps) the current
-// value of every field whose newest determining record lives in that
-// summary: a tBlockState/tListState snapshot for live entities, a
-// tBlockFree/tDelList tombstone for freed ones, a tDataAt for data
-// locations. The per-field timestamps kept by noteTuple, the ids the
+// Every metadata fact newer than the newest checkpoint must remain
+// derivable from the summaries of live segments, whichever way recovery
+// reads them. Before a victim's summary is destroyed, the cleaner re-logs
+// (with fresh timestamps) the current value of every field whose newest
+// determining record lives in that summary: a tBlockState/tListState
+// snapshot for live entities, a tBlockFree/tDelList tombstone for freed
+// ones, a tDataAt for data locations. The per-field timestamps kept by noteTuple, the ids the
 // summary names (kept in the segment usage table, sumNames) and the
 // segment's stamp make the check O(ids the victim names) with no summary
 // read back. This is the paper's "removes old logging information ...
@@ -41,7 +41,7 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 	// facts could not be re-logged for lack of space. The pass looks past
 	// them for a victim whose facts are all superseded.
 	var skip map[int]bool
-	consolidated := false // the bootstrap path has tried its one consolidation
+	checkpointed := false // the bootstrap path has tried its one checkpoint
 	for iters := 0; iters < maxIter; iters++ {
 		if target != nil && target() {
 			break
@@ -49,7 +49,7 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 		if maxVictims > 0 && cleaned >= maxVictims {
 			break
 		}
-		before := len(l.freeSegs) + len(l.cooling) + len(l.pendingARU)
+		before := len(l.freeSegs) + len(l.cooling) + len(l.pendingARU) + len(l.held)
 		victim := l.pickVictim(skip)
 		if victim < 0 {
 			break
@@ -58,16 +58,16 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 			if errors.Is(err, ld.ErrNoSpace) && len(l.freeSegs) == 0 && l.cur == nil {
 				// Bootstrap: no room to re-log this victim's facts and no
 				// open segment to hold them. The failure is clean (the
-				// first required write already failed). A consolidation
-				// checkpoint lives outside the log and makes every fact
+				// first required write already failed). A checkpoint
+				// lives outside the log and makes every fact
 				// logged so far droppable, so write one — once per pass —
 				// and try the same victim again: when every segment holds
 				// a fact above the old floor (a mount that found no free
 				// segment and owes an abort fence), nothing else can free
 				// one.
-				if !consolidated && !l.aruOpen {
-					consolidated = true
-					if err := l.consolidate(); err != nil {
+				if !checkpointed && !l.aruOpen {
+					checkpointed = true
+					if err := l.checkpoint(); err != nil {
 						return cleaned, err
 					}
 					continue
@@ -84,12 +84,12 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 			return cleaned, err
 		}
 		cleaned++
-		if len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) <= before {
+		if len(l.freeSegs)+len(l.cooling)+len(l.pendingARU)+len(l.held) <= before {
 			// Fact-bound victim: re-logging its summary cost as much as
-			// cleaning freed. Consolidate so old facts become droppable.
+			// cleaning freed. A checkpoint makes old facts droppable.
 			l.futility++
 			if l.futility >= 2 {
-				if err := l.consolidate(); err != nil {
+				if err := l.checkpoint(); err != nil {
 					return cleaned, err
 				}
 				l.futility = 0
@@ -101,11 +101,11 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 	return cleaned, nil
 }
 
-// watermarkTarget reports whether the free pool (counting cooling and
+// watermarkTarget reports whether the free pool (counting cooling, held and
 // ARU-pending segments, which become free without further cleaning) has
 // reached the high watermark. Callers hold l.mu.
 func (l *LLD) watermarkTarget() bool {
-	return len(l.freeSegs)+len(l.cooling)+len(l.pendingARU) >= cleanHigh
+	return len(l.freeSegs)+len(l.cooling)+len(l.pendingARU)+len(l.held) >= cleanHigh
 }
 
 // maybeClean runs a whole watermark pass, on the caller's stack and under
@@ -113,7 +113,7 @@ func (l *LLD) watermarkTarget() bool {
 // watermark (paper §3.5: "when the number of free segments gets below a
 // certain threshold"). Callers hold l.mu.
 func (l *LLD) maybeClean() error {
-	if l.cleaning || len(l.freeSegs)+len(l.cooling) > cleanLow {
+	if l.cleaning || len(l.freeSegs)+len(l.cooling)+len(l.held) > cleanLow {
 		return nil
 	}
 	l.cleaning = true
@@ -262,29 +262,6 @@ func idSet(ids []uint32) []uint32 {
 	return ids
 }
 
-// summaryNames returns the names of live segment id's newest summary. They
-// are in memory for every segment this instance sealed or its mount's sweep
-// decoded; a segment mounted from a clean-shutdown checkpoint, which read no
-// summary, has them loaded here on first need, by the one request for both
-// slots that every victim used to cost. Callers hold l.mu.
-func (l *LLD) summaryNames(id int) (*sumNames, error) {
-	s := &l.segs[id]
-	if s.names != nil {
-		return s.names, nil
-	}
-	region := l.scratch[:2*l.lay.summarySize]
-	if err := l.cleanRead(region, l.lay.sumOff(id, 0)); err != nil {
-		return nil, err
-	}
-	si, err := decodeNewestSummary(region, l.lay, id)
-	if err != nil {
-		return nil, fmt.Errorf("lld: cleaning live segment %d: %w", id, err)
-	}
-	l.stats.SummaryLoads++
-	s.names = newSumNames(si.entries, si.tuples)
-	return s.names, nil
-}
-
 // cleanRead is dskRead for the cleaner's reads, counted.
 func (l *LLD) cleanRead(p []byte, off int64) error {
 	l.stats.CleanReads++
@@ -301,9 +278,14 @@ func (l *LLD) cleanRead(p []byte, off int64) error {
 // live one is ever transferred — or able to fail the pass. Callers hold l.mu
 // with l.cleaning set.
 func (l *LLD) cleanSegment(id int) error {
-	names, err := l.summaryNames(id)
-	if err != nil {
-		return err
+	// What the victim's summary names is in memory for every segment this
+	// instance sealed or its mount decoded. Any other was sealed before the
+	// newest checkpoint, whose floor holds every fact the summary states
+	// (relogSummaryFacts re-logs none of them), and liveIn finds its blocks
+	// in the map: no summary is read back.
+	names := l.segs[id].names
+	if names == nil {
+		names = &sumNames{}
 	}
 	l.victim = id
 	defer func() { l.victim = -1 }()
@@ -513,10 +495,15 @@ func (l *LLD) relogSummaryFacts(n *sumNames, stamp uint64) error {
 	return nil
 }
 
-// consolidate writes a consolidation checkpoint: the open segment's
-// contents are made durable first (a partial write), so every block
-// coordinate the checkpoint records exists on disk. Callers hold l.mu.
-func (l *LLD) consolidate() error {
+// checkpoint writes a checkpoint (checkpoint.go). It is taken every
+// checkpointPeriod seals, early when only held segments would refill the
+// free pool (refillFromHeld), when cleaning is futile, and once after a
+// mount whose log cannot continue the newest checkpoint's chain. The open
+// segment's contents are made durable first (a partial write), so every
+// block coordinate the checkpoint records exists on disk; the checkpoint is
+// durable before the chain segments it no longer needs are released.
+// Callers hold l.mu.
+func (l *LLD) checkpoint() error {
 	if l.aruOpen {
 		return nil // never capture half an atomic recovery unit
 	}
@@ -528,9 +515,26 @@ func (l *LLD) consolidate() error {
 	if err := l.dskSync(); err != nil {
 		return err
 	}
-	l.crashPoint("consolidate")
+	l.crashPoint("checkpoint")
 	l.stats.Consolidations++
-	return l.writeCheckpoint(false)
+	if n := len(l.held); l.cur == nil && l.succ < 0 && len(l.freeSegs) == 0 && n > 0 {
+		// The chain starts at a segment this checkpoint releases: until it
+		// is durable the older checkpoint's chain still leads through it.
+		l.succ = l.held[n-1]
+	}
+	if err := l.writeCheckpoint(false); err != nil {
+		return err
+	}
+	if err := l.dskSync(); err != nil {
+		return err
+	}
+	for _, id := range l.held {
+		l.segs[id].state = segFree
+		l.freeSegs = append(l.freeSegs, id)
+	}
+	l.held = l.held[:0]
+	l.sealsSinceCkpt = 0
+	return nil
 }
 
 // moveBlock copies one live block from the victim's in-memory image into

@@ -103,9 +103,6 @@ func TestVictimRuleMovesLessThanGreedyOnHotCold(t *testing.T) {
 	if perOp > wantAtMostOf*greedyPerOp {
 		t.Errorf("seed %d: %.3f blocks moved a user write, want at most %.2f of greedy's %.3f", seed, perOp, wantAtMostOf, greedyPerOp)
 	}
-	if s.SummaryLoads != 0 {
-		t.Errorf("seed %d: %d summaries read back", seed, s.SummaryLoads)
-	}
 	if viol := l.CheckInvariants(); len(viol) != 0 {
 		t.Fatalf("invariants: %v", viol)
 	}
@@ -323,7 +320,7 @@ func TestRelogDiffersFromReadBackOnlyAroundACheckpointFloor(t *testing.T) {
 		t.Helper()
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		if err := l.consolidate(); err != nil {
+		if err := l.checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -645,6 +642,11 @@ func TestCleanBootstrapSkip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
+		// A mount that finds no free segment for the log to go on in takes a
+		// checkpoint, whose floor makes every fact droppable. The regression
+		// is about facts no checkpoint covers, which a running instance
+		// meets between checkpoints: drop the floor.
+		l.ckptTS = 0
 		l.noHeadroom()
 		return l
 	}

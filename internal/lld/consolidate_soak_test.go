@@ -119,7 +119,7 @@ func consolidationCrashSoak(t *testing.T, seed int64) (consolidations, fences in
 				// need: advances the recovery floor mid-storm. It also makes
 				// everything logged so far durable.
 				l.mu.Lock()
-				cerr := l.consolidate()
+				cerr := l.checkpoint()
 				l.mu.Unlock()
 				if cerr == nil && !l.aruOpen {
 					copy(version, inflight)

@@ -22,17 +22,15 @@ func TestConsolidationCheckpointFloor(t *testing.T) {
 		ids = append(ids, b)
 		prev = b
 	}
-	// Consolidate (this also partial-writes the open segment).
+	// Checkpoint (this also partial-writes the open segment).
 	l.mu.Lock()
-	err := l.consolidate()
+	err := l.checkpoint()
 	l.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Stats().Consolidations != 0 {
-		// consolidate() called directly does not bump the counter via the
-		// cleaner path; the counter moves only in maybeClean. Just verify
-		// the floor advanced.
+	if l.Stats().Consolidations != 1 {
+		t.Fatalf("%d checkpoints counted, want 1", l.Stats().Consolidations)
 	}
 	if l.ckptTS == 0 {
 		t.Fatal("consolidation did not set the floor")
@@ -59,7 +57,7 @@ func TestConsolidationThenMoreWritesThenCrash(t *testing.T) {
 	a := mustNewBlock(t, l, lid, ld.NilBlock)
 	mustWrite(t, l, a, []byte("pre-checkpoint"))
 	l.mu.Lock()
-	err := l.consolidate()
+	err := l.checkpoint()
 	l.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +177,7 @@ func TestManyGenerationsWithConsolidations(t *testing.T) {
 		}
 		if gen%2 == 0 {
 			l.mu.Lock()
-			err := l.consolidate()
+			err := l.checkpoint()
 			l.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)
@@ -209,7 +207,7 @@ func TestTornCheckpointFallsBackToOlderSlot(t *testing.T) {
 	a := mustNewBlock(t, l, lid, ld.NilBlock)
 	mustWrite(t, l, a, []byte("covered by checkpoint one"))
 	l.mu.Lock()
-	err := l.consolidate()
+	err := l.checkpoint()
 	l.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +217,7 @@ func TestTornCheckpointFallsBackToOlderSlot(t *testing.T) {
 	b := mustNewBlock(t, l, lid, a)
 	mustWrite(t, l, b, []byte("covered by checkpoint two"))
 	l.mu.Lock()
-	err = l.consolidate()
+	err = l.checkpoint()
 	l.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,8 @@ import (
 //   - the recovered list is a strict prefix of the reference sequence
 //     (append-only ops can only be lost from the tail, never reordered
 //     or corrupted);
-//   - everything flushed before the crash point survived (durability).
+//   - everything flushed before the crash point survived (durability);
+//   - the mount by the checkpoint's chain recovers what the full sweep does.
 //
 // This is the strongest statement the paper makes about LLD recovery
 // ("recovery up to the last segment successfully written"), checked at
@@ -125,6 +126,7 @@ func TestExhaustiveCrashSweep(t *testing.T) {
 		_ = l.Shutdown(false)
 		d.ClearCrash()
 
+		requireChainMatchesSweep(t, d.Snapshot(), 8<<20, o)
 		l2, err := Open(d, o)
 		if err != nil {
 			t.Fatalf("k=%d: recovery: %v", k, err)

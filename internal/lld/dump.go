@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/disk"
 )
@@ -79,7 +80,8 @@ func Dump(d disk.Backend, w io.Writer, verbose bool) error {
 
 // SummarySlots returns the byte offset of every summary slot of d — an
 // LLD-formatted disk, or one leg of a mirror of one — whose bytes decode as a
-// summary of their segment, and the size of a slot. It only reads d.
+// summary of their segment, newest write first, and the size of a slot. It
+// only reads d.
 func SummarySlots(d disk.Backend) (offs []int64, size int, err error) {
 	sector := make([]byte, d.SectorSize())
 	if err := d.ReadAt(sector, 0); err != nil {
@@ -90,18 +92,29 @@ func SummarySlots(d disk.Backend) (offs []int64, size int, err error) {
 		return nil, 0, err
 	}
 	buf := make([]byte, lay.summarySize)
+	var ts []uint64
 	for i := 0; i < lay.nSegments; i++ {
 		for slot := 0; slot < 2; slot++ {
 			off := lay.sumOff(i, slot)
 			if err := d.ReadAt(buf, off); err != nil {
 				return nil, 0, err
 			}
-			if _, err := decodeSummary(buf, lay, i); err == nil {
+			if si, err := decodeSummary(buf, lay, i); err == nil {
 				offs = append(offs, off)
+				ts = append(ts, si.writeTS)
 			}
 		}
 	}
-	return offs, lay.summarySize, nil
+	byTS := make([]int, len(offs))
+	for i := range byTS {
+		byTS[i] = i
+	}
+	sort.SliceStable(byTS, func(a, b int) bool { return ts[byTS[a]] > ts[byTS[b]] })
+	newest := make([]int64, len(offs))
+	for i, j := range byTS {
+		newest[i] = offs[j]
+	}
+	return newest, lay.summarySize, nil
 }
 
 // Verify is the integrity check behind lddump -verify: a mount that trusts

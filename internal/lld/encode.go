@@ -15,10 +15,20 @@ const (
 	superMagic      = 0x4C4C4431 // "LLD1"
 	summaryMagic    = 0x4C445347 // "LDSG"
 	checkpointMagic = 0x4C444350 // "LDCP"
-	formatVersion   = 4          // v2: payload CRC32C in block entries and checkpoint records; v3: durable mark in the summary header; v4: packed summary records
+	formatVersion   = 5          // v2: payload CRC32C in block entries and checkpoint records; v3: durable mark in the summary header; v4: packed summary records; v5: the summary header links the segment into the log's chain, the checkpoint names where the chain starts
 
 	superEncSize      = 60
 	summaryHeaderSize = 44
+
+	// noSegment is the successor a summary names, and the chain start a
+	// checkpoint names, when there is none. A summary header holds a
+	// successor in 24 bits (computeLayout bounds the segment count).
+	noSegment = 1<<24 - 1
+
+	// markFar stands, in a summary header, for a durable mark too far below
+	// the image's own stamp for the 32-bit distance the header keeps: the
+	// image then vouches for nothing, as one with mark 0 does.
+	markFar = math.MaxUint32
 
 	// Packed summary records (format v4, DESIGN §9). A record's size is
 	// known once it is appended — its ts is a delta from the previous
@@ -30,7 +40,11 @@ const (
 	minEntrySize = 4 // flags, bid, ts delta, stored 0
 	minTupleSize = 2 // kind|flags, ts delta
 
+	// A checkpoint slot is sized for a record of blockStateEncSize bytes per
+	// block id (computeLayout); the records are packed since format v5
+	// (writeCheckpoint) and take ≈ 15.
 	checkpointHeaderSize = 24
+	checkpointFixedSize  = 36 // ts, next fresh block and list, durable mark, open sequence number, chain start segment and sequence number
 	blockStateEncSize    = 33
 	listStateEncSize     = 17
 	segStateEncSize      = 17
@@ -334,8 +348,15 @@ func decodeSuper(buf []byte) (layout, error) {
 // gives back exactly what it was handed: an entry whose off is not the end
 // of the entries before it (logData is the one path that appends), an
 // uncompressed entry whose orig is not its stored size, a checksum on an
-// empty payload, and flag bits the format does not define.
-func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, sealed bool, dataBytes int, entries []blockEntry, tuples []tupleRec) (int, error) {
+// empty payload, flag bits the format does not define, and a mark at or
+// above the image's own stamp. The header keeps the mark as its distance
+// below the stamp in 32 bits; a mark farther below is written as none
+// (markFar), which claims less and so stays true.
+//
+// seq is the segment's open sequence number and next the segment the log
+// opens after it (noSegment for none): the link recovery follows from the
+// checkpoint to the log's head (recovery.go).
+func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, seq, next uint32, sealed bool, dataBytes int, entries []blockEntry, tuples []tupleRec) (int, error) {
 	off := 0
 	for i, e := range entries {
 		switch {
@@ -358,6 +379,12 @@ func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, sealed
 			return 0, fmt.Errorf("%w: tuple %d has kind %d, flags %#x", ErrFormat, i, t.kind, t.flags)
 		}
 	}
+	if mark >= writeTS {
+		return 0, fmt.Errorf("%w: durable mark %d not below the image's own stamp %d", ErrFormat, mark, writeTS)
+	}
+	if next > noSegment {
+		return 0, fmt.Errorf("%w: successor %d does not fit the header", ErrFormat, next)
+	}
 	need := summaryBytes(entries, tuples)
 	if need > l.summarySize {
 		return 0, fmt.Errorf("%w: summary overflow: need %d, have %d", ErrFormat, need, l.summarySize)
@@ -378,8 +405,15 @@ func encodeSummary(seg []byte, l layout, segID int, writeTS, mark uint64, sealed
 	} else {
 		w.u8(0)
 	}
-	w.skip(3)
-	w.u64(mark)
+	w.u8(uint8(next))
+	w.u8(uint8(next >> 8))
+	w.u8(uint8(next >> 16))
+	dist := uint64(markFar)
+	if mark > 0 && writeTS-mark < markFar {
+		dist = writeTS - mark
+	}
+	w.u32(uint32(dist))
+	w.u32(seq)
 	var prev uint64
 	for _, e := range entries {
 		w.u8(e.flags)
@@ -412,6 +446,8 @@ type summaryInfo struct {
 	segID     int
 	writeTS   uint64
 	mark      uint64 // durable watermark when the image was encoded (< writeTS)
+	seq       uint32 // the segment generation's open sequence number
+	next      uint32 // the segment the log opens after this one, noSegment for none
 	dataBytes int
 	sealed    bool
 	entries   []blockEntry
@@ -465,14 +501,22 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	nBlocks := int(r.u32())
 	nTuples := int(r.u32())
 	sealed := r.u8()
-	pad := r.u8() | r.u8() | r.u8()
+	si.next = uint32(r.u8()) | uint32(r.u8())<<8 | uint32(r.u8())<<16
 	si.sealed = sealed == 1
-	si.mark = r.u64()
+	dist := r.u32()
+	si.seq = r.u32()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if sealed > 1 || pad != 0 {
+	if sealed > 1 {
 		return nil, fmt.Errorf("%w: bad summary header flags", ErrFormat)
+	}
+	switch {
+	case dist == markFar:
+	case dist == 0 || uint64(dist) >= si.writeTS:
+		return nil, fmt.Errorf("%w: durable mark %d below the summary's own stamp %d is none the encoder writes", ErrFormat, dist, si.writeTS)
+	default:
+		si.mark = si.writeTS - uint64(dist)
 	}
 	if si.segID != wantSegID {
 		return nil, fmt.Errorf("%w: summary names segment %d, expected %d", ErrFormat, si.segID, wantSegID)
@@ -480,8 +524,8 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	if si.dataBytes < 0 || si.dataBytes > l.dataCap() {
 		return nil, fmt.Errorf("%w: bad data extent %d", ErrFormat, si.dataBytes)
 	}
-	if si.mark >= si.writeTS {
-		return nil, fmt.Errorf("%w: durable mark %d not below the summary's own stamp %d", ErrFormat, si.mark, si.writeTS)
+	if si.next != noSegment && int(si.next) >= l.nSegments {
+		return nil, fmt.Errorf("%w: summary names successor %d of %d segments", ErrFormat, si.next, l.nSegments)
 	}
 	if summaryHeaderSize+nBlocks*minEntrySize+nTuples*minTupleSize > len(sum) {
 		return nil, fmt.Errorf("%w: bad summary counts", ErrFormat)

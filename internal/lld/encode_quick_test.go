@@ -18,6 +18,7 @@ import (
 type summaryRecords struct {
 	segID         int
 	writeTS, mark uint64
+	seq, next     uint32
 	sealed        bool
 	dataBytes     int
 	entries       []blockEntry
@@ -28,7 +29,7 @@ type summaryRecords struct {
 // buffer and the length encodeSummary asked to be written.
 func (r summaryRecords) encode(lay layout) ([]byte, int, error) {
 	seg := make([]byte, lay.segmentSize)
-	used, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.sealed, r.dataBytes, r.entries, r.tuples)
+	used, err := encodeSummary(seg, lay, r.segID, r.writeTS, r.mark, r.seq, r.next, r.sealed, r.dataBytes, r.entries, r.tuples)
 	return seg, used, err
 }
 
@@ -36,7 +37,7 @@ func (r summaryRecords) encode(lay layout) ([]byte, int, error) {
 // could have produced — entries at contiguous offsets, orig equal to stored
 // unless compressed, no checksum on an empty payload, stamps rising in log
 // order across entries and tuples alike — with a durable mark below the
-// write timestamp. It stops at a random count or when the summary is full.
+// write timestamp, or none. It stops at a random count or when the summary is full.
 func randomSummary(rng *rand.Rand, lay layout) summaryRecords {
 	kinds := []uint8{tAlloc, tFree, tNewList, tDelList, tMoveList, tCommit,
 		tBlockState, tBlockFree, tListState, tDataAt, tFence}
@@ -91,8 +92,16 @@ func randomSummary(rng *rand.Rand, lay layout) summaryRecords {
 	}
 	r.dataBytes = off + rng.Intn(lay.dataCap()-off+1)
 	r.writeTS = ts + 1 + uint64(rng.Intn(5))
-	r.mark = uint64(rng.Int63n(int64(r.writeTS)))
+	// The header keeps a mark as its distance below the stamp, in 32 bits.
+	if span := min(r.writeTS-1, markFar-1); span > 0 && rng.Intn(8) != 0 {
+		r.mark = r.writeTS - 1 - uint64(rng.Int63n(int64(span)))
+	}
 	r.sealed = rng.Intn(2) == 0
+	r.seq = rng.Uint32()
+	r.next = noSegment
+	if rng.Intn(4) != 0 {
+		r.next = uint32(rng.Intn(lay.nSegments))
+	}
 	return r
 }
 
@@ -111,7 +120,7 @@ func TestQuickSummaryRoundTrip(t *testing.T) {
 		r := randomSummary(rng, lay)
 		r.segID = rng.Intn(lay.nSegments)
 		rng.Read(buf) // the slot's previous contents
-		used, err := encodeSummary(buf, lay, r.segID, r.writeTS, r.mark, r.sealed, r.dataBytes, r.entries, r.tuples)
+		used, err := encodeSummary(buf, lay, r.segID, r.writeTS, r.mark, r.seq, r.next, r.sealed, r.dataBytes, r.entries, r.tuples)
 		if err != nil {
 			t.Logf("seed %d: encode: %v", seed, err)
 			return false
@@ -127,7 +136,7 @@ func TestQuickSummaryRoundTrip(t *testing.T) {
 				t.Logf("seed %d: decode %d bytes: %v", seed, len(img), err)
 				return false
 			}
-			if si.segID != r.segID || si.writeTS != r.writeTS || si.mark != r.mark || si.sealed != r.sealed || si.dataBytes != r.dataBytes {
+			if si.segID != r.segID || si.writeTS != r.writeTS || si.mark != r.mark || si.seq != r.seq || si.next != r.next || si.sealed != r.sealed || si.dataBytes != r.dataBytes {
 				t.Logf("seed %d: header mismatch", seed)
 				return false
 			}
@@ -142,14 +151,27 @@ func TestQuickSummaryRoundTrip(t *testing.T) {
 			return false
 		}
 		// A summary never vouches for itself: a mark at or above its own
-		// write timestamp is not one lld can have written.
+		// write timestamp is not one lld can have written, and an image
+		// whose header places the mark there is refused.
 		for _, bad := range []uint64{r.writeTS, r.writeTS + 1 + uint64(rng.Int63n(1<<20))} {
-			if _, err := encodeSummary(buf, lay, r.segID, r.writeTS, bad, r.sealed, r.dataBytes, r.entries, r.tuples); err != nil {
-				t.Logf("seed %d: encode: %v", seed, err)
+			if _, err := encodeSummary(buf, lay, r.segID, r.writeTS, bad, r.seq, r.next, r.sealed, r.dataBytes, r.entries, r.tuples); !errors.Is(err, ErrFormat) {
+				t.Logf("seed %d: mark %d at write timestamp %d: encode returned %v", seed, bad, r.writeTS, err)
 				return false
 			}
+		}
+		if _, err := encodeSummary(buf, lay, r.segID, r.writeTS, r.mark, r.seq, r.next, r.sealed, r.dataBytes, r.entries, r.tuples); err != nil {
+			t.Logf("seed %d: encode: %v", seed, err)
+			return false
+		}
+		end := summaryBytes(r.entries, r.tuples)
+		for _, dist := range []uint32{0, uint32(min(r.writeTS, markFar-1))} {
+			binary.LittleEndian.PutUint32(slot[36:], dist)
+			binary.LittleEndian.PutUint32(slot[4:], crc32.Checksum(slot[8:end], crcTable))
+			if dist != 0 && uint64(dist) < r.writeTS {
+				continue // a mark below the stamp: valid
+			}
 			if _, err := decodeSummary(slot, lay, r.segID); !errors.Is(err, ErrFormat) {
-				t.Logf("seed %d: mark %d at write timestamp %d: decode returned %v", seed, bad, r.writeTS, err)
+				t.Logf("seed %d: mark %d below write timestamp %d: decode returned %v", seed, dist, r.writeTS, err)
 				return false
 			}
 		}
@@ -160,7 +182,7 @@ func TestQuickSummaryRoundTrip(t *testing.T) {
 	}
 }
 
-// testCase is one golden vector: a record set and the bytes format v4
+// testCase is one golden vector: a record set and the bytes format v5
 // writes for it after the 44-byte header.
 type testCase struct {
 	name    string
@@ -171,7 +193,7 @@ type testCase struct {
 var summaryGolden = []testCase{
 	{
 		"header only",
-		summaryRecords{segID: 3, writeTS: 10, mark: 9, sealed: true},
+		summaryRecords{segID: 3, writeTS: 10, mark: 9, seq: 4, next: 5, sealed: true},
 		nil,
 	},
 	{
@@ -243,7 +265,7 @@ func goldenLayout(t testing.TB) layout {
 }
 
 // Each golden record set encodes to its bytes: the header (laid out as in
-// format v3) with its CRC
+// format v3, with the chain link packed into it) with its CRC
 // over everything up to the last record, the records, and zeros to the end
 // of the sector. The image decodes back to the record set.
 func TestSummaryGoldenVectors(t *testing.T) {
@@ -268,15 +290,16 @@ func TestSummaryGoldenVectors(t *testing.T) {
 			le := binary.LittleEndian
 			if le.Uint32(img) != summaryMagic || le.Uint32(img[4:]) != crc32.Checksum(img[8:end], crcTable) ||
 				int(le.Uint32(img[8:])) != tc.records.segID || le.Uint64(img[12:]) != tc.records.writeTS ||
-				int(le.Uint32(img[24:])) != len(tc.records.entries) || int(le.Uint32(img[28:])) != len(tc.records.tuples) {
-				t.Fatalf("header % x does not hold the magic, the CRC, the id, the stamp and the counts where the sweep reads them", img[:summaryHeaderSize])
+				int(le.Uint32(img[24:])) != len(tc.records.entries) || int(le.Uint32(img[28:])) != len(tc.records.tuples) ||
+				le.Uint32(img[32:])>>8 != tc.records.next || le.Uint32(img[40:]) != tc.records.seq {
+				t.Fatalf("header % x does not hold the magic, the CRC, the id, the stamp, the counts and the chain link where the sweep reads them", img[:summaryHeaderSize])
 			}
 			si, err := decodeSummary(img, lay, tc.records.segID)
 			if err != nil {
 				t.Fatal(err)
 			}
 			r := tc.records
-			if si.segID != r.segID || si.writeTS != r.writeTS || si.mark != r.mark || si.sealed != r.sealed || si.dataBytes != r.dataBytes ||
+			if si.segID != r.segID || si.writeTS != r.writeTS || si.mark != r.mark || si.seq != r.seq || si.next != r.next || si.sealed != r.sealed || si.dataBytes != r.dataBytes ||
 				!slices.Equal(si.entries, r.entries) || !slices.Equal(si.tuples, r.tuples) {
 				t.Fatalf("decodes as %+v, want %+v", si, r)
 			}
@@ -392,7 +415,7 @@ func FuzzDecodeSummary(f *testing.F) {
 				}
 				continue
 			}
-			r := summaryRecords{si.segID, si.writeTS, si.mark, si.sealed, si.dataBytes, si.entries, si.tuples}
+			r := summaryRecords{si.segID, si.writeTS, si.mark, si.seq, si.next, si.sealed, si.dataBytes, si.entries, si.tuples}
 			seg, _, err := r.encode(lay)
 			if err != nil {
 				t.Fatalf("an accepted image does not re-encode: %v", err)
@@ -405,9 +428,9 @@ func FuzzDecodeSummary(f *testing.F) {
 	})
 }
 
-// There is one on-disk format and no decoder for an older one: a version-3
-// superblock (fixed-width summary records) is refused, exactly as versions
-// 1 and 2 are.
+// There is one on-disk format and no decoder for an older one: a version-4
+// superblock (summaries that link no chain) is refused, exactly as versions
+// 1 to 3 are.
 func TestOlderFormatVersionsAreRefused(t *testing.T) {
 	lay, err := computeLayout(8<<20, 512, testOptions())
 	if err != nil {
@@ -416,7 +439,7 @@ func TestOlderFormatVersionsAreRefused(t *testing.T) {
 	if _, err := decodeSuper(encodeSuper(lay)); err != nil {
 		t.Fatalf("current version: %v", err)
 	}
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		buf := encodeSuper(lay)
 		binary.LittleEndian.PutUint32(buf[8:], v)
 		binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:], crcTable))
@@ -449,7 +472,7 @@ func TestQuickNewestSlotSelection(t *testing.T) {
 		scratch := make([]byte, lay.segmentSize)
 		for slot, ts := range []uint64{ts0, ts1} {
 			r := randomSummary(rng, lay)
-			if _, err := encodeSummary(scratch, lay, segID, ts, 0, r.sealed, r.dataBytes, r.entries, r.tuples); err != nil {
+			if _, err := encodeSummary(scratch, lay, segID, ts, 0, r.seq, r.next, r.sealed, r.dataBytes, r.entries, r.tuples); err != nil {
 				return false
 			}
 			copy(region[slot*lay.summarySize:], scratch[lay.dataCap():lay.dataCap()+lay.summarySize])

@@ -146,12 +146,13 @@ func TestVerifyUnreadableDeadGapDoesNotQuarantine(t *testing.T) {
 // still quarantines that segment, and no other. The loss is one a power cut
 // can cause: the image sits behind a write-back cache that lld has not
 // drained since the seal, so no mark covers the segment, and the cut drops
-// one of its sectors.
+// one of its sectors. lld drains before a segment's first summary write, so
+// that is the last segment sealed.
 func TestVerifyDataLossMidExtentQuarantinesItsSegment(t *testing.T) {
 	r, l := newCachedLLD(t, 4<<20, testOptions())
 	pristine := r.plat.Snapshot()
-	ids, _ := fillBlocks(t, l, 30) // several 24-KB data areas' worth
-	victim := ids[len(ids)/2]
+	ids, _ := fillBlocks(t, l, 30) // five 24-KB data areas' worth
+	victim := ids[len(ids)-3]
 	seg := int(l.blocks[victim].seg)
 	if st, mark := l.segs[seg].state, l.Stats().DurableMark; st != segLive || mark >= l.segs[seg].ts {
 		t.Fatalf("segment %d: state %d, stamped %d, mark %d; want it sealed and above the mark", seg, st, l.segs[seg].ts, mark)

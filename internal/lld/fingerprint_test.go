@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -12,51 +11,10 @@ import (
 	"repro/internal/ld"
 )
 
-// fingerprintInternal renders the complete in-memory state of an LLD —
-// block-number map, list table, segment usage table, free/cooling pools,
-// timestamps, fence window, and what the last recovery reported — as a
-// deterministic string, so two recoveries can be compared for byte-identical
-// results rather than mere logical equivalence.
+// fingerprintInternal is the instance's whole state, what the last recovery
+// reported included.
 func fingerprintInternal(l *LLD) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ts=%d ckptTS=%d fence=[%d,%d] live=%d reserved=%d nextFresh=%d nextList=%d map=%d\n",
-		l.ts, l.ckptTS, l.fenceLo, l.fenceHi, l.liveBytes, l.reservedBytes, l.nextFresh, l.nextList, len(l.blocks))
-	for i := range l.blocks {
-		bi := &l.blocks[i]
-		if bi.flags == 0 && bi.existTS == 0 && bi.linkTS == 0 && bi.dataTS == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "blk %d: seg=%d off=%d stored=%d orig=%d crc=%d next=%d lid=%d flags=%d ts=%d/%d/%d\n",
-			i, bi.seg, bi.off, bi.stored, bi.orig, bi.crc, bi.next, bi.lid, bi.flags,
-			bi.existTS, bi.linkTS, bi.dataTS)
-	}
-	lids := make([]ld.ListID, 0, len(l.lists))
-	for lid := range l.lists {
-		lids = append(lids, lid)
-	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-	for _, lid := range lids {
-		li := l.lists[lid]
-		fmt.Fprintf(&b, "list %d: first=%d count=%d hints=%+v ts=%d/%d/%d\n",
-			lid, li.first, li.count, li.hints, li.existTS, li.headTS, li.orderTS)
-	}
-	fmt.Fprintf(&b, "order=%v\n", l.order)
-	fmt.Fprintf(&b, "freeIDs=%v freeLists=%v\n", l.freeIDs.all(), l.freeLists.all())
-	dead := make([]ld.ListID, 0, len(l.deadLists))
-	for lid := range l.deadLists {
-		dead = append(dead, lid)
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	for _, lid := range dead {
-		fmt.Fprintf(&b, "dead %d: ts=%d\n", lid, l.deadLists[lid])
-	}
-	for i := range l.segs {
-		fmt.Fprintf(&b, "seg %d: live=%d ts=%d state=%d\n", i, l.segs[i].live, l.segs[i].ts, l.segs[i].state)
-	}
-	fmt.Fprintf(&b, "freeSegs=%v cooling=%v\n", l.freeSegs, l.cooling)
-	fmt.Fprintf(&b, "report=%+v anomalies=%d discards=%d\n",
-		l.recReport, l.stats.RecoveryAnomalies, l.stats.RecoveryDiscards)
-	return b.String()
+	return l.fingerprint() + fmt.Sprintf("report=%+v\n", l.recReport)
 }
 
 // buildCrashedImage creates a multi-segment image with a rich record mix —
@@ -131,7 +89,7 @@ func buildCrashedImage(t *testing.T, capacity int64, opts Options, consolidate b
 		}
 		if consolidate && round == 2 {
 			l.mu.Lock()
-			err := l.consolidate()
+			err := l.checkpoint()
 			l.mu.Unlock()
 			if err != nil {
 				t.Fatalf("consolidate: %v", err)

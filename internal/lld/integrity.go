@@ -53,7 +53,16 @@ type QuarantinedSegment struct {
 // RecoveryReport describes what the last recovery found. On a clean image
 // it is the zero value apart from SweptSegments.
 type RecoveryReport struct {
-	SweptSegments int // segments probed by the sweep (0 after a clean-shutdown restart)
+	SweptSegments int // segment summaries the mount probed (0 after a clean-shutdown restart)
+
+	// CheckpointTS is the timestamp of the checkpoint the mount replayed
+	// over (0 for none). ChainSegments is how many segments it followed
+	// from that checkpoint's chain start (recovery.go "The chain"); it
+	// probed those and the one after. FullSweep says why it probed every
+	// segment instead; it is empty on a chain mount.
+	CheckpointTS  uint64
+	ChainSegments int
+	FullSweep     string
 
 	// QuarantinedSegments lists segments whose summaries were unreadable or
 	// rotted mid-log. Their blocks answer reads with ErrCorrupt, they are

@@ -131,8 +131,8 @@ func (l *LLD) CheckInvariants() []string {
 	}
 
 	// Segment states partition the segment space, and the pools hold
-	// exactly the segments in their state: free + cooling (pendingARU
-	// included) + live + open + quarantined = nSegments.
+	// exactly the segments in their state: free + cooling (pendingARU and
+	// held included) + live + open + quarantined = nSegments.
 	var inState [segQuarantined + 1]int
 	var segLiveSum int64
 	for i := range l.segs {
@@ -168,6 +168,15 @@ func (l *LLD) CheckInvariants() []string {
 	pooled("free", l.freeSegs, segFree)
 	pooled("cooling", l.cooling, segCooling)
 	pooled("ARU-pending", l.pendingARU, segCooling)
+	pooled("held", l.held, segCooling)
+	for _, id := range l.held {
+		if !l.inChain(id) {
+			bad("segment %d held for a checkpoint but opened before the newest one's chain start", id)
+		}
+	}
+	if l.succ >= 0 && l.segs[l.succ].state != segFree {
+		bad("designated successor %d in state %d", l.succ, l.segs[l.succ].state)
+	}
 	open := 0
 	if l.cur != nil {
 		open = 1
@@ -178,9 +187,9 @@ func (l *LLD) CheckInvariants() []string {
 			bad("open segment %d charged %d summary bytes for records that pack into %d", l.cur.id, l.cur.sumSize, packed)
 		}
 	}
-	if inState[segFree] != len(l.freeSegs) || inState[segCooling] != len(l.cooling)+len(l.pendingARU) || inState[segOpen] != open {
-		bad("segment states free=%d cooling=%d open=%d but pools free=%d cooling=%d+%d open=%d",
-			inState[segFree], inState[segCooling], inState[segOpen], len(l.freeSegs), len(l.cooling), len(l.pendingARU), open)
+	if inState[segFree] != len(l.freeSegs) || inState[segCooling] != len(l.cooling)+len(l.pendingARU)+len(l.held) || inState[segOpen] != open {
+		bad("segment states free=%d cooling=%d open=%d but pools free=%d cooling=%d+%d+%d open=%d",
+			inState[segFree], inState[segCooling], inState[segOpen], len(l.freeSegs), len(l.cooling), len(l.pendingARU), len(l.held), open)
 	}
 	if len(l.cooling) != len(l.coolingTS) {
 		bad("%d cooling segments but %d release barriers", len(l.cooling), len(l.coolingTS))
@@ -192,6 +201,9 @@ func (l *LLD) CheckInvariants() []string {
 	// replica), cannot be re-derived and is passed over.
 	for i := range l.segs {
 		s := &l.segs[i]
+		if s.state == segLive && s.names == nil && s.ts > l.ckptTS {
+			bad("segment %d stamped %d, above the checkpoint floor %d, has no names in memory", i, s.ts, l.ckptTS)
+		}
 		if s.state != segLive || s.names == nil {
 			continue
 		}

@@ -100,11 +100,12 @@ const (
 // (paper §3), the write timestamp of the segment's newest summary — its age
 // to the victim rule, and an upper bound on every record in it to the
 // re-log — and what that summary names (nil while the segment is free or
-// open, and on a segment mounted from a clean-shutdown checkpoint until the
-// cleaner first needs it: summaryNames).
+// open, and on a segment sealed before the newest checkpoint that this
+// instance has not decoded: the cleaner needs none of it, cleanSegment).
 type segInfo struct {
 	live  int64
 	ts    uint64
+	seq   uint32 // open sequence number of the generation it holds (0 when unknown)
 	state uint8
 	names *sumNames
 }
@@ -113,6 +114,8 @@ type segInfo struct {
 // (paper §3: exactly one).
 type openSegment struct {
 	id        int
+	seq       uint32 // open sequence number, the one after the segment opened before it (nextSeq)
+	next      uint32 // the successor its summary names (noSegment for none)
 	firstTS   uint64 // l.ts when opened: every record in here has a larger ts
 	buf       []byte
 	dataOff   int
@@ -172,9 +175,8 @@ type Stats struct {
 	SegmentsCleaned int64
 	BlocksMoved     int64
 	SnapshotTuples  int64 // facts re-logged by the cleaner
-	CleanReads      int64 // backend requests the cleaner issued: live extents, and summary loads
+	CleanReads      int64 // backend requests the cleaner issued: the live extents it moved
 	CleanReadBytes  int64 // bytes those requests read
-	SummaryLoads    int64 // victims whose summary had to be read back; 0 on an instance mounted by the sweep
 
 	// Read by bench/layers.go; delete with the next benchmark PR. There is
 	// one open segment sealed inline, one lock over the block map and no
@@ -195,7 +197,7 @@ type Stats struct {
 
 	Flushes        int64
 	ARUs           int64
-	Consolidations int64 // consolidation checkpoints written by the cleaner
+	Consolidations int64 // checkpoints written while running: periodic, early, futile cleaning, after a mount (cleaner.go checkpoint)
 
 	RecoverySweepSegments int64 // summaries read by the last sweep
 	RecoveryAnomalies     int64 // defensive-replay oddities
@@ -313,11 +315,27 @@ type LLD struct {
 	lastSealDur time.Duration
 	compressCPU time.Duration
 
-	// Consolidation-checkpoint state: records with ts <= ckptTS are covered
-	// by the newest on-disk checkpoint and may be dropped by the cleaner.
+	// Checkpoint state: records with ts <= ckptTS are covered by the newest
+	// on-disk checkpoint and may be dropped by the cleaner.
 	ckptTS   uint64
 	ckptSlot int
 	futility int // consecutive cleanings with no net free-space gain
+
+	// The log's chain (recovery.go "The chain"). openSeq is the open
+	// sequence number of the segment opened last, and succ the free segment
+	// the log opens next, which the open segment's summary names as its
+	// successor (-1 when the pool was empty at the open). The newest
+	// checkpoint's chain starts at the segment opened with sequence number
+	// ckptSeq (0: it names no start), so a segment with a sequence number at
+	// or after it was opened since (inChain). held are such segments the
+	// cleaner freed: they stay cooling until a newer checkpoint is durable
+	// (the reuse rule), so no link a mount may follow is overwritten.
+	// sealsSinceCkpt counts seals toward the next periodic checkpoint.
+	openSeq        uint32
+	succ           int
+	ckptSeq        uint32
+	held           []int
+	sealsSinceCkpt int
 
 	// Pending abort fence: set by recoverSweep when it discards an
 	// incomplete ARU, emitted by Open as the boot's first record.
@@ -377,6 +395,15 @@ func Format(dsk disk.Backend, opts Options) error {
 			}
 		}
 	}
+	// The clean-shutdown checkpoint of an empty LD: the first mount is a
+	// clean mount, and the checkpoint names where the log's chain starts,
+	// the segment the first open takes, for a crash mount to follow.
+	l := newInstance(dsk, opts, lay)
+	l.rebuildFreeSegments()
+	l.succ = l.freeSegs[len(l.freeSegs)-1]
+	if err := l.writeCheckpoint(true); err != nil {
+		return err
+	}
 	// A format must survive power loss on a write-caching backend: half a
 	// format is a disk whose stale summaries can resurrect dead metadata.
 	if s, ok := dsk.(disk.Syncer); ok {
@@ -388,15 +415,26 @@ func Format(dsk disk.Backend, opts Options) error {
 // Open attaches to a formatted disk. Geometry comes from the superblock;
 // runtime policy (compression model, NVRAM) comes
 // from opts. If a valid clean-shutdown checkpoint exists it is loaded and
-// invalidated; otherwise the state is rebuilt by the one-sweep recovery of
-// paper §3.6.
+// invalidated; otherwise the newest checkpoint is loaded and what the log
+// wrote since is replayed over it (recovery.go), by the one-sweep recovery
+// of paper §3.6 when that cannot be told.
 func Open(dsk disk.Backend, opts Options) (*LLD, error) {
 	return open(dsk, opts, (*LLD).verifyRecoveredData, false)
 }
 
+// OpenFullSweep is Open that recovers by paper §3.6's one sweep: it probes
+// every segment's summary, whatever the newest checkpoint's chain says, and
+// replays what is newer than that checkpoint. It recovers what Open does,
+// at the cost of reading the whole disk's summaries.
+func OpenFullSweep(dsk disk.Backend, opts Options) (*LLD, error) {
+	return open(dsk, opts, (*LLD).verifyRecoveredData, true)
+}
+
 // open is Open with the sweep's data read-back as a parameter (see
-// recoverSweep). With sweep set, a clean-shutdown checkpoint is only the
-// sweep's floor, as after a crash that follows a clean restart (Verify).
+// recoverSweep). With sweep set the mount probes every segment's summary,
+// whatever the checkpoint's chain says, and a clean-shutdown checkpoint is
+// only the sweep's floor, as after a crash that follows a clean restart
+// (Verify).
 func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*LLD, error) {
 	sector := make([]byte, dsk.SectorSize())
 	// On a redundant backend, accept any replica whose superblock decodes:
@@ -428,39 +466,41 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 		return nil, err
 	}
 
-	l := &LLD{
-		dsk:       dsk,
-		opts:      opts,
-		lay:       lay,
-		blocks:    []blockInfo{{seg: -1}},
-		nextFresh: 1,
-		lists:     make(map[ld.ListID]*listInfo),
-		deadLists: make(map[ld.ListID]uint64),
-		nextList:  1,
-		segs:      make([]segInfo, lay.nSegments),
-		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
-		victim:    -1,
-		utilLimit: utilizationLimit,
-	}
-
+	l := newInstance(dsk, opts, lay)
 	found, complete, err := l.loadCheckpoint()
 	if err != nil {
 		return nil, err
 	}
 	switch {
 	case !found:
-		if err := l.recoverSweep(0, false, verifyData); err != nil {
+		if err := l.recoverSweep(0, false, verifyData, "no valid checkpoint"); err != nil {
 			return nil, err
 		}
-	case !complete || sweep:
-		// Consolidation checkpoint: it is a floor, not the full story —
-		// sweep the summaries and replay everything newer.
-		if err := l.recoverSweep(l.ckptTS, true, verifyData); err != nil {
+	case sweep:
+		if err := l.recoverSweep(l.ckptTS, true, verifyData, "asked for"); err != nil {
+			return nil, err
+		}
+	case !complete:
+		// The checkpoint is a floor, not the full story: replay everything
+		// newer, from the segments its chain leads through.
+		if err := l.recoverSweep(l.ckptTS, true, verifyData, ""); err != nil {
 			return nil, err
 		}
 	}
 	l.rebuildFreeSegments()
 	l.finalizeIntegrity()
+	if l.succ < 0 || l.segs[l.succ].state != segFree {
+		// The log cannot go on where the newest checkpoint's chain ends (it
+		// was broken, or names a segment not free): start a new chain before
+		// anything is written.
+		l.succ = -1
+		if n := len(l.freeSegs); n > 0 {
+			l.succ = l.freeSegs[n-1]
+		}
+		if err := l.checkpoint(); err != nil {
+			return nil, err
+		}
+	}
 	if l.fenceHi != 0 {
 		// The sweep discarded an incomplete atomic recovery unit whose
 		// records remain readable in sealed summaries. Make the dead window
@@ -481,6 +521,25 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 		l.fenceLo, l.fenceHi = 0, 0
 	}
 	return l, nil
+}
+
+// newInstance returns an LLD holding no state over a disk of layout lay.
+func newInstance(dsk disk.Backend, opts Options, lay layout) *LLD {
+	return &LLD{
+		dsk:       dsk,
+		opts:      opts,
+		lay:       lay,
+		blocks:    []blockInfo{{seg: -1}},
+		nextFresh: 1,
+		lists:     make(map[ld.ListID]*listInfo),
+		deadLists: make(map[ld.ListID]uint64),
+		nextList:  1,
+		segs:      make([]segInfo, lay.nSegments),
+		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
+		victim:    -1,
+		utilLimit: utilizationLimit,
+		succ:      -1,
+	}
 }
 
 // rebuildFreeSegments derives the free-segment pool from the usage table.

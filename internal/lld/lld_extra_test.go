@@ -184,7 +184,7 @@ func TestRecoveryWithTornCheckpoint(t *testing.T) {
 	// Tear the checkpoint write itself.
 	d.InjectCrashAfterSectors(1)
 	l.mu.Lock()
-	err := l.consolidate()
+	err := l.checkpoint()
 	l.mu.Unlock()
 	if err == nil {
 		t.Fatal("torn checkpoint write should error")

@@ -139,13 +139,15 @@ func TestMountReadsBackOnlyTheUndurableTail(t *testing.T) {
 
 // A drive with a volatile cache that lld never drained has vouched for
 // nothing: the mark found is 0 and the read-back visits every mapped block,
-// as it did before there was a mark.
+// as it did before there was a mark. lld drains before a segment's first
+// summary write, so the first segment's seal is the last write nothing
+// drained before.
 func TestNeverDrainedCacheIsVerifiedInFull(t *testing.T) {
 	r, l := newCachedLLD(t, 4<<20, testOptions())
 	pristine := r.plat.Snapshot()
-	ids, want := fillBlocks(t, l, 30)
-	if s := l.Stats(); s.SegmentsSealed < 4 || s.DurableMark != 0 {
-		t.Fatalf("%d seals, running mark %d; want several seals and no drain", s.SegmentsSealed, s.DurableMark)
+	ids, want := fillBlocks(t, l, 6) // one 24-KB data area
+	if s := l.Stats(); s.SegmentsSealed != 1 || s.DurableMark != 0 {
+		t.Fatalf("%d seals, running mark %d; want one seal and no drain", s.SegmentsSealed, s.DurableMark)
 	}
 	if err := l.Shutdown(false); err != nil {
 		t.Fatal(err)
@@ -264,7 +266,7 @@ func TestMarkStopsBelowAQuarantinedSegment(t *testing.T) {
 	r, l := newCachedLLD(t, 4<<20, testOptions())
 	pristine := r.plat.Snapshot()
 	ids, _ := fillBlocks(t, l, 30)
-	victim := ids[len(ids)/2]
+	victim := ids[len(ids)-3] // in the last segment sealed: nothing drained it
 	seg := int(l.blocks[victim].seg)
 	off := platterOff(l, victim)
 	if err := l.Shutdown(false); err != nil {

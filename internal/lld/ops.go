@@ -561,10 +561,9 @@ func (l *LLD) MoveBlocks(first, last ld.BlockID, srcList, dstList ld.ListID, pre
 		l.aruOpen = false
 		if err == nil {
 			l.emitTuple(tCommit)
-			for range l.pendingARU {
-				l.coolingTS = append(l.coolingTS, l.ts)
+			for _, id := range l.pendingARU {
+				l.cool(id)
 			}
-			l.cooling = append(l.cooling, l.pendingARU...)
 			l.pendingARU = l.pendingARU[:0]
 		}
 	}
@@ -684,10 +683,9 @@ func (l *LLD) EndARU() error {
 	l.stats.ARUs++
 	// Segments freed during the unit may now cool; they become reusable
 	// once everything logged so far (the commit tuple included) is durable.
-	for range l.pendingARU {
-		l.coolingTS = append(l.coolingTS, l.ts)
+	for _, id := range l.pendingARU {
+		l.cool(id)
 	}
-	l.cooling = append(l.cooling, l.pendingARU...)
 	l.pendingARU = l.pendingARU[:0]
 	return nil
 }

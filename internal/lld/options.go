@@ -7,10 +7,14 @@
 // entry per physical block in the segment plus "link tuples" recording list
 // operations, all timestamped and tagged with a commit bit for atomic
 // recovery units. The block-number map, list table and segment usage table
-// live entirely in main memory (paper §3.4) and are rebuilt after a crash
-// by a single sweep over the segment summaries (paper §3.6); no checkpoints
-// are taken during normal operation. A clean shutdown serializes the state
-// into a checkpoint region for fast restart.
+// live entirely in main memory (paper §3.4). Paper §3.6 rebuilds them after
+// a crash by one sweep over every segment summary and takes no checkpoints;
+// here a checkpoint is written every checkpointEvery seals (≈ 64 MB of log
+// at 512-KB segments; every quarter of the disk's segments on a disk that
+// has fewer than four times that), each summary names the segment the log opens next, and a crash mount replays
+// the summaries of the segments written since the newest checkpoint,
+// falling back to the full sweep when that chain cannot be vouched for. A
+// clean shutdown serializes the state into a checkpoint for fast restart.
 //
 // The implementation also provides the paper's partial-segment strategy
 // (§3.2: below a fill threshold a flushed segment is written but kept in
@@ -73,11 +77,13 @@ type Options struct {
 	// block moves and its fact re-log ("clean.moved"), after the re-log
 	// ("clean.relogged"), around ReclaimQuarantined's evidence-slot clears
 	// ("reclaim.preclear", "reclaim.midclear", "reclaim.postclear"), after
-	// a scrub salvage append ("scrub.salvage"), before a consolidation
-	// checkpoint ("consolidate"), between a seal's data request and its
-	// summary request when they are two ("seal.data"), and after the drain
-	// that advances the durable watermark, before any summary advertises
-	// it ("mark.advanced"). The torture harness (internal/torture) installs
+	// a scrub salvage append ("scrub.salvage"), before every checkpoint
+	// write, whatever took it ("checkpoint"), between a seal's data request
+	// and its summary request when they are two ("seal.data"), after the
+	// drain that advances the durable watermark, before any summary
+	// advertises it ("mark.advanced"), and before a summary write that
+	// extends a chain leading through a segment recovery quarantined
+	// ("chain.quarantined"). The torture harness (internal/torture) installs
 	// a hook that cuts simulated power at a scheduled occurrence. The
 	// hook runs with the instance lock held and must not call back into
 	// the LLD. A runtime knob, never written to disk.
@@ -218,6 +224,9 @@ func computeLayout(capacity int64, sectorSize int, o Options) (layout, error) {
 	l.nSegments = int((capacity - dataStart) / int64(o.SegmentSize))
 	if l.nSegments < 4 {
 		return layout{}, fmt.Errorf("lld: disk too small after metadata: %d segments", l.nSegments)
+	}
+	if l.nSegments >= noSegment {
+		return layout{}, fmt.Errorf("lld: %d segments, a summary names at most %d", l.nSegments, noSegment-1)
 	}
 	return l, nil
 }

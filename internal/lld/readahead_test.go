@@ -173,6 +173,12 @@ func TestReadaheadWindowDiesWithItsSegment(t *testing.T) {
 	if err := cleanVictim(l, s); err != nil {
 		t.Fatal(err)
 	}
+	l.mu.Lock()
+	err := l.checkpoint() // S was opened since the last one: this releases it
+	l.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	filler := mustNewList(t, l, ld.NilList, ld.ListHints{})
 	put := func(lid ld.ListID, p []byte) ld.BlockID {

@@ -77,32 +77,27 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 
 	// The surviving summary slot may hold the newest durable record of a
 	// block's existence or a list's linkage — salvage only re-homed the
-	// payloads. Restate those facts in the open log before the slot is
-	// destroyed, exactly as the cleaner does for its victims; otherwise a
-	// crash after reclaim would recover the salvaged blocks unallocated.
-	sumRegion := make([]byte, 2*l.lay.summarySize)
-	for _, seg := range reclaimable {
-		if err := l.dskRead(sumRegion, l.lay.sumOff(seg, 0)); err != nil {
-			return res, err
-		}
-		si, err := decodeNewestSummary(sumRegion, l.lay, seg)
-		if err != nil {
-			continue // both slots rotted: recovery learned nothing from them
-		}
-		if err := l.relogSummaryFacts(newSumNames(si.entries, si.tuples), si.writeTS); err != nil {
-			return res, err
-		}
-	}
-
-	// Salvage records (this call's or an earlier Scrub's) may still sit in
-	// the open segment; force them durable before destroying the evidence.
-	// "Durable" must survive a volatile write cache too, hence the Sync:
-	// a power loss may otherwise persist the zeroed slots (below) while
-	// dropping the re-logged facts that justified zeroing them.
+	// payloads — and salvage records (this call's or an earlier Scrub's)
+	// may still sit in the open segment. A checkpoint holds every such fact
+	// and is durable before the evidence is destroyed ("durable" must
+	// survive a volatile write cache too: a power loss may otherwise persist
+	// the zeroed slots below while dropping what justified zeroing them). It
+	// records the segments free, and starts a chain that does not lead
+	// through them: one opened since the last checkpoint is a link recovery
+	// follows (recovery.go "The chain"). A crash from here on finds them
+	// free, whatever their slots hold, and a rotted slot of a free segment at
+	// or below the checkpoint is only cleared.
 	if err := l.writePartial(); err != nil {
 		return res, err
 	}
-	if err := l.dskSync(); err != nil {
+	for _, seg := range reclaimable {
+		l.segs[seg] = segInfo{state: segFree}
+		l.freeSegs = append(l.freeSegs, seg)
+		res.Reclaimed = append(res.Reclaimed, seg)
+		l.stats.QuarantinedSegments--
+		l.stats.ReclaimedSegments++
+	}
+	if err := l.checkpoint(); err != nil {
 		return res, err
 	}
 	l.crashPoint("reclaim.preclear")
@@ -115,20 +110,10 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 			l.crashPoint("reclaim.midclear")
 		}
 	}
-	// The zeroed slots must be durable before the segments rejoin the
-	// free pool: a reused segment overwrites the old evidence bytes, and
-	// a crash that had kept the zeroing in a volatile cache would then
-	// resurrect stale quarantine evidence on top of the new data. On a
-	// sync failure the segments simply stay quarantined — sticky, safe.
+	// The zeroed slots are durable before the segments can be reused, so a
+	// crash cannot resurrect the evidence on top of new data.
 	if err := l.dskSync(); err != nil {
 		return res, err
-	}
-	for _, seg := range reclaimable {
-		l.segs[seg] = segInfo{state: segFree}
-		l.freeSegs = append(l.freeSegs, seg)
-		res.Reclaimed = append(res.Reclaimed, seg)
-		l.stats.QuarantinedSegments--
-		l.stats.ReclaimedSegments++
 	}
 	l.crashPoint("reclaim.postclear")
 	return res, nil

@@ -22,6 +22,7 @@ func TestReclaimQuarantinedRestoresCapacity(t *testing.T) {
 		t.Fatal("setup: need degraded blocks")
 	}
 
+	floor := l2.ckptTS
 	res, err := l2.ReclaimQuarantined()
 	if err != nil {
 		t.Fatalf("reclaim: %v", err)
@@ -56,10 +57,10 @@ func TestReclaimQuarantinedRestoresCapacity(t *testing.T) {
 		t.Fatalf("ReclaimedSegments = %d, want 1", st.ReclaimedSegments)
 	}
 	// Salvage re-homed the payloads; the blocks' existence and linkage,
-	// which the quarantined slot was the last to state, were restated from
-	// the slot's names before it was zeroed.
-	if st.SnapshotTuples == 0 {
-		t.Fatal("reclaim restated none of the facts in the slot it destroyed")
+	// which the quarantined slot was the last to state, are in the
+	// checkpoint written before it was zeroed.
+	if l2.ckptTS <= floor {
+		t.Fatal("reclaim zeroed the slot with no checkpoint to hold the facts it stated")
 	}
 	for _, b := range rep.DegradedBlocks {
 		if got := mustRead(t, l2, b); !bytes.Equal(got, want[b]) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -12,10 +13,13 @@ import (
 	"repro/internal/ld"
 )
 
-// One-sweep recovery (paper §3.6): after a failure LLD reads all segment
-// summaries in a single sweep over the disk and rebuilds the block-number
-// map, the list table, and the segment usage table from the records stored
-// therein. No checkpoints are taken during normal operation.
+// Recovery (paper §3.6): after a failure LLD reads segment summaries and
+// rebuilds the block-number map, the list table, and the segment usage
+// table from the records stored therein. The paper reads every summary on
+// the disk in one sweep. Here the newest checkpoint is loaded and only the
+// summaries of the segments opened since are read, found by following the
+// chain each summary's successor link makes (recoverSweep); the one sweep
+// stays for when that chain cannot be vouched for, and for Verify.
 //
 // Every record is a self-contained set of absolute field assignments
 // (block existence/membership, successor pointer, data location, list
@@ -134,16 +138,19 @@ func (l *LLD) probeSegment(i int, sum []byte) (segProbe, error) {
 // read happens to serve, and leaves the losing generation in place to
 // resurface on a later mount or in the offline checker. This scans every
 // live replica for the newest copy parse accepts, then checks every live
-// replica again pinned to that generation (VerifyReplicas, not a read that
-// stops at the first copy passing), so the copy lands in buf and each
-// replica holding an older generation or garbage is healed to it,
+// replica again pinned to that copy byte for byte (VerifyReplicas, not a
+// read that stops at the first copy passing), so the copy lands in buf and
+// each replica holding an older generation, garbage, or the same
+// generation over other leftover bytes past its end is healed to it,
 // converging the image. Returns found=false (nil error) when no replica
 // holds a parseable copy.
 func (l *LLD) metaNewestAcross(mr disk.MultiReader, buf []byte, off int64, parse func([]byte) (uint64, bool)) (found bool, err error) {
 	var bestTS uint64
+	best := make([]byte, len(buf))
 	_, scanErr := mr.VerifyReplicas(buf, off, func(b []byte) bool {
 		if ts, ok := parse(b); ok && (!found || ts > bestTS) {
 			bestTS, found = ts, true
+			copy(best, b)
 		}
 		return false // scan only: stamp every copy, adopt and heal below
 	})
@@ -153,10 +160,7 @@ func (l *LLD) metaNewestAcross(mr disk.MultiReader, buf []byte, off int64, parse
 		}
 		return false, nil
 	}
-	healed, err := mr.VerifyReplicas(buf, off, func(b []byte) bool {
-		ts, ok := parse(b)
-		return ok && ts == bestTS
-	})
+	healed, err := mr.VerifyReplicas(buf, off, func(b []byte) bool { return bytes.Equal(b, best) })
 	if healed > 0 {
 		atomic.AddInt64(&l.stats.DegradedReads, 1)
 		atomic.AddInt64(&l.stats.SelfHeals, int64(healed))
@@ -234,36 +238,66 @@ func (l *LLD) probeSegmentMulti(mr disk.MultiReader, i int, sum []byte) (segProb
 	return p, nil
 }
 
-// sweepSummaries reads and probes every segment's summary slots in
-// ascending segment order, so every mount of the same image issues the
-// same reads in the same order on every backend. decodeSummary copies
-// everything out of the shared read buffer. A non-media read error ends
-// the sweep.
-func (l *LLD) sweepSummaries() ([]segProbe, error) {
-	lay := l.lay
-	results := make([]segProbe, lay.nSegments)
-	sum := make([]byte, 2*lay.summarySize)
-	for i := range results {
-		p, err := l.probeSegment(i, sum)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = p
+// walkChain follows the log's chain from the segment the checkpoint names,
+// seg, opened with sequence number seq: each segment whose newest summary
+// shows the sequence number the walk expects belongs to it, and names the
+// next. probe reads (or looks up) a segment's summaries. The walk stops at
+// the first segment that does not show it: one the log never opened again.
+// It returns that segment and the sequence number the log opens it with,
+// and how many segments it followed. A non-empty reason says the walk cannot
+// vouch that it met every segment written since the checkpoint, so the
+// mount must probe them all.
+func (l *LLD) walkChain(seg int, seq uint32, floor uint64, probe func(int) (*segProbe, error)) (tail int, tailSeq uint32, n int, reason string, err error) {
+	if seg < 0 {
+		return -1, 0, 0, "the checkpoint names no chain start", nil
 	}
-	return results, nil
+	for ; n <= l.lay.nSegments; n++ {
+		p, err := probe(seg)
+		if err != nil {
+			return -1, 0, n, "", err
+		}
+		switch {
+		case p.unreadable:
+			return -1, 0, n, fmt.Sprintf("segment %d's summary is unreadable", seg), nil
+		case p.si != nil && p.si.seq == seq:
+			if p.si.next == noSegment {
+				return -1, 0, n, fmt.Sprintf("segment %d names no successor", seg), nil
+			}
+			seg, seq = int(p.si.next), nextSeq(seq)
+			continue
+		case p.si != nil && seqAtOrAfter(p.si.seq, seq):
+			return -1, 0, n, fmt.Sprintf("segment %d was opened again since the checkpoint (sequence %d, not %d)", seg, p.si.seq, seq), nil
+		case p.suspectTS > floor:
+			// A torn summary of the generation the walk expects: the log
+			// may have gone on past it, and the successor it named is lost.
+			return -1, 0, n, fmt.Sprintf("segment %d's summary is torn where the chain ends", seg), nil
+		}
+		return seg, seq, n, "", nil
+	}
+	return -1, 0, n, "the chain is longer than the disk", nil
 }
 
-// recoverSweep reads all summaries and rebuilds the state. floor is the
-// newest consolidation-checkpoint timestamp: records at or below it are
-// already reflected in the checkpoint-loaded state (seeded=true), are
-// skipped, and the rest are replayed over that state. With no checkpoint,
-// floor is 0 and the sweep starts empty.
+// recoverSweep reads the summaries written since the checkpoint and
+// rebuilds the state. floor is the newest checkpoint's timestamp: records at
+// or below it are already reflected in the checkpoint-loaded state
+// (seeded=true), are skipped, and the rest are replayed over that state.
+// With no checkpoint, floor is 0 and the sweep starts empty.
+//
+// The chain. Every segment the log opened since the checkpoint is on the
+// chain that starts where the checkpoint says (walkChain), so the mount
+// probes those and takes every other segment's state from the checkpoint.
+// full, when not empty, is why the mount must instead probe every segment,
+// in ascending order, as paper §3.6 does; so must a mount whose walk cannot
+// vouch for the chain. The full sweep is always correct: the chain and the
+// reuse rule (segment.go cool) only make it unnecessary. What the log opens
+// next, where the chain ends, is left in l.succ and l.openSeq (l.succ -1
+// when the chain cannot be continued).
 //
 // verifyData is the read-back of mapped payloads that ends the sweep:
 // verifyRecoveredData, which leaves out the segments trusted reports (Verify's
 // trusts none), or the per-block pass tests hold it against, which leaves out
 // none.
-func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) error {
+func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, full string) error {
 	lay := l.lay
 	began := l.dsk.Now()
 
@@ -271,12 +305,57 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 		si *summaryInfo
 		id int
 	}
-	decoded, err := l.sweepSummaries()
-	if err != nil {
-		return err
+	// decoded holds what the probes found, by segment; a segment not probed
+	// reads as empty, which keeps its checkpoint state. decodeSummary copies
+	// everything out of the shared read buffer. A non-media read error ends
+	// the mount.
+	decoded := make([]segProbe, lay.nSegments)
+	sum := make([]byte, 2*lay.summarySize)
+	probes := 0
+	probe := func(i int) (*segProbe, error) {
+		p, err := l.probeSegment(i, sum)
+		decoded[i] = p
+		probes++
+		return &decoded[i], err
 	}
-	l.stats.RecoverySweepSegments += int64(lay.nSegments)
-	report := RecoveryReport{SweptSegments: lay.nSegments}
+	report := RecoveryReport{CheckpointTS: floor}
+	start, startSeq := l.succ, l.ckptSeq
+	tail, tailSeq := -1, uint32(0)
+	// walked marks the segments the walk met; vouched, that it met every
+	// segment the log opened since the checkpoint.
+	walked := make([]bool, lay.nSegments)
+	walk := func(probe func(int) (*segProbe, error)) (string, error) {
+		var reason string
+		var err error
+		tail, tailSeq, report.ChainSegments, reason, err = l.walkChain(start, startSeq, floor, func(i int) (*segProbe, error) {
+			walked[i] = true
+			return probe(i)
+		})
+		return reason, err
+	}
+	if full == "" {
+		var err error
+		if full, err = walk(probe); err != nil {
+			return err
+		}
+	}
+	vouched := full == ""
+	if full != "" {
+		report.FullSweep = full
+		for i := range decoded {
+			if _, err := probe(i); err != nil {
+				return err
+			}
+		}
+		// Where the log goes on, if the chain can still be followed.
+		reason, _ := walk(func(i int) (*segProbe, error) { return &decoded[i], nil })
+		report.ChainSegments = 0
+		if vouched = reason == ""; !vouched {
+			tail = -1
+		}
+	}
+	l.stats.RecoverySweepSegments += int64(probes)
+	report.SweptSegments = probes
 
 	// lastValid is the newest write timestamp any intact summary (or the
 	// checkpoint) acknowledges. It is the pivot of the torn-vs-rot
@@ -289,7 +368,10 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 	// every record stamped at or below it was on the platter before that
 	// summary was written, whichever boot wrote it.
 	lastValid := floor
-	var mark uint64
+	mark := l.durableMark // the checkpoint's, 0 without one
+	// maxSeq is the latest sequence number a probed summary shows.
+	var maxSeq uint32
+	seen := false
 	for i := range decoded {
 		if decoded[i].divergent {
 			report.DivergentSegments++
@@ -303,6 +385,9 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 		}
 		if si.mark > mark {
 			mark = si.mark
+		}
+		if !seen || !seqAtOrAfter(maxSeq, si.seq) {
+			maxSeq, seen = si.seq, true
 		}
 	}
 	l.durableMark = mark
@@ -318,9 +403,11 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 		switch {
 		case p.unreadable:
 			// The media refused a summary slot. If the checkpoint knows the
-			// segment is free, nothing durable lived there; otherwise the
-			// slot may have held the newest acknowledged records.
-			if !seeded || l.segs[i].state != segFree {
+			// segment is free and the log has not opened it since (the chain
+			// never led there, and the walk met every segment opened since),
+			// nothing durable lived there; otherwise the slot may have held
+			// the newest acknowledged records.
+			if !seeded || l.segs[i].state != segFree || walked[i] || !vouched {
 				quarantine, reason = true, "summary slot unreadable"
 			}
 		case p.suspectTS > floor && p.suspectTS <= lastValid &&
@@ -344,6 +431,9 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 				ts = si.writeTS
 			}
 			l.segs[i] = segInfo{state: segQuarantined, ts: ts}
+			if si != nil {
+				l.segs[i].seq = si.seq
+			}
 			report.QuarantinedSegments = append(report.QuarantinedSegments,
 				QuarantinedSegment{Seg: i, Reason: reason})
 			// A surviving older slot is a strict prefix of the lost newer
@@ -376,7 +466,7 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 			continue
 		}
 		summaries = append(summaries, segRecord{si: si, id: i})
-		l.segs[i] = segInfo{state: segLive, ts: si.writeTS}
+		l.segs[i] = segInfo{state: segLive, ts: si.writeTS, seq: si.seq}
 	}
 	if len(toZero) > 0 {
 		zero := make([]byte, lay.summarySize)
@@ -504,7 +594,7 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 	// open segment is the only place lld writes data, a cleaned segment is
 	// reused only after a drain made every re-homed copy durable, and the
 	// boundary sector a later append rewrites carries its old bytes however
-	// it tears. That holds below the consolidation floor too: what a seal
+	// it tears. That holds below the checkpoint floor too: what a seal
 	// can tear there is the sector it is appending into, in a segment that
 	// is by construction above the mark. A segment that showed a suspect
 	// slot had something in flight and is read whatever its stamp.
@@ -524,6 +614,11 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc) err
 	}
 	report.DiscardedRecords = discarded
 	l.recReport = report
+	if tail >= 0 && (!seen || !seqAtOrAfter(maxSeq, tailSeq)) {
+		l.succ, l.openSeq = tail, tailSeq-1
+	} else if l.succ = -1; seen && !seqAtOrAfter(l.openSeq, maxSeq) {
+		l.openSeq = maxSeq
+	}
 	return nil
 }
 

@@ -339,14 +339,16 @@ func TestReplayPlacesListsAfterAMovedDeadList(t *testing.T) {
 		rec(tNewList, 5, l3, l1, 0),
 	}
 	seg := make([]byte, lay.segmentSize)
-	used, err := encodeSummary(seg, lay, 0, 5, 0, true, 0, nil, tuples)
+	used, err := encodeSummary(seg, lay, 0, 5, 0, 1, noSegment, true, 0, nil, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WriteAt(seg[lay.dataCap():lay.dataCap()+used], lay.sumOff(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(d, o)
+	// Format's checkpoint is a shutdown one, which Open would take as the
+	// whole story: the sweep replays what lies past it.
+	l, err := OpenFullSweep(d, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,14 @@ func (e *NoSpaceError) Error() string {
 
 func (e *NoSpaceError) Unwrap() error { return ld.ErrNoSpace }
 
-// openNewSegment takes a free segment and makes it the fill target.
-// Callers hold l.mu and must have ensured a free segment exists.
+// openNewSegment takes a free segment and makes it the fill target: the
+// successor the segment opened before it named, and it names the next one
+// (linkSuccessor). That link is what recovery follows from the checkpoint
+// (recovery.go "The chain"). Only a segment that wrote all its images while
+// the free pool was empty names no successor; the segment opened after it
+// is linked from nothing, so the next seal takes a checkpoint that starts
+// the chain again. Callers hold l.mu and must have ensured a free segment
+// exists.
 func (l *LLD) openNewSegment() error {
 	if l.cur != nil {
 		return fmt.Errorf("lld: internal: segment already open")
@@ -32,10 +38,19 @@ func (l *LLD) openNewSegment() error {
 	if len(l.freeSegs) == 0 {
 		return fmt.Errorf("%w: no free segments", ld.ErrNoSpace)
 	}
-	id := l.freeSegs[len(l.freeSegs)-1]
-	l.freeSegs = l.freeSegs[:len(l.freeSegs)-1]
+	i := len(l.freeSegs) - 1
+	if j := slices.Index(l.freeSegs, l.succ); l.succ >= 0 && j >= 0 {
+		i = j
+	} else {
+		l.sealsSinceCkpt = checkpointEvery
+	}
+	id := l.freeSegs[i]
+	l.freeSegs = slices.Delete(l.freeSegs, i, i+1)
+	l.openSeq = nextSeq(l.openSeq)
+	l.succ = -1
 	l.segs[id].state = segOpen
 	l.segs[id].live = 0
+	l.segs[id].seq = l.openSeq
 	// The only place a sealed segment's bytes start to change: a read-ahead
 	// window over them would go on serving the retired generation's.
 	l.ra.drop(id)
@@ -48,12 +63,28 @@ func (l *LLD) openNewSegment() error {
 	}
 	l.cur = &openSegment{
 		id:      id,
+		seq:     l.openSeq,
+		next:    noSegment,
 		firstTS: l.ts,
 		buf:     l.fillBuf,
 		sumSize: summaryHeaderSize,
 		slotSeq: [2]int64{-1, -1},
 	}
+	l.linkSuccessor(l.cur)
 	return nil
+}
+
+// linkSuccessor names, when cur names none yet, the segment the log opens
+// after it: the top of the free pool, which stays in the pool until it
+// opens. It runs at the open and again before each summary write, so a
+// segment opened on an empty pool is linked once cleaning refills it; an
+// older image that names none only sends a mount that reads it to the full
+// sweep. Callers hold l.mu.
+func (l *LLD) linkSuccessor(cur *openSegment) {
+	if n := len(l.freeSegs); cur.next == noSegment && l.succ < 0 && n > 0 {
+		l.succ = l.freeSegs[n-1]
+		cur.next = uint32(l.succ)
+	}
 }
 
 // ensureRoom guarantees the open segment can absorb dataLen more data bytes
@@ -96,6 +127,9 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 			return err
 		}
 		if l.cur == nil {
+			if err := l.refillFromHeld(); err != nil {
+				return err
+			}
 			if err := l.openNewSegment(); err != nil {
 				return err
 			}
@@ -343,6 +377,28 @@ func (l *LLD) guardSlotOverwrite(cur *openSegment, slot int) error {
 	return l.dskSync()
 }
 
+// guardFirstImage drains a volatile write cache before the first summary
+// write of a segment generation. The summary that names it as successor must
+// reach the platter first: a power loss that kept this one and dropped that
+// one would leave the segment written but linked from nothing, and recovery
+// follows the links (recovery.go "The chain"). Callers hold l.mu.
+func (l *LLD) guardFirstImage(cur *openSegment) error {
+	if cur.slotSeq[0] >= 0 || cur.slotSeq[1] >= 0 {
+		return nil // an earlier image of this generation was written
+	}
+	// The scan only finds where the crash site fires: without a hook it is
+	// skipped.
+	for i := 0; l.opts.CrashHook != nil && i < len(l.segs); i++ {
+		if l.segs[i].state == segQuarantined && l.inChain(i) {
+			// The chain this write extends leads through a segment recovery
+			// set aside.
+			l.crashPoint("chain.quarantined")
+			break
+		}
+	}
+	return l.dskSync()
+}
+
 // sealSegment retires the open segment as a full segment (paper §3): the
 // summary is encoded and the image written inline, under l.mu. On a write
 // error the segment stays open — its buffer keeps serving reads — and a
@@ -353,7 +409,8 @@ func (l *LLD) sealSegment() error {
 		return nil
 	}
 	writeTS := l.nextTS()
-	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, true, cur.dataOff, cur.entries, cur.tuples)
+	l.linkSuccessor(cur)
+	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, cur.seq, cur.next, true, cur.dataOff, cur.entries, cur.tuples)
 	if err != nil {
 		return err
 	}
@@ -375,6 +432,9 @@ func (l *LLD) sealSegment() error {
 	through := cur.slot == 0 && dataBytes > from && dataCap-dataBytes <= deadGapMax
 	if through {
 		end = dataCap + used
+	}
+	if err := l.guardFirstImage(cur); err != nil {
+		return err
 	}
 	if err := l.guardSlotOverwrite(cur, cur.slot); err != nil {
 		return err
@@ -401,6 +461,9 @@ func (l *LLD) sealSegment() error {
 	l.cur = nil
 	l.stats.SegmentsSealed++
 	l.releaseCooling()
+	if l.sealsSinceCkpt++; l.sealsSinceCkpt >= l.checkpointPeriod() {
+		return l.checkpoint()
+	}
 	return nil
 }
 
@@ -428,7 +491,8 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 		return nil
 	}
 	writeTS := l.nextTS()
-	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, false, cur.dataOff, cur.entries, cur.tuples)
+	l.linkSuccessor(cur)
+	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, cur.seq, cur.next, false, cur.dataOff, cur.entries, cur.tuples)
 	if err != nil {
 		return err
 	}
@@ -443,6 +507,9 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 	// destroyed by a later write to the same segment (DESIGN §5 has the
 	// argument). An NVRAM write needs no overwrite guard: it replaces the
 	// slot durably and atomically.
+	if err := l.guardFirstImage(cur); err != nil {
+		return err
+	}
 	if !nvram {
 		if err := l.guardSlotOverwrite(cur, cur.slot); err != nil {
 			return err
@@ -538,9 +605,62 @@ func (l *LLD) retireSegment(id int) {
 	if l.aruOpen {
 		l.pendingARU = append(l.pendingARU, id)
 	} else {
+		l.cool(id)
+	}
+}
+
+// cool queues freed segment id for reuse. A segment of the newest
+// checkpoint's chain is held until a newer checkpoint is durable: reused
+// earlier, it would overwrite a link recovery follows (Sprite LFS's rule).
+// Any other becomes reusable once everything logged so far is durable
+// (releaseCooling). Callers hold l.mu.
+func (l *LLD) cool(id int) {
+	if l.inChain(id) {
+		l.held = append(l.held, id)
+		return
+	}
+	l.cooling = append(l.cooling, id)
+	l.coolingTS = append(l.coolingTS, l.ts)
+}
+
+// inChain reports whether segment id was opened since the newest
+// checkpoint's chain start.
+func (l *LLD) inChain(id int) bool {
+	s := l.segs[id].seq
+	return l.ckptSeq != 0 && s != 0 && seqAtOrAfter(s, l.ckptSeq)
+}
+
+// Open sequence numbers are 32 bits wide and wrap, skipping 0, which
+// stands for none; two of them compare by their distance.
+func nextSeq(s uint32) uint32 {
+	if s++; s == 0 {
+		s = 1
+	}
+	return s
+}
+
+func seqAtOrAfter(a, b uint32) bool { return int32(a-b) >= 0 }
+
+// refillFromHeld takes the checkpoint early when the free pool is empty
+// and only held segments would refill it, which releases them. Inside an
+// atomic recovery unit no checkpoint may be taken (it would capture half
+// the unit), so the held segments cool as any other: a crash before the
+// next checkpoint then finds a reused link, and recovery falls back to the
+// full sweep. Callers hold l.mu.
+func (l *LLD) refillFromHeld() error {
+	if len(l.freeSegs) > 0 || len(l.held) == 0 {
+		return nil
+	}
+	if !l.aruOpen {
+		return l.checkpoint()
+	}
+	for _, id := range l.held {
 		l.cooling = append(l.cooling, id)
 		l.coolingTS = append(l.coolingTS, l.ts)
 	}
+	l.held = l.held[:0]
+	l.releaseCooling()
+	return nil
 }
 
 // chargeCompression applies the modeled CPU cost accumulated for the

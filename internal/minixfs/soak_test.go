@@ -152,7 +152,11 @@ func soakLD(t *testing.T, seed int64, format func(*disk.Disk) ld.Disk,
 func soakLDConfig(t *testing.T, seed int64, offsetFiles bool, format func(*disk.Disk) ld.Disk,
 	reopen func(*disk.Disk, ld.Disk) ld.Disk) {
 	const generations = 10
-	d := disk.New(disk.DefaultConfig(24 << 20))
+	// Small enough that a generation's storm can empty LLD's free pool: a
+	// crash mount frees every dead segment its checkpoint covers, and on 24
+	// MB, with a checkpoint every quarter of the disk, no seed needed the
+	// cleaner.
+	d := disk.New(disk.DefaultConfig(8 << 20))
 	l := format(d)
 	be, err := minixfs.FormatLD(l, 4096, minixfs.LDConfig{PerFileLists: true})
 	if err != nil {

@@ -101,6 +101,11 @@ func (b *bstate) mayNotExist(degraded bool) bool {
 type model struct {
 	blocks map[ld.BlockID]*bstate
 	lists  map[ld.ListID]bool
+	// rotted is set while a scenario's mount of an image whose summary slot
+	// it rotted is checked (reclaimPhaseA): the records only that slot held
+	// are gone, so any acknowledged version of a block, or none, may be what
+	// survives, as on a degraded image. rebase clears it.
+	rotted bool
 }
 
 func newModel() *model {
@@ -130,10 +135,58 @@ func (m *model) advanceFloor() {
 	}
 }
 
+// rebase makes the state a verified mount recovered the model's durable
+// floor and clears rotted, so a later crash is checked as strictly as one on
+// an image never rotted: a block that reads a value must read that value on
+// that list, a block that reads nonexistent must stay so, and a block that
+// reads corrupt may come back as any version acknowledged for it, or stay
+// corrupt on a degraded image, but not vanish.
+func (m *model) rebase(l *lld.LLD) error {
+	listOf := make(map[ld.BlockID]ld.ListID)
+	lids, err := l.Lists()
+	if err != nil {
+		return fmt.Errorf("Lists: %w", err)
+	}
+	for _, lid := range lids {
+		bs, err := l.ListBlocks(lid)
+		if err != nil {
+			return fmt.Errorf("ListBlocks(%d): %w", lid, err)
+		}
+		for _, b := range bs {
+			listOf[b] = lid
+		}
+	}
+	buf := make([]byte, l.MaxBlockSize())
+	for bid, bs := range m.blocks {
+		n, err := l.Read(bid, buf)
+		switch {
+		case err == nil:
+			// Never nil: an empty value is not a tombstone.
+			m.blocks[bid] = &bstate{vers: []version{{val: append([]byte{}, buf[:n]...), list: listOf[bid]}}, floor: 0}
+		case errors.Is(err, ld.ErrCorrupt):
+			nb := &bstate{floor: 0}
+			for _, v := range bs.vers {
+				if v.val != nil {
+					nb.vers = append(nb.vers, version{val: v.val, list: listOf[bid]})
+				}
+			}
+			for _, v := range bs.inflight {
+				nb.vers = append(nb.vers, version{val: v, list: listOf[bid]})
+			}
+			m.blocks[bid] = nb
+		default:
+			m.blocks[bid] = &bstate{vers: []version{{}}, floor: 0} // a floored tombstone
+		}
+	}
+	m.rotted = false
+	return nil
+}
+
 // verify checks a recovered instance against the model. It returns the
 // first violation found, nil when the recovered state is legal.
 func (m *model) verify(l *lld.LLD, rep lld.RecoveryReport) error {
 	degraded := rep.Degraded()
+	lost := degraded || m.rotted // acknowledged records may be gone
 	if viol := l.CheckInvariants(); len(viol) != 0 {
 		return fmt.Errorf("recovered state violates invariants (degraded=%v, quarantined=%d): %v",
 			degraded, len(rep.QuarantinedSegments), viol)
@@ -153,7 +206,7 @@ func (m *model) verify(l *lld.LLD, rep lld.RecoveryReport) error {
 		switch {
 		case err == nil:
 			if !bs.acceptableValue(buf[:n]) {
-				if degraded && bs.preFloorValue(buf[:n]) {
+				if lost && bs.preFloorValue(buf[:n]) {
 					// An acknowledged-but-superseded version resurfaced
 					// because the newer record's segment was quarantined;
 					// with the degradation admitted, the old version is
@@ -164,7 +217,7 @@ func (m *model) verify(l *lld.LLD, rep lld.RecoveryReport) error {
 					bid, n, degraded, bs.preFloorValue(buf[:n]), bs.floor, len(bs.vers), len(bs.inflight))
 			}
 		case errors.Is(err, ld.ErrBadBlock):
-			if !bs.mayNotExist(degraded) {
+			if !bs.mayNotExist(lost) {
 				return fmt.Errorf("block %d: durable below the floor but recovered as nonexistent", bid)
 			}
 		case errors.Is(err, ld.ErrCorrupt):
@@ -195,7 +248,7 @@ func (m *model) verify(l *lld.LLD, rep lld.RecoveryReport) error {
 				bid, got.N, got.Err, want.N, want.Err)
 		}
 	}
-	if !degraded {
+	if !lost {
 		if err := m.verifyMembership(l); err != nil {
 			return err
 		}
@@ -231,6 +284,16 @@ func (m *model) verifyMembership(l *lld.LLD) error {
 		v := bs.vers[bs.floor]
 		if v.val == nil {
 			continue // floored tombstone: nonexistence already checked
+		}
+		if v.list == ld.NilList {
+			// Rebased from a degraded mount that recovered the block on no
+			// list: it must stay on none.
+			for lid, set := range members {
+				if set[bid] {
+					return fmt.Errorf("block %d: durable on no list but on list %d after recovery", bid, lid)
+				}
+			}
+			continue
 		}
 		if !members[v.list][bid] {
 			return fmt.Errorf("block %d: durable member of list %d but absent from it after recovery", bid, v.list)

@@ -103,10 +103,11 @@ func checkBaseline(l2 *lld.LLD, base map[ld.BlockID]obs, m *model) error {
 
 // reclaimFractions is the deterministic damage search: cut the power at
 // these fractions of the reference sector span (crossed with a few loss
-// seeds) until recovery quarantines a segment. Mid-run cuts tend to
-// damage sealed segments — reordered persistence drops a sector under
-// an already-persisted later one, which recovery classifies as rot, not
-// a benign torn tail.
+// seeds), rot one summary slot the cut left decodable, and mount, until
+// recovery quarantines a segment. A cut alone rarely does: lld drains before
+// a segment's first summary write, so what reordered persistence can drop
+// is the log's tail, which recovery discards as torn; rot of a slot the log
+// has since moved past is mid-log damage.
 var reclaimFractions = []struct{ num, den int64 }{
 	{2, 3}, {1, 2}, {3, 4}, {1, 3}, {5, 6}, {7, 12},
 }
@@ -121,7 +122,7 @@ const reclaimSalts = 4
 // schedule the hook directs. A nil instance (and nil error) means no
 // attempt produced quarantine.
 func reclaimPhaseA(cfg Config, target point) (*rig, *model, *lld.LLD, *scheduler, error) {
-	span, _, err := runReference(cfg)
+	span, _, _, err := runReference(cfg)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -157,16 +158,38 @@ func reclaimPhaseA(cfg Config, target point) (*rig, *model, *lld.LLD, *scheduler
 		}
 
 		r.rail.Restart()
+		if err := rotSummarySlot(r, ai); err != nil {
+			return nil, nil, nil, nil, err
+		}
+		m.rotted = true
+		// The schedule counts from the end of this mount: phase B is what
+		// it directs.
 		sched := newScheduler(r.rail, cfg.Seed, target)
-		l2, err := lld.Open(r.back, tortureOptions(sched.hook))
+		armed := false
+		l2, err := lld.Open(r.back, tortureOptions(func(site string) {
+			if armed {
+				sched.hook(site)
+			}
+		}))
 		if err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("phase-A recovery (attempt %d): %w", ai, err)
 		}
+		armed = true
 		rep := l2.RecoveryReport()
 		if err := m.verify(l2, rep); err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("phase-A recovered state (attempt %d): %w", ai, err)
 		}
-		if len(rep.QuarantinedSegments) > 0 {
+		// Rot of the log's newest summary is indistinguishable from a torn
+		// tail: recovery discards it and quarantines nothing. Such an attempt
+		// is passed over, as is one that leaves no block in the quarantined
+		// segment for phase B to salvage, or one whose mount could not go on
+		// along the chain (the segment phase B salvages from is then no link
+		// of it). The loss the rot caused ends with this mount: phase B is
+		// checked against what it recovered.
+		if len(rep.DegradedBlocks) > 0 && rep.FullSweep == "" {
+			if err := m.rebase(l2); err != nil {
+				return nil, nil, nil, nil, fmt.Errorf("phase-A rebase (attempt %d): %w", ai, err)
+			}
 			return r, m, l2, sched, nil
 		}
 		_ = l2.Shutdown(false)
@@ -174,6 +197,30 @@ func reclaimPhaseA(cfg Config, target point) (*rig, *model, *lld.LLD, *scheduler
 	}
 	return nil, nil, nil, nil, nil
 }
+
+// rotSummarySlot flips bytes past the header of one summary slot on the
+// platter of every leg: of those that decode, the n-th (cyclically) of the
+// rotSpan newest after the newest. The mount probes only the segments
+// written since the checkpoint, so a slot the log wrote long ago is rot the
+// mount never meets (Scrub's), and the newest is a torn tail.
+func rotSummarySlot(r *rig, n int) error {
+	for _, c := range r.caches {
+		offs, _, err := lld.SummarySlots(c.Disk())
+		if err != nil {
+			return err
+		}
+		if k := min(len(offs)-1, rotSpan); k > 0 {
+			c.Disk().CorruptRange(offs[1+n%k]+64, 8, 0xFF)
+		} else if len(offs) > 0 {
+			c.Disk().CorruptRange(offs[0]+64, 8, 0xFF)
+		}
+	}
+	return nil
+}
+
+// rotSpan is how many of the newest summary slots rotSummarySlot cycles
+// through.
+const rotSpan = 8
 
 // reclaimPhaseB runs the maintenance pass under the armed schedule
 // hook: salvage via Scrub, then ReclaimQuarantined. Power may go out at

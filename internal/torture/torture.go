@@ -465,38 +465,45 @@ func (s *scheduler) snapshot() map[string]int {
 }
 
 // runReference executes the workload with no crash and reports the
-// sector span consumed after format and the schedule-site occurrence
-// counts — the coordinate space the crash points are drawn from.
-func runReference(cfg Config) (span int64, sites map[string]int, err error) {
+// sector span consumed after format, the schedule-site occurrence counts —
+// the coordinate space the crash points are drawn from — and where in that
+// span each checkpoint write began.
+func runReference(cfg Config) (span int64, sites map[string]int, ckpts []int64, err error) {
 	r, err := newRig(cfg)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	defer r.close()
 	sched := newScheduler(r.rail, cfg.Seed, point{})
-	opts := tortureOptions(sched.hook)
+	var base int64
+	opts := tortureOptions(func(site string) {
+		if site == "checkpoint" {
+			ckpts = append(ckpts, r.rail.Accepted()-base)
+		}
+		sched.hook(site)
+	})
 	if err := lld.Format(r.back, opts); err != nil {
-		return 0, nil, fmt.Errorf("reference format: %w", err)
+		return 0, nil, nil, fmt.Errorf("reference format: %w", err)
 	}
-	base := r.rail.Accepted()
+	base = r.rail.Accepted()
 	if r.mirror != nil {
 		r.mirror.SetCrashHook(sched.hook)
 	}
 	l, err := cfg.openWorkload(r.back, opts)
 	if err != nil {
-		return 0, nil, fmt.Errorf("reference open: %w", err)
+		return 0, nil, nil, fmt.Errorf("reference open: %w", err)
 	}
 	w := newWorkload(l, r, cfg.Seed, point{})
 	if err := w.run(cfg.Ops); err != nil {
-		return 0, nil, fmt.Errorf("reference workload: %w", err)
+		return 0, nil, nil, fmt.Errorf("reference workload: %w", err)
 	}
 	if r.rail.Lost() {
-		return 0, nil, fmt.Errorf("reference run lost power with no injection")
+		return 0, nil, nil, fmt.Errorf("reference run lost power with no injection")
 	}
 	if err := l.Shutdown(false); err != nil {
-		return 0, nil, fmt.Errorf("reference shutdown: %w", err)
+		return 0, nil, nil, fmt.Errorf("reference shutdown: %w", err)
 	}
-	return r.rail.Accepted() - base, sched.snapshot(), nil
+	return r.rail.Accepted() - base, sched.snapshot(), ckpts, nil
 }
 
 // enumerate builds the ordered crash-point list for a config.
@@ -517,7 +524,7 @@ func enumerate(cfg Config) ([]point, error) {
 			return nil, err
 		}
 	default:
-		span, sites, err := runReference(cfg)
+		span, sites, ckpts, err := runReference(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -527,6 +534,17 @@ func enumerate(cfg Config) ([]point, error) {
 		if cfg.Kind != KindStripe {
 			for s := cfg.SectorStride; s <= span; s += cfg.SectorStride {
 				pts = append(pts, point{kind: ptSector, n: s})
+			}
+			// A checkpoint torn mid-write: its header and first payload
+			// sector accepted, the rest lost. Recovery must fall back to the
+			// other slot and the chain that one starts.
+			for i, at := range ckpts {
+				if i == cfg.SiteCap {
+					break
+				}
+				if (at+2)%cfg.SectorStride != 0 {
+					pts = append(pts, point{kind: ptSector, n: at + 2})
+				}
 			}
 		}
 		for k := cfg.OpStride; k < cfg.Ops; k += cfg.OpStride {
@@ -633,14 +651,17 @@ func recoverAndVerify(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) err
 // verifyRecovered runs recovery on the already-recomposed rig and
 // checks the result.
 func verifyRecovered(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) error {
+	im, err := r.image()
+	if err != nil {
+		return fmt.Errorf("crash image: %w", err)
+	}
 	if cfg.OnImage != nil {
-		im, err := r.image()
-		if err != nil {
-			return fmt.Errorf("crash image: %w", err)
-		}
 		if err := cfg.OnImage(im); err != nil {
 			return fmt.Errorf("crash image hook: %w", err)
 		}
+	}
+	if err := chainAgreesWithSweep(im); err != nil {
+		return err
 	}
 	opts := tortureOptions(nil)
 	l2, err := lld.Open(r.back, opts)
@@ -686,6 +707,23 @@ func verifyRecovered(cfg Config, r *rig, m *model, base map[ld.BlockID]obs) erro
 		}
 	}
 	return nil
+}
+
+// chainAgreesWithSweep mounts two private copies of a crash image, one by
+// the checkpoint's chain as Open does and one by the full sweep, and
+// requires that they recover the same state.
+func chainAgreesWithSweep(im Image) error {
+	chain, doneChain, err := im.Mount()
+	if err != nil {
+		return fmt.Errorf("crash image: %w", err)
+	}
+	defer doneChain()
+	full, doneFull, err := im.Mount()
+	if err != nil {
+		return fmt.Errorf("crash image: %w", err)
+	}
+	defer doneFull()
+	return lld.CompareChainMount(chain, full, im.Options())
 }
 
 // checkMirrorSummaries holds a mount to DESIGN §11 row 5: every summary slot

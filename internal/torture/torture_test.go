@@ -2,6 +2,7 @@ package torture
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,11 +37,11 @@ func runSmoke(t *testing.T, cfg Config) Result {
 	for _, f := range res.Failures {
 		t.Errorf("crash point failed verification:\n  %s\n  %v", f.Repro, f.Err)
 	}
-	// Every workload instance was mounted by the sweep, which keeps what
-	// each summary names: its cleaner never reads one back.
+	// The cleaner never reads a victim's summary back: what each summary it
+	// needs names is in memory.
 	for _, l := range instances {
-		if n := l.Stats().SummaryLoads; n != 0 {
-			t.Errorf("a workload instance read %d victims' summaries back", n)
+		if n := l.Stats().CleanReads - l.Stats().BlocksMoved; n > 0 {
+			t.Errorf("a workload instance's cleaner issued %d more requests than it moved blocks", n)
 		}
 	}
 	return res
@@ -201,5 +202,59 @@ func TestEnumerationBreadth(t *testing.T) {
 	}
 	if total < 500 {
 		t.Errorf("lld+stripe+mirror enumerate %d crash points, want >= 500", total)
+	}
+}
+
+// TestCheckpointCrashSites: a run long enough to take checkpoints
+// enumerates a crash at each one's schedule site and one inside its write
+// (its header and first payload sector on the platter, the rest lost), and
+// recovery from each verifies, the chain mount held against the full sweep
+// included. A reclaim whose mount kept the chain through the segment it
+// quarantined enumerates the crash at the first summary write that extends
+// that chain.
+func TestCheckpointCrashSites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reference runs are not instant")
+	}
+	for _, kind := range []string{KindLLD, KindMirror} {
+		cfg := Config{Kind: kind, Legs: 2, Seed: 7, Ops: 2000, Logf: t.Logf}
+		cfg.fillDefaults()
+		_, sites, ckpts, err := runReference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ckpts) < 2 || sites["checkpoint"] != len(ckpts) {
+			t.Fatalf("%s: %d checkpoint sites over %d checkpoint writes, want at least two", kind, sites["checkpoint"], len(ckpts))
+		}
+		last := ckpts[len(ckpts)-1]
+		pts, err := enumerate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(pts, point{kind: ptSector, n: ckpts[0] + 2}) {
+			t.Errorf("%s: no crash point tears the first checkpoint's write", kind)
+		}
+		for _, pt := range []point{
+			{kind: ptSite, site: "checkpoint", n: 1},
+			{kind: ptSite, site: "checkpoint", n: int64(len(ckpts))},
+			{kind: ptSector, n: ckpts[0] + 2},
+			{kind: ptSector, n: last + 2},
+		} {
+			if err := runPoint(cfg, pt); err != nil {
+				t.Errorf("%s\n  %v", Repro(cfg, pt), err)
+			}
+		}
+	}
+	cfg := Config{Kind: KindReclaim, Seed: 2, Logf: t.Logf}
+	pts, err := enumerate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := point{kind: ptSite, site: "chain.quarantined", n: 1}
+	if !slices.Contains(pts, pt) {
+		t.Fatalf("reclaim enumerates %v, no crash where the chain leads through the quarantined segment", pts)
+	}
+	if err := runPoint(cfg, pt); err != nil {
+		t.Errorf("%s\n  %v", Repro(cfg, pt), err)
 	}
 }
