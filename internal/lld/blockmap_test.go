@@ -10,12 +10,11 @@ import (
 	"repro/internal/ld"
 )
 
-// The block-number map covers the ids a mount found named, not only those
-// below its fresh watermark. A freed id above the last live one keeps the
-// timestamp of its tFree, so when the cleaner takes the segment holding that
-// tFree it restates it; a map cut at nextFresh would skip the id, and once
-// the segment was reused the tAlloc still live elsewhere would bring the
-// block back.
+// A freed id above the last live one stays free once the segment holding
+// its tFree is cleaned and reused. The segment is reused only after a
+// checkpoint, which records the fresh watermark below the id, so the tAlloc
+// still live in another segment lies at or below the floor and no mount
+// brings the block back.
 func TestFreedIDAboveTheLastLiveOneStaysFree(t *testing.T) {
 	opts := segIOOptions()
 	d, l := newTestLLD(t, 4<<20, opts)
@@ -42,7 +41,6 @@ func TestFreedIDAboveTheLastLiveOneStaysFree(t *testing.T) {
 	if err := cleanVictim(l, v); err != nil {
 		t.Fatal(err)
 	}
-	sealOpen(t, l) // the restatements reach the platter
 	reopenSegment(t, l, v, func() { mustWrite(t, l, b2, []byte("lands in the victim")) })
 
 	l = reopenCrashedAfterFlush(t, d, l, opts)

@@ -1,8 +1,10 @@
 package lld
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,21 +59,46 @@ func crashImage(t *testing.T, d *disk.Disk, l *LLD) []byte {
 // A chain segment the cleaner freed and the log opened again before a newer
 // checkpoint overwrote a link the mount follows: the walk meets a segment
 // opened with a later sequence number than it expects, and the mount falls
-// back to the full sweep, which recovers everything acknowledged.
+// back to the full sweep, which recovers everything acknowledged. Reusing
+// the segment early also destroyed the records in its summary; the list
+// they were added to is older than the checkpoint and every block they
+// allocated was deleted since, so none of them is the newest record of
+// anything.
 func TestReusedChainSegmentSendsTheMountToTheFullSweep(t *testing.T) {
 	const capacity = 4 << 20
 	d, l := newTestLLD(t, capacity, testOptions())
-	ids, want := fillBlocks(t, l, 30) // five segments, the first the chain's start
-	v := int(l.blocks[ids[0]].seg)
-	lid := l.blocks[ids[0]].lid
-	for _, b := range ids[:6] {
-		if int(l.blocks[b].seg) != v {
-			t.Fatalf("block %d not in the chain's first segment %d", b, v)
+	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
+	l.mu.Lock()
+	err := l.checkpoint()
+	l.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := l.cur.id // the chain's start
+	want := make(map[ld.BlockID][]byte)
+	var doomed, kept []ld.BlockID
+	for i, prev := 0, ld.NilBlock; i < 30; i++ { // five segments
+		b := mustNewBlock(t, l, lid, prev)
+		if l.cur.id == v {
+			doomed = append(doomed, b) // its tAlloc is in v's summary
+		} else {
+			kept = append(kept, b)
 		}
+		want[b] = bytes.Repeat([]byte{byte(i + 1)}, 4096)
+		mustWrite(t, l, b, want[b])
+		prev = b
+	}
+	for _, b := range doomed {
 		if err := l.DeleteBlock(b, lid, ld.NilBlock); err != nil {
 			t.Fatal(err)
 		}
 		delete(want, b)
+	}
+	if len(doomed) == 0 || len(kept) == 0 || l.segs[v].live != 0 {
+		t.Fatalf("segment %d took %d of the blocks, and keeps %d live bytes", v, len(doomed), l.segs[v].live)
+	}
+	if err := l.Flush(ld.FailPower); err != nil {
+		t.Fatal(err)
 	}
 	if err := cleanVictim(l, v); err != nil {
 		t.Fatal(err)
@@ -108,6 +135,9 @@ func TestReusedChainSegmentSendsTheMountToTheFullSweep(t *testing.T) {
 		t.Fatalf("recovery quarantined %v", rep.QuarantinedSegments)
 	}
 	checkReads(t, l2, want)
+	if got, err := l2.ListBlocks(lid); err != nil || !slices.Equal(got, kept) {
+		t.Errorf("list %d recovered as %v, %v; want %v", lid, got, err, kept)
+	}
 	requireChainMatchesSweep(t, img, capacity, testOptions())
 }
 

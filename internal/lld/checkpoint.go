@@ -26,11 +26,11 @@ import (
 // names where the log's chain of segments opened since then starts, and a
 // crash mount loads it and replays only the records newer than T, read from
 // the segments that chain leads through (recovery.go). The same snapshot is
-// the cleaner's floor: facts stamped at or below T are covered by it and
-// need not be re-logged when their segment is cleaned, which is what keeps
-// the cleaner progressing when segments are dense with the immortal linkage
-// facts of long-lived blocks (re-logging a victim's facts would otherwise
-// consume as much summary space as cleaning it frees).
+// what lets the cleaner reuse a segment without restating its summary: a
+// segment opened since the chain start is held until a newer checkpoint is
+// durable (segment.go cool), and any other holds only facts stamped at or
+// below T. The newest durable checkpoint is therefore the only copy of the
+// facts in segments reused since it.
 //
 // Two slots alternate so a torn checkpoint write leaves the previous one
 // intact; a checkpoint is never invalidated, only superseded. The header's
@@ -174,6 +174,14 @@ func (l *LLD) writeCheckpoint(complete bool) error {
 	l.ckptSlot = slot
 	l.ckptTS = l.ts
 	l.ckptSeq = chainSeq
+	if chainSeq == 0 {
+		// The checkpoint names no start (the log opens next from a pool
+		// that was empty when the newest summary was written), so a mount
+		// sweeps every summary above it. The segments opened from here on
+		// hold those records all the same: they are what the reuse rule
+		// holds (inChain).
+		l.ckptSeq = nextSeq(l.openSeq)
+	}
 	return nil
 }
 
@@ -233,9 +241,9 @@ func (l *LLD) loadCheckpoint() (found, complete bool, err error) {
 	}
 	// Try the newest slot first; a torn payload falls back to the older
 	// slot (the alternating-slot guarantee: the previous checkpoint is
-	// intact whenever a checkpoint write tears). Cleaner fact-dropping is
-	// gated on successfully written checkpoints, so the older floor still
-	// covers every dropped fact.
+	// intact whenever a checkpoint write tears). Held segments are released
+	// only once a checkpoint is durable, so the older slot's chain still
+	// leads through every segment written since it.
 	for _, c := range candidates {
 		off := l.lay.checkpointOff + int64(c.slot)*l.lay.checkpointSize
 		total := (checkpointHeaderSize + c.plen + ss - 1) / ss * ss
@@ -333,9 +341,6 @@ func (l *LLD) decodeCheckpoint(payload []byte) error {
 		if flags&^(bAllocated|bHasData|bComp) != 0 || flags&bAllocated == 0 || int(bi.seg) >= len(l.segs) {
 			return fmt.Errorf("%w: checkpoint block %d has flags %#x, segment %d", ErrFormat, bid, flags, bi.seg)
 		}
-		// Conservative: the cleaner re-logs on first contact with any
-		// record of these (unless it is below the checkpoint floor).
-		bi.existTS, bi.linkTS, bi.dataTS = 0, 0, 0
 		if bi.hasData() {
 			l.liveBytes += int64(bi.stored)
 		}

@@ -23,27 +23,25 @@ func TestPickVictim(t *testing.T) {
 		name string
 		now  uint64
 		segs []segInfo
-		skip map[int]bool
 		want int
 	}{
-		{"nothing live anywhere", 100, []segInfo{{state: segFree}, {state: segOpen}, {state: segCooling}, {state: segQuarantined}}, nil, -1},
-		{"an empty segment before a cold, nearly empty one", 1000, []segInfo{live(0.05, 1), live(0, 999)}, nil, 1},
-		{"the oldest empty segment first", 1000, []segInfo{live(0, 50), live(0, 20), live(0, 30)}, nil, 1},
+		{"nothing live anywhere", 100, []segInfo{{state: segFree}, {state: segOpen}, {state: segCooling}, {state: segQuarantined}}, -1},
+		{"an empty segment before a cold, nearly empty one", 1000, []segInfo{live(0.05, 1), live(0, 999)}, 1},
+		{"the oldest empty segment first", 1000, []segInfo{live(0, 50), live(0, 20), live(0, 30)}, 1},
 		// 0.8*100/0.4 = 200 against 0.5*1000/1.0 = 500: fewest live bytes
 		// would take the first, the rule takes the old half-full one.
-		{"benefit over cost, not fewest live bytes", 1000, []segInfo{live(0.2, 901), live(0.5, 1)}, nil, 1},
+		{"benefit over cost, not fewest live bytes", 1000, []segInfo{live(0.2, 901), live(0.5, 1)}, 1},
 		// 0.8*10/0.4 = 20 against 0.5*20/1.0 = 10.
-		{"emptier wins when the ages are close", 1000, []segInfo{live(0.5, 981), live(0.2, 991)}, nil, 1},
-		{"a full segment is never picked, however old", 1000, []segInfo{live(1, 1)}, nil, -1},
-		{"a full segment does not hide a victim", 1000, []segInfo{live(1, 1), live(0.9, 990)}, nil, 1},
-		{"skipped segments are passed over", 1000, []segInfo{live(0, 1), live(0, 2), live(0.5, 3)}, map[int]bool{0: true, 1: true}, 2},
-		{"only live segments qualify", 1000, []segInfo{{state: segQuarantined, ts: 1}, {state: segCooling, ts: 2}, live(0.9, 999)}, nil, 2},
+		{"emptier wins when the ages are close", 1000, []segInfo{live(0.5, 981), live(0.2, 991)}, 1},
+		{"a full segment is never picked, however old", 1000, []segInfo{live(1, 1)}, -1},
+		{"a full segment does not hide a victim", 1000, []segInfo{live(1, 1), live(0.9, 990)}, 1},
+		{"only live segments qualify", 1000, []segInfo{{state: segQuarantined, ts: 1}, {state: segCooling, ts: 2}, live(0.9, 999)}, 2},
 		// float64 holds 53 bits: stamps 2^60-2 and 2^60-3 are one number to
 		// it, and an age of 2^60 is no sentinel an empty segment must beat.
-		{"the two levels survive ages of 2^53 and more", 1 << 60, []segInfo{live(0.01, 1), live(0, 1<<60-2), live(0, 1<<60-3)}, nil, 2},
+		{"the two levels survive ages of 2^53 and more", 1 << 60, []segInfo{live(0.01, 1), live(0, 1<<60-2), live(0, 1<<60-3)}, 2},
 	} {
 		l.ts, l.segs = tc.now, tc.segs
-		if got := l.pickVictim(tc.skip); got != tc.want {
+		if got := l.pickVictim(); got != tc.want {
 			t.Errorf("%s: picked %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -108,17 +106,6 @@ func TestVictimRuleMovesLessThanGreedyOnHotCold(t *testing.T) {
 	}
 }
 
-// newAuditedLLD opens a fresh instance whose every victim is held against
-// the summary read-back reference (RelogAudit).
-func newAuditedLLD(t *testing.T) (*disk.Disk, Options, *LLD, *RelogAudit) {
-	t.Helper()
-	opts := segIOOptions()
-	audit := AuditRelog(&opts, t.Errorf)
-	d, l := newTestLLD(t, 4<<20, opts)
-	audit.Attach(l)
-	return d, opts, l, audit
-}
-
 // sealOpen seals the open segment and returns its id.
 func sealOpen(t *testing.T, l *LLD) int {
 	t.Helper()
@@ -132,163 +119,6 @@ func sealOpen(t *testing.T, l *LLD) int {
 		t.Fatal(err)
 	}
 	return id
-}
-
-// restatedSince returns the tuples stamped after ts in the open segment.
-func restatedSince(l *LLD, ts uint64) map[relogFact]int {
-	out := make(map[relogFact]int)
-	if l.cur != nil {
-		for i := range l.cur.tuples {
-			if t := &l.cur.tuples[i]; t.ts > ts {
-				out[factOf(t)]++
-			}
-		}
-	}
-	return out
-}
-
-// cleanAudited cleans victim and checks that the audit found its
-// restatements equal to the reference's and that they include want.
-func cleanAudited(t *testing.T, l *LLD, audit *RelogAudit, victim int, want ...relogFact) {
-	t.Helper()
-	before, t0 := *audit, l.ts
-	if err := cleanVictim(l, victim); err != nil {
-		t.Fatalf("cleaning segment %d: %v", victim, err)
-	}
-	if audit.Victims != before.Victims+1 || audit.Equal != before.Equal+1 {
-		t.Errorf("segment %d: audited %d victims, %d equal to the reference, want 1 and 1",
-			victim, audit.Victims-before.Victims, audit.Equal-before.Equal)
-	}
-	got := restatedSince(l, t0)
-	for _, f := range want {
-		if got[f] != 1 {
-			t.Errorf("segment %d: %s %v restated %d times, want once (restated: %v)", victim, tupleName(f.kind), f.args, got[f], got)
-		}
-	}
-}
-
-func fact(kind uint8, args ...uint32) relogFact {
-	f := relogFact{kind: kind}
-	copy(f.args[:], args)
-	return f
-}
-
-// The facts only a summary holds — a freed block's tombstone, a deleted
-// list's, the successor pointer a deletion rewrote, a swap's data locations,
-// an abort fence — are restated from the usage table's names exactly as
-// they were from the summary read back, and survive the victim.
-func TestRelogFromNamesMatchesSummaryReadBack(t *testing.T) {
-	t.Run("freed block and deleted list tombstones", func(t *testing.T) {
-		d, opts, l, audit := newAuditedLLD(t)
-		lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
-		doomedList := mustNewList(t, l, lid, ld.ListHints{})
-		b1 := mustNewBlock(t, l, lid, ld.NilBlock)
-		b2 := mustNewBlock(t, l, lid, b1)
-		mustWrite(t, l, b1, []byte("kept"))
-		mustWrite(t, l, b2, []byte("freed"))
-		sealOpen(t, l)
-		if err := l.DeleteBlock(b2, lid, b1); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.DeleteList(doomedList, lid); err != nil {
-			t.Fatal(err)
-		}
-		victim := sealOpen(t, l)
-		cleanAudited(t, l, audit, victim,
-			fact(tBlockFree, uint32(b2)), fact(tBlockState, uint32(b1)), fact(tDelList, uint32(doomedList)))
-
-		l = reopenCrashedAfterFlush(t, d, l, opts)
-		if _, err := l.Read(b2, make([]byte, 16)); err == nil {
-			t.Errorf("freed block %d came back", b2)
-		}
-		if _, err := l.ListBlocks(doomedList); err == nil {
-			t.Errorf("deleted list %d came back", doomedList)
-		}
-		if got := mustRead(t, l, b1); string(got) != "kept" {
-			t.Errorf("block %d reads %q", b1, got)
-		}
-	})
-
-	t.Run("swap re-homed block", func(t *testing.T) {
-		d, opts, l, audit := newAuditedLLD(t)
-		lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
-		a := mustNewBlock(t, l, lid, ld.NilBlock)
-		mustWrite(t, l, a, []byte("first"))
-		segA := sealOpen(t, l)
-		b := mustNewBlock(t, l, lid, a)
-		mustWrite(t, l, b, []byte("second"))
-		sealOpen(t, l)
-		if err := l.SwapContents(a, b); err != nil {
-			t.Fatal(err)
-		}
-		segSwap := sealOpen(t, l)
-		// b's bytes now sit in the segment whose summary names only a.
-		if int(l.blocks[b].seg) != segA {
-			t.Fatalf("block %d in segment %d after the swap, want %d", b, l.blocks[b].seg, segA)
-		}
-		moved := l.Stats().BlocksMoved
-		cleanAudited(t, l, audit, segA)
-		if l.Stats().BlocksMoved != moved+1 || int(l.blocks[b].seg) == segA {
-			t.Errorf("the re-homed block was not moved out of segment %d", segA)
-		}
-		// The swap's own summary holds a's newest data location; b's was
-		// just superseded by the move.
-		cleanAudited(t, l, audit, segSwap, fact(tDataAt, uint32(a)))
-
-		l = reopenCrashedAfterFlush(t, d, l, opts)
-		if got := mustRead(t, l, a); string(got) != "second" {
-			t.Errorf("block %d reads %q after the swap, cleaning and recovery", a, got)
-		}
-		if got := mustRead(t, l, b); string(got) != "first" {
-			t.Errorf("block %d reads %q after the swap, cleaning and recovery", b, got)
-		}
-	})
-
-	t.Run("abort fence above the floor", func(t *testing.T) {
-		opts := segIOOptions()
-		audit := AuditRelog(&opts, t.Errorf)
-		d, l := newTestLLD(t, 4<<20, opts)
-		lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
-		b := mustNewBlock(t, l, lid, ld.NilBlock)
-		mustWrite(t, l, b, []byte("committed"))
-		if err := l.Flush(ld.FailPower); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.BeginARU(); err != nil {
-			t.Fatal(err)
-		}
-		mustWrite(t, l, b, []byte("never committed"))
-		if err := l.Flush(ld.FailPower); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Shutdown(false); err != nil {
-			t.Fatal(err)
-		}
-		l, err := Open(d, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		audit.Attach(l)
-		if l.Stats().RecoveryDiscards == 0 || l.cur == nil {
-			t.Fatal("the mount discarded no unit, or logged no fence")
-		}
-		var fence relogFact
-		for i := range l.cur.tuples {
-			if tu := &l.cur.tuples[i]; tu.kind == tFence {
-				fence = factOf(tu)
-			}
-		}
-		if fence.kind != tFence {
-			t.Fatal("no fence in the mount's first segment")
-		}
-		victim := sealOpen(t, l)
-		cleanAudited(t, l, audit, victim, fence)
-
-		l = reopenCrashedAfterFlush(t, d, l, opts)
-		if got := mustRead(t, l, b); string(got) != "committed" {
-			t.Errorf("block %d reads %q: the dead unit came back with its fence's segment gone", b, got)
-		}
-	})
 }
 
 // reopenCrashedAfterFlush makes what is logged durable, crashes, remounts
@@ -312,131 +142,22 @@ func reopenCrashedAfterFlush(t *testing.T, d *disk.Disk, l *LLD, opts Options) *
 	return l
 }
 
-// The two ways the cleaner's restatements may differ from the summary
-// read-back reference, each produced on purpose: both need a checkpoint
-// floor, and in both what is on the platter afterwards recovers correctly.
-func TestRelogDiffersFromReadBackOnlyAroundACheckpointFloor(t *testing.T) {
-	consolidate := func(t *testing.T, l *LLD) {
-		t.Helper()
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if err := l.checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A checkpoint inside the victim's lifetime: the victim names block a
-	// only below the floor (the reference, which knows that, skips it), but
-	// a's successor pointer was assigned after the victim was sealed, so the
-	// block's fields are not all the checkpoint's and its existence, stamped
-	// at or below the victim's, is restated.
-	t.Run("superset", func(t *testing.T) {
-		d, opts, l, audit := newAuditedLLD(t)
-		lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
-		a := mustNewBlock(t, l, lid, ld.NilBlock)
-		mustWrite(t, l, a, []byte("a"))
-		consolidate(t, l)
-		victim := sealOpen(t, l)
-		b := mustNewBlock(t, l, lid, a)
-		mustWrite(t, l, b, []byte("b"))
-		t0 := l.ts
-		if err := cleanVictim(l, victim); err != nil {
-			t.Fatal(err)
-		}
-		if audit.Victims != 1 || audit.Superset != 1 {
-			t.Fatalf("audited %d victims, %d supersets, want 1 and 1", audit.Victims, audit.Superset)
-		}
-		if got := restatedSince(l, t0); got[fact(tBlockState, uint32(a))] != 1 || len(got) != 1 {
-			t.Errorf("restated %v, want block %d's state alone", got, a)
-		}
-		l = reopenCrashedAfterFlush(t, d, l, opts)
-		if blocks, err := l.ListBlocks(lid); err != nil || len(blocks) != 2 || blocks[0] != a || blocks[1] != b {
-			t.Errorf("list %d recovered as %v, %v", lid, blocks, err)
-		}
-	})
-
-	// A record recovery discarded: the victim holds an uncommitted write of
-	// block b from a unit that died with the crash. Every field of b is the
-	// checkpoint's; the reference restates its data location because the
-	// dead record mentions it above the floor, the cleaner does not.
-	t.Run("covered", func(t *testing.T) {
-		opts := segIOOptions()
-		audit := AuditRelog(&opts, t.Errorf)
-		d, l := newTestLLD(t, 4<<20, opts)
-		lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
-		b := mustNewBlock(t, l, lid, ld.NilBlock)
-		mustWrite(t, l, b, []byte("checkpointed"))
-		consolidate(t, l)
-		sealOpen(t, l)
-		if err := l.BeginARU(); err != nil {
-			t.Fatal(err)
-		}
-		mustWrite(t, l, b, []byte("never committed"))
-		victim := l.cur.id
-		if err := l.Flush(ld.FailPower); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Shutdown(false); err != nil {
-			t.Fatal(err)
-		}
-		l, err := Open(d, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		audit.Attach(l)
-		if l.Stats().RecoveryDiscards == 0 {
-			t.Fatal("the mount discarded no unit")
-		}
-		if s := &l.segs[victim]; s.state != segLive || s.live != 0 {
-			t.Fatalf("segment %d mounted in state %d with %d live bytes", victim, s.state, s.live)
-		}
-		t0 := l.ts
-		if err := cleanVictim(l, victim); err != nil {
-			t.Fatal(err)
-		}
-		if audit.Victims != 1 || audit.Covered != 1 {
-			t.Fatalf("audited %d victims, %d covered, want 1 and 1", audit.Victims, audit.Covered)
-		}
-		if got := restatedSince(l, t0); len(got) != 0 {
-			t.Errorf("restated %v, want nothing", got)
-		}
-		l = reopenCrashedAfterFlush(t, d, l, opts)
-		if got := mustRead(t, l, b); !bytes.Equal(got, []byte("checkpointed")) {
-			t.Errorf("block %d reads %q", b, got)
-		}
-	})
-}
-
-// A victim with nothing live whose facts are all superseded costs neither a
-// request nor an allocation: finding that out is two walks over the ids the
-// usage table keeps for it.
+// A victim with nothing live costs neither a request nor an allocation:
+// finding that out is one walk over the ids the usage table keeps for it.
 func TestDeadVictimCostsNoAllocation(t *testing.T) {
 	_, rec, l := newLoggedLLD(t, segIOOptions())
 	victim, _ := hollowVictim(t, l)
-	names, stamp := l.segs[victim].names, l.segs[victim].ts
+	names := l.segs[victim].names
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.cleaning = true
-	defer func() { l.cleaning = false }()
-	// The rewrites that emptied the victim superseded its entries, but its
-	// summary also holds the blocks' allocation records. Restate those
-	// once: what is measured is a victim with nothing left to say.
-	if err := l.relogSummaryFacts(names, stamp); err != nil {
-		t.Fatal(err)
-	}
 	rec.take('r')
-	before := l.stats.SnapshotTuples
 	allocs := testing.AllocsPerRun(10, func() {
 		if live := l.liveIn(victim, names); len(live) != 0 {
 			t.Fatalf("segment %d has live blocks %v", victim, live)
 		}
-		if err := l.relogSummaryFacts(names, stamp); err != nil {
-			t.Fatal(err)
-		}
 	})
-	if reads := rec.take('r'); allocs != 0 || l.stats.SnapshotTuples != before || len(reads) != 0 {
-		t.Errorf("a dead victim cost %.0f allocations, %d restatements and the reads %v",
-			allocs, l.stats.SnapshotTuples-before, reads)
+	if reads := rec.take('r'); allocs != 0 || len(reads) != 0 {
+		t.Errorf("a dead victim cost %.0f allocations and the reads %v", allocs, reads)
 	}
 }
 
@@ -492,10 +213,10 @@ func TestReorganizeCleans(t *testing.T) {
 // summary), then runs a bounded deletion and rewrite burst to hollow out
 // some segments and pin tombstone facts into others, and crashes it.
 // Recovery of such an image finds no free segment and no open segment
-// (only never-written segments recover as free) — the bootstrap state the
-// cleaner's skip path exists for. The fill needs the utilization limit out
-// of the way (noHeadroom); no block id is allocated after the deletions,
-// so the tombstones stay the newest records for their ids.
+// (only never-written segments recover as free): the cleaner has to free
+// one before anything can be logged. The fill needs the utilization limit
+// out of the way (noHeadroom); no block id is allocated after the
+// deletions, so the tombstones stay the newest records for their ids.
 func buildStaleImage(t *testing.T, capacity int64, opts Options) []byte {
 	t.Helper()
 	d, l := newTestLLD(t, capacity, opts)
@@ -572,9 +293,8 @@ func buildStaleImage(t *testing.T, capacity int64, opts Options) []byte {
 	}
 	// Restock the pool, then isolate a deletion burst in its own fresh
 	// segment: its tombstones stay the newest records for their ids (the
-	// ids are never reallocated), so that segment recovers zero-live yet
-	// fact-bound — cleaning it must re-log the tombstones, which needs
-	// room the bootstrap state does not have.
+	// ids are never reallocated), so that segment recovers zero-live and
+	// holds the only record of those deletions.
 	if _, err := l.Clean(cleanHigh); err != nil {
 		t.Fatalf("Clean: %v", err)
 	}
@@ -623,125 +343,27 @@ func buildStaleImage(t *testing.T, capacity int64, opts Options) []byte {
 }
 
 // TestCleanBootstrapSkip is the regression test for explicit Clean on a
-// space-tight disk: when no segment is free, none is open, and the
-// top-ranked victim's facts cannot be re-logged for lack of room, Clean
-// must set that victim aside and free a fully-superseded one — exactly as
-// the watermark path does — instead of returning ErrNoSpace.
+// space-tight disk: when no segment is free and none is open, Clean must
+// free segments — a victim with nothing live needs no room to clean — and
+// the disk must accept writes again, instead of returning ErrNoSpace.
 func TestCleanBootstrapSkip(t *testing.T) {
 	opts := testOptions()
 	const capacity = 1 << 20
 	img := buildStaleImage(t, capacity, opts)
-
-	reopen := func() *LLD {
-		t.Helper()
-		d := disk.New(disk.DefaultConfig(capacity))
-		if err := d.Restore(img); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		l, err := Open(d, opts)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		// A mount that finds no free segment for the log to go on in takes a
-		// checkpoint, whose floor makes every fact droppable. The regression
-		// is about facts no checkpoint covers, which a running instance
-		// meets between checkpoints: drop the floor.
-		l.ckptTS = 0
-		l.noHeadroom()
-		return l
+	d := disk.New(disk.DefaultConfig(capacity))
+	if err := d.Restore(img); err != nil {
+		t.Fatalf("restore: %v", err)
 	}
-
-	// Probe the image: among the zero-live victims, which the victim rule ranks
-	// first, find one that is fact-bound (cleaning it needs room to re-log
-	// and fails with ErrNoSpace) and confirm another frees directly. Each
-	// probe gets a fresh instance since cleanSegment mutates on success.
-	l0 := reopen()
-	l0.mu.Lock()
-	if len(l0.freeSegs) != 0 || l0.cur != nil {
-		l0.mu.Unlock()
-		t.Fatalf("image recovered with free or open segments; not the bootstrap state")
+	l, err := Open(d, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
 	}
-	var zeroLive []int
-	for i := range l0.segs {
-		if l0.segs[i].state == segLive && l0.segs[i].live == 0 {
-			zeroLive = append(zeroLive, i)
-		}
-	}
-	l0.mu.Unlock()
-	factBound, freeable := -1, false
-	for _, v := range zeroLive {
-		li := reopen()
-		li.mu.Lock()
-		li.cleaning = true
-		err := li.cleanSegment(v)
-		li.cleaning = false
-		li.mu.Unlock()
-		switch {
-		case errors.Is(err, ld.ErrNoSpace):
-			if factBound < 0 {
-				factBound = v
-			}
-		case err == nil:
-			freeable = true
-		default:
-			t.Fatalf("probe of segment %d: %v", v, err)
-		}
-	}
-	if factBound < 0 {
-		t.Fatalf("no fact-bound zero-live segment among %v; workload needs tuning", zeroLive)
-	}
-	if !freeable {
-		t.Fatalf("no directly-freeable segment among %v; workload needs tuning", zeroLive)
-	}
-
-	// The regression: when the victim the rule ranks first — the oldest
-	// empty segment — is the fact-bound one, Clean must get past it (a
-	// consolidation that makes its facts droppable, or setting it aside for
-	// a superseded one) instead of returning its ErrNoSpace. The fact-bound
-	// segment holds the deletion burst, the newest records on the disk, so
-	// it ranks last: re-date it, stamp and records, to the beginning of
-	// time. Every field its records assigned (anything stamped after the
-	// segment sealed before it) moves with the stamp, so the cleaner still
-	// finds them to be the victim's own.
-	l := reopen()
+	l.noHeadroom()
 	l.mu.Lock()
-	var prev uint64
-	for i := range l.segs {
-		if ts := l.segs[i].ts; i != factBound && ts > prev {
-			prev = ts
-		}
-	}
-	redate := func(ts *uint64) {
-		if *ts > prev {
-			*ts = 1
-		}
-	}
-	names := l.segs[factBound].names
-	for _, b := range names.exist() {
-		redate(&l.blocks[b].existTS)
-		redate(&l.blocks[b].linkTS)
-	}
-	for _, b := range names.data() {
-		redate(&l.blocks[b].dataTS)
-	}
-	for _, v := range names.lists() {
-		if li := l.lists[ld.ListID(v)]; li != nil {
-			redate(&li.existTS)
-			redate(&li.headTS)
-			redate(&li.orderTS)
-		}
-	}
-	l.segs[factBound].ts = 1
-	if first := l.pickVictim(nil); first != factBound {
-		l.mu.Unlock()
-		t.Fatalf("segment %d ranks first, want the fact-bound segment %d", first, factBound)
-	}
-	l.cleaning = true
-	err := l.cleanSegment(factBound)
-	l.cleaning = false
+	bootstrap := len(l.freeSegs) == 0 && l.cur == nil
 	l.mu.Unlock()
-	if !errors.Is(err, ld.ErrNoSpace) {
-		t.Fatalf("cleaning the re-dated segment %d: %v, want ErrNoSpace", factBound, err)
+	if !bootstrap {
+		t.Fatalf("image recovered with free or open segments; not the bootstrap state")
 	}
 	cleaned, err := l.Clean(cleanHigh)
 	if err != nil {

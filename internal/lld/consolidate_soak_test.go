@@ -25,34 +25,18 @@ func TestConsolidationCrashSoak(t *testing.T) {
 		t.Skip("long soak")
 	}
 	var consolidations, fences int64
-	var audit RelogAudit
 	// 1993, 2035 and 2057 crash at the bottom of the free pool: every segment
-	// comes back live, the mount owes an abort fence and has nowhere to log
-	// it. Without the cleaner's consolidate-and-retry (cleanSome) their
-	// recovery fails with ErrNoSpace.
+	// comes back live, and the mount owes an abort fence and has nowhere to
+	// log it until the cleaner frees a segment. The fence once needed a
+	// consolidate-and-retry for the cleaner to free one (DESIGN §11 finding
+	// 8); the mount must not return ErrNoSpace on them.
 	for _, seed := range []int64{1, 42, 1993, 77, 2035, 2057} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			c, f, a := consolidationCrashSoak(t, seed)
+			c, f := consolidationCrashSoak(t, seed)
 			consolidations += c
 			fences += f
-			audit.Victims += a.Victims
-			audit.Equal += a.Equal
-			audit.Superset += a.Superset
-			audit.Covered += a.Covered
 		})
-	}
-	// Every victim of the storm restated what reading its summary back
-	// would have had it restate (RelogAudit fails the test otherwise), up
-	// to the two differences a checkpoint floor allows. The storm
-	// consolidates while segments are open and crashes with units half
-	// logged, which is what those need, yet as pinned it produces neither:
-	// all 1,964 victims are equal fact for fact
-	// (TestRelogDiffersFromReadBackOnlyAroundACheckpointFloor makes both).
-	t.Logf("relog audit: %d victims: %d equal, %d superset (checkpoint inside the victim's lifetime), %d covered (entity wholly at or below the floor)",
-		audit.Victims, audit.Equal, audit.Superset, audit.Covered)
-	if audit.Victims == 0 || audit.Equal == 0 {
-		t.Errorf("relog audit saw %d victims, %d of them equal", audit.Victims, audit.Equal)
 	}
 	if consolidations == 0 {
 		t.Error("no seed ever consolidated")
@@ -62,10 +46,9 @@ func TestConsolidationCrashSoak(t *testing.T) {
 	}
 }
 
-func consolidationCrashSoak(t *testing.T, seed int64) (consolidations, fences int64, audit *RelogAudit) {
+func consolidationCrashSoak(t *testing.T, seed int64) (consolidations, fences int64) {
 	o := testOptions()
 	o.MaxBlocks = 8192
-	audit = AuditRelog(&o, t.Errorf)
 	d := disk.New(disk.DefaultConfig(3 << 20))
 	if err := Format(d, o); err != nil {
 		t.Fatal(err)
@@ -74,7 +57,6 @@ func consolidationCrashSoak(t *testing.T, seed int64) (consolidations, fences in
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit.Attach(l)
 	rng := rand.New(rand.NewSource(seed))
 
 	// Small blocks: a segment's summary fills with entries and immortal
@@ -175,7 +157,6 @@ func consolidationCrashSoak(t *testing.T, seed int64) (consolidations, fences in
 		if err != nil {
 			t.Fatalf("gen %d: recovery: %v", gen, err)
 		}
-		audit.Attach(l)
 		if l.Stats().RecoveryDiscards > 0 {
 			fences++
 		}
@@ -208,5 +189,5 @@ func consolidationCrashSoak(t *testing.T, seed int64) (consolidations, fences in
 		copy(inflight, version)
 	}
 	t.Logf("soak: %d consolidations, %d recoveries with a discarded ARU", consolidations, fences)
-	return consolidations, fences, audit
+	return consolidations, fences
 }

@@ -58,8 +58,8 @@ const (
 	// recovery replays them in timestamp order and each field converges to
 	// the value of its newest surviving record. Relational information
 	// (the "insert after pred" of the LD interface) is resolved at logging
-	// time, which is what lets the cleaner re-log a fact with a fresh
-	// timestamp without perturbing the replay of older records.
+	// time, which is what lets a snapshot (MoveBlocks, SwapContents) state
+	// a field afresh without perturbing the replay of older records.
 	tAlloc      = iota + 1 // bid, lid, next, pred, flags(1=head of list): NewBlock
 	tFree                  // bid, lid, pred, succ, flags(1=was head): DeleteBlock
 	tNewList               // lid, predLid, hints: NewList
@@ -67,7 +67,7 @@ const (
 	tMoveList              // lid, newPred: MoveList
 	tCommit                // (none): EndARU / implicit commit marker
 	tBlockState            // bid, next, lid: linkage/existence snapshot
-	tBlockFree             // bid: freed-block tombstone
+	tBlockFree             // bid: freed-block tombstone (replayed; no longer logged)
 	tListState             // lid, first, predLid, hints: list snapshot
 	tDataAt                // bid, seg+1 (0=none), off, stored, orig, flags(1=has,2=compressed), crc32c(stored bytes)
 	tFence                 // lo32(L), hi32(L), lo32(B), hi32(B): abort fence, see recovery.go

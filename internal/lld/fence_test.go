@@ -108,9 +108,10 @@ func TestAbortFenceKeepsDiscardedARUDead(t *testing.T) {
 	}
 }
 
-// TestAbortFenceSurvivesCleaning: the fence lives in a segment summary;
-// when the cleaner destroys that summary the fence must be re-logged, or
-// a recovery after cleaning would resurrect the dead unit.
+// TestAbortFenceSurvivesCleaning: the fence lives in a segment summary,
+// which the cleaner may retire but the log does not reuse before a
+// checkpoint whose floor lies above the dead window; otherwise a recovery
+// after cleaning would resurrect the dead unit.
 func TestAbortFenceSurvivesCleaning(t *testing.T) {
 	o := testOptions()
 	d := disk.New(disk.DefaultConfig(8 << 20))

@@ -24,12 +24,11 @@ func (l *LLD) fingerprint() string {
 	fmt.Fprintf(&b, "chain: openSeq=%d succ=%d ckptSeq=%d mark=%d\n", l.openSeq, l.succ, l.ckptSeq, l.durableMark)
 	for i := range l.blocks {
 		bi := &l.blocks[i]
-		if bi.flags == 0 && bi.existTS == 0 && bi.linkTS == 0 && bi.dataTS == 0 {
+		if bi.flags == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "blk %d: seg=%d off=%d stored=%d orig=%d crc=%d next=%d lid=%d flags=%d ts=%d/%d/%d\n",
-			i, bi.seg, bi.off, bi.stored, bi.orig, bi.crc, bi.next, bi.lid, bi.flags,
-			bi.existTS, bi.linkTS, bi.dataTS)
+		fmt.Fprintf(&b, "blk %d: seg=%d off=%d stored=%d orig=%d crc=%d next=%d lid=%d flags=%d\n",
+			i, bi.seg, bi.off, bi.stored, bi.orig, bi.crc, bi.next, bi.lid, bi.flags)
 	}
 	lids := make([]ld.ListID, 0, len(l.lists))
 	for lid := range l.lists {
@@ -38,19 +37,10 @@ func (l *LLD) fingerprint() string {
 	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
 	for _, lid := range lids {
 		li := l.lists[lid]
-		fmt.Fprintf(&b, "list %d: first=%d count=%d hints=%+v ts=%d/%d/%d\n",
-			lid, li.first, li.count, li.hints, li.existTS, li.headTS, li.orderTS)
+		fmt.Fprintf(&b, "list %d: first=%d count=%d hints=%+v\n", lid, li.first, li.count, li.hints)
 	}
 	fmt.Fprintf(&b, "order=%v\n", l.order)
 	fmt.Fprintf(&b, "freeIDs=%v freeLists=%v\n", l.freeIDs.all(), l.freeLists.all())
-	dead := make([]ld.ListID, 0, len(l.deadLists))
-	for lid := range l.deadLists {
-		dead = append(dead, lid)
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	for _, lid := range dead {
-		fmt.Fprintf(&b, "dead %d: ts=%d\n", lid, l.deadLists[lid])
-	}
 	for i := range l.segs {
 		fmt.Fprintf(&b, "seg %d: live=%d ts=%d seq=%d state=%d\n", i, l.segs[i].live, l.segs[i].ts, l.segs[i].seq, l.segs[i].state)
 	}

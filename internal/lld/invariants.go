@@ -174,6 +174,20 @@ func (l *LLD) CheckInvariants() []string {
 			bad("segment %d held for a checkpoint but opened before the newest one's chain start", id)
 		}
 	}
+	// The reuse rule: a segment opened since the newest checkpoint's chain
+	// start holds records the checkpoint does not, so once freed it waits
+	// for a newer one (held), or for the end of the unit that freed it.
+	waiting := make(map[int]bool, len(l.held)+len(l.pendingARU))
+	for _, ids := range [][]int{l.held, l.pendingARU} {
+		for _, id := range ids {
+			waiting[id] = true
+		}
+	}
+	for i := range l.segs {
+		if st := l.segs[i].state; (st == segFree || st == segCooling) && l.inChain(i) && !waiting[i] {
+			bad("segment %d opened since the newest checkpoint's chain start is in state %d, neither held nor ARU-pending", i, st)
+		}
+	}
 	if l.succ >= 0 && l.segs[l.succ].state != segFree {
 		bad("designated successor %d in state %d", l.succ, l.segs[l.succ].state)
 	}
@@ -195,10 +209,10 @@ func (l *LLD) CheckInvariants() []string {
 		bad("%d cooling segments but %d release barriers", len(l.cooling), len(l.coolingTS))
 	}
 
-	// The usage table's copy of what each live segment's newest summary
-	// names is what the platter says. A summary that does not read or
-	// decode, or that is not the image the stamp describes (rot, a degraded
-	// replica), cannot be re-derived and is passed over.
+	// The usage table's copy of the blocks each live segment's newest
+	// summary gives data in is what the platter says. A summary that does
+	// not read or decode, or that is not the image the stamp describes (rot,
+	// a degraded replica), cannot be re-derived and is passed over.
 	for i := range l.segs {
 		s := &l.segs[i]
 		if s.state == segLive && s.names == nil && s.ts > l.ckptTS {
@@ -211,7 +225,7 @@ func (l *LLD) CheckInvariants() []string {
 		if si == nil || si.writeTS != s.ts {
 			continue
 		}
-		if !s.names.equal(newSumNames(si.entries, si.tuples)) {
+		if !slices.Equal(s.names, sumNames(si.entries)) {
 			bad("segment %d: the names kept in memory are not those of its summary on the platter", i)
 		}
 	}

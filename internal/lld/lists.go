@@ -17,10 +17,7 @@ import (
 // applyAlloc allocates bid into list lid after pred (NilBlock = at head).
 func (l *LLD) applyAlloc(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 	bi := &l.blocks[bid]
-	*bi = blockInfo{
-		seg: -1, lid: lid, flags: bAllocated,
-		existTS: bi.existTS, linkTS: bi.linkTS, dataTS: bi.dataTS,
-	}
+	*bi = blockInfo{seg: -1, lid: lid, flags: bAllocated}
 	li := l.lists[lid]
 	if pred == ld.NilBlock {
 		bi.next = li.first

@@ -21,9 +21,8 @@ const (
 // blockInfo is one entry of the in-memory block-number map (Figure 2 of the
 // paper): the physical address, the successor in the block's list, the
 // length, and whether the contents are compressed. We additionally keep the
-// owning list (used by the cleaner for clustering) and per-field record
-// timestamps (used by the cleaner to decide which facts it must re-log
-// before a summary is destroyed).
+// owning list (used by the cleaner for clustering) and the payload's
+// checksum.
 type blockInfo struct {
 	seg    int32 // segment holding the data; -1 if none
 	off    uint32
@@ -33,14 +32,6 @@ type blockInfo struct {
 	next   ld.BlockID
 	lid    ld.ListID
 	flags  uint8
-
-	// Per-field record timestamps: the ts of the newest logged record that
-	// determines each aspect of this block. The cleaner compares them with
-	// the records in a victim's summary to decide which facts it must
-	// re-log before the summary is destroyed.
-	existTS uint64 // allocation / owning list
-	linkTS  uint64 // successor pointer
-	dataTS  uint64 // data location
 }
 
 func (b *blockInfo) allocated() bool { return b.flags&bAllocated != 0 }
@@ -70,11 +61,6 @@ type listInfo struct {
 	count int
 	hints ld.ListHints
 
-	// Per-field record timestamps, as for blockInfo.
-	existTS uint64 // list existence and hints
-	headTS  uint64 // first-block pointer
-	orderTS uint64 // position in the list of lists
-
 	// cursor memoizes the last ListIndex lookup so offset addressing
 	// (paper §5.4) costs O(1) for sequential access instead of O(n).
 	// Invalidated (curBlk = NilBlock) by any structural change.
@@ -98,16 +84,16 @@ const (
 
 // segInfo is one entry of the segment usage table: the number of live bytes
 // (paper §3), the write timestamp of the segment's newest summary — its age
-// to the victim rule, and an upper bound on every record in it to the
-// re-log — and what that summary names (nil while the segment is free or
-// open, and on a segment sealed before the newest checkpoint that this
-// instance has not decoded: the cleaner needs none of it, cleanSegment).
+// to the victim rule — and the blocks that summary gives data in the
+// segment (nil while the segment is free or open, and on a segment sealed
+// before the newest checkpoint that this instance has not decoded: liveIn
+// then scans the map).
 type segInfo struct {
 	live  int64
 	ts    uint64
 	seq   uint32 // open sequence number of the generation it holds (0 when unknown)
 	state uint8
-	names *sumNames
+	names []uint32 // sumNames of that summary
 }
 
 // openSegment is the segment currently being filled in main memory
@@ -174,7 +160,6 @@ type Stats struct {
 	CleanerRuns     int64
 	SegmentsCleaned int64
 	BlocksMoved     int64
-	SnapshotTuples  int64 // facts re-logged by the cleaner
 	CleanReads      int64 // backend requests the cleaner issued: the live extents it moved
 	CleanReadBytes  int64 // bytes those requests read
 
@@ -197,7 +182,7 @@ type Stats struct {
 
 	Flushes        int64
 	ARUs           int64
-	Consolidations int64 // checkpoints written while running: periodic, early, futile cleaning, after a mount (cleaner.go checkpoint)
+	Consolidations int64 // checkpoints written while running: periodic, early, at an ARU begin, after a mount (cleaner.go checkpoint)
 
 	RecoverySweepSegments int64 // summaries read by the last sweep
 	RecoveryAnomalies     int64 // defensive-replay oddities
@@ -263,11 +248,10 @@ type LLD struct {
 	order     []ld.ListID // the list of lists
 	nextList  ld.ListID
 	freeLists freePool[ld.ListID]
-	deadLists map[ld.ListID]uint64 // deleted list -> ts of its newest tombstone record
 
 	segs       []segInfo
 	freeSegs   []int
-	cooling    []int    // reusable once the cleaner's re-logs are durable
+	cooling    []int    // reusable once what was logged before they were freed is durable
 	coolingTS  []uint64 // coolingTS[i]: release barrier for cooling[i] (monotone)
 	pendingARU []int    // freed during an open ARU; cool after EndARU
 
@@ -304,7 +288,7 @@ type LLD struct {
 
 	// cleaning is true while a cleaning pass is active. A pass never
 	// releases mu, so whoever observes it set is on the pass's own stack
-	// (its re-logs and block moves go through ensureRoom like any append).
+	// (its block moves go through ensureRoom like any append).
 	cleaning bool
 	victim   int // the segment cleanSegment is working on, -1 outside it (read at the clean.* crash points)
 
@@ -316,20 +300,22 @@ type LLD struct {
 	compressCPU time.Duration
 
 	// Checkpoint state: records with ts <= ckptTS are covered by the newest
-	// on-disk checkpoint and may be dropped by the cleaner.
+	// on-disk checkpoint, and recovery replays none of them.
 	ckptTS   uint64
 	ckptSlot int
-	futility int // consecutive cleanings with no net free-space gain
 
 	// The log's chain (recovery.go "The chain"). openSeq is the open
 	// sequence number of the segment opened last, and succ the free segment
 	// the log opens next, which the open segment's summary names as its
 	// successor (-1 when the pool was empty at the open). The newest
 	// checkpoint's chain starts at the segment opened with sequence number
-	// ckptSeq (0: it names no start), so a segment with a sequence number at
-	// or after it was opened since (inChain). held are such segments the
+	// ckptSeq, so a segment with a sequence number at or after it was opened
+	// since (inChain). A checkpoint that names no start leaves the number
+	// the log opens next (writeCheckpoint); one decoded from the platter,
+	// 0, and the mount then takes a new one. held are such segments the
 	// cleaner freed: they stay cooling until a newer checkpoint is durable
-	// (the reuse rule), so no link a mount may follow is overwritten.
+	// (the reuse rule), so no link a mount may follow, and no record newer
+	// than the checkpoint, is overwritten.
 	// sealsSinceCkpt counts seals toward the next periodic checkpoint.
 	openSeq        uint32
 	succ           int
@@ -532,7 +518,6 @@ func newInstance(dsk disk.Backend, opts Options, lay layout) *LLD {
 		blocks:    []blockInfo{{seg: -1}},
 		nextFresh: 1,
 		lists:     make(map[ld.ListID]*listInfo),
-		deadLists: make(map[ld.ListID]uint64),
 		nextList:  1,
 		segs:      make([]segInfo, lay.nSegments),
 		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),

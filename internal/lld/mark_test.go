@@ -329,8 +329,8 @@ func (b *syncLog) Sync() error {
 }
 
 // No segment is written again after it was cleaned without a drain in
-// between — whichever way it was freed. A victim with nothing live and
-// nothing to re-log used to go straight back to the free pool, and being the
+// between — whichever way it was freed. A victim with nothing live used to
+// go straight back to the free pool, and being the
 // last one freed was the next one opened: behind a volatile cache the
 // segment whose records superseded the victim's could still be undrained, a
 // power cut could drop it and keep the reuse, and the newest durable version

@@ -190,7 +190,8 @@ func (s *sparseDisk) AdvanceIdle(time.Duration)              {}
 // disk, 4-KB blocks, 512-KB segments). The map grows with the ids handed
 // out, so an empty instance holds the one unused entry 0, and N allocations
 // cost at most 1.25 entries each. Per GB that is one blockInfo per block
-// stored, about 10x the paper's 6 bytes: the entry's width is what is left.
+// stored: 32 B, 8 MB per GB, about 5x the paper's 6 bytes. The entry's
+// width is what is left.
 func TestTable2BlockMapAsImplemented(t *testing.T) {
 	opts := DefaultOptions() // 512-KB segments of 4-KB blocks
 	dsk := &sparseDisk{capacity: gb, sectors: make(map[int64][]byte)}
@@ -210,6 +211,9 @@ func TestTable2BlockMapAsImplemented(t *testing.T) {
 		mustNewBlock(t, l, lid, ld.NilBlock)
 	}
 	entry := int64(unsafe.Sizeof(blockInfo{}))
+	if entry > 32 {
+		t.Errorf("a block-map entry is %d B, want at most 32", entry)
+	}
 	held := int64(cap(l.blocks)) * entry
 	if held > n*entry*5/4 {
 		t.Errorf("after %d allocations the map holds %d B (%d entries), want at most %d", n, held, cap(l.blocks), n*entry*5/4)

@@ -452,8 +452,8 @@ func (l *LLD) DeleteList(lid ld.ListID, predHint ld.ListID) error {
 	}
 	// Free the blocks one by one with individual tFree tuples. The
 	// per-block records matter for recovery: a block's free-ness must be
-	// re-derivable (and re-loggable by the cleaner) per block, which an
-	// implied mass-free inside tDelList would not allow.
+	// re-derivable per block, which an implied mass-free inside tDelList
+	// would not allow.
 	li := l.lists[lid]
 	for li.first != ld.NilBlock {
 		b := li.first
@@ -516,16 +516,19 @@ func (l *LLD) MoveBlocks(first, last ld.BlockID, srcList, dstList ld.ListID, pre
 	if err != nil {
 		return err
 	}
-	l.applyMoveBlocks(first, last, srcList, dstList, pred, srcPred)
 	// A move is logged as absolute state snapshots of every field it
 	// changed: the run members' list membership and chaining, the spliced
 	// predecessors (or list heads) on both sides. The snapshots are
 	// grouped into an internal atomic recovery unit so a crash cannot
-	// surface a half-moved run.
+	// surface a half-moved run. The unit opens before the move is applied:
+	// the checkpoint beginARU may take must not capture it.
 	internal := !l.aruOpen
 	if internal {
-		l.aruOpen = true
+		if err := l.beginARU(); err != nil {
+			return err
+		}
 	}
+	l.applyMoveBlocks(first, last, srcList, dstList, pred, srcPred)
 	emit := func() error {
 		for b := first; b != ld.NilBlock; b = l.blocks[b].next {
 			if err := l.emitBlockSnap(b); err != nil {
@@ -559,8 +562,18 @@ func (l *LLD) MoveBlocks(first, last ld.BlockID, srcList, dstList ld.ListID, pre
 			err = l.ensureRoom(0, tupleSpace(tCommit))
 		}
 		l.aruOpen = false
-		if err == nil {
+		switch {
+		case err == nil:
 			l.emitTuple(tCommit)
+		case errors.Is(err, errHeldInARU):
+			// Only held segments would take the rest of the snapshots. The
+			// move is whole in memory, so the checkpoint that releases them
+			// captures it, and the snapshots logged so far fall below its
+			// floor: a mount either loads it or, finding the older one,
+			// discards them with the unit that never committed.
+			err = l.checkpoint()
+		}
+		if err == nil {
 			for _, id := range l.pendingARU {
 				l.cool(id)
 			}
@@ -659,8 +672,7 @@ func (l *LLD) BeginARU() error {
 	if l.aruOpen {
 		return ld.ErrARUOpen
 	}
-	l.aruOpen = true
-	return nil
+	return l.beginARU()
 }
 
 // EndARU implements ld.Disk. It logs a commit tuple; during recovery all
@@ -676,7 +688,19 @@ func (l *LLD) EndARU() error {
 		return ld.ErrNoARU
 	}
 	if err := l.ensureRoom(0, tupleSpace(tCommit)); err != nil {
-		return err
+		if !errors.Is(err, errHeldInARU) {
+			return err
+		}
+		// Only held segments would take the commit tuple. The unit is
+		// whole, so the checkpoint that releases them may capture it, as
+		// may the committed records logged on the way there: recovery
+		// finds all of it, or, as for any unit whose commit did not land,
+		// none.
+		l.aruOpen = false
+		if err := l.ensureRoom(0, tupleSpace(tCommit)); err != nil {
+			l.aruOpen = true
+			return err
+		}
 	}
 	l.aruOpen = false // clear first so the commit tuple is tagged committed
 	l.emitTuple(tCommit)

@@ -73,9 +73,9 @@ type Options struct {
 	NVRAMBytes int
 
 	// CrashHook, when set, is called at named schedule points whose
-	// interruption is interesting to crash testing — between a cleaner's
-	// block moves and its fact re-log ("clean.moved"), after the re-log
-	// ("clean.relogged"), around ReclaimQuarantined's evidence-slot clears
+	// interruption is interesting to crash testing — after a cleaner's
+	// block moves, before it retires the victim ("clean.moved"), around
+	// ReclaimQuarantined's evidence-slot clears
 	// ("reclaim.preclear", "reclaim.midclear", "reclaim.postclear"), after
 	// a scrub salvage append ("scrub.salvage"), before every checkpoint
 	// write, whatever took it ("checkpoint"), between a seal's data request

@@ -86,8 +86,8 @@ func damagedImageWB(t *testing.T) (rail *disk.PowerRail, wb *disk.WBCache, l2 *L
 }
 
 // TestReclaimCrashMidEvidenceClear cuts power at each crash point inside
-// ReclaimQuarantined's commit window — after the salvage records are
-// durably re-logged, before/between/after the evidence-slot clears — and
+// ReclaimQuarantined's commit window — after the salvage records and a
+// checkpoint are durable, before/between/after the evidence-slot clears — and
 // checks the documented contract: a crash in between leaves either the
 // quarantine intact or the blocks fully re-homed, never neither. In every
 // outcome no acknowledged block may be lost, and the segment must not be

@@ -25,10 +25,11 @@ import (
 // (block existence/membership, successor pointer, data location, list
 // existence/head). Replay sorts all surviving records by timestamp and
 // stores them into the block-number map and list table themselves, so each
-// field converges to the value of its newest surviving record — which the
-// cleaner guarantees is the true value, because it restates any fact whose
-// newest record it is about to destroy. What no record states (the usage
-// table, list censuses, free pools) installRecovered derives afterwards.
+// field converges to the value of its newest surviving record — which is
+// the true value, because no summary holding a fact newer than the
+// checkpoint is destroyed before a newer checkpoint is durable (segment.go
+// cool). What no record states (the usage table, list censuses, free pools)
+// installRecovered derives afterwards.
 //
 // Atomic recovery units: a record tagged as not ending an ARU is applied
 // only if some committed record with an equal or later timestamp survives —
@@ -288,8 +289,10 @@ func (l *LLD) walkChain(seg int, seq uint32, floor uint64, probe func(int) (*seg
 // probes those and takes every other segment's state from the checkpoint.
 // full, when not empty, is why the mount must instead probe every segment,
 // in ascending order, as paper §3.6 does; so must a mount whose walk cannot
-// vouch for the chain. The full sweep is always correct: the chain and the
-// reuse rule (segment.go cool) only make it unnecessary. What the log opens
+// vouch for the chain. Both rest on the reuse rule (segment.go cool): no
+// segment opened since the newest durable checkpoint's chain start is
+// reused before a newer one is durable, so every record newer than the
+// checkpoint survives in its summary. What the log opens
 // next, where the chain ends, is left in l.succ and l.openSeq (l.succ -1
 // when the chain cannot be continued).
 //
@@ -578,7 +581,7 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 	// names, so the cleaner never reads one back.
 	for i := range decoded {
 		if si := decoded[i].si; si != nil && l.segs[i].state == segLive {
-			l.segs[i].names = newSumNames(si.entries, si.tuples)
+			l.segs[i].names = sumNames(si.entries)
 		}
 	}
 	// A volatile write cache can persist a summary while dropping the data
@@ -664,12 +667,12 @@ func (l *LLD) verifyRecoveredData(report *RecoveryReport, trusted func(seg int) 
 
 // replayBlock returns b's entry in the block-number map, growing the map to
 // cover it. Replay extends the map to the largest id a record names, freed
-// ids included: a freed id keeps its record timestamps, so the cleaner still
-// re-logs the tFree of a freed id above the last live one, or a surviving
-// tAlloc would bring the block back. The map grows as append grows it, which
-// reallocates far less often than one growBlocks per new high id. Callers
-// have checked b against the address space (badB). The map may move, so a
-// returned pointer is dead at the next call.
+// ids included; installRecovered sets the fresh watermark above the last
+// live one, and the map may hold freed entries past it (growBlocks). The map
+// grows as append grows it, which reallocates far less often than one
+// growBlocks per new high id. Callers have checked b against the address
+// space (badB). The map may move, so a returned pointer is dead at the next
+// call.
 func (l *LLD) replayBlock(b uint32) *blockInfo {
 	for len(l.blocks) <= int(b) {
 		l.blocks = append(l.blocks, blockInfo{seg: -1})
@@ -686,37 +689,28 @@ func (l *LLD) replayEntry(e *blockEntry, seg int) {
 	}
 	b := l.replayBlock(uint32(e.bid))
 	b.setData(int32(seg), e.off, e.stored, e.orig, e.flags&entryCompressed != 0, e.crc)
-	b.dataTS = e.ts
 }
 
-// replayTuple applies one tuple's field assignments, stamping each field
-// it assigns with the record's timestamp (the same bookkeeping noteTuple
-// maintains during normal operation). The usage accounting is left alone:
-// installRecovered recounts it from the final map. A list exists while it
-// has an l.lists entry, so a fact about a list with none stores nothing.
+// replayTuple applies one tuple's field assignments. The usage accounting is
+// left alone: installRecovered recounts it from the final map. A list exists
+// while it has an l.lists entry, so a fact about a list with none stores
+// nothing.
 func (l *LLD) replayTuple(t *tupleRec) {
 	badB := func(b uint32) bool { return b == 0 || int(b) > l.lay.maxBlocks }
 	// freed is a block with no existence, linkage or data as of this record.
-	freed := blockInfo{seg: -1, existTS: t.ts, linkTS: t.ts, dataTS: t.ts}
+	freed := blockInfo{seg: -1}
 	setEdge := func(lid uint32, pred uint32, head bool, val ld.BlockID) {
 		if head {
 			if li := l.lists[ld.ListID(lid)]; li != nil {
 				li.first = val
-				li.headTS = t.ts
 			}
 		} else if !badB(pred) {
-			p := l.replayBlock(pred)
-			p.next = val
-			p.linkTS = t.ts
+			l.replayBlock(pred).next = val
 		}
 	}
 	// newList installs a fresh entry for lid after pred in the list of lists.
 	newList := func(lid ld.ListID, first ld.BlockID, pred ld.ListID, hints uint32) {
-		l.lists[lid] = &listInfo{
-			first: first, hints: decodeHints(hints),
-			existTS: t.ts, headTS: t.ts, orderTS: t.ts,
-		}
-		delete(l.deadLists, lid)
+		l.lists[lid] = &listInfo{first: first, hints: decodeHints(hints)}
 		l.order = orderInsertAfter(orderRemove(l.order, lid), lid, pred)
 	}
 	switch t.kind {
@@ -729,7 +723,6 @@ func (l *LLD) replayTuple(t *tupleRec) {
 		// A fresh allocation carries no data.
 		*l.replayBlock(t.args[0]) = blockInfo{
 			seg: -1, lid: ld.ListID(t.args[1]), next: ld.BlockID(t.args[2]), flags: bAllocated,
-			existTS: t.ts, linkTS: t.ts, dataTS: t.ts,
 		}
 		setEdge(t.args[1], t.args[3], t.args[4]&1 != 0, ld.BlockID(t.args[0]))
 	case tFree:
@@ -754,16 +747,12 @@ func (l *LLD) replayTuple(t *tupleRec) {
 			return
 		}
 		delete(l.lists, lid)
-		l.deadLists[lid] = t.ts
 		l.order = orderRemove(l.order, lid)
 	case tMoveList:
 		lid := ld.ListID(t.args[0])
 		if lid == ld.NilList {
 			l.stats.RecoveryAnomalies++
 			return
-		}
-		if li := l.lists[lid]; li != nil {
-			li.orderTS = t.ts
 		}
 		// The id moves even when the list is gone: a later record that
 		// recreates a list after it must land where it did when it was
@@ -780,7 +769,6 @@ func (l *LLD) replayTuple(t *tupleRec) {
 		b.flags |= bAllocated
 		b.next = ld.BlockID(t.args[1])
 		b.lid = ld.ListID(t.args[2])
-		b.existTS, b.linkTS = t.ts, t.ts
 	case tBlockFree:
 		if badB(t.args[0]) {
 			l.stats.RecoveryAnomalies++
@@ -800,7 +788,6 @@ func (l *LLD) replayTuple(t *tupleRec) {
 			return
 		}
 		b := l.replayBlock(t.args[0])
-		b.dataTS = t.ts
 		if t.args[1] == 0 {
 			b.clearData()
 			return
@@ -823,8 +810,7 @@ func (l *LLD) replayTuple(t *tupleRec) {
 // recounts the usage table, and rebuilds the list census and free pools.
 func (l *LLD) installRecovered() {
 	l.order = slices.DeleteFunc(l.order, func(lid ld.ListID) bool { return l.lists[lid] == nil })
-	// Blocks. Data belonging to a non-existent block is simply dropped;
-	// freed blocks keep their record timestamps (replayBlock).
+	// Blocks. Data belonging to a non-existent block is simply dropped.
 	l.liveBytes = 0
 	for i := range l.segs {
 		l.segs[i].live = 0
@@ -833,7 +819,7 @@ func (l *LLD) installRecovered() {
 	for i := 1; i < len(l.blocks); i++ {
 		bi := &l.blocks[i]
 		if !bi.allocated() {
-			*bi = blockInfo{seg: -1, existTS: bi.existTS, linkTS: bi.linkTS, dataTS: bi.dataTS}
+			*bi = blockInfo{seg: -1}
 			continue
 		}
 		maxUsed = ld.BlockID(i)
@@ -843,7 +829,7 @@ func (l *LLD) installRecovered() {
 		}
 	}
 	// A block's tag can name a list whose own records (its tNewList, or
-	// the tListState a cleaner re-logged) were all lost with a quarantined
+	// a tListState a move logged) were all lost with a quarantined
 	// summary. The tags are the newest surviving membership facts, so the
 	// list demonstrably existed: resurrect it rather than strand — or
 	// worse, free — its surviving members. The chain order died with the
@@ -867,18 +853,14 @@ func (l *LLD) installRecovered() {
 	sort.Slice(lostLids, func(i, j int) bool { return lostLids[i] < lostLids[j] })
 	for _, lid := range lostLids {
 		members := lost[lid] // ascending block id by construction
-		var ts uint64
 		for j, b := range members {
 			next := ld.NilBlock
 			if j+1 < len(members) {
 				next = members[j+1]
 			}
 			l.blocks[b].next = next
-			if l.blocks[b].linkTS > ts {
-				ts = l.blocks[b].linkTS
-			}
 		}
-		l.lists[lid] = &listInfo{first: members[0], existTS: ts, headTS: ts, orderTS: ts}
+		l.lists[lid] = &listInfo{first: members[0]}
 		l.order = append(l.order, lid)
 		l.stats.RecoveryAnomalies++
 	}

@@ -372,7 +372,8 @@ func TestReplayPlacesListsAfterAMovedDeadList(t *testing.T) {
 
 func TestRecoveryAfterCleaning(t *testing.T) {
 	// Fill, delete half to create fragmented segments, force cleaning,
-	// then crash: the cleaner's re-logged facts must fully reconstruct.
+	// then crash: the moved blocks and the summaries the reuse rule keeps
+	// must fully reconstruct.
 	d, l := newTestLLD(t, 4<<20, testOptions())
 	lid := mustNewList(t, l, ld.NilList, ld.ListHints{Cluster: true})
 	var ids []ld.BlockID

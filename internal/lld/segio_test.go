@@ -751,8 +751,8 @@ func runShortOverLong(t *testing.T, back disk.Backend, sync func() error, arm fu
 		r.oldLen[slot] = summaryBytes(si.entries, si.tuples)
 	}
 
-	// Retire the generation, make the re-logs durable so the segment
-	// leaves the cooling queue, and seal the segment they went to.
+	// Retire the generation, make what was logged since durable so the
+	// segment leaves the cooling queue, and seal the segment it went to.
 	must(cleanVictim(l, r.seg))
 	must(l.Flush(ld.FailPower))
 	l.mu.Lock()

@@ -179,15 +179,11 @@ func (l *LLD) addEntry(e blockEntry) {
 	l.cur.entries = append(l.cur.entries, e)
 	l.cur.sumSize += e.packedSize(prev)
 	l.cur.dirty = true
-	if int(e.bid) < len(l.blocks) {
-		l.blocks[e.bid].dataTS = e.ts
-	}
 }
 
-// emitTuple stamps, tags, and records a tuple in the open segment's summary
-// and updates the recTS bookkeeping for every id the tuple mentions.
-// Callers hold l.mu and must have reserved summary space via ensureRoom;
-// the tuple is charged its packed size.
+// emitTuple stamps, tags, and records a tuple in the open segment's
+// summary. Callers hold l.mu and must have reserved summary space via
+// ensureRoom; the tuple is charged its packed size.
 func (l *LLD) emitTuple(kind uint8, args ...uint32) uint64 {
 	t := tupleRec{kind: kind, ts: l.nextTS()}
 	if !l.aruOpen {
@@ -201,127 +197,22 @@ func (l *LLD) emitTuple(kind uint8, args ...uint32) uint64 {
 	l.cur.tuples = append(l.cur.tuples, t)
 	l.cur.sumSize += t.packedSize(prev)
 	l.cur.dirty = true
-	l.noteTuple(t)
 	return t.ts
 }
 
-// noteTuple records, per field a tuple assigns, that its newest determining
-// record now has this timestamp. The cleaner relies on these to know which
-// facts a victim summary is the last holder of.
-func (l *LLD) noteTuple(t tupleRec) {
-	exist := func(b uint32) {
-		if b != 0 && int(b) < len(l.blocks) {
-			l.blocks[b].existTS = t.ts
-		}
-	}
-	link := func(b uint32) {
-		if b != 0 && int(b) < len(l.blocks) {
-			l.blocks[b].linkTS = t.ts
-		}
-	}
-	data := func(b uint32) {
-		if b != 0 && int(b) < len(l.blocks) {
-			l.blocks[b].dataTS = t.ts
-		}
-	}
-	list := func(lid uint32) *listInfo {
-		if lid == 0 {
-			return nil
-		}
-		return l.lists[ld.ListID(lid)]
-	}
-	switch t.kind {
-	case tAlloc:
-		// Assigns: bid's existence, lid, next, and (pred.next | list head).
-		exist(t.args[0])
-		link(t.args[0])
-		data(t.args[0]) // a fresh allocation has no data
-		if t.args[4]&1 != 0 {
-			if li := list(t.args[1]); li != nil {
-				li.headTS = t.ts
-			}
-		} else {
-			link(t.args[3])
-		}
-	case tFree:
-		// Assigns: bid freed, and (pred.next | list head) = succ.
-		exist(t.args[0])
-		link(t.args[0])
-		data(t.args[0])
-		if t.args[4]&1 != 0 {
-			if li := list(t.args[1]); li != nil {
-				li.headTS = t.ts
-			}
-		} else {
-			link(t.args[2])
-		}
-	case tNewList:
-		if li := list(t.args[0]); li != nil {
-			li.existTS = t.ts
-			li.headTS = t.ts
-			li.orderTS = t.ts
-		}
-		delete(l.deadLists, ld.ListID(t.args[0]))
-	case tDelList:
-		// The list is gone from the table; remember the tombstone's
-		// timestamp so older mentions need no re-logging when cleaned.
-		l.deadLists[ld.ListID(t.args[0])] = t.ts
-	case tMoveList:
-		if li := list(t.args[0]); li != nil {
-			li.orderTS = t.ts
-		}
-	case tBlockState:
-		exist(t.args[0])
-		link(t.args[0])
-	case tBlockFree:
-		exist(t.args[0])
-		link(t.args[0])
-		data(t.args[0])
-	case tListState:
-		if li := list(t.args[0]); li != nil {
-			li.existTS = t.ts
-			li.headTS = t.ts
-			li.orderTS = t.ts
-		}
-		delete(l.deadLists, ld.ListID(t.args[0]))
-	case tDataAt:
-		data(t.args[0])
-	case tFence:
-		// Assigns no entity field; the window lives in the args.
-	}
-}
-
-// emitBlockSnap re-logs the current existence/linkage state of a block.
-// Callers hold l.mu.
+// emitBlockSnap logs the current existence/linkage state of an allocated
+// block. Callers hold l.mu.
 func (l *LLD) emitBlockSnap(bid ld.BlockID) error {
-	bi := &l.blocks[bid]
-	if bi.allocated() {
-		if err := l.ensureRoom(0, tupleSpace(tBlockState)); err != nil {
-			return err
-		}
-		l.emitTuple(tBlockState, uint32(bid), uint32(bi.next), uint32(bi.lid))
-	} else {
-		if err := l.ensureRoom(0, tupleSpace(tBlockFree)); err != nil {
-			return err
-		}
-		l.emitTuple(tBlockFree, uint32(bid))
+	if err := l.ensureRoom(0, tupleSpace(tBlockState)); err != nil {
+		return err
 	}
-	l.stats.SnapshotTuples++
+	bi := &l.blocks[bid]
+	l.emitTuple(tBlockState, uint32(bid), uint32(bi.next), uint32(bi.lid))
 	return nil
 }
 
-// emitListSnap re-logs the current state of a list (or its tombstone).
-// Callers hold l.mu.
+// emitListSnap logs the current state of a list. Callers hold l.mu.
 func (l *LLD) emitListSnap(lid ld.ListID) error {
-	li, ok := l.lists[lid]
-	if !ok {
-		if err := l.ensureRoom(0, tupleSpace(tDelList)); err != nil {
-			return err
-		}
-		l.emitTuple(tDelList, uint32(lid))
-		l.stats.SnapshotTuples++
-		return nil
-	}
 	pred := ld.NilList
 	if idx := slices.Index(l.order, lid); idx > 0 {
 		pred = l.order[idx-1]
@@ -329,12 +220,12 @@ func (l *LLD) emitListSnap(lid ld.ListID) error {
 	if err := l.ensureRoom(0, tupleSpace(tListState)); err != nil {
 		return err
 	}
+	li := l.lists[lid]
 	l.emitTuple(tListState, uint32(lid), uint32(li.first), uint32(pred), encodeHints(li.hints))
-	l.stats.SnapshotTuples++
 	return nil
 }
 
-// emitDataSnap re-logs the current data location of a block.
+// emitDataSnap logs the current data location of a block.
 // Callers hold l.mu.
 func (l *LLD) emitDataSnap(bid ld.BlockID) error {
 	bi := &l.blocks[bid]
@@ -353,7 +244,6 @@ func (l *LLD) emitDataSnap(bid ld.BlockID) error {
 		crc = bi.crc
 	}
 	l.emitTuple(tDataAt, uint32(bid), seg, bi.off, bi.stored, bi.orig, flags, crc)
-	l.stats.SnapshotTuples++
 	return nil
 }
 
@@ -457,7 +347,7 @@ func (l *LLD) sealSegment() error {
 	l.chargeCompression()
 	l.segs[cur.id].state = segLive
 	l.segs[cur.id].ts = writeTS
-	l.segs[cur.id].names = newSumNames(cur.entries, cur.tuples)
+	l.segs[cur.id].names = sumNames(cur.entries)
 	l.cur = nil
 	l.stats.SegmentsSealed++
 	l.releaseCooling()
@@ -545,8 +435,11 @@ func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, n
 
 // releaseCooling moves cooled segments to the free pool. A segment freed by
 // the cleaner becomes reusable only after the next durable write, which is
-// what makes the facts the cleaner re-logged (and the block copies it
-// moved) reachable by recovery before the old copies can be destroyed.
+// what makes the block copies it moved, and the records that superseded the
+// rest of its contents, reachable by recovery before the old copies can be
+// destroyed. The facts its summary states need no such write: the segment
+// is cooling, not held, only when the newest durable checkpoint holds them
+// all (cool).
 // On a backend with a volatile write cache "the next write returned" is
 // not "durable", so the cache is drained first; if the drain fails the
 // segments simply stay cooling — unreusable but safe.
@@ -554,10 +447,10 @@ func (l *LLD) releaseCooling() {
 	if len(l.cooling) == 0 {
 		return
 	}
-	// A victim is releasable only once every record the cleaner re-logged
-	// on its behalf has reached the platter. Those records all carry a ts
-	// at or below the barrier recorded when the victim was retired, so the
-	// check is a watermark comparison: undurableFloor is a lower bound on
+	// A victim is releasable only once every record logged before it was
+	// retired has reached the platter. Those records all carry a ts at or
+	// below the barrier recorded when the victim was retired, so the check
+	// is a watermark comparison: undurableFloor is a lower bound on
 	// the ts of any record NOT yet durable (in the open segment's buffer
 	// above its last partial write). The barriers are monotone, so a
 	// prefix of the cooling queue releases.
@@ -644,22 +537,39 @@ func seqAtOrAfter(a, b uint32) bool { return int32(a-b) >= 0 }
 // refillFromHeld takes the checkpoint early when the free pool is empty
 // and only held segments would refill it, which releases them. Inside an
 // atomic recovery unit no checkpoint may be taken (it would capture half
-// the unit), so the held segments cool as any other: a crash before the
-// next checkpoint then finds a reused link, and recovery falls back to the
-// full sweep. Callers hold l.mu.
+// the unit), so there the refill fails with errHeldInARU; beginARU takes
+// the checkpoint before a unit opens with the pool below cleanLow, so only
+// a unit that writes more than the pool held meets it. Callers hold l.mu.
 func (l *LLD) refillFromHeld() error {
 	if len(l.freeSegs) > 0 || len(l.held) == 0 {
 		return nil
 	}
-	if !l.aruOpen {
-		return l.checkpoint()
+	if l.aruOpen {
+		return errHeldInARU
 	}
-	for _, id := range l.held {
-		l.cooling = append(l.cooling, id)
-		l.coolingTS = append(l.coolingTS, l.ts)
+	return l.checkpoint()
+}
+
+// errHeldInARU is refillFromHeld's refusal inside an atomic recovery unit.
+var errHeldInARU = &NoSpaceError{Reason: "only segments held for the next checkpoint would refill the free pool, and no checkpoint is taken inside an atomic recovery unit"}
+
+// beginARU opens an atomic recovery unit: BeginARU's, and the one
+// MoveBlocks logs its snapshots in. No checkpoint may be taken inside it,
+// so held segments stay held until it ends; when some are held and the
+// free pool, cooling segments included, is below cleanLow, the checkpoint
+// that releases them is taken first. The bound is cleanLow, not cleanHigh:
+// the cleaner counts held segments toward its watermarks, so on a full
+// disk the pool less them sits at or below cleanHigh most of the time, and
+// that bound checkpoints more often for no refusal it avoids; with no
+// pre-checkpoint at all, units are refused (EXPERIMENTS.md, "Checkpoints
+// under atomic recovery units"). Callers hold l.mu.
+func (l *LLD) beginARU() error {
+	if len(l.held) > 0 && len(l.freeSegs)+len(l.cooling) < cleanLow {
+		if err := l.checkpoint(); err != nil {
+			return err
+		}
 	}
-	l.held = l.held[:0]
-	l.releaseCooling()
+	l.aruOpen = true
 	return nil
 }
 

@@ -58,10 +58,9 @@ type Config struct {
 	// touched: the hook mounts private copies.
 	OnImage func(Image) error
 
-	// Instrument, when set, is handed the options of every instance a
-	// workload is about to run on, the crash hook installed, and may wrap
-	// the hook; the function it returns is given the instance once open.
-	Instrument func(o *lld.Options) (opened func(*lld.LLD))
+	// Opened, when set, is given every instance a workload runs on, once
+	// it is open.
+	Opened func(*lld.LLD)
 }
 
 func (c *Config) fillDefaults() {
@@ -405,13 +404,9 @@ func (im Image) Mount() (back disk.Backend, done func(), err error) {
 
 // openWorkload opens the instance a workload runs on.
 func (c Config) openWorkload(back disk.Backend, opts lld.Options) (*lld.LLD, error) {
-	opened := func(*lld.LLD) {}
-	if c.Instrument != nil {
-		opened = c.Instrument(&opts)
-	}
 	l, err := lld.Open(back, opts)
-	if err == nil {
-		opened(l)
+	if err == nil && c.Opened != nil {
+		c.Opened(l)
 	}
 	return l, err
 }

@@ -27,9 +27,7 @@ func smokeConfig(t *testing.T, kind string, maxPoints int) Config {
 func runSmoke(t *testing.T, cfg Config) Result {
 	t.Helper()
 	var instances []*lld.LLD
-	cfg.Instrument = func(*lld.Options) func(*lld.LLD) {
-		return func(l *lld.LLD) { instances = append(instances, l) }
-	}
+	cfg.Opened = func(l *lld.LLD) { instances = append(instances, l) }
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("torture run: %v", err)
@@ -170,7 +168,8 @@ func TestPointParse(t *testing.T) {
 // fell to 459. The floor stays where it is and the default SectorStride
 // pays for it (13 -> 8). Packed summaries written only up to their last
 // used sector (format v4) thinned them again, 665 -> 518 at stride 8, and
-// the stride went to 5 (674).
+// the stride went to 5 (674). The cleaner's "clean.relogged" site went with
+// its re-log, 8 points a topology (650).
 func TestEnumerationBreadth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference runs are not instant")
