@@ -116,7 +116,9 @@ type Disk interface {
 	// NewBlock allocates a logical block number and inserts it into list
 	// lid after block pred (NilBlock inserts at the beginning). The list
 	// position is a clustering hint: LD will try to place the block
-	// physically near its list neighbors.
+	// physically near its list neighbors. The number is the lowest free
+	// one, on a running instance and after any mount alike, so blocks
+	// allocated in order get rising numbers; NewList follows the same rule.
 	NewBlock(lid ListID, pred BlockID) (BlockID, error)
 
 	// DeleteBlock removes block b from list lid and frees its number and

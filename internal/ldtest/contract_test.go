@@ -19,9 +19,7 @@ import (
 func newLLD(t *testing.T) ld.Disk {
 	t.Helper()
 	d := disk.New(disk.DefaultConfig(16 << 20))
-	o := lld.DefaultOptions()
-	o.SegmentSize = 64 * 1024
-	o.SummarySize = 8 * 1024
+	o := contractLLDOptions()
 	if err := lld.Format(d, o); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,8 @@ func (l *LLD) fingerprint() string {
 		fmt.Fprintf(&b, "list %d: first=%d count=%d hints=%+v\n", lid, li.first, li.count, li.hints)
 	}
 	fmt.Fprintf(&b, "order=%v\n", l.order)
-	fmt.Fprintf(&b, "freeIDs=%v freeLists=%v\n", l.freeIDs.all(), l.freeLists.all())
+	// Sorted: a heap's layout depends on the order its ids were pushed in.
+	fmt.Fprintf(&b, "freeIDs=%v freeLists=%v\n", l.freeIDs.Sorted(), l.freeLists.Sorted())
 	for i := range l.segs {
 		fmt.Fprintf(&b, "seg %d: live=%d ts=%d seq=%d state=%d\n", i, l.segs[i].live, l.segs[i].ts, l.segs[i].seq, l.segs[i].state)
 	}

@@ -90,7 +90,7 @@ func (l *LLD) CheckInvariants() []string {
 	// Free pool: no allocated id pooled, no duplicates, and every
 	// unallocated id below the fresh watermark covered.
 	freeSeen := make(map[ld.BlockID]bool)
-	for _, b := range l.freeIDs.all() {
+	for _, b := range l.freeIDs.Sorted() {
 		if freeSeen[b] {
 			bad("block id %d in free pool twice", b)
 		}
@@ -115,7 +115,7 @@ func (l *LLD) CheckInvariants() []string {
 		}
 	}
 	listSeen := make(map[ld.ListID]bool)
-	for _, lid := range l.freeLists.all() {
+	for _, lid := range l.freeLists.Sorted() {
 		if listSeen[lid] {
 			bad("list id %d in free pool twice", lid)
 		}

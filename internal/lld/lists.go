@@ -65,7 +65,7 @@ func (l *LLD) applyFree(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 	l.applyFreeStorage(bi)
 	bi.flags = 0
 	bi.lid = ld.NilList
-	l.freeIDs.push(bid)
+	l.freeIDs.Push(bid)
 }
 
 // applySetData installs a new physical location for bid's data, adjusting
@@ -98,12 +98,12 @@ func (l *LLD) applyDelList(lid ld.ListID) {
 		bi.flags = 0
 		bi.next = ld.NilBlock
 		bi.lid = ld.NilList
-		l.freeIDs.push(b)
+		l.freeIDs.Push(b)
 		b = next
 	}
 	delete(l.lists, lid)
 	l.order = orderRemove(l.order, lid)
-	l.freeLists.push(lid)
+	l.freeLists.Push(lid)
 }
 
 // applyMoveBlocks splices the run [first,last] out of src (whose resolved

@@ -242,12 +242,12 @@ type LLD struct {
 	// has handed out, not the lay.maxBlocks it could: see growBlocks.
 	blocks    []blockInfo
 	nextFresh ld.BlockID // smallest never-allocated id
-	freeIDs   freePool[ld.BlockID]
+	freeIDs   ld.IDPool[ld.BlockID]
 
 	lists     map[ld.ListID]*listInfo
 	order     []ld.ListID // the list of lists
 	nextList  ld.ListID
-	freeLists freePool[ld.ListID]
+	freeLists ld.IDPool[ld.ListID]
 
 	segs       []segInfo
 	freeSegs   []int
@@ -536,6 +536,14 @@ func (l *LLD) rebuildFreeSegments() {
 			l.freeSegs = append(l.freeSegs, i)
 		}
 	}
+}
+
+// rebuildFreePools derives the free block-number and list-id pools from
+// the allocation state. Neither the checkpoint nor a summary records them,
+// so the recovery sweep and the checkpoint loader both end here.
+func (l *LLD) rebuildFreePools() {
+	l.freeIDs.Fill(l.nextFresh, func(b ld.BlockID) bool { return !l.blocks[b].allocated() })
+	l.freeLists.Fill(l.nextList, func(lid ld.ListID) bool { return l.lists[lid] == nil })
 }
 
 // nextTS issues the next operation timestamp.

@@ -342,21 +342,19 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 			return ld.NilBlock, fmt.Errorf("%w: predecessor %d not on list %d", ld.ErrNotInList, pred, lid)
 		}
 	}
-	var bid ld.BlockID
-	fromPool := false
-	if id, ok := l.freeIDs.pop(); ok {
-		bid, fromPool = id, true
-	} else if int(l.nextFresh) <= l.lay.maxBlocks {
+	bid, fromPool := l.freeIDs.Pop()
+	if !fromPool {
+		if int(l.nextFresh) > l.lay.maxBlocks {
+			return ld.NilBlock, fmt.Errorf("%w: out of logical block numbers", ld.ErrNoSpace)
+		}
 		bid = l.nextFresh
 		l.nextFresh++
 		l.growBlocks(int(l.nextFresh))
-	} else {
-		return ld.NilBlock, fmt.Errorf("%w: out of logical block numbers", ld.ErrNoSpace)
 	}
 	if err := l.ensureRoom(0, tupleSpace(tAlloc)); err != nil {
 		// Roll the number back.
 		if fromPool {
-			l.freeIDs.push(bid)
+			l.freeIDs.Push(bid)
 		} else {
 			l.nextFresh--
 		}
@@ -417,15 +415,13 @@ func (l *LLD) NewList(predList ld.ListID, hints ld.ListHints) (ld.ListID, error)
 			return ld.NilList, err
 		}
 	}
-	var lid ld.ListID
-	if id, ok := l.freeLists.pop(); ok {
-		lid = id
-	} else {
+	lid, ok := l.freeLists.Pop()
+	if !ok {
 		lid = l.nextList
 		l.nextList++
 	}
 	if err := l.ensureRoom(0, tupleSpace(tNewList)); err != nil {
-		l.freeLists.push(lid)
+		l.freeLists.Push(lid)
 		return ld.NilList, err
 	}
 	l.applyNewList(lid, predList, hints)

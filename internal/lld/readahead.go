@@ -13,6 +13,9 @@ import "sync"
 // block served from the window is still checked against its checksum, and
 // one that fails takes the per-block read like a bad block out of any
 // extent. The single-block Read neither fills the window nor consults it.
+// The trigger is forward-only: a population laid out backwards, each extent
+// ending where the next one read begins, never fills a window, which is why
+// NewBlock hands out the lowest free number (ld.IDPool).
 
 // readaheadWindow is how far a continuing extent is read: 128 KB, four tracks
 // of the modelled drive and minixfs's ldWindow, clipped to the segment's data

@@ -449,12 +449,7 @@ func (u *ULD) deriveFree() {
 	if maxUsed >= u.nextFresh {
 		u.nextFresh = maxUsed + 1
 	}
-	u.freeIDs = u.freeIDs[:0]
-	for i := ld.BlockID(1); i < u.nextFresh; i++ {
-		if !u.blocks[i].allocated() {
-			u.freeIDs = append(u.freeIDs, i)
-		}
-	}
+	u.freeIDs.Fill(u.nextFresh, func(b ld.BlockID) bool { return !u.blocks[b].allocated() })
 	maxList := ld.ListID(0)
 	for lid := range u.lists {
 		if lid > maxList {
@@ -464,11 +459,6 @@ func (u *ULD) deriveFree() {
 	if maxList >= u.nextList {
 		u.nextList = maxList + 1
 	}
-	u.freeLists = u.freeLists[:0]
-	for lid := ld.ListID(1); lid < u.nextList; lid++ {
-		if u.lists[lid] == nil {
-			u.freeLists = append(u.freeLists, lid)
-		}
-	}
+	u.freeLists.Fill(u.nextList, func(lid ld.ListID) bool { return u.lists[lid] == nil })
 	u.pendingFree = u.pendingFree[:0]
 }

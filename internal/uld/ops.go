@@ -38,7 +38,7 @@ func (u *ULD) applyFree(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 		u.freeSlotNow(int(bi.slot))
 	}
 	*bi = ublock{slot: -1}
-	u.freeIDs = append(u.freeIDs, bid)
+	u.freeIDs.Push(bid)
 }
 
 func (u *ULD) applyNewList(lid, pred ld.ListID, hints ld.ListHints) {
@@ -57,13 +57,13 @@ func (u *ULD) applyDelList(lid ld.ListID) {
 		if bi.hasData() {
 			u.freeSlotNow(int(bi.slot))
 		}
-		u.freeIDs = append(u.freeIDs, b)
+		u.freeIDs.Push(b)
 		*bi = ublock{slot: -1}
 		b = next
 	}
 	delete(u.lists, lid)
 	u.orderRemove(lid)
-	u.freeLists = append(u.freeLists, lid)
+	u.freeLists.Push(lid)
 }
 
 func (u *ULD) applyMoveList(lid, pred ld.ListID) {
@@ -297,16 +297,13 @@ func (u *ULD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 			return ld.NilBlock, fmt.Errorf("%w: predecessor %d not on list %d", ld.ErrNotInList, pred, lid)
 		}
 	}
-	var bid ld.BlockID
-	switch {
-	case len(u.freeIDs) > 0:
-		bid = u.freeIDs[len(u.freeIDs)-1]
-		u.freeIDs = u.freeIDs[:len(u.freeIDs)-1]
-	case int(u.nextFresh) <= u.lay.maxBlocks:
+	bid, ok := u.freeIDs.Pop()
+	if !ok {
+		if int(u.nextFresh) > u.lay.maxBlocks {
+			return ld.NilBlock, fmt.Errorf("%w: out of logical block numbers", ld.ErrNoSpace)
+		}
 		bid = u.nextFresh
 		u.nextFresh++
-	default:
-		return ld.NilBlock, fmt.Errorf("%w: out of logical block numbers", ld.ErrNoSpace)
 	}
 	u.applyAlloc(bid, lid, pred)
 	u.record(jAlloc, uint32(bid), uint32(lid), uint32(pred))
@@ -357,11 +354,8 @@ func (u *ULD) NewList(predList ld.ListID, hints ld.ListHints) (ld.ListID, error)
 			return ld.NilList, err
 		}
 	}
-	var lid ld.ListID
-	if len(u.freeLists) > 0 {
-		lid = u.freeLists[len(u.freeLists)-1]
-		u.freeLists = u.freeLists[:len(u.freeLists)-1]
-	} else {
+	lid, ok := u.freeLists.Pop()
+	if !ok {
 		lid = u.nextList
 		u.nextList++
 	}

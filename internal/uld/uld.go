@@ -230,13 +230,13 @@ type ULD struct {
 	shut bool
 
 	blocks    []ublock
-	freeIDs   []ld.BlockID
+	freeIDs   ld.IDPool[ld.BlockID]
 	nextFresh ld.BlockID
 
 	lists     map[ld.ListID]*ulist
 	order     []ld.ListID
 	nextList  ld.ListID
-	freeLists []ld.ListID
+	freeLists ld.IDPool[ld.ListID]
 
 	slotUsed  []bool
 	freeSlots int
