@@ -146,7 +146,7 @@ func TestReadBlocksMatchesSequentialReads(t *testing.T) {
 			}
 			for i := 0; i < 6; i++ {
 				b := ids[rng.Intn(len(ids))]
-				if bi := &l.blocks[b]; bi.hasData() && bi.stored > 0 && l.segs[bi.seg].state == segLive {
+				if bi := &l.blocks[b]; bi.hasData() && bi.stored > 0 && l.segs[l.segOf(bi)].state == segLive {
 					d.CorruptRange(platterOff(l, b)+int64(rng.Intn(int(bi.stored))), 1, 0x5a)
 				}
 			}
@@ -174,7 +174,7 @@ func TestReadBlocksMatchesSequentialReads(t *testing.T) {
 					bs[i] = bs[rng.Intn(i+1)] // a block named twice (or itself: zero, NilBlock)
 				}
 				if int(bs[i]) < len(l.blocks) {
-					if bi := &l.blocks[bs[i]]; bi.allocated() && bi.hasData() && int(bi.seg) == l.cur.id {
+					if bi := &l.blocks[bs[i]]; bi.allocated() && bi.hasData() && l.segOf(bi) == l.cur.id {
 						fromMemory++
 					}
 				}
@@ -213,8 +213,8 @@ func TestReadBlocksRottedSectorFailsOnlyTheBlocksOnIt(t *testing.T) {
 	if err := l.Flush(ld.FailPower); err != nil {
 		t.Fatal(err)
 	}
-	seg := l.blocks[ids[0]].seg
-	if l.segs[seg].state != segLive || l.blocks[ids[nBlocks-1]].seg != seg {
+	seg := l.blockSeg(ids[0])
+	if l.segs[seg].state != segLive || l.blockSeg(ids[nBlocks-1]) != seg {
 		t.Fatal("the blocks are not in one sealed segment")
 	}
 	ss := int64(d.SectorSize())
@@ -304,12 +304,12 @@ func TestReadBlocksHealsARottedMirrorCopy(t *testing.T) {
 	x, _ := neighbours(t, l, ids)
 	var bs []ld.BlockID
 	for _, b := range ids {
-		if l.blocks[b].seg == l.blocks[x].seg {
+		if l.blockSeg(b) == l.blockSeg(x) {
 			bs = append(bs, b)
 		}
 	}
-	if len(bs) < 3 || l.segs[l.blocks[x].seg].state != segLive {
-		t.Fatalf("%d blocks share block %d's segment, state %d; want a sealed extent", len(bs), x, l.segs[l.blocks[x].seg].state)
+	if len(bs) < 3 || l.segs[l.blockSeg(x)].state != segLive {
+		t.Fatalf("%d blocks share block %d's segment, state %d; want a sealed extent", len(bs), x, l.segs[l.blockSeg(x)].state)
 	}
 	legs[0].CorruptRange(platterOff(l, x)+100, 64, 0xFF)
 
@@ -348,11 +348,11 @@ func TestReadBlocksHealsARottedMirrorCopy(t *testing.T) {
 func victimBlocks(l *LLD, want map[ld.BlockID][]byte, seg int) []ld.BlockID {
 	var in []ld.BlockID
 	for b := range want {
-		if int(l.blocks[b].seg) == seg {
+		if l.blockSeg(b) == seg {
 			in = append(in, b)
 		}
 	}
-	sort.Slice(in, func(i, j int) bool { return l.blocks[in[i]].off < l.blocks[in[j]].off })
+	sort.Slice(in, func(i, j int) bool { return l.blockOff(in[i]) < l.blockOff(in[j]) })
 	return in
 }
 
@@ -462,10 +462,10 @@ func TestReadBlocksRequestShape(t *testing.T) {
 		if err := l.Flush(ld.FailPower); err != nil {
 			t.Fatal(err)
 		}
-		segs := make(map[int32]bool)
+		segs := make(map[int]bool)
 		for _, b := range ids {
-			if bi := &l.blocks[b]; l.segs[bi.seg].state == segLive {
-				segs[bi.seg] = true
+			if bi := &l.blocks[b]; l.segs[l.segOf(bi)].state == segLive {
+				segs[l.segOf(bi)] = true
 			}
 		}
 		rec.take('r')
@@ -511,7 +511,7 @@ func TestReadBlocksRequestShape(t *testing.T) {
 		d, l, target, want, _ := damagedImage(t)
 		var bs []ld.BlockID
 		for b := range want {
-			if bi := &l.blocks[b]; bi.allocated() && bi.hasData() && int(bi.seg) == target {
+			if bi := &l.blocks[b]; bi.allocated() && bi.hasData() && l.segOf(bi) == target {
 				bs = append(bs, b)
 			}
 		}
@@ -592,8 +592,8 @@ func TestReorganizeReadsEachRunInPlatterOrder(t *testing.T) {
 	}
 	for i := 1; i < nBlocks; i++ { // list order is log order now
 		a, b := &l.blocks[got[i-1]], &l.blocks[got[i]]
-		if a.seg == b.seg && b.off != a.off+a.stored {
-			t.Fatalf("blocks %d and %d of the list are not adjacent in segment %d", got[i-1], got[i], a.seg)
+		if l.segOf(a) == l.segOf(b) && l.offOf(b) != l.offOf(a)+uint32(a.stored) {
+			t.Fatalf("blocks %d and %d of the list are not adjacent in segment %d", got[i-1], got[i], l.segOf(a))
 		}
 	}
 	checkReads(t, l, want)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"slices"
 	"testing"
 
@@ -110,5 +111,81 @@ func TestCheckpointRefusesIDsBeyondItsFreshWatermark(t *testing.T) {
 				t.Fatalf("mounted a checkpoint whose nextFresh reads %d: %v", tc.edit(l, nf), err)
 			}
 		})
+	}
+}
+
+// A block-map entry holds a size in 16 bits and a location in 32
+// (blockInfo): the largest block is 65,535 bytes, and a disk may have as
+// many segments as the location addresses at its segment size, 8,191 of
+// 512 KB. Both limits are refused at Format, just past the boundary.
+func TestNarrowEntryLimits(t *testing.T) {
+	for _, tc := range []struct {
+		size int
+		ok   bool
+	}{{math.MaxUint16, true}, {math.MaxUint16 + 1, false}} {
+		opts := DefaultOptions()
+		opts.MaxBlockSize = tc.size
+		dsk := &sparseDisk{capacity: 64 << 20, sectors: make(map[int64][]byte)}
+		if err := Format(dsk, opts); (err == nil) != tc.ok {
+			t.Errorf("Format with %d-byte blocks: %v, want accepted %v", tc.size, err, tc.ok)
+		}
+	}
+
+	opts := DefaultOptions()
+	lay, err := computeLayout(64<<20, sparseSector, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := lay.maxSegments()
+	if limit != 8191 {
+		t.Fatalf("a location addresses %d segments of 512 KB, want 8191", limit)
+	}
+	// segmentsAt is the segment count a capacity gives, refused or not.
+	segmentsAt := func(capacity int64) int {
+		lay, err := computeLayout(capacity, sparseSector, opts)
+		var geo *GeometryError
+		if errors.As(err, &geo) {
+			return geo.Segments
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lay.nSegments
+	}
+	// The smallest capacity holding limit+1 segments, to the sector.
+	lo, hi := int64(limit)*int64(opts.SegmentSize)/sparseSector, int64(2*limit)*int64(opts.SegmentSize)/sparseSector
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if segmentsAt(mid*sparseSector) > limit {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	over := lo * sparseSector
+	if got := segmentsAt(over - sparseSector); got != limit {
+		t.Fatalf("one sector less holds %d segments, want %d", got, limit)
+	}
+
+	at := &sparseDisk{capacity: over - sparseSector, sectors: make(map[int64][]byte)}
+	if err := Format(at, opts); err != nil {
+		t.Fatalf("Format of %d segments: %v", limit, err)
+	}
+	l, err := Open(at, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := l.lay.pack(limit-1, uint32(l.lay.dataCap()))
+	if seg, off := l.lay.segOf(end), l.lay.offOf(end); seg != limit-1 || off != uint32(l.lay.dataCap()) {
+		t.Fatalf("the last segment's end packs and unpacks as (%d, %d)", seg, off)
+	}
+
+	past := &sparseDisk{capacity: over, sectors: make(map[int64][]byte)}
+	var geo *GeometryError
+	if err := Format(past, opts); !errors.As(err, &geo) || geo.Segments != limit+1 || geo.MaxSegments != limit {
+		t.Fatalf("Format of %d segments: %v, want a GeometryError", limit+1, err)
+	}
+	if len(past.sectors) != 0 {
+		t.Fatalf("the refused Format wrote %d sectors", len(past.sectors))
 	}
 }

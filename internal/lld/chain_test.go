@@ -199,7 +199,7 @@ func TestRotWhereTheChainDoesNotGoIsLeftToScrubAndVerify(t *testing.T) {
 	}
 	fillBlocks(t, l, 6)
 	victim := ids[1]
-	seg := int(l.blocks[victim].seg)
+	seg := l.blockSeg(victim)
 	dataOff := platterOff(l, victim)
 	img := crashImage(t, d, l)
 	for slot := 0; slot < 2; slot++ {
@@ -274,7 +274,7 @@ func TestUnreadableChainSummarySendsTheMountToTheFullSweep(t *testing.T) {
 	const capacity = 4 << 20
 	d, l := newTestLLD(t, capacity, testOptions())
 	ids, _ := fillBlocks(t, l, 12)
-	seg := int(l.blocks[ids[0]].seg)
+	seg := l.blockSeg(ids[0])
 	img := crashImage(t, d, l)
 	d2 := disk.New(disk.DefaultConfig(capacity))
 	if err := d2.Restore(img); err != nil {

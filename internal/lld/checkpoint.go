@@ -119,8 +119,8 @@ func (l *LLD) writeCheckpoint(complete bool) error {
 		w.uvarint(zigzag(uint64(bi.next) - uint64(i)))
 		w.uvarint(uint64(bi.lid))
 		if bi.hasData() {
-			w.uvarint(uint64(bi.seg))
-			w.uvarint(uint64(bi.off))
+			w.uvarint(uint64(l.segOf(bi)))
+			w.uvarint(uint64(l.offOf(bi)))
 			w.uvarint(uint64(bi.stored))
 			if bi.flags&bComp != 0 {
 				w.uvarint(uint64(bi.orig))
@@ -325,24 +325,25 @@ func (l *LLD) decodeCheckpoint(payload []byte) error {
 		bi.flags = flags
 		bi.next = ld.BlockID(uint64(bid) + unzigzag(r.uvarint()))
 		bi.lid = ld.ListID(r.uvarint32())
+		var seg, off, stored, orig uint32
 		if bi.hasData() {
-			bi.seg = int32(r.uvarint32())
-			bi.off = r.uvarint32()
-			bi.stored = r.uvarint32()
-			bi.orig = bi.stored
+			seg, off, stored = r.uvarint32(), r.uvarint32(), r.uvarint32()
+			orig = stored
 			if flags&bComp != 0 {
-				bi.orig = r.uvarint32()
+				orig = r.uvarint32()
 			}
-			bi.crc = r.u32()
+			bi.setData(l.lay.pack(int(seg), off), stored, orig, flags&bComp != 0, r.u32())
 		}
 		if r.err != nil {
 			return r.err
 		}
-		if flags&^(bAllocated|bHasData|bComp) != 0 || flags&bAllocated == 0 || int(bi.seg) >= len(l.segs) {
-			return fmt.Errorf("%w: checkpoint block %d has flags %#x, segment %d", ErrFormat, bid, flags, bi.seg)
+		if flags&^(bAllocated|bHasData|bComp) != 0 || flags&bAllocated == 0 || int(seg) >= len(l.segs) ||
+			int(off)+int(stored) > l.lay.dataCap() || max(stored, orig) > uint32(l.lay.maxBlockSize) {
+			return fmt.Errorf("%w: checkpoint block %d has flags %#x, %d of %d bytes at %d of segment %d", ErrFormat, bid, flags, stored, orig, off, seg)
 		}
 		if bi.hasData() {
 			l.liveBytes += int64(bi.stored)
+			l.segs[seg].mapped++
 		}
 	}
 

@@ -34,6 +34,9 @@ import (
 // segments it cleaned. Callers hold l.mu with l.cleaning set; the lock is
 // not released before it returns.
 func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned int, err error) {
+	// image holds a victim's live extents as moveLive reads them. It grows
+	// to the largest victim's and is dropped when the pass returns.
+	var image []byte
 	for iters := 0; iters < maxIter; iters++ {
 		if target != nil && target() {
 			break
@@ -45,7 +48,7 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 		if victim < 0 {
 			break
 		}
-		if err := l.cleanSegment(victim); err != nil {
+		if err := l.cleanSegment(victim, &image); err != nil {
 			return cleaned, err
 		}
 		cleaned++
@@ -156,27 +159,28 @@ func (l *LLD) cleanRead(p []byte, off int64) error {
 // only the extents that hold blocks it is about to move (nextExtent, the
 // verifier's rule): a victim with nothing live issues no request and
 // allocates nothing, and no dead byte farther than deadGapMax from a live
-// one is ever transferred — or able to fail the pass. Callers hold l.mu
-// with l.cleaning set.
-func (l *LLD) cleanSegment(id int) error {
+// one is ever transferred — or able to fail the pass. image is the pass's
+// victim buffer (moveLive). Callers hold l.mu with l.cleaning set.
+func (l *LLD) cleanSegment(id int, image *[]byte) error {
 	// What the victim's summary names is in memory for every segment this
-	// instance sealed or its mount decoded. Any other was sealed before the
-	// newest checkpoint, and liveIn finds its blocks in the map: no summary
-	// is read back.
+	// instance sealed or its mount decoded that still holds a block. Any
+	// other was sealed before the newest checkpoint, and liveIn finds its
+	// blocks in the map; or it holds none, and there is none to find. No
+	// summary is read back.
 	names := l.segs[id].names
 	l.victim = id
 	defer func() { l.victim = -1 }()
 
 	live := l.liveIn(id, names)
 	if len(live) > 0 {
-		if err := l.moveLive(id, live); err != nil {
+		if err := l.moveLive(id, live, image); err != nil {
 			return err
 		}
 	}
 	l.crashPoint("clean.moved")
 
-	if l.segs[id].live != 0 {
-		return fmt.Errorf("lld: internal: segment %d retains %d live bytes after cleaning", id, l.segs[id].live)
+	if s := &l.segs[id]; s.mapped != 0 {
+		return fmt.Errorf("lld: internal: segment %d retains %d blocks, %d live bytes, after cleaning", id, s.mapped, s.live)
 	}
 	l.retireSegment(id)
 	l.stats.SegmentsCleaned++
@@ -196,24 +200,23 @@ func (l *LLD) cleanSegment(id int) error {
 // liveIn returns the blocks the block-number map still places in segment
 // id, ascending; nil when there are none. The ids its summary names cover
 // all of them except blocks re-homed here by SwapContents, so the whole map
-// is scanned only when their bytes do not add up to the usage table's count.
+// is scanned only when they do not add up to the usage table's count. A
+// segment no block is left in has forgotten its names and costs no scan.
 // Callers hold l.mu.
 func (l *LLD) liveIn(id int, names []uint32) []ld.BlockID {
 	var live []ld.BlockID
-	var liveBytes int64
 	for _, b := range names {
 		if int(b) >= len(l.blocks) {
 			continue
 		}
-		if bi := &l.blocks[b]; bi.allocated() && bi.hasData() && int(bi.seg) == id {
+		if bi := &l.blocks[b]; bi.allocated() && bi.hasData() && l.segOf(bi) == id {
 			live = append(live, ld.BlockID(b))
-			liveBytes += int64(bi.stored)
 		}
 	}
-	if liveBytes != l.segs[id].live {
+	if len(live) != int(l.segs[id].mapped) {
 		live = live[:0]
 		for i := 1; i < len(l.blocks); i++ {
-			if bi := &l.blocks[i]; bi.allocated() && bi.hasData() && int(bi.seg) == id {
+			if bi := &l.blocks[i]; bi.allocated() && bi.hasData() && l.segOf(bi) == id {
 				live = append(live, ld.BlockID(i))
 			}
 		}
@@ -222,15 +225,16 @@ func (l *LLD) liveIn(id int, names []uint32) []ld.BlockID {
 }
 
 // moveLive copies live, the blocks still in victim id, to the head of the
-// log. Callers hold l.mu.
-func (l *LLD) moveLive(id int, live []ld.BlockID) error {
+// log. It reads them through *image, the pass's buffer, which it grows to
+// hold the victim's live extents back to back. Callers hold l.mu.
+func (l *LLD) moveLive(id int, live []ld.BlockID, image *[]byte) error {
 	// Cluster: emit live blocks in list order, lists in list-of-lists
 	// order (paper §3.5: the cleaner reorders blocks using the list
 	// information to improve sequential reads).
 	ordered := make([]ld.BlockID, 0, len(live))
 	for _, lid := range l.order {
 		for b := l.lists[lid].first; b != ld.NilBlock && len(ordered) < len(live); b = l.blocks[b].next {
-			if bi := &l.blocks[b]; int(bi.seg) == id && bi.hasData() {
+			if bi := &l.blocks[b]; bi.hasData() && l.segOf(bi) == id {
 				ordered = append(ordered, b)
 			}
 		}
@@ -253,29 +257,41 @@ func (l *LLD) moveLive(id int, live []ld.BlockID) error {
 
 	// Read exactly the blocks moveBlock is about to be handed, in platter
 	// order, so none can be served from a region this pass did not read.
-	// The buffer keeps the victim's geometry, each extent at its own
-	// offset, so moveBlock indexes it by bi.off.
-	if l.cleanBuf == nil {
-		l.cleanBuf = make([]byte, l.lay.dataCap())
-	}
-	buf := l.cleanBuf
-	spans := make([]liveSpan, len(ordered))
+	sw := batchSweep{spans: make([]liveSpan, len(ordered)), at: make([]int, len(ordered))}
 	for i, bid := range ordered {
-		bi := &l.blocks[bid]
-		spans[i] = liveSpan{bid: bid, seg: bi.seg, off: bi.off, stored: bi.stored}
+		sw.spans[i], sw.at[i] = l.spanOf(bid, &l.blocks[bid]), i
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	for len(spans) > 0 {
-		n, lo, hi := nextExtent(spans, uint32(l.lay.sectorSize))
-		spans = spans[n:]
+	sort.Sort(&sw)
+	ss := uint32(l.lay.sectorSize)
+	total := 0
+	for run := sw.spans; len(run) > 0; {
+		n, lo, hi := nextExtent(run, ss)
+		run = run[n:]
+		total += int(hi - lo)
+	}
+	if cap(*image) < total {
+		*image = make([]byte, total)
+	}
+	buf := (*image)[:total]
+	stored := make([][]byte, len(ordered)) // in step with ordered
+	for k := 0; k < len(sw.spans); {
+		n, lo, hi := nextExtent(sw.spans[k:], ss)
+		ext := buf[:hi-lo]
+		buf = buf[hi-lo:]
 		if hi > 0 {
-			if err := l.cleanRead(buf[lo:hi], l.lay.segOff(id)+int64(lo)); err != nil {
+			if err := l.cleanRead(ext, l.lay.segOff(id)+int64(lo)); err != nil {
 				return err
 			}
 		}
+		for j, sp := range sw.spans[k : k+n] {
+			if sp.stored > 0 {
+				stored[sw.at[k+j]] = ext[sp.off-lo:][:sp.stored]
+			}
+		}
+		k += n
 	}
-	for _, bid := range ordered {
-		if err := l.moveBlock(bid, buf); err != nil {
+	for i, bid := range ordered {
+		if err := l.moveBlock(bid, stored[i]); err != nil {
 			return err
 		}
 	}
@@ -325,12 +341,11 @@ func (l *LLD) checkpoint() error {
 	return nil
 }
 
-// moveBlock copies one live block from the victim's in-memory image into
-// the open segment, preserving its (possibly compressed) stored form and
-// its checksum. Callers hold l.mu.
-func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
+// moveBlock copies one live block, whose stored bytes the cleaner read as
+// data, into the open segment, preserving its (possibly compressed) stored
+// form and its checksum. Callers hold l.mu.
+func (l *LLD) moveBlock(bid ld.BlockID, data []byte) error {
 	bi := &l.blocks[bid]
-	data := victimBuf[bi.off : bi.off+bi.stored]
 	// Never relocate rotted bytes: a mismatch here would otherwise be
 	// laundered into a fresh segment under a recomputed checksum. The
 	// victim's extents were plain reads, so on a redundant backend each
@@ -339,14 +354,16 @@ func (l *LLD) moveBlock(bid ld.BlockID, victimBuf []byte) error {
 	if payloadCRC(data) != bi.crc {
 		fixed := false
 		if _, isMulti := l.dsk.(disk.MultiReader); isMulti {
-			if good, verified, err := l.readStoredVerified(bi, &l.scratch, false); err == nil && verified {
+			scratch := l.getReadBuf()
+			if good, verified, err := l.readStoredVerified(bi, &scratch, false); err == nil && verified {
 				data = append([]byte(nil), good...)
 				fixed = true
 			}
+			l.putReadBuf(scratch)
 		}
 		if !fixed {
 			l.stats.CorruptReads++
-			return &CorruptError{Block: bid, Seg: int(bi.seg), Reason: "payload checksum mismatch during cleaning"}
+			return &CorruptError{Block: bid, Seg: l.segOf(bi), Reason: "payload checksum mismatch during cleaning"}
 		}
 	}
 	if err := l.logData(bid, data, int(bi.orig), bi.flags&bComp != 0, bi.crc); err != nil {

@@ -329,6 +329,7 @@ func decodeSuper(buf []byte) (layout, error) {
 	if r.err != nil {
 		return layout{}, r.err
 	}
+	l.locShift = locShiftFor(l.segmentSize)
 	return l, nil
 }
 

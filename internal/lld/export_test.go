@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/disk"
+	"repro/internal/ld"
 )
 
 // OpenPerBlockVerify is Open with the sweep's data read-back done by the
@@ -34,24 +35,24 @@ func (l *LLD) verifyRecoveredDataPerBlock(report *RecoveryReport, _ func(int) bo
 		_, err := v.block(bi) // the one request per block, heal included
 		return err == nil
 	}
-	var lost map[int32]bool
+	var lost map[int]bool
 	for i := 1; i < len(l.blocks); i++ {
 		bi := &l.blocks[i]
-		if !bi.allocated() || !bi.hasData() || bi.stored == 0 || bi.seg < 0 {
+		if !bi.allocated() || !bi.hasData() || bi.stored == 0 {
 			continue
 		}
-		si := &l.segs[bi.seg]
-		if si.state == segQuarantined || lost[bi.seg] {
+		seg := l.segOf(bi)
+		if l.segs[seg].state == segQuarantined || lost[seg] {
 			continue
 		}
 		if !verify(bi) {
 			if lost == nil {
-				lost = make(map[int32]bool)
+				lost = make(map[int]bool)
 			}
-			lost[bi.seg] = true
+			lost[seg] = true
 		}
 	}
-	segs := make([]int32, 0, len(lost))
+	segs := make([]int, 0, len(lost))
 	for s := range lost {
 		segs = append(segs, s)
 	}
@@ -59,7 +60,7 @@ func (l *LLD) verifyRecoveredDataPerBlock(report *RecoveryReport, _ func(int) bo
 	for _, s := range segs {
 		l.segs[s].state = segQuarantined
 		report.QuarantinedSegments = append(report.QuarantinedSegments,
-			QuarantinedSegment{Seg: int(s), Reason: "block data lost under a surviving summary"})
+			QuarantinedSegment{Seg: s, Reason: "block data lost under a surviving summary"})
 	}
 }
 
@@ -70,3 +71,8 @@ func (l *LLD) noHeadroom() {
 	l.utilLimit = 1.0
 	l.mu.Unlock()
 }
+
+// blockSeg and blockOff return where the map has b's stored bytes: the
+// segment (-1 for none) and the offset in its data area.
+func (l *LLD) blockSeg(b ld.BlockID) int    { return l.segOf(&l.blocks[b]) }
+func (l *LLD) blockOff(b ld.BlockID) uint32 { return l.offOf(&l.blocks[b]) }

@@ -74,12 +74,18 @@ func (l *LLD) gatherLiveSpans() []liveSpan {
 	var spans []liveSpan
 	for i := 1; i < int(l.nextFresh); i++ {
 		bi := &l.blocks[i]
-		if bi.allocated() && bi.hasData() && bi.seg >= 0 {
-			spans = append(spans, liveSpan{bid: ld.BlockID(i), seg: bi.seg, off: bi.off, stored: bi.stored})
+		if bi.allocated() && bi.hasData() {
+			spans = append(spans, l.spanOf(ld.BlockID(i), bi))
 		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].before(spans[j]) })
 	return spans
+}
+
+// spanOf returns where the map has bid's stored bytes now. Callers hold l.mu
+// and have checked that bid has data.
+func (l *LLD) spanOf(bid ld.BlockID, bi *blockInfo) liveSpan {
+	return liveSpan{bid: bid, seg: int32(l.segOf(bi)), off: l.offOf(bi), stored: uint32(bi.stored)}
 }
 
 // VerifyCounts is the I/O shape of a platter-order verification pass.
@@ -110,8 +116,7 @@ type verifier struct {
 }
 
 // newVerifier starts a pass. Callers hold l.mu exclusively whenever they
-// use it (the per-block check borrows l.scratch) and may release it
-// between segments.
+// use it and may release it between segments.
 func (l *LLD) newVerifier() *verifier {
 	v := &verifier{l: l, buf: make([]byte, l.lay.dataCap()), spans: l.gatherLiveSpans()}
 	v.multi, _ = l.dsk.(disk.MultiReader)
@@ -161,7 +166,7 @@ func (v *verifier) finish() {
 // saw it, nil if it has since moved, been overwritten or been freed.
 func (v *verifier) current(sp liveSpan) *blockInfo {
 	bi := &v.l.blocks[sp.bid]
-	if bi.allocated() && bi.hasData() && bi.seg == sp.seg && bi.off == sp.off && bi.stored == sp.stored {
+	if bi.allocated() && bi.hasData() && v.l.spanOf(sp.bid, bi) == sp {
 		return bi
 	}
 	return nil
@@ -290,19 +295,24 @@ func (v *verifier) readExtent(off int64, buf []byte, ext []liveSpan, base uint32
 // block is the per-block check: one request for bi's sectors, the payload
 // checked against its recorded checksum — on a redundant backend every
 // replica's copy, with bad copies healed from a verified one. The returned
-// bytes alias l.scratch.
+// bytes alias the pass's extent buffer (grown if it is shorter), which no
+// extent holds by then: the per-block checks come after a segment's last
+// extent (segment).
 func (v *verifier) block(bi *blockInfo) ([]byte, error) {
 	l := v.l
 	if v.multi == nil {
-		data, err := l.readStored(bi, &l.scratch)
+		data, err := l.readStored(bi, &v.buf)
 		if err == nil && payloadCRC(data) != bi.crc {
 			err = errPayloadCRC
 		}
 		return data, err
 	}
 	off, span, rel := l.storedSpan(bi)
-	data := l.scratch[rel : rel+int64(bi.stored)]
-	healed, err := v.multi.VerifyReplicas(l.scratch[:span], off, func(b []byte) bool {
+	if span > len(v.buf) {
+		v.buf = make([]byte, span)
+	}
+	data := v.buf[rel : rel+int64(bi.stored)]
+	healed, err := v.multi.VerifyReplicas(v.buf[:span], off, func(b []byte) bool {
 		return payloadCRC(b[rel:rel+int64(bi.stored)]) == bi.crc
 	})
 	v.heals += int64(healed)

@@ -36,14 +36,14 @@ func fillBlocks(t *testing.T, l *LLD, n int) ([]ld.BlockID, map[ld.BlockID][]byt
 // platterOff is the absolute byte offset of b's stored payload.
 func platterOff(l *LLD, b ld.BlockID) int64 {
 	bi := &l.blocks[b]
-	return l.lay.segOff(int(bi.seg)) + int64(bi.off)
+	return l.lay.segOff(l.segOf(bi)) + int64(l.offOf(bi))
 }
 
 // neighbours returns two of ids that share a segment.
 func neighbours(t *testing.T, l *LLD, ids []ld.BlockID) (x, y ld.BlockID) {
 	t.Helper()
 	for i := 1; i < len(ids); i++ {
-		if l.blocks[ids[i-1]].seg == l.blocks[ids[i]].seg {
+		if l.blockSeg(ids[i-1]) == l.blockSeg(ids[i]) {
 			return ids[i-1], ids[i]
 		}
 	}
@@ -107,8 +107,8 @@ func TestVerifyCrossLegTearsHealOnBothLegs(t *testing.T) {
 func TestVerifyUnreadableDeadGapDoesNotQuarantine(t *testing.T) {
 	d, l := newTestLLD(t, 4<<20, testOptions())
 	ids, want := fillBlocks(t, l, 3)
-	if s := l.blocks[ids[0]].seg; s != l.blocks[ids[2]].seg {
-		t.Fatalf("blocks spread over segments %d and %d", s, l.blocks[ids[2]].seg)
+	if s := l.blockSeg(ids[0]); s != l.blockSeg(ids[2]) {
+		t.Fatalf("blocks spread over segments %d and %d", s, l.blockSeg(ids[2]))
 	}
 	gap := platterOff(l, ids[1]) // dead once the block is rewritten elsewhere
 	want[ids[1]] = bytes.Repeat([]byte{0xEE}, 4096)
@@ -153,7 +153,7 @@ func TestVerifyDataLossMidExtentQuarantinesItsSegment(t *testing.T) {
 	pristine := r.plat.Snapshot()
 	ids, _ := fillBlocks(t, l, 30) // five 24-KB data areas' worth
 	victim := ids[len(ids)-3]
-	seg := int(l.blocks[victim].seg)
+	seg := l.blockSeg(victim)
 	if st, mark := l.segs[seg].state, l.Stats().DurableMark; st != segLive || mark >= l.segs[seg].ts {
 		t.Fatalf("segment %d: state %d, stamped %d, mark %d; want it sealed and above the mark", seg, st, l.segs[seg].ts, mark)
 	}
@@ -177,7 +177,7 @@ func TestVerifyDataLossMidExtentQuarantinesItsSegment(t *testing.T) {
 	buf := make([]byte, l2.MaxBlockSize())
 	for _, b := range ids {
 		_, err := l2.Read(b, buf)
-		if inSeg := int(l2.blocks[b].seg) == seg; inSeg != errors.Is(err, ld.ErrCorrupt) {
+		if inSeg := l2.blockSeg(b) == seg; inSeg != errors.Is(err, ld.ErrCorrupt) {
 			t.Errorf("block %d (in the lost segment: %v) read: %v", b, inSeg, err)
 		}
 	}
@@ -197,13 +197,13 @@ func TestScrubReadsLiveSegmentsInExtents(t *testing.T) {
 	}
 
 	var want ScrubResult
-	liveSegs := make(map[int32]bool)
+	liveSegs := make(map[int]bool)
 	for _, b := range ids {
 		bi := &l.blocks[b]
-		if st := l.segs[bi.seg].state; st != segLive {
+		if st := l.segs[l.segOf(bi)].state; st != segLive {
 			continue // still in an open segment: served from memory, not scrubbed
 		}
-		liveSegs[bi.seg] = true
+		liveSegs[l.segOf(bi)] = true
 		want.Blocks++
 		want.Bytes += int64(bi.stored)
 	}

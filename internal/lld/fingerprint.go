@@ -28,7 +28,7 @@ func (l *LLD) fingerprint() string {
 			continue
 		}
 		fmt.Fprintf(&b, "blk %d: seg=%d off=%d stored=%d orig=%d crc=%d next=%d lid=%d flags=%d\n",
-			i, bi.seg, bi.off, bi.stored, bi.orig, bi.crc, bi.next, bi.lid, bi.flags)
+			i, l.segOf(bi), l.offOf(bi), bi.stored, bi.orig, bi.crc, bi.next, bi.lid, bi.flags)
 	}
 	lids := make([]ld.ListID, 0, len(l.lists))
 	for lid := range l.lists {

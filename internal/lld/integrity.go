@@ -141,7 +141,7 @@ func (l *LLD) finalizeIntegrity() {
 	}
 	for i := 1; i < int(l.nextFresh); i++ {
 		bi := &l.blocks[i]
-		if bi.allocated() && bi.hasData() && bi.seg >= 0 && l.segs[bi.seg].state == segQuarantined {
+		if bi.allocated() && bi.hasData() && l.segs[l.segOf(bi)].state == segQuarantined {
 			l.recReport.DegradedBlocks = append(l.recReport.DegradedBlocks, ld.BlockID(i))
 		}
 	}
@@ -236,7 +236,7 @@ func (l *LLD) scrubSegment(v *verifier, seg int, repair bool, res *ScrubResult) 
 			return err
 		}
 		bi := &l.blocks[bid]
-		if int(bi.seg) != seg {
+		if l.segOf(bi) != seg {
 			return nil // moved while ensureRoom recycled segments
 		}
 		if err := l.logData(bid, data, int(bi.orig), bi.flags&bComp != 0, bi.crc); err != nil {

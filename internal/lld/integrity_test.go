@@ -59,7 +59,7 @@ func damagedImage(t *testing.T) (d *disk.Disk, l2 *LLD, target int, want map[ld.
 		prev = b
 	}
 	for _, b := range ids {
-		segOf[b] = int(l.blocks[b].seg)
+		segOf[b] = l.blockSeg(b)
 	}
 	lay := l.lay
 	target = segOf[ids[0]]
@@ -186,7 +186,7 @@ func TestVerifyReportsQuarantineKeptByACheckpoint(t *testing.T) {
 // reads it back.
 func TestVerifyReadsBackBelowTheDurableMark(t *testing.T) {
 	d, l, ids := crashedImage(t)
-	seg := int(l.blocks[ids[0]].seg)
+	seg := l.blockSeg(ids[0])
 	d.CorruptRange(platterOff(l, ids[0])+100, 1, 0x01)
 	if rep := mountReport(t, d); rep.Degraded() || rep.DurableMark < l.segs[seg].ts {
 		t.Fatalf("control: mount quarantined %v; segment %d stamped %d, mark %d",
@@ -201,7 +201,7 @@ func TestVerifyReadsBackBelowTheDurableMark(t *testing.T) {
 func TestVerifyReadsBackACleanImage(t *testing.T) {
 	d, l, ids := crashedImage(t)
 	shutDownClean(t, d)
-	seg := int(l.blocks[ids[0]].seg)
+	seg := l.blockSeg(ids[0])
 	d.CorruptRange(platterOff(l, ids[0])+100, 1, 0x01)
 	if rep := mountReport(t, d); rep.SweptSegments != 0 || rep.Degraded() {
 		t.Fatalf("control: mount swept %d segments, quarantined %v", rep.SweptSegments, rep.QuarantinedSegments)
@@ -215,7 +215,7 @@ func TestVerifyReadsBackACleanImage(t *testing.T) {
 func TestVerifyReportsUnreadableSummaryOnACleanImage(t *testing.T) {
 	d, l, ids := crashedImage(t)
 	shutDownClean(t, d)
-	seg := int(l.blocks[ids[0]].seg)
+	seg := l.blockSeg(ids[0])
 	d.InjectUnreadable(l.lay.sumOff(seg, 0)/int64(l.lay.sectorSize), 1)
 	n, out := runVerify(t, d)
 	if want := fmt.Sprintf("segment %4d: FAULT summary slot unreadable", seg); n != 1 || !strings.Contains(out, want) {
@@ -256,8 +256,7 @@ func TestUnreadableSectorSurfacesAsCorrupt(t *testing.T) {
 	}
 	l2 := reopenCrashed(t, d, l)
 
-	bi := l2.blocks[b]
-	sector := (l2.lay.segOff(int(bi.seg)) + int64(bi.off)) / int64(l2.lay.sectorSize)
+	sector := (l2.lay.segOff(l2.blockSeg(b)) + int64(l2.blockOff(b))) / int64(l2.lay.sectorSize)
 	d.InjectUnreadable(sector, 1)
 
 	buf := make([]byte, 4096)
@@ -291,8 +290,7 @@ func TestBitRotDetectedOnReadAndScrub(t *testing.T) {
 	}
 	l2 := reopenCrashed(t, d, l)
 
-	bi := l2.blocks[b]
-	d.CorruptRange(l2.lay.segOff(int(bi.seg))+int64(bi.off)+100, 1, 0x01)
+	d.CorruptRange(l2.lay.segOff(l2.blockSeg(b))+int64(l2.blockOff(b))+100, 1, 0x01)
 
 	buf := make([]byte, 4096)
 	if _, err := l2.Read(b, buf); !errors.Is(err, ld.ErrCorrupt) {

@@ -21,6 +21,7 @@ func (l *LLD) CheckInvariants() []string {
 	// Accounting: liveBytes and per-segment live must equal the block map.
 	var total int64
 	segLiveCalc := make([]int64, len(l.segs))
+	segMappedCalc := make([]int32, len(l.segs))
 	for i := 1; i < len(l.blocks); i++ {
 		bi := &l.blocks[i]
 		if !bi.allocated() {
@@ -30,12 +31,14 @@ func (l *LLD) CheckInvariants() []string {
 			continue
 		}
 		if bi.hasData() {
-			if bi.seg < 0 || int(bi.seg) >= len(l.segs) {
-				bad("block %d data in invalid segment %d", i, bi.seg)
+			seg := l.segOf(bi)
+			if seg < 0 || seg >= len(l.segs) {
+				bad("block %d data in invalid segment %d", i, seg)
 				continue
 			}
 			total += int64(bi.stored)
-			segLiveCalc[bi.seg] += int64(bi.stored)
+			segLiveCalc[seg] += int64(bi.stored)
+			segMappedCalc[seg]++
 		}
 		if _, ok := l.lists[bi.lid]; !ok {
 			bad("block %d owned by nonexistent list %d", i, bi.lid)
@@ -47,6 +50,9 @@ func (l *LLD) CheckInvariants() []string {
 	for i := range l.segs {
 		if l.segs[i].live != segLiveCalc[i] {
 			bad("segment %d usage %d but map sums to %d", i, l.segs[i].live, segLiveCalc[i])
+		}
+		if l.segs[i].mapped != segMappedCalc[i] {
+			bad("segment %d counts %d blocks but the map places %d there", i, l.segs[i].mapped, segMappedCalc[i])
 		}
 	}
 
@@ -143,11 +149,11 @@ func (l *LLD) CheckInvariants() []string {
 		}
 		inState[st]++
 		segLiveSum += l.segs[i].live
-		if st == segFree && l.segs[i].live != 0 {
-			bad("free segment %d has %d live bytes", i, l.segs[i].live)
+		if (st == segFree || st == segCooling) && l.segs[i].mapped != 0 {
+			bad("segment %d in state %d holds %d blocks", i, st, l.segs[i].mapped)
 		}
-		if (st == segFree || st == segOpen || st == segCooling) && l.segs[i].names != nil {
-			bad("segment %d in state %d still holds a summary's names", i, st)
+		if (st == segFree || st == segOpen || st == segCooling || l.segs[i].mapped == 0) && l.segs[i].names != nil {
+			bad("segment %d in state %d, holding %d blocks, still holds a summary's names", i, st, l.segs[i].mapped)
 		}
 	}
 	if segLiveSum != total {
@@ -210,13 +216,14 @@ func (l *LLD) CheckInvariants() []string {
 	}
 
 	// The usage table's copy of the blocks each live segment's newest
-	// summary gives data in is what the platter says. A summary that does
-	// not read or decode, or that is not the image the stamp describes (rot,
-	// a degraded replica), cannot be re-derived and is passed over.
+	// summary gives data in is what the platter says; a segment no block is
+	// left in needs none. A summary that does not read or decode, or that is
+	// not the image the stamp describes (rot, a degraded replica), cannot be
+	// re-derived and is passed over.
 	for i := range l.segs {
 		s := &l.segs[i]
-		if s.state == segLive && s.names == nil && s.ts > l.ckptTS {
-			bad("segment %d stamped %d, above the checkpoint floor %d, has no names in memory", i, s.ts, l.ckptTS)
+		if s.state == segLive && s.mapped > 0 && s.names == nil && s.ts > l.ckptTS {
+			bad("segment %d stamped %d, above the checkpoint floor %d, holds %d blocks but no names in memory", i, s.ts, l.ckptTS, s.mapped)
 		}
 		if s.state != segLive || s.names == nil {
 			continue

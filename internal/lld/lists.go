@@ -17,7 +17,7 @@ import (
 // applyAlloc allocates bid into list lid after pred (NilBlock = at head).
 func (l *LLD) applyAlloc(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 	bi := &l.blocks[bid]
-	*bi = blockInfo{seg: -1, lid: lid, flags: bAllocated}
+	*bi = blockInfo{lid: lid, flags: bAllocated}
 	li := l.lists[lid]
 	if pred == ld.NilBlock {
 		bi.next = li.first
@@ -49,12 +49,21 @@ func (l *LLD) applyUnlink(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 // applyFreeStorage releases bid's stored bytes from the usage accounting.
 func (l *LLD) applyFreeStorage(bi *blockInfo) {
 	if bi.hasData() {
-		if bi.seg >= 0 {
-			l.segs[bi.seg].live -= int64(bi.stored)
-		}
-		l.liveBytes -= int64(bi.stored)
+		l.unmap(bi)
 	}
 	bi.clearData()
+}
+
+// unmap takes bi, which has data, off its segment's usage and its bytes off
+// the live total. A segment left holding no block forgets its summary's
+// names: none of them is there any more for the cleaner to find (liveIn).
+func (l *LLD) unmap(bi *blockInfo) {
+	s := &l.segs[l.segOf(bi)]
+	s.live -= int64(bi.stored)
+	if s.mapped--; s.mapped == 0 {
+		s.names = nil
+	}
+	l.liveBytes -= int64(bi.stored)
 }
 
 // applyFree unlinks bid from lid, frees its storage, and recycles its
@@ -72,12 +81,12 @@ func (l *LLD) applyFree(bid ld.BlockID, lid ld.ListID, pred ld.BlockID) {
 // the usage accounting for both the old and new segments.
 func (l *LLD) applySetData(bid ld.BlockID, seg int, off, stored, orig int, compressed bool, crc uint32) {
 	bi := &l.blocks[bid]
-	if bi.hasData() && bi.seg >= 0 {
-		l.segs[bi.seg].live -= int64(bi.stored)
-		l.liveBytes -= int64(bi.stored)
+	if bi.hasData() {
+		l.unmap(bi)
 	}
-	bi.setData(int32(seg), uint32(off), uint32(stored), uint32(orig), compressed, crc)
+	bi.setData(l.lay.pack(seg, uint32(off)), uint32(stored), uint32(orig), compressed, crc)
 	l.segs[seg].live += int64(stored)
+	l.segs[seg].mapped++
 	l.liveBytes += int64(stored)
 }
 
@@ -149,8 +158,7 @@ func (l *LLD) applyMoveList(lid, newPred ld.ListID) {
 // applySwap exchanges the physical contents of two blocks.
 func (l *LLD) applySwap(a, b ld.BlockID) {
 	ai, bi := &l.blocks[a], &l.blocks[b]
-	ai.seg, bi.seg = bi.seg, ai.seg
-	ai.off, bi.off = bi.off, ai.off
+	ai.loc, bi.loc = bi.loc, ai.loc
 	ai.stored, bi.stored = bi.stored, ai.stored
 	ai.orig, bi.orig = bi.orig, ai.orig
 	ai.crc, bi.crc = bi.crc, ai.crc

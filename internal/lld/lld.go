@@ -22,27 +22,29 @@ const (
 // paper): the physical address, the successor in the block's list, the
 // length, and whether the contents are compressed. We additionally keep the
 // owning list (used by the cleaner for clustering) and the payload's
-// checksum.
+// checksum. It takes 24 bytes (DESIGN.md §8 "The block-number map"): the
+// address is one packed location (layout.pack) and the sizes are 16 bits,
+// which Options.validate and computeLayout bound.
 type blockInfo struct {
-	seg    int32 // segment holding the data; -1 if none
-	off    uint32
-	stored uint32 // bytes stored on disk (post-compression)
-	orig   uint32 // logical size
+	loc    uint32 // segment and offset of the stored bytes (layout.pack); 0 if none
 	crc    uint32 // CRC32C of the stored bytes; 0 when stored == 0
 	next   ld.BlockID
 	lid    ld.ListID
+	stored uint16 // bytes stored on disk (post-compression)
+	orig   uint16 // logical size
 	flags  uint8
 }
 
 func (b *blockInfo) allocated() bool { return b.flags&bAllocated != 0 }
 func (b *blockInfo) hasData() bool   { return b.flags&bHasData != 0 }
 
-// setData points b at its stored bytes and clearData leaves it with none.
-// Neither touches the usage accounting: the running instance adjusts it
-// around them (applySetData, applyFreeStorage), recovery recounts it once
-// the replay is done.
-func (b *blockInfo) setData(seg int32, off, stored, orig uint32, compressed bool, crc uint32) {
-	b.seg, b.off, b.stored, b.orig, b.crc = seg, off, stored, orig, crc
+// setData points b at its stored bytes, at location loc, and clearData
+// leaves it with none. Neither touches the usage accounting: the running
+// instance adjusts it around them (applySetData, applyFreeStorage),
+// recovery recounts it once the replay is done. Callers have bounded the
+// sizes by the layout's maxBlockSize.
+func (b *blockInfo) setData(loc, stored, orig uint32, compressed bool, crc uint32) {
+	b.loc, b.stored, b.orig, b.crc = loc, uint16(stored), uint16(orig), crc
 	b.flags = b.flags&^bComp | bHasData
 	if compressed {
 		b.flags |= bComp
@@ -50,9 +52,15 @@ func (b *blockInfo) setData(seg int32, off, stored, orig uint32, compressed bool
 }
 
 func (b *blockInfo) clearData() {
-	b.seg, b.off, b.stored, b.orig, b.crc = -1, 0, 0, 0, 0
+	b.loc, b.stored, b.orig, b.crc = 0, 0, 0, 0
 	b.flags &^= bHasData | bComp
 }
+
+// segOf returns the segment holding bi's stored bytes, -1 if none.
+func (l *LLD) segOf(bi *blockInfo) int { return l.lay.segOf(bi.loc) }
+
+// offOf returns where in its segment's data area bi's stored bytes begin.
+func (l *LLD) offOf(bi *blockInfo) uint32 { return l.lay.offOf(bi.loc) }
 
 // listInfo is one entry of the in-memory list table: the first block of the
 // list (Figure 2), plus the paper's per-list hints and a census count.
@@ -83,17 +91,19 @@ const (
 )
 
 // segInfo is one entry of the segment usage table: the number of live bytes
-// (paper §3), the write timestamp of the segment's newest summary — its age
-// to the victim rule — and the blocks that summary gives data in the
-// segment (nil while the segment is free or open, and on a segment sealed
-// before the newest checkpoint that this instance has not decoded: liveIn
-// then scans the map).
+// (paper §3) and of the blocks the map places in the segment, the write
+// timestamp of the segment's newest summary — its age to the victim rule —
+// and the blocks that summary gives data in the segment. The names are nil
+// while the segment is free or open, once no block is left in it, and on a
+// segment sealed before the newest checkpoint that this instance has not
+// decoded: liveIn then scans the map.
 type segInfo struct {
-	live  int64
-	ts    uint64
-	seq   uint32 // open sequence number of the generation it holds (0 when unknown)
-	state uint8
-	names []uint32 // sumNames of that summary
+	live   int64
+	ts     uint64
+	seq    uint32 // open sequence number of the generation it holds (0 when unknown)
+	mapped int32  // blocks with data here, those storing no bytes included
+	state  uint8
+	names  []uint32 // sumNames of that summary
 }
 
 // openSegment is the segment currently being filled in main memory
@@ -327,9 +337,7 @@ type LLD struct {
 	// incomplete ARU, emitted by Open as the boot's first record.
 	fenceLo, fenceHi uint64
 
-	stats    Stats
-	scratch  []byte // scratch for exclusive-lock paths (cleaner, reorganizer)
-	cleanBuf []byte // the cleaner's image of a victim's data area, live extents filled in
+	stats Stats
 
 	// cursorMu guards the per-list ListIndex cursor memo (listInfo.curIdx,
 	// listInfo.curBlk) for holders of the shared lock; exclusive holders
@@ -340,8 +348,10 @@ type LLD struct {
 	// ra is the multi-block reader's read-ahead window (readahead.go).
 	ra readahead
 
-	// readBufs pools per-call scratch buffers for the shared-lock read
-	// path, which cannot use l.scratch without serializing readers.
+	// readBufs pools per-call scratch buffers: the read path's, which runs
+	// under the shared lock, and the cleaner's per-block fallback. No work
+	// buffer outlives the command that needs it (DESIGN.md §8 "What stays
+	// in memory").
 	readBufs sync.Pool
 }
 
@@ -451,6 +461,9 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 	if err := opts.validate(lay.sectorSize); err != nil {
 		return nil, err
 	}
+	if lay.nSegments > lay.maxSegments() {
+		return nil, &GeometryError{Segments: lay.nSegments, MaxSegments: lay.maxSegments()}
+	}
 
 	l := newInstance(dsk, opts, lay)
 	found, complete, err := l.loadCheckpoint()
@@ -515,12 +528,11 @@ func newInstance(dsk disk.Backend, opts Options, lay layout) *LLD {
 		dsk:       dsk,
 		opts:      opts,
 		lay:       lay,
-		blocks:    []blockInfo{{seg: -1}},
+		blocks:    make([]blockInfo, 1),
 		nextFresh: 1,
 		lists:     make(map[ld.ListID]*listInfo),
 		nextList:  1,
 		segs:      make([]segInfo, lay.nSegments),
-		scratch:   make([]byte, lay.segmentSize+lay.sectorSize),
 		victim:    -1,
 		utilLimit: utilizationLimit,
 		succ:      -1,
@@ -771,7 +783,7 @@ func (l *LLD) growBlocks(n int) {
 		l.blocks = grown
 	}
 	for len(l.blocks) < n {
-		l.blocks = append(l.blocks, blockInfo{seg: -1})
+		l.blocks = append(l.blocks, blockInfo{})
 	}
 }
 

@@ -92,7 +92,7 @@ func TestMountReadsBackOnlyTheUndurableTail(t *testing.T) {
 	if n := l.Stats().SegmentsSealed; n != 4 {
 		t.Fatalf("%d segments sealed, want 4", n)
 	}
-	tail := int(l.blocks[ids[len(ids)-1]].seg)
+	tail := l.blockSeg(ids[len(ids)-1])
 	if l.cur == nil || l.cur.id != tail {
 		t.Fatalf("the last block is in segment %d, which is not the open one", tail)
 	}
@@ -202,7 +202,7 @@ func TestTornSlotForcesReadBackBelowTheMark(t *testing.T) {
 	ids, _ := fillBlocks(t, l, 2*l.lay.dataCap()/4096) // later seals advertise the mark past seg
 	var victim ld.BlockID
 	for b := ld.BlockID(1); b < l.nextFresh; b++ {
-		if bi := &l.blocks[b]; bi.allocated() && int(bi.seg) == seg && bi.stored == 4096 {
+		if bi := &l.blocks[b]; bi.allocated() && l.segOf(bi) == seg && bi.stored == 4096 {
 			victim = b
 			break
 		}
@@ -252,7 +252,7 @@ func TestTornSlotForcesReadBackBelowTheMark(t *testing.T) {
 	if len(rep.QuarantinedSegments) != 1 || rep.QuarantinedSegments[0].Seg != seg {
 		t.Errorf("quarantined %v, want exactly segment %d: it showed a torn slot and must be read back", rep.QuarantinedSegments, seg)
 	}
-	if l3.segs[int(l3.blocks[ids[0]].seg)].state != segLive {
+	if l3.segs[l3.blockSeg(ids[0])].state != segLive {
 		t.Error("a later segment was quarantined too")
 	}
 }
@@ -267,7 +267,7 @@ func TestMarkStopsBelowAQuarantinedSegment(t *testing.T) {
 	pristine := r.plat.Snapshot()
 	ids, _ := fillBlocks(t, l, 30)
 	victim := ids[len(ids)-3] // in the last segment sealed: nothing drained it
-	seg := int(l.blocks[victim].seg)
+	seg := l.blockSeg(victim)
 	off := platterOff(l, victim)
 	if err := l.Shutdown(false); err != nil {
 		t.Fatal(err)

@@ -190,8 +190,9 @@ func (s *sparseDisk) AdvanceIdle(time.Duration)              {}
 // disk, 4-KB blocks, 512-KB segments). The map grows with the ids handed
 // out, so an empty instance holds the one unused entry 0, and N allocations
 // cost at most 1.25 entries each. Per GB that is one blockInfo per block
-// stored: 32 B, 8 MB per GB, about 5x the paper's 6 bytes. The entry's
-// width is what is left.
+// stored: 24 B, 6 MB per GB, 4x the paper's 6 bytes (the location packed
+// into 32 bits and the sizes into 16; the list, successor and checksum keep
+// 32 bits each).
 func TestTable2BlockMapAsImplemented(t *testing.T) {
 	opts := DefaultOptions() // 512-KB segments of 4-KB blocks
 	dsk := &sparseDisk{capacity: gb, sectors: make(map[int64][]byte)}
@@ -211,8 +212,8 @@ func TestTable2BlockMapAsImplemented(t *testing.T) {
 		mustNewBlock(t, l, lid, ld.NilBlock)
 	}
 	entry := int64(unsafe.Sizeof(blockInfo{}))
-	if entry > 32 {
-		t.Errorf("a block-map entry is %d B, want at most 32", entry)
+	if entry > 24 {
+		t.Errorf("a block-map entry is %d B, want at most 24", entry)
 	}
 	held := int64(cap(l.blocks)) * entry
 	if held > n*entry*5/4 {

@@ -356,10 +356,3 @@ func TestModelLockstepCrashSweep(t *testing.T) {
 	}
 	t.Logf("swept %d crash points over %d sectors, %d ops modeled", (total+stride-1)/stride, total, len(models))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

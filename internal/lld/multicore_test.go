@@ -35,8 +35,8 @@ func TestListWrittenInOrderIsClusteredOnDisk(t *testing.T) {
 	}
 	segs := 1
 	for i := 1; i < len(blocks); i++ {
-		prev, cur := &l.blocks[blocks[i-1]], &l.blocks[blocks[i]]
-		if cur.seg < prev.seg || (cur.seg == prev.seg && cur.off <= prev.off) {
+		prev, cur := l.spanOf(blocks[i-1], &l.blocks[blocks[i-1]]), l.spanOf(blocks[i], &l.blocks[blocks[i]])
+		if !prev.before(cur) {
 			t.Fatalf("list position %d at (seg %d, off %d) does not follow position %d at (seg %d, off %d)",
 				i, cur.seg, cur.off, i-1, prev.seg, prev.off)
 		}
@@ -108,7 +108,7 @@ func TestARUAcrossSegmentBoundaryIsAtomicAtEverySector(t *testing.T) {
 	if !acked {
 		t.Fatal("reference run did not complete")
 	}
-	if first, last := l.blocks[blocks[0]].seg, l.blocks[blocks[body-1]].seg; first == last {
+	if first, last := l.blockSeg(blocks[0]), l.blockSeg(blocks[body-1]); first == last {
 		t.Fatalf("unit body sits in one segment (%d); the test must straddle a seal", first)
 	}
 	total := ref.Stats().SectorsWritten

@@ -85,19 +85,20 @@ func (l *LLD) readLocked(b ld.BlockID, buf []byte, scratch *[]byte) (int, error)
 // is the only place a client read counts CorruptReads for the media's sake.
 // The caller holds the shared lock and has checked that bi has data.
 func (l *LLD) readStoredChecked(b ld.BlockID, bi *blockInfo, scratch *[]byte, sawBadCopy bool) ([]byte, error) {
-	if bi.seg >= 0 && l.segs[bi.seg].state == segQuarantined {
+	seg := l.segOf(bi)
+	if seg >= 0 && l.segs[seg].state == segQuarantined {
 		atomic.AddInt64(&l.stats.CorruptReads, 1)
-		return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "segment quarantined by recovery"}
+		return nil, &CorruptError{Block: b, Seg: seg, Reason: "segment quarantined by recovery"}
 	}
 	stored, verified, err := l.readStoredVerified(bi, scratch, sawBadCopy)
 	if err != nil {
 		switch {
 		case errors.Is(err, disk.ErrNoValidReplica):
 			atomic.AddInt64(&l.stats.CorruptReads, 1)
-			return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "no replica passed verification", Err: err}
+			return nil, &CorruptError{Block: b, Seg: seg, Reason: "no replica passed verification", Err: err}
 		case errors.Is(err, disk.ErrUnreadable):
 			atomic.AddInt64(&l.stats.CorruptReads, 1)
-			return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "unreadable sector", Err: err}
+			return nil, &CorruptError{Block: b, Seg: seg, Reason: "unreadable sector", Err: err}
 		}
 		return nil, err
 	}
@@ -106,7 +107,7 @@ func (l *LLD) readStoredChecked(b ld.BlockID, bi *blockInfo, scratch *[]byte, sa
 	// in this model) or proven by a redundant backend's replica selection.
 	if !verified && payloadCRC(stored) != bi.crc {
 		atomic.AddInt64(&l.stats.CorruptReads, 1)
-		return nil, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "payload checksum mismatch"}
+		return nil, &CorruptError{Block: b, Seg: seg, Reason: "payload checksum mismatch"}
 	}
 	return stored, nil
 }
@@ -121,7 +122,7 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 			// The checksum matched but the compressed stream is
 			// undecodable: detectably damaged data either way.
 			atomic.AddInt64(&l.stats.CorruptReads, 1)
-			return 0, &CorruptError{Block: b, Seg: int(bi.seg), Reason: "undecodable compressed payload", Err: err}
+			return 0, &CorruptError{Block: b, Seg: l.segOf(bi), Reason: "undecodable compressed payload", Err: err}
 		}
 		l.dsk.AdvanceIdle(l.opts.compressDelay(int(bi.orig)))
 		stored = out
@@ -175,11 +176,11 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 			yield(i, nil, nil, err)
 		case !bi.hasData():
 			yield(i, bi, nil, nil)
-		case bi.seg < 0 || bi.stored == 0 || l.segs[bi.seg].state == segQuarantined || (l.cur != nil && l.cur.id == int(bi.seg)):
+		case bi.stored == 0 || l.segs[l.segOf(bi)].state == segQuarantined || (l.cur != nil && l.cur.id == l.segOf(bi)):
 			stored, err := l.readStoredChecked(b, bi, &scratch, false) // no device request
 			yield(i, bi, stored, err)
 		default:
-			sw.spans = append(sw.spans, liveSpan{bid: b, seg: bi.seg, off: bi.off, stored: bi.stored})
+			sw.spans = append(sw.spans, l.spanOf(b, bi))
 			sw.at = append(sw.at, i)
 		}
 	}
@@ -242,7 +243,8 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 const maxPooledExtent = 128<<10 + deadGapMax
 
 // batchSweep is the on-platter part of a batch: the spans to fetch and, in
-// step with them, the position in the batch each one answers. A block named
+// step with them, the position in the batch each one answers (a ReadBlocks
+// batch, or the cleaner's blocks in list order: moveLive). A block named
 // twice is two spans. Sorting (sort.Interface) puts it in platter order.
 type batchSweep struct {
 	spans []liveSpan

@@ -27,6 +27,8 @@ package lld
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -133,7 +135,22 @@ func (o Options) validate(sectorSize int) error {
 	if o.MaxBlockSize <= 0 || o.MaxBlockSize > o.SegmentSize-2*o.SummarySize {
 		return fmt.Errorf("lld: max block size %d must fit in a segment's data area (%d)", o.MaxBlockSize, o.SegmentSize-2*o.SummarySize)
 	}
+	if o.MaxBlockSize > math.MaxUint16 {
+		return fmt.Errorf("lld: max block size %d exceeds %d, the largest size the block-number map holds", o.MaxBlockSize, math.MaxUint16)
+	}
 	return nil
+}
+
+// GeometryError is the refusal of a disk with more segments than a block's
+// packed location can address (layout.pack): at most 2^32 bytes of segments,
+// less one segment's worth.
+type GeometryError struct {
+	Segments    int // segments the disk would hold
+	MaxSegments int // the most the packed location addresses at this segment size
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("lld: %d segments, a block's location addresses at most %d", e.Segments, e.MaxSegments)
 }
 
 // compressDelay returns the modeled CPU time to (de)compress n bytes.
@@ -155,6 +172,7 @@ type layout struct {
 	checkpointOff  int64 // byte offset of checkpoint slot 0
 	checkpointSize int64 // size of one checkpoint slot
 	segmentsOff    int64 // byte offset of segment 0
+	locShift       uint  // bits of a block's location that hold its offset (pack); derived, not stored
 }
 
 // dataCap returns the usable data bytes in one segment. Each segment ends
@@ -175,6 +193,24 @@ func (l layout) sumOff(id, slot int) int64 {
 	return l.segOff(id) + int64(l.dataCap()) + int64(slot)*int64(l.summarySize)
 }
 
+// A block's location (blockInfo.loc) packs its segment, plus one, above its
+// offset within that segment's data area, in 32 bits; the zero location is
+// none. The offset takes locShift bits, what a segment's size needs (19 at
+// 512 KB), and the segment the rest.
+func locShiftFor(segmentSize int) uint { return uint(bits.Len(uint(segmentSize - 1))) }
+
+// maxSegments is the most segments a location addresses.
+func (l layout) maxSegments() int { return 1<<(32-l.locShift) - 1 }
+
+// pack returns the location of byte off of segment seg's data area.
+func (l layout) pack(seg int, off uint32) uint32 { return uint32(seg+1)<<l.locShift | off }
+
+// segOf returns the segment of location loc, -1 for none.
+func (l layout) segOf(loc uint32) int { return int(loc>>l.locShift) - 1 }
+
+// offOf returns the offset of location loc within its segment's data area.
+func (l layout) offOf(loc uint32) uint32 { return loc & (1<<l.locShift - 1) }
+
 // usableBytes returns the total data capacity across all segments.
 func (l layout) usableBytes() int64 { return int64(l.nSegments) * int64(l.dataCap()) }
 
@@ -188,6 +224,7 @@ func computeLayout(capacity int64, sectorSize int, o Options) (layout, error) {
 		segmentSize:  o.SegmentSize,
 		summarySize:  o.SummarySize,
 		maxBlockSize: o.MaxBlockSize,
+		locShift:     locShiftFor(o.SegmentSize),
 	}
 
 	// Reserve one sector for the superblock, rounded to a full segment
@@ -227,6 +264,9 @@ func computeLayout(capacity int64, sectorSize int, o Options) (layout, error) {
 	}
 	if l.nSegments >= noSegment {
 		return layout{}, fmt.Errorf("lld: %d segments, a summary names at most %d", l.nSegments, noSegment-1)
+	}
+	if l.nSegments > l.maxSegments() {
+		return layout{}, &GeometryError{Segments: l.nSegments, MaxSegments: l.maxSegments()}
 	}
 	return l, nil
 }

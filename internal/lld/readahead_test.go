@@ -58,10 +58,10 @@ func TestReadaheadServesAStreamOneWindowARequest(t *testing.T) {
 	if err := l.Flush(ld.FailPower); err != nil {
 		t.Fatal(err)
 	}
-	seg := l.blocks[ids[0]].seg
+	seg := l.blockSeg(ids[0])
 	var stream []ld.BlockID // the blocks of the first, sealed segment
 	for _, b := range ids {
-		if l.blocks[b].seg == seg {
+		if l.blockSeg(b) == seg {
 			stream = append(stream, b)
 		}
 	}
@@ -148,8 +148,8 @@ func forgeCRC(t *testing.T, p []byte, want uint32) {
 func TestReadaheadWindowDiesWithItsSegment(t *testing.T) {
 	d, _, l := newLoggedLLD(t, segIOOptions())
 	ids, want := fillBlocks(t, l, l.lay.dataCap()/4096)
-	s := int(l.blocks[ids[0]].seg)
-	if l.segs[s].state != segLive || l.blocks[ids[len(ids)-1]].seg != int32(s) {
+	s := l.blockSeg(ids[0])
+	if l.segs[s].state != segLive || l.blockSeg(ids[len(ids)-1]) != s {
 		t.Fatalf("segment %d state %d: want one sealed segment holding every block", s, l.segs[s].state)
 	}
 	readOne(t, l, ids[0], want[ids[0]])
@@ -157,7 +157,7 @@ func TestReadaheadWindowDiesWithItsSegment(t *testing.T) {
 	if w := l.Stats().ReadaheadWindows; w != 1 {
 		t.Fatalf("%d windows after two reads in a row, want 1", w)
 	}
-	winLo, winEnd := l.blocks[ids[1]].off, uint32(l.lay.dataCap())
+	winLo, winEnd := l.blockOff(ids[1]), uint32(l.lay.dataCap())
 	old := make([]byte, l.lay.dataCap())
 	if err := d.ReadAt(old, l.lay.segOff(s)); err != nil {
 		t.Fatal(err)
@@ -220,8 +220,8 @@ func TestReadaheadWindowDiesWithItsSegment(t *testing.T) {
 		put(filler, junk())
 	}
 	for b, p := range fresh {
-		if l.blocks[b].seg != int32(s) {
-			t.Fatalf("block %d went to segment %d, not %d", b, l.blocks[b].seg, s)
+		if l.blockSeg(b) != s {
+			t.Fatalf("block %d went to segment %d, not %d", b, l.blockSeg(b), s)
 		}
 		readOne(t, l, b, p)
 	}
@@ -236,7 +236,7 @@ func TestReadaheadWindowDiesWithItsSegment(t *testing.T) {
 func TestReadaheadHealsARottedMirrorCopy(t *testing.T) {
 	legs, m, l := newMirrorLLD(t, segIOOptions())
 	ids, want := fillBlocks(t, l, l.lay.dataCap()/4096)
-	if seg := l.blocks[ids[0]].seg; l.segs[seg].state != segLive || l.blocks[ids[len(ids)-1]].seg != seg {
+	if seg := l.blockSeg(ids[0]); l.segs[seg].state != segLive || l.blockSeg(ids[len(ids)-1]) != seg {
 		t.Fatal("the blocks are not in one sealed segment")
 	}
 	x, y := ids[5], ids[6]
@@ -278,8 +278,8 @@ func TestReadaheadLeavesRandomBatchesAlone(t *testing.T) {
 	sweep := func(bs []ld.BlockID) []ioOp {
 		var spans []liveSpan
 		for _, b := range bs {
-			if bi := &l.blocks[b]; l.cur == nil || int(bi.seg) != l.cur.id {
-				spans = append(spans, liveSpan{bid: b, seg: bi.seg, off: bi.off, stored: bi.stored})
+			if bi := &l.blocks[b]; l.cur == nil || l.segOf(bi) != l.cur.id {
+				spans = append(spans, l.spanOf(b, bi))
 			}
 		}
 		sort.Slice(spans, func(i, j int) bool { return spans[i].before(spans[j]) })

@@ -57,15 +57,7 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 			return res, err
 		}
 		res.Salvaged = sr.Repaired
-		stuck := false
-		for bid := ld.BlockID(1); bid < l.nextFresh; bid++ {
-			bi := &l.blocks[bid]
-			if bi.allocated() && bi.hasData() && int(bi.seg) == seg {
-				stuck = true
-				break
-			}
-		}
-		if stuck {
+		if l.segs[seg].mapped > 0 { // a block salvage could not move
 			res.Stuck = append(res.Stuck, seg)
 			continue
 		}

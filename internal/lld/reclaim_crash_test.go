@@ -43,7 +43,7 @@ func damagedImageWB(t *testing.T) (rail *disk.PowerRail, wb *disk.WBCache, l2 *L
 		prev = b
 	}
 	lay := l.lay
-	target = int(l.blocks[ids[0]].seg)
+	target = l.blockSeg(ids[0])
 	if l.cur != nil && target == l.cur.id {
 		t.Fatal("first segment still open; test needs more writes")
 	}
@@ -190,7 +190,7 @@ func TestReclaimCrashMidEvidenceClear(t *testing.T) {
 				// Re-homing must be complete: no surviving block may
 				// still point into the no-longer-quarantined segment.
 				for b := range survivors {
-					if int(l3.blocks[b].seg) == target {
+					if l3.blockSeg(b) == target {
 						t.Fatalf("block %d still homed in reclaimed segment %d", b, target)
 					}
 				}

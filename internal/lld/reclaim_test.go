@@ -134,8 +134,7 @@ func TestReclaimRefusesUnsalvageableSegment(t *testing.T) {
 	}
 	// Rot one degraded block's payload on the media.
 	victim := rep.DegradedBlocks[0]
-	bi := &l2.blocks[victim]
-	d.CorruptRange(l2.lay.segOff(int(bi.seg))+int64(bi.off), int64(bi.stored), 0x01)
+	d.CorruptRange(l2.lay.segOff(l2.blockSeg(victim))+int64(l2.blockOff(victim)), int64(l2.blocks[victim].stored), 0x01)
 
 	res, err := l2.ReclaimQuarantined()
 	if err != nil {

@@ -100,12 +100,13 @@ func probeSlot(p *segProbe, slot int, buf []byte, lay layout, segID int) {
 // On a redundant backend the region is one scan of every replica
 // (replicasAgree). Copies that all read and agree byte for byte are
 // probed as one platter's would be: there is no newer generation to adopt
-// and nothing to heal. Any other segment takes probeSegmentMulti.
-func (l *LLD) probeSegment(i int, sum []byte) (segProbe, error) {
+// and nothing to heal. Any other segment takes probeSegmentMulti. first,
+// as long as sum, is where replicasAgree keeps the first copy.
+func (l *LLD) probeSegment(i int, sum, first []byte) (segProbe, error) {
 	lay := l.lay
 	var p segProbe
 	if mr, ok := l.dsk.(disk.MultiReader); ok {
-		if !l.replicasAgree(mr, sum, lay.sumOff(i, 0)) {
+		if !l.replicasAgree(mr, sum, first, lay.sumOff(i, 0)) {
 			return l.probeSegmentMulti(mr, i, sum)
 		}
 	} else if err := l.dskRead(sum, lay.sumOff(i, 0)); err != nil {
@@ -175,13 +176,11 @@ var sweepPerSlot bool
 // replicasAgree reads every live replica's copy of len(p) bytes at off in
 // one scan-only pass, which heals nothing, and reports whether all
 // Replicas() copies read and are byte-identical; p then holds them. The
-// first copy is kept in l.scratch, which nothing else uses during the
-// sweep.
-func (l *LLD) replicasAgree(mr disk.MultiReader, p []byte, off int64) bool {
+// first copy is kept in first, as long as p.
+func (l *LLD) replicasAgree(mr disk.MultiReader, p, first []byte, off int64) bool {
 	if sweepPerSlot {
 		return false
 	}
-	first := l.scratch[:len(p)]
 	seen, same := 0, true
 	_, _ = mr.VerifyReplicas(p, off, func(b []byte) bool {
 		if seen == 0 {
@@ -313,10 +312,13 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 	// everything out of the shared read buffer. A non-media read error ends
 	// the mount.
 	decoded := make([]segProbe, lay.nSegments)
-	sum := make([]byte, 2*lay.summarySize)
+	sum, first := make([]byte, 2*lay.summarySize), []byte(nil)
+	if _, ok := l.dsk.(disk.MultiReader); ok {
+		first = make([]byte, len(sum))
+	}
 	probes := 0
 	probe := func(i int) (*segProbe, error) {
-		p, err := l.probeSegment(i, sum)
+		p, err := l.probeSegment(i, sum, first)
 		decoded[i] = p
 		probes++
 		return &decoded[i], err
@@ -569,18 +571,18 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 	}
 
 	l.installRecovered()
-	// A still-live segment whose data fully died and whose records are all
+	// A still-live segment whose blocks all died and whose records are all
 	// at or below the checkpoint floor holds nothing recovery needs.
 	for i := range l.segs {
 		si := &l.segs[i]
-		if si.state == segLive && si.live == 0 && si.ts <= floor {
+		if si.state == segLive && si.mapped == 0 && si.ts <= floor {
 			si.state = segFree
 		}
 	}
 	// The sweep decoded every live segment's newest summary: keep what each
-	// names, so the cleaner never reads one back.
+	// that still holds a block names, so the cleaner never reads one back.
 	for i := range decoded {
-		if si := decoded[i].si; si != nil && l.segs[i].state == segLive {
+		if si := decoded[i].si; si != nil && l.segs[i].state == segLive && l.segs[i].mapped > 0 {
 			l.segs[i].names = sumNames(si.entries)
 		}
 	}
@@ -675,7 +677,7 @@ func (l *LLD) verifyRecoveredData(report *RecoveryReport, trusted func(seg int) 
 // call.
 func (l *LLD) replayBlock(b uint32) *blockInfo {
 	for len(l.blocks) <= int(b) {
-		l.blocks = append(l.blocks, blockInfo{seg: -1})
+		l.blocks = append(l.blocks, blockInfo{})
 	}
 	return &l.blocks[b]
 }
@@ -683,12 +685,12 @@ func (l *LLD) replayBlock(b uint32) *blockInfo {
 // replayEntry installs a block data-location assignment.
 func (l *LLD) replayEntry(e *blockEntry, seg int) {
 	if e.bid == ld.NilBlock || int(e.bid) > l.lay.maxBlocks ||
-		int(e.off)+int(e.stored) > l.lay.dataCap() {
+		int(e.off)+int(e.stored) > l.lay.dataCap() || max(e.stored, e.orig) > uint32(l.lay.maxBlockSize) {
 		l.stats.RecoveryAnomalies++
 		return
 	}
 	b := l.replayBlock(uint32(e.bid))
-	b.setData(int32(seg), e.off, e.stored, e.orig, e.flags&entryCompressed != 0, e.crc)
+	b.setData(l.lay.pack(seg, e.off), e.stored, e.orig, e.flags&entryCompressed != 0, e.crc)
 }
 
 // replayTuple applies one tuple's field assignments. The usage accounting is
@@ -698,7 +700,7 @@ func (l *LLD) replayEntry(e *blockEntry, seg int) {
 func (l *LLD) replayTuple(t *tupleRec) {
 	badB := func(b uint32) bool { return b == 0 || int(b) > l.lay.maxBlocks }
 	// freed is a block with no existence, linkage or data as of this record.
-	freed := blockInfo{seg: -1}
+	var freed blockInfo
 	setEdge := func(lid uint32, pred uint32, head bool, val ld.BlockID) {
 		if head {
 			if li := l.lists[ld.ListID(lid)]; li != nil {
@@ -722,7 +724,7 @@ func (l *LLD) replayTuple(t *tupleRec) {
 		}
 		// A fresh allocation carries no data.
 		*l.replayBlock(t.args[0]) = blockInfo{
-			seg: -1, lid: ld.ListID(t.args[1]), next: ld.BlockID(t.args[2]), flags: bAllocated,
+			lid: ld.ListID(t.args[1]), next: ld.BlockID(t.args[2]), flags: bAllocated,
 		}
 		setEdge(t.args[1], t.args[3], t.args[4]&1 != 0, ld.BlockID(t.args[0]))
 	case tFree:
@@ -793,11 +795,12 @@ func (l *LLD) replayTuple(t *tupleRec) {
 			return
 		}
 		seg := int(t.args[1]) - 1
-		if seg < 0 || seg >= len(l.segs) || int(t.args[2])+int(t.args[3]) > l.lay.dataCap() {
+		if seg < 0 || seg >= len(l.segs) || int(t.args[2])+int(t.args[3]) > l.lay.dataCap() ||
+			max(t.args[3], t.args[4]) > uint32(l.lay.maxBlockSize) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		b.setData(int32(seg), t.args[2], t.args[3], t.args[4], t.args[5]&2 != 0, t.args[6])
+		b.setData(l.lay.pack(seg, t.args[2]), t.args[3], t.args[4], t.args[5]&2 != 0, t.args[6])
 	case tFence:
 		// Its effect (the dead window) was collected before the replay.
 	default:
@@ -813,18 +816,19 @@ func (l *LLD) installRecovered() {
 	// Blocks. Data belonging to a non-existent block is simply dropped.
 	l.liveBytes = 0
 	for i := range l.segs {
-		l.segs[i].live = 0
+		l.segs[i].live, l.segs[i].mapped = 0, 0
 	}
 	maxUsed := ld.BlockID(0)
 	for i := 1; i < len(l.blocks); i++ {
 		bi := &l.blocks[i]
 		if !bi.allocated() {
-			*bi = blockInfo{seg: -1}
+			*bi = blockInfo{}
 			continue
 		}
 		maxUsed = ld.BlockID(i)
-		if bi.hasData() && bi.seg >= 0 && int(bi.seg) < len(l.segs) {
-			l.segs[bi.seg].live += int64(bi.stored)
+		if seg := l.segOf(bi); bi.hasData() && seg >= 0 && seg < len(l.segs) {
+			l.segs[seg].live += int64(bi.stored)
+			l.segs[seg].mapped++
 			l.liveBytes += int64(bi.stored)
 		}
 	}

@@ -89,7 +89,7 @@ func newLoggedLLD(t *testing.T, opts Options) (*disk.Disk, *ioLog, *LLD) {
 func hollowVictim(t *testing.T, l *LLD, keep ...int) (victim int, want map[ld.BlockID][]byte) {
 	t.Helper()
 	ids, want := fillBlocks(t, l, l.lay.dataCap()/4096)
-	victim = int(l.blocks[ids[0]].seg)
+	victim = l.blockSeg(ids[0])
 	if s := &l.segs[victim]; s.state != segLive || s.live != int64(l.lay.dataCap()) {
 		t.Fatalf("segment %d: state %d, %d live bytes; want one sealed full segment", victim, s.state, s.live)
 	}
@@ -117,7 +117,8 @@ func cleanVictim(l *LLD, victim int) error {
 	defer l.mu.Unlock()
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
-	return l.cleanSegment(victim)
+	var image []byte
+	return l.cleanSegment(victim, &image)
 }
 
 // reopenSegment makes the cleaned segment v the open one. A checkpoint
@@ -254,10 +255,11 @@ func emptySealedAfter(t *testing.T, l *LLD, ts uint64, want map[ld.BlockID][]byt
 }
 
 // No victim's summary is read back. A segment the instance sealed itself,
-// or one its mount decoded, has what its summary names in memory; one
-// mounted from a checkpoint without being decoded (every segment after a
-// clean shutdown) lies at or below that checkpoint's floor, which holds
-// every fact its summary states.
+// or one its mount decoded, has what its summary names in memory while a
+// block is left in it; one mounted from a checkpoint without being decoded
+// (every segment after a clean shutdown) lies at or below that checkpoint's
+// floor, which holds every fact its summary states. The empty victims here
+// hold no names either way.
 func TestNoMountLoadsASummary(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -280,7 +282,7 @@ func TestNoMountLoadsASummary(t *testing.T) {
 			if swept := l.Stats().RecoverySweepSegments != 0; swept == tc.clean {
 				t.Fatalf("sweep ran: %v after Shutdown(%v)", swept, tc.clean)
 			}
-			if s := &l.segs[victim]; s.state != segLive || s.live != 0 || (s.names == nil) != tc.clean {
+			if s := &l.segs[victim]; s.state != segLive || s.live != 0 || s.names != nil {
 				t.Fatalf("segment %d mounted in state %d with %d live bytes, names in memory: %v", victim, s.state, s.live, s.names != nil)
 			}
 			mounted := l.ts
@@ -902,4 +904,75 @@ func TestShortSummaryWriteSurvivesEveryPowerCut(t *testing.T) {
 			})
 		}
 	})
+}
+
+// A segment no block is left in forgets its summary's names and is cleaned
+// from the usage table alone: no request and no scan of the map. A block
+// that stores no bytes still counts, so a segment whose bytes all died keeps
+// its names while such a block is there, and a block SwapContents re-homes
+// into it is found and moved.
+func TestDeadSegmentForgetsItsNames(t *testing.T) {
+	_, rec, l := newLoggedLLD(t, segIOOptions())
+	victim, want := hollowVictim(t, l)
+	if s := &l.segs[victim]; s.mapped != 0 || s.names != nil {
+		t.Fatalf("segment %d holds %d blocks and %d names after its blocks all died, want none", victim, s.mapped, len(s.names))
+	}
+	// An entry placed in the victim behind the usage table's back is found
+	// only by a scan of the map.
+	stray := ld.BlockID(l.nextFresh)
+	l.growBlocks(int(stray) + 1)
+	l.blocks[stray] = blockInfo{flags: bAllocated, lid: ld.NilList}
+	l.blocks[stray].setData(l.lay.pack(victim, 0), 4096, 4096, false, 0)
+	rec.take('r')
+	if err := cleanVictim(l, victim); err != nil {
+		t.Fatal(err)
+	}
+	if reads := rec.take('r'); len(reads) != 0 {
+		t.Fatalf("cleaning segment %d read %v, want no request", victim, reads)
+	}
+	if l.blockSeg(stray) != victim || l.segs[victim].state == segLive {
+		t.Fatalf("cleaning segment %d scanned the map: the planted entry went to segment %d", victim, l.blockSeg(stray))
+	}
+	l.blocks[stray] = blockInfo{}
+
+	// z stores nothing, in a segment whose other blocks all die.
+	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
+	z := mustNewBlock(t, l, lid, ld.NilBlock)
+	mustWrite(t, l, z, nil)
+	want[z] = nil
+	ids, fresh := fillBlocks(t, l, l.lay.dataCap()/4096+1)
+	seg := l.blockSeg(z)
+	for i, b := range ids {
+		want[b] = fresh[b]
+		if l.blockSeg(b) == seg {
+			want[b] = bytes.Repeat([]byte{0xE0 | byte(i&0xF)}, 4096)
+			mustWrite(t, l, b, want[b])
+		}
+	}
+	if err := l.Flush(ld.FailPower); err != nil {
+		t.Fatal(err)
+	}
+	if s := &l.segs[seg]; s.state != segLive || s.live != 0 || s.mapped != 1 || s.names == nil {
+		t.Fatalf("segment %d: state %d, %d live bytes, %d blocks, names %v; want a sealed segment holding only block %d",
+			seg, s.state, s.live, s.mapped, s.names != nil, z)
+	}
+	// Re-home a block into it: w now stores nothing there, z holds w's bytes.
+	w := ids[len(ids)-1]
+	if err := l.SwapContents(z, w); err != nil {
+		t.Fatal(err)
+	}
+	want[z], want[w] = want[w], nil
+	if l.blockSeg(w) != seg {
+		t.Fatalf("SwapContents left block %d in segment %d, not %d", w, l.blockSeg(w), seg)
+	}
+	if err := cleanVictim(l, seg); err != nil {
+		t.Fatal(err)
+	}
+	if l.blockSeg(w) == seg {
+		t.Fatalf("the cleaner left block %d, re-homed by SwapContents, in segment %d", w, seg)
+	}
+	checkReads(t, l, want)
+	if viol := l.CheckInvariants(); len(viol) != 0 {
+		t.Fatalf("invariants: %v", viol)
+	}
 }

@@ -236,14 +236,14 @@ func (l *LLD) emitDataSnap(bid ld.BlockID) error {
 	var flags uint32
 	var crc uint32
 	if bi.hasData() {
-		seg = uint32(bi.seg) + 1
+		seg = uint32(l.segOf(bi)) + 1
 		flags |= 1
 		if bi.flags&bComp != 0 {
 			flags |= 2
 		}
 		crc = bi.crc
 	}
-	l.emitTuple(tDataAt, uint32(bid), seg, bi.off, bi.stored, bi.orig, flags, crc)
+	l.emitTuple(tDataAt, uint32(bid), seg, l.offOf(bi), uint32(bi.stored), uint32(bi.orig), flags, crc)
 	return nil
 }
 
@@ -347,7 +347,9 @@ func (l *LLD) sealSegment() error {
 	l.chargeCompression()
 	l.segs[cur.id].state = segLive
 	l.segs[cur.id].ts = writeTS
-	l.segs[cur.id].names = sumNames(cur.entries)
+	if l.segs[cur.id].mapped > 0 {
+		l.segs[cur.id].names = sumNames(cur.entries)
+	}
 	l.cur = nil
 	l.stats.SegmentsSealed++
 	l.releaseCooling()
@@ -598,23 +600,28 @@ func (l *LLD) readStored(bi *blockInfo, scratch *[]byte) ([]byte, error) {
 	if bi.stored == 0 {
 		return nil, nil
 	}
-	if s := l.cur; s != nil && s.id == int(bi.seg) {
-		return s.buf[bi.off : bi.off+bi.stored], nil
+	if data := l.inOpenSegment(bi); data != nil {
+		return data, nil
 	}
-	ss := l.lay.sectorSize
-	segBase := l.lay.segOff(int(bi.seg))
-	first := int64(bi.off) / int64(ss) * int64(ss)
-	end := (int64(bi.off) + int64(bi.stored) + int64(ss) - 1) / int64(ss) * int64(ss)
-	span := int(end - first)
+	off, span, rel := l.storedSpan(bi)
 	if span > len(*scratch) {
 		*scratch = make([]byte, span)
 	}
 	buf := *scratch
-	if err := l.dskRead(buf[:span], segBase+first); err != nil {
+	if err := l.dskRead(buf[:span], off); err != nil {
 		return nil, err
 	}
-	rel := int64(bi.off) - first
 	return buf[rel : rel+int64(bi.stored)], nil
+}
+
+// inOpenSegment returns bi's stored bytes if they are in the open segment's
+// buffer, nil otherwise. Callers have checked that bi stores some.
+func (l *LLD) inOpenSegment(bi *blockInfo) []byte {
+	if s := l.cur; s != nil && s.id == l.segOf(bi) {
+		off := l.offOf(bi)
+		return s.buf[off : off+uint32(bi.stored)]
+	}
+	return nil
 }
 
 // storedSpan computes the sector-aligned disk span holding bi's stored
@@ -622,10 +629,10 @@ func (l *LLD) readStored(bi *blockInfo, scratch *[]byte) ([]byte, error) {
 // payload's offset within it.
 func (l *LLD) storedSpan(bi *blockInfo) (off int64, span int, rel int64) {
 	ss := int64(l.lay.sectorSize)
-	segBase := l.lay.segOff(int(bi.seg))
-	first := int64(bi.off) / ss * ss
-	end := (int64(bi.off) + int64(bi.stored) + ss - 1) / ss * ss
-	return segBase + first, int(end - first), int64(bi.off) - first
+	at := int64(l.offOf(bi))
+	first := at / ss * ss
+	end := (at + int64(bi.stored) + ss - 1) / ss * ss
+	return l.lay.segOff(l.segOf(bi)) + first, int(end - first), at - first
 }
 
 // readStoredVerified is readStored plus end-to-end verification against
@@ -643,8 +650,8 @@ func (l *LLD) readStoredVerified(bi *blockInfo, scratch *[]byte, everyLeg bool) 
 	if bi.stored == 0 {
 		return nil, true, nil
 	}
-	if s := l.cur; s != nil && s.id == int(bi.seg) {
-		return s.buf[bi.off : bi.off+bi.stored], true, nil
+	if data := l.inOpenSegment(bi); data != nil {
+		return data, true, nil
 	}
 	mr, multi := l.dsk.(disk.MultiReader)
 	if !multi {
