@@ -32,6 +32,21 @@ type Backend interface {
 	// harness can measure I/O time and charge CPU costs to it.
 	Now() time.Duration
 	AdvanceIdle(d time.Duration)
+	// ReadOrder is a what-if query: the order, as a permutation of the
+	// indexes, in which the reads of lens[i] bytes at offs[i] would be
+	// served soonest from the backend's present state. It reads nothing
+	// and changes no clock, arm, buffer or statistic. A backend that
+	// cannot tell returns InOrder.
+	ReadOrder(offs []int64, lens []int) []int
+}
+
+// InOrder is the identity order of n reads: each where the caller put it.
+func InOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // MultiReader is the optional redundancy surface a Backend may offer

@@ -17,10 +17,12 @@
 package disk
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -157,9 +159,7 @@ type Disk struct {
 	cfg  Config
 	data []byte
 
-	now     time.Duration // virtual clock
-	headCyl int           // current arm position
-
+	arm   arm // clock, arm position and read buffer
 	stats Stats
 
 	crashAfter int64 // sectors until injected crash; -1 means disabled
@@ -175,13 +175,12 @@ type Disk struct {
 	// ErrTransient before reads succeed again.
 	transientReads int
 
-	// readBufEnd marks the sector just past the last read, modeling the
-	// drive's read (track) buffer: a read that starts exactly where the
-	// previous one ended, on the same track, is served at media rate with
-	// no rotational wait. Writes invalidate it.
-	readBufEnd int64
-
 	seekCoeff float64 // calibrated so a "typical" seek costs AvgSeek
+
+	// The geometry's constants the model steps by, computed once: a
+	// what-if query (ReadOrder) takes many steps per request.
+	st   time.Duration // one sector passing under the head
+	skew int64         // skewSectors
 }
 
 // New creates a disk with the given configuration. It panics if the
@@ -206,6 +205,7 @@ func New(cfg Config) *Disk {
 	if d.seekCoeff < 0 {
 		d.seekCoeff = 0
 	}
+	d.st, d.skew = cfg.sectorTime(), d.skewSectors()
 	return d
 }
 
@@ -222,7 +222,7 @@ func (d *Disk) SectorSize() int { return d.cfg.SectorSize }
 func (d *Disk) Now() time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.now
+	return d.arm.now
 }
 
 // AdvanceIdle advances the virtual clock without performing I/O. It is used
@@ -233,7 +233,7 @@ func (d *Disk) AdvanceIdle(dur time.Duration) {
 		return
 	}
 	d.mu.Lock()
-	d.now += dur
+	d.arm.now += dur
 	d.stats.IdleTime += dur
 	d.mu.Unlock()
 }
@@ -360,11 +360,10 @@ func (d *Disk) trackIndex(sector int64) int64 {
 // rotationalPos returns the sector index currently under the head, as a
 // function of the virtual clock.
 func (d *Disk) rotationalPos(at time.Duration) int64 {
-	st := d.cfg.sectorTime()
-	if st <= 0 {
+	if d.st <= 0 {
 		return 0
 	}
-	return int64(at/st) % int64(d.cfg.SectorsPerTrack)
+	return int64(at/d.st) % int64(d.cfg.SectorsPerTrack)
 }
 
 // seekTime returns the arm movement time between two cylinders.
@@ -393,76 +392,89 @@ func (d *Disk) skewSectors() int64 {
 	return int64((d.cfg.HeadSwitch+st-1)/st) + 1
 }
 
+// arm is the mechanism's state between requests: everything a request's
+// service time depends on besides the request itself.
+type arm struct {
+	now time.Duration // virtual clock
+	cyl int           // cylinder under the heads
+
+	// bufEnd marks the sector just past the last read, modeling the
+	// drive's read (track) buffer: a read that starts exactly where the
+	// previous one ended, on the same track, is served at media rate with
+	// no rotational wait. Writes invalidate it.
+	bufEnd int64
+}
+
 // service simulates the mechanical service of a request spanning
-// [sector, sector+count). It advances the clock and the arm and updates
-// phase timings. Called with d.mu held.
-func (d *Disk) service(sector, count int64, isRead bool) {
-	cfg := d.cfg
-	st := cfg.sectorTime()
+// [sector, sector+count) from state a: it returns the state the request
+// leaves behind and adds the time of each phase to ph. It reads only the
+// disk's immutable geometry, so a what-if query (ReadOrder) can step a copy
+// of the arm through the model requests use.
+func (d *Disk) service(a arm, sector, count int64, isRead bool, ph *Stats) arm {
+	cfg := &d.cfg
+	st := d.st
 
 	// Drive read buffer: strictly sequential reads within one track are
 	// satisfied from the buffer the drive filled on the previous pass.
-	if isRead && sector == d.readBufEnd && d.trackIndex(sector) == d.trackIndex(sector-1) {
+	if isRead && sector == a.bufEnd && d.trackIndex(sector) == d.trackIndex(sector-1) {
 		end := (d.trackIndex(sector) + 1) * int64(cfg.SectorsPerTrack)
 		buffered := end - sector
 		if buffered > count {
 			buffered = count
 		}
-		d.now += cfg.RequestOverhead
-		d.stats.OverheadTime += cfg.RequestOverhead
+		a.now += cfg.RequestOverhead
+		ph.OverheadTime += cfg.RequestOverhead
 		xfer := time.Duration(buffered) * st
-		d.now += xfer
-		d.stats.TransferTime += xfer
+		a.now += xfer
+		ph.TransferTime += xfer
 		sector += buffered
 		count -= buffered
-		d.readBufEnd = sector
+		a.bufEnd = sector
 		if count == 0 {
-			return
+			return a
 		}
 		// Fall through to the mechanical path for the remainder, without
 		// charging the overhead twice.
-		d.serviceMechanical(sector, count, 0)
-		if isRead {
-			d.readBufEnd = sector + count
-		}
-		return
+		a = d.serviceMechanical(a, sector, count, 0, ph)
+		a.bufEnd = sector + count
+		return a
 	}
-	d.serviceMechanical(sector, count, cfg.RequestOverhead)
+	a = d.serviceMechanical(a, sector, count, cfg.RequestOverhead, ph)
 	if isRead {
-		d.readBufEnd = sector + count
+		a.bufEnd = sector + count
 	} else {
-		d.readBufEnd = -1
+		a.bufEnd = -1
 	}
+	return a
 }
 
 // serviceMechanical performs the seek/rotate/transfer simulation.
-func (d *Disk) serviceMechanical(sector, count int64, overhead time.Duration) {
-	cfg := d.cfg
-	st := cfg.sectorTime()
-	skew := d.skewSectors()
+func (d *Disk) serviceMechanical(a arm, sector, count int64, overhead time.Duration, ph *Stats) arm {
+	cfg := &d.cfg
+	st, skew := d.st, d.skew
 
 	// Controller/host overhead before the media transfer starts.
-	d.now += overhead
-	d.stats.OverheadTime += overhead
+	a.now += overhead
+	ph.OverheadTime += overhead
 
 	remaining := count
 	cur := sector
 	for remaining > 0 {
 		// Seek to the cylinder that holds the current sector.
 		cyl := d.cylOf(cur)
-		if cyl != d.headCyl {
-			s := d.seekTime(d.headCyl, cyl)
-			d.now += s
-			d.stats.SeekTime += s
-			d.stats.Seeks++
-			d.headCyl = cyl
+		if cyl != a.cyl {
+			s := d.seekTime(a.cyl, cyl)
+			a.now += s
+			ph.SeekTime += s
+			ph.Seeks++
+			a.cyl = cyl
 		}
 
 		// Rotational latency until the target sector is under the head.
 		// The angular position of a logical sector depends on its track's
 		// skew offset.
 		within := (cur%int64(cfg.SectorsPerTrack) + d.trackIndex(cur)*skew) % int64(cfg.SectorsPerTrack)
-		pos := d.rotationalPos(d.now)
+		pos := d.rotationalPos(a.now)
 		wait := within - pos
 		if wait <= 0 {
 			// Already past the target this revolution (or exactly at it
@@ -470,8 +482,8 @@ func (d *Disk) serviceMechanical(sector, count int64, overhead time.Duration) {
 			wait += int64(cfg.SectorsPerTrack)
 		}
 		rot := time.Duration(wait) * st
-		d.now += rot
-		d.stats.RotationTime += rot
+		a.now += rot
+		ph.RotationTime += rot
 
 		// Transfer the rest of this track (or the rest of the request).
 		trackEnd := (d.trackIndex(cur) + 1) * int64(cfg.SectorsPerTrack)
@@ -480,19 +492,78 @@ func (d *Disk) serviceMechanical(sector, count int64, overhead time.Duration) {
 			n = remaining
 		}
 		xfer := time.Duration(n) * st
-		d.now += xfer
-		d.stats.TransferTime += xfer
+		a.now += xfer
+		ph.TransferTime += xfer
 		cur += n
 		remaining -= n
 
 		// Crossing to the next track costs a head switch (and possibly a
 		// cylinder-to-cylinder seek handled at the top of the loop).
 		if remaining > 0 {
-			d.now += cfg.HeadSwitch
+			a.now += cfg.HeadSwitch
 			// Head switch is accounted as overhead.
-			d.stats.OverheadTime += cfg.HeadSwitch
+			ph.OverheadTime += cfg.HeadSwitch
 		}
 	}
+	return a
+}
+
+// ReadOrder implements Backend: a greedy shortest-positioning-time-first
+// schedule. From the arm's present state it picks the read whose overhead,
+// seeks, head switches and rotational waits sum least — a read the track
+// buffer continues costs only the overhead — steps a copy of the arm
+// through it with the model ReadAt uses, and picks again from there; ties
+// go to the earlier entry. Nothing is read, and the clock, the arm, the
+// read buffer and Stats are left as they were. Entries are taken as valid
+// reads.
+//
+// No read costs less than its overhead and its first seek, and the seek
+// grows with the distance from the arm's cylinder, so each pick scans the
+// reads by offset outward from the arm and stops on either side where that
+// bound alone exceeds the best cost found: it steps the model through the
+// reads near the arm only.
+func (d *Disk) ReadOrder(offs []int64, lens []int) []int {
+	if len(offs) < 2 {
+		return InOrder(len(offs))
+	}
+	d.mu.Lock()
+	a := d.arm
+	d.mu.Unlock()
+	cfg, ss := &d.cfg, int64(d.cfg.SectorSize)
+	cylBytes := int64(cfg.SectorsPerTrack*cfg.Heads) * ss
+	left := InOrder(len(offs)) // the reads not yet picked, by offset
+	slices.SortStableFunc(left, func(x, y int) int { return cmp.Compare(offs[x], offs[y]) })
+	order := make([]int, 0, len(offs))
+	for len(left) > 0 {
+		best, bestCost, bestArm := -1, time.Duration(math.MaxInt64), a
+		better := func(c time.Duration, i int) bool {
+			return c < bestCost || c == bestCost && i < left[best]
+		}
+		// try weighs left[j] against the best pick so far and reports
+		// whether a read further from the arm could still beat it.
+		try := func(j int) bool {
+			i := left[j]
+			sector := offs[i] / ss
+			if bound := cfg.RequestOverhead + d.seekTime(a.cyl, d.cylOf(sector)); !better(bound, i) {
+				return bound <= bestCost
+			}
+			var ph Stats
+			next := d.service(a, sector, int64(lens[i])/ss, true, &ph)
+			if c := ph.BusyTime() - ph.TransferTime; better(c, i) {
+				best, bestCost, bestArm = j, c, next
+			}
+			return true
+		}
+		mid, _ := slices.BinarySearchFunc(left, int64(a.cyl)*cylBytes, func(i int, off int64) int { return cmp.Compare(offs[i], off) })
+		for j := mid; j < len(left) && try(j); j++ {
+		}
+		for j := mid - 1; j >= 0 && try(j); j-- {
+		}
+		order = append(order, left[best])
+		left = slices.Delete(left, best, best+1)
+		a = bestArm
+	}
+	return order
 }
 
 // ReadAt reads len(p) bytes at offset off. Both must be sector aligned.
@@ -516,7 +587,7 @@ func (d *Disk) ReadAt(p []byte, off int64) error {
 	ss := int64(d.cfg.SectorSize)
 	sector := off / ss
 	count := int64(len(p)) / ss
-	d.service(sector, count, true)
+	d.arm = d.service(d.arm, sector, count, true, &d.stats)
 	if d.badSectors != nil {
 		for i := int64(0); i < count; i++ {
 			if d.badSectors[sector+i] {
@@ -562,7 +633,7 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	}
 
 	if written > 0 {
-		d.service(sector, written, false)
+		d.arm = d.service(d.arm, sector, written, false, &d.stats)
 		n := written * ss
 		copy(d.data[off:off+n], p[:n])
 		d.stats.Writes++

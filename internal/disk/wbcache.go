@@ -436,6 +436,10 @@ func (c *WBCache) Now() time.Duration { return c.d.Now() }
 // AdvanceIdle implements Backend.
 func (c *WBCache) AdvanceIdle(d time.Duration) { c.d.AdvanceIdle(d) }
 
+// ReadOrder implements Backend: the identity order. A read the cache holds
+// costs no mechanical time, so the platter's schedule would mislead.
+func (c *WBCache) ReadOrder(offs []int64, lens []int) []int { return InOrder(len(offs)) }
+
 // persistRaw copies b onto the platter at byte offset off with no
 // alignment check, no mechanical time, and no crash gate: it models the
 // sectors the drive's dying electronics managed to scribble during a

@@ -446,66 +446,76 @@ func ascendingReads(t *testing.T, reads []ioOp) {
 
 // What the device sees. A thousand blocks written in list order come back in
 // a request or two per segment; blocks scattered by random overwrites come
-// back in one ascending sweep of no more requests than blocks; a quarantined
-// segment's blocks cost no request at all.
+// back in no more requests than blocks; a quarantined segment's blocks cost
+// no request at all. Both hold whether the disk serves a batch soonest first
+// or in platter order; in platter order the requests are the ascending sweep
+// they were cut in.
 func TestReadBlocksRequestShape(t *testing.T) {
 	t.Run("list order", func(t *testing.T) {
-		_, rec, l := newLoggedLLD(t, segIOOptions())
-		lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
-		var ids []ld.BlockID
-		prev := ld.NilBlock
-		for i := 0; i < 1000; i++ {
-			b := mustNewBlock(t, l, lid, prev)
-			mustWrite(t, l, b, bytes.Repeat([]byte{byte(i)}, 2048))
-			ids, prev = append(ids, b), b
-		}
-		if err := l.Flush(ld.FailPower); err != nil {
-			t.Fatal(err)
-		}
-		segs := make(map[int]bool)
-		for _, b := range ids {
-			if bi := &l.blocks[b]; l.segs[l.segOf(bi)].state == segLive {
-				segs[l.segOf(bi)] = true
+		forEachOrder(t, func(t *testing.T, be disk.Backend, sweep bool) {
+			rec, l := openLogged(t, be, segIOOptions())
+			lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
+			var ids []ld.BlockID
+			prev := ld.NilBlock
+			for i := 0; i < 1000; i++ {
+				b := mustNewBlock(t, l, lid, prev)
+				mustWrite(t, l, b, bytes.Repeat([]byte{byte(i)}, 2048))
+				ids, prev = append(ids, b), b
 			}
-		}
-		rec.take('r')
-		res, _ := batchRead(t, l, ids)
-		for i, r := range res {
-			if r.Err != nil || r.N != 2048 {
-				t.Fatalf("block %d: %d bytes, %v", ids[i], r.N, r.Err)
+			if err := l.Flush(ld.FailPower); err != nil {
+				t.Fatal(err)
 			}
-		}
-		reads := rec.take('r')
-		ascendingReads(t, reads)
-		if len(segs) < 15 || len(reads) == 0 || len(reads) > 2*len(segs) {
-			t.Errorf("%d requests for 1,000 blocks in %d sealed segments, want at most two a segment", len(reads), len(segs))
-		}
+			segs := make(map[int]bool)
+			for _, b := range ids {
+				if bi := &l.blocks[b]; l.segs[l.segOf(bi)].state == segLive {
+					segs[l.segOf(bi)] = true
+				}
+			}
+			rec.take('r')
+			res, _ := batchRead(t, l, ids)
+			for i, r := range res {
+				if r.Err != nil || r.N != 2048 {
+					t.Fatalf("block %d: %d bytes, %v", ids[i], r.N, r.Err)
+				}
+			}
+			reads := rec.take('r')
+			if sweep {
+				ascendingReads(t, reads)
+			}
+			if len(segs) < 15 || len(reads) == 0 || len(reads) > 2*len(segs) {
+				t.Errorf("%d requests for 1,000 blocks in %d sealed segments, want at most two a segment", len(reads), len(segs))
+			}
+		})
 	})
 	t.Run("scattered", func(t *testing.T) {
-		_, rec, l := newLoggedLLD(t, segIOOptions())
-		ids, _ := fillBlocks(t, l, 400)
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 600; i++ {
-			mustWrite(t, l, ids[rng.Intn(len(ids))], bytes.Repeat([]byte{byte(i)}, 4096))
-		}
-		if err := l.Flush(ld.FailPower); err != nil {
-			t.Fatal(err)
-		}
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		bs := ids[:256]
-		rec.take('r')
-		res, _ := batchRead(t, l, bs)
-		for i, r := range res {
-			if r.Err != nil || r.N != 4096 {
-				t.Fatalf("block %d: %d bytes, %v", bs[i], r.N, r.Err)
+		forEachOrder(t, func(t *testing.T, be disk.Backend, sweep bool) {
+			rec, l := openLogged(t, be, segIOOptions())
+			ids, _ := fillBlocks(t, l, 400)
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 600; i++ {
+				mustWrite(t, l, ids[rng.Intn(len(ids))], bytes.Repeat([]byte{byte(i)}, 4096))
 			}
-		}
-		reads := rec.take('r')
-		ascendingReads(t, reads)
-		if len(reads) == 0 || len(reads) > len(bs) {
-			t.Errorf("%d requests for %d scattered blocks", len(reads), len(bs))
-		}
-		t.Logf("%d scattered blocks read in %d requests", len(bs), len(reads))
+			if err := l.Flush(ld.FailPower); err != nil {
+				t.Fatal(err)
+			}
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			bs := ids[:256]
+			rec.take('r')
+			res, _ := batchRead(t, l, bs)
+			for i, r := range res {
+				if r.Err != nil || r.N != 4096 {
+					t.Fatalf("block %d: %d bytes, %v", bs[i], r.N, r.Err)
+				}
+			}
+			reads := rec.take('r')
+			if sweep {
+				ascendingReads(t, reads)
+			}
+			if len(reads) == 0 || len(reads) > len(bs) {
+				t.Errorf("%d requests for %d scattered blocks", len(reads), len(bs))
+			}
+			t.Logf("%d scattered blocks read in %d requests", len(bs), len(reads))
+		})
 	})
 	t.Run("quarantined", func(t *testing.T) {
 		d, l, target, want, _ := damagedImage(t)
@@ -530,11 +540,15 @@ func TestReadBlocksRequestShape(t *testing.T) {
 	})
 }
 
-// Reorganize fetches each segment's worth of a scattered list in one sweep:
-// fewer requests than blocks, ascending within each run, and the list reads
-// back whole.
+// Reorganize fetches each segment's worth of a scattered list in one batch:
+// fewer requests than blocks, and the list reads back whole. In platter order
+// each run's requests ascend.
 func TestReorganizeReadsEachRunInPlatterOrder(t *testing.T) {
-	_, rec, l := newLoggedLLD(t, segIOOptions())
+	forEachOrder(t, reorganizeReadsEachRun)
+}
+
+func reorganizeReadsEachRun(t *testing.T, be disk.Backend, sweep bool) {
+	rec, l := openLogged(t, be, segIOOptions())
 	lid := mustNewList(t, l, ld.NilList, ld.ListHints{Cluster: true})
 	const nBlocks = 300
 	var ids []ld.BlockID
@@ -578,7 +592,7 @@ func TestReorganizeReadsEachRunInPlatterOrder(t *testing.T) {
 			descents++
 		}
 	}
-	if descents >= runs {
+	if sweep && descents >= runs {
 		t.Errorf("the reads turned back %d times over %d runs, want each run ascending", descents, runs)
 	}
 	if s.BatchExtents == before.BatchExtents {

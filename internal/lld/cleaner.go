@@ -388,8 +388,8 @@ func (l *LLD) Reorganize(n int) error {
 	}
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
-	// The blocks are fetched a segment's worth at a time, in one sweep of
-	// the platter each (readStoredBatch), and appended in list order.
+	// The blocks are fetched a segment's worth at a time, one batch each
+	// (readStoredBatch), and appended in list order.
 	perRun := l.lay.dataCap() / l.lay.maxBlockSize
 	quota := n * l.lay.dataCap() / l.lay.maxBlockSize
 	run := make([]ld.BlockID, 0, perRun)

@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/disk"
 	"repro/internal/ld"
 )
 
@@ -184,6 +185,7 @@ func (s *sparseDisk) Capacity() int64                        { return s.capacity
 func (s *sparseDisk) SectorSize() int                        { return sparseSector }
 func (s *sparseDisk) Now() time.Duration                     { return 0 }
 func (s *sparseDisk) AdvanceIdle(time.Duration)              {}
+func (s *sparseDisk) ReadOrder(offs []int64, _ []int) []int  { return disk.InOrder(len(offs)) }
 
 // TestTable2BlockMapAsImplemented is Table 2's implementation column: the
 // block-number map an instance holds at the table's configuration (a 1-GB

@@ -34,9 +34,9 @@ func (l *LLD) Read(b ld.BlockID, buf []byte) (int, error) {
 // ReadBlocks implements ld.MultiReadDisk: it reads bs[i] into bufs[i],
 // reporting each block's outcome in the result entry its individual Read
 // would have produced. The whole batch runs under one shared-lock
-// acquisition, and its device reads are one sweep of the platter in
-// (segment, offset) order, one request per extent (readStoredBatch) — only
-// the disk system knows where a logical block lives, so only it can order a
+// acquisition, and its device reads are one request per extent, issued in
+// the order the backend serves them soonest (readStoredBatch) — only the
+// disk system knows where a logical block lives, so only it can order a
 // multi-block read (paper §2). Results come back in the caller's order.
 func (l *LLD) ReadBlocks(bs []ld.BlockID, bufs [][]byte) ([]ld.BlockRead, error) {
 	if len(bs) != len(bufs) {
@@ -138,23 +138,25 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 // returns — or the error a Read of that block reports (bi is nil when the
 // id itself is refused). A block with nothing on the platter — no data, an
 // empty payload, a quarantined segment, the open segment — is settled from
-// memory. The others are fetched in one sweep: sorted by (segment, offset),
-// cut into extents by the rule every multi-block transfer obeys
-// (nextExtent), one request per extent, every block checked out of that
-// buffer. An extent that continues the previous one is read with what
-// follows it into the read-ahead window, and one the window already holds
-// costs no request (readahead.go).
+// memory. The others are sorted by (segment, offset) and cut into extents by
+// the rule every multi-block transfer obeys (nextExtent), one request per
+// extent, every block checked out of that buffer. The read-ahead window
+// (readahead.go) goes first, in platter order: an extent it holds costs no
+// request, and one that continues the previous batch extent is read with
+// what follows it into the window. The backend then orders the rest the way
+// it serves them soonest (ReadOrder, a what-if query), and they are issued
+// in that order.
 //
 // An extent is a read optimisation and nothing else. It is a plain read:
 // one good copy is enough (checking every leg stays with recovery and
 // scrub), and its gaps hold live blocks nobody here can vouch for, so no
 // verdict on it may rewrite a replica. One that fails to read, and any
 // block whose checksum does not match out of it, goes through the per-block
-// read (readStoredChecked) at its place in the sweep — the only place a
-// replica is selected or healed — so each entry is what a Read of that
-// block alone gives. The window is such a buffer too. A block alone in an
-// extent the window does not serve takes the per-block read directly: the
-// same single request either way.
+// read (readStoredChecked) at its turn — the only place a replica is
+// selected or healed — so each entry is what a Read of that block alone
+// gives. The window is such a buffer too. A block alone in an extent the
+// window does not serve takes the per-block read directly: the same single
+// request either way.
 //
 // The caller holds l.mu, shared or exclusive, and has checked the instance
 // is open. The only instance buffer it touches is the window, under its own
@@ -186,7 +188,28 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 	}
 	sort.Sort(&sw)
 
+	// settle yields the blocks of extent e out of buf, the extent's bytes,
+	// or by the per-block read where buf is nil or a checksum fails.
+	settle := func(e batchExtent, buf []byte) {
+		for j, sp := range sw.spans[e.k : e.k+e.n] {
+			bi := &l.blocks[sp.bid]
+			if buf != nil {
+				if stored := buf[sp.off-e.lo:][:sp.stored]; payloadCRC(stored) == bi.crc {
+					yield(sw.at[e.k+j], bi, stored, nil)
+					continue
+				}
+			}
+			if e.n > 1 {
+				atomic.AddInt64(&l.stats.BatchFallbacks, 1)
+			}
+			// A mismatch out of buf is a bad copy seen; a failed
+			// extent has shown nothing about this block.
+			stored, err := l.readStoredChecked(sp.bid, bi, &scratch, buf != nil)
+			yield(sw.at[e.k+j], bi, stored, err)
+		}
+	}
 	ss := uint32(l.lay.sectorSize)
+	var exts []batchExtent // those left for the backend to order
 	for k := 0; k < len(sw.spans); {
 		end := k + 1 // of this segment's spans
 		for end < len(sw.spans) && sw.spans[end].seg == sw.spans[k].seg {
@@ -194,46 +217,51 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		}
 		for k < end {
 			n, lo, hi := nextExtent(sw.spans[k:end], ss)
-			seg := sw.spans[k].seg
+			e := batchExtent{k: k, n: n, seg: sw.spans[k].seg, lo: lo, hi: hi}
 			if uint32(len(extBuf)) < hi-lo {
 				extBuf = make([]byte, hi-lo)
 			}
-			var buf []byte // the extent's bytes if they were read
-			switch hit, fill := l.ra.next(seg, lo, hi, extBuf[:hi-lo]); {
+			dst := extBuf[:hi-lo]
+			switch hit, fill := l.ra.next(e.seg, lo, hi, dst); {
 			case hit:
 				atomic.AddInt64(&l.stats.ReadaheadHits, 1)
-				buf = extBuf[:hi-lo]
+				settle(e, dst)
 			case fill:
 				atomic.AddInt64(&l.stats.ReadaheadWindows, 1)
-				if l.fillWindow(seg, lo, hi, extBuf[:hi-lo]) {
-					buf = extBuf[:hi-lo]
+				if !l.fillWindow(e.seg, lo, hi, dst) {
+					dst = nil
 				}
-			case n > 1:
-				atomic.AddInt64(&l.stats.BatchExtents, 1)
-				atomic.AddInt64(&l.stats.BatchExtentBytes, int64(hi-lo))
-				if l.dskRead(extBuf[:hi-lo], l.lay.segOff(int(seg))+int64(lo)) == nil {
-					buf = extBuf[:hi-lo]
-				}
-			}
-			for j, sp := range sw.spans[k : k+n] {
-				bi := &l.blocks[sp.bid]
-				if buf != nil {
-					if stored := buf[sp.off-lo:][:sp.stored]; payloadCRC(stored) == bi.crc {
-						yield(sw.at[k+j], bi, stored, nil)
-						continue
-					}
-				}
-				if n > 1 {
-					atomic.AddInt64(&l.stats.BatchFallbacks, 1)
-				}
-				// A mismatch out of buf is a bad copy seen; a failed
-				// extent has shown nothing about this block.
-				stored, err := l.readStoredChecked(sp.bid, bi, &scratch, buf != nil)
-				yield(sw.at[k+j], bi, stored, err)
+				settle(e, dst)
+			default:
+				exts = append(exts, e)
 			}
 			k += n
 		}
 	}
+	offs, lens := make([]int64, len(exts)), make([]int, len(exts))
+	for i, e := range exts {
+		offs[i], lens[i] = l.lay.segOff(int(e.seg))+int64(e.lo), int(e.hi-e.lo)
+	}
+	for _, i := range l.dsk.ReadOrder(offs, lens) {
+		e := exts[i]
+		var buf []byte // the extent's bytes if they were read
+		if e.n > 1 {
+			atomic.AddInt64(&l.stats.BatchExtents, 1)
+			atomic.AddInt64(&l.stats.BatchExtentBytes, int64(lens[i]))
+			if l.dskRead(extBuf[:lens[i]], offs[i]) == nil {
+				buf = extBuf[:lens[i]]
+			}
+		}
+		settle(e, buf)
+	}
+}
+
+// batchExtent is one extent of a batch's sweep: spans [k, k+n) of it, bytes
+// [lo, hi) of segment seg's data area.
+type batchExtent struct {
+	k, n   int
+	seg    int32
+	lo, hi uint32
 }
 
 // maxPooledExtent is the largest extent buffer that goes back to the pool

@@ -7,9 +7,12 @@ import "sync"
 // one batch at a time, and each batch would cost a request of its own. The
 // multi-block reader (readStoredBatch) keeps one window per instance: an
 // extent that starts on the very sector where the previous batch extent
-// ended — a stream that continues along the platter — is read together with
-// what follows it, up to readaheadWindow bytes, in one request, and later
-// extents that lie wholly inside those bytes cost no request at all. Every
+// ended, in platter order — a stream that continues along the platter — is
+// read together with what follows it, up to readaheadWindow bytes, in one
+// request, and later extents that lie wholly inside those bytes cost no
+// request at all. A batch settles both kinds before it asks the backend in
+// what order to read the rest, so the window sees every batch in platter
+// order whatever order its requests go out in. Every
 // block served from the window is still checked against its checksum, and
 // one that fails takes the per-block read like a bad block out of any
 // extent. The single-block Read neither fills the window nor consults it.

@@ -71,7 +71,14 @@ func segIOOptions() Options {
 func newLoggedLLD(t *testing.T, opts Options) (*disk.Disk, *ioLog, *LLD) {
 	t.Helper()
 	d := disk.New(disk.DefaultConfig(4 << 20))
-	rec := &ioLog{Backend: d}
+	rec, l := openLogged(t, d, opts)
+	return d, rec, l
+}
+
+// openLogged formats be and opens an instance on it through an ioLog.
+func openLogged(t *testing.T, be disk.Backend, opts Options) (*ioLog, *LLD) {
+	t.Helper()
+	rec := &ioLog{Backend: be}
 	if err := Format(rec, opts); err != nil {
 		t.Fatalf("format: %v", err)
 	}
@@ -79,7 +86,7 @@ func newLoggedLLD(t *testing.T, opts Options) (*disk.Disk, *ioLog, *LLD) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	return d, rec, l
+	return rec, l
 }
 
 // hollowVictim seals one segment of thirty 4-KB blocks and then rewrites

@@ -471,6 +471,10 @@ func (m *Mirror) AdvanceIdle(d time.Duration) {
 	}
 }
 
+// ReadOrder implements disk.Backend: the identity order. Which leg serves a
+// read is chosen per request, so no one leg's schedule is the batch's.
+func (m *Mirror) ReadOrder(offs []int64, lens []int) []int { return disk.InOrder(len(offs)) }
+
 // Child returns replica i's backend, for per-replica fault injection
 // and image persistence.
 func (m *Mirror) Child(i int) disk.Backend {

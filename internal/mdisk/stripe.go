@@ -228,6 +228,10 @@ func (s *Stripe) AdvanceIdle(d time.Duration) {
 	}
 }
 
+// ReadOrder implements disk.Backend: the identity order. A batch is spread
+// over legs that each have an arm of their own; no stripe scheduling yet.
+func (s *Stripe) ReadOrder(offs []int64, lens []int) []int { return disk.InOrder(len(offs)) }
+
 // Sync implements disk.Syncer: every leg that offers a write barrier
 // drains it. A stripe has no redundancy, so the first leg error fails
 // the barrier — an acknowledged write may then still be volatile.

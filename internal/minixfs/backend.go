@@ -20,8 +20,9 @@
 // consecutive zones into one request each and reads ahead on every miss,
 // as MINIX does. The paper switched read-ahead off for MINIX LLD, "because
 // blocks that MINIX thinks are contiguous may not be" (§4.1); here the
-// batch goes to LD, which knows where the blocks are and reads them in
-// platter order, and only a file being read in order is read ahead. A
+// batch goes to LD, which knows where the blocks are and reads them in the
+// order its disk serves soonest, and only a file being read in order is
+// read ahead, as far as it has been read in order. A
 // directory kept on an LD list of its own is scanned through the same path.
 //
 // Writes on LD use the interface's multiple block sizes (§2.1): a cache
@@ -94,9 +95,10 @@ type Backend interface {
 	// BatchWindow is the backend's read policy. 0: a miss reads its one
 	// block with ReadBlock. n > 0: a miss hands ReadBlocks every block
 	// the call still demands and, past them, the file's next blocks up
-	// to n counted from the missed one. sequential reports whether the
-	// handle is being read in order.
-	BatchWindow(sequential bool) int
+	// to n counted from the missed one. run is how far the handle's reading
+	// in order has come, in blocks, the missed one included; 0 says the
+	// call does not continue where the handle's previous one ended.
+	BatchWindow(run int) int
 
 	// BlockAt resolves the idx-th block of a per-file list — offset
 	// addressing (paper §5.4), which lets a file system do without

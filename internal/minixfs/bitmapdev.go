@@ -278,7 +278,7 @@ func (b *BitmapBackend) ReadBlocks(hs []Handle, bufs [][]byte) []error {
 const bitmapWindow = 8
 
 // BatchWindow implements Backend.
-func (b *BitmapBackend) BatchWindow(sequential bool) int { return bitmapWindow }
+func (b *BitmapBackend) BatchWindow(run int) int { return bitmapWindow }
 
 // NewFileList implements Backend: the bitmap backend has no lists.
 func (b *BitmapBackend) NewFileList(pred uint32) (uint32, error) { return 0, nil }

@@ -25,7 +25,7 @@ func (fs *FS) dirBlock(n uint32, dir *inode, b, nblocks int) (Handle, *bufEntry,
 		return NilHandle, nil, err
 	}
 	if dir.List != 0 && !fs.cache.contains(h) {
-		fs.fetch(n, dir, b, nblocks-1, true)
+		fs.fetch(n, dir, b, nblocks-1, b+1)
 	}
 	e, err := fs.cache.get(h, fs.sb.BlockSize)
 	return h, e, err

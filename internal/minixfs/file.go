@@ -10,8 +10,9 @@ type file struct {
 	n      uint32
 	closed bool
 	// next is where the last ReadAt ended: a ReadAt that starts there (0
-	// on a fresh handle) is reading the file in order.
-	next int64
+	// on a fresh handle) is reading the file in order. start is where the
+	// reading in order began.
+	next, start int64
 }
 
 func (f *file) check() error {
@@ -54,7 +55,10 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		p = p[:max]
 	}
 	bs := int64(f.fs.sb.BlockSize)
-	sequential := off == f.next
+	inOrder := off == f.next
+	if !inOrder {
+		f.start = off
+	}
 	f.next = off + int64(len(p))
 	last := int((f.next - 1) / bs)
 	read := 0
@@ -78,7 +82,11 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 			continue
 		}
 		if !f.fs.cache.contains(h) {
-			f.fs.fetch(f.n, &ino, idx, last, sequential)
+			run := 0
+			if inOrder {
+				run = int((off+int64(read)-f.start)/bs) + 1
+			}
+			f.fs.fetch(f.n, &ino, idx, last, run)
 		}
 		e, err := f.fs.cache.get(h, f.fs.sb.BlockSize)
 		if err != nil {
@@ -92,16 +100,17 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // fetch serves a read miss on file block idx of a ReadAt that demands the
-// blocks through last: one Backend.ReadBlocks for the run of file blocks
+// blocks through last and has come run blocks into reading the file in
+// order (Backend.BatchWindow): one Backend.ReadBlocks for the file blocks
 // from idx to the end of the demand or of the backend's window, whichever
-// is further. The run stops at a hole, at end of file and at the first
+// is further. The batch stops at a hole, at end of file and at the first
 // block already cached, so a dirty block is never replaced by its stale
-// copy on disk. A run of one block is a batch too: reading the next small
+// copy on disk. A batch of one block is a batch too: reading the next small
 // file then continues the stream LD reads ahead along. What was read is
 // installed in the cache; the caller's cache.get finds it there, or reads
 // the block alone and reports its error.
-func (fs *FS) fetch(n uint32, ino *inode, idx, last int, sequential bool) {
-	w := fs.be.BatchWindow(sequential)
+func (fs *FS) fetch(n uint32, ino *inode, idx, last, run int) {
+	w := fs.be.BatchWindow(run)
 	if w == 0 {
 		return
 	}

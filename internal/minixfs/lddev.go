@@ -338,30 +338,34 @@ func (b *LDBackend) ReadBlocks(hs []Handle, bufs [][]byte) []error {
 	return errs
 }
 
-// ldWindow is how many blocks, counted from the missed one, a miss on a
-// file being read in order fetches: 128 KB, four tracks of the paper's
-// disk and 2 % of its cache. EXPERIMENTS.md has the sweep behind it.
+// ldWindow is how many blocks, counted from the missed one, a miss fetches
+// when its handle reads in order: 128 KB, four tracks of the paper's disk
+// and 2 % of its cache. EXPERIMENTS.md has the sweep behind it. Once the
+// run read in order is longer, the window is as long as the run, so it
+// doubles batch by batch up to fetch's quarter-of-the-cache cap.
 //
 // lld reads ahead too, along the platter, but it cannot stand in for this
 // window: its read-ahead follows the log, and the blocks of a randomly
-// rewritten file are scattered across it, where one 32-block batch still
-// reaches them in a single sweep. With BatchWindow(true) returning 1,
-// `bench/run.sh --seed 1 --seconds 15 --trace 0` (virtual clock) read fs-large at
-// 633.4 KB/s instead of 665.8 and ran 110.5 op/s instead of 115.2;
-// fs-small, whose files are read whole, stayed at 1,010.6 KB/s.
+// rewritten file are scattered across it, where one batch still reaches
+// them in a request per extent, in the order the platter serves soonest.
+// `bench/run.sh --workload fs-large --seed 1 --seconds 15 --trace 0`
+// (virtual clock) read at 785.8 KB/s and ran 131.8 op/s; with BatchWindow
+// returning 1 at every run 636.9 KB/s and 110.9 op/s, with a flat
+// ldWindow 713.2 KB/s.
 const ldWindow = 32
 
 // BatchWindow implements Backend. The paper disabled MINIX's read-ahead
 // because blocks that MINIX thinks are contiguous may not be physically
 // contiguous under LD (§4.1); a batch handed to LD is read where the blocks
-// really are. Only sequential access reads ahead, so random reads fetch
-// what they asked for and nothing else.
-func (b *LDBackend) BatchWindow(sequential bool) int {
+// really are. Only a handle reading in order reads ahead, as far as it has
+// read in order and at least ldWindow blocks, so random reads fetch what
+// they asked for and nothing else.
+func (b *LDBackend) BatchWindow(run int) int {
 	switch {
 	case b.wholeBlockIO:
 		return 0
-	case sequential:
-		return ldWindow
+	case run > 0:
+		return max(ldWindow, run)
 	}
 	return 1
 }

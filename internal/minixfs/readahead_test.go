@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -100,8 +101,9 @@ func newReadRigInodes(t *testing.T, kind string, cacheBytes int, nInodes uint32)
 	return &readRig{fs: fs, be: cb, d: d}
 }
 
-// window is the batch size a sequential miss asks for on this rig.
-func (r *readRig) window() int { return r.be.BatchWindow(true) }
+// window is the batch size a miss asks for on this rig when its handle has
+// just begun reading in order; on LD it grows with the run from there.
+func (r *readRig) window() int { return r.be.BatchWindow(1) }
 
 // stamped returns n blocks of data in which every block is unlike any other.
 func stamped(seed int64, blocks int) []byte {
@@ -159,9 +161,11 @@ func seq(n int) []int {
 	return o
 }
 
-// TestSequentialReadIsBatched: a file read in order costs about
-// blocks/window backend batches, every block comes off the backend once,
-// and each of those is booked as one miss or one read-ahead block.
+// TestSequentialReadIsBatched: a file read in order costs few backend
+// batches — on MINIX's bitmap backend about blocks/8, on LD batches as long
+// as the run read in order, from ldWindow up — every block comes off the
+// backend once, and each of those is booked as one miss or one read-ahead
+// block.
 func TestSequentialReadIsBatched(t *testing.T) {
 	const blocks = 256
 	data := stamped(1, blocks)
@@ -188,9 +192,16 @@ func TestSequentialReadIsBatched(t *testing.T) {
 				}
 				return
 			}
-			w := r.window()
-			if got, want := len(r.be.batches), blocks/w; got < want || got > want+2 {
-				t.Errorf("%d batches for %d blocks at window %d, want about %d", got, blocks, w, want)
+			if kind == "bitmap" {
+				w := r.window()
+				if got, want := len(r.be.batches), blocks/w; got < want || got > want+2 {
+					t.Errorf("%d batches for %d blocks at window %d, want about %d", got, blocks, w, want)
+				}
+			} else if want := []int{1, 32, 33, 66, 125}; !slices.Equal(r.be.batches, want) {
+				// The root directory's block; then from block 0, 32, 65
+				// and 131 on as many as the run has reached (at least 32),
+				// up to the end.
+				t.Errorf("batches %v, want %v", r.be.batches, want)
 			}
 			wantSingles := 1 // the root directory, fetched like a file on LD
 			if kind == "bitmap" {
@@ -199,12 +210,24 @@ func TestSequentialReadIsBatched(t *testing.T) {
 			if r.be.singles() != wantSingles {
 				t.Errorf("batches %v: want %d of one block", r.be.batches, wantSingles)
 			}
-			fileBatches := len(r.be.batches) - r.be.singles()
-			if got := s.ReadaheadBatches - s0.ReadaheadBatches; got != int64(fileBatches) {
-				t.Errorf("ReadaheadBatches %d, backend saw %d of the file's", got, fileBatches)
+			fileBatches, aheadBatches := len(r.be.batches)-r.be.singles(), 0
+			for _, n := range r.be.batches {
+				if n > 2 {
+					aheadBatches++
+				}
 			}
-			if want := int64(blocks - 2*fileBatches); ahead != want {
-				t.Errorf("read ahead %d blocks, want %d (all but the two each batch was asked for)", ahead, want)
+			if got := s.ReadaheadBatches - s0.ReadaheadBatches; got != int64(aheadBatches) {
+				t.Errorf("ReadaheadBatches %d, backend saw %d of the file's with more than the read's two blocks", got, aheadBatches)
+			}
+			// Each batch books what its call still asked for as misses: two
+			// blocks, or one where the batch begins inside an 8-KB chunk
+			// (LD's third and fourth).
+			want := int64(blocks - 2*fileBatches)
+			if kind != "bitmap" {
+				want += 2
+			}
+			if ahead != want {
+				t.Errorf("read ahead %d blocks, want %d (all but what each batch was asked for)", ahead, want)
 			}
 			// Read ahead, then hit: the second pass over a file that
 			// fits the cache touches the backend no more.
@@ -219,6 +242,45 @@ func TestSequentialReadIsBatched(t *testing.T) {
 	// misses is now misses plus read-ahead, block for block.
 	if misses["ld"] != misses["ld-paper"] {
 		t.Errorf("batched path fetched %d blocks, per-block path %d", misses["ld"], misses["ld-paper"])
+	}
+}
+
+// TestLDWindowRamps: on LD a reader's batches grow with its run and never
+// past a quarter of the cache, and a seek starts the run again: reads that
+// each seek fetch only what they demand, and the first that continues one
+// fetches ldWindow blocks.
+func TestLDWindowRamps(t *testing.T) {
+	const blocks, cache = 1024, 4 << 20 // a quarter of the cache is 256 blocks
+	data := stamped(14, blocks)
+	for _, kind := range []string{"ld", "ld-offset", "ld-atomic"} {
+		t.Run(kind, func(t *testing.T) {
+			r := newReadRig(t, kind, cache)
+			r.cold(t, "/f", data)
+			f := open(t, r.fs, "/f")
+			r.be.reset()
+			readChunks(t, f, data, 8192, seq(blocks/2))
+			// Each batch is as long as the run has reached: 32 at block 0,
+			// 33 at 32, 66 at 65, 132 at 131, and 256 from 263 on.
+			if want := []int{32, 33, 66, 132, 256, 256, 249}; !slices.Equal(r.be.batches, want) {
+				t.Errorf("batches %v reading %d blocks in order, want %v", r.be.batches, blocks, want)
+			}
+			for _, n := range r.be.batches {
+				if n > cache/4096/4 {
+					t.Errorf("a batch of %d blocks, more than a quarter of a %d-block cache", n, cache/4096)
+				}
+			}
+
+			if err := r.fs.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			f = open(t, r.fs, "/f")
+			readChunks(t, f, data, 8192, seq(64)) // a run of 128 blocks
+			r.be.reset()
+			readChunks(t, f, data, 8192, []int{300, 450, 200, 350, 351, 352})
+			if want := []int{2, 2, 2, 2, 32}; !slices.Equal(r.be.batches, want) {
+				t.Errorf("batches %v for four seeks and two reads on, want %v: each seek's demand, then ldWindow", r.be.batches, want)
+			}
+		})
 	}
 }
 
