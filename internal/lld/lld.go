@@ -235,10 +235,11 @@ type Stats struct {
 // segment — including l.cur.buf, whose bytes only change under the write
 // lock — so reads never observe a half-filled segment buffer. The state
 // the read path does mutate is handled separately:
-// read-path statistics counters are updated atomically (see Stats), and
-// the per-list ListIndex cursor memo and the read-ahead window are each
-// guarded by a mutex of their own (cursorMu, ra.mu), which nests strictly
-// inside mu and is never held across I/O.
+// read-path statistics counters are updated atomically (see Stats), the
+// per-list ListIndex cursor memo is guarded by a mutex of its own
+// (cursorMu), and the read-ahead window is claimed by one batch at a time
+// under another (ra.mu); each nests strictly inside mu and is never held
+// across I/O.
 type LLD struct {
 	mu   sync.RWMutex
 	dsk  disk.Backend

@@ -141,11 +141,12 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 // memory. The others are sorted by (segment, offset) and cut into extents by
 // the rule every multi-block transfer obeys (nextExtent), one request per
 // extent, every block checked out of that buffer. The read-ahead window
-// (readahead.go) goes first, in platter order: an extent it holds costs no
-// request, and one that continues the previous batch extent is read with
-// what follows it into the window. The backend then orders the rest the way
-// it serves them soonest (ReadOrder, a what-if query), and they are issued
-// in that order.
+// (readahead.go) plans in that one platter-order walk: an extent it holds is
+// settled at once, and one that continues the stream is given to a window
+// read in place of a request of its own. The backend then orders the
+// windows and the remaining extents the way it serves them soonest
+// (ReadOrder, a what-if query), they are issued in that order, and the
+// extents the windows hold are settled last.
 //
 // An extent is a read optimisation and nothing else. It is a plain read:
 // one good copy is enough (checking every leg stays with recovery and
@@ -159,9 +160,9 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 // request either way.
 //
 // The caller holds l.mu, shared or exclusive, and has checked the instance
-// is open. The only instance buffer it touches is the window, under its own
-// mutex; the extent buffer and the per-block scratch come from the pool, the
-// counters move atomically.
+// is open. The only instance buffer it touches is the window, which it
+// claims for the whole batch; the extent buffer and the per-block scratch
+// come from the pool, the counters move atomically.
 func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, stored []byte, err error)) {
 	scratch, extBuf := l.getReadBuf(), l.getReadBuf()
 	defer func() { // the per-block read may grow one, the largest extent the other
@@ -186,6 +187,9 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 			sw.at = append(sw.at, i)
 		}
 	}
+	if len(sw.spans) == 0 {
+		return
+	}
 	sort.Sort(&sw)
 
 	// settle yields the blocks of extent e out of buf, the extent's bytes,
@@ -199,7 +203,7 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 					continue
 				}
 			}
-			if e.n > 1 {
+			if e.n > 1 || e.from != fromExtent || e.kept != nil {
 				atomic.AddInt64(&l.stats.BatchFallbacks, 1)
 			}
 			// A mismatch out of buf is a bad copy seen; a failed
@@ -208,8 +212,10 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 			yield(sw.at[e.k+j], bi, stored, err)
 		}
 	}
+	st, windowed := l.ra.claim()
+	var fills []raFill
 	ss := uint32(l.lay.sectorSize)
-	var exts []batchExtent // those left for the backend to order
+	var exts []batchExtent // those left for the backend to order, then those the windows hold
 	for k := 0; k < len(sw.spans); {
 		end := k + 1 // of this segment's spans
 		for end < len(sw.spans) && sw.spans[end].seg == sw.spans[k].seg {
@@ -217,51 +223,92 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		}
 		for k < end {
 			n, lo, hi := nextExtent(sw.spans[k:end], ss)
-			e := batchExtent{k: k, n: n, seg: sw.spans[k].seg, lo: lo, hi: hi}
-			if uint32(len(extBuf)) < hi-lo {
-				extBuf = make([]byte, hi-lo)
+			e := batchExtent{k: k, n: n, seg: sw.spans[k].seg, lo: lo, hi: hi, from: fromExtent}
+			if windowed {
+				l.place(&st, &fills, &e)
 			}
-			dst := extBuf[:hi-lo]
-			switch hit, fill := l.ra.next(e.seg, lo, hi, dst); {
-			case hit:
+			if e.from == fromWindow {
 				atomic.AddInt64(&l.stats.ReadaheadHits, 1)
-				settle(e, dst)
-			case fill:
-				atomic.AddInt64(&l.stats.ReadaheadWindows, 1)
-				if !l.fillWindow(e.seg, lo, hi, dst) {
-					dst = nil
-				}
-				settle(e, dst)
-			default:
+				settle(e, st.buf[lo-st.lo:hi-st.lo])
+			} else {
 				exts = append(exts, e)
 			}
 			k += n
 		}
 	}
-	offs, lens := make([]int64, len(exts)), make([]int, len(exts))
-	for i, e := range exts {
-		offs[i], lens[i] = l.lay.segOff(int(e.seg))+int64(e.lo), int(e.hi-e.lo)
+	// One request per extent left, or per window for the extent that
+	// planned it, in the walk's platter order; reqs[i] is that extent.
+	var reqs []int
+	var offs []int64
+	var lens []int
+	for j, e := range exts {
+		switch {
+		case e.from == fromExtent:
+			lo := e.lo + uint32(len(e.kept))
+			offs, lens = append(offs, l.lay.segOff(int(e.seg))+int64(lo)), append(lens, int(e.hi-lo))
+		case fills[e.from].by == e.k:
+			f := &fills[e.from]
+			offs, lens = append(offs, l.lay.segOff(int(f.seg))+int64(f.from)), append(lens, int(f.end-f.from))
+		default:
+			continue
+		}
+		reqs = append(reqs, j)
 	}
 	for _, i := range l.dsk.ReadOrder(offs, lens) {
-		e := exts[i]
+		e := exts[reqs[i]]
+		if e.from >= 0 {
+			f := &fills[e.from]
+			atomic.AddInt64(&l.stats.ReadaheadWindows, 1)
+			f.ok = l.dskRead(f.buf[f.from-f.lo:f.end-f.lo], offs[i]) == nil
+			continue
+		}
 		var buf []byte // the extent's bytes if they were read
-		if e.n > 1 {
-			atomic.AddInt64(&l.stats.BatchExtents, 1)
-			atomic.AddInt64(&l.stats.BatchExtentBytes, int64(lens[i]))
-			if l.dskRead(extBuf[:lens[i]], offs[i]) == nil {
-				buf = extBuf[:lens[i]]
+		if e.n > 1 || e.kept != nil {
+			if e.n > 1 {
+				atomic.AddInt64(&l.stats.BatchExtents, 1)
+				atomic.AddInt64(&l.stats.BatchExtentBytes, int64(lens[i]))
+			}
+			size := int(e.hi - e.lo)
+			if len(extBuf) < size {
+				extBuf = make([]byte, size)
+			}
+			if k := copy(extBuf, e.kept); l.dskRead(extBuf[k:size], offs[i]) == nil {
+				buf = extBuf[:size]
 			}
 		}
 		settle(e, buf)
 	}
+	for _, e := range exts {
+		if e.from >= 0 {
+			var buf []byte
+			if f := &fills[e.from]; f.ok {
+				if f.by != e.k {
+					atomic.AddInt64(&l.stats.ReadaheadHits, 1)
+				}
+				buf = f.buf[e.lo-f.lo : e.hi-f.lo]
+			}
+			settle(e, buf)
+		}
+	}
+	if windowed {
+		if len(fills) > 0 && !fills[len(fills)-1].ok {
+			st.n = 0
+		}
+		l.ra.release(st)
+	}
 }
 
 // batchExtent is one extent of a batch's sweep: spans [k, k+n) of it, bytes
-// [lo, hi) of segment seg's data area.
+// [lo, hi) of segment seg's data area, and where its bytes come from
+// (LLD.place): the window, a fill of the batch, or a request of its own,
+// which reads only what follows kept, the extent's first bytes as the
+// window held them.
 type batchExtent struct {
 	k, n   int
 	seg    int32
 	lo, hi uint32
+	from   int
+	kept   []byte
 }
 
 // maxPooledExtent is the largest extent buffer that goes back to the pool

@@ -28,11 +28,14 @@ func readOne(t *testing.T, l *LLD, b ld.BlockID, want []byte) {
 	}
 }
 
-// A thousand 1-KB blocks written back to back, read back one ReadBlocks
-// each in log order, as a file system reads small files: the first read is
-// its own request, the second starts where the first ended and fills the
-// window, and from then on one request serves 128 blocks. A Read of each
-// afterwards costs its request, window or not.
+// A thousand 1-KB blocks written back to back fill two segments, each
+// sealed with its summary full, and are read back one ReadBlocks each in log
+// order, as a file system reads small files. The first read is its own
+// request, the second too (it confirms the stream), the third fills a
+// window, and from then on one request serves a window's worth of blocks: a
+// window ends at its segment's last live byte, the next one slides on from
+// there, and the stream crosses into the next segment with no request of
+// its own. A Read of each afterwards costs its request, window or not.
 func TestReadaheadServesAStreamOneWindowARequest(t *testing.T) {
 	d := disk.New(disk.DefaultConfig(16 << 20))
 	rec := &ioLog{Backend: d}
@@ -58,15 +61,30 @@ func TestReadaheadServesAStreamOneWindowARequest(t *testing.T) {
 	if err := l.Flush(ld.FailPower); err != nil {
 		t.Fatal(err)
 	}
-	seg := l.blockSeg(ids[0])
-	var stream []ld.BlockID // the blocks of the first, sealed segment
+	var stream []ld.BlockID // the blocks of the sealed segments, in log order
+	var segs []int
+	liveEnd := make(map[int]uint32) // where each one's last block ends
 	for _, b := range ids {
-		if l.blockSeg(b) == seg {
-			stream = append(stream, b)
+		s := l.blockSeg(b)
+		if l.segs[s].state != segLive {
+			continue
 		}
+		if len(segs) == 0 || segs[len(segs)-1] != s {
+			segs = append(segs, s)
+		}
+		stream = append(stream, b)
+		liveEnd[s] = l.blockOff(b) + size
 	}
-	if l.segs[seg].state != segLive || len(stream) < 3*readaheadWindow/size {
-		t.Fatalf("%d blocks in segment %d (state %d); want a sealed segment of several windows", len(stream), seg, l.segs[seg].state)
+	if len(segs) != 2 || segs[1] != segs[0]+1 || liveEnd[segs[0]] < 3*readaheadWindow/2 || liveEnd[segs[0]] >= uint32(l.lay.dataCap()) {
+		t.Fatalf("sealed segments %v ending at %v; want two neighbours of more than a window, sealed short of the data area's end", segs, liveEnd)
+	}
+	var wantWindows int64
+	for i, s := range segs {
+		start := uint32(0)
+		if i == 0 {
+			start = 2 * size
+		}
+		wantWindows += int64((liveEnd[s] - start + readaheadWindow - 1) / readaheadWindow)
 	}
 
 	rec.take('r')
@@ -76,20 +94,22 @@ func TestReadaheadServesAStreamOneWindowARequest(t *testing.T) {
 	}
 	s, reads := l.Stats(), rec.take('r')
 	windows, hits := s.ReadaheadWindows-before.ReadaheadWindows, s.ReadaheadHits-before.ReadaheadHits
-	perWindow := readaheadWindow / size
-	wantWindows := int64((len(stream) - 1 + perWindow - 1) / perWindow)
-	if windows != wantWindows || hits != int64(len(stream)-1)-windows || int64(len(reads)) != 1+windows {
+	if windows != wantWindows || hits != int64(len(stream)-2)-windows || int64(len(reads)) != 2+windows {
 		t.Errorf("%d blocks: %d requests, %d windows, %d hits; want %d, %d, %d",
-			len(stream), len(reads), windows, hits, 1+wantWindows, wantWindows, int64(len(stream)-1)-wantWindows)
+			len(stream), len(reads), windows, hits, 2+wantWindows, wantWindows, int64(len(stream)-2)-wantWindows)
 	}
 	ascendingReads(t, reads)
-	for _, r := range reads[1 : len(reads)-1] {
-		if r.n != readaheadWindow {
-			t.Errorf("window request %v, want %d bytes", r, readaheadWindow)
+	for _, r := range reads[2:] {
+		seg := segs[0]
+		if r.off >= l.lay.segOff(segs[1]) {
+			seg = segs[1]
 		}
-	}
-	if last := reads[len(reads)-1]; last.end() > l.lay.segOff(int(seg))+int64(l.lay.dataCap()) {
-		t.Errorf("last window %v runs past the segment's data area", last)
+		switch end := uint32(r.end() - l.lay.segOff(seg)); {
+		case end > liveEnd[seg]:
+			t.Errorf("window %v runs past segment %d's last live byte at %d", r, seg, liveEnd[seg])
+		case r.n != readaheadWindow && end != liveEnd[seg]:
+			t.Errorf("window %v: %d bytes, want %d or to end at segment %d's last live byte", r, r.n, readaheadWindow, seg)
+		}
 	}
 
 	before = l.Stats()
@@ -152,12 +172,13 @@ func TestReadaheadWindowDiesWithItsSegment(t *testing.T) {
 	if l.segs[s].state != segLive || l.blockSeg(ids[len(ids)-1]) != s {
 		t.Fatalf("segment %d state %d: want one sealed segment holding every block", s, l.segs[s].state)
 	}
-	readOne(t, l, ids[0], want[ids[0]])
-	readOne(t, l, ids[1], want[ids[1]])
-	if w := l.Stats().ReadaheadWindows; w != 1 {
-		t.Fatalf("%d windows after two reads in a row, want 1", w)
+	for _, b := range ids[:3] {
+		readOne(t, l, b, want[b])
 	}
-	winLo, winEnd := l.blockOff(ids[1]), uint32(l.lay.dataCap())
+	if w := l.Stats().ReadaheadWindows; w != 1 {
+		t.Fatalf("%d windows after three reads in a row, want 1", w)
+	}
+	winLo, winEnd := l.blockOff(ids[2]), l.blockOff(ids[len(ids)-1])+4096
 	old := make([]byte, l.lay.dataCap())
 	if err := d.ReadAt(old, l.lay.segOff(s)); err != nil {
 		t.Fatal(err)
@@ -248,8 +269,8 @@ func TestReadaheadHealsARottedMirrorCopy(t *testing.T) {
 		readOne(t, l, b, want[b])
 	}
 	s := l.Stats()
-	if w, h := s.ReadaheadWindows-before.ReadaheadWindows, s.ReadaheadHits-before.ReadaheadHits; w != 1 || h != int64(len(ids)-2) {
-		t.Errorf("%d windows and %d hits over %d blocks, want 1 and %d", w, h, len(ids), len(ids)-2)
+	if w, h := s.ReadaheadWindows-before.ReadaheadWindows, s.ReadaheadHits-before.ReadaheadHits; w != 1 || h != int64(len(ids)-3) {
+		t.Errorf("%d windows and %d hits over %d blocks, want 1 and %d", w, h, len(ids), len(ids)-3)
 	}
 	if heals, deg := s.SelfHeals-before.SelfHeals, s.DegradedReads-before.DegradedReads; heals != 1 || deg != 1 || m.Stats().Heals != 1 {
 		t.Errorf("SelfHeals +%d, DegradedReads +%d, mirror heals %d; want 1 each", heals, deg, m.Stats().Heals)

@@ -24,6 +24,8 @@
 // order its disk serves soonest, and only a file being read in order is
 // read ahead, as far as it has been read in order. A
 // directory kept on an LD list of its own is scanned through the same path.
+// On LD a single-block read (an i-node block, a superblock) is a one-block
+// batch too, so every read reaches LD's read-ahead along the log.
 //
 // Writes on LD use the interface's multiple block sizes (§2.1): a cache
 // block is stored only up to its last non-zero sector, and holds a one-block

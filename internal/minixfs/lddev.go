@@ -99,11 +99,10 @@ func OpenLD(l ld.Disk, blockSize int, cfg LDConfig) (*LDBackend, error) {
 		if len(blocks) == 0 {
 			continue
 		}
-		n, err := l.Read(blocks[0], buf)
-		if err != nil {
+		if err := b.ReadBlock(Handle(blocks[0]), buf); err != nil {
 			return nil, err
 		}
-		if n >= 4 && le32(buf) == fsMagic {
+		if le32(buf) == fsMagic {
 			meta = i
 			break
 		}
@@ -213,15 +212,20 @@ func (b *LDBackend) Free(h Handle, list uint32, predHint Handle) error {
 	return b.l.DeleteBlock(ld.BlockID(h), target, ld.BlockID(predHint))
 }
 
-// ReadBlock implements Backend. Blocks never written read as zeros.
+// ReadBlock implements Backend. Blocks never written read as zeros. A miss
+// is a one-block ReadBlocks, so every read of a file system on LD reaches
+// LD's batch path and its read-ahead along the log (paper §2: only LD knows
+// that the next small file lies right after this one); WholeBlockIO keeps
+// the paper's single-block Read.
 func (b *LDBackend) ReadBlock(h Handle, p []byte) error {
+	if !b.wholeBlockIO {
+		return b.ReadBlocks([]Handle{h}, [][]byte{p})[0]
+	}
 	n, err := b.l.Read(ld.BlockID(h), p)
 	if err != nil {
 		return err
 	}
-	for i := n; i < len(p); i++ {
-		p[i] = 0
-	}
+	clear(p[n:])
 	return nil
 }
 
