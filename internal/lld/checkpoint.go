@@ -381,6 +381,23 @@ func (l *LLD) decodeCheckpoint(payload []byte) error {
 	if r.err != nil {
 		return r.err
 	}
+	// Name each live segment's blocks, ascending, as its summary's names
+	// would be kept (segInfo.names): the cleaner and a read-ahead window
+	// then find them without a scan of the map for every segment the mount
+	// does not decode (liveIn, liveEnd).
+	l.namedTS = l.ts
+	for i := range l.segs {
+		if s := &l.segs[i]; s.state == segLive && s.mapped > 0 {
+			s.names = make([]uint32, 0, s.mapped)
+		}
+	}
+	for bid := 1; bid < int(l.nextFresh); bid++ {
+		if bi := &l.blocks[bid]; bi.hasData() {
+			if s := &l.segs[l.segOf(bi)]; s.names != nil {
+				s.names = append(s.names, uint32(bid))
+			}
+		}
+	}
 	// Rebuild the derived pools.
 	l.rebuildFreePools()
 	return nil

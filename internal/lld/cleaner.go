@@ -3,9 +3,7 @@ package lld
 import (
 	"fmt"
 	"slices"
-	"sort"
 
-	"repro/internal/disk"
 	"repro/internal/ld"
 )
 
@@ -34,9 +32,7 @@ import (
 // segments it cleaned. Callers hold l.mu with l.cleaning set; the lock is
 // not released before it returns.
 func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned int, err error) {
-	// image holds a victim's live extents as moveLive reads them. It grows
-	// to the largest victim's and is dropped when the pass returns.
-	var image []byte
+	var bufs cleanBufs
 	for iters := 0; iters < maxIter; iters++ {
 		if target != nil && target() {
 			break
@@ -48,7 +44,7 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 		if victim < 0 {
 			break
 		}
-		if err := l.cleanSegment(victim, &image); err != nil {
+		if err := l.cleanSegment(victim, &bufs); err != nil {
 			return cleaned, err
 		}
 		cleaned++
@@ -147,25 +143,18 @@ func sumNames(entries []blockEntry) []uint32 {
 	return slices.Compact(ids)
 }
 
-// cleanRead is dskRead for the cleaner's reads, counted.
-func (l *LLD) cleanRead(p []byte, off int64) error {
-	l.stats.CleanReads++
-	l.stats.CleanReadBytes += int64(len(p))
-	return l.dskRead(p, off)
-}
-
 // cleanSegment moves the live blocks out of segment id and retires it. It
 // works from the usage table's copy of what the summary names and reads
-// only the extents that hold blocks it is about to move (nextExtent, the
-// verifier's rule): a victim with nothing live issues no request and
-// allocates nothing, and no dead byte farther than deadGapMax from a live
-// one is ever transferred — or able to fail the pass. image is the pass's
-// victim buffer (moveLive). Callers hold l.mu with l.cleaning set.
-func (l *LLD) cleanSegment(id int, image *[]byte) error {
+// only the extents that hold blocks it is about to move (readStoredBatch):
+// a victim with nothing live issues no request and allocates nothing, and
+// no dead byte farther than deadGapMax from a live one is ever transferred
+// — or able to fail the pass. bufs are the pass's work buffers (moveLive).
+// Callers hold l.mu with l.cleaning set.
+func (l *LLD) cleanSegment(id int, bufs *cleanBufs) error {
 	// What the victim's summary names is in memory for every segment this
-	// instance sealed or its mount decoded that still holds a block. Any
-	// other was sealed before the newest checkpoint, and liveIn finds its
-	// blocks in the map; or it holds none, and there is none to find. No
+	// instance sealed or its mount decoded that still holds a block, and
+	// what the checkpoint placed there for one the mount took from it
+	// (decodeCheckpoint); a segment that holds none has none to find. No
 	// summary is read back.
 	names := l.segs[id].names
 	l.victim = id
@@ -173,7 +162,7 @@ func (l *LLD) cleanSegment(id int, image *[]byte) error {
 
 	live := l.liveIn(id, names)
 	if len(live) > 0 {
-		if err := l.moveLive(id, live, image); err != nil {
+		if err := l.moveLive(id, live, bufs); err != nil {
 			return err
 		}
 	}
@@ -224,10 +213,16 @@ func (l *LLD) liveIn(id int, names []uint32) []ld.BlockID {
 	return live
 }
 
+// cleanBufs are the work buffers of a pass that re-homes blocks
+// (rewriteRun): the extents its batches read and the payloads staged out
+// of them. Each grows to the largest need and is dropped when the pass
+// returns, so a cleaning pass allocates them once, not once per victim.
+type cleanBufs struct{ ext, stage []byte }
+
 // moveLive copies live, the blocks still in victim id, to the head of the
-// log. It reads them through *image, the pass's buffer, which it grows to
-// hold the victim's live extents back to back. Callers hold l.mu.
-func (l *LLD) moveLive(id int, live []ld.BlockID, image *[]byte) error {
+// log in list order, through the one re-home path (rewriteRun) and the
+// pass's buffers. Callers hold l.mu with l.cleaning set.
+func (l *LLD) moveLive(id int, live []ld.BlockID, bufs *cleanBufs) error {
 	// Cluster: emit live blocks in list order, lists in list-of-lists
 	// order (paper §3.5: the cleaner reorders blocks using the list
 	// information to improve sequential reads).
@@ -254,48 +249,12 @@ func (l *LLD) moveLive(id int, live []ld.BlockID, image *[]byte) error {
 			}
 		}
 	}
-
-	// Read exactly the blocks moveBlock is about to be handed, in platter
-	// order, so none can be served from a region this pass did not read.
-	sw := batchSweep{spans: make([]liveSpan, len(ordered)), at: make([]int, len(ordered))}
-	for i, bid := range ordered {
-		sw.spans[i], sw.at[i] = l.spanOf(bid, &l.blocks[bid]), i
-	}
-	sort.Sort(&sw)
-	ss := uint32(l.lay.sectorSize)
-	total := 0
-	for run := sw.spans; len(run) > 0; {
-		n, lo, hi := nextExtent(run, ss)
-		run = run[n:]
-		total += int(hi - lo)
-	}
-	if cap(*image) < total {
-		*image = make([]byte, total)
-	}
-	buf := (*image)[:total]
-	stored := make([][]byte, len(ordered)) // in step with ordered
-	for k := 0; k < len(sw.spans); {
-		n, lo, hi := nextExtent(sw.spans[k:], ss)
-		ext := buf[:hi-lo]
-		buf = buf[hi-lo:]
-		if hi > 0 {
-			if err := l.cleanRead(ext, l.lay.segOff(id)+int64(lo)); err != nil {
-				return err
-			}
-		}
-		for j, sp := range sw.spans[k : k+n] {
-			if sp.stored > 0 {
-				stored[sw.at[k+j]] = ext[sp.off-lo:][:sp.stored]
-			}
-		}
-		k += n
-	}
-	for i, bid := range ordered {
-		if err := l.moveBlock(bid, stored[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	mapped := l.segs[id].mapped
+	reqs, bytes, err := l.rewriteRun(ordered, bufs)
+	l.stats.CleanReads += reqs
+	l.stats.CleanReadBytes += bytes
+	l.stats.BlocksMoved += int64(mapped - l.segs[id].mapped) // each block logged left the victim
+	return err
 }
 
 // checkpoint writes a checkpoint (checkpoint.go). It is taken every
@@ -341,38 +300,6 @@ func (l *LLD) checkpoint() error {
 	return nil
 }
 
-// moveBlock copies one live block, whose stored bytes the cleaner read as
-// data, into the open segment, preserving its (possibly compressed) stored
-// form and its checksum. Callers hold l.mu.
-func (l *LLD) moveBlock(bid ld.BlockID, data []byte) error {
-	bi := &l.blocks[bid]
-	// Never relocate rotted bytes: a mismatch here would otherwise be
-	// laundered into a fresh segment under a recomputed checksum. The
-	// victim's extents were plain reads, so on a redundant backend each
-	// came from a single replica — retry the block's span with replica
-	// selection (healing the bad copy) before giving up.
-	if payloadCRC(data) != bi.crc {
-		fixed := false
-		if _, isMulti := l.dsk.(disk.MultiReader); isMulti {
-			scratch := l.getReadBuf()
-			if good, verified, err := l.readStoredVerified(bi, &scratch, false); err == nil && verified {
-				data = append([]byte(nil), good...)
-				fixed = true
-			}
-			l.putReadBuf(scratch)
-		}
-		if !fixed {
-			l.stats.CorruptReads++
-			return &CorruptError{Block: bid, Seg: l.segOf(bi), Reason: "payload checksum mismatch during cleaning"}
-		}
-	}
-	if err := l.logData(bid, data, int(bi.orig), bi.flags&bComp != 0, bi.crc); err != nil {
-		return err
-	}
-	l.stats.BlocksMoved++
-	return nil
-}
-
 // Reorganize is the idle-time disk reorganizer (paper §3.5): it rewrites
 // the blocks of cluster-hinted lists in list order so sequential reads hit
 // sequential disk locations, then cleans up to n segments. It is invoked
@@ -393,7 +320,7 @@ func (l *LLD) Reorganize(n int) error {
 	perRun := l.lay.dataCap() / l.lay.maxBlockSize
 	quota := n * l.lay.dataCap() / l.lay.maxBlockSize
 	run := make([]ld.BlockID, 0, perRun)
-	stage := make([]byte, 0, l.lay.dataCap()) // a run's payloads, at most a segment's worth
+	var bufs cleanBufs
 	for _, lid := range append([]ld.ListID(nil), l.order...) {
 		li, ok := l.lists[lid]
 		if !ok || !li.hints.Cluster {
@@ -406,14 +333,14 @@ func (l *LLD) Reorganize(n int) error {
 			run = append(run, b)
 			quota--
 			if len(run) == perRun {
-				if err := l.rewriteRun(run, stage); err != nil {
+				if _, _, err := l.rewriteRun(run, &bufs); err != nil {
 					return err
 				}
 				run = run[:0]
 			}
 		}
 	}
-	if err := l.rewriteRun(run, stage); err != nil {
+	if _, _, err := l.rewriteRun(run, &bufs); err != nil {
 		return err
 	}
 	// The rewrites hollowed out the victims' old homes; clean up to n
@@ -424,11 +351,16 @@ func (l *LLD) Reorganize(n int) error {
 }
 
 // rewriteRun re-homes the blocks of run, at most a segment's worth and all
-// with data, at the log's head in the order given. It stops at the first
-// one that does not read, with the error a Read of it reports. stage is
-// empty and has room for the run's payloads. Callers hold l.mu with
-// l.cleaning set.
-func (l *LLD) rewriteRun(run []ld.BlockID, stage []byte) error {
+// with data, at the log's head in the order given: each keeps its
+// (possibly compressed) stored form and its checksum. The payloads come
+// from one batch (readStoredBatch, without the read-ahead window), which
+// checks each against its checksum, so rotted bytes are never laundered
+// under a fresh one: a bad copy is healed from a mirror or refused. It
+// stops at the first block that does not read, with the error a Read of it
+// reports. It sizes bufs to the run and keeps them, each grown to the
+// largest run's need, for the next. It returns the requests the read issued
+// and the bytes they read. Callers hold l.mu with l.cleaning set.
+func (l *LLD) rewriteRun(run []ld.BlockID, bufs *cleanBufs) (reqs, bytes int64, err error) {
 	// Every payload is staged before the first append: an append may seal
 	// the open segment, whose buffer some of them are served from, and the
 	// reader's own buffers do not outlive its callback.
@@ -437,18 +369,26 @@ func (l *LLD) rewriteRun(run []ld.BlockID, stage []byte) error {
 		err  error
 	}
 	got := make([]staged, len(run))
-	l.readStoredBatch(run, func(i int, _ *blockInfo, stored []byte, err error) {
+	need := 0
+	for _, b := range run {
+		need += int(l.blocks[b].stored)
+	}
+	if cap(bufs.stage) < need {
+		bufs.stage = make([]byte, 0, need)
+	}
+	stage := bufs.stage[:0]
+	reqs, bytes = l.readStoredBatch(run, nil, &bufs.ext, func(i int, _ *blockInfo, stored []byte, err error) {
 		stage = append(stage, stored...)
 		got[i] = staged{stage[len(stage)-len(stored):], err}
 	})
 	for i, b := range run {
 		if got[i].err != nil {
-			return got[i].err
+			return reqs, bytes, got[i].err
 		}
 		bi := &l.blocks[b]
 		if err := l.logData(b, got[i].data, int(bi.orig), bi.flags&bComp != 0, bi.crc); err != nil {
-			return err
+			return reqs, bytes, err
 		}
 	}
-	return nil
+	return reqs, bytes, nil
 }

@@ -8,6 +8,10 @@ import (
 	"repro/internal/ld"
 )
 
+// lld has two multi-block readers, and both cut their blocks into extents
+// with nextExtent: this file's verifier, and the batch reader
+// (readStoredBatch in ops.go: ReadBlocks, the cleaner and Reorganize).
+//
 // Platter-order data verification, shared by recovery's read-back of the
 // segments above the durable watermark (verifyRecoveredData) and by the
 // scrubber (Scrub, ReclaimQuarantined). The verdict
@@ -26,13 +30,10 @@ import (
 // So verdicts, heals and their counts are those of a purely per-block pass
 // on every image (extent_diff_test.go holds the two against each other).
 //
-// The cleaner forms its victim's extents with the same nextExtent but reads
-// them with plain requests, not readExtent: it needs one good copy, not
-// every leg's, and moveBlock already checks each block as it goes. So does
-// the foreground multi-block read (readStoredBatch in ops.go: ReadBlocks and
-// Reorganize), over the blocks its caller named instead of a segment's live
-// ones: one good copy per extent, each block checked out of the buffer, the
-// per-block read for whatever an extent did not prove.
+// The batch reader reads its extents with plain requests, not readExtent:
+// it needs one good copy, not every leg's. Its blocks are the ones its
+// caller named instead of a segment's live ones; each is checked out of the
+// buffer, and whatever an extent did not prove takes the per-block read.
 
 // deadGapMax is the longest run of dead bytes a request crosses rather than
 // ending: one track of the modelled drive (64 sectors of 512 bytes), and
@@ -41,8 +42,8 @@ import (
 // saves nothing and costs a second request; a longer one is transfer time
 // spent on bytes nobody wants. It is a property of rotating media, not a
 // policy, hence a constant. Every multi-block transfer obeys it: the
-// verifier's extents, the cleaner's victim read (cleanSegment), the seal
-// (sealSegment) and the batch read (readStoredBatch).
+// verifier's extents, the seal (sealSegment) and the batch read
+// (readStoredBatch), which the cleaner's victim read goes through.
 const deadGapMax = 32 << 10
 
 // errPayloadCRC is the per-block verdict for bytes that read fine from a

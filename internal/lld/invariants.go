@@ -217,15 +217,25 @@ func (l *LLD) CheckInvariants() []string {
 
 	// The usage table's copy of the blocks each live segment's newest
 	// summary gives data in is what the platter says; a segment no block is
-	// left in needs none. A summary that does not read or decode, or that is
+	// left in needs none. A segment the mount named from the checkpoint it
+	// loaded (stamped at or below namedTS, decodeCheckpoint) keeps the
+	// blocks the checkpoint placed there, which no summary states, so only
+	// their order is checked; one this instance sealed or decoded is held
+	// to its summary. A summary that does not read or decode, or that is
 	// not the image the stamp describes (rot, a degraded replica), cannot be
 	// re-derived and is passed over.
 	for i := range l.segs {
 		s := &l.segs[i]
-		if s.state == segLive && s.mapped > 0 && s.names == nil && s.ts > l.ckptTS {
-			bad("segment %d stamped %d, above the checkpoint floor %d, holds %d blocks but no names in memory", i, s.ts, l.ckptTS, s.mapped)
+		if s.state == segLive && s.mapped > 0 && s.names == nil {
+			bad("segment %d stamped %d holds %d blocks but no names in memory", i, s.ts, s.mapped)
 		}
 		if s.state != segLive || s.names == nil {
+			continue
+		}
+		if s.ts <= l.namedTS {
+			if !slices.IsSorted(s.names) || len(slices.Compact(slices.Clone(s.names))) != len(s.names) {
+				bad("segment %d: the names kept in memory are not ascending without duplicates", i)
+			}
 			continue
 		}
 		si := l.platterSummary(i)

@@ -93,17 +93,17 @@ const (
 // segInfo is one entry of the segment usage table: the number of live bytes
 // (paper §3) and of the blocks the map places in the segment, the write
 // timestamp of the segment's newest summary — its age to the victim rule —
-// and the blocks that summary gives data in the segment. The names are nil
-// while the segment is free or open, once no block is left in it, and on a
-// segment sealed before the newest checkpoint that this instance has not
-// decoded: liveIn then scans the map.
+// and the blocks that summary gives data in the segment. A segment the
+// mount took from the checkpoint without decoding its summary is named by
+// the blocks the checkpoint places there instead. The names are nil while
+// the segment is free or open, and once no block is left in it.
 type segInfo struct {
 	live   int64
 	ts     uint64
 	seq    uint32 // open sequence number of the generation it holds (0 when unknown)
 	mapped int32  // blocks with data here, those storing no bytes included
 	state  uint8
-	names  []uint32 // sumNames of that summary
+	names  []uint32 // sumNames of that summary, or the checkpoint's blocks here
 }
 
 // openSegment is the segment currently being filled in main memory
@@ -156,7 +156,7 @@ type Stats struct {
 
 	BatchReads      int64 // ReadBlocks batches served
 	BatchReadBlocks int64 // blocks served through ReadBlocks
-	// The multi-block reader's sweep (readStoredBatch: ReadBlocks, Reorganize).
+	// The multi-block reader's sweep (readStoredBatch: ReadBlocks, the cleaner, Reorganize).
 	BatchExtents     int64 // extents of two or more blocks it read with one request
 	BatchExtentBytes int64 // bytes those requests read, the gaps they crossed included
 	BatchFallbacks   int64 // blocks of such extents that took the per-block read after all
@@ -170,7 +170,7 @@ type Stats struct {
 	CleanerRuns     int64
 	SegmentsCleaned int64
 	BlocksMoved     int64
-	CleanReads      int64 // backend requests the cleaner issued: the live extents it moved
+	CleanReads      int64 // backend requests the cleaner issued: the live extents it moved, and the per-block reads of an extent that did not read or check
 	CleanReadBytes  int64 // bytes those requests read
 
 	// Read by bench/layers.go; delete with the next benchmark PR. There is
@@ -311,9 +311,12 @@ type LLD struct {
 	compressCPU time.Duration
 
 	// Checkpoint state: records with ts <= ckptTS are covered by the newest
-	// on-disk checkpoint, and recovery replays none of them.
+	// on-disk checkpoint, and recovery replays none of them. A live segment
+	// stamped at or below namedTS was named by the checkpoint the mount
+	// loaded (decodeCheckpoint), not by a summary; 0 when it loaded none.
 	ckptTS   uint64
 	ckptSlot int
+	namedTS  uint64
 
 	// The log's chain (recovery.go "The chain"). openSeq is the open
 	// sequence number of the segment opened last, and succ the free segment
@@ -346,11 +349,12 @@ type LLD struct {
 	// across I/O.
 	cursorMu sync.Mutex
 
-	// ra is the multi-block reader's read-ahead window (readahead.go).
+	// ra is ReadBlocks' read-ahead window (readahead.go).
 	ra readahead
 
-	// readBufs pools per-call scratch buffers: the read path's, which runs
-	// under the shared lock, and the cleaner's per-block fallback. No work
+	// readBufs pools the per-block scratch buffers, each a block's span at
+	// most: the read path runs under the shared lock, and an allocation per
+	// Read doubles its CPU on ld-churn. Nothing larger is pooled; no work
 	// buffer outlives the command that needs it (DESIGN.md §8 "What stays
 	// in memory").
 	readBufs sync.Pool

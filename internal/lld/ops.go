@@ -48,7 +48,15 @@ func (l *LLD) ReadBlocks(bs []ld.BlockID, bufs [][]byte) ([]ld.BlockRead, error)
 		return nil, err
 	}
 	results := make([]ld.BlockRead, len(bs))
-	l.readStoredBatch(bs, func(i int, bi *blockInfo, stored []byte, err error) {
+	// The read-ahead window is the foreground reader's: a batch that runs
+	// while another holds it reads without read-ahead.
+	var ra *raState
+	if st, ok := l.ra.claim(); ok {
+		ra = &st
+		defer func() { l.ra.release(st) }()
+	}
+	var ext []byte // the batch's extent buffer, dropped when it returns
+	l.readStoredBatch(bs, ra, &ext, func(i int, bi *blockInfo, stored []byte, err error) {
 		if err == nil && bi.hasData() {
 			results[i].N, err = l.deliver(bs[i], bi, stored, bufs[i])
 		}
@@ -132,21 +140,23 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 	return n, nil
 }
 
-// readStoredBatch is the multi-block read (ReadBlocks, Reorganize): it calls
-// yield once per entry of bs, in no promised order, with the block's map
-// entry and its stored bytes — checked against bi.crc, valid until yield
-// returns — or the error a Read of that block reports (bi is nil when the
-// id itself is refused). A block with nothing on the platter — no data, an
-// empty payload, a quarantined segment, the open segment — is settled from
-// memory. The others are sorted by (segment, offset) and cut into extents by
-// the rule every multi-block transfer obeys (nextExtent), one request per
-// extent, every block checked out of that buffer. The read-ahead window
-// (readahead.go) plans in that one platter-order walk: an extent it holds is
+// readStoredBatch is the multi-block read (ReadBlocks, and rewriteRun for
+// the cleaner and Reorganize): it calls yield once per entry of bs, in no
+// promised order, with the block's map entry and its stored bytes — checked
+// against bi.crc, valid until yield returns — or the error a Read of that
+// block reports (bi is nil when the id itself is refused). A block with
+// nothing on the platter — no data, an empty payload, a quarantined
+// segment, the open segment — is settled from memory. The others are sorted
+// by (segment, offset) and cut into extents by the rule every multi-block
+// transfer obeys (nextExtent), one request per extent, every block checked
+// out of that buffer. Given a read-ahead window (ra, readahead.go), the
+// batch plans it in that one platter-order walk: an extent it holds is
 // settled at once, and one that continues the stream is given to a window
 // read in place of a request of its own. The backend then orders the
 // windows and the remaining extents the way it serves them soonest
 // (ReadOrder, a what-if query), they are issued in that order, and the
-// extents the windows hold are settled last.
+// extents the windows hold are settled last. It returns the requests it
+// issued and the bytes they read, per-block reads included.
 //
 // An extent is a read optimisation and nothing else. It is a plain read:
 // one good copy is enough (checking every leg stays with recovery and
@@ -154,23 +164,18 @@ func (l *LLD) deliver(b ld.BlockID, bi *blockInfo, stored, buf []byte) (int, err
 // verdict on it may rewrite a replica. One that fails to read, and any
 // block whose checksum does not match out of it, goes through the per-block
 // read (readStoredChecked) at its turn — the only place a replica is
-// selected or healed — so each entry is what a Read of that block alone
-// gives. The window is such a buffer too. A block alone in an extent the
-// window does not serve takes the per-block read directly: the same single
-// request either way.
+// selected or healed, and rotted bytes on a single platter are refused — so
+// each entry is what a Read of that block alone gives. The window is such a
+// buffer too. A block alone in an extent the window does not serve takes
+// the per-block read directly: the same single request either way.
 //
 // The caller holds l.mu, shared or exclusive, and has checked the instance
-// is open. The only instance buffer it touches is the window, which it
-// claims for the whole batch; the extent buffer and the per-block scratch
-// come from the pool, the counters move atomically.
-func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, stored []byte, err error)) {
-	scratch, extBuf := l.getReadBuf(), l.getReadBuf()
-	defer func() { // the per-block read may grow one, the largest extent the other
-		l.putReadBuf(scratch)
-		if len(extBuf) <= maxPooledExtent {
-			l.putReadBuf(extBuf)
-		}
-	}()
+// is open; ra, when not nil, is the window the caller claimed, and *ext the
+// extent buffer it owns, grown here to the batch's largest extent. The
+// per-block scratch comes from the pool, and the counters move atomically.
+func (l *LLD) readStoredBatch(bs []ld.BlockID, ra *raState, ext *[]byte, yield func(i int, bi *blockInfo, stored []byte, err error)) (reqs, bytes int64) {
+	scratch := l.getReadBuf()
+	defer func() { l.putReadBuf(scratch) }() // the per-block read may grow it
 	sw := batchSweep{spans: make([]liveSpan, 0, len(bs)), at: make([]int, 0, len(bs))}
 	for i, b := range bs {
 		bi, err := l.blockAt(b)
@@ -188,7 +193,7 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		}
 	}
 	if len(sw.spans) == 0 {
-		return
+		return 0, 0
 	}
 	sort.Sort(&sw)
 
@@ -208,11 +213,12 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 			}
 			// A mismatch out of buf is a bad copy seen; a failed
 			// extent has shown nothing about this block.
+			_, span, _ := l.storedSpan(bi)
+			reqs, bytes = reqs+1, bytes+int64(span)
 			stored, err := l.readStoredChecked(sp.bid, bi, &scratch, buf != nil)
 			yield(sw.at[e.k+j], bi, stored, err)
 		}
 	}
-	st, windowed := l.ra.claim()
 	var fills []raFill
 	ss := uint32(l.lay.sectorSize)
 	var exts []batchExtent // those left for the backend to order, then those the windows hold
@@ -224,12 +230,12 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		for k < end {
 			n, lo, hi := nextExtent(sw.spans[k:end], ss)
 			e := batchExtent{k: k, n: n, seg: sw.spans[k].seg, lo: lo, hi: hi, from: fromExtent}
-			if windowed {
-				l.place(&st, &fills, &e)
+			if ra != nil {
+				l.place(ra, &fills, &e)
 			}
 			if e.from == fromWindow {
 				atomic.AddInt64(&l.stats.ReadaheadHits, 1)
-				settle(e, st.buf[lo-st.lo:hi-st.lo])
+				settle(e, ra.buf[lo-ra.lo:hi-ra.lo])
 			} else {
 				exts = append(exts, e)
 			}
@@ -237,8 +243,8 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		}
 	}
 	// One request per extent left, or per window for the extent that
-	// planned it, in the walk's platter order; reqs[i] is that extent.
-	var reqs []int
+	// planned it, in the walk's platter order; order[i] is that extent.
+	var order []int
 	var offs []int64
 	var lens []int
 	for j, e := range exts {
@@ -246,19 +252,23 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 		case e.from == fromExtent:
 			lo := e.lo + uint32(len(e.kept))
 			offs, lens = append(offs, l.lay.segOff(int(e.seg))+int64(lo)), append(lens, int(e.hi-lo))
+			if size := int(e.hi - e.lo); (e.n > 1 || e.kept != nil) && len(*ext) < size {
+				*ext = make([]byte, size)
+			}
 		case fills[e.from].by == e.k:
 			f := &fills[e.from]
 			offs, lens = append(offs, l.lay.segOff(int(f.seg))+int64(f.from)), append(lens, int(f.end-f.from))
 		default:
 			continue
 		}
-		reqs = append(reqs, j)
+		order = append(order, j)
 	}
 	for _, i := range l.dsk.ReadOrder(offs, lens) {
-		e := exts[reqs[i]]
+		e := exts[order[i]]
 		if e.from >= 0 {
 			f := &fills[e.from]
 			atomic.AddInt64(&l.stats.ReadaheadWindows, 1)
+			reqs, bytes = reqs+1, bytes+int64(lens[i])
 			f.ok = l.dskRead(f.buf[f.from-f.lo:f.end-f.lo], offs[i]) == nil
 			continue
 		}
@@ -269,11 +279,9 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 				atomic.AddInt64(&l.stats.BatchExtentBytes, int64(lens[i]))
 			}
 			size := int(e.hi - e.lo)
-			if len(extBuf) < size {
-				extBuf = make([]byte, size)
-			}
-			if k := copy(extBuf, e.kept); l.dskRead(extBuf[k:size], offs[i]) == nil {
-				buf = extBuf[:size]
+			reqs, bytes = reqs+1, bytes+int64(lens[i])
+			if k := copy(*ext, e.kept); l.dskRead((*ext)[k:size], offs[i]) == nil {
+				buf = (*ext)[:size]
 			}
 		}
 		settle(e, buf)
@@ -290,12 +298,10 @@ func (l *LLD) readStoredBatch(bs []ld.BlockID, yield func(i int, bi *blockInfo, 
 			settle(e, buf)
 		}
 	}
-	if windowed {
-		if len(fills) > 0 && !fills[len(fills)-1].ok {
-			st.n = 0
-		}
-		l.ra.release(st)
+	if len(fills) > 0 && !fills[len(fills)-1].ok {
+		ra.n = 0 // the window is the last fill, and it did not read
 	}
+	return reqs, bytes
 }
 
 // batchExtent is one extent of a batch's sweep: spans [k, k+n) of it, bytes
@@ -311,15 +317,8 @@ type batchExtent struct {
 	kept   []byte
 }
 
-// maxPooledExtent is the largest extent buffer that goes back to the pool
-// every read shares: 128 KB of blocks, a file system's read-ahead window or
-// a wire chunk, and one dead gap crossed between them. A rarer, longer sweep
-// leaves its buffer to the collector instead of parking half a segment there.
-const maxPooledExtent = 128<<10 + deadGapMax
-
 // batchSweep is the on-platter part of a batch: the spans to fetch and, in
-// step with them, the position in the batch each one answers (a ReadBlocks
-// batch, or the cleaner's blocks in list order: moveLive). A block named
+// step with them, the position in the batch each one answers. A block named
 // twice is two spans. Sorting (sort.Interface) puts it in platter order.
 type batchSweep struct {
 	spans []liveSpan

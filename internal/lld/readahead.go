@@ -5,8 +5,11 @@ import "sync"
 // Read-ahead on LD (DESIGN.md §5). Files created together lie back to back
 // in the log, but a file system that reads them one at a time asks for them
 // one batch at a time, and each batch would cost a request of its own. The
-// multi-block reader (readStoredBatch) keeps one window per instance and
-// follows the log the way a reader walks it, in platter order:
+// instance keeps one window for the foreground reader: ReadBlocks claims it
+// and hands it to the multi-block reader (readStoredBatch), which follows
+// the log the way a reader walks it, in platter order. The cleaner and
+// Reorganize read without it, so a pass neither resets a reader's stream
+// nor fills a window:
 //
 //   - Confirmation. Only a stream reads ahead: an extent may start a window
 //     only if the extent before it continued the one before that. A lone
@@ -64,9 +67,9 @@ import "sync"
 const readaheadWindow = 256 << 10
 
 // readahead is the instance's one read-ahead window and where the stream of
-// batch extents stands. A batch claims both for its whole run and gives
-// them back when it is done; a batch that runs while another holds them
-// reads without read-ahead and leaves them as they are. The mutex nests
+// ReadBlocks extents stands. A batch claims both for its whole run and
+// gives them back when it is done; a batch that runs while another holds
+// them reads without read-ahead and leaves them as they are. The mutex nests
 // inside l.mu like cursorMu and guards only the claim, never I/O. Only
 // openNewSegment can change a sealed segment's bytes, and it runs under the
 // exclusive lock, so no batch holds the window when it drops it.

@@ -832,6 +832,11 @@ func (l *LLD) installRecovered() {
 			l.liveBytes += int64(bi.stored)
 		}
 	}
+	for i := range l.segs {
+		if l.segs[i].mapped == 0 {
+			l.segs[i].names = nil // the checkpoint's, of blocks replay moved on (unmap)
+		}
+	}
 	// A block's tag can name a list whose own records (its tNewList, or
 	// a tListState a move logged) were all lost with a quarantined
 	// summary. The tags are the newest surviving membership facts, so the

@@ -124,8 +124,7 @@ func cleanVictim(l *LLD, victim int) error {
 	defer l.mu.Unlock()
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
-	var image []byte
-	return l.cleanSegment(victim, &image)
+	return l.cleanSegment(victim, new(cleanBufs))
 }
 
 // reopenSegment makes the cleaned segment v the open one. A checkpoint

@@ -36,7 +36,9 @@ func runSmoke(t *testing.T, cfg Config) Result {
 		t.Errorf("crash point failed verification:\n  %s\n  %v", f.Repro, f.Err)
 	}
 	// The cleaner never reads a victim's summary back: what each summary it
-	// needs names is in memory.
+	// needs names is in memory. The bound holds while every victim extent
+	// reads and checks: one that does not costs its request and then one
+	// per block (readStoredBatch's per-block fallback), 1+n for n blocks.
 	for _, l := range instances {
 		if n := l.Stats().CleanReads - l.Stats().BlocksMoved; n > 0 {
 			t.Errorf("a workload instance's cleaner issued %d more requests than it moved blocks", n)
