@@ -194,7 +194,8 @@ func Table5(cfg Config) (*Table, error) {
 	}
 	s.FS.Close()
 	t.Notes = append(t.Notes, "last row is beyond the paper: it disabled read-ahead on LD (§4.1); "+
-		"here a miss is one ld.ReadBlocks and a file read in order is read ahead 128 KB")
+		"here a miss is one ld.ReadBlocks, a file read in order is fetched in batches that grow with the run, "+
+		"lld reads up to 256 KB ahead along the log, and a file's dirty blocks are written back in file order")
 	return t, nil
 }
 

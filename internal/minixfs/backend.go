@@ -31,7 +31,10 @@
 // block is stored only up to its last non-zero sector, and holds a one-block
 // space reservation until it is written whole (LDBackend.WriteBlock).
 // LDConfig.WholeBlockIO restores the paper's one whole block per request,
-// in both directions.
+// in both directions. The buffer cache writes a file's dirty blocks back in
+// file order on LD (Backend.WriteBackInFileOrder), so a file rewritten at
+// random reaches the log in ascending runs; WholeBlockIO and the bitmap
+// backend keep per-block LRU write-back.
 package minixfs
 
 import "errors"
@@ -101,6 +104,12 @@ type Backend interface {
 	// in order has come, in blocks, the missed one included; 0 says the
 	// call does not continue where the handle's previous one ended.
 	BatchWindow(run int) int
+
+	// WriteBackInFileOrder is the backend's write-back policy. false: the
+	// cache writes each dirty block as LRU evicts it. true: evicting a
+	// file's data block first writes the file's dirty blocks before it,
+	// lowest index first.
+	WriteBackInFileOrder() bool
 
 	// BlockAt resolves the idx-th block of a per-file list — offset
 	// addressing (paper §5.4), which lets a file system do without

@@ -280,6 +280,10 @@ const bitmapWindow = 8
 // BatchWindow implements Backend.
 func (b *BitmapBackend) BatchWindow(run int) int { return bitmapWindow }
 
+// WriteBackInFileOrder implements Backend: MINIX updates blocks in place,
+// so the order they are written in does not decide where they lie.
+func (b *BitmapBackend) WriteBackInFileOrder() bool { return false }
+
 // NewFileList implements Backend: the bitmap backend has no lists.
 func (b *BitmapBackend) NewFileList(pred uint32) (uint32, error) { return 0, nil }
 

@@ -1,6 +1,7 @@
 package minixfs
 
 import (
+	"container/heap"
 	"container/list"
 	"sort"
 )
@@ -25,6 +26,14 @@ type bufCache struct {
 	// the recovery unit.
 	trackTouched bool
 	touched      map[Handle]bool
+
+	// inFileOrder is the backend's write-back rule
+	// (Backend.WriteBackInFileOrder): evicting a dirty data block first
+	// writes its file's dirty blocks that come before it, lowest index
+	// first. byFile indexes those blocks: per i-node, a min-heap by file
+	// index of the dirty data blocks WriteAt has named (fileBlock).
+	inFileOrder bool
+	byFile      map[uint32]*fileDirty
 }
 
 type bufEntry struct {
@@ -34,14 +43,21 @@ type bufEntry struct {
 	// missed marks a block a batch fetched for a lookup that has not
 	// happened yet: that lookup is a miss, not a hit.
 	missed bool
+	// While the block is in its file's dirty index, ino and idx place it in
+	// its file and at is its position in byFile[ino]; at is -1 otherwise.
+	// 32 bits each keep the entry in the allocator's 48-byte class.
+	ino uint32
+	idx int32
+	at  int32
 }
 
 func newBufCache(be Backend, capacity int) *bufCache {
 	return &bufCache{
-		be:       be,
-		capacity: capacity,
-		entries:  make(map[Handle]*list.Element),
-		lru:      list.New(),
+		be:          be,
+		capacity:    capacity,
+		entries:     make(map[Handle]*list.Element),
+		lru:         list.New(),
+		inFileOrder: be.WriteBackInFileOrder(),
 	}
 }
 
@@ -78,7 +94,7 @@ func (c *bufCache) get(h Handle, size int) (*bufEntry, error) {
 	if err := c.be.ReadBlock(h, data); err != nil {
 		return nil, err
 	}
-	e := &bufEntry{h: h, data: data}
+	e := &bufEntry{h: h, data: data, at: -1}
 	c.entries[h] = c.lru.PushFront(e)
 	c.size += size
 	if err := c.evict(); err != nil {
@@ -101,7 +117,7 @@ func (c *bufCache) install(h Handle, data []byte, dirty bool) error {
 		c.lru.MoveToFront(el)
 		return c.evict()
 	}
-	e := &bufEntry{h: h, data: data, dirty: dirty}
+	e := &bufEntry{h: h, data: data, dirty: dirty, at: -1}
 	c.entries[h] = c.lru.PushFront(e)
 	c.size += len(data)
 	if dirty && c.trackTouched {
@@ -117,7 +133,7 @@ func (c *bufCache) fill(h Handle, data []byte, demanded bool) error {
 	if c.contains(h) {
 		return nil
 	}
-	c.entries[h] = c.lru.PushFront(&bufEntry{h: h, data: data, missed: demanded})
+	c.entries[h] = c.lru.PushFront(&bufEntry{h: h, data: data, missed: demanded, at: -1})
 	c.size += len(data)
 	return c.evict()
 }
@@ -130,6 +146,71 @@ func (c *bufCache) markDirty(h Handle) {
 			c.touched[h] = true
 		}
 	}
+}
+
+// fileBlock names the cached block h as block idx of i-node ino. WriteAt
+// calls it on each data block it dirties, so that writing back in file
+// order finds the block in its file's index.
+func (c *bufCache) fileBlock(h Handle, ino uint32, idx int) {
+	el, ok := c.entries[h]
+	if !c.inFileOrder || !ok {
+		return
+	}
+	e := el.Value.(*bufEntry)
+	if !e.dirty || e.at >= 0 {
+		return
+	}
+	e.ino, e.idx = ino, int32(idx)
+	if c.byFile == nil {
+		c.byFile = make(map[uint32]*fileDirty)
+	}
+	fd := c.byFile[ino]
+	if fd == nil {
+		fd = new(fileDirty)
+		c.byFile[ino] = fd
+	}
+	heap.Push(fd, e)
+}
+
+// unindex takes e out of its file's dirty index.
+func (c *bufCache) unindex(e *bufEntry) {
+	fd := c.byFile[e.ino]
+	heap.Remove(fd, int(e.at))
+	if fd.Len() == 0 {
+		delete(c.byFile, e.ino)
+	}
+	if len(c.byFile) == 0 {
+		c.byFile = nil // a map keeps its peak size; a clean cache holds none
+	}
+}
+
+// writeOut writes e to the backend and marks it clean.
+func (c *bufCache) writeOut(e *bufEntry) error {
+	if err := c.be.WriteBlock(e.h, e.data); err != nil {
+		return err
+	}
+	e.dirty = false
+	if e.at >= 0 {
+		c.unindex(e)
+	}
+	return nil
+}
+
+// writeBack writes the dirty victim e. In file order its file's dirty
+// blocks with a lower index go first, lowest first, so a file rewritten
+// at random reaches the backend in ascending runs and a file written in
+// order in the order LRU would give. Inside an atomic unit only the victim
+// is written: the unit must not take in blocks it did not touch.
+func (c *bufCache) writeBack(e *bufEntry) error {
+	if e.at >= 0 && !c.trackTouched {
+		fd := c.byFile[e.ino]
+		for (*fd)[0] != e {
+			if err := c.writeOut((*fd)[0]); err != nil {
+				return err
+			}
+		}
+	}
+	return c.writeOut(e)
 }
 
 // beginTrack starts recording dirtied handles.
@@ -152,10 +233,9 @@ func (c *bufCache) endTrackFlush() error {
 		if !e.dirty {
 			continue
 		}
-		if err := c.be.WriteBlock(e.h, e.data); err != nil {
+		if err := c.writeOut(e); err != nil {
 			return err
 		}
-		e.dirty = false
 	}
 	c.touched = nil
 	return nil
@@ -172,6 +252,9 @@ func (c *bufCache) contains(h Handle) bool {
 func (c *bufCache) drop(h Handle) {
 	if el, ok := c.entries[h]; ok {
 		e := el.Value.(*bufEntry)
+		if e.at >= 0 {
+			c.unindex(e)
+		}
 		c.size -= len(e.data)
 		c.lru.Remove(el)
 		delete(c.entries, h)
@@ -185,10 +268,9 @@ func (c *bufCache) evict() error {
 		el := c.lru.Back()
 		e := el.Value.(*bufEntry)
 		if e.dirty {
-			if err := c.be.WriteBlock(e.h, e.data); err != nil {
+			if err := c.writeBack(e); err != nil {
 				return err
 			}
-			e.dirty = false
 		}
 		c.size -= len(e.data)
 		c.lru.Remove(el)
@@ -210,10 +292,9 @@ func (c *bufCache) syncAll() error {
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].h < dirty[j].h })
 	for _, e := range dirty {
-		if err := c.be.WriteBlock(e.h, e.data); err != nil {
+		if err := c.writeOut(e); err != nil {
 			return err
 		}
-		e.dirty = false
 	}
 	return c.be.Flush()
 }
@@ -228,4 +309,28 @@ func (c *bufCache) dropAll() error {
 	c.lru = list.New()
 	c.size = 0
 	return nil
+}
+
+// fileDirty is one file's dirty data blocks, a min-heap by file index
+// (container/heap).
+type fileDirty []*bufEntry
+
+func (f fileDirty) Len() int           { return len(f) }
+func (f fileDirty) Less(i, j int) bool { return f[i].idx < f[j].idx }
+func (f fileDirty) Swap(i, j int) {
+	f[i], f[j] = f[j], f[i]
+	f[i].at, f[j].at = int32(i), int32(j)
+}
+func (f *fileDirty) Push(x any) {
+	e := x.(*bufEntry)
+	e.at = int32(len(*f))
+	*f = append(*f, e)
+}
+func (f *fileDirty) Pop() any {
+	old := *f
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	e.at = -1
+	*f = old[:len(old)-1]
+	return e
 }

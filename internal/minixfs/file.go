@@ -205,6 +205,7 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 			copy(e.data[inBlk:], p[written:written+nn])
 			f.fs.cache.markDirty(h)
 		}
+		f.fs.cache.fileBlock(h, f.n, idx)
 		written += nn
 	}
 	end := off + int64(written)

@@ -349,13 +349,14 @@ func (b *LDBackend) ReadBlocks(hs []Handle, bufs [][]byte) []error {
 // doubles batch by batch up to fetch's quarter-of-the-cache cap.
 //
 // lld reads ahead too, along the platter, but it cannot stand in for this
-// window: its read-ahead follows the log, and the blocks of a randomly
-// rewritten file are scattered across it, where one batch still reaches
-// them in a request per extent, in the order the platter serves soonest.
+// window: its read-ahead follows the log, and a randomly rewritten file
+// lies along the log in ascending runs (WriteBackInFileOrder), not in one
+// stretch. One batch still reaches the runs it spans, a request per extent,
+// in the order the platter serves soonest.
 // `bench/run.sh --workload fs-large --seed 1 --seconds 15 --trace 0`
-// (virtual clock) read at 785.8 KB/s and ran 131.8 op/s; with BatchWindow
-// returning 1 at every run 636.9 KB/s and 110.9 op/s, with a flat
-// ldWindow 713.2 KB/s.
+// (virtual clock) read at 930.1 KB/s and ran 150.4 op/s; with BatchWindow
+// returning 1 at every run 642.4 KB/s and 111.7 op/s, with a flat
+// ldWindow 765.4 KB/s.
 const ldWindow = 32
 
 // BatchWindow implements Backend. The paper disabled MINIX's read-ahead
@@ -373,6 +374,15 @@ func (b *LDBackend) BatchWindow(run int) int {
 	}
 	return 1
 }
+
+// WriteBackInFileOrder implements Backend. LD logs blocks in the order they
+// are written, so a file rewritten at random and written back as LRU evicts
+// it lies scattered along the log, and reading it in order again costs a
+// short request every few blocks (paper Table 5's re-read). Written back in file
+// order, such a file reaches LD in ascending runs, which a batched read then
+// fetches in a few long requests. WholeBlockIO keeps the paper's per-block
+// write-back.
+func (b *LDBackend) WriteBackInFileOrder() bool { return !b.wholeBlockIO }
 
 // BlockAt implements Backend via LD offset addressing (paper §5.4).
 func (b *LDBackend) BlockAt(list uint32, idx int) (Handle, error) {
