@@ -267,3 +267,34 @@ func BenchmarkDecodeSummary(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkListChurn creates and deletes lists with 10,000 live: each
+// operation places a new list after the newest, at the tail of the list of
+// lists, and deletes the oldest, at its front. The lists hold no blocks, so
+// what it costs is placing and unlinking a list.
+func BenchmarkListChurn(b *testing.B) {
+	const live = 10000
+	l := benchLLD(b, 64<<20)
+	ids := make([]ld.ListID, 0, live)
+	pred := ld.NilList
+	for i := 0; i < live; i++ {
+		lid, err := l.NewList(pred, ld.ListHints{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, lid)
+		pred = lid
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lid, err := l.NewList(pred, ld.ListHints{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pred = lid
+		if err := l.DeleteList(ids[i%live], ld.NilList); err != nil {
+			b.Fatal(err)
+		}
+		ids[i%live] = lid
+	}
+}

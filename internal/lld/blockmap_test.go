@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/ld"
 )
 
@@ -78,24 +79,11 @@ func TestCheckpointRefusesIDsBeyondItsFreshWatermark(t *testing.T) {
 			if err := l.Shutdown(true); err != nil {
 				t.Fatal(err)
 			}
-			off := l.lay.checkpointOff + int64(l.ckptSlot)*l.lay.checkpointSize
-			ss := l.lay.sectorSize
-			head := make([]byte, ss)
-			if err := d.ReadAt(head, off); err != nil {
-				t.Fatal(err)
-			}
-			plen := int(binary.LittleEndian.Uint32(head[16:]))
-			buf := make([]byte, (checkpointHeaderSize+plen+ss-1)/ss*ss)
-			if err := d.ReadAt(buf, off); err != nil {
-				t.Fatal(err)
-			}
-			payload := buf[checkpointHeaderSize : checkpointHeaderSize+plen]
-			nf := binary.LittleEndian.Uint32(payload[nextFreshAt:])
-			binary.LittleEndian.PutUint32(payload[nextFreshAt:], tc.edit(l, nf))
-			binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-			if err := d.WriteAt(buf, off); err != nil {
-				t.Fatal(err)
-			}
+			var nf uint32
+			rewriteCheckpoint(t, d, l, func(payload []byte) {
+				nf = binary.LittleEndian.Uint32(payload[nextFreshAt:])
+				binary.LittleEndian.PutUint32(payload[nextFreshAt:], tc.edit(l, nf))
+			})
 
 			l2, err := Open(d, testOptions())
 			if tc.ok {
@@ -109,6 +97,82 @@ func TestCheckpointRefusesIDsBeyondItsFreshWatermark(t *testing.T) {
 			}
 			if !errors.Is(err, ErrFormat) {
 				t.Fatalf("mounted a checkpoint whose nextFresh reads %d: %v", tc.edit(l, nf), err)
+			}
+		})
+	}
+}
+
+// rewriteCheckpoint hands edit the payload of the checkpoint a shut-down l
+// wrote last, and writes it back re-checksummed.
+func rewriteCheckpoint(t *testing.T, d *disk.Disk, l *LLD, edit func(payload []byte)) {
+	t.Helper()
+	off := l.lay.checkpointOff + int64(l.ckptSlot)*l.lay.checkpointSize
+	ss := l.lay.sectorSize
+	head := make([]byte, ss)
+	if err := d.ReadAt(head, off); err != nil {
+		t.Fatal(err)
+	}
+	plen := int(binary.LittleEndian.Uint32(head[16:]))
+	buf := make([]byte, (checkpointHeaderSize+plen+ss-1)/ss*ss)
+	if err := d.ReadAt(buf, off); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf[checkpointHeaderSize : checkpointHeaderSize+plen]
+	edit(payload)
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
+	if err := d.WriteAt(buf, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A checkpoint's list records name each list once, by an id it handed out:
+// the loader links them into the list of lists, so it refuses list 0, an id
+// at or above the checkpoint's next list id, and an id named twice.
+func TestCheckpointRefusesBadListIDs(t *testing.T) {
+	const nextListAt = 12 // payload offset of nextList: it follows nextFresh
+	cases := []struct {
+		name string
+		edit func(recs []byte, nextList uint32) // recs: the list records
+		ok   bool
+	}{
+		{"unchanged", func([]byte, uint32) {}, true},
+		{"list 0", func(recs []byte, _ uint32) { binary.LittleEndian.PutUint32(recs, 0) }, false},
+		{"at the next list id", func(recs []byte, nl uint32) { binary.LittleEndian.PutUint32(recs[listStateEncSize:], nl) }, false},
+		{"named twice", func(recs []byte, _ uint32) {
+			copy(recs[2*listStateEncSize:2*listStateEncSize+4], recs[:4])
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, l := newTestLLD(t, 4<<20, testOptions())
+			pred := ld.NilList
+			for i := 0; i < 3; i++ {
+				pred = mustNewList(t, l, pred, ld.ListHints{})
+			}
+			nLists, nSegs := len(l.lists), len(l.segs)
+			if err := l.Shutdown(true); err != nil {
+				t.Fatal(err)
+			}
+			rewriteCheckpoint(t, d, l, func(payload []byte) {
+				end := len(payload) - 4 - nSegs*segStateEncSize
+				recs := payload[end-nLists*listStateEncSize : end]
+				tc.edit(recs, binary.LittleEndian.Uint32(payload[nextListAt:]))
+			})
+			l2, err := Open(d, testOptions())
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("the re-checksummed checkpoint does not mount: %v", err)
+				}
+				if viol := l2.CheckInvariants(); len(viol) != 0 {
+					t.Fatalf("invariants: %v", viol)
+				}
+				if got, _ := l2.Lists(); len(got) != nLists {
+					t.Fatalf("mounted lists %v, want %d", got, nLists)
+				}
+				return
+			}
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("mounted a checkpoint whose list ids were edited (%s): %v", tc.name, err)
 			}
 		})
 	}

@@ -98,7 +98,7 @@ func (l *LLD) writeCheckpoint(complete bool) error {
 	// is written. Every id below nextFresh has a record: a free one is its
 	// flags byte alone.
 	ss := l.lay.sectorSize
-	bound := checkpointFixedSize + (int(l.nextFresh)-1)*ckptBlockMax + 4 + len(l.order)*listStateEncSize + 4 + len(l.segs)*segStateEncSize
+	bound := checkpointFixedSize + (int(l.nextFresh)-1)*ckptBlockMax + 4 + len(l.lists)*listStateEncSize + 4 + len(l.segs)*segStateEncSize
 	buf := make([]byte, checkpointHeaderSize+bound+ss)
 	w := &writer{buf: buf[checkpointHeaderSize:]}
 	w.u64(l.ts)
@@ -129,10 +129,9 @@ func (l *LLD) writeCheckpoint(complete bool) error {
 		}
 	}
 
-	w.u32(uint32(len(l.order)))
-	for _, lid := range l.order {
-		li := l.lists[lid]
-		w.u32(uint32(lid))
+	w.u32(uint32(len(l.lists)))
+	for li := l.head; li != nil; li = li.next {
+		w.u32(uint32(li.id))
 		w.u32(uint32(li.first))
 		w.u32(uint32(li.count))
 		w.u32(encodeHints(li.hints))
@@ -359,11 +358,14 @@ func (l *LLD) decodeCheckpoint(payload []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		if lid == ld.NilList {
-			return fmt.Errorf("%w: checkpoint names list 0", ErrFormat)
+		// A list id outside the ones handed out, or named twice, would
+		// make the list of lists a chain that loops or outlives its table.
+		if lid == ld.NilList || lid >= l.nextList || l.lists[lid] != nil {
+			return fmt.Errorf("%w: checkpoint names list %d (next list %d) out of range or twice", ErrFormat, lid, l.nextList)
 		}
+		li.id = lid
+		l.linkListAfter(li, l.tail)
 		l.lists[lid] = li
-		l.order = append(l.order, lid)
 	}
 
 	nSegs := int(r.u32())

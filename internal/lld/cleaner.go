@@ -227,8 +227,8 @@ func (l *LLD) moveLive(id int, live []ld.BlockID, bufs *cleanBufs) error {
 	// order (paper §3.5: the cleaner reorders blocks using the list
 	// information to improve sequential reads).
 	ordered := make([]ld.BlockID, 0, len(live))
-	for _, lid := range l.order {
-		for b := l.lists[lid].first; b != ld.NilBlock && len(ordered) < len(live); b = l.blocks[b].next {
+	for li := l.head; li != nil; li = li.next {
+		for b := li.first; b != ld.NilBlock && len(ordered) < len(live); b = l.blocks[b].next {
 			if bi := &l.blocks[b]; bi.hasData() && l.segOf(bi) == id {
 				ordered = append(ordered, b)
 			}
@@ -321,9 +321,8 @@ func (l *LLD) Reorganize(n int) error {
 	quota := n * l.lay.dataCap() / l.lay.maxBlockSize
 	run := make([]ld.BlockID, 0, perRun)
 	var bufs cleanBufs
-	for _, lid := range append([]ld.ListID(nil), l.order...) {
-		li, ok := l.lists[lid]
-		if !ok || !li.hints.Cluster {
+	for li := l.head; li != nil; li = li.next {
+		if !li.hints.Cluster {
 			continue
 		}
 		for b := li.first; b != ld.NilBlock && quota > 0; b = l.blocks[b].next {

@@ -39,7 +39,7 @@ func (l *LLD) fingerprint() string {
 		li := l.lists[lid]
 		fmt.Fprintf(&b, "list %d: first=%d count=%d hints=%+v\n", lid, li.first, li.count, li.hints)
 	}
-	fmt.Fprintf(&b, "order=%v\n", l.order)
+	fmt.Fprintf(&b, "order=%v\n", l.listOrder())
 	// Sorted: a heap's layout depends on the order its ids were pushed in.
 	fmt.Fprintf(&b, "freeIDs=%v freeLists=%v\n", l.freeIDs.Sorted(), l.freeLists.Sorted())
 	for i := range l.segs {

@@ -83,14 +83,36 @@ func (l *LLD) CheckInvariants() []string {
 		if n != li.count {
 			bad("list %d census %d but walk found %d", lid, li.count, n)
 		}
-		if slices.Index(l.order, lid) < 0 {
-			bad("list %d missing from the list of lists", lid)
+		if li.id != lid {
+			bad("list %d's entry names itself %d", lid, li.id)
 		}
 	}
-	for _, lid := range l.order {
-		if _, ok := l.lists[lid]; !ok {
-			bad("list of lists names nonexistent list %d", lid)
+	// The list of lists, walked from head to tail, visits every list of
+	// the table once, through links that agree both ways, and holds no
+	// ghost a replay placed.
+	var prev *listInfo
+	n := 0
+	for li := l.head; li != nil; li = li.next {
+		if li.prev != prev {
+			bad("list of lists: list %d's back link disagrees with its predecessor", li.id)
 		}
+		if l.lists[li.id] != li {
+			bad("list of lists names list %d, whose table entry is another or none", li.id)
+		}
+		if n++; n > len(l.lists) {
+			bad("list of lists longer than the %d lists: cycle or stale node", len(l.lists))
+			break
+		}
+		prev = li
+	}
+	if n <= len(l.lists) && l.tail != prev {
+		bad("list of lists: tail is not the last node reached from the head")
+	}
+	if n != len(l.lists) {
+		bad("list of lists visits %d lists, the table holds %d", n, len(l.lists))
+	}
+	if len(l.ghosts) != 0 {
+		bad("%d ghost lists outlived the mount", len(l.ghosts))
 	}
 
 	// Free pool: no allocated id pooled, no duplicates, and every

@@ -2,7 +2,6 @@ package lld
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ld"
 )
@@ -93,8 +92,9 @@ func (l *LLD) applySetData(bid ld.BlockID, seg int, off, stored, orig int, compr
 // applyNewList creates list lid after predLid in the list of lists
 // (NilList = at the front).
 func (l *LLD) applyNewList(lid ld.ListID, predLid ld.ListID, hints ld.ListHints) {
-	l.lists[lid] = &listInfo{hints: hints}
-	l.order = orderInsertAfter(l.order, lid, predLid)
+	li := &listInfo{id: lid, hints: hints}
+	l.linkListAfter(li, l.lists[predLid])
+	l.lists[lid] = li
 }
 
 // applyDelList removes lid and frees every block remaining on it.
@@ -110,8 +110,8 @@ func (l *LLD) applyDelList(lid ld.ListID) {
 		l.freeIDs.Push(b)
 		b = next
 	}
+	l.unlinkList(li)
 	delete(l.lists, lid)
-	l.order = orderRemove(l.order, lid)
 	l.freeLists.Push(lid)
 }
 
@@ -152,7 +152,9 @@ func (l *LLD) applyMoveBlocks(first, last ld.BlockID, src, dst ld.ListID, pred, 
 
 // applyMoveList repositions lid after newPred in the list of lists.
 func (l *LLD) applyMoveList(lid, newPred ld.ListID) {
-	l.order = orderInsertAfter(orderRemove(l.order, lid), lid, newPred)
+	li := l.lists[lid]
+	l.unlinkList(li)
+	l.linkListAfter(li, l.lists[newPred])
 }
 
 // applySwap exchanges the physical contents of two blocks.
@@ -168,26 +170,57 @@ func (l *LLD) applySwap(a, b ld.BlockID) {
 	bi.flags = bi.flags&^(bHasData|bComp) | ac
 }
 
-// The list of lists (l.order) is reordered only by these two, in the running
-// instance and in recovery's replay alike, so the two cannot disagree on
-// where a list lands.
+// The list of lists is relinked only by these two, in the running instance
+// and in recovery's replay alike, so the two cannot disagree on where a list
+// lands.
 
-// orderRemove returns order without lid.
-func orderRemove(order []ld.ListID, lid ld.ListID) []ld.ListID {
-	if i := slices.Index(order, lid); i >= 0 {
-		return slices.Delete(order, i, i+1)
+// unlinkList takes li, which is linked, out of the list of lists.
+func (l *LLD) unlinkList(li *listInfo) {
+	if li.prev == nil {
+		l.head = li.next
+	} else {
+		li.prev.next = li.next
 	}
-	return order
+	if li.next == nil {
+		l.tail = li.prev
+	} else {
+		li.next.prev = li.prev
+	}
+	li.prev, li.next = nil, nil
 }
 
-// orderInsertAfter returns order with lid, which it must not hold, inserted
-// just after pred, or at the front when pred is NilList or not in order.
-func orderInsertAfter(order []ld.ListID, lid, pred ld.ListID) []ld.ListID {
-	i := 0
-	if pred != ld.NilList {
-		i = slices.Index(order, pred) + 1
+// linkListAfter links li, which is not linked, just after pred, or at the
+// front when pred is nil (a NilList or absent predecessor).
+func (l *LLD) linkListAfter(li, pred *listInfo) {
+	li.prev = pred
+	if pred == nil {
+		li.next = l.head
+		l.head = li
+	} else {
+		li.next = pred.next
+		pred.next = li
 	}
-	return slices.Insert(order, i, lid)
+	if li.next == nil {
+		l.tail = li
+	} else {
+		li.next.prev = li
+	}
+}
+
+// listPredIs reports whether pred, not NilList, is the list just before lid
+// in the list of lists.
+func (l *LLD) listPredIs(lid, pred ld.ListID) bool {
+	p := l.lists[lid].prev
+	return p != nil && p.id == pred
+}
+
+// listOrder returns the list of lists' ids from head to tail.
+func (l *LLD) listOrder() []ld.ListID {
+	out := make([]ld.ListID, 0, len(l.lists))
+	for li := l.head; li != nil; li = li.next {
+		out = append(out, li.id)
+	}
+	return out
 }
 
 // findPred resolves the predecessor of bid in list lid, preferring the

@@ -63,17 +63,23 @@ func (l *LLD) segOf(bi *blockInfo) int { return l.lay.segOf(bi.loc) }
 func (l *LLD) offOf(bi *blockInfo) uint32 { return l.lay.offOf(bi.loc) }
 
 // listInfo is one entry of the in-memory list table: the first block of the
-// list (Figure 2), plus the paper's per-list hints and a census count.
+// list (Figure 2), plus the paper's per-list hints and a census count. It is
+// also the list's node in the list of lists, a doubly linked list from
+// LLD.head to LLD.tail, so a list is placed or unlinked in O(1).
 type listInfo struct {
 	first ld.BlockID
+	id    ld.ListID
 	count int
-	hints ld.ListHints
 
 	// cursor memoizes the last ListIndex lookup so offset addressing
 	// (paper §5.4) costs O(1) for sequential access instead of O(n).
 	// Invalidated (curBlk = NilBlock) by any structural change.
 	curIdx int
+
+	prev, next *listInfo // neighbours in the list of lists
+
 	curBlk ld.BlockID
+	hints  ld.ListHints
 }
 
 // segment states for the segment usage table.
@@ -255,8 +261,12 @@ type LLD struct {
 	nextFresh ld.BlockID // smallest never-allocated id
 	freeIDs   ld.IDPool[ld.BlockID]
 
-	lists     map[ld.ListID]*listInfo
-	order     []ld.ListID // the list of lists
+	lists      map[ld.ListID]*listInfo
+	head, tail *listInfo // the list of lists (listInfo.prev/next)
+	// ghosts holds, during a replay only, a node for each id a logged
+	// move left in the list of lists after its list was deleted
+	// (replayTuple); installRecovered unlinks them and clears it.
+	ghosts    map[ld.ListID]*listInfo
 	nextList  ld.ListID
 	freeLists ld.IDPool[ld.ListID]
 

@@ -3,7 +3,6 @@ package lld
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -515,9 +514,9 @@ func (l *LLD) DeleteList(lid ld.ListID, predHint ld.ListID) error {
 	if _, err := l.listAt(lid); err != nil {
 		return err
 	}
-	// The predecessor hint only models search cost; the order slice makes
-	// removal positionless. Count hint accuracy for the statistics.
-	if idx := slices.Index(l.order, lid); idx > 0 && l.order[idx-1] == predHint {
+	// The list of lists is doubly linked, so unlinking needs no search and
+	// the predecessor hint is only checked, for the statistics.
+	if l.listPredIs(lid, predHint) {
 		l.stats.HintHits++
 	} else if predHint != ld.NilList {
 		l.stats.HintMisses++
@@ -673,7 +672,7 @@ func (l *LLD) MoveList(lid ld.ListID, newPred ld.ListID, predHint ld.ListID) err
 			return fmt.Errorf("%w: list %d cannot follow itself", ld.ErrBadList, lid)
 		}
 	}
-	if idx := slices.Index(l.order, lid); idx > 0 && l.order[idx-1] == predHint {
+	if l.listPredIs(lid, predHint) {
 		l.stats.HintHits++
 	} else if predHint != ld.NilList {
 		l.stats.HintMisses++
@@ -964,9 +963,7 @@ func (l *LLD) Lists() ([]ld.ListID, error) {
 	if err := l.checkOpen(); err != nil {
 		return nil, err
 	}
-	out := make([]ld.ListID, len(l.order))
-	copy(out, l.order)
-	return out, nil
+	return l.listOrder(), nil
 }
 
 // ListCount returns the number of blocks on lid, for tests and tools.

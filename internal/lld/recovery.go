@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -710,10 +709,13 @@ func (l *LLD) replayTuple(t *tupleRec) {
 			l.replayBlock(pred).next = val
 		}
 	}
-	// newList installs a fresh entry for lid after pred in the list of lists.
+	// newList installs a fresh entry for lid after pred in the list of
+	// lists, in place of lid's node or ghost.
 	newList := func(lid ld.ListID, first ld.BlockID, pred ld.ListID, hints uint32) {
-		l.lists[lid] = &listInfo{first: first, hints: decodeHints(hints)}
-		l.order = orderInsertAfter(orderRemove(l.order, lid), lid, pred)
+		l.dropReplayNode(lid)
+		li := &listInfo{id: lid, first: first, hints: decodeHints(hints)}
+		l.linkListAfter(li, l.replayNode(pred))
+		l.lists[lid] = li
 	}
 	switch t.kind {
 	case tAlloc:
@@ -748,8 +750,7 @@ func (l *LLD) replayTuple(t *tupleRec) {
 			l.stats.RecoveryAnomalies++
 			return
 		}
-		delete(l.lists, lid)
-		l.order = orderRemove(l.order, lid)
+		l.dropReplayNode(lid)
 	case tMoveList:
 		lid := ld.ListID(t.args[0])
 		if lid == ld.NilList {
@@ -759,7 +760,21 @@ func (l *LLD) replayTuple(t *tupleRec) {
 		// The id moves even when the list is gone: a later record that
 		// recreates a list after it must land where it did when it was
 		// logged. installRecovered drops such ghosts.
-		l.order = orderInsertAfter(orderRemove(l.order, lid), lid, ld.ListID(t.args[1]))
+		li := l.replayNode(lid)
+		if li == nil {
+			li = &listInfo{id: lid}
+			if l.ghosts == nil {
+				l.ghosts = make(map[ld.ListID]*listInfo)
+			}
+			l.ghosts[lid] = li
+		} else {
+			l.unlinkList(li)
+		}
+		pred := l.replayNode(ld.ListID(t.args[1]))
+		if pred == li {
+			pred = nil // a list after itself goes to the front, as a new one does
+		}
+		l.linkListAfter(li, pred)
 	case tCommit:
 		// Pure marker; its effect was computing lastCommitted.
 	case tBlockState:
@@ -808,11 +823,33 @@ func (l *LLD) replayTuple(t *tupleRec) {
 	}
 }
 
+// replayNode returns lid's node in the list of lists during a replay: its
+// list's, its ghost's, or nil (NilList has none).
+func (l *LLD) replayNode(lid ld.ListID) *listInfo {
+	if li := l.lists[lid]; li != nil {
+		return li
+	}
+	return l.ghosts[lid]
+}
+
+// dropReplayNode takes lid's list or ghost out of the list table and the
+// list of lists.
+func (l *LLD) dropReplayNode(lid ld.ListID) {
+	if li := l.replayNode(lid); li != nil {
+		l.unlinkList(li)
+		delete(l.lists, lid)
+		delete(l.ghosts, lid)
+	}
+}
+
 // installRecovered derives what the replayed records do not state: it drops
 // the ghost ids tMoveList left in the list of lists, scrubs unallocated ids,
 // recounts the usage table, and rebuilds the list census and free pools.
 func (l *LLD) installRecovered() {
-	l.order = slices.DeleteFunc(l.order, func(lid ld.ListID) bool { return l.lists[lid] == nil })
+	for _, g := range l.ghosts {
+		l.unlinkList(g)
+	}
+	l.ghosts = nil
 	// Blocks. Data belonging to a non-existent block is simply dropped.
 	l.liveBytes = 0
 	for i := range l.segs {
@@ -869,8 +906,9 @@ func (l *LLD) installRecovered() {
 			}
 			l.blocks[b].next = next
 		}
-		l.lists[lid] = &listInfo{first: members[0]}
-		l.order = append(l.order, lid)
+		li := &listInfo{id: lid, first: members[0]}
+		l.linkListAfter(li, l.tail)
+		l.lists[lid] = li
 		l.stats.RecoveryAnomalies++
 	}
 	// Census and chain sanity: count members per list, guarding against
@@ -881,8 +919,8 @@ func (l *LLD) installRecovered() {
 	// so a chain is truncated where it reaches a block the tag assigns
 	// elsewhere, or one an earlier chain already claimed.
 	owner := make(map[ld.BlockID]ld.ListID)
-	for _, lid := range l.order {
-		li := l.lists[lid]
+	for li := l.head; li != nil; li = li.next {
+		lid := li.id
 		n := 0
 		prev := ld.NilBlock
 		for b := li.first; b != ld.NilBlock; b = l.blocks[b].next {

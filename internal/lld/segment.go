@@ -213,14 +213,14 @@ func (l *LLD) emitBlockSnap(bid ld.BlockID) error {
 
 // emitListSnap logs the current state of a list. Callers hold l.mu.
 func (l *LLD) emitListSnap(lid ld.ListID) error {
+	li := l.lists[lid]
 	pred := ld.NilList
-	if idx := slices.Index(l.order, lid); idx > 0 {
-		pred = l.order[idx-1]
+	if li.prev != nil {
+		pred = li.prev.id
 	}
 	if err := l.ensureRoom(0, tupleSpace(tListState)); err != nil {
 		return err
 	}
-	li := l.lists[lid]
 	l.emitTuple(tListState, uint32(lid), uint32(li.first), uint32(pred), encodeHints(li.hints))
 	return nil
 }

@@ -2,6 +2,8 @@ package minixfs
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 
 	"repro/internal/vfs"
 )
@@ -9,8 +11,8 @@ import (
 // Directories are files of fixed 32-byte entries: a 4-byte i-node number
 // (0 = free slot) followed by a NUL-padded name of up to 27 bytes, scanned
 // linearly as in MINIX. An in-memory name cache (dcache) accelerates
-// repeated lookups; it carries no persistent state and is rebuilt on
-// demand.
+// repeated lookups and records each entry's slot; it carries no persistent
+// state and is rebuilt on demand.
 
 // dirBlock returns block b of directory n, which has nblocks; a hole has
 // NilHandle and no entry. A directory scan is an in-order read of the
@@ -31,14 +33,41 @@ func (fs *FS) dirBlock(n uint32, dir *inode, b, nblocks int) (Handle, *bufEntry,
 	return h, e, err
 }
 
-// loadDcache fills the name cache for directory n if absent.
-func (fs *FS) loadDcache(n uint32, dir *inode) (map[string]uint32, error) {
-	if m, ok := fs.dcache[n]; ok {
-		return m, nil
+// dirEntry is what the dcache keeps of one entry: the i-node it names and
+// its slot, the entry's index among the directory's 32-byte entries.
+type dirEntry struct {
+	ino, slot uint32
+}
+
+// dirCache is the name cache of one directory: every entry by name, and a
+// low-free mark below which no slot is free, so that dirAdd decodes entries
+// only from the mark on and dirRemove only the one it removes.
+type dirCache struct {
+	names   map[string]dirEntry
+	lowFree uint32
+}
+
+// dirSlots returns the slots of directory block b that lie below the
+// directory's end: entries do not straddle blocks, so block b holds slots
+// b*per up to b*per+n.
+func (fs *FS) dirSlots(dir *inode, b int) (per, n int) {
+	bs := fs.sb.BlockSize
+	per = bs / direntSize
+	limit := bs
+	if rem := int(int64(dir.Size) - int64(b)*int64(bs)); rem < limit {
+		limit = rem
 	}
-	m := make(map[string]uint32)
+	return per, limit / direntSize
+}
+
+// loadDcache fills the name cache for directory n if absent.
+func (fs *FS) loadDcache(n uint32, dir *inode) (*dirCache, error) {
+	if dc, ok := fs.dcache[n]; ok {
+		return dc, nil
+	}
 	bs := fs.sb.BlockSize
 	nblocks := int((int64(dir.Size) + int64(bs) - 1) / int64(bs))
+	dc := &dirCache{names: make(map[string]dirEntry), lowFree: uint32(dir.Size / direntSize)}
 	buf := make([]byte, bs)
 	for b := 0; b < nblocks; b++ {
 		_, e, err := fs.dirBlock(n, dir, b, nblocks)
@@ -49,42 +78,46 @@ func (fs *FS) loadDcache(n uint32, dir *inode) (map[string]uint32, error) {
 			continue
 		}
 		copy(buf, e.data)
-		limit := bs
-		if rem := int(int64(dir.Size) - int64(b)*int64(bs)); rem < limit {
-			limit = rem
-		}
-		for off := 0; off+direntSize <= limit; off += direntSize {
-			ino := le32(buf[off:])
+		per, slots := fs.dirSlots(dir, b)
+		for i := 0; i < slots; i++ {
+			p := buf[i*direntSize:]
+			slot := uint32(b*per + i)
+			ino := le32(p)
 			if ino == 0 {
+				dc.lowFree = min(dc.lowFree, slot)
 				continue
 			}
-			name := string(bytes.TrimRight(buf[off+4:off+direntSize], "\x00"))
-			m[name] = ino
+			name := string(bytes.TrimRight(p[4:direntSize], "\x00"))
+			dc.names[name] = dirEntry{ino: ino, slot: slot}
 		}
 	}
-	fs.dcache[n] = m
-	return m, nil
+	fs.dcache[n] = dc
+	return dc, nil
 }
 
 // dirLookup finds name in directory n.
 func (fs *FS) dirLookup(n uint32, dir *inode, name string) (uint32, error) {
-	m, err := fs.loadDcache(n, dir)
+	dc, err := fs.loadDcache(n, dir)
 	if err != nil {
 		return 0, err
 	}
-	ino, ok := m[name]
+	ent, ok := dc.names[name]
 	if !ok {
 		return 0, vfs.ErrNotExist
 	}
-	return ino, nil
+	return ent.ino, nil
 }
 
-// dirAdd inserts an entry, reusing a free slot or extending the directory.
+// dirAdd inserts an entry into the lowest free slot, or extends the
+// directory when none is free. It visits the directory's blocks in order up
+// to the one it writes, as MINIX's linear search does, so the buffer cache
+// sees the same fetches and the same recency order; only slots at or above
+// the low-free mark are decoded.
 func (fs *FS) dirAdd(n uint32, dir *inode, name string, target uint32) error {
 	if len(name) > maxNameLen {
 		return vfs.ErrNameTooLong
 	}
-	m, err := fs.loadDcache(n, dir)
+	dc, err := fs.loadDcache(n, dir)
 	if err != nil {
 		return err
 	}
@@ -99,15 +132,12 @@ func (fs *FS) dirAdd(n uint32, dir *inode, name string, target uint32) error {
 		if e == nil {
 			continue
 		}
-		limit := bs
-		if rem := int(int64(dir.Size) - int64(b)*int64(bs)); rem < limit {
-			limit = rem
-		}
-		for off := 0; off+direntSize <= limit; off += direntSize {
-			if le32(e.data[off:]) == 0 {
-				writeDirent(e.data[off:], target, name)
+		per, slots := fs.dirSlots(dir, b)
+		for i := max(int(dc.lowFree)-b*per, 0); i < slots; i++ {
+			if le32(e.data[i*direntSize:]) == 0 {
+				writeDirent(e.data[i*direntSize:], target, name)
 				fs.cache.markDirty(h)
-				m[name] = target
+				dc.add(name, target, uint32(b*per+i))
 				dir.MTime = fs.be.Now()
 				return fs.putInode(n, dir)
 			}
@@ -135,10 +165,17 @@ func (fs *FS) dirAdd(n uint32, dir *inode, name string, target uint32) error {
 	}
 	writeDirent(e.data[off:], target, name)
 	fs.cache.markDirty(h)
-	m[name] = target
+	dc.add(name, target, uint32(idx*(bs/direntSize)+off/direntSize))
 	dir.Size += direntSize
 	dir.MTime = fs.be.Now()
 	return fs.putInode(n, dir)
+}
+
+// add records name in slot, the lowest free one: no slot below the next is
+// free.
+func (dc *dirCache) add(name string, ino, slot uint32) {
+	dc.names[name] = dirEntry{ino: ino, slot: slot}
+	dc.lowFree = slot + 1
 }
 
 func writeDirent(p []byte, ino uint32, name string) {
@@ -150,74 +187,92 @@ func writeDirent(p []byte, ino uint32, name string) {
 	copy(nb, name)
 }
 
-// dirRemove deletes an entry by name.
+// dirRemove deletes an entry by name: the dcache gives its slot, and the
+// blocks up to the slot's are visited in order, as MINIX's search for the
+// name does.
 func (fs *FS) dirRemove(n uint32, dir *inode, name string) error {
-	m, err := fs.loadDcache(n, dir)
+	dc, err := fs.loadDcache(n, dir)
 	if err != nil {
 		return err
 	}
-	if _, ok := m[name]; !ok {
+	ent, ok := dc.names[name]
+	if !ok {
 		return vfs.ErrNotExist
 	}
 	bs := fs.sb.BlockSize
 	nblocks := int((int64(dir.Size) + int64(bs) - 1) / int64(bs))
-	for b := 0; b < nblocks; b++ {
+	per := bs / direntSize
+	target := int(ent.slot) / per
+	for b := 0; b <= target && b < nblocks; b++ {
 		h, e, err := fs.dirBlock(n, dir, b, nblocks)
 		if err != nil {
 			return err
 		}
-		if e == nil {
+		if b < target || e == nil {
 			continue
 		}
-		limit := bs
-		if rem := int(int64(dir.Size) - int64(b)*int64(bs)); rem < limit {
-			limit = rem
-		}
-		for off := 0; off+direntSize <= limit; off += direntSize {
-			if le32(e.data[off:]) == 0 {
-				continue
-			}
-			got := string(bytes.TrimRight(e.data[off+4:off+direntSize], "\x00"))
-			if got == name {
-				put32(e.data[off:], 0)
-				fs.cache.markDirty(h)
-				delete(m, name)
-				dir.MTime = fs.be.Now()
-				return fs.putInode(n, dir)
-			}
+		_, slots := fs.dirSlots(dir, b)
+		i := int(ent.slot) % per
+		p := e.data[i*direntSize:]
+		if i < slots && le32(p) == ent.ino && string(bytes.TrimRight(p[4:direntSize], "\x00")) == name {
+			put32(p, 0)
+			fs.cache.markDirty(h)
+			delete(dc.names, name)
+			dc.lowFree = min(dc.lowFree, ent.slot)
+			dir.MTime = fs.be.Now()
+			return fs.putInode(n, dir)
 		}
 	}
-	// The dcache said it existed but the scan missed it: inconsistent.
+	// The dcache places the entry where the directory has none: inconsistent.
 	delete(fs.dcache, n)
 	return vfs.ErrNotExist
 }
 
 // dirEmpty reports whether directory n has no entries.
 func (fs *FS) dirEmpty(n uint32, dir *inode) (bool, error) {
-	m, err := fs.loadDcache(n, dir)
+	dc, err := fs.loadDcache(n, dir)
 	if err != nil {
 		return false, err
 	}
-	return len(m) == 0, nil
+	return len(dc.names) == 0, nil
 }
 
-// dirList returns the directory's entries with their metadata.
+// dirNamed is one entry of a directory listing.
+type dirNamed struct {
+	name string
+	dirEntry
+}
+
+// inSlotOrder returns the directory's entries in slot order, the order
+// MINIX reads them from the directory file.
+func (dc *dirCache) inSlotOrder() []dirNamed {
+	out := make([]dirNamed, 0, len(dc.names))
+	for name, ent := range dc.names {
+		out = append(out, dirNamed{name, ent})
+	}
+	slices.SortFunc(out, func(a, b dirNamed) int { return cmp.Compare(a.slot, b.slot) })
+	return out
+}
+
+// dirList returns the directory's entries with their metadata, in slot
+// order.
 func (fs *FS) dirList(n uint32, dir *inode) ([]vfs.FileInfo, error) {
-	m, err := fs.loadDcache(n, dir)
+	dc, err := fs.loadDcache(n, dir)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]vfs.FileInfo, 0, len(m))
-	for name, ino := range m {
-		child, err := fs.getInode(ino)
+	ents := dc.inSlotOrder()
+	out := make([]vfs.FileInfo, 0, len(ents))
+	for _, ent := range ents {
+		child, err := fs.getInode(ent.ino)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, vfs.FileInfo{
-			Name:  name,
+			Name:  ent.name,
 			Size:  int64(child.Size),
 			IsDir: child.Mode == modeDir,
-			Inode: ino,
+			Inode: ent.ino,
 			Links: int(child.Links),
 			MTime: child.MTime,
 		})

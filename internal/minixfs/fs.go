@@ -118,8 +118,9 @@ type FS struct {
 	be    Backend
 	sb    superblock
 	cache *bufCache
-	// dcache accelerates name lookups: dir inode -> name -> inode.
-	dcache    map[uint32]map[string]uint32
+	// dcache accelerates name lookups: dir inode -> its names, each with
+	// its i-node and slot (dir.go).
+	dcache    map[uint32]*dirCache
 	atomicOps bool
 	stats     Stats
 	closed    bool
@@ -162,7 +163,7 @@ func Mkfs(be Backend, cfg Config) (*FS, error) {
 			InodeBase:   first + 1 + uint32(ibmBlocks),
 		},
 		cache:  newBufCache(be, cfg.CacheBytes),
-		dcache: make(map[uint32]map[string]uint32),
+		dcache: make(map[uint32]*dirCache),
 	}
 	// Write the superblock and zero the i-node bitmap.
 	buf := make([]byte, bs)
@@ -207,7 +208,7 @@ func Open(be Backend, cacheBytes int) (*FS, error) {
 	fs := &FS{
 		be:     be,
 		cache:  newBufCache(be, cacheBytes),
-		dcache: make(map[uint32]map[string]uint32),
+		dcache: make(map[uint32]*dirCache),
 	}
 	buf := make([]byte, be.BlockSize())
 	if err := be.ReadBlock(be.FirstStatic(), buf); err != nil {
@@ -689,7 +690,7 @@ func (fs *FS) DropCaches() error {
 	if err := fs.checkOpen(); err != nil {
 		return err
 	}
-	fs.dcache = make(map[uint32]map[string]uint32)
+	fs.dcache = make(map[uint32]*dirCache)
 	return fs.cache.dropAll()
 }
 

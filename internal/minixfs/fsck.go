@@ -59,11 +59,12 @@ func (fs *FS) Check() ([]string, error) {
 		}
 		// Bypass the dcache: read the raw entries.
 		delete(fs.dcache, cur.ino)
-		m, err := fs.loadDcache(cur.ino, &dir)
+		dc, err := fs.loadDcache(cur.ino, &dir)
 		if err != nil {
 			return nil, err
 		}
-		for name, ino := range m {
+		for _, ent := range dc.inSlotOrder() {
+			name, ino := ent.name, ent.ino
 			if ino == 0 || ino > fs.sb.NInodes {
 				bad("%s%s: entry names invalid inode %d", cur.path, name, ino)
 				continue
