@@ -103,25 +103,30 @@ func TestReusedChainSegmentSendsTheMountToTheFullSweep(t *testing.T) {
 	if err := cleanVictim(l, v); err != nil {
 		t.Fatal(err)
 	}
-	// The hook: hand the held segment out again with no checkpoint taken.
+	// The hook: hand the held segment out again with no checkpoint taken,
+	// as the segment the log opens next (the periodic checkpoints of a lap
+	// of the disk would make its reuse legal).
 	l.mu.Lock()
 	if len(l.held) != 1 || l.held[0] != v {
 		l.mu.Unlock()
 		t.Fatalf("held %v after cleaning segment %d, want it alone", l.held, v)
 	}
-	l.segs[v].state = segFree
-	l.freeSegs = append(l.freeSegs, v)
 	l.held = l.held[:0]
+	l.freeSegment(v)
+	if l.cur == nil {
+		err = l.openNewSegment()
+	}
+	l.succ, l.cur.next = v, uint32(v)
 	l.mu.Unlock()
-	for i := 0; l.segs[v].state == segFree; i++ {
-		if i == 5 {
-			t.Fatalf("segment %d was not opened again", v)
-		}
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopenSegment(t, l, v, func() {
 		_, more := fillBlocks(t, l, 6)
 		for b, data := range more {
 			want[b] = data
 		}
-	}
+	})
 	if err := l.Flush(ld.FailPower); err != nil {
 		t.Fatal(err)
 	}

@@ -292,8 +292,7 @@ func (l *LLD) checkpoint() error {
 		return err
 	}
 	for _, id := range l.held {
-		l.segs[id].state = segFree
-		l.freeSegs = append(l.freeSegs, id)
+		l.freeSegment(id)
 	}
 	l.held = l.held[:0]
 	l.sealsSinceCkpt = 0

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/disk"
@@ -209,7 +208,7 @@ func TestReorganizeCleans(t *testing.T) {
 }
 
 // buildStaleImage fills a small disk to physical exhaustion (the pure fill
-// drains the free-segment stack, so every segment ends up carrying a
+// drains the free-segment pool, so every segment ends up carrying a
 // summary), then runs a bounded deletion and rewrite burst to hollow out
 // some segments and pin tombstone facts into others, and crashes it.
 // Recovery of such an image finds no free segment and no open segment
@@ -246,10 +245,8 @@ func buildStaleImage(t *testing.T, capacity int64, opts Options) []byte {
 			t.Fatal("free pool never drained; geometry changed?")
 		}
 	}
-	// The pool is a LIFO stack and cleaning feeds its top, so the bottom
-	// segments may never have been popped. Rotate untouched segments to
-	// the pop end (order is a heuristic; membership is the invariant) and
-	// keep writing until every segment has carried a summary.
+	// Keep writing until every segment has carried a summary: the log
+	// opens segments in address order, so it reaches each within a lap.
 	for guard := 0; ; guard++ {
 		if guard > 1000 {
 			t.Fatal("could not touch every segment")
@@ -265,9 +262,6 @@ func buildStaleImage(t *testing.T, capacity int64, opts Options) []byte {
 			l.mu.Unlock()
 			break
 		}
-		sort.SliceStable(l.freeSegs, func(a, b int) bool {
-			return l.segs[l.freeSegs[a]].ts != 0 && l.segs[l.freeSegs[b]].ts == 0
-		})
 		l.mu.Unlock()
 		b, err := l.NewBlock(lid, ld.NilBlock)
 		if err == nil {

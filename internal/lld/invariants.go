@@ -194,6 +194,9 @@ func (l *LLD) CheckInvariants() []string {
 		}
 	}
 	pooled("free", l.freeSegs, segFree)
+	if !slices.IsSorted(l.freeSegs) {
+		bad("free pool %v is not in address order", l.freeSegs)
+	}
 	pooled("cooling", l.cooling, segCooling)
 	pooled("ARU-pending", l.pendingARU, segCooling)
 	pooled("held", l.held, segCooling)

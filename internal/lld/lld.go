@@ -411,7 +411,7 @@ func Format(dsk disk.Backend, opts Options) error {
 	// the segment the first open takes, for a crash mount to follow.
 	l := newInstance(dsk, opts, lay)
 	l.rebuildFreeSegments()
-	l.succ = l.freeSegs[len(l.freeSegs)-1]
+	l.succ = l.nextFree(-1)
 	if err := l.writeCheckpoint(true); err != nil {
 		return err
 	}
@@ -507,10 +507,7 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 		// The log cannot go on where the newest checkpoint's chain ends (it
 		// was broken, or names a segment not free): start a new chain before
 		// anything is written.
-		l.succ = -1
-		if n := len(l.freeSegs); n > 0 {
-			l.succ = l.freeSegs[n-1]
-		}
+		l.succ = l.nextFree(-1)
 		if err := l.checkpoint(); err != nil {
 			return nil, err
 		}
@@ -554,11 +551,11 @@ func newInstance(dsk disk.Backend, opts Options, lay layout) *LLD {
 	}
 }
 
-// rebuildFreeSegments derives the free-segment pool from the usage table.
+// rebuildFreeSegments derives the free-segment pool from the usage table,
+// in address order (freeSegment).
 func (l *LLD) rebuildFreeSegments() {
 	l.freeSegs = l.freeSegs[:0]
-	// Allocate low-numbered segments first for deterministic layouts.
-	for i := l.lay.nSegments - 1; i >= 0; i-- {
+	for i := range l.segs {
 		if l.segs[i].state == segFree {
 			l.freeSegs = append(l.freeSegs, i)
 		}

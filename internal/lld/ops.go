@@ -1027,8 +1027,7 @@ func (l *LLD) Shutdown(clean bool) error {
 			}
 		} else {
 			// Return the untouched segment to the pool.
-			l.segs[cur.id].state = segFree
-			l.freeSegs = append(l.freeSegs, cur.id)
+			l.freeSegment(cur.id)
 			l.cur = nil
 		}
 	}

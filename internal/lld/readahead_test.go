@@ -220,8 +220,12 @@ func TestReadaheadWindowDiesWithItsSegment(t *testing.T) {
 		t.Fatalf("segment %d state %d after cleaning, want free", s, l.segs[s].state)
 	}
 
-	// Reopen S and write the look-alikes where the window lies.
-	for l.cur == nil || l.cur.id != s || l.cur.dataOff < int(winLo) {
+	// Reopen S and write the look-alikes where the window lies. Until S is
+	// open the filler overwrites one block, so the lap of the disk it takes
+	// the log to come round to S leaves the disk as full as it was.
+	spin := put(filler, junk())
+	reopenSegment(t, l, s, func() { mustWrite(t, l, spin, junk()) })
+	for l.cur.dataOff < int(winLo) {
 		put(filler, junk())
 		if l.segs[s].state == segLive {
 			t.Fatalf("segment %d was reopened and sealed before reaching offset %d", s, winLo)

@@ -83,8 +83,8 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 		return res, err
 	}
 	for _, seg := range reclaimable {
-		l.segs[seg] = segInfo{state: segFree}
-		l.freeSegs = append(l.freeSegs, seg)
+		l.segs[seg] = segInfo{}
+		l.freeSegment(seg)
 		res.Reclaimed = append(res.Reclaimed, seg)
 		l.stats.QuarantinedSegments--
 		l.stats.ReclaimedSegments++

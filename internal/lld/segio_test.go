@@ -127,27 +127,30 @@ func cleanVictim(l *LLD, victim int) error {
 	return l.cleanSegment(victim, new(cleanBufs))
 }
 
-// reopenSegment makes the cleaned segment v the open one. A checkpoint
-// releases it (the cleaner holds a segment of the chain until one is
-// durable), and the log opens it once the successors named before it was
-// released are used up: fill appends to the open segment, and each segment
-// it opened that is not v is sealed.
+// reopenSegment has the log open the cleaned segment v again. A checkpoint
+// releases it if the cleaner holds it (a segment of the chain is held until
+// one is durable), and the log, which opens segments in address order,
+// opens it within a lap of the disk: fill appends to the open segment, and
+// each segment it opened that is not v is sealed. v is the open segment on
+// return unless fill sealed it.
 func reopenSegment(t *testing.T, l *LLD, v int, fill func()) {
 	t.Helper()
-	l.mu.Lock()
-	err := l.checkpoint()
-	l.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		if l.cur != nil && l.cur.id == v {
-			return
+	if l.segs[v].state != segFree {
+		l.mu.Lock()
+		err := l.checkpoint()
+		l.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if l.segs[v].state != segFree {
+			t.Fatalf("segment %d in state %d after the checkpoint, want free", v, l.segs[v].state)
+		}
+	}
+	for i := 0; l.segs[v].state == segFree; i++ {
 		if l.cur != nil {
 			sealOpen(t, l)
 		}
-		if i == 4 {
+		if i > 2*l.lay.nSegments {
 			t.Fatalf("segment %d not reopened after %d seals", v, i)
 		}
 		fill()

@@ -27,10 +27,10 @@ func (e *NoSpaceError) Unwrap() error { return ld.ErrNoSpace }
 // successor the segment opened before it named, and it names the next one
 // (linkSuccessor). That link is what recovery follows from the checkpoint
 // (recovery.go "The chain"). Only a segment that wrote all its images while
-// the free pool was empty names no successor; the segment opened after it
-// is linked from nothing, so the next seal takes a checkpoint that starts
-// the chain again. Callers hold l.mu and must have ensured a free segment
-// exists.
+// the free pool was empty names no successor; the segment opened after it,
+// the lowest free one, is linked from nothing, so the next seal takes a
+// checkpoint that starts the chain again. Callers hold l.mu and must have
+// ensured a free segment exists.
 func (l *LLD) openNewSegment() error {
 	if l.cur != nil {
 		return fmt.Errorf("lld: internal: segment already open")
@@ -38,13 +38,15 @@ func (l *LLD) openNewSegment() error {
 	if len(l.freeSegs) == 0 {
 		return fmt.Errorf("%w: no free segments", ld.ErrNoSpace)
 	}
-	i := len(l.freeSegs) - 1
-	if j := slices.Index(l.freeSegs, l.succ); l.succ >= 0 && j >= 0 {
-		i = j
-	} else {
+	id := l.succ
+	if id < 0 || l.segs[id].state != segFree {
+		id = l.nextFree(-1)
 		l.sealsSinceCkpt = checkpointEvery
 	}
-	id := l.freeSegs[i]
+	i, ok := slices.BinarySearch(l.freeSegs, id)
+	if !ok {
+		return fmt.Errorf("lld: internal: free segment %d not in the free pool", id)
+	}
 	l.freeSegs = slices.Delete(l.freeSegs, i, i+1)
 	l.openSeq = nextSeq(l.openSeq)
 	l.succ = -1
@@ -75,16 +77,41 @@ func (l *LLD) openNewSegment() error {
 }
 
 // linkSuccessor names, when cur names none yet, the segment the log opens
-// after it: the top of the free pool, which stays in the pool until it
-// opens. It runs at the open and again before each summary write, so a
-// segment opened on an empty pool is linked once cleaning refills it; an
-// older image that names none only sends a mount that reads it to the full
-// sweep. Callers hold l.mu.
+// after it: the lowest free one above cur, or the lowest of all past the
+// end of the disk, which stays in the pool until it opens. The log so
+// sweeps the disk in address order: a seal lands beside the one before it,
+// and a stream read crosses from one segment of the log into the next
+// (readahead.go). It runs at the open and again before each summary
+// write, so a segment opened on an empty pool is linked once cleaning
+// refills it; an older image that names none only sends a mount that reads
+// it to the full sweep. Callers hold l.mu.
 func (l *LLD) linkSuccessor(cur *openSegment) {
-	if n := len(l.freeSegs); cur.next == noSegment && l.succ < 0 && n > 0 {
-		l.succ = l.freeSegs[n-1]
+	if cur.next == noSegment && l.succ < 0 && len(l.freeSegs) > 0 {
+		l.succ = l.nextFree(cur.id)
 		cur.next = uint32(l.succ)
 	}
+}
+
+// nextFree returns the lowest free segment above after, wrapping to the
+// lowest of all past the end of the disk, or -1 when the pool is empty.
+// Callers hold l.mu.
+func (l *LLD) nextFree(after int) int {
+	if len(l.freeSegs) == 0 {
+		return -1
+	}
+	i, _ := slices.BinarySearch(l.freeSegs, after+1)
+	if i == len(l.freeSegs) {
+		i = 0
+	}
+	return l.freeSegs[i]
+}
+
+// freeSegment puts segment id in the free pool, which is kept in address
+// order. Callers hold l.mu.
+func (l *LLD) freeSegment(id int) {
+	l.segs[id].state = segFree
+	i, _ := slices.BinarySearch(l.freeSegs, id)
+	l.freeSegs = slices.Insert(l.freeSegs, i, id)
 }
 
 // ensureRoom guarantees the open segment can absorb dataLen more data bytes
@@ -468,8 +495,7 @@ func (l *LLD) releaseCooling() {
 		return
 	}
 	for _, id := range l.cooling[:n] {
-		l.segs[id].state = segFree
-		l.freeSegs = append(l.freeSegs, id)
+		l.freeSegment(id)
 	}
 	l.cooling = append(l.cooling[:0], l.cooling[n:]...)
 	l.coolingTS = append(l.coolingTS[:0], l.coolingTS[n:]...)

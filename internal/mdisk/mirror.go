@@ -1,6 +1,7 @@
 package mdisk
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"strconv"
@@ -218,13 +219,14 @@ func (m *Mirror) ReadAtVerified(p []byte, off int64, verify func([]byte) bool) (
 // one yields acceptable bytes, then heal every copy that was tried and
 // found bad. verify of nil accepts any bytes that read without error.
 //
-// A copy verify refused is rewritten over the whole request: the verdict
-// was on the request, and what the caller passes as verify says what it
-// vouches for. A copy that failed to read is rewritten only where it does
-// not read (rewriteUnreadable): the accepted bytes are known good no
-// further than verify looked — not at all on a plain ReadAt — and a request
-// may span many blocks, so a sector the failed replica can still read may
-// be the only good copy of what it holds.
+// A copy verify refused is rewritten where it differs from the accepted
+// one (rewriteDiffering): the verdict was on the request, and what the
+// caller passes as verify says what it vouches for, but a sector both
+// copies hold alike needs no write. A copy that failed to read is rewritten
+// only where it does not read (rewriteUnreadable): the accepted bytes are
+// known good no further than verify looked — not at all on a plain ReadAt —
+// and a request may span many blocks, so a sector the failed replica can
+// still read may be the only good copy of what it holds.
 func (m *Mirror) readAny(p []byte, off int64, verify func([]byte) bool) (int, error) {
 	if err := checkAccess(p, off, m.ss, m.capacity); err != nil {
 		return 0, err
@@ -278,7 +280,7 @@ func (m *Mirror) readAny(p []byte, off int64, verify func([]byte) bool) (int, er
 			if slices.Contains(unreadable, bad) {
 				werr = rewriteUnreadable(rb.b, p, off, make([]byte, len(p)), m.ss)
 			} else {
-				werr = rb.b.WriteAt(p, off)
+				werr = rewriteDiffering(rb.b, p, off, make([]byte, len(p)), m.ss)
 			}
 			if werr != nil {
 				if errors.Is(werr, disk.ErrCrashed) {
@@ -322,9 +324,39 @@ func rewriteUnreadable(b disk.Backend, p []byte, off int64, probe []byte, ss int
 	return nil
 }
 
+// rewriteDiffering writes p, the accepted copy of the range at off, over
+// the runs of sectors where b's copy, read back into old (scratch of len(p)
+// bytes), differs from it, and over no other. A copy b cannot read back is
+// rewritten whole.
+func rewriteDiffering(b disk.Backend, p []byte, off int64, old []byte, ss int) error {
+	if err := b.ReadAt(old, off); err != nil {
+		if errors.Is(err, disk.ErrCrashed) {
+			return err
+		}
+		return b.WriteAt(p, off)
+	}
+	for lo := 0; lo < len(p); {
+		if bytes.Equal(p[lo:lo+ss], old[lo:lo+ss]) {
+			lo += ss
+			continue
+		}
+		hi := lo + ss
+		for hi < len(p) && !bytes.Equal(p[hi:hi+ss], old[hi:hi+ss]) {
+			hi += ss
+		}
+		if err := b.WriteAt(p[lo:hi], off+int64(lo)); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
 // VerifyReplicas implements disk.MultiReader: every live replica's copy
 // of the range is checked against verify, and failed copies are healed
-// from a verified one. On success p holds verified bytes.
+// from a verified one: a copy verify refused where it differs from that
+// one (rewriteDiffering), a copy that failed to read over the whole range.
+// On success p holds verified bytes.
 func (m *Mirror) VerifyReplicas(p []byte, off int64, verify func([]byte) bool) (int, error) {
 	if err := checkAccess(p, off, m.ss, m.capacity); err != nil {
 		return 0, err
@@ -334,6 +366,7 @@ func (m *Mirror) VerifyReplicas(p []byte, off int64, verify func([]byte) bool) (
 	var (
 		good     = -1 // replica whose bytes are currently in p and verified
 		bad      []int
+		refused  []int // those of bad that read and verify refused
 		firstErr error
 		readOK   bool
 	)
@@ -358,6 +391,7 @@ func (m *Mirror) VerifyReplicas(p []byte, off int64, verify func([]byte) bool) (
 		} else {
 			atomic.AddInt64(&m.stats.VerifyRejects, 1)
 			bad = append(bad, idx)
+			refused = append(refused, idx)
 		}
 	}
 	if good < 0 {
@@ -383,7 +417,13 @@ func (m *Mirror) VerifyReplicas(p []byte, off int64, verify func([]byte) bool) (
 		if r.st() != ReplicaLive {
 			continue
 		}
-		if err := r.b.WriteAt(p, off); err != nil {
+		var err error
+		if slices.Contains(refused, idx) {
+			err = rewriteDiffering(r.b, p, off, make([]byte, len(p)), m.ss)
+		} else {
+			err = r.b.WriteAt(p, off)
+		}
+		if err != nil {
 			if errors.Is(err, disk.ErrCrashed) {
 				m.fail(r)
 			}

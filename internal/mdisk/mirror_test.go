@@ -126,6 +126,52 @@ func TestMirrorHealRewritesOnlyUnreadableSectors(t *testing.T) {
 	}
 }
 
+// A copy the caller's verify refuses is healed where it differs from the
+// accepted copy, not over the whole range: rot in sectors 5, 6 and 29 of a
+// 37-sector range costs the rotted leg two writes of three sectors, through
+// ReadAtVerified and VerifyReplicas alike, and leaves it equal to the good
+// leg.
+func TestMirrorHealRewritesOnlyDifferingSectors(t *testing.T) {
+	for _, scrub := range []bool{false, true} {
+		m, raw := newTestMirror(t, 2, 1<<20)
+		ss := int64(m.SectorSize())
+		const sectors = 37
+		want := make([]byte, sectors*ss)
+		rand.New(rand.NewSource(5)).Read(want)
+		if err := m.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		raw[1].CorruptRange(5*ss, 2*ss, 0x5a)
+		raw[1].CorruptRange(29*ss, ss, 0x5a)
+		before := raw[1].Stats()
+		sum := crc32.ChecksumIEEE(want)
+		verify := func(b []byte) bool { return crc32.ChecksumIEEE(b) == sum }
+		chk := make([]byte, sectors*ss)
+		healed := 0
+		for i := 0; i < 2 && healed == 0; i++ { // the rotation offers leg 1 first once
+			var n int
+			var err error
+			if scrub {
+				n, err = m.VerifyReplicas(chk, 0, verify)
+			} else {
+				n, err = m.ReadAtVerified(chk, 0, verify)
+			}
+			if err != nil || !bytes.Equal(chk, want) {
+				t.Fatalf("scrub=%v: read %d returned %v or unverified bytes", scrub, i, err)
+			}
+			healed += n
+		}
+		after := raw[1].Stats()
+		if healed != 1 || after.Writes-before.Writes != 2 || after.SectorsWritten-before.SectorsWritten != 3 {
+			t.Errorf("scrub=%v: %d heals wrote %d requests of %d sectors to the rotted leg, want 1 heal, 2 requests, 3 sectors",
+				scrub, healed, after.Writes-before.Writes, after.SectorsWritten-before.SectorsWritten)
+		}
+		if err := raw[1].ReadAt(chk, 0); err != nil || !bytes.Equal(chk, want) {
+			t.Errorf("scrub=%v: the rotted leg reads %v or differs from the good copy after the heal", scrub, err)
+		}
+	}
+}
+
 // TestMirrorReadAtVerified: silent rot on one replica is detected by the
 // caller's verify function, served from the sibling, and healed.
 func TestMirrorReadAtVerified(t *testing.T) {
