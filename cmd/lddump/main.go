@@ -37,9 +37,9 @@ import (
 	"io"
 	"os"
 
+	"repro/cmd/internal/imageset"
 	"repro/internal/disk"
 	"repro/internal/lld"
-	"repro/internal/mdisk"
 	"repro/internal/netld/client"
 )
 
@@ -68,11 +68,12 @@ func main() {
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
-	d, err := loadBackend(path, *mirrorN, *stripeN)
+	set, err := imageset.Load(path, *mirrorN, *stripeN, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lddump: %v\n", err)
 		os.Exit(1)
 	}
+	d := set.Backend
 	if *verify {
 		faults, err := lld.Verify(d, os.Stdout)
 		if err != nil {
@@ -125,44 +126,6 @@ func reportMount(d disk.Backend, w io.Writer) {
 	for _, q := range rep.QuarantinedSegments {
 		fmt.Fprintf(w, "mount:   segment %d: %s\n", q.Seg, q.Reason)
 	}
-}
-
-// loadBackend opens the image (or image set) as the backend lld should
-// read: a plain disk, an N-way mirror over <path>.0 …, or an N-leg
-// stripe over the same naming.
-func loadBackend(path string, mirrorN, stripeN int) (disk.Backend, error) {
-	if mirrorN > 0 && stripeN > 0 {
-		return nil, fmt.Errorf("-mirror and -stripe are mutually exclusive")
-	}
-	n := mirrorN + stripeN
-	if n == 0 {
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		d := disk.New(disk.DefaultConfig(info.Size()))
-		if err := d.LoadImage(path); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-	kids := make([]disk.Backend, n)
-	for i := range kids {
-		p := fmt.Sprintf("%s.%d", path, i)
-		info, err := os.Stat(p)
-		if err != nil {
-			return nil, err
-		}
-		d := disk.New(disk.DefaultConfig(info.Size()))
-		if err := d.LoadImage(p); err != nil {
-			return nil, err
-		}
-		kids[i] = d
-	}
-	if mirrorN > 0 {
-		return mdisk.NewMirror(kids...)
-	}
-	return mdisk.NewStripe(kids...)
 }
 
 // dumpRemote walks a live server's logical state through the LD

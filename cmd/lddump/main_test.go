@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/imageset"
 	"repro/internal/disk"
 	"repro/internal/ld"
 	"repro/internal/lld"
@@ -194,12 +195,12 @@ func TestVerifyLeavesImageFilesAlone(t *testing.T) {
 			before = append(before, legs[i].Snapshot())
 		}
 
-		loaded, err := loadBackend(path, mirrorN, 0)
+		loaded, err := imageset.Load(path, mirrorN, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out strings.Builder
-		if faults, err := lld.Verify(loaded, &out); err != nil || faults != 0 {
+		if faults, err := lld.Verify(loaded.Backend, &out); err != nil || faults != 0 {
 			t.Fatalf("mirror %d: %d faults, %v:\n%s", mirrorN, faults, err, out.String())
 		}
 		for i, f := range files {

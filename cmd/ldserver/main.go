@@ -35,34 +35,14 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 
-	"repro/internal/disk"
+	"repro/cmd/internal/imageset"
 	"repro/internal/ld"
 	"repro/internal/lld"
-	"repro/internal/mdisk"
 	"repro/internal/netld/server"
 )
-
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	return v * mult, nil
-}
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ldserver: "+format+"\n", args...)
@@ -111,11 +91,11 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	}
 	flag.Parse()
 
-	capacity, err := parseSize(*size)
+	capacity, err := imageset.ParseSize(*size)
 	if err != nil {
 		fail("bad size: %v", err)
 	}
-	segSize, err := parseSize(*segment)
+	segSize, err := imageset.ParseSize(*segment)
 	if err != nil {
 		fail("bad segment size: %v", err)
 	}
@@ -123,16 +103,26 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	opts := lld.DefaultOptions()
 	opts.SegmentSize = int(segSize)
 
-	bk, err := setupBackend(*img, capacity, *mirrorN, *stripeN)
+	// A set with some files present is served from them: a mirror starts
+	// degraded when a replica's file is missing and rebuilds it online, a
+	// stripe refuses to start without every leg. Otherwise the disks start
+	// blank and are formatted.
+	fresh := *img == "" || !imageset.Exists(*img, *mirrorN, *stripeN)
+	var bk *imageset.Set
+	if fresh {
+		bk, err = imageset.New(capacity, *mirrorN, *stripeN)
+	} else {
+		bk, err = imageset.Load(*img, *mirrorN, *stripeN, true)
+	}
 	if err != nil {
 		fail("%v", err)
 	}
-	if bk.needFormat {
-		if err := lld.Format(bk.be, opts); err != nil {
+	if fresh {
+		if err := lld.Format(bk.Backend, opts); err != nil {
 			fail("format: %v", err)
 		}
 	}
-	l, err := lld.Open(bk.be, opts)
+	l, err := lld.Open(bk.Backend, opts)
 	if err != nil {
 		fail("open LLD: %v", err)
 	}
@@ -159,7 +149,7 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	}
 	srv := server.New(server.Config{
 		Disk:        l,
-		Reopen:      func() (ld.Disk, error) { return lld.Open(bk.be, opts) },
+		Reopen:      func() (ld.Disk, error) { return lld.Open(bk.Backend, opts) },
 		Logf:        logf,
 		IdleTimeout: *idleTimeout,
 	})
@@ -167,12 +157,13 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 	// Missing mirror replicas re-silver online while clients are served;
 	// the bounded lock steps keep request pauses short.
 	var rebuildWG sync.WaitGroup
-	for _, idx := range bk.rebuilding {
+	for _, idx := range bk.Blank {
+		fmt.Fprintf(os.Stderr, "ldserver: replica %d's image %s.%d is missing: started degraded, rebuilding it online\n", idx, *img, idx)
 		rebuildWG.Add(1)
 		go func(idx int) {
 			defer rebuildWG.Done()
 			lastDecile := -1
-			rep, err := bk.mirror.Rebuild(idx, 0, func(done, total int) {
+			rep, err := bk.Mirror.Rebuild(idx, 0, func(done, total int) {
 				if d := done * 10 / total; d != lastDecile {
 					lastDecile = d
 					logf("ldserver: rebuild replica %d: %d%% (%d/%d chunks)", idx, d*10, done, total)
@@ -192,7 +183,7 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 		fail("listen: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "ldserver: serving %s (%d MB, %d segments) on %s\n",
-		bk.describe(*img), bk.be.Capacity()>>20, l.SegmentCount(), ln.Addr())
+		describe(bk, *img), bk.Backend.Capacity()>>20, l.SegmentCount(), ln.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -229,13 +220,13 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 		fail("clean shutdown: %v", err)
 	}
 	if *img != "" {
-		if err := bk.save(*img); err != nil {
+		if err := bk.Save(*img); err != nil {
 			fail("save image: %v", err)
 		}
-		if len(bk.kids) == 1 {
+		if len(bk.Disks) == 1 {
 			fmt.Fprintf(os.Stderr, "ldserver: image saved to %s\n", *img)
 		} else {
-			fmt.Fprintf(os.Stderr, "ldserver: images saved to %s.0 … %s.%d\n", *img, *img, len(bk.kids)-1)
+			fmt.Fprintf(os.Stderr, "ldserver: images saved to %s.0 … %s.%d\n", *img, *img, len(bk.Disks)-1)
 		}
 	}
 	if ll, ok := cur.(*lld.LLD); ok {
@@ -252,196 +243,40 @@ requests, checkpoints the LLD, and prints a per-opcode latency table
 			s.CorruptReads, s.ReadRetries, s.WriteRetries, s.QuarantinedSegments,
 			s.ScrubPasses, s.ScrubBlocks, s.ScrubBytes>>20,
 			s.ScrubErrors, s.ScrubRepairs)
-		if bk.mirror != nil || bk.stripe != nil {
+		if bk.Mirror != nil || bk.Stripe != nil {
 			fmt.Fprintf(os.Stderr,
 				"ldserver: redundancy: %d degraded reads, %d copies self-healed, %d healed by scrub, %d segments reclaimed\n",
 				s.DegradedReads, s.SelfHeals, s.ScrubHeals, s.ReclaimedSegments)
 		}
 	}
-	if bk.mirror != nil {
-		ms := bk.mirror.Stats()
+	if bk.Mirror != nil {
+		ms := bk.Mirror.Stats()
 		fmt.Fprintf(os.Stderr,
 			"ldserver: mirror: %d reads (%d degraded), %d writes, %d copies healed, %d verify rejects, %d replica failures, %d rebuilds\n",
 			ms.Reads, ms.DegradedReads, ms.Writes, ms.Heals, ms.VerifyRejects, ms.ReplicaFailures, ms.RebuildsDone)
 	}
-	if bk.stripe != nil {
-		ss := bk.stripe.Stats()
+	if bk.Stripe != nil {
+		ss := bk.Stripe.Stats()
 		fmt.Fprintf(os.Stderr,
 			"ldserver: stripe: %d reads + %d writes fanned into %d leg ops over %d legs (%d found a busy queue)\n",
-			ss.Reads, ss.Writes, ss.LegOps, bk.stripe.Backends(), ss.LegQueue)
-		bk.stripe.Close()
+			ss.Reads, ss.Writes, ss.LegOps, bk.Stripe.Backends(), ss.LegQueue)
+		bk.Stripe.Close()
 	}
 	printStats(srv.Stats(), *quiet)
 }
 
-// backendSet is the sector store ldserver serves from plus the handles
-// needed for persistence, shutdown stats, and online rebuild.
-type backendSet struct {
-	be         disk.Backend
-	kids       []*disk.Disk // the physical disks, for image save
-	mirror     *mdisk.Mirror
-	stripe     *mdisk.Stripe
-	rebuilding []int // mirror slots that started blank and need a rebuild
-	needFormat bool
-}
-
-// setupBackend builds the backing store: a single simulated disk, an
-// N-way mirror, or an N-leg stripe, loading image files when they
-// exist. Multi-disk sets use mkld's <img>.0 … <img>.N-1 naming. A
-// mirror replica image missing at startup is replaced by a blank disk
-// marked rebuilding (reported in rebuilding); a missing stripe leg is
-// fatal, since its sectors exist nowhere else.
-func setupBackend(img string, capacity int64, mirrorN, stripeN int) (*backendSet, error) {
-	if mirrorN > 0 && stripeN > 0 {
-		return nil, fmt.Errorf("-mirror and -stripe are mutually exclusive")
-	}
-
-	load := func(path string) (*disk.Disk, error) {
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		d := disk.New(disk.DefaultConfig(info.Size()))
-		if err := d.LoadImage(path); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-
-	if mirrorN == 0 && stripeN == 0 {
-		bk := &backendSet{needFormat: true}
-		if img != "" {
-			if _, err := os.Stat(img); err == nil {
-				d, err := load(img)
-				if err != nil {
-					return nil, fmt.Errorf("load image: %w", err)
-				}
-				bk.kids, bk.be, bk.needFormat = []*disk.Disk{d}, d, false
-				return bk, nil
-			}
-		}
-		d := disk.New(disk.DefaultConfig(capacity))
-		bk.kids, bk.be = []*disk.Disk{d}, d
-		return bk, nil
-	}
-
-	n := mirrorN + stripeN // exactly one is nonzero
-	kids := make([]*disk.Disk, n)
-	var present []int
-	if img != "" {
-		for i := range kids {
-			if _, err := os.Stat(fmt.Sprintf("%s.%d", img, i)); err == nil {
-				present = append(present, i)
-			}
-		}
-	}
-
-	bk := &backendSet{kids: kids}
-	switch {
-	case stripeN > 0:
-		if len(present) == 0 { // fresh: each leg carries 1/N of the capacity
-			per := capacity / int64(n)
-			for i := range kids {
-				kids[i] = disk.New(disk.DefaultConfig(per))
-			}
-			bk.needFormat = true
-		} else if len(present) < n {
-			return nil, fmt.Errorf("stripe image set incomplete: %d of %d legs found (a stripe cannot run degraded)", len(present), n)
-		} else {
-			for i := range kids {
-				d, err := load(fmt.Sprintf("%s.%d", img, i))
-				if err != nil {
-					return nil, fmt.Errorf("load leg %d: %w", i, err)
-				}
-				kids[i] = d
-			}
-		}
-		s, err := mdisk.NewStripe(diskBackends(kids)...)
-		if err != nil {
-			return nil, err
-		}
-		bk.be, bk.stripe = s, s
-		return bk, nil
-
-	default: // mirrorN > 0
-		if len(present) == 0 { // fresh: every replica carries the full capacity
-			for i := range kids {
-				kids[i] = disk.New(disk.DefaultConfig(capacity))
-			}
-			bk.needFormat = true
-		} else {
-			repCap := int64(0)
-			for _, i := range present {
-				d, err := load(fmt.Sprintf("%s.%d", img, i))
-				if err != nil {
-					return nil, fmt.Errorf("load replica %d: %w", i, err)
-				}
-				kids[i] = d
-				if repCap == 0 {
-					repCap = d.Capacity()
-				}
-			}
-			for i := range kids {
-				if kids[i] == nil {
-					kids[i] = disk.New(disk.DefaultConfig(repCap))
-					bk.rebuilding = append(bk.rebuilding, i)
-				}
-			}
-		}
-		m, err := mdisk.NewMirror(diskBackends(kids)...)
-		if err != nil {
-			return nil, err
-		}
-		if !bk.needFormat {
-			// The image bytes never passed through this mirror's write
-			// path, so the written bitmap is blank; a rebuild must copy
-			// the whole capacity, not skip "unwritten" chunks.
-			m.MarkAllWritten()
-		}
-		for _, i := range bk.rebuilding {
-			m.FailReplica(i)
-			if err := m.AttachBlank(i, kids[i]); err != nil {
-				return nil, fmt.Errorf("attach blank replica %d: %w", i, err)
-			}
-		}
-		bk.be, bk.mirror = m, m
-		return bk, nil
-	}
-}
-
-// save writes each backing disk to its image file.
-func (bk *backendSet) save(img string) error {
-	if len(bk.kids) == 1 && bk.mirror == nil && bk.stripe == nil {
-		return bk.kids[0].SaveImage(img)
-	}
-	for i, k := range bk.kids {
-		if err := k.SaveImage(fmt.Sprintf("%s.%d", img, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (bk *backendSet) describe(img string) string {
+func describe(bk *imageset.Set, img string) string {
 	suffix := ""
 	switch {
-	case bk.mirror != nil:
-		suffix = fmt.Sprintf(" (%d-way mirror)", len(bk.kids))
-	case bk.stripe != nil:
-		suffix = fmt.Sprintf(" (%d-leg stripe)", len(bk.kids))
+	case bk.Mirror != nil:
+		suffix = fmt.Sprintf(" (%d-way mirror)", len(bk.Disks))
+	case bk.Stripe != nil:
+		suffix = fmt.Sprintf(" (%d-leg stripe)", len(bk.Disks))
 	}
 	if img == "" {
 		return "in-memory LLD" + suffix
 	}
 	return "LLD image " + img + suffix
-}
-
-func diskBackends(kids []*disk.Disk) []disk.Backend {
-	out := make([]disk.Backend, len(kids))
-	for i, k := range kids {
-		out[i] = k
-	}
-	return out
 }
 
 // printStats renders the shutdown report: a one-line summary, the

@@ -15,11 +15,10 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
-	"repro/internal/disk"
+	"repro/cmd/internal/imageset"
 	"repro/internal/lld"
 	"repro/internal/minixfs"
 )
@@ -37,15 +36,11 @@ func main() {
 	path, cmd := os.Args[1], os.Args[2]
 	args := os.Args[3:]
 
-	info, err := os.Stat(path)
+	img, err := imageset.Load(path, 0, 0, false)
 	if err != nil {
 		fatal("%v", err)
 	}
-	d := disk.New(disk.DefaultConfig(info.Size()))
-	if err := d.LoadImage(path); err != nil {
-		fatal("%v", err)
-	}
-	l, err := lld.Open(d, lld.DefaultOptions())
+	l, err := lld.Open(img.Backend, lld.DefaultOptions())
 	if err != nil {
 		fatal("open LD: %v", err)
 	}
@@ -89,7 +84,7 @@ func main() {
 		if _, err := f.ReadAt(buf, 0); err != nil {
 			fatal("read: %v", err)
 		}
-		if _, err := io.Copy(os.Stdout, bytesReader(buf)); err != nil {
+		if _, err := os.Stdout.Write(buf); err != nil {
 			fatal("write: %v", err)
 		}
 		f.Close()
@@ -156,24 +151,8 @@ func main() {
 		if err := l.Shutdown(true); err != nil {
 			fatal("shutdown: %v", err)
 		}
-		if err := d.SaveImage(path); err != nil {
+		if err := img.Save(path); err != nil {
 			fatal("save: %v", err)
 		}
 	}
-}
-
-type sliceReader struct {
-	b []byte
-	i int
-}
-
-func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }

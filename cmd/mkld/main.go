@@ -19,31 +19,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
-	"repro/internal/disk"
+	"repro/cmd/internal/imageset"
 	"repro/internal/lld"
-	"repro/internal/mdisk"
 	"repro/internal/minixfs"
 )
-
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	return v * mult, nil
-}
 
 func main() {
 	size := flag.String("size", "64M", "logical disk capacity (K/M/G suffixes)")
@@ -56,49 +36,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mkld [-size N] [-segment N] [-fs] [-mirror N | -stripe N] <image>")
 		os.Exit(2)
 	}
-	if *mirrorN > 0 && *stripeN > 0 {
-		fmt.Fprintln(os.Stderr, "mkld: -mirror and -stripe are mutually exclusive")
-		os.Exit(2)
-	}
-	capacity, err := parseSize(*size)
+	capacity, err := imageset.ParseSize(*size)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mkld: bad size: %v\n", err)
 		os.Exit(2)
 	}
-	segSize, err := parseSize(*segment)
+	segSize, err := imageset.ParseSize(*segment)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mkld: bad segment size: %v\n", err)
 		os.Exit(2)
 	}
 
-	var (
-		d    disk.Backend
-		kids []*disk.Disk
-		kind string
-	)
+	set, err := imageset.New(capacity, *mirrorN, *stripeN)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mkld: %v\n", err)
+		os.Exit(2)
+	}
+	d, kind := set.Backend, ""
 	switch {
-	case *mirrorN > 0:
-		kids = newDisks(*mirrorN, capacity)
-		m, err := mdisk.NewMirror(backends(kids)...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mkld: mirror: %v\n", err)
-			os.Exit(1)
-		}
-		d, kind = m, fmt.Sprintf(", %d-way mirror", *mirrorN)
-	case *stripeN > 0:
-		per := capacity / int64(*stripeN)
-		kids = newDisks(*stripeN, per)
-		s, err := mdisk.NewStripe(backends(kids)...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mkld: stripe: %v\n", err)
-			os.Exit(1)
-		}
-		defer s.Close()
-		d, kind = s, fmt.Sprintf(", %d-leg stripe", *stripeN)
-	default:
-		one := disk.New(disk.DefaultConfig(capacity))
-		kids = []*disk.Disk{one}
-		d = one
+	case set.Mirror != nil:
+		kind = fmt.Sprintf(", %d-way mirror", *mirrorN)
+	case set.Stripe != nil:
+		defer set.Stripe.Close()
+		kind = fmt.Sprintf(", %d-leg stripe", *stripeN)
 	}
 	opts := lld.DefaultOptions()
 	opts.SegmentSize = int(segSize)
@@ -131,37 +91,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mkld: shutdown: %v\n", err)
 		os.Exit(1)
 	}
-	if len(kids) == 1 {
-		if err := kids[0].SaveImage(flag.Arg(0)); err != nil {
-			fmt.Fprintf(os.Stderr, "mkld: save: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		for i, k := range kids {
-			path := fmt.Sprintf("%s.%d", flag.Arg(0), i)
-			if err := k.SaveImage(path); err != nil {
-				fmt.Fprintf(os.Stderr, "mkld: save %s: %v\n", path, err)
-				os.Exit(1)
-			}
-		}
+	if err := set.Save(flag.Arg(0)); err != nil {
+		fmt.Fprintf(os.Stderr, "mkld: save: %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Printf("mkld: %s: %d MB, %d segments of %d KB%s%s\n",
 		flag.Arg(0), d.Capacity()>>20, l.SegmentCount(), segSize>>10, kind,
 		map[bool]string{true: ", MINIX LLD file system", false: ""}[*withFS])
-}
-
-func newDisks(n int, capacity int64) []*disk.Disk {
-	out := make([]*disk.Disk, n)
-	for i := range out {
-		out[i] = disk.New(disk.DefaultConfig(capacity))
-	}
-	return out
-}
-
-func backends(kids []*disk.Disk) []disk.Backend {
-	out := make([]disk.Backend, len(kids))
-	for i, k := range kids {
-		out[i] = k
-	}
-	return out
 }

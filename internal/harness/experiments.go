@@ -110,6 +110,7 @@ func Table4(cfg Config) (*Table, error) {
 		}},
 		{shippedRow, minixLLD(true)},
 	}
+	deletes := make(map[string][]float64) // D(1K), D(10K) by row
 	for _, s := range systems {
 		row := []string{s.name}
 		for _, sz := range sizes {
@@ -123,15 +124,29 @@ func Table4(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("%s: %w", s.name, err)
 			}
 			row = append(row, f0(r.Create), f0(r.Read), f0(r.Delete))
+			deletes[s.name] = append(deletes[s.name], r.Delete)
 		}
 		// Reorder: the two workloads' columns interleave C,R,D per size.
 		t.Rows = append(t.Rows, row)
 	}
+	paper, shipped := deletes["MINIX LLD"], deletes[shippedRow]
 	t.Notes = append(t.Notes, "last row is beyond the paper: a block is stored up to its last non-zero "+
 		"sector (a 1-KB file costs 1 KB of log, not 4) and a miss is one ld.ReadBlocks; "+
-		"deletes write no file data: at full scale D(1K) runs 27 % above the paper row, "+
-		"with a quarter fewer metadata reads, and D(10K) within 1 % of it")
+		fmt.Sprintf("deletes write no file data: D(1K) runs %s the paper row, and D(10K) %s it",
+			relative(shipped[0], paper[0]), relative(shipped[1], paper[1])))
 	return t, nil
+}
+
+// relative says how a rate compares with a reference one, to the percent
+// the table's rounding leaves.
+func relative(v, ref float64) string {
+	switch d := (v/ref - 1) * 100; {
+	case d >= 0.5:
+		return fmt.Sprintf("%.0f %% above", d)
+	case d <= -0.5:
+		return fmt.Sprintf("%.0f %% below", -d)
+	}
+	return "within 1 % of"
 }
 
 // shippedRow names, in Tables 4 and 5, MINIX LLD built without WholeBlockIO.

@@ -112,14 +112,15 @@ func rewriteCheckpoint(t *testing.T, d *disk.Disk, l *LLD, edit func(payload []b
 	if err := d.ReadAt(head, off); err != nil {
 		t.Fatal(err)
 	}
-	plen := int(binary.LittleEndian.Uint32(head[16:]))
-	buf := make([]byte, (checkpointHeaderSize+plen+ss-1)/ss*ss)
+	h, _ := readCkptHeader(head)
+	buf := make([]byte, h.imageSize(ss))
 	if err := d.ReadAt(buf, off); err != nil {
 		t.Fatal(err)
 	}
-	payload := buf[checkpointHeaderSize : checkpointHeaderSize+plen]
+	payload, _ := h.payload(buf)
 	edit(payload)
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
+	h.crc = crc32.Checksum(payload, crcTable)
+	h.put(buf)
 	if err := d.WriteAt(buf, off); err != nil {
 		t.Fatal(err)
 	}

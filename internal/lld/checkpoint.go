@@ -151,21 +151,13 @@ func (l *LLD) writeCheckpoint(complete bool) error {
 		w.u8(st)
 	}
 
-	plen := w.off
-	total := (checkpointHeaderSize + plen + ss - 1) / ss * ss
+	h := ckptHeader{crc: crc32.Checksum(buf[checkpointHeaderSize:checkpointHeaderSize+w.off], crcTable), ts: l.ts, plen: w.off, complete: complete}
+	total := h.imageSize(ss)
 	if int64(total) > l.lay.checkpointSize {
 		return fmt.Errorf("%w: checkpoint needs %d bytes, slot holds %d", ErrFormat, total, l.lay.checkpointSize)
 	}
 	buf = buf[:total]
-	payload := buf[checkpointHeaderSize : checkpointHeaderSize+plen]
-	binary.LittleEndian.PutUint32(buf[0:], checkpointMagic)
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-	binary.LittleEndian.PutUint64(buf[8:], l.ts)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(plen))
-	buf[20] = 1 // valid marker
-	if complete {
-		buf[21] = 1
-	}
+	h.put(buf)
 	slot := 1 - l.ckptSlot
 	if err := l.dskWrite(buf, l.lay.checkpointOff+int64(slot)*l.lay.checkpointSize); err != nil {
 		return err
@@ -184,6 +176,69 @@ func (l *LLD) writeCheckpoint(complete bool) error {
 	return nil
 }
 
+// ckptHeader is the header that starts a checkpoint slot: the magic, the
+// payload's CRC32C, the state's timestamp, the payload's length, a validity
+// marker and the complete flag, in checkpointHeaderSize bytes. put is the
+// one encoder of those bytes and readCkptHeader the one decoder.
+type ckptHeader struct {
+	crc      uint32 // CRC32C of the payload
+	ts       uint64 // the timestamp the state was taken at
+	plen     int    // payload bytes after the header
+	complete bool   // a shutdown checkpoint: the next mount needs no sweep
+}
+
+// put writes h, valid, into the start of b. The header's last two bytes
+// are padding and keep what b holds.
+func (h ckptHeader) put(b []byte) {
+	w := &writer{buf: b}
+	w.u32(checkpointMagic)
+	w.u32(h.crc)
+	w.u64(h.ts)
+	w.u32(uint32(h.plen))
+	w.u8(1) // valid marker
+	complete := uint8(0)
+	if h.complete {
+		complete = 1
+	}
+	w.u8(complete)
+}
+
+// readCkptHeader reads the header at the start of b; ok reports that b is
+// long enough to hold one and bears the magic and the validity marker.
+func readCkptHeader(b []byte) (h ckptHeader, ok bool) {
+	if len(b) < checkpointHeaderSize {
+		return h, false
+	}
+	r := &reader{buf: b}
+	magic := r.u32()
+	h.crc, h.ts, h.plen = r.u32(), r.u64(), int(r.u32())
+	valid := r.u8()
+	h.complete = r.u8() == 1
+	return h, magic == checkpointMagic && valid == 1
+}
+
+// imageSize is the bytes a slot image of h takes: header and payload,
+// rounded up to whole sectors of ss bytes.
+func (h ckptHeader) imageSize(ss int) int {
+	return (checkpointHeaderSize + h.plen + ss - 1) / ss * ss
+}
+
+// payload returns the payload of b, a slot image read for the checkpoint
+// whose header is h, and whether b holds that checkpoint whole: b's own
+// header stamps h's timestamp, and h's length of payload matches the CRC
+// b's header states. The stamp pins the image to h's generation: with
+// diverged replicas the CRC alone would let rotation hand back a different
+// (older, self-consistent) checkpoint than the header chosen.
+func (h ckptHeader) payload(b []byte) ([]byte, bool) {
+	end := checkpointHeaderSize + h.plen
+	if len(b) < end {
+		return nil, false
+	}
+	g, _ := readCkptHeader(b)
+	p := b[checkpointHeaderSize:end]
+	return p, g.ts == h.ts && crc32.Checksum(p, crcTable) == g.crc
+}
+
 // loadCheckpoint finds the newest valid checkpoint, decodes it into the
 // in-memory state, and sets the recovery floor. It returns whether one was
 // found and whether it is complete (shutdown checkpoint: no sweep needed).
@@ -191,16 +246,12 @@ func (l *LLD) loadCheckpoint() (found, complete bool, err error) {
 	ss := l.lay.sectorSize
 	head := make([]byte, ss)
 	type slotInfo struct {
-		slot     int
-		ts       uint64
-		plen     int
-		complete bool
+		slot int
+		h    ckptHeader
 	}
 	parseHead := func(b []byte) (uint64, bool) {
-		if binary.LittleEndian.Uint32(b[0:]) != checkpointMagic || b[20] != 1 {
-			return 0, false
-		}
-		return binary.LittleEndian.Uint64(b[8:]), true
+		h, ok := readCkptHeader(b)
+		return h.ts, ok
 	}
 	mr, multi := l.dsk.(disk.MultiReader)
 	var candidates []slotInfo
@@ -225,17 +276,13 @@ func (l *LLD) loadCheckpoint() (found, complete bool, err error) {
 		} else if err := l.dskRead(head, off); err != nil {
 			return false, false, err
 		}
-		if _, ok := parseHead(head); !ok {
+		h, ok := readCkptHeader(head)
+		if !ok || int64(checkpointHeaderSize+h.plen) > l.lay.checkpointSize {
 			continue
 		}
-		ts := binary.LittleEndian.Uint64(head[8:])
-		plen := int(binary.LittleEndian.Uint32(head[16:]))
-		if int64(checkpointHeaderSize+plen) > l.lay.checkpointSize {
-			continue
-		}
-		candidates = append(candidates, slotInfo{slot, ts, plen, head[21] == 1})
+		candidates = append(candidates, slotInfo{slot, h})
 	}
-	if len(candidates) == 2 && candidates[1].ts > candidates[0].ts {
+	if len(candidates) == 2 && candidates[1].h.ts > candidates[0].h.ts {
 		candidates[0], candidates[1] = candidates[1], candidates[0]
 	}
 	// Try the newest slot first; a torn payload falls back to the older
@@ -245,18 +292,10 @@ func (l *LLD) loadCheckpoint() (found, complete bool, err error) {
 	// leads through every segment written since it.
 	for _, c := range candidates {
 		off := l.lay.checkpointOff + int64(c.slot)*l.lay.checkpointSize
-		total := (checkpointHeaderSize + c.plen + ss - 1) / ss * ss
-		buf := make([]byte, total)
-		plen, cts := c.plen, c.ts
-		// Pin the payload read to the candidate's generation: with diverged
-		// replicas the CRC alone would let rotation hand back a different
-		// (older, self-consistent) checkpoint than the header chosen above.
-		verified, err := l.dskReadVerified(buf, off, func(b []byte) bool {
-			if binary.LittleEndian.Uint64(b[8:]) != cts {
-				return false
-			}
-			p := b[checkpointHeaderSize : checkpointHeaderSize+plen]
-			return crc32.Checksum(p, crcTable) == binary.LittleEndian.Uint32(b[4:])
+		buf := make([]byte, c.h.imageSize(ss))
+		_, err := l.dskReadVerified(buf, off, func(b []byte) bool {
+			_, whole := c.h.payload(b)
+			return whole
 		})
 		if err != nil {
 			if errors.Is(err, disk.ErrNoValidReplica) {
@@ -264,26 +303,28 @@ func (l *LLD) loadCheckpoint() (found, complete bool, err error) {
 			}
 			return false, false, err
 		}
-		payload := buf[checkpointHeaderSize : checkpointHeaderSize+c.plen]
-		if !verified && crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[4:]) {
+		payload, whole := c.h.payload(buf)
+		if !whole {
 			continue // torn checkpoint: try the other slot
 		}
 		if err := l.decodeCheckpoint(payload); err != nil {
 			return false, false, err
 		}
 		l.ckptSlot = c.slot
-		l.ckptTS = c.ts
-		if c.complete {
+		l.ckptTS = c.h.ts
+		if c.h.complete {
 			// Demote the "complete" flag (the paper's marker invalidation):
 			// a crash after this restart must trigger the sweep. The
 			// checkpoint itself stays valid as the recovery floor.
+			demoted := c.h
+			demoted.complete = false
 			copy(head, buf[:ss])
-			head[21] = 0
+			demoted.put(head)
 			if err := l.dskWrite(head, off); err != nil {
 				return false, false, err
 			}
 		}
-		return true, c.complete, nil
+		return true, c.h.complete, nil
 	}
 	return false, false, nil
 }

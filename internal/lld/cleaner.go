@@ -270,7 +270,7 @@ func (l *LLD) checkpoint() error {
 	if l.aruOpen {
 		return nil // never capture half an atomic recovery unit
 	}
-	if err := l.writePartial(); err != nil {
+	if err := l.writePartial(false); err != nil {
 		return err
 	}
 	// A checkpoint the next boot trusts must not point at coordinates

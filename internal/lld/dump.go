@@ -1,10 +1,10 @@
 package lld
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/disk"
 )
@@ -33,23 +33,21 @@ func Dump(d disk.Backend, w io.Writer, verbose bool) error {
 		if err := d.ReadAt(head, off); err != nil {
 			return err
 		}
-		if binary.LittleEndian.Uint32(head[0:]) != checkpointMagic || head[20] != 1 {
+		h, ok := readCkptHeader(head)
+		if !ok {
 			fmt.Fprintf(w, "checkpoint %d: empty/invalid\n", slot)
 			continue
 		}
-		fmt.Fprintf(w, "checkpoint %d: ts=%d payload=%d B complete=%v\n",
-			slot, binary.LittleEndian.Uint64(head[8:]),
-			binary.LittleEndian.Uint32(head[16:]), head[21] == 1)
+		fmt.Fprintf(w, "checkpoint %d: ts=%d payload=%d B complete=%v\n", slot, h.ts, h.plen, h.complete)
 	}
 
-	sum := make([]byte, 2*lay.summarySize)
 	liveSegs, freeSegs := 0, 0
 	for i := 0; i < lay.nSegments; i++ {
-		if err := d.ReadAt(sum, lay.segOff(i)+int64(lay.dataCap())); err != nil {
+		si, err := platterSummary(d, lay, i)
+		if err != nil {
 			return err
 		}
-		si, err := decodeNewestSummary(sum, lay, i)
-		if err != nil {
+		if si == nil {
 			freeSegs++
 			if verbose {
 				fmt.Fprintf(w, "segment %4d: free/invalid\n", i)
@@ -70,12 +68,23 @@ func Dump(d disk.Backend, w io.Writer, verbose bool) error {
 			}
 			for _, t := range si.tuples {
 				fmt.Fprintf(w, "    tuple %-11s ts=%d committed=%v args=%v\n",
-					tupleName(t.kind), t.ts, t.committed(), t.args[:tupleArgc[t.kind]])
+					tupleNames[t.kind], t.ts, t.committed(), t.args[:tupleArgc[t.kind]])
 			}
 		}
 	}
 	fmt.Fprintf(w, "segments: %d with summaries, %d free/invalid\n", liveSegs, freeSegs)
 	return nil
+}
+
+// platterSummary reads segment id's summary area from d as it is now,
+// uncounted and without retry, and returns the newest summary that decodes,
+// nil if none does. For Dump and checks, not for a mount or the cleaner.
+func platterSummary(d disk.Backend, lay layout, id int) (*summaryInfo, error) {
+	area := make([]byte, 2*lay.summarySize)
+	if err := d.ReadAt(area, lay.sumOff(id, 0)); err != nil {
+		return nil, err
+	}
+	return classifySlots(area, lay, id, [2]bool{}).si, nil
 }
 
 // SummarySlots returns the byte offset of every summary slot of d — an
@@ -91,8 +100,12 @@ func SummarySlots(d disk.Backend) (offs []int64, size int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	type slotTS struct {
+		off int64
+		ts  uint64
+	}
+	var slots []slotTS
 	buf := make([]byte, lay.summarySize)
-	var ts []uint64
 	for i := 0; i < lay.nSegments; i++ {
 		for slot := 0; slot < 2; slot++ {
 			off := lay.sumOff(i, slot)
@@ -100,21 +113,15 @@ func SummarySlots(d disk.Backend) (offs []int64, size int, err error) {
 				return nil, 0, err
 			}
 			if si, err := decodeSummary(buf, lay, i); err == nil {
-				offs = append(offs, off)
-				ts = append(ts, si.writeTS)
+				slots = append(slots, slotTS{off, si.writeTS})
 			}
 		}
 	}
-	byTS := make([]int, len(offs))
-	for i := range byTS {
-		byTS[i] = i
+	slices.SortStableFunc(slots, func(a, b slotTS) int { return cmp.Compare(b.ts, a.ts) })
+	for _, s := range slots {
+		offs = append(offs, s.off)
 	}
-	sort.SliceStable(byTS, func(a, b int) bool { return ts[byTS[a]] > ts[byTS[b]] })
-	newest := make([]int64, len(offs))
-	for i, j := range byTS {
-		newest[i] = offs[j]
-	}
-	return newest, lay.summarySize, nil
+	return offs, lay.summarySize, nil
 }
 
 // Verify is the integrity check behind lddump -verify: a mount that trusts
@@ -155,31 +162,9 @@ func Verify(d disk.Backend, w io.Writer) (faults int, err error) {
 	return faults, nil
 }
 
-func tupleName(kind uint8) string {
-	switch kind {
-	case tAlloc:
-		return "alloc"
-	case tFree:
-		return "free"
-	case tNewList:
-		return "newlist"
-	case tDelList:
-		return "dellist"
-	case tMoveList:
-		return "movelist"
-	case tCommit:
-		return "commit"
-	case tBlockState:
-		return "blockstate"
-	case tBlockFree:
-		return "blockfree"
-	case tListState:
-		return "liststate"
-	case tDataAt:
-		return "dataat"
-	case tFence:
-		return "fence"
-	default:
-		return fmt.Sprintf("kind%d", kind)
-	}
+// tupleNames names each tuple kind in Dump's listing.
+var tupleNames = [tupleKindMax]string{
+	tAlloc: "alloc", tFree: "free", tNewList: "newlist", tDelList: "dellist", tMoveList: "movelist",
+	tCommit: "commit", tBlockState: "blockstate", tBlockFree: "blockfree", tListState: "liststate",
+	tDataAt: "dataat", tFence: "fence",
 }

@@ -455,64 +455,21 @@ type summaryInfo struct {
 	tuples    []tupleRec
 }
 
-// decodeNewestSummary parses a segment's two summary slots (given as one
-// contiguous 2*summarySize region) and returns the valid one with the
-// larger write timestamp. A torn write can only have destroyed the slot
-// that held no acknowledged records, so the surviving newest slot always
-// covers everything a Flush has acknowledged.
-func decodeNewestSummary(region []byte, l layout, wantSegID int) (*summaryInfo, error) {
-	var best *summaryInfo
-	var firstErr error
-	for slot := 0; slot < 2; slot++ {
-		si, err := decodeSummary(region[slot*l.summarySize:(slot+1)*l.summarySize], l, wantSegID)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if best == nil || si.writeTS > best.writeTS {
-			best = si
-		}
-	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best, nil
-}
-
 // decodeSummary parses a raw summary region. It returns ErrFormat for an
 // empty, foreign, or torn summary; recovery treats those segments as free.
 // It reads the header's counts of records and nothing after the last one:
 // what follows in the slot may be left over from an older, longer image. An
 // image it accepts has one encoding, the one encodeSummary gives it.
 func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
-	if len(sum) < summaryHeaderSize {
-		return nil, fmt.Errorf("%w: short summary", ErrFormat)
+	h, ok := readSummaryHeader(sum)
+	if !ok {
+		return nil, fmt.Errorf("%w: no summary header", ErrFormat)
 	}
-	r := &reader{buf: sum}
-	if r.u32() != summaryMagic {
-		return nil, fmt.Errorf("%w: bad summary magic", ErrFormat)
-	}
-	crc := r.u32()
-	si := &summaryInfo{}
-	si.segID = int(r.u32())
-	si.writeTS = r.u64()
-	si.dataBytes = int(r.u32())
-	nBlocks := int(r.u32())
-	nTuples := int(r.u32())
-	sealed := r.u8()
-	si.next = uint32(r.u8()) | uint32(r.u8())<<8 | uint32(r.u8())<<16
-	si.sealed = sealed == 1
-	dist := r.u32()
-	si.seq = r.u32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if sealed > 1 {
+	si := &summaryInfo{segID: h.segID, writeTS: h.writeTS, seq: h.seq, next: h.next, dataBytes: h.dataBytes, sealed: h.sealed == 1}
+	if h.sealed > 1 {
 		return nil, fmt.Errorf("%w: bad summary header flags", ErrFormat)
 	}
-	switch {
+	switch dist := h.dist; {
 	case dist == markFar:
 	case dist == 0 || uint64(dist) >= si.writeTS:
 		return nil, fmt.Errorf("%w: durable mark %d below the summary's own stamp %d is none the encoder writes", ErrFormat, dist, si.writeTS)
@@ -528,12 +485,13 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	if si.next != noSegment && int(si.next) >= l.nSegments {
 		return nil, fmt.Errorf("%w: summary names successor %d of %d segments", ErrFormat, si.next, l.nSegments)
 	}
-	if summaryHeaderSize+nBlocks*minEntrySize+nTuples*minTupleSize > len(sum) {
+	if summaryHeaderSize+h.nEntries*minEntrySize+h.nTuples*minTupleSize > len(sum) {
 		return nil, fmt.Errorf("%w: bad summary counts", ErrFormat)
 	}
-	si.entries = make([]blockEntry, 0, nBlocks)
+	r := &reader{buf: sum, off: summaryHeaderSize}
+	si.entries = make([]blockEntry, 0, h.nEntries)
 	var off, prev uint64
-	for i := 0; i < nBlocks; i++ {
+	for i := 0; i < h.nEntries; i++ {
 		var e blockEntry
 		e.flags = r.u8()
 		e.bid = ld.BlockID(r.uvarint32())
@@ -559,9 +517,9 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 		}
 		si.entries = append(si.entries, e)
 	}
-	si.tuples = make([]tupleRec, 0, nTuples)
+	si.tuples = make([]tupleRec, 0, h.nTuples)
 	prev = 0
-	for i := 0; i < nTuples; i++ {
+	for i := 0; i < h.nTuples; i++ {
 		var t tupleRec
 		b := r.u8()
 		t.kind, t.flags = b&0xF, b>>4
@@ -581,10 +539,49 @@ func decodeSummary(sum []byte, l layout, wantSegID int) (*summaryInfo, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if crc32.Checksum(sum[8:r.off], crcTable) != crc {
+	if crc32.Checksum(sum[8:r.off], crcTable) != h.crc {
 		return nil, fmt.Errorf("%w: summary checksum mismatch (torn write)", ErrFormat)
 	}
 	return si, nil
+}
+
+// summaryHeader is the fixed header that starts a summary slot, as
+// encodeSummary lays it out.
+type summaryHeader struct {
+	crc               uint32 // CRC32C of the rest of the header and the records
+	segID             int
+	writeTS           uint64
+	dataBytes         int
+	nEntries, nTuples int
+	sealed            uint8  // 1 for a seal's image, 0 for a partial write's
+	next              uint32 // 24 bits: the successor, noSegment for none
+	dist              uint32 // the durable mark's distance below writeTS, markFar for none
+	seq               uint32
+}
+
+// readSummaryHeader reads the header of a summary slot. It reports false for
+// a slot too short for one or without the summary magic, and checks nothing
+// else: decodeSummary checks the fields and the records, and a header torn
+// from its records still tells recovery what the slot claimed (segProbe).
+func readSummaryHeader(sum []byte) (h summaryHeader, ok bool) {
+	if len(sum) < summaryHeaderSize {
+		return h, false
+	}
+	r := &reader{buf: sum[:summaryHeaderSize]}
+	if r.u32() != summaryMagic {
+		return h, false
+	}
+	h.crc = r.u32()
+	h.segID = int(r.u32())
+	h.writeTS = r.u64()
+	h.dataBytes = int(r.u32())
+	h.nEntries = int(r.u32())
+	h.nTuples = int(r.u32())
+	h.sealed = r.u8()
+	h.next = uint32(r.u8()) | uint32(r.u8())<<8 | uint32(r.u8())<<16
+	h.dist = r.u32()
+	h.seq = r.u32()
+	return h, true
 }
 
 // ---- hint encoding (shared by tuples and checkpoints) ----

@@ -451,8 +451,8 @@ func TestOlderFormatVersionsAreRefused(t *testing.T) {
 }
 
 // TestQuickNewestSlotSelection: with both slots holding valid summaries,
-// decodeNewestSummary returns the one with the larger write timestamp; with
-// one slot corrupted, it returns the other.
+// classifySlots takes the one with the larger write timestamp; with one
+// slot corrupted, it takes the other.
 func TestQuickNewestSlotSelection(t *testing.T) {
 	o := testOptions()
 	lay, err := computeLayout(8<<20, 512, o)
@@ -477,8 +477,8 @@ func TestQuickNewestSlotSelection(t *testing.T) {
 			}
 			copy(region[slot*lay.summarySize:], scratch[lay.dataCap():lay.dataCap()+lay.summarySize])
 		}
-		si, err := decodeNewestSummary(region, lay, segID)
-		if err != nil {
+		si := classifySlots(region, lay, segID, [2]bool{}).si
+		if si == nil {
 			return false
 		}
 		want := ts0
@@ -495,8 +495,8 @@ func TestQuickNewestSlotSelection(t *testing.T) {
 			winSlot = 1
 		}
 		region[winSlot*lay.summarySize+10] ^= 0xFF
-		si, err = decodeNewestSummary(region, lay, segID)
-		if err != nil {
+		si = classifySlots(region, lay, segID, [2]bool{}).si
+		if si == nil {
 			t.Logf("seed %d: both slots rejected after corrupting one", seed)
 			return false
 		}

@@ -263,7 +263,7 @@ func (l *LLD) CheckInvariants() []string {
 			}
 			continue
 		}
-		si := l.platterSummary(i)
+		si, _ := platterSummary(l.dsk, l.lay, i)
 		if si == nil || si.writeTS != s.ts {
 			continue
 		}
@@ -272,19 +272,4 @@ func (l *LLD) CheckInvariants() []string {
 		}
 	}
 	return out
-}
-
-// platterSummary reads segment id's summary slots as the backend has them
-// now, uncounted and without retry, and returns the newer valid one; nil if
-// they do not read or decode. For checks, not for the cleaner.
-func (l *LLD) platterSummary(id int) *summaryInfo {
-	region := make([]byte, 2*l.lay.summarySize)
-	if err := l.dsk.ReadAt(region, l.lay.sumOff(id, 0)); err != nil {
-		return nil
-	}
-	si, err := decodeNewestSummary(region, l.lay, id)
-	if err != nil {
-		return nil
-	}
-	return si
 }

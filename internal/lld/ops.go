@@ -822,10 +822,7 @@ func (l *LLD) flushLocked() error {
 	// NVRAM absorption (§5.3): a small partial segment lands in modeled
 	// battery-backed memory instead of costing a disk operation; the
 	// normal seal writes those bytes to the disk later.
-	if l.opts.NVRAMBytes > 0 && cur.dataOff+cur.sumSize <= l.opts.NVRAMBytes {
-		return l.writePartialNVRAM()
-	}
-	return l.writePartial()
+	return l.writePartial(l.opts.NVRAMBytes > 0 && cur.dataOff+cur.sumSize <= l.opts.NVRAMBytes)
 }
 
 // Reserve implements ld.Disk.

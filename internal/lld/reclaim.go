@@ -79,7 +79,7 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	// follows (recovery.go "The chain"). A crash from here on finds them
 	// free, whatever their slots hold, and a rotted slot of a free segment at
 	// or below the checkpoint is only cleared.
-	if err := l.writePartial(); err != nil {
+	if err := l.writePartial(false); err != nil {
 		return res, err
 	}
 	for _, seg := range reclaimable {

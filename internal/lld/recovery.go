@@ -2,7 +2,6 @@ package lld
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -70,25 +69,32 @@ type segProbe struct {
 	divergent  bool // replica copies did not all read back identical (probeSegmentMulti)
 }
 
-// probeSlot decodes one summary slot into p: a valid summary replaces si
-// if newer; an undecodable slot bearing the summary magic is recorded as a
-// suspect with its claimed write timestamp.
-func probeSlot(p *segProbe, slot int, buf []byte, lay layout, segID int) {
-	si, err := decodeSummary(buf, lay, segID)
-	if err == nil {
-		if p.si == nil || si.writeTS > p.si.writeTS {
-			p.si = si
+// classifySlots is the one reading of a summary area's two slots: area as
+// read (a slot marked unread could not be), segment segID's. The newest slot
+// that decodes is the probe's si (slot 0 on a tie); a slot that does not
+// decode but whose header bears the summary magic and segID is a suspect,
+// with the write timestamp its header claims.
+func classifySlots(area []byte, lay layout, segID int, unread [2]bool) segProbe {
+	var p segProbe
+	for slot := 0; slot < 2; slot++ {
+		if unread[slot] {
+			p.unreadable = true
+			continue
 		}
-		return
-	}
-	if len(buf) >= summaryHeaderSize && binary.LittleEndian.Uint32(buf) == summaryMagic &&
-		int(binary.LittleEndian.Uint32(buf[8:])) == segID {
-		ts := binary.LittleEndian.Uint64(buf[12:])
-		if ts > p.suspectTS {
-			p.suspectTS = ts
+		buf := area[slot*lay.summarySize : (slot+1)*lay.summarySize]
+		si, err := decodeSummary(buf, lay, segID)
+		if err == nil {
+			if p.si == nil || si.writeTS > p.si.writeTS {
+				p.si = si
+			}
+			continue
 		}
-		p.suspectSlots = append(p.suspectSlots, slot)
+		if h, ok := readSummaryHeader(buf); ok && h.segID == segID {
+			p.suspectTS = max(p.suspectTS, h.writeTS)
+			p.suspectSlots = append(p.suspectSlots, slot)
+		}
 	}
+	return p
 }
 
 // probeSegment reads and classifies both summary slots of segment i on a
@@ -101,11 +107,7 @@ func (l *LLD) probeSegment(mr disk.MultiReader, i int, sum, first []byte) (segPr
 	if !l.replicasAgree(mr, sum, first, l.lay.sumOff(i, 0)) {
 		return l.probeSegmentMulti(mr, i, sum)
 	}
-	var p segProbe
-	for slot := 0; slot < 2; slot++ {
-		probeSlot(&p, slot, sum[slot*l.lay.summarySize:(slot+1)*l.lay.summarySize], l.lay, i)
-	}
-	return p, nil
+	return classifySlots(sum, l.lay, i, [2]bool{}), nil
 }
 
 // probeCopy reads and classifies both summary slots of segment i on a
@@ -115,28 +117,21 @@ func (l *LLD) probeSegment(mr disk.MultiReader, i int, sum, first []byte) (segPr
 // ErrUnreadable (after the transient retry) abort the sweep.
 func (l *LLD) probeCopy(i int, sum []byte) (segProbe, error) {
 	lay := l.lay
-	var p segProbe
+	var unread [2]bool
 	if err := l.dskRead(sum, lay.sumOff(i, 0)); err != nil {
 		if !errors.Is(err, disk.ErrUnreadable) {
-			return p, err
+			return segProbe{}, err
 		}
 		for slot := 0; slot < 2; slot++ {
-			buf := sum[slot*lay.summarySize : (slot+1)*lay.summarySize]
-			if err := l.dskRead(buf, lay.sumOff(i, slot)); err != nil {
+			if err := l.dskRead(sum[slot*lay.summarySize:(slot+1)*lay.summarySize], lay.sumOff(i, slot)); err != nil {
 				if !errors.Is(err, disk.ErrUnreadable) {
-					return p, err
+					return segProbe{}, err
 				}
-				p.unreadable = true
-				continue
+				unread[slot] = true
 			}
-			probeSlot(&p, slot, buf, lay, i)
 		}
-		return p, nil
 	}
-	for slot := 0; slot < 2; slot++ {
-		probeSlot(&p, slot, sum[slot*lay.summarySize:(slot+1)*lay.summarySize], lay, i)
-	}
-	return p, nil
+	return classifySlots(sum, lay, i, unread), nil
 }
 
 // probeAheadBatch is how many summary areas a mount on a single-copy
@@ -251,13 +246,25 @@ func (a *prober) chainEnds(i int, seq uint32) bool {
 		if !ok {
 			return false
 		}
-		si := r.p.si
-		if r.err != nil || r.p.unreadable || si == nil || si.seq != seq || si.next == noSegment {
+		next, ok := r.p.chainNext(seq)
+		if r.err != nil || !ok {
 			return true
 		}
-		i, seq = int(si.next), nextSeq(seq)
+		i, seq = next, nextSeq(seq)
 	}
 	return true
+}
+
+// chainNext is the one rule for the chain's step: a walk that expects
+// the segment p probed to show sequence number seq goes on past it, to the
+// successor it returns, when the segment's newest summary shows seq and
+// names one. Both the walk (walkChain) and the read-ahead that stops where
+// the walk will (chainEnds) take it.
+func (p *segProbe) chainNext(seq uint32) (int, bool) {
+	if p.unreadable || p.si == nil || p.si.seq != seq || p.si.next == noSegment {
+		return -1, false
+	}
+	return int(p.si.next), true
 }
 
 // metaNewestAcross reads a metadata span whose replica copies may hold
@@ -334,7 +341,7 @@ func (l *LLD) replicasAgree(mr disk.MultiReader, p, first []byte, off int64) boo
 // torn-vs-rot classifier sees the same evidence it would on one platter.
 func (l *LLD) probeSegmentMulti(mr disk.MultiReader, i int, sum []byte) (segProbe, error) {
 	lay := l.lay
-	p := segProbe{divergent: true}
+	var unread [2]bool
 	for slot := 0; slot < 2; slot++ {
 		buf := sum[slot*lay.summarySize : (slot+1)*lay.summarySize]
 		off := lay.sumOff(i, slot)
@@ -347,22 +354,21 @@ func (l *LLD) probeSegmentMulti(mr disk.MultiReader, i int, sum []byte) (segProb
 		})
 		switch {
 		case err == nil && found:
-			probeSlot(&p, slot, buf, lay, i)
 		case err == nil || errors.Is(err, disk.ErrNoValidReplica):
 			if err := l.dskRead(buf, off); err != nil {
 				if !errors.Is(err, disk.ErrUnreadable) {
-					return p, err
+					return segProbe{}, err
 				}
-				p.unreadable = true
-				continue
+				unread[slot] = true
 			}
-			probeSlot(&p, slot, buf, lay, i)
 		case errors.Is(err, disk.ErrUnreadable):
-			p.unreadable = true
+			unread[slot] = true
 		default:
-			return p, err
+			return segProbe{}, err
 		}
 	}
+	p := classifySlots(sum, lay, i, unread)
+	p.divergent = true
 	return p, nil
 }
 
@@ -384,15 +390,15 @@ func (l *LLD) walkChain(seg int, seq uint32, floor uint64, probe func(seg int, s
 		if err != nil {
 			return -1, 0, n, "", err
 		}
+		if next, ok := p.chainNext(seq); ok {
+			seg, seq = next, nextSeq(seq)
+			continue
+		}
 		switch {
 		case p.unreadable:
 			return -1, 0, n, fmt.Sprintf("segment %d's summary is unreadable", seg), nil
 		case p.si != nil && p.si.seq == seq:
-			if p.si.next == noSegment {
-				return -1, 0, n, fmt.Sprintf("segment %d names no successor", seg), nil
-			}
-			seg, seq = int(p.si.next), nextSeq(seq)
-			continue
+			return -1, 0, n, fmt.Sprintf("segment %d names no successor", seg), nil
 		case p.si != nil && seqAtOrAfter(p.si.seq, seq):
 			return -1, 0, n, fmt.Sprintf("segment %d was opened again since the checkpoint (sequence %d, not %d)", seg, p.si.seq, seq), nil
 		case p.suspectTS > floor:

@@ -316,64 +316,19 @@ func (l *LLD) guardFirstImage(cur *openSegment) error {
 	return l.dskSync()
 }
 
-// sealSegment retires the open segment as a full segment (paper §3): the
-// summary is encoded and the image written inline, under l.mu. On a write
-// error the segment stays open — its buffer keeps serving reads — and a
-// later seal retries the same slot. Callers hold l.mu.
+// sealSegment retires the open segment as a full segment (paper §3): its
+// last image is written inline, under l.mu (writeImage). On a write error
+// the segment stays open — its buffer keeps serving reads — and a later
+// seal retries the same slot. Callers hold l.mu.
 func (l *LLD) sealSegment() error {
 	cur := l.cur
 	if cur == nil {
 		return nil
 	}
-	writeTS := l.nextTS()
-	l.linkSuccessor(cur)
-	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, cur.seq, cur.next, true, cur.dataOff, cur.entries, cur.tuples)
-	if err != nil {
+	if _, err := l.writeImage(true, false); err != nil {
 		return err
 	}
-	start := l.dsk.Now()
-	// Only the bytes not yet on the platter are written: the data from
-	// onPlatter on, and the summary's used sectors. A full segment that no
-	// flush touched is therefore still one long contiguous operation (the
-	// paper's normal case). The request runs on through the dead middle
-	// into slot 0 only when that is the target slot and the middle is at
-	// most deadGapMax; a longer middle (tuple-heavy phases: deletes, list
-	// maintenance), or a ping-pong target of slot 1, makes the data suffix
-	// and the summary two requests. Either way the slot holding the newest
-	// acknowledged partial image is never overwritten, so a torn seal
-	// falls back to it.
-	ss := l.lay.sectorSize
-	dataCap := l.lay.dataCap()
-	dataBytes := (cur.dataOff + ss - 1) / ss * ss
-	from, end := cur.onPlatter, dataBytes
-	through := cur.slot == 0 && dataBytes > from && dataCap-dataBytes <= deadGapMax
-	if through {
-		end = dataCap + used
-	}
-	if err := l.guardFirstImage(cur); err != nil {
-		return err
-	}
-	if err := l.guardSlotOverwrite(cur, cur.slot); err != nil {
-		return err
-	}
-	if end > from {
-		if err := l.dskWrite(cur.buf[from:end], l.lay.segOff(cur.id)+int64(from)); err != nil {
-			return err
-		}
-	}
-	if !through {
-		if end > from {
-			l.crashPoint("seal.data") // data handed over, its summary not yet
-		}
-		if err := l.dskWrite(cur.buf[dataCap:dataCap+used], l.lay.sumOff(cur.id, cur.slot)); err != nil {
-			return err
-		}
-	}
-	l.logWriteDone(writeTS)
-	l.lastSealDur = l.dsk.Now() - start
-	l.chargeCompression()
 	l.segs[cur.id].state = segLive
-	l.segs[cur.id].ts = writeTS
 	if l.segs[cur.id].mapped > 0 {
 		l.segs[cur.id].names = sumNames(cur.entries)
 	}
@@ -390,76 +345,105 @@ func (l *LLD) sealSegment() error {
 // segment's new contents are written to its own place on the disk, but the
 // segment stays in memory and keeps filling. Unlike §3.2 the image is not
 // rewritten in place: each partial write, and the seal that ends the
-// segment, appends to what earlier partial writes put on the platter (from
-// onPlatter), so a data sector crosses the arm once plus once per flush
-// that left it half-filled. The segment still ends up contiguous and the
-// earlier images are superseded at no cleaning cost.
-func (l *LLD) writePartial() error {
-	return l.writePartialVia(l.dskWrite, &l.stats.PartialWrites, false)
-}
-
-// writePartialNVRAM is the §5.3 variant: the partial image lands in
-// battery-backed NVRAM, so no disk operation is charged.
-func (l *LLD) writePartialNVRAM() error {
-	return l.writePartialVia(l.dsk.WriteAtNVRAM, &l.stats.NVRAMFlushes, true)
-}
-
-func (l *LLD) writePartialVia(write func([]byte, int64) error, counter *int64, nvram bool) error {
+// segment, appends to what earlier ones put on the platter, so the segment
+// still ends up contiguous and earlier images are superseded at no cleaning
+// cost. With nvram set it is the §5.3 variant: the image lands in
+// battery-backed NVRAM, and no disk operation is charged.
+func (l *LLD) writePartial(nvram bool) error {
 	cur := l.cur
 	if cur == nil || !cur.dirty {
 		return nil
 	}
-	writeTS := l.nextTS()
-	l.linkSuccessor(cur)
-	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, cur.seq, cur.next, false, cur.dataOff, cur.entries, cur.tuples)
+	n, err := l.writeImage(false, nvram)
 	if err != nil {
 		return err
 	}
+	if nvram {
+		l.stats.NVRAMFlushes++
+	} else {
+		l.stats.PartialWrites++
+		l.stats.PartialBytes += int64(n)
+	}
+	l.releaseCooling()
+	return nil
+}
+
+// writeImage is the one writer of a segment image: the seal's, a disk
+// partial write's, and an NVRAM one's. It encodes the summary, stamped now,
+// and writes what is not yet on the platter: the data from onPlatter on
+// (the sector the last disk write ended in again, its old bytes plus the
+// new), then the summary's used sectors into the ping-pong slot not holding
+// the newest acknowledged image. A tear anywhere leaves that image and
+// every byte it describes intact (DESIGN §5 has the argument). A full
+// segment no flush touched is still one contiguous request (the paper's
+// normal case): a seal into slot 0 runs on through a dead middle of at most
+// deadGapMax; a longer middle, or slot 1, makes data and summary two
+// requests, with the seal.data site between them. An NVRAM write replaces
+// the slot durably and atomically, so it needs no overwrite guard, and it
+// moves neither onPlatter nor the durable watermark. It returns the bytes
+// handed to the backend. Callers hold l.mu.
+func (l *LLD) writeImage(sealed, nvram bool) (int, error) {
+	cur := l.cur
+	writeTS := l.nextTS()
+	l.linkSuccessor(cur)
+	used, err := encodeSummary(cur.buf, l.lay, cur.id, writeTS, l.durableMark, cur.seq, cur.next, sealed, cur.dataOff, cur.entries, cur.tuples)
+	if err != nil {
+		return 0, err
+	}
+	start := l.dsk.Now()
+	write := l.dskWrite
+	if nvram {
+		write = l.dsk.WriteAtNVRAM
+	}
 	ss := l.lay.sectorSize
+	dataCap := l.lay.dataCap()
 	dataBytes := (cur.dataOff + ss - 1) / ss * ss
-	from := cur.onPlatter
-	// New data first — from the sector the last disk partial write ended
-	// in, which is written again with its old bytes plus the new ones —
-	// then the summary into the ping-pong slot not holding the newest
-	// acknowledged image: a tear anywhere leaves that previous image and
-	// every byte it describes intact, so acknowledged records are never
-	// destroyed by a later write to the same segment (DESIGN §5 has the
-	// argument). An NVRAM write needs no overwrite guard: it replaces the
-	// slot durably and atomically.
+	from, end := cur.onPlatter, dataBytes
+	through := sealed && cur.slot == 0 && dataBytes > from && dataCap-dataBytes <= deadGapMax
+	if through {
+		end = dataCap + used
+	}
 	if err := l.guardFirstImage(cur); err != nil {
-		return err
+		return 0, err
 	}
 	if !nvram {
 		if err := l.guardSlotOverwrite(cur, cur.slot); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	if dataBytes > from {
-		if err := write(cur.buf[from:dataBytes], l.lay.segOff(cur.id)+int64(from)); err != nil {
-			return err
+	n := 0
+	if end > from {
+		if err := write(cur.buf[from:end], l.lay.segOff(cur.id)+int64(from)); err != nil {
+			return 0, err
+		}
+		n += end - from
+		if sealed && !through {
+			l.crashPoint("seal.data") // data handed over, its summary not yet
 		}
 	}
-	sum := cur.buf[l.lay.dataCap() : l.lay.dataCap()+used]
-	if err := write(sum, l.lay.sumOff(cur.id, cur.slot)); err != nil {
-		return err
+	if !through {
+		if err := write(cur.buf[dataCap:dataCap+used], l.lay.sumOff(cur.id, cur.slot)); err != nil {
+			return 0, err
+		}
+		n += used
 	}
+	// Every write succeeded; a failed attempt retries the same range.
 	if nvram {
 		cur.slotSeq[cur.slot] = 0
 	} else {
 		cur.slotSeq[cur.slot] = l.writeSeq.Load()
-		// Both writes succeeded (a failed attempt retries the same range).
-		l.stats.PartialBytes += int64(dataBytes - from + len(sum))
 		cur.onPlatter = cur.dataOff / ss * ss
 		l.logWriteDone(writeTS)
 	}
 	cur.slot ^= 1
-	l.chargeCompression()
-	l.segs[cur.id].ts = writeTS
 	cur.dirty = false
 	cur.durableTS = writeTS
-	*counter++
-	l.releaseCooling()
-	return nil
+	l.segs[cur.id].ts = writeTS
+	if sealed {
+		l.lastSealDur = l.dsk.Now() - start
+	}
+	l.chargeCompression()
+	return n, nil
 }
 
 // releaseCooling moves cooled segments to the free pool. A segment freed by
