@@ -1,5 +1,5 @@
 // Command lddump inspects an LLD-formatted disk image: superblock
-// geometry, checkpoint slots, and segment summaries (the on-disk log of
+// geometry, checkpoint pointer slots, and segment summaries (the on-disk log of
 // LLD's metadata). With -remote it inspects a live ldserver instead,
 // walking the logical state (lists, blocks, sizes) through the netld
 // protocol.

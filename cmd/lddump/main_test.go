@@ -56,7 +56,7 @@ func TestReportMount(t *testing.T) {
 	var out strings.Builder
 	reportMount(d, &out)
 	for _, want := range []string{"recovery takes", "summary sweep of", "verified 8 blocks in ",
-		"chain of 2 segments from checkpoint @0", // the one Format wrote
+		"chain of 3 segments from checkpoint @2", // the one Format wrote: the segment of its payload, which its writes stamp 2, and the two filled since
 		"1 segments / 124 blocks at or below durable mark ts=", "0 segments quarantined"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("crashed image: report lacks %q:\n%s", want, out.String())

@@ -1,5 +1,5 @@
 // Command mkld creates a disk image file formatted with the log-structured
-// Logical Disk layout (superblock, checkpoint region, segments), optionally
+// Logical Disk layout (superblock, checkpoint pointer slots, segments), optionally
 // with a MINIX LLD file system on top.
 //
 // With -mirror N or -stripe N the logical disk is formatted over a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -167,7 +168,7 @@ func TestReadBlocksMatchesSequentialReads(t *testing.T) {
 				case p < 84:
 					bs[i] = ld.NilBlock
 				case p < 88:
-					bs[i] = ld.BlockID(l.MaxBlocks() + 1 + rng.Intn(1000))
+					bs[i] = ld.BlockID(math.MaxUint32 - rng.Intn(1000)) // never handed out
 				case p < 94 && len(freed) > 0:
 					bs[i] = freed[rng.Intn(len(freed))] // freed, or since handed out again
 				default:

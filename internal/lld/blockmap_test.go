@@ -1,14 +1,12 @@
 package lld
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
-	"hash/crc32"
 	"math"
 	"slices"
 	"testing"
 
-	"repro/internal/disk"
 	"repro/internal/ld"
 )
 
@@ -55,18 +53,19 @@ func TestFreedIDAboveTheLastLiveOneStaysFree(t *testing.T) {
 }
 
 // A checkpoint states the ids it issued: the loader sizes the block-number
-// map to its nextFresh, so it refuses a nextFresh beyond the address space
-// and a block at or above nextFresh rather than grow the map for them.
+// map to its nextFresh, so it refuses a nextFresh beyond what its records
+// can describe and a block at or above nextFresh rather than grow the map
+// for them.
 func TestCheckpointRefusesIDsBeyondItsFreshWatermark(t *testing.T) {
-	const nextFreshAt = 8 // payload offset of nextFresh: it follows the u64 ts
+	// nextFresh is the payload's first field, a one-byte varint here.
 	cases := []struct {
 		name string
-		edit func(l *LLD, nextFresh uint32) uint32 // the nextFresh to store
+		edit func(nextFresh byte) byte // the nextFresh to store
 		ok   bool
 	}{
-		{"unchanged", func(_ *LLD, nf uint32) uint32 { return nf }, true},
-		{"past the address space", func(l *LLD, _ uint32) uint32 { return uint32(l.lay.maxBlocks) + 2 }, false},
-		{"below an allocated block", func(_ *LLD, nf uint32) uint32 { return nf - 1 }, false},
+		{"unchanged", func(nf byte) byte { return nf }, true},
+		{"past the address space", func(byte) byte { return 0x7F }, false}, // more ids than its records describe
+		{"below an allocated block", func(nf byte) byte { return nf - 1 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,10 +78,10 @@ func TestCheckpointRefusesIDsBeyondItsFreshWatermark(t *testing.T) {
 			if err := l.Shutdown(true); err != nil {
 				t.Fatal(err)
 			}
-			var nf uint32
+			var nf byte
 			rewriteCheckpoint(t, d, l, func(payload []byte) {
-				nf = binary.LittleEndian.Uint32(payload[nextFreshAt:])
-				binary.LittleEndian.PutUint32(payload[nextFreshAt:], tc.edit(l, nf))
+				nf = payload[0]
+				payload[0] = tc.edit(nf)
 			})
 
 			l2, err := Open(d, testOptions())
@@ -96,33 +95,9 @@ func TestCheckpointRefusesIDsBeyondItsFreshWatermark(t *testing.T) {
 				return
 			}
 			if !errors.Is(err, ErrFormat) {
-				t.Fatalf("mounted a checkpoint whose nextFresh reads %d: %v", tc.edit(l, nf), err)
+				t.Fatalf("mounted a checkpoint whose nextFresh reads %d: %v", tc.edit(nf), err)
 			}
 		})
-	}
-}
-
-// rewriteCheckpoint hands edit the payload of the checkpoint a shut-down l
-// wrote last, and writes it back re-checksummed.
-func rewriteCheckpoint(t *testing.T, d *disk.Disk, l *LLD, edit func(payload []byte)) {
-	t.Helper()
-	off := l.lay.checkpointOff + int64(l.ckptSlot)*l.lay.checkpointSize
-	ss := l.lay.sectorSize
-	head := make([]byte, ss)
-	if err := d.ReadAt(head, off); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := readCkptHeader(head)
-	buf := make([]byte, h.imageSize(ss))
-	if err := d.ReadAt(buf, off); err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := h.payload(buf)
-	edit(payload)
-	h.crc = crc32.Checksum(payload, crcTable)
-	h.put(buf)
-	if err := d.WriteAt(buf, off); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -130,18 +105,20 @@ func rewriteCheckpoint(t *testing.T, d *disk.Disk, l *LLD, edit func(payload []b
 // the loader links them into the list of lists, so it refuses list 0, an id
 // at or above the checkpoint's next list id, and an id named twice.
 func TestCheckpointRefusesBadListIDs(t *testing.T) {
-	const nextListAt = 12 // payload offset of nextList: it follows nextFresh
+	// With no block the payload begins nextFresh, nextList and the list
+	// count, a byte each, and then the three lists' records, four bytes
+	// each: the id, first block and hints as deltas from the list before
+	// (zigzag), and the count. The lists are 1, 2, 3 in that order.
+	const recsAt, recSize = 3, 4
 	cases := []struct {
 		name string
-		edit func(recs []byte, nextList uint32) // recs: the list records
+		edit func(recs []byte) // recs: the list records
 		ok   bool
 	}{
-		{"unchanged", func([]byte, uint32) {}, true},
-		{"list 0", func(recs []byte, _ uint32) { binary.LittleEndian.PutUint32(recs, 0) }, false},
-		{"at the next list id", func(recs []byte, nl uint32) { binary.LittleEndian.PutUint32(recs[listStateEncSize:], nl) }, false},
-		{"named twice", func(recs []byte, _ uint32) {
-			copy(recs[2*listStateEncSize:2*listStateEncSize+4], recs[:4])
-		}, false},
+		{"unchanged", func([]byte) {}, true},
+		{"list 0", func(recs []byte) { recs[0] = 0 }, false},
+		{"at the next list id", func(recs []byte) { recs[recSize] = 2 * 3 }, false}, // 1 + 3 = 4
+		{"named twice", func(recs []byte) { recs[2*recSize] = 0 }, false},           // 2 again
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,14 +127,15 @@ func TestCheckpointRefusesBadListIDs(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				pred = mustNewList(t, l, pred, ld.ListHints{})
 			}
-			nLists, nSegs := len(l.lists), len(l.segs)
+			nLists := len(l.lists)
 			if err := l.Shutdown(true); err != nil {
 				t.Fatal(err)
 			}
 			rewriteCheckpoint(t, d, l, func(payload []byte) {
-				end := len(payload) - 4 - nSegs*segStateEncSize
-				recs := payload[end-nLists*listStateEncSize : end]
-				tc.edit(recs, binary.LittleEndian.Uint32(payload[nextListAt:]))
+				if !bytes.Equal(payload[:recsAt+nLists*recSize], []byte{1, 4, 3, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}) {
+					t.Fatalf("the payload begins % x", payload[:recsAt+nLists*recSize])
+				}
+				tc.edit(payload[recsAt:])
 			})
 			l2, err := Open(d, testOptions())
 			if tc.ok {

@@ -173,9 +173,12 @@ func TestTornNewerCheckpointFallsBackToTheOlderChain(t *testing.T) {
 	_, newerSlot := checkpoint()
 	fill()
 	img := crashImage(t, d, l)
-	// Tear the newer checkpoint's payload, as a crash inside its write can.
-	off := l.lay.checkpointOff + int64(newerSlot)*l.lay.checkpointSize + checkpointHeaderSize + 100
-	img[off] ^= 0xFF
+	// Rot the newer checkpoint's payload.
+	if l.ckptSlot != newerSlot {
+		t.Fatal("the newer checkpoint is not the newest")
+	}
+	off, _ := newestPayloadAt(t, l)
+	img[off+10] ^= 0xFF
 
 	_, l2, rep := mountImage(t, img, capacity)
 	if rep.CheckpointTS != older || rep.FullSweep != "" {
@@ -306,6 +309,7 @@ func TestSegmentNamingNoSuccessorSendsTheMountToTheFullSweep(t *testing.T) {
 	const capacity = 4 << 20
 	d, l := newTestLLD(t, capacity, testOptions())
 	_, want := fillBlocks(t, l, 3)
+	gen := l.ckptGen
 	// The hook: the free pool is empty while the open segment opens and
 	// writes its one image.
 	l.mu.Lock()
@@ -322,8 +326,8 @@ func TestSegmentNamingNoSuccessorSendsTheMountToTheFullSweep(t *testing.T) {
 	for b, data := range more {
 		want[b] = data
 	}
-	if l.sealsSinceCkpt < checkpointEvery || l.ckptTS != 0 {
-		t.Fatalf("setup: no unlinked segment open, or a checkpoint since the hook (floor %d)", l.ckptTS)
+	if l.sealsSinceCkpt < checkpointEvery || l.ckptGen != gen {
+		t.Fatalf("setup: no unlinked segment open, or a checkpoint since the hook (generation %d)", l.ckptGen)
 	}
 	img := crashImage(t, d, l)
 

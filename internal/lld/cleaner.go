@@ -54,17 +54,19 @@ func (l *LLD) cleanPass(maxVictims, maxIter int, target func() bool) (cleaned in
 
 // watermarkTarget reports whether the free pool (counting cooling, held and
 // ARU-pending segments, which become free without further cleaning) has
-// reached the high watermark. Callers hold l.mu.
+// reached the high watermark. The pool it counts is what writes may take:
+// the segments they leave to the checkpoint (reserve) are not. Callers
+// hold l.mu.
 func (l *LLD) watermarkTarget() bool {
-	return len(l.freeSegs)+len(l.cooling)+len(l.pendingARU)+len(l.held) >= cleanHigh
+	return l.spare()+len(l.cooling)+len(l.pendingARU)+len(l.held) >= cleanHigh
 }
 
 // maybeClean runs a whole watermark pass, on the caller's stack and under
-// the lock it holds, if the free-segment pool is at or below the low
-// watermark (paper §3.5: "when the number of free segments gets below a
-// certain threshold"). Callers hold l.mu.
+// the lock it holds, if the free-segment pool writes may take is at or
+// below the low watermark (paper §3.5: "when the number of free segments
+// gets below a certain threshold"). Callers hold l.mu.
 func (l *LLD) maybeClean() error {
-	if l.cleaning || len(l.freeSegs)+len(l.cooling)+len(l.held) > cleanLow {
+	if l.cleaning || l.spare()+len(l.cooling)+len(l.held) > cleanLow {
 		return nil
 	}
 	l.cleaning = true
@@ -137,7 +139,9 @@ func (l *LLD) pickVictim() int {
 func sumNames(entries []blockEntry) []uint32 {
 	ids := make([]uint32, 0, len(entries))
 	for i := range entries {
-		ids = append(ids, uint32(entries[i].bid))
+		if b := entries[i].bid; b != ld.NilBlock { // not a piece of a checkpoint
+			ids = append(ids, uint32(b))
+		}
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
@@ -255,48 +259,6 @@ func (l *LLD) moveLive(id int, live []ld.BlockID, bufs *cleanBufs) error {
 	l.stats.CleanReadBytes += bytes
 	l.stats.BlocksMoved += int64(mapped - l.segs[id].mapped) // each block logged left the victim
 	return err
-}
-
-// checkpoint writes a checkpoint (checkpoint.go). It is taken every
-// checkpointPeriod seals, early when only held segments would refill the
-// free pool (refillFromHeld) or when an atomic recovery unit begins with the
-// pool low and segments held (beginARU), by ReclaimQuarantined, and once
-// after a mount whose log cannot continue the newest checkpoint's chain. The
-// open segment's contents are made durable first (a partial write), so every
-// block coordinate the checkpoint records exists on disk; the checkpoint is
-// durable before the chain segments it no longer needs are released. Callers
-// hold l.mu.
-func (l *LLD) checkpoint() error {
-	if l.aruOpen {
-		return nil // never capture half an atomic recovery unit
-	}
-	if err := l.writePartial(false); err != nil {
-		return err
-	}
-	// A checkpoint the next boot trusts must not point at coordinates
-	// that are still sitting in a volatile write cache.
-	if err := l.dskSync(); err != nil {
-		return err
-	}
-	l.crashPoint("checkpoint")
-	l.stats.Consolidations++
-	if n := len(l.held); l.cur == nil && l.succ < 0 && len(l.freeSegs) == 0 && n > 0 {
-		// The chain starts at a segment this checkpoint releases: until it
-		// is durable the older checkpoint's chain still leads through it.
-		l.succ = l.held[n-1]
-	}
-	if err := l.writeCheckpoint(false); err != nil {
-		return err
-	}
-	if err := l.dskSync(); err != nil {
-		return err
-	}
-	for _, id := range l.held {
-		l.freeSegment(id)
-	}
-	l.held = l.held[:0]
-	l.sealsSinceCkpt = 0
-	return nil
 }
 
 // Reorganize is the idle-time disk reorganizer (paper §3.5): it rewrites

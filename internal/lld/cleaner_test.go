@@ -51,16 +51,17 @@ func TestPickVictim(t *testing.T) {
 // segments the hot blocks just left, which the cold blocks that rode along
 // with them keep two-thirds full; cost-benefit lets those age and takes
 // colder, emptier ones. The history is fixed by the seed, so greedy's figure
-// is a constant: recorded from this test at the commit before the victim
-// rule changed (pickVictim's default, fewest live bytes, oldest on ties).
+// is a constant: recorded from this test with pickVictim's old default,
+// fewest live bytes, oldest on ties (5,600 of 10,800 on format v5's
+// geometry; format v6's disk holds more segments, so a lap writes more).
 func TestVictimRuleMovesLessThanGreedyOnHotCold(t *testing.T) {
 	const (
 		seed         = 7
 		laps         = 8
-		greedyMoved  = 5600 // blocks moved over the measured laps
-		userWritten  = 10800
-		greedyPerOp  = float64(greedyMoved) / userWritten // 0.519
-		wantAtMostOf = 0.75                               // of greedy's; measured 0.59 (3,325 moved, 0.308 a write)
+		greedyMoved  = 6355 // blocks moved over the measured laps
+		userWritten  = 11520
+		greedyPerOp  = float64(greedyMoved) / userWritten // 0.552
+		wantAtMostOf = 0.75                               // of greedy's; measured 0.54 (3,405 moved, 0.296 a write)
 	)
 	opts := segIOOptions()
 	_, l := newTestLLD(t, 8<<20, opts)
@@ -317,21 +318,17 @@ func buildStaleImage(t *testing.T, capacity int64, opts Options) []byte {
 			t.Fatalf("segment %d never written; fill too short for this geometry", i)
 		}
 	}
-	ckptOff, ckptSize := l.lay.checkpointOff, l.lay.checkpointSize
+	lay := l.lay
 	l.mu.RUnlock()
 	if err := l.Shutdown(false); err != nil {
 		t.Fatalf("unclean shutdown: %v", err)
 	}
 	img := d.Snapshot()
-	// Tear both checkpoint slots (as a crash mid-checkpoint can) so that
-	// recovery takes the pure one-sweep path. Every segment then recovers
-	// from its summary alone, and since all carry one, none recovers free.
-	ss := d.SectorSize()
+	// Tear both checkpoint pointer slots so that recovery takes the pure
+	// one-sweep path. Every segment then recovers from its summary alone,
+	// and since all carry one, none recovers free.
 	for slot := 0; slot < 2; slot++ {
-		off := ckptOff + int64(slot)*ckptSize
-		for i := 0; i < ss; i++ {
-			img[off+int64(i)] = 0
-		}
+		clear(img[lay.pointerOff(slot) : lay.pointerOff(slot)+int64(lay.pointerSize())])
 	}
 	return img
 }

@@ -48,7 +48,6 @@ func TestConsolidationCrashSoak(t *testing.T) {
 
 func consolidationCrashSoak(t *testing.T, seed int64) (consolidations, fences int64) {
 	o := testOptions()
-	o.MaxBlocks = 8192
 	d := disk.New(disk.DefaultConfig(3 << 20))
 	if err := Format(d, o); err != nil {
 		t.Fatal(err)

@@ -197,10 +197,10 @@ func TestManyGenerationsWithConsolidations(t *testing.T) {
 	}
 }
 
-// TestTornCheckpointFallsBackToOlderSlot: the two checkpoint slots
-// alternate, so a checkpoint write torn mid-payload must not disable
-// checkpoint recovery altogether — the previous slot still covers every
-// fact the cleaner has dropped so far.
+// TestTornCheckpointFallsBackToOlderSlot: the two checkpoint pointer slots
+// alternate, so a checkpoint whose payload does not read back must not
+// disable checkpoint recovery altogether — the previous slot's checkpoint
+// still covers every fact the cleaner has dropped so far.
 func TestTornCheckpointFallsBackToOlderSlot(t *testing.T) {
 	d, l := newTestLLD(t, 8<<20, testOptions())
 	lid := mustNewList(t, l, ld.NilList, ld.ListHints{})
@@ -231,15 +231,20 @@ func TestTornCheckpointFallsBackToOlderSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt one payload byte of the newer slot (header left intact, so
-	// slot selection still prefers it and must fall back on the CRC check).
-	off := l.lay.checkpointOff + int64(newerSlot)*l.lay.checkpointSize
-	sector := make([]byte, d.SectorSize())
-	if err := d.ReadAt(sector, off+int64(d.SectorSize())); err != nil {
+	// Corrupt one payload byte of the newer checkpoint (its pointer left
+	// intact, so slot selection still prefers it and must fall back on the
+	// extent's CRC).
+	if l.ckptSlot != newerSlot {
+		t.Fatal("the newer checkpoint is not the newest")
+	}
+	at, _ := newestPayloadAt(t, l)
+	ss := int64(d.SectorSize())
+	sector := make([]byte, ss)
+	if err := d.ReadAt(sector, at/ss*ss); err != nil {
 		t.Fatal(err)
 	}
-	sector[7] ^= 0xFF
-	if err := d.WriteAt(sector, off+int64(d.SectorSize())); err != nil {
+	sector[at%ss] ^= 0xFF
+	if err := d.WriteAt(sector, at/ss*ss); err != nil {
 		t.Fatal(err)
 	}
 

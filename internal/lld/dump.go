@@ -10,7 +10,7 @@ import (
 )
 
 // Dump writes a human-readable description of an LLD-formatted disk to w:
-// the superblock geometry, both checkpoint slots, and a per-segment summary
+// the superblock geometry, both checkpoint pointer slots, and a per-segment summary
 // overview. With verbose set, every block entry and tuple is listed. It is
 // the engine behind cmd/lddump and reads the disk without mutating it.
 func Dump(d disk.Backend, w io.Writer, verbose bool) error {
@@ -22,23 +22,31 @@ func Dump(d disk.Backend, w io.Writer, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "superblock: segment=%d KB summary=%d KB maxBlock=%d maxBlocks=%d segments=%d\n",
-		lay.segmentSize/1024, lay.summarySize/1024, lay.maxBlockSize, lay.maxBlocks, lay.nSegments)
-	fmt.Fprintf(w, "layout: checkpoints at %d (2 x %d KB), segments at %d\n",
-		lay.checkpointOff, lay.checkpointSize/1024, lay.segmentsOff)
+	if err := lay.fits(d); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "superblock: segment=%d KB summary=%d KB maxBlock=%d segments=%d capacity=%d\n",
+		lay.segmentSize/1024, lay.summarySize/1024, lay.maxBlockSize, lay.nSegments, lay.capacity)
+	fmt.Fprintf(w, "layout: checkpoint pointers at %d (2 x %d B), segments at %d\n",
+		lay.pointerOff(0), lay.pointerSize(), lay.segmentsOff)
 
-	head := make([]byte, d.SectorSize())
+	buf := make([]byte, lay.pointerSize())
 	for slot := 0; slot < 2; slot++ {
-		off := lay.checkpointOff + int64(slot)*lay.checkpointSize
-		if err := d.ReadAt(head, off); err != nil {
+		if err := d.ReadAt(buf, lay.pointerOff(slot)); err != nil {
 			return err
 		}
-		h, ok := readCkptHeader(head)
+		p, ok := readPointer(buf, lay)
 		if !ok {
 			fmt.Fprintf(w, "checkpoint %d: empty/invalid\n", slot)
 			continue
 		}
-		fmt.Fprintf(w, "checkpoint %d: ts=%d payload=%d B complete=%v\n", slot, h.ts, h.plen, h.complete)
+		if p.table != nil {
+			fmt.Fprintf(w, "checkpoint %d: gen=%d ts=%d payload named by an extent table of %d B in %d extents, from segment %d complete=%v\n",
+				slot, p.gen, p.ts, extentsLen(p.table), len(p.table), p.chainSeg, p.complete)
+			continue
+		}
+		fmt.Fprintf(w, "checkpoint %d: gen=%d ts=%d payload=%d B in %d extents from segment %d complete=%v\n",
+			slot, p.gen, p.ts, extentsLen(p.exts), len(p.exts), p.chainSeg, p.complete)
 	}
 
 	liveSegs, freeSegs := 0, 0
@@ -63,6 +71,10 @@ func Dump(d disk.Backend, w io.Writer, verbose bool) error {
 			i, kind, si.writeTS, si.mark, si.dataBytes, len(si.entries), len(si.tuples))
 		if verbose {
 			for _, e := range si.entries {
+				if e.bid == 0 {
+					fmt.Fprintf(w, "    checkpoint ts=%d off=%d bytes=%d\n", e.ts, e.off, e.stored)
+					continue
+				}
 				fmt.Fprintf(w, "    block %6d ts=%d off=%d stored=%d orig=%d flags=%#x\n",
 					e.bid, e.ts, e.off, e.stored, e.orig, e.flags)
 			}
@@ -98,6 +110,9 @@ func SummarySlots(d disk.Backend) (offs []int64, size int, err error) {
 	}
 	lay, err := decodeSuper(sector)
 	if err != nil {
+		return nil, 0, err
+	}
+	if err := lay.fits(d); err != nil {
 		return nil, 0, err
 	}
 	type slotTS struct {

@@ -15,9 +15,9 @@ const (
 	superMagic      = 0x4C4C4431 // "LLD1"
 	summaryMagic    = 0x4C445347 // "LDSG"
 	checkpointMagic = 0x4C444350 // "LDCP"
-	formatVersion   = 5          // v2: payload CRC32C in block entries and checkpoint records; v3: durable mark in the summary header; v4: packed summary records; v5: the summary header links the segment into the log's chain, the checkpoint names where the chain starts
+	formatVersion   = 6          // v2: payload CRC32C in block entries and checkpoint records; v3: durable mark in the summary header; v4: packed summary records; v5: the summary header links the segment into the log's chain, the checkpoint names where the chain starts; v6: the checkpoint's payload is log data behind a pointer record, delta-coded, and the superblock records the capacity
 
-	superEncSize      = 60
+	superEncSize      = 48
 	summaryHeaderSize = 44
 
 	// noSegment is the successor a summary names, and the chain start a
@@ -40,14 +40,10 @@ const (
 	minEntrySize = 4 // flags, bid, ts delta, stored 0
 	minTupleSize = 2 // kind|flags, ts delta
 
-	// A checkpoint slot is sized for a record of blockStateEncSize bytes per
-	// block id (computeLayout); the records are packed since format v5
-	// (writeCheckpoint) and take ≈ 15.
-	checkpointHeaderSize = 24
-	checkpointFixedSize  = 36 // ts, next fresh block and list, durable mark, open sequence number, chain start segment and sequence number
-	blockStateEncSize    = 33
-	listStateEncSize     = 17
-	segStateEncSize      = 17
+	// A checkpoint pointer record (checkpoint.go) fills a slot of
+	// pointerSectors sectors, so a clean mount's demotion rewrites one
+	// sector; its CRC is the slot's last four bytes.
+	pointerSectors = 1
 )
 
 // Tuple kinds logged in segment summaries. Replayed in timestamp order
@@ -292,10 +288,8 @@ func encodeSuper(l layout) []byte {
 	w.u32(uint32(l.segmentSize))
 	w.u32(uint32(l.summarySize))
 	w.u32(uint32(l.maxBlockSize))
-	w.u32(uint32(l.maxBlocks))
 	w.u32(uint32(l.nSegments))
-	w.u64(uint64(l.checkpointOff))
-	w.u64(uint64(l.checkpointSize))
+	w.u64(uint64(l.capacity))
 	w.u64(uint64(l.segmentsOff))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:], crcTable))
 	return buf
@@ -310,21 +304,21 @@ func decodeSuper(buf []byte) (layout, error) {
 		return layout{}, fmt.Errorf("%w: bad superblock magic", ErrFormat)
 	}
 	crc := r.u32()
-	if crc32.Checksum(buf[8:superEncSize], crcTable) != crc {
-		return layout{}, fmt.Errorf("%w: superblock checksum mismatch", ErrFormat)
-	}
+	// The version comes first: an older format's superblock is laid out,
+	// and checksummed, over other bytes.
 	if v := r.u32(); v != formatVersion {
 		return layout{}, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
+	}
+	if crc32.Checksum(buf[8:superEncSize], crcTable) != crc {
+		return layout{}, fmt.Errorf("%w: superblock checksum mismatch", ErrFormat)
 	}
 	var l layout
 	l.sectorSize = int(r.u32())
 	l.segmentSize = int(r.u32())
 	l.summarySize = int(r.u32())
 	l.maxBlockSize = int(r.u32())
-	l.maxBlocks = int(r.u32())
 	l.nSegments = int(r.u32())
-	l.checkpointOff = int64(r.u64())
-	l.checkpointSize = int64(r.u64())
+	l.capacity = int64(r.u64())
 	l.segmentsOff = int64(r.u64())
 	if r.err != nil {
 		return layout{}, r.err

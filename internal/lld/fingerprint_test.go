@@ -140,8 +140,8 @@ func TestRecoveredStateIsDeterministic(t *testing.T) {
 				if viol := l.CheckInvariants(); len(viol) != 0 {
 					t.Fatalf("mount %d violates invariants: %v", i, viol)
 				}
-				if (l.ckptTS != 0) != consolidate {
-					t.Fatalf("mount %d: checkpoint floor %d, consolidated=%v", i, l.ckptTS, consolidate)
+				if (l.ckptGen > 1) != consolidate { // Format's is the first
+					t.Fatalf("mount %d: checkpoint generation %d, consolidated=%v", i, l.ckptGen, consolidate)
 				}
 				if l.recReport.DiscardedRecords == 0 {
 					t.Fatalf("mount %d discarded no records: the aborted ARU did not reach the platter", i)

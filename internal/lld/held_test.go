@@ -18,9 +18,10 @@ import (
 
 // heldLLD returns an instance on a disk mostly full of live blocks, with
 // segments held for the next checkpoint, exactly pool segments free or
-// cooling, and its statistics zeroed when the chain started. hot is the
-// block whose rewrites filled the held segments, and rest holds the live
-// blocks of one list, in list order. opts sets the geometry.
+// cooling beside the checkpoint's reserve, and its statistics zeroed when
+// the chain started. hot is the block whose rewrites filled the held
+// segments, and rest holds the live blocks of one list, in list order.
+// opts sets the geometry.
 func heldLLD(t *testing.T, opts Options, pool int) (l *LLD, hot ld.BlockID, rest []ld.BlockID) {
 	t.Helper()
 	_, l = newTestLLD(t, 4<<20, opts)
@@ -53,15 +54,15 @@ func heldLLD(t *testing.T, opts Options, pool int) (l *LLD, hot ld.BlockID, rest
 			}
 		}
 	}
-	for i := 0; len(l.freeSegs)+len(l.cooling) > pool; i++ {
+	for i := 0; l.spare()+len(l.cooling) > pool; i++ {
 		if i > 20*perSeg {
 			t.Fatalf("the pool never came down to %d", pool)
 		}
 		mustWrite(t, l, hot, bytes.Repeat([]byte{0xA1}, 4096))
 	}
-	if len(l.held) == 0 || len(l.freeSegs)+len(l.cooling) != pool || l.stats.Consolidations != 0 {
+	if len(l.held) == 0 || l.spare()+len(l.cooling) != pool || l.stats.Consolidations != 0 {
 		t.Fatalf("%d held, %d free, %d cooling, %d checkpoints since the chain started; want some held, %d free or cooling, none taken",
-			len(l.held), len(l.freeSegs), len(l.cooling), l.stats.Consolidations, pool)
+			len(l.held), l.spare(), len(l.cooling), l.stats.Consolidations, pool)
 	}
 	return l, hot, rest
 }

@@ -256,7 +256,7 @@ type LLD struct {
 	ts uint64 // last issued timestamp (monotone operation counter)
 
 	// blocks is indexed by BlockID (entry 0 unused) and covers the ids LD
-	// has handed out, not the lay.maxBlocks it could: see growBlocks.
+	// has handed out: see growBlocks.
 	blocks    []blockInfo
 	nextFresh ld.BlockID // smallest never-allocated id
 	freeIDs   ld.IDPool[ld.BlockID]
@@ -266,7 +266,10 @@ type LLD struct {
 	// ghosts holds, during a replay only, a node for each id a logged
 	// move left in the list of lists after its list was deleted
 	// (replayTuple); installRecovered unlinks them and clears it.
-	ghosts    map[ld.ListID]*listInfo
+	ghosts map[ld.ListID]*listInfo
+	// idCeil bounds, during a replay, the block ids a record may name
+	// (recoverSweep).
+	idCeil    uint64
 	nextList  ld.ListID
 	freeLists ld.IDPool[ld.ListID]
 
@@ -323,23 +326,29 @@ type LLD struct {
 	// Checkpoint state: records with ts <= ckptTS are covered by the newest
 	// on-disk checkpoint, and recovery replays none of them. A live segment
 	// stamped at or below namedTS was named by the checkpoint the mount
-	// loaded (decodeCheckpoint), not by a summary; 0 when it loaded none.
+	// loaded (installCheckpoint), not by a summary; 0 when it loaded none.
 	ckptTS   uint64
 	ckptSlot int
 	namedTS  uint64
+	// ckptGen is the newest checkpoint's generation and ckptBytes its
+	// payload's length, which sizes the next one's reserve. checkpointing
+	// is set while one is being written: the seals its payload makes take
+	// no other, and the segments it opens may take the reserve.
+	ckptGen       uint64
+	ckptBytes     int
+	checkpointing bool
 
 	// The log's chain (recovery.go "The chain"). openSeq is the open
 	// sequence number of the segment opened last, and succ the free segment
 	// the log opens next, which the open segment's summary names as its
 	// successor (-1 when the pool was empty at the open). The newest
 	// checkpoint's chain starts at the segment opened with sequence number
-	// ckptSeq, so a segment with a sequence number at or after it was opened
-	// since (inChain). A checkpoint that names no start leaves the number
-	// the log opens next (writeCheckpoint); one decoded from the platter,
-	// 0, and the mount then takes a new one. held are such segments the
-	// cleaner freed: they stay cooling until a newer checkpoint is durable
-	// (the reuse rule), so no link a mount may follow, and no record newer
-	// than the checkpoint, is overwritten.
+	// ckptSeq, the one holding its payload's first byte, so a segment with a
+	// sequence number at or after it was opened since (inChain); 0 before
+	// any checkpoint. held are such segments the cleaner freed: they stay
+	// cooling until a newer checkpoint is durable (the reuse rule), so no
+	// link a mount may follow, no record newer than the checkpoint, and no
+	// byte of its payload is overwritten.
 	// sealsSinceCkpt counts seals toward the next periodic checkpoint.
 	openSeq        uint32
 	succ           int
@@ -348,7 +357,8 @@ type LLD struct {
 	sealsSinceCkpt int
 
 	// Pending abort fence: set by recoverSweep when it discards an
-	// incomplete ARU, emitted by Open as the boot's first record.
+	// incomplete ARU, emitted as the boot's first record into the first
+	// segment the log opens (openNewSegment).
 	fenceLo, fenceHi uint64
 
 	stats Stats
@@ -377,8 +387,9 @@ var (
 )
 
 // Format initializes an LLD layout on the disk: superblock, empty
-// checkpoint slots, and invalidated segment summaries. Any previous
-// contents are irrecoverable afterwards.
+// checkpoint pointer slots, and invalidated segment summaries, then the
+// clean-shutdown checkpoint of an empty LD. Any previous contents are
+// irrecoverable afterwards.
 func Format(dsk disk.Backend, opts Options) error {
 	lay, err := computeLayout(dsk.Capacity(), dsk.SectorSize(), opts)
 	if err != nil {
@@ -390,10 +401,10 @@ func Format(dsk disk.Backend, opts Options) error {
 	if err := dsk.WriteAt(sector, 0); err != nil {
 		return err
 	}
-	// Invalidate both checkpoint slots.
-	zero := make([]byte, ss)
+	// Invalidate both pointer slots.
+	zero := make([]byte, lay.pointerSize())
 	for slot := 0; slot < 2; slot++ {
-		if err := dsk.WriteAt(zero, lay.checkpointOff+int64(slot)*lay.checkpointSize); err != nil {
+		if err := dsk.WriteAt(zero, lay.pointerOff(slot)); err != nil {
 			return err
 		}
 	}
@@ -401,26 +412,21 @@ func Format(dsk disk.Backend, opts Options) error {
 	// from a previous format cannot be resurrected by recovery.
 	for i := 0; i < lay.nSegments; i++ {
 		for slot := 0; slot < 2; slot++ {
-			if err := dsk.WriteAt(zero, lay.sumOff(i, slot)); err != nil {
+			if err := dsk.WriteAt(zero[:ss], lay.sumOff(i, slot)); err != nil {
 				return err
 			}
 		}
 	}
 	// The clean-shutdown checkpoint of an empty LD: the first mount is a
-	// clean mount, and the checkpoint names where the log's chain starts,
-	// the segment the first open takes, for a crash mount to follow.
+	// clean mount, and the log goes on in the segment after the one that
+	// holds the payload. It ends with a drain: a format must survive power
+	// loss on a write-caching backend, and half a format is a disk whose
+	// stale summaries can resurrect dead metadata. A format is no crash
+	// point.
+	opts.CrashHook = nil
 	l := newInstance(dsk, opts, lay)
 	l.rebuildFreeSegments()
-	l.succ = l.nextFree(-1)
-	if err := l.writeCheckpoint(true); err != nil {
-		return err
-	}
-	// A format must survive power loss on a write-caching backend: half a
-	// format is a disk whose stale summaries can resurrect dead metadata.
-	if s, ok := dsk.(disk.Syncer); ok {
-		return s.Sync()
-	}
-	return nil
+	return l.writeCheckpoint(true, false)
 }
 
 // Open attaches to a formatted disk. Geometry comes from the superblock;
@@ -465,14 +471,13 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 	if err != nil {
 		return nil, err
 	}
-	if lay.sectorSize != dsk.SectorSize() {
-		return nil, fmt.Errorf("%w: superblock sector size %d != disk %d", ErrFormat, lay.sectorSize, dsk.SectorSize())
+	if err := lay.fits(dsk); err != nil {
+		return nil, err
 	}
 	// Runtime knobs keep their configured values; geometry is on-disk truth.
 	opts.SegmentSize = lay.segmentSize
 	opts.SummarySize = lay.summarySize
 	opts.MaxBlockSize = lay.maxBlockSize
-	opts.MaxBlocks = lay.maxBlocks
 	if err := opts.validate(lay.sectorSize); err != nil {
 		return nil, err
 	}
@@ -503,33 +508,30 @@ func open(dsk disk.Backend, opts Options, verifyData verifyFunc, sweep bool) (*L
 	}
 	l.rebuildFreeSegments()
 	l.finalizeIntegrity()
-	if l.succ < 0 || l.segs[l.succ].state != segFree {
-		// The log cannot go on where the newest checkpoint's chain ends (it
-		// was broken, or names a segment not free): start a new chain before
-		// anything is written.
-		l.succ = l.nextFree(-1)
-		if err := l.checkpoint(); err != nil {
+	// The log cannot go on where the newest checkpoint's chain ends when it
+	// was broken, or names a segment not free.
+	broken := l.succ < 0 || l.segs[l.succ].state != segFree
+	if broken {
+		l.succ = -1
+	}
+	if l.fenceHi != 0 && l.cur == nil && l.spare() > 0 {
+		// The sweep discarded an incomplete atomic recovery unit whose
+		// records remain readable in sealed summaries: the segment the log
+		// opens first takes the fence that keeps them dead (openNewSegment).
+		// With none free, the first one cleaning frees does.
+		if err := l.openNewSegment(); err != nil {
 			return nil, err
 		}
 	}
-	if l.fenceHi != 0 {
-		// The sweep discarded an incomplete atomic recovery unit whose
-		// records remain readable in sealed summaries. Make the dead window
-		// permanent before any new record could resurrect it. Open a fresh
-		// segment directly when one is free so no cleaner-emitted committed
-		// tuple can seal ahead of the fence.
-		if l.cur == nil && len(l.freeSegs) > 0 {
-			if err := l.openNewSegment(); err != nil {
-				return nil, err
-			}
-		}
-		if err := l.ensureRoom(0, tupleSpace(tFence)); err != nil {
+	if broken {
+		// Start a new chain, at the segment the checkpoint's payload takes,
+		// before anything else is written. With no room for one the next
+		// open is linked from nothing, and the seal after it takes the
+		// checkpoint.
+		l.sealsSinceCkpt = checkpointEvery
+		if err := l.checkpoint(); err != nil && !errors.Is(err, ld.ErrNoSpace) {
 			return nil, err
 		}
-		l.emitTuple(tFence,
-			uint32(l.fenceLo), uint32(l.fenceLo>>32),
-			uint32(l.fenceHi), uint32(l.fenceHi>>32))
-		l.fenceLo, l.fenceHi = 0, 0
 	}
 	return l, nil
 }
@@ -745,9 +747,6 @@ func (l *LLD) SegmentSize() int { return l.lay.segmentSize }
 
 // MaxBlockSize implements ld.Disk.
 func (l *LLD) MaxBlockSize() int { return l.lay.maxBlockSize }
-
-// MaxBlocks returns the size of the logical block address space.
-func (l *LLD) MaxBlocks() int { return l.lay.maxBlocks }
 
 // FreeSegments returns the number of immediately allocatable segments.
 func (l *LLD) FreeSegments() int {

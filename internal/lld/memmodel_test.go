@@ -226,9 +226,9 @@ func TestTable2BlockMapAsImplemented(t *testing.T) {
 	}
 	const mb = 1 << 20
 	full := paperModel(false, 0)
-	t.Logf("%d allocations: %d entries of %d B, %.2f MB; full 4-KB occupancy: %.1f MB per GB (one entry per id of the address space: %.1f MB at any fill); paper model %.1f MB",
+	t.Logf("%d allocations: %d entries of %d B, %.2f MB; full 4-KB occupancy: %.1f MB per GB (one entry per id of an address space of 4 ids per 4 KB of data: %.1f MB at any fill); paper model %.1f MB",
 		n, cap(l.blocks), entry, float64(held)/mb,
-		float64(full.Blocks()*entry)/mb, float64(int64(l.lay.maxBlocks+1)*entry)/mb, float64(full.BlockMapBytes())/mb)
+		float64(full.Blocks()*entry)/mb, float64((4*l.lay.usableBytes()/int64(l.lay.maxBlockSize)+1)*entry)/mb, float64(full.BlockMapBytes())/mb)
 }
 
 func TestMemoryModelEdgeCases(t *testing.T) {

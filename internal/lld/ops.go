@@ -3,6 +3,7 @@ package lld
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -419,7 +420,7 @@ func (l *LLD) NewBlock(lid ld.ListID, pred ld.BlockID) (ld.BlockID, error) {
 	}
 	bid, fromPool := l.freeIDs.Pop()
 	if !fromPool {
-		if int(l.nextFresh) > l.lay.maxBlocks {
+		if l.nextFresh == math.MaxUint32 {
 			return ld.NilBlock, fmt.Errorf("%w: out of logical block numbers", ld.ErrNoSpace)
 		}
 		bid = l.nextFresh
@@ -1017,28 +1018,11 @@ func (l *LLD) Shutdown(clean bool) error {
 	if l.aruOpen {
 		return ld.ErrARUOpen
 	}
-	if cur := l.cur; cur != nil {
-		if len(cur.entries) > 0 || len(cur.tuples) > 0 || cur.dirty {
-			if err := l.sealSegment(); err != nil {
-				return err
-			}
-		} else {
-			// Return the untouched segment to the pool.
-			l.freeSegment(cur.id)
-			l.cur = nil
-		}
-	}
-	l.releaseCooling()
-	// The complete checkpoint is what lets the next boot skip the sweep,
-	// so everything it describes — and the checkpoint itself — must be on
-	// the platter, not in a volatile write cache, before we report clean.
-	if err := l.dskSync(); err != nil {
-		return err
-	}
-	if err := l.writeCheckpoint(true); err != nil {
-		return err
-	}
-	if err := l.dskSync(); err != nil {
+	// The complete checkpoint is what lets the next boot skip the sweep.
+	// Its payload goes on in the open segment, which it seals, and it is on
+	// the platter, not in a volatile write cache, with everything it
+	// describes before we report clean.
+	if err := l.writeCheckpoint(true, false); err != nil {
 		return err
 	}
 	l.shut = true

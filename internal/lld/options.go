@@ -30,6 +30,8 @@ import (
 	"math"
 	"math/bits"
 	"time"
+
+	"repro/internal/disk"
 )
 
 // Options configures an LLD instance. The zero value is not valid; use
@@ -58,11 +60,6 @@ type Options struct {
 	// fail with ld.ErrTooLarge.
 	MaxBlockSize int
 
-	// MaxBlocks bounds the logical block address space. Zero means derive
-	// from capacity: one block number per MaxBlockSize/4 bytes of usable
-	// space (so small-block-heavy file systems do not run out of numbers).
-	MaxBlocks int
-
 	// CompressBandwidth models the CPU cost of compression in bytes per
 	// second of virtual time; decompression is charged at the same rate.
 	// Zero disables the charge (infinitely fast CPU).
@@ -79,8 +76,10 @@ type Options struct {
 	// block moves, before it retires the victim ("clean.moved"), around
 	// ReclaimQuarantined's evidence-slot clears
 	// ("reclaim.preclear", "reclaim.midclear", "reclaim.postclear"), after
-	// a scrub salvage append ("scrub.salvage"), before every checkpoint
-	// write, whatever took it ("checkpoint"), between a seal's data request
+	// a scrub salvage append ("scrub.salvage"), before every checkpoint's
+	// payload is written, whatever took it ("checkpoint"), between the
+	// payload's durable write and its pointer record's
+	// ("checkpoint.payload"), between a seal's data request
 	// and its summary request when they are two ("seal.data"), after the
 	// drain that advances the durable watermark, before any summary
 	// advertises it ("mark.advanced"), and before a summary write that
@@ -161,18 +160,39 @@ func (o Options) compressDelay(n int) time.Duration {
 	return time.Duration(float64(n) / float64(o.CompressBandwidth) * float64(time.Second))
 }
 
-// layout is the derived on-disk geometry, stored in the superblock.
+// layout is the derived on-disk geometry, stored in the superblock. The
+// disk begins with the superblock's sector and the two checkpoint pointer
+// slots of pointerSectors sectors each (checkpoint.go); the segments follow
+// from the first multiple of the segment size, so each lies where it would
+// on a disk that held nothing else.
 type layout struct {
-	sectorSize     int
-	segmentSize    int
-	summarySize    int
-	maxBlockSize   int
-	maxBlocks      int
-	nSegments      int
-	checkpointOff  int64 // byte offset of checkpoint slot 0
-	checkpointSize int64 // size of one checkpoint slot
-	segmentsOff    int64 // byte offset of segment 0
-	locShift       uint  // bits of a block's location that hold its offset (pack); derived, not stored
+	sectorSize   int
+	segmentSize  int
+	summarySize  int
+	maxBlockSize int
+	nSegments    int
+	capacity     int64 // the bytes of the backend it was formatted on
+	segmentsOff  int64 // byte offset of segment 0
+	locShift     uint  // bits of a block's location that hold its offset (pack); derived, not stored
+}
+
+// fits refuses, with ErrFormat, a backend of another shape than the one
+// the layout was formatted on: an image set opened as a stripe that was
+// made a mirror, or one of its files alone.
+func (l layout) fits(dsk disk.Backend) error {
+	if l.sectorSize != dsk.SectorSize() || l.capacity != dsk.Capacity() {
+		return fmt.Errorf("%w: formatted for %d bytes in %d-byte sectors, the disk has %d in %d-byte sectors",
+			ErrFormat, l.capacity, l.sectorSize, dsk.Capacity(), dsk.SectorSize())
+	}
+	return nil
+}
+
+// pointerSize returns the bytes of one checkpoint pointer slot.
+func (l layout) pointerSize() int { return pointerSectors * l.sectorSize }
+
+// pointerOff returns the byte offset of checkpoint pointer slot slot.
+func (l layout) pointerOff(slot int) int64 {
+	return int64(l.sectorSize) + int64(slot)*int64(l.pointerSize())
 }
 
 // dataCap returns the usable data bytes in one segment. Each segment ends
@@ -226,41 +246,11 @@ func computeLayout(capacity int64, sectorSize int, o Options) (layout, error) {
 		maxBlockSize: o.MaxBlockSize,
 		locShift:     locShiftFor(o.SegmentSize),
 	}
-
-	// Reserve one sector for the superblock, rounded to a full segment
-	// boundary after the checkpoint region for alignment simplicity.
-	super := int64(sectorSize)
-
-	// Provisional segment count ignoring the checkpoint region, used to
-	// size MaxBlocks and therefore the checkpoint slots.
-	provSegs := int(capacity / int64(o.SegmentSize))
-	if provSegs < 4 {
-		return layout{}, fmt.Errorf("lld: disk too small: %d bytes for %d-byte segments", capacity, o.SegmentSize)
-	}
-	maxBlocks := o.MaxBlocks
-	if maxBlocks == 0 {
-		maxBlocks = int(int64(provSegs) * int64(l.dataCap()) / int64(o.MaxBlockSize) * 4)
-	}
-	l.maxBlocks = maxBlocks
-
-	// A checkpoint slot must hold the serialized state: superheader plus
-	// per-block and per-list records. Size generously and round to sectors.
-	slot := int64(checkpointHeaderSize) +
-		int64(maxBlocks+1)*blockStateEncSize +
-		int64(maxBlocks/8+64)*listStateEncSize + // lists are bounded by blocks
-		int64(provSegs)*segStateEncSize +
-		4096
-	slot = (slot + int64(sectorSize) - 1) / int64(sectorSize) * int64(sectorSize)
-	l.checkpointOff = super
-	l.checkpointSize = slot
-
-	dataStart := super + 2*slot
-	// Align segment region to a sector (already is) and compute how many
-	// whole segments fit.
-	l.segmentsOff = dataStart
-	l.nSegments = int((capacity - dataStart) / int64(o.SegmentSize))
+	l.capacity = capacity
+	l.segmentsOff = (l.pointerOff(2) + int64(o.SegmentSize) - 1) / int64(o.SegmentSize) * int64(o.SegmentSize)
+	l.nSegments = int((capacity - l.segmentsOff) / int64(o.SegmentSize))
 	if l.nSegments < 4 {
-		return layout{}, fmt.Errorf("lld: disk too small after metadata: %d segments", l.nSegments)
+		return layout{}, fmt.Errorf("lld: disk too small: %d bytes hold %d segments of %d bytes", capacity, max(l.nSegments, 0), o.SegmentSize)
 	}
 	if l.nSegments >= noSegment {
 		return layout{}, fmt.Errorf("lld: %d segments, a summary names at most %d", l.nSegments, noSegment-1)

@@ -218,6 +218,27 @@ func TestReadAheadMountEqualsTheSerialWalk(t *testing.T) {
 	}
 }
 
+// The read-ahead stops at the chain's end: a chain mount reads the summary
+// areas of the chain, the one after its end that the walk itself reads,
+// and at most one more that a batch issued before the end's own read was
+// in hand.
+func TestReadAheadReadsNoFurtherThanTheChainsEnd(t *testing.T) {
+	const capacity = 4 << 20
+	opts := testOptions()
+	for name, img := range map[string][]byte{
+		"format's checkpoint":  buildCrashedImage(t, capacity, opts, false),
+		"a checkpoint halfway": buildCrashedImage(t, capacity, opts, true),
+		"a lapped log":         lappedImage(t, capacity, opts, 12),
+	} {
+		_, l, _ := mountProbing(t, img, disk.DefaultConfig(capacity), opts, false, false)
+		rep := l.recReport
+		t.Logf("%s: chain %d, %d summary areas read", name, rep.ChainSegments, rep.SweptSegments)
+		if rep.FullSweep != "" || rep.SweptSegments > rep.ChainSegments+2 {
+			t.Errorf("%s: the mount went by %q and read %d summary areas for a chain of %d", name, rep.FullSweep, rep.SweptSegments, rep.ChainSegments)
+		}
+	}
+}
+
 // A segment the read-ahead predicts but the chain does not reach — the free
 // one after the chain's end, which carries a summary of an earlier lap — is
 // read and dropped: unreadable or rotted, it sends the mount to no full

@@ -71,20 +71,21 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	// block's existence or a list's linkage — salvage only re-homed the
 	// payloads — and salvage records (this call's or an earlier Scrub's)
 	// may still sit in the open segment. A checkpoint holds every such fact
-	// and is durable before the evidence is destroyed ("durable" must
-	// survive a volatile write cache too: a power loss may otherwise persist
-	// the zeroed slots below while dropping what justified zeroing them). It
-	// records the segments free, and starts a chain that does not lead
-	// through them: one opened since the last checkpoint is a link recovery
-	// follows (recovery.go "The chain"). A crash from here on finds them
-	// free, whatever their slots hold, and a rotted slot of a free segment at
-	// or below the checkpoint is only cleared.
+	// and is durable, with the open segment, before the evidence is
+	// destroyed ("durable" must survive a volatile write cache too: a power
+	// loss may otherwise persist the zeroed slots below while dropping what
+	// justified zeroing them). It records the segments free, but they join
+	// the free pool only once their slots are zeroed: the checkpoint's
+	// payload and chain must not lead through them, since one opened since
+	// the last checkpoint is a link recovery follows (recovery.go "The
+	// chain"). A crash from here on finds them free, whatever their slots
+	// hold, and a rotted slot of a free segment at or below the checkpoint
+	// is only cleared.
 	if err := l.writePartial(false); err != nil {
 		return res, err
 	}
 	for _, seg := range reclaimable {
 		l.segs[seg] = segInfo{}
-		l.freeSegment(seg)
 		res.Reclaimed = append(res.Reclaimed, seg)
 		l.stats.QuarantinedSegments--
 		l.stats.ReclaimedSegments++
@@ -106,6 +107,9 @@ func (l *LLD) ReclaimQuarantined() (ReclaimResult, error) {
 	// crash cannot resurrect the evidence on top of new data.
 	if err := l.dskSync(); err != nil {
 		return res, err
+	}
+	for _, seg := range reclaimable {
+		l.freeSegment(seg)
 	}
 	l.crashPoint("reclaim.postclear")
 	return res, nil

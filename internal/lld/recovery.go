@@ -165,16 +165,19 @@ var probeSerially bool
 // that segment, then the next ones in address order, wrapping at the end of
 // the disk, of the segments expected, skipping what was read already. A
 // walk's batch stops once what it has read shows where the chain ends
-// (chainEnds): the rest lie off it. A probe read ahead and never asked for
-// is dropped: it reaches no decoded state, so it heals, quarantines and
-// zeroes nothing. The results are the ones one read per probe gives
-// (probeCopy): a plain read changes nothing on the platter.
+// (chainEnds), and issues no read of a segment that lies past one it has
+// read that the chain cannot have passed (pastEnd). A probe read ahead and
+// never asked for is dropped: it reaches no decoded state, so it heals,
+// quarantines and zeroes nothing. The results are the ones one read per
+// probe gives (probeCopy): a plain read changes nothing on the platter.
 type prober struct {
 	l          *LLD
 	mr         disk.MultiReader // nil on a single-copy backend
 	sum, first []byte
 	ahead      map[int]aheadProbe
 	expect     []int  // ascending
+	free       []bool // by segment: free at the checkpoint
+	base       uint32 // the walk's first sequence number
 	read       []bool // by segment: read by some batch
 	reads      int    // summary areas read
 }
@@ -195,6 +198,9 @@ func (l *LLD) newProber(sum, first []byte) *prober {
 // what earlier batches read.
 func (a *prober) expecting(segs []int) {
 	a.expect = segs
+	if a.free == nil {
+		a.free = make([]bool, len(a.read))
+	}
 	clear(a.ahead)
 	clear(a.read)
 }
@@ -227,6 +233,9 @@ func (a *prober) probe(i int, seq uint32) (segProbe, error) {
 			break
 		}
 		s := batch[k]
+		if seq != 0 && a.pastEnd(batch, i, s) {
+			continue
+		}
 		p, err := l.probeCopy(s, a.sum)
 		a.read[s] = true
 		a.reads++
@@ -253,6 +262,47 @@ func (a *prober) chainEnds(i int, seq uint32) bool {
 		i, seq = next, nextSeq(seq)
 	}
 	return true
+}
+
+// pastEnd reports whether the probes in hand of batch, read for a walk at
+// segment i, show that segment s lies past the chain's end: a member y
+// lies between i and s in address order, wrapping, and either was open at
+// the crash (its newest image of the walk's generation is a partial
+// write), or shows no summary of the walk's generation and was free at the
+// checkpoint, so the log, which opens free segments in address order,
+// never got past it, or is the successor a segment of the generation
+// names, so the chain ends there.
+func (a *prober) pastEnd(batch []int, i, s int) bool {
+	n := len(a.read)
+	at := func(x int) int { return (x - i + n) % n }
+	stale := func(y int) bool {
+		r, ok := a.ahead[y]
+		return ok && r.err == nil && !r.p.unreadable &&
+			(r.p.si == nil && r.p.suspectTS == 0 || r.p.si != nil && !seqAtOrAfter(r.p.si.seq, a.base))
+	}
+	for _, y := range batch {
+		if at(y) >= at(s) {
+			continue
+		}
+		// A segment of the generation whose newest image is a partial
+		// write was open at the crash: the log opened nothing after it but
+		// the successor it names, which the walk reads to find the end.
+		if r, ok := a.ahead[y]; ok && r.err == nil && r.p.si != nil && !r.p.si.sealed && seqAtOrAfter(r.p.si.seq, a.base) && int(r.p.si.next) != s {
+			return true
+		}
+		if !stale(y) {
+			continue
+		}
+		if a.free[y] {
+			return true
+		}
+		for _, x := range batch {
+			if r, ok := a.ahead[x]; ok && r.err == nil && r.p.si != nil && seqAtOrAfter(r.p.si.seq, a.base) && int(r.p.si.next) == y {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // chainNext is the one rule for the chain's step: a walk that expects
@@ -458,7 +508,7 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 		return &decoded[i], err
 	}
 	report := RecoveryReport{CheckpointTS: floor}
-	start, startSeq := l.succ, l.ckptSeq
+	start, startSeq := l.succ, nextSeq(l.openSeq)
 	tail, tailSeq := -1, uint32(0)
 	// walked marks the segments the walk met; vouched, that it met every
 	// segment the log opened since the checkpoint.
@@ -483,6 +533,10 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 			}
 		}
 		pr.expecting(expect)
+		for i := range l.segs {
+			pr.free[i] = l.segs[i].state == segFree
+		}
+		pr.base = startSeq
 		var err error
 		if full, err = walk(probe); err != nil {
 			return err
@@ -645,8 +699,8 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 		}
 		for j := range sr.si.entries {
 			e := &sr.si.entries[j]
-			if e.ts <= floor {
-				continue // covered by the checkpoint
+			if e.ts <= floor || e.bid == ld.NilBlock {
+				continue // covered by the checkpoint, or a piece of one
 			}
 			recs = append(recs, record{ts: e.ts, committed: e.committed(), entry: e, seg: sr.id})
 			if e.committed() && e.ts > lastCommitted {
@@ -696,7 +750,9 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 
 	// Replay into the block-number map and list table themselves. On a
 	// seeded mount they hold the checkpoint's state, which every replayed
-	// record postdates; on a cold one they start empty.
+	// record postdates; on a cold one they start empty. No record can name
+	// an id above those the checkpoint issued and one more per record.
+	l.idCeil = uint64(l.nextFresh) + uint64(len(recs))
 	discarded := 0
 	for _, r := range recs {
 		if !r.committed {
@@ -717,10 +773,11 @@ func (l *LLD) recoverSweep(floor uint64, seeded bool, verifyData verifyFunc, ful
 
 	l.installRecovered()
 	// A still-live segment whose blocks all died and whose records are all
-	// at or below the checkpoint floor holds nothing recovery needs.
+	// at or below the checkpoint floor holds nothing recovery needs, unless
+	// it holds the checkpoint's payload (a link of its chain).
 	for i := range l.segs {
 		si := &l.segs[i]
-		if si.state == segLive && si.mapped == 0 && si.ts <= floor {
+		if si.state == segLive && si.mapped == 0 && si.ts <= floor && !l.inChain(i) {
 			si.state = segFree
 		}
 	}
@@ -829,7 +886,7 @@ func (l *LLD) replayBlock(b uint32) *blockInfo {
 
 // replayEntry installs a block data-location assignment.
 func (l *LLD) replayEntry(e *blockEntry, seg int) {
-	if e.bid == ld.NilBlock || int(e.bid) > l.lay.maxBlocks ||
+	if e.bid == ld.NilBlock || uint64(e.bid) > l.idCeil ||
 		int(e.off)+int(e.stored) > l.lay.dataCap() || max(e.stored, e.orig) > uint32(l.lay.maxBlockSize) {
 		l.stats.RecoveryAnomalies++
 		return
@@ -843,7 +900,7 @@ func (l *LLD) replayEntry(e *blockEntry, seg int) {
 // while it has an l.lists entry, so a fact about a list with none stores
 // nothing.
 func (l *LLD) replayTuple(t *tupleRec) {
-	badB := func(b uint32) bool { return b == 0 || int(b) > l.lay.maxBlocks }
+	badB := func(b uint32) bool { return b == 0 || uint64(b) > l.idCeil }
 	// freed is a block with no existence, linkage or data as of this record.
 	var freed blockInfo
 	setEdge := func(lid uint32, pred uint32, head bool, val ld.BlockID) {

@@ -326,8 +326,11 @@ func TestReplayPlacesListsAfterAMovedDeadList(t *testing.T) {
 		t.Fatal(err)
 	}
 	const l1, l2, l3 = 1, 2, 3
+	// Stamped above Format's checkpoint, whose payload and its images take
+	// the first stamps, in the segment after the payload's.
+	const base = 10
 	rec := func(kind uint8, ts uint64, args ...uint32) tupleRec {
-		r := tupleRec{kind: kind, flags: tupleCommitted, ts: ts}
+		r := tupleRec{kind: kind, flags: tupleCommitted, ts: base + ts}
 		copy(r.args[:], args)
 		return r
 	}
@@ -339,11 +342,11 @@ func TestReplayPlacesListsAfterAMovedDeadList(t *testing.T) {
 		rec(tNewList, 5, l3, l1, 0),
 	}
 	seg := make([]byte, lay.segmentSize)
-	used, err := encodeSummary(seg, lay, 0, 5, 0, 1, noSegment, true, 0, nil, tuples)
+	used, err := encodeSummary(seg, lay, 1, base+5, 0, 2, noSegment, true, 0, nil, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteAt(seg[lay.dataCap():lay.dataCap()+used], lay.sumOff(0, 0)); err != nil {
+	if err := d.WriteAt(seg[lay.dataCap():lay.dataCap()+used], lay.sumOff(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Format's checkpoint is a shutdown one, which Open would take as the

@@ -1,6 +1,7 @@
 package lld
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -29,14 +30,31 @@ func (e *NoSpaceError) Unwrap() error { return ld.ErrNoSpace }
 // (recovery.go "The chain"). Only a segment that wrote all its images while
 // the free pool was empty names no successor; the segment opened after it,
 // the lowest free one, is linked from nothing, so the next seal takes a
-// checkpoint that starts the chain again. Callers hold l.mu and must have
-// ensured a free segment exists.
+// checkpoint that starts the chain again. Writes leave the last free
+// segments, the reserve, alone: a checkpoint's payload takes any, and the
+// cleaner the one of them the checkpoint does not need. Callers hold l.mu
+// and must have ensured a free segment exists.
 func (l *LLD) openNewSegment() error {
 	if l.cur != nil {
 		return fmt.Errorf("lld: internal: segment already open")
 	}
-	if len(l.freeSegs) == 0 {
-		return fmt.Errorf("%w: no free segments", ld.ErrNoSpace)
+	floor := l.reserve()
+	switch {
+	case l.checkpointing, l.cleaning && l.victim >= 0 && !l.inChain(l.victim):
+		// A victim outside the chain comes back to the pool at the next
+		// durable write, before the next checkpoint counts its room.
+		floor = 0
+	case l.aruOpen:
+		// The victims the cleaner empties inside an atomic recovery unit
+		// come back to the pool only when it ends (pendingARU), and no
+		// checkpoint is taken before: the unit may borrow as many segments
+		// of the reserve.
+		floor = max(0, floor-len(l.pendingARU))
+	case l.cleaning:
+		floor--
+	}
+	if len(l.freeSegs) <= floor {
+		return fmt.Errorf("%w: %d free segments, %d of them kept for the checkpoint and the cleaner", ld.ErrNoSpace, len(l.freeSegs), l.reserve())
 	}
 	id := l.succ
 	if id < 0 || l.segs[id].state != segFree {
@@ -73,6 +91,15 @@ func (l *LLD) openNewSegment() error {
 		slotSeq: [2]int64{-1, -1},
 	}
 	l.linkSuccessor(l.cur)
+	if l.fenceHi != 0 {
+		// A fence recovery scheduled is the first record the log writes:
+		// made permanent before any new committed record could resurrect
+		// the unit it discarded.
+		l.emitTuple(tFence,
+			uint32(l.fenceLo), uint32(l.fenceLo>>32),
+			uint32(l.fenceHi), uint32(l.fenceHi>>32))
+		l.fenceLo, l.fenceHi = 0, 0
+	}
 	return nil
 }
 
@@ -124,6 +151,12 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 	}
 	seals := 0
 	for {
+		if l.ckptDue(dataLen) {
+			if err := l.periodicCheckpoint(); err != nil {
+				return err
+			}
+			continue
+		}
 		if l.cur != nil {
 			dataFull := l.cur.dataOff+dataLen > l.lay.dataCap()
 			if !dataFull && l.cur.sumSize+sumLen <= l.lay.summarySize {
@@ -154,9 +187,13 @@ func (l *LLD) ensureRoom(dataLen, sumLen int) error {
 			return err
 		}
 		if l.cur == nil {
+			// A refill's checkpoint leaves the segment its payload ended in
+			// open.
 			if err := l.refillFromHeld(); err != nil {
 				return err
 			}
+		}
+		if l.cur == nil {
 			if err := l.openNewSegment(); err != nil {
 				return err
 			}
@@ -325,6 +362,12 @@ func (l *LLD) sealSegment() error {
 	if cur == nil {
 		return nil
 	}
+	// A seal that finds the periodic checkpoint due and room for its
+	// payload ends the segment with it (ckptDue); without room the next
+	// segment's tail takes it.
+	if l.ckptDue(l.lay.dataCap()) {
+		return l.periodicCheckpoint()
+	}
 	if _, err := l.writeImage(true, false); err != nil {
 		return err
 	}
@@ -335,8 +378,24 @@ func (l *LLD) sealSegment() error {
 	l.cur = nil
 	l.stats.SegmentsSealed++
 	l.releaseCooling()
-	if l.sealsSinceCkpt++; l.sealsSinceCkpt >= l.checkpointPeriod() {
-		return l.checkpoint()
+	l.sealsSinceCkpt++
+	return nil
+}
+
+// periodicCheckpoint takes the periodic checkpoint, whose payload ends the
+// open segment, which it seals. With no room for it anywhere the segment
+// is sealed all the same, and the checkpoint waits a period. Callers hold
+// l.mu.
+func (l *LLD) periodicCheckpoint() error {
+	cur := l.cur
+	if err := l.writeCheckpoint(false, true); err != nil {
+		if !errors.Is(err, ld.ErrNoSpace) {
+			return err
+		}
+		l.sealsSinceCkpt = 0
+	}
+	if l.cur == cur {
+		return l.sealSegment()
 	}
 	return nil
 }
@@ -546,14 +605,17 @@ func nextSeq(s uint32) uint32 {
 
 func seqAtOrAfter(a, b uint32) bool { return int32(a-b) >= 0 }
 
-// refillFromHeld takes the checkpoint early when the free pool is empty
-// and only held segments would refill it, which releases them. Inside an
-// atomic recovery unit no checkpoint may be taken (it would capture half
-// the unit), so there the refill fails with errHeldInARU; beginARU takes
-// the checkpoint before a unit opens with the pool below cleanLow, so only
-// a unit that writes more than the pool held meets it. Callers hold l.mu.
+// refillFromHeld takes the checkpoint early when the free pool is down to
+// the reserve and only held segments would refill it, which releases them,
+// or the cleaner's victim is in the chain, which it takes out of it: its
+// payload takes the reserve, and the victim, emptied, comes back to the
+// pool without another checkpoint (openNewSegment). Inside an atomic
+// recovery unit no checkpoint may be taken (it would capture half the
+// unit), so there the refill fails with errHeldInARU; beginARU takes the
+// checkpoint before a unit opens with the pool below cleanLow, so only a
+// unit that writes more than the pool held meets it. Callers hold l.mu.
 func (l *LLD) refillFromHeld() error {
-	if len(l.freeSegs) > 0 || len(l.held) == 0 {
+	if l.spare() > 0 || len(l.held) == 0 && !l.victimInChain() {
 		return nil
 	}
 	if l.aruOpen {
@@ -561,6 +623,10 @@ func (l *LLD) refillFromHeld() error {
 	}
 	return l.checkpoint()
 }
+
+// victimInChain reports whether the cleaner is emptying a segment of the
+// newest checkpoint's chain, which it would hold. Callers hold l.mu.
+func (l *LLD) victimInChain() bool { return l.cleaning && l.victim >= 0 && l.inChain(l.victim) }
 
 // errHeldInARU is refillFromHeld's refusal inside an atomic recovery unit.
 var errHeldInARU = &NoSpaceError{Reason: "only segments held for the next checkpoint would refill the free pool, and no checkpoint is taken inside an atomic recovery unit"}
@@ -576,8 +642,9 @@ var errHeldInARU = &NoSpaceError{Reason: "only segments held for the next checkp
 // pre-checkpoint at all, units are refused (EXPERIMENTS.md, "Checkpoints
 // under atomic recovery units"). Callers hold l.mu.
 func (l *LLD) beginARU() error {
-	if len(l.held) > 0 && len(l.freeSegs)+len(l.cooling) < cleanLow {
-		if err := l.checkpoint(); err != nil {
+	if len(l.held) > 0 && l.spare()+len(l.cooling) < cleanLow {
+		// Without room for the checkpoint the unit begins all the same.
+		if err := l.checkpoint(); err != nil && !errors.Is(err, ld.ErrNoSpace) {
 			return err
 		}
 	}

@@ -459,11 +459,15 @@ func (s *scheduler) snapshot() map[string]int {
 	return out
 }
 
+// ckptWrite is where in the sector span a checkpoint's two writes began:
+// its payload's and its pointer record's.
+type ckptWrite struct{ payload, pointer int64 }
+
 // runReference executes the workload with no crash and reports the
 // sector span consumed after format, the schedule-site occurrence counts —
 // the coordinate space the crash points are drawn from — and where in that
-// span each checkpoint write began.
-func runReference(cfg Config) (span int64, sites map[string]int, ckpts []int64, err error) {
+// span each checkpoint's writes began.
+func runReference(cfg Config) (span int64, sites map[string]int, ckpts []ckptWrite, err error) {
 	r, err := newRig(cfg)
 	if err != nil {
 		return 0, nil, nil, err
@@ -472,8 +476,13 @@ func runReference(cfg Config) (span int64, sites map[string]int, ckpts []int64, 
 	sched := newScheduler(r.rail, cfg.Seed, point{})
 	var base int64
 	opts := tortureOptions(func(site string) {
-		if site == "checkpoint" {
-			ckpts = append(ckpts, r.rail.Accepted()-base)
+		switch site {
+		case "checkpoint":
+			ckpts = append(ckpts, ckptWrite{payload: r.rail.Accepted() - base})
+		case "checkpoint.payload":
+			if n := len(ckpts); n > 0 {
+				ckpts[n-1].pointer = r.rail.Accepted() - base
+			}
 		}
 		sched.hook(site)
 	})
@@ -530,15 +539,19 @@ func enumerate(cfg Config) ([]point, error) {
 			for s := cfg.SectorStride; s <= span; s += cfg.SectorStride {
 				pts = append(pts, point{kind: ptSector, n: s})
 			}
-			// A checkpoint torn mid-write: its header and first payload
-			// sector accepted, the rest lost. Recovery must fall back to the
-			// other slot and the chain that one starts.
-			for i, at := range ckpts {
+			// A checkpoint torn mid-write: its payload's first two sectors
+			// accepted, the rest lost; and its pointer record's sector lost,
+			// or accepted with nothing after it. Recovery must fall back to
+			// the older pointer and the chain that one starts, or take the
+			// new one whole.
+			for i, c := range ckpts {
 				if i == cfg.SiteCap {
 					break
 				}
-				if (at+2)%cfg.SectorStride != 0 {
-					pts = append(pts, point{kind: ptSector, n: at + 2})
+				for _, at := range []int64{c.payload + 2, c.pointer, c.pointer + 1} {
+					if at > 0 && at%cfg.SectorStride != 0 {
+						pts = append(pts, point{kind: ptSector, n: at})
+					}
 				}
 			}
 		}

@@ -204,13 +204,47 @@ func TestEnumerationBreadth(t *testing.T) {
 	if total < 500 {
 		t.Errorf("lld+stripe+mirror enumerate %d crash points, want >= 500", total)
 	}
+	// A run long enough to take checkpoints (TestCheckpointCrashSites')
+	// enumerates a crash at both of each one's sites and inside each of
+	// its writes.
+	for _, kind := range []string{KindLLD, KindMirror} {
+		cfg := Config{Kind: kind, Legs: 2, Seed: 7, Ops: 2000, Logf: t.Logf}
+		cfg.fillDefaults()
+		_, _, ckpts, err := runReference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := enumerate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites, torn := make(map[string]int), 0
+		for _, pt := range pts {
+			if pt.kind == ptSite {
+				sites[pt.site]++
+			}
+			for _, c := range ckpts {
+				if pt.kind == ptSector && (pt.n == c.payload+2 || pt.n == c.pointer || pt.n == c.pointer+1) {
+					torn++
+					break
+				}
+			}
+		}
+		t.Logf("%s at %d ops: %d points, %d checkpoints: %d at the checkpoint site, %d between payload and pointer, %d inside their writes",
+			kind, cfg.Ops, len(pts), len(ckpts), sites["checkpoint"], sites["checkpoint.payload"], torn)
+		if sites["checkpoint"] == 0 || sites["checkpoint.payload"] == 0 || torn < 2 {
+			t.Errorf("%s: the checkpoints' crash points are missing", kind)
+		}
+	}
 }
 
 // TestCheckpointCrashSites: a run long enough to take checkpoints
-// enumerates a crash at each one's schedule site and one inside its write
-// (its header and first payload sector on the platter, the rest lost), and
-// recovery from each verifies, the chain mount held against the full sweep
-// included. A reclaim whose mount kept the chain through the segment it
+// enumerates a crash at each one's schedule sites, before its payload's
+// write and between the payload's durable write and its pointer record's,
+// and inside its writes (the payload's first two sectors on the platter,
+// the rest lost; the pointer record's sector lost, or written with nothing
+// after it), and recovery from each verifies, the chain mount held against
+// the full sweep included. A reclaim whose mount kept the chain through the segment it
 // quarantined enumerates the crash at the first summary write that extends
 // that chain.
 func TestCheckpointCrashSites(t *testing.T) {
@@ -227,19 +261,30 @@ func TestCheckpointCrashSites(t *testing.T) {
 		if len(ckpts) < 2 || sites["checkpoint"] != len(ckpts) {
 			t.Fatalf("%s: %d checkpoint sites over %d checkpoint writes, want at least two", kind, sites["checkpoint"], len(ckpts))
 		}
-		last := ckpts[len(ckpts)-1]
+		first, last := ckpts[0], ckpts[len(ckpts)-1]
+		if sites["checkpoint.payload"] != len(ckpts) || first.pointer <= first.payload {
+			t.Fatalf("%s: %d payload-durable sites over %d checkpoints, the first's pointer at %d after its payload at %d",
+				kind, sites["checkpoint.payload"], len(ckpts), first.pointer, first.payload)
+		}
 		pts, err := enumerate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Contains(pts, point{kind: ptSector, n: ckpts[0] + 2}) {
-			t.Errorf("%s: no crash point tears the first checkpoint's write", kind)
+		for _, at := range []int64{first.payload + 2, first.pointer, first.pointer + 1} {
+			if !slices.Contains(pts, point{kind: ptSector, n: at}) {
+				t.Errorf("%s: no crash point at sector %d of the first checkpoint's writes", kind, at)
+			}
 		}
 		for _, pt := range []point{
 			{kind: ptSite, site: "checkpoint", n: 1},
 			{kind: ptSite, site: "checkpoint", n: int64(len(ckpts))},
-			{kind: ptSector, n: ckpts[0] + 2},
-			{kind: ptSector, n: last + 2},
+			{kind: ptSite, site: "checkpoint.payload", n: 1},
+			{kind: ptSite, site: "checkpoint.payload", n: int64(len(ckpts))},
+			{kind: ptSector, n: first.payload + 2},
+			{kind: ptSector, n: first.pointer},
+			{kind: ptSector, n: first.pointer + 1},
+			{kind: ptSector, n: last.payload + 2},
+			{kind: ptSector, n: last.pointer},
 		} {
 			if err := runPoint(cfg, pt); err != nil {
 				t.Errorf("%s\n  %v", Repro(cfg, pt), err)
